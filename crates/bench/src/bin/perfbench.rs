@@ -9,10 +9,10 @@
 //! Times the hot compute paths — the blocked matmul kernel against the
 //! old `ikj` loop, the batched DQN TD update against the per-sample
 //! reference, the importance matrix, CRL pretraining, the parallel
-//! edgesim step, the parallel branch-and-bound, and the end-to-end
-//! pipeline — once on the exact serial path (`threads = 1`) and once at
-//! `--threads` (default: all cores), plus a warm pass over the importance
-//! cache. Every timed computation returns bit-identical results at both
+//! edgesim step, the parallel branch-and-bound, the end-to-end pipeline,
+//! and the mesh-scale greedy re-solve — once on the exact serial path
+//! (`threads = 1`) and once at `--threads` (default: all cores), plus a
+//! warm pass over the importance cache. Every timed computation returns bit-identical results at both
 //! settings; only the wall clock may differ. Results print as a table and
 //! are upserted under `--key` into the tracked trend file (default
 //! `BENCH_TREND.json`) — one file accumulating an entry per PR/commit,
@@ -48,6 +48,7 @@
 
 use buildings::scenario::Scenario;
 use dcta_bench::common::{f3, paper_pipeline, paper_scenario, RunOpts, Table};
+use dcta_bench::meshalloc::MeshWorld;
 use dcta_bench::trend::{self, TrendEntry, TrendRow as Row};
 use dcta_core::cache::ImportanceCache;
 use dcta_core::crl_alloc::CrlAllocator;
@@ -55,7 +56,7 @@ use dcta_core::importance::{CopModels, ImportanceEvaluator};
 use dcta_core::pipeline::{Method, Pipeline, RunSpec};
 use dcta_core::processor::{Processor, ProcessorFleet};
 use dcta_core::task::{EdgeTask, TaskId};
-use dcta_core::tatim::TatimInstance;
+use dcta_core::tatim::{SolverKind, TatimInstance};
 use edgesim::cluster::Cluster;
 use edgesim::node::NodeId;
 use edgesim::run::{simulate, NodeAssignment, SimConfig, SimTask};
@@ -613,6 +614,29 @@ fn run(args: &Args) -> Result<Report, Box<dyn Error>> {
             );
         }
     }));
+
+    // -- mesh-scale re-solve: `SolverKind::Greedy` (density greedy + local
+    // search) on the `mesh_alloc` world recipe, over the raw and the
+    // route-deflated fleet. The aware row's `speedup` is blind/aware wall
+    // time: below 1 is the aware-greedy cliff (local search over a mostly
+    // unpacked item set), at or above 1 it is gone.
+    let world = MeshWorld::build(opts.pick(3001, 121), opts.seed)?;
+    let shape = format!("{}x{}", world.blind.num_tasks(), world.fleet.len());
+    println!("[greedy + local search: {shape} mesh round, blind and route-aware]");
+    let solve_ms = |instance: &TatimInstance| {
+        time_ms(reps, || {
+            black_box(instance.solve(&SolverKind::Greedy).expect("greedy solve"));
+        })
+    };
+    let blind_ms = solve_ms(&world.blind);
+    for (label, wall_ms) in [("blind", blind_ms), ("aware", solve_ms(&world.aware))] {
+        rows.push(Row {
+            bench: format!("greedy_ls_{shape}_{label}"),
+            threads: 1,
+            wall_ms,
+            speedup: blind_ms / wall_ms.max(1e-9),
+        });
+    }
 
     Ok(Report {
         generated_by: "perfbench".to_string(),

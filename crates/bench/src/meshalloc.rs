@@ -13,7 +13,7 @@
 
 use crate::common::{f3, RunOpts, Table};
 use crate::trend::TrendRow;
-use dcta_core::objective::{deflated_fleet, route_budget_factors};
+use dcta_core::objective::{deflated_fleet_with, route_budget_factors};
 use dcta_core::processor::ProcessorFleet;
 use dcta_core::task::{EdgeTask, TaskId};
 use dcta_core::tatim::{SolverKind, TatimInstance};
@@ -128,6 +128,51 @@ fn synthetic_round(
     Ok((tasks, sim_tasks))
 }
 
+/// One seeded mesh world priced as a TATIM round: the cluster, the round's
+/// simulator tasks, and the same tasks over the raw (*blind*) and the
+/// route-deflated (*aware*) fleet.
+pub struct MeshWorld {
+    /// The mesh testbed.
+    pub cluster: Cluster,
+    /// The round as the simulator replays it.
+    pub sim_tasks: Vec<SimTask>,
+    /// The undeflated fleet (the real cluster's budgets).
+    pub fleet: ProcessorFleet,
+    /// Smallest route budget factor over the fleet.
+    pub min_route_factor: f64,
+    /// The round over the raw fleet.
+    pub blind: TatimInstance,
+    /// The round over the route-deflated fleet.
+    pub aware: TatimInstance,
+}
+
+impl MeshWorld {
+    /// Builds the world of `nodes` total nodes (controller included) under
+    /// the master `seed`: the shared Eq.-3 budget is half the round's total
+    /// reference time spread over the workers.
+    ///
+    /// # Errors
+    ///
+    /// Propagates cluster, task and fleet construction failures.
+    pub fn build(nodes: usize, seed: u64) -> Result<Self, Box<dyn Error>> {
+        let cluster = Cluster::mesh_testbed(MeshSpec::new(nodes, seed ^ 0xA110C))?;
+        let workers = cluster.num_workers();
+        let (tasks, sim_tasks) = synthetic_round(workers, seed ^ nodes as u64)?;
+        let total: f64 = tasks.iter().map(EdgeTask::reference_time_s).sum();
+        let fleet = ProcessorFleet::from_cluster(&cluster, 0.5 * total / workers as f64)?;
+        let factors = route_budget_factors(&cluster, &fleet);
+        let deflated = deflated_fleet_with(&fleet, &factors)?;
+        Ok(Self {
+            min_route_factor: factors.iter().copied().fold(f64::INFINITY, f64::min),
+            blind: TatimInstance::new(tasks.clone(), fleet.clone()),
+            aware: TatimInstance::new(tasks, deflated),
+            cluster,
+            sim_tasks,
+            fleet,
+        })
+    }
+}
+
 /// Runs the mesh allocation study.
 ///
 /// # Errors
@@ -152,21 +197,13 @@ pub fn run(opts: &RunOpts) -> Result<MeshAllocStudy, Box<dyn Error>> {
     let mut gains = Vec::new();
 
     for &nodes in &node_counts {
-        let cluster = Cluster::mesh_testbed(MeshSpec::new(nodes, opts.seed ^ 0xA110C))?;
-        let workers = cluster.num_workers();
-        let (tasks, sim_tasks) = synthetic_round(workers, opts.seed ^ nodes as u64)?;
-        let total: f64 = tasks.iter().map(EdgeTask::reference_time_s).sum();
-        let fleet = ProcessorFleet::from_cluster(&cluster, 0.5 * total / workers as f64)?;
-        let factors = route_budget_factors(&cluster, &fleet);
-        let deflated = deflated_fleet(&cluster, &fleet)?;
+        let MeshWorld { cluster, sim_tasks, fleet, min_route_factor, blind, aware } =
+            MeshWorld::build(nodes, opts.seed)?;
         println!(
-            "[mesh-alloc: {nodes} nodes, {} tasks, min route factor {:.3}]",
-            tasks.len(),
-            factors.iter().copied().fold(f64::INFINITY, f64::min),
+            "[mesh-alloc: {nodes} nodes, {} tasks, min route factor {min_route_factor:.3}]",
+            blind.num_tasks(),
         );
 
-        let blind = TatimInstance::new(tasks.clone(), fleet.clone());
-        let aware = TatimInstance::new(tasks.clone(), deflated);
         for (solver, kind) in [
             ("greedy", SolverKind::Greedy),
             // `Anytime` is the portfolio's production-size configuration

@@ -7,10 +7,13 @@
 //! viable. The portfolio makes the trade-off explicit instead of silent:
 //!
 //! 1. **Warm start** — density greedy plus local search
-//!    ([`crate::greedy`]) produces a feasible incumbent in `O(N·M)`-ish
-//!    time. Its profit seeds the branch-and-bound floor (and, in exhaustive
-//!    mode, the shared atomic incumbent), so the search starts pruning
-//!    against a realistic bar instead of rediscovering it.
+//!    ([`crate::greedy`]) produces a feasible incumbent: `O(N log N + N·M)`
+//!    for the greedy pass, then per local-search round `O(N + M)` plus one
+//!    indexed find-first query per unpacked item (costs and worst case at
+//!    [`crate::greedy::local_search`]). Its profit seeds the
+//!    branch-and-bound floor (and, in exhaustive mode, the shared atomic
+//!    incumbent), so the search starts pruning against a realistic bar
+//!    instead of rediscovering it.
 //! 2. **Upper bound** — the surrogate relaxation
 //!    ([`crate::bounds::surrogate_bound`]) certifies how far the incumbent
 //!    can be from the optimum before any tree search runs, and certifies

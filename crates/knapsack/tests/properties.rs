@@ -4,8 +4,8 @@
 
 use knapsack::bounds::upper_bound;
 use knapsack::exact::{brute_force, BranchAndBound, SolverOptions};
-use knapsack::greedy::{greedy, greedy_with_local_search};
-use knapsack::problem::{Item, Problem, Sack};
+use knapsack::greedy::{greedy, greedy_with_local_search, local_search};
+use knapsack::problem::{Item, Packing, Problem, Sack, Solution};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -45,8 +45,49 @@ fn medium_problem() -> impl Strategy<Value = Problem> {
         .prop_map(|(items, sacks)| Problem::new(items, sacks).expect("sacks non-empty"))
 }
 
+/// The contract of `local_search` from one start: the result is feasible,
+/// earns at least the start's profit, is a fixed point, and is a true local
+/// optimum — no unpacked item fits any sack or profitably replaces any
+/// packed item, by brute force over every pair.
+fn check_local_search(p: &Problem, start: Solution) -> Result<(), TestCaseError> {
+    let done = local_search(p, start.clone(), usize::MAX);
+    prop_assert!(done.packing.is_feasible(p));
+    prop_assert!(done.profit >= start.profit, "{} < start {}", done.profit, start.profit);
+    let again = local_search(p, done.clone(), usize::MAX);
+    prop_assert_eq!(again.packing.placement(), done.packing.placement());
+
+    let residual = done.packing.residual_capacities(p);
+    let fits = |i: &Item, (rw, rv): (f64, f64)| i.weight <= rw + 1e-12 && i.volume <= rv + 1e-12;
+    for (i, inc) in p.items().iter().enumerate().filter(|(i, _)| done.packing.sack_of(*i).is_none())
+    {
+        if inc.profit > 0.0 {
+            prop_assert!(!residual.iter().any(|&r| fits(inc, r)), "item {i} still fits a sack");
+        }
+        for (j, out) in p.items().iter().enumerate() {
+            let Some(s) = done.packing.sack_of(j) else { continue };
+            let freed = (residual[s].0 + out.weight, residual[s].1 + out.volume);
+            prop_assert!(
+                !(inc.profit > out.profit + 1e-12 && fits(inc, freed)),
+                "item {i} still profitably replaces item {j}"
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn local_search_reaches_a_feasible_local_optimum(p in medium_problem(), q in integer_problem()) {
+        // Continuous instances, and integer ones for profit ties, zero
+        // sizes and zero profits; from the greedy packing and from nothing.
+        for p in [&p, &q] {
+            check_local_search(p, greedy(p))?;
+            let empty = Solution { packing: Packing::empty(p.num_items()), profit: 0.0 };
+            check_local_search(p, empty)?;
+        }
+    }
 
     #[test]
     fn exact_matches_brute_force(p in small_problem()) {
