@@ -225,6 +225,19 @@ impl<T: PartialEq> CalendarQueue<T> {
         if self.len <= self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
             self.resize((self.buckets.len() / 2).max(MIN_BUCKETS));
         }
+        let b = self.seek()?;
+        let ev = self.buckets[b].pop().expect("seek found the minimum's bucket");
+        self.len -= 1;
+        self.now = ev.time;
+        Some((ev.time, ev.payload))
+    }
+
+    /// Moves the day cursor onto the earliest pending event and returns
+    /// its bucket, whose heap top is that event.
+    fn seek(&mut self) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
         let n = self.buckets.len() as u64;
         // Walk the calendar from the current day; after a full fruitless
         // rotation fall back to a direct scan for the global minimum (the
@@ -233,20 +246,91 @@ impl<T: PartialEq> CalendarQueue<T> {
             let b = (self.day % n) as usize;
             if let Some(ev) = self.buckets[b].peek() {
                 if self.day_of(ev.time) <= self.day {
-                    let ev = self.buckets[b].pop().expect("bucket minimum exists");
-                    self.len -= 1;
-                    self.now = ev.time;
-                    return Some((ev.time, ev.payload));
+                    return Some(b);
                 }
             }
             self.day += 1;
         }
         self.day = self.day_of(self.min_time().expect("len > 0"));
-        let b = (self.day % n) as usize;
-        let ev = self.buckets[b].pop().expect("minimum's bucket is non-empty");
-        self.len -= 1;
-        self.now = ev.time;
-        Some((ev.time, ev.payload))
+        Some((self.day % n) as usize)
+    }
+
+    /// Draws the next insertion ticket — the `seq` half of the `(time,
+    /// seq)` ordering key — without scheduling anything.
+    ///
+    /// This is for a caller that keeps some of its events in a structure
+    /// of its own (the mesh engine's one-completion-per-flow heap) and
+    /// merges the two by key: an event ticketed here sorts against the
+    /// queue's events exactly as if it had been [`schedule`](Self::schedule)d
+    /// at that moment.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use edgesim::event::CalendarQueue;
+    ///
+    /// let mut q = CalendarQueue::new();
+    /// q.schedule(1.0, "queued first");
+    /// let held = (1.0, q.ticket());
+    /// q.schedule(1.0, "queued last");
+    /// // FIFO among equal times: the held event fires between the two.
+    /// assert!(q.peek_key().unwrap() < held);
+    /// q.pop_next();
+    /// assert!(held < q.peek_key().unwrap());
+    /// ```
+    pub fn ticket(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// The `(time, ticket)` key of the event [`pop_next`](Self::pop_next)
+    /// would return, or `None` when the queue is empty. Takes `&mut self`
+    /// because it moves the calendar's day cursor onto that event, as a pop
+    /// would; the pending events and the clock are untouched.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use edgesim::event::CalendarQueue;
+    ///
+    /// let mut q = CalendarQueue::new();
+    /// assert_eq!(q.peek_key(), None);
+    /// q.schedule(2.0, 'b');
+    /// q.schedule(1.0, 'a');
+    /// assert_eq!(q.peek_key(), Some((1.0, 1)));
+    /// assert_eq!(q.len(), 2);
+    /// assert_eq!(q.pop_next(), Some((1.0, 'a')));
+    /// ```
+    pub fn peek_key(&mut self) -> Option<(f64, u64)> {
+        let b = self.seek()?;
+        self.buckets[b].peek().map(|ev| (ev.time, ev.seq))
+    }
+
+    /// Moves the clock to `time` without popping — what the caller does
+    /// when an event it holds outside the queue (see
+    /// [`ticket`](Self::ticket)) fires ahead of [`peek_key`](Self::peek_key).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is non-finite or earlier than the current time.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use edgesim::event::CalendarQueue;
+    ///
+    /// let mut q = CalendarQueue::new();
+    /// q.schedule(5.0, "queued");
+    /// q.advance(3.0);
+    /// assert_eq!(q.now(), 3.0);
+    /// q.schedule(4.0, "follow-up of the held event");
+    /// assert_eq!(q.pop_next(), Some((4.0, "follow-up of the held event")));
+    /// ```
+    pub fn advance(&mut self, time: f64) {
+        assert!(time.is_finite(), "event time must be finite");
+        assert!(time + 1e-12 >= self.now, "cannot advance into the past: {time} < {}", self.now);
+        self.now = time;
     }
 
     /// Earliest pending timestamp, or `None` when empty. O(buckets).
@@ -287,9 +371,117 @@ impl<T: PartialEq> Default for CalendarQueue<T> {
     }
 }
 
+/// Heap slot of an id that has no entry.
+const ABSENT: usize = usize::MAX;
+
+/// An indexed binary min-heap over dense ids, keyed `(time, seq)` like the
+/// queues above and holding at most one entry per id: [`set`](Self::set)
+/// inserts or re-keys in place, [`remove`](Self::remove) deletes by id, so
+/// a superseded key never lingers to be popped and discarded.
+///
+/// The mesh engine keeps each active flow's single pending completion
+/// here, drawing `seq` from [`CalendarQueue::ticket`] so that merging this
+/// heap with the calendar by key reproduces the pop order of one queue
+/// holding both (pinned by the proptest below).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct IndexedHeap {
+    /// Heap-ordered `(time, seq, id)` entries.
+    heap: Vec<(f64, u64, usize)>,
+    /// Heap slot of each id, [`ABSENT`] when it has no entry.
+    pos: Vec<usize>,
+}
+
+impl IndexedHeap {
+    /// The minimum `(time, seq, id)`.
+    fn peek(&self) -> Option<(f64, u64, usize)> {
+        self.heap.first().copied()
+    }
+
+    /// The minimum as `(time, id)` if it sorts before `key` — the next
+    /// event of a queue this heap is merged with, `None` for an empty one.
+    pub(crate) fn first_before(&self, key: Option<(f64, u64)>) -> Option<(f64, usize)> {
+        let (time, seq, id) = self.peek()?;
+        key.is_none_or(|key| (time, seq) < key).then_some((time, id))
+    }
+
+    fn slot_of(&self, id: usize) -> Option<usize> {
+        self.pos.get(id).copied().filter(|&slot| slot != ABSENT)
+    }
+
+    /// The key of `id`'s entry, if it has one.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn key_of(&self, id: usize) -> Option<(f64, u64)> {
+        let (time, seq, _) = self.heap[self.slot_of(id)?];
+        Some((time, seq))
+    }
+
+    /// Gives `id` the key `(time, seq)`, replacing its entry if it has one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is non-finite.
+    pub(crate) fn set(&mut self, id: usize, time: f64, seq: u64) {
+        assert!(time.is_finite(), "event time must be finite");
+        if id >= self.pos.len() {
+            self.pos.resize(id + 1, ABSENT);
+        }
+        let mut slot = self.pos[id];
+        if slot == ABSENT {
+            slot = self.heap.len();
+            self.heap.push((time, seq, id));
+        } else {
+            self.heap[slot] = (time, seq, id);
+        }
+        self.restore(slot);
+    }
+
+    /// Deletes `id`'s entry; a no-op when it has none.
+    pub(crate) fn remove(&mut self, id: usize) {
+        let Some(slot) = self.slot_of(id) else { return };
+        self.pos[id] = ABSENT;
+        let last = self.heap.pop().expect("an indexed entry exists");
+        if slot < self.heap.len() {
+            self.heap[slot] = last;
+            self.restore(slot);
+        }
+    }
+
+    fn before(&self, a: usize, b: usize) -> bool {
+        let ((ta, sa, _), (tb, sb, _)) = (self.heap[a], self.heap[b]);
+        ta < tb || (ta == tb && sa < sb)
+    }
+
+    /// Sifts the entry at `slot` to where the heap order holds again and
+    /// records the slots of every entry it moved.
+    fn restore(&mut self, mut slot: usize) {
+        while slot > 0 && self.before(slot, (slot - 1) / 2) {
+            let parent = (slot - 1) / 2;
+            self.heap.swap(slot, parent);
+            self.pos[self.heap[slot].2] = slot;
+            slot = parent;
+        }
+        loop {
+            let mut least = slot;
+            for child in [2 * slot + 1, 2 * slot + 2] {
+                if child < self.heap.len() && self.before(child, least) {
+                    least = child;
+                }
+            }
+            if least == slot {
+                break;
+            }
+            self.heap.swap(slot, least);
+            self.pos[self.heap[slot].2] = slot;
+            slot = least;
+        }
+        self.pos[self.heap[slot].2] = slot;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order() {
@@ -439,6 +631,177 @@ mod tests {
             pending -= 1;
         }
         assert!(cal.pop_next().is_none());
+    }
+
+    #[test]
+    fn ticket_peek_and_advance_interleave_with_scheduling() {
+        let mut q = CalendarQueue::new();
+        q.schedule(2.0, 'a');
+        let held = (2.0, q.ticket());
+        q.schedule(2.0, 'b');
+        assert_eq!(q.peek_key(), Some((2.0, 0)));
+        assert_eq!(q.len(), 2, "peeking pops nothing");
+        assert_eq!(q.now(), 0.0, "peeking leaves the clock alone");
+        assert_eq!(q.pop_next(), Some((2.0, 'a')));
+        // The held event's ticket sits between the two queued ones.
+        assert!(held < q.peek_key().unwrap());
+        q.advance(held.0);
+        assert_eq!(q.now(), 2.0);
+        assert_eq!(q.pop_next(), Some((2.0, 'b')));
+        assert_eq!(q.peek_key(), None);
+    }
+
+    #[test]
+    fn peek_then_earlier_schedule_still_pops_in_order() {
+        // Peeking parks the day cursor on a far event; a later schedule
+        // ahead of it must still pop first.
+        let mut q = CalendarQueue::new();
+        q.schedule(1e6, "far");
+        assert_eq!(q.peek_key(), Some((1e6, 0)));
+        q.schedule(3.0, "near");
+        assert_eq!(q.peek_key(), Some((3.0, 1)));
+        assert_eq!(q.pop_next(), Some((3.0, "near")));
+        assert_eq!(q.pop_next(), Some((1e6, "far")));
+    }
+
+    #[test]
+    #[should_panic(expected = "past")]
+    fn advancing_into_the_past_panics() {
+        let mut q: CalendarQueue<()> = CalendarQueue::new();
+        q.advance(5.0);
+        q.advance(1.0);
+    }
+
+    #[test]
+    fn indexed_heap_rekeys_and_removes_by_id() {
+        let mut h = IndexedHeap::default();
+        assert_eq!(h.peek(), None);
+        h.set(3, 5.0, 0);
+        h.set(1, 2.0, 1);
+        h.set(7, 2.0, 2);
+        assert_eq!(h.peek(), Some((2.0, 1, 1)), "equal times order by seq");
+        h.set(3, 1.0, 3);
+        assert_eq!(h.peek(), Some((1.0, 3, 3)), "re-keying moves the one entry");
+        assert_eq!(h.key_of(3), Some((1.0, 3)));
+        h.set(3, 9.0, 4);
+        assert_eq!(h.peek(), Some((2.0, 1, 1)));
+        h.remove(1);
+        h.remove(1);
+        assert_eq!(h.key_of(1), None);
+        assert_eq!(h.peek(), Some((2.0, 2, 7)));
+        h.remove(7);
+        assert_eq!(h.peek(), Some((9.0, 4, 3)));
+        h.remove(3);
+        assert_eq!(h.peek(), None);
+        h.remove(100);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn indexed_heap_rejects_non_finite_keys() {
+        IndexedHeap::default().set(0, f64::INFINITY, 0);
+    }
+
+    /// What the merged pop yields: a queued payload or a held id firing.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fired {
+        Queued(u32),
+        Held(usize),
+    }
+
+    /// The mesh engine's main-loop step: the earlier of the calendar's
+    /// next event and the heap's minimum, by `(time, ticket)`.
+    fn merged_pop(cal: &mut CalendarQueue<u32>, held: &mut IndexedHeap) -> Option<(f64, Fired)> {
+        match held.first_before(cal.peek_key()) {
+            Some((t, id)) => {
+                cal.advance(t);
+                held.remove(id);
+                Some((t, Fired::Held(id)))
+            }
+            None => cal.pop_next().map(|(t, v)| (t, Fired::Queued(v))),
+        }
+    }
+
+    /// The scheme the merged pop replaced, as the reference: everything in
+    /// one [`EventQueue`], a re-key pushing a new versioned entry and a
+    /// cancel bumping the version, superseded entries discarded on pop.
+    fn lazy_pop(
+        all: &mut EventQueue<(Fired, u64)>,
+        version: &mut [u64],
+        live: &mut [bool],
+    ) -> Option<(f64, Fired)> {
+        loop {
+            let (t, (fired, v)) = all.pop_next()?;
+            match fired {
+                Fired::Queued(_) => return Some((t, fired)),
+                Fired::Held(id) if live[id] && version[id] == v => {
+                    live[id] = false;
+                    return Some((t, fired));
+                }
+                Fired::Held(_) => {}
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Calendar + indexed heap with shared tickets pops exactly what
+        /// one lazily-deleting queue pops — times bitwise, same-timestamp
+        /// bursts in the same FIFO order — under random interleavings of
+        /// schedule, re-key, cancel and pop.
+        #[test]
+        fn merged_pop_order_matches_lazy_deletion(
+            ops in prop::collection::vec((0u8..5, 0u32..40, 0usize..12, 0usize..4), 1..400),
+        ) {
+            const IDS: usize = 12;
+            let mut cal: CalendarQueue<u32> = CalendarQueue::new();
+            let mut held = IndexedHeap::default();
+            let mut all: EventQueue<(Fired, u64)> = EventQueue::new();
+            let (mut version, mut live) = ([0u64; IDS], [false; IDS]);
+            let mut next = 0u32;
+            for (op, dt, id, dup) in ops {
+                // A coarse time grid makes equal timestamps common. The
+                // reference's clock is the later one when it drained
+                // superseded entries past the last live event.
+                let t = all.now() + f64::from(dt) * 0.25;
+                match op {
+                    0 => {
+                        for _ in 0..=dup {
+                            cal.schedule(t, next);
+                            all.schedule(t, (Fired::Queued(next), 0));
+                            next += 1;
+                        }
+                    }
+                    1 | 2 => {
+                        let ticket = cal.ticket();
+                        held.set(id, t, ticket);
+                        version[id] += 1;
+                        live[id] = true;
+                        all.schedule(t, (Fired::Held(id), version[id]));
+                    }
+                    3 => {
+                        held.remove(id);
+                        live[id] = false;
+                    }
+                    _ => {
+                        let got = merged_pop(&mut cal, &mut held);
+                        let want = lazy_pop(&mut all, &mut version, &mut live);
+                        prop_assert_eq!(got.map(|(t, f)| (t.to_bits(), f)),
+                                                  want.map(|(t, f)| (t.to_bits(), f)));
+                    }
+                }
+            }
+            loop {
+                let got = merged_pop(&mut cal, &mut held);
+                let want = lazy_pop(&mut all, &mut version, &mut live);
+                prop_assert_eq!(got.map(|(t, f)| (t.to_bits(), f)),
+                                          want.map(|(t, f)| (t.to_bits(), f)));
+                if got.is_none() {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,13 +15,14 @@
 //! Tasks allocated to the controller itself skip the network.
 
 use crate::cluster::{Cluster, NetTopology};
-use crate::event::CalendarQueue;
+use crate::event::{CalendarQueue, IndexedHeap};
 use crate::faults::{FaultKind, FaultSchedule};
 use crate::network::{MediumMode, MeshNetwork, Routes};
 use crate::node::NodeId;
 use crate::trace::{FailureKind, FailureRecord};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::rc::Rc;
 
 /// A task as the simulator sees it: pure demands, no learning semantics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1315,18 +1316,13 @@ impl FaultSim<'_> {
     }
 }
 
-/// Events of the mesh engine. Flow-scoped events carry the flow id (and,
-/// for [`MEv::FlowDone`], the rate version that scheduled them — a rate
-/// change bumps the version, turning the superseded completion inert).
+/// Queued events of the mesh engine. A flow's serialisation completion is
+/// not among them: it lives in [`MeshSim::completions`], one entry per
+/// active flow, re-keyed whenever the flow's rate changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MEv {
     /// Index into the fault schedule fires.
     Fault(usize),
-    /// A flow's serialisation finished under the rate of `version`.
-    FlowDone {
-        flow: usize,
-        version: u64,
-    },
     /// A finished flow's payload, delayed by path propagation, lands.
     Delivered {
         flow: usize,
@@ -1371,8 +1367,12 @@ struct Flow {
     /// Worker-side endpoint (dense mesh node index).
     node: usize,
     /// Edge ids along the route, fixed at flow start (re-routing only
-    /// affects flows started after the topology change).
-    path: Vec<usize>,
+    /// affects flows started after the topology change); shared with the
+    /// engine's per-destination route cache.
+    path: Rc<[usize]>,
+    /// Where this flow's per-edge grants start in [`MeshSim::grants`]:
+    /// `grants[slots + i]` is what `path[i]` currently grants it.
+    slots: usize,
     /// Requested size — the constant share weight.
     bits: f64,
     /// Bits still to serialise.
@@ -1386,8 +1386,6 @@ struct Flow {
     /// Sum of one-way propagation latencies along `path`, applied once
     /// after serialisation completes.
     latency: f64,
-    /// Bumped on every rate change; stale [`MEv::FlowDone`] events no-op.
-    version: u64,
     active: bool,
 }
 
@@ -1412,15 +1410,22 @@ struct MTaskState {
 /// proportional-share contention and incremental rate settlement.
 ///
 /// All state is dense `Vec` storage indexed by mesh node or edge id.
-/// After every handled event, [`MeshSim::settle`] revisits only the flows
-/// crossing edges whose flow set changed ("dirty" edges): each is advanced
-/// under its previously granted rate, then re-granted from the new loads;
-/// a flow whose rate is bitwise unchanged keeps its scheduled completion,
-/// so a settlement touches O(affected flows), not all active flows.
+/// After every handled event, [`MeshSim::settle`] revisits only the edges
+/// whose flow set changed ("dirty" edges) and the flows crossing them:
+/// each such edge rewrites the grant it gives each of its flows, then each
+/// touched flow is advanced under its previously granted rate and takes
+/// the minimum of its path's grants; a flow whose rate is bitwise unchanged
+/// keeps its pending completion, so a settlement costs O(dirty edges'
+/// flows), not all active flows times their path lengths.
+///
+/// Every active flow owns exactly one pending completion, in
+/// [`MeshSim::completions`]; the main loop merges that heap with the
+/// calendar queue by `(time, seq)`, both drawing `seq` from the calendar's
+/// counter, so events fire in the order one shared queue would give.
 ///
 /// The engine is single-threaded, so thread-count invariance is
-/// structural; determinism follows from the queue's (time, seq) FIFO
-/// contract and the dense, id-ordered iteration everywhere.
+/// structural; determinism follows from the (time, seq) FIFO contract and
+/// the dense, id-ordered iteration everywhere.
 struct MeshSim<'a> {
     cluster: &'a Cluster,
     mesh: &'a MeshNetwork,
@@ -1428,27 +1433,43 @@ struct MeshSim<'a> {
     config: SimConfig,
     controller: NodeId,
     queue: CalendarQueue<MEv>,
+    /// The pending serialisation completion of each active flow, keyed
+    /// `(fire time, ticket)` with tickets from `queue`.
+    completions: IndexedHeap,
     /// Shortest-path tree from the controller over the live edges;
-    /// recomputed on every topology change.
+    /// recomputed on every topology change ([`MeshSim::reroute`]).
     routes: Routes,
+    /// `(path edges, summed latency)` of the current route to each node,
+    /// filled on first use and emptied with every `routes` change.
+    route_cache: Vec<Option<(Rc<[usize]>, f64)>>,
     edge_down: Vec<bool>,
     /// The uplink edge a `LinkDown(n)` fault took out, so `LinkUp(n)`
     /// restores exactly that edge.
     downed_uplink: Vec<Option<usize>>,
     /// Flow slab; ids are never reused within a run.
     flows: Vec<Flow>,
-    /// Active flow ids crossing each edge, in arrival order.
-    edge_flows: Vec<Vec<usize>>,
+    /// Active flows crossing each edge, in arrival order, as `(flow id,
+    /// index into `grants` of what this edge grants that flow)`.
+    edge_flows: Vec<Vec<(usize, usize)>>,
+    /// `capacity × (bits / load)` per (flow, path edge), each flow's run
+    /// starting at its [`Flow::slots`]. An edge's entries are rewritten
+    /// whenever its load changed, so every entry of an active flow always
+    /// equals a fresh evaluation.
+    grants: Vec<f64>,
     /// Sum of active flows' share weights per edge; reset to exactly 0.0
     /// when an edge empties so no float residue leaks across rounds of
     /// contention.
     edge_load: Vec<f64>,
     /// Edges whose flow set changed since the last settlement.
     dirty: Vec<usize>,
+    /// Settlement stamp per edge (dedupes repeated dirty entries).
+    edge_stamp: Vec<u64>,
     /// Settlement stamp per flow (dedupes flows crossing several dirty
     /// edges).
     touch_stamp: Vec<u64>,
     stamp: u64,
+    /// Scratch: the flows a settlement touched, in first-touch order.
+    touched: Vec<usize>,
     cpu_free: Vec<f64>,
     node_busy: Vec<f64>,
     link_busy: Vec<f64>,
@@ -1491,15 +1512,20 @@ impl<'a> MeshSim<'a> {
             config,
             controller,
             queue: CalendarQueue::new(),
+            completions: IndexedHeap::default(),
             routes: mesh.routes_from(controller.0, &[]),
+            route_cache: vec![None; n],
             edge_down: vec![false; m],
             downed_uplink: vec![None; n],
             flows: Vec::new(),
             edge_flows: std::iter::repeat_with(Vec::new).take(m).collect(),
+            grants: Vec::new(),
             edge_load: vec![0.0; m],
             dirty: Vec::new(),
+            edge_stamp: vec![0; m],
             touch_stamp: Vec::new(),
             stamp: 0,
+            touched: Vec::new(),
             cpu_free: vec![0.0; n],
             node_busy: vec![0.0; n],
             link_busy: vec![0.0; n],
@@ -1527,6 +1553,13 @@ impl<'a> MeshSim<'a> {
         }
     }
 
+    /// Recomputes the shortest-path tree over the live edges after a
+    /// topology change, dropping every cached route with the old tree.
+    fn reroute(&mut self) {
+        self.routes = self.mesh.routes_from(self.controller.0, &self.edge_down);
+        self.route_cache.fill(None);
+    }
+
     /// Starts a transfer toward (or from) `node` along the current route.
     /// Zero-size payloads skip the fluid phase entirely: they hold no
     /// share of any edge and deliver after pure path latency.
@@ -1541,58 +1574,52 @@ impl<'a> MeshSim<'a> {
         t: f64,
         bits: f64,
     ) -> usize {
-        let path = self.routes.path_edges(node.0);
-        let latency: f64 = path.iter().map(|&e| self.mesh.link(e).latency_s()).sum();
+        let (routes, mesh) = (&self.routes, self.mesh);
+        let (path, latency) = self.route_cache[node.0].get_or_insert_with(|| {
+            let path = routes.path_edges(node.0);
+            let latency = path.iter().map(|&e| mesh.link(e).latency_s()).sum();
+            (path.into(), latency)
+        });
+        let (path, latency) = (Rc::clone(path), *latency);
         let bits = bits.max(0.0);
         let fid = self.flows.len();
+        let slots = self.grants.len();
         self.link_touched[node.0] = true;
-        if bits > 0.0 {
-            for &e in &path {
-                self.edge_flows[e].push(fid);
+        let active = bits > 0.0;
+        if active {
+            self.grants.resize(slots + path.len(), 0.0);
+            for (i, &e) in path.iter().enumerate() {
+                self.edge_flows[e].push((fid, slots + i));
                 self.edge_load[e] += bits;
                 self.dirty.push(e);
             }
-            self.flows.push(Flow {
-                task,
-                attempt,
-                result,
-                node: node.0,
-                path,
-                bits,
-                remaining: bits,
-                rate: 0.0,
-                last_update: t,
-                started: t,
-                latency,
-                version: 0,
-                active: true,
-            });
         } else {
             // Nothing to serialise: deliver after propagation alone.
-            self.flows.push(Flow {
-                task,
-                attempt,
-                result,
-                node: node.0,
-                path,
-                bits,
-                remaining: 0.0,
-                rate: 0.0,
-                last_update: t,
-                started: t,
-                latency,
-                version: 0,
-                active: false,
-            });
             self.queue.schedule(t + latency, MEv::Delivered { flow: fid });
         }
+        self.flows.push(Flow {
+            task,
+            attempt,
+            result,
+            node: node.0,
+            path,
+            slots,
+            bits,
+            remaining: bits,
+            rate: 0.0,
+            last_update: t,
+            started: t,
+            latency,
+            active,
+        });
         self.touch_stamp.push(0);
         fid
     }
 
     /// Takes `fid` off the network: accrues its elapsed serialisation time
     /// to the worker's link-busy ledger, releases its share on every path
-    /// edge, and marks those edges dirty. Idempotent.
+    /// edge, marks those edges dirty, and drops its pending completion.
+    /// Idempotent.
     fn end_flow(&mut self, fid: usize, now: f64) {
         let f = &mut self.flows[fid];
         if !f.active {
@@ -1602,10 +1629,13 @@ impl<'a> MeshSim<'a> {
         let elapsed = (now - f.started).max(0.0);
         let node = f.node;
         let bits = f.bits;
-        let path = std::mem::take(&mut f.path);
+        let path = Rc::clone(&f.path);
+        self.completions.remove(fid);
         self.link_busy[node] += elapsed;
-        for &e in &path {
-            self.edge_flows[e].retain(|&g| g != fid);
+        for &e in path.iter() {
+            // Order-preserving: the survivors' order decides the tickets
+            // of same-instant rate changes.
+            self.edge_flows[e].retain(|&(g, _)| g != fid);
             self.edge_load[e] -= bits;
             if self.edge_flows[e].is_empty() {
                 self.edge_load[e] = 0.0;
@@ -1614,11 +1644,16 @@ impl<'a> MeshSim<'a> {
         }
     }
 
-    /// Settles the network after a flow-set change: every flow crossing a
-    /// dirty edge is advanced under its old rate, then re-granted
-    /// `min over path of capacity × (bits / load)`. Only a bitwise rate
-    /// change bumps the flow's version and reschedules its completion —
-    /// unaffected flows keep their pending [`MEv::FlowDone`] untouched.
+    /// Settles the network after a flow-set change. Pass 1 walks each
+    /// distinct dirty edge once and rewrites the grant
+    /// `capacity × (bits / load)` it gives each flow crossing it, collecting
+    /// those flows in first-touch order. Pass 2 advances each touched flow
+    /// under its old rate and re-grants it the minimum over its path's
+    /// cached grants — the grants of its non-dirty edges were computed from
+    /// loads that have not changed since, so the minimum sees exactly the
+    /// operands a walk of the whole path would recompute. Only a bitwise
+    /// rate change re-keys the flow's completion (drawing a fresh ticket);
+    /// unaffected flows keep theirs untouched.
     ///
     /// Settling once per handled event is equivalent to settling after
     /// each individual flow change at that instant: intermediate
@@ -1629,47 +1664,89 @@ impl<'a> MeshSim<'a> {
             return;
         }
         self.stamp += 1;
+        let stamp = self.stamp;
         let mut dirty = std::mem::take(&mut self.dirty);
+        let mut touched = std::mem::take(&mut self.touched);
         for &e in &dirty {
-            for fi in 0..self.edge_flows[e].len() {
-                let fid = self.edge_flows[e][fi];
-                if self.touch_stamp[fid] == self.stamp {
-                    continue;
+            if self.edge_stamp[e] == stamp {
+                continue;
+            }
+            self.edge_stamp[e] = stamp;
+            let capacity = self.mesh.link(e).bandwidth_bps();
+            let load = self.edge_load[e];
+            for &(fid, slot) in &self.edge_flows[e] {
+                self.grants[slot] = capacity * (self.flows[fid].bits / load);
+                if self.touch_stamp[fid] != stamp {
+                    self.touch_stamp[fid] = stamp;
+                    touched.push(fid);
                 }
-                self.touch_stamp[fid] = self.stamp;
-                {
-                    // Advance under the old rate. A flow created at t0 can
-                    // see a settlement at an earlier fault instant; it has
-                    // not started transferring yet, so its clock stays put.
-                    let f = &mut self.flows[fid];
-                    if now > f.last_update {
-                        f.remaining = (f.remaining - f.rate * (now - f.last_update)).max(0.0);
-                        f.last_update = now;
-                    }
-                }
-                let mut rate = f64::INFINITY;
-                {
-                    let f = &self.flows[fid];
-                    for &pe in &f.path {
-                        let r = self.mesh.link(pe).bandwidth_bps() * (f.bits / self.edge_load[pe]);
-                        if r < rate {
-                            rate = r;
-                        }
-                    }
-                }
-                let f = &mut self.flows[fid];
-                if rate.to_bits() == f.rate.to_bits() {
-                    continue;
-                }
-                f.rate = rate;
-                f.version += 1;
-                let fire = f.last_update + f.remaining / rate;
-                let version = f.version;
-                self.queue.schedule(fire, MEv::FlowDone { flow: fid, version });
             }
         }
+        for &fid in &touched {
+            let f = &mut self.flows[fid];
+            // Advance under the old rate. A flow created at t0 can see a
+            // settlement at an earlier fault instant; it has not started
+            // transferring yet, so its clock stays put.
+            if now > f.last_update {
+                f.remaining = (f.remaining - f.rate * (now - f.last_update)).max(0.0);
+                f.last_update = now;
+            }
+            let mut rate = f64::INFINITY;
+            for &r in &self.grants[f.slots..f.slots + f.path.len()] {
+                if r < rate {
+                    rate = r;
+                }
+            }
+            if rate.to_bits() == f.rate.to_bits() {
+                continue;
+            }
+            f.rate = rate;
+            let fire = f.last_update + f.remaining / rate;
+            assert!(
+                fire + 1e-12 >= self.queue.now(),
+                "flow completes in the past: {fire} < {}",
+                self.queue.now()
+            );
+            let ticket = self.queue.ticket();
+            self.completions.set(fid, fire, ticket);
+        }
         dirty.clear();
+        touched.clear();
         self.dirty = dirty;
+        self.touched = touched;
+        #[cfg(any(test, debug_assertions))]
+        self.check_settled();
+    }
+
+    /// The settlement invariant, checked against the computation the grant
+    /// cache replaced: every active flow's rate equals a fresh
+    /// `min over path of capacity × (bits / load)` bit for bit, and it owns
+    /// one pending completion at `last_update + remaining / rate` (up to
+    /// the rounding of advancing `remaining` since the key was set);
+    /// inactive flows own none.
+    #[cfg(any(test, debug_assertions))]
+    fn check_settled(&self) {
+        for (fid, f) in self.flows.iter().enumerate() {
+            let key = self.completions.key_of(fid);
+            if !f.active {
+                assert!(key.is_none(), "inactive flow {fid} still has a pending completion");
+                continue;
+            }
+            let mut rate = f64::INFINITY;
+            for &e in f.path.iter() {
+                let r = self.mesh.link(e).bandwidth_bps() * (f.bits / self.edge_load[e]);
+                if r < rate {
+                    rate = r;
+                }
+            }
+            assert_eq!(rate.to_bits(), f.rate.to_bits(), "flow {fid}: cached grants went stale");
+            let (fire, _) = key.expect("an active flow owns a pending completion");
+            let expected = f.last_update + f.remaining / f.rate;
+            assert!(
+                (fire - expected).abs() <= 1e-9 * expected.abs().max(1.0),
+                "flow {fid} fires at {fire}, its rate says {expected}"
+            );
+        }
     }
 
     /// Heartbeat duration for `task` on `node`: retry-factor × the
@@ -1796,13 +1873,13 @@ impl<'a> MeshSim<'a> {
                         self.edge_down[e] = true;
                         // Every flow crossing the dead edge dies with it.
                         let crossing = self.edge_flows[e].clone();
-                        for fid in crossing {
+                        for (fid, _) in crossing {
                             let (task, attempt) = (self.flows[fid].task, self.flows[fid].attempt);
                             if self.live(task, attempt) {
                                 self.abort_attempt(task, now, AbortCause::LinkLoss);
                             }
                         }
-                        self.routes = self.mesh.routes_from(self.controller.0, &self.edge_down);
+                        self.reroute();
                     }
                 }
             }
@@ -1810,7 +1887,7 @@ impl<'a> MeshSim<'a> {
                 self.failures.push(FailureRecord { time: now, kind: FailureKind::LinkRestored(n) });
                 if let Some(e) = self.downed_uplink[n.0].take() {
                     self.edge_down[e] = false;
-                    self.routes = self.mesh.routes_from(self.controller.0, &self.edge_down);
+                    self.reroute();
                     // Drain results parked behind the partition for every
                     // node the restore reconnected: ascending node id,
                     // FIFO within each node.
@@ -1895,12 +1972,9 @@ impl<'a> MeshSim<'a> {
         }
     }
 
-    fn on_flow_done(&mut self, now: f64, fid: usize, version: u64) {
-        let f = &self.flows[fid];
-        if !f.active || f.version != version {
-            return;
-        }
-        let latency = f.latency;
+    /// `fid`'s pending completion fired: its serialisation is done.
+    fn on_flow_done(&mut self, now: f64, fid: usize) {
+        let latency = self.flows[fid].latency;
         self.end_flow(fid, now);
         self.queue.schedule(now + latency, MEv::Delivered { flow: fid });
     }
@@ -2037,10 +2111,17 @@ impl<'a> MeshSim<'a> {
         // One settlement grants every t0 flow its initial rate.
         self.settle(t0);
         while self.pending > 0 {
+            // The earlier of the next flow completion and the next queued
+            // event, by (time, ticket) — one counter issues both tickets.
+            if let Some((fire, fid)) = self.completions.first_before(self.queue.peek_key()) {
+                self.queue.advance(fire);
+                self.on_flow_done(fire, fid);
+                self.settle(fire);
+                continue;
+            }
             let Some((now, ev)) = self.queue.pop_next() else { break };
             match ev {
                 MEv::Fault(idx) => self.on_fault(now, schedule.events()[idx].kind),
-                MEv::FlowDone { flow, version } => self.on_flow_done(now, flow, version),
                 MEv::Delivered { flow } => self.on_delivered(now, flow),
                 MEv::InputArrived { task, attempt } => {
                     if self.live(task, attempt) {
