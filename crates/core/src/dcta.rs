@@ -17,7 +17,7 @@
 //! "more important tasks to more powerful edge devices").
 
 use crate::allocation::Allocation;
-use crate::crl_alloc::{CrlAllocator, CrlOutcome, SharedCrlAllocator};
+use crate::crl_alloc::CrlOutcome;
 use crate::local::{LocalError, LocalProcess};
 use crate::tatim::{SolverKind, TatimError, TatimInstance};
 use rl::crl::CrlError;
@@ -26,7 +26,7 @@ use std::fmt;
 /// Error returned by DCTA allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DctaError {
-    /// General-process failure.
+    /// The general process's outcome does not fit the instance.
     Crl(CrlError),
     /// Local-process failure.
     Local(LocalError),
@@ -104,34 +104,37 @@ pub struct DctaOutcome {
     pub crl: CrlOutcome,
 }
 
-/// The cooperative allocator.
+/// The cooperative step of Eq. 6: the local process `F2` and the weights.
+///
+/// It owns no general process. The caller runs its one [`CrlAllocator`]
+/// (or frozen [`SharedCrlAllocator`]) and hands the outcome to
+/// [`Self::allocate`], so CRL and DCTA share every trained agent and the
+/// allocator itself is immutable — `&self` serves the batch pipeline and
+/// the concurrent core alike.
+///
+/// [`CrlAllocator`]: crate::crl_alloc::CrlAllocator
+/// [`SharedCrlAllocator`]: crate::crl_alloc::SharedCrlAllocator
 #[derive(Debug)]
 pub struct DctaAllocator {
-    crl: CrlAllocator,
     local: LocalProcess,
     w1: f64,
     w2: f64,
 }
 
 impl DctaAllocator {
-    /// Combines a trained general and local process under weights
-    /// `(w1, w2)`.
+    /// Combines a trained local process with the general process's
+    /// outcomes under weights `(w1, w2)`.
     ///
     /// # Errors
     ///
     /// [`DctaError::BadWeights`] unless both weights are non-negative,
     /// finite, and at least one is positive.
-    pub fn new(
-        crl: CrlAllocator,
-        local: LocalProcess,
-        w1: f64,
-        w2: f64,
-    ) -> Result<Self, DctaError> {
+    pub fn new(local: LocalProcess, w1: f64, w2: f64) -> Result<Self, DctaError> {
         let ok = |w: f64| w.is_finite() && w >= 0.0;
         if !(ok(w1) && ok(w2)) || w1 + w2 <= 0.0 {
             return Err(DctaError::BadWeights { w1, w2 });
         }
-        Ok(Self { crl, local, w1, w2 })
+        Ok(Self { local, w1, w2 })
     }
 
     /// The cooperative weights `(w1, w2)`.
@@ -139,41 +142,34 @@ impl DctaAllocator {
         (self.w1, self.w2)
     }
 
-    /// Read access to the general process.
-    pub fn crl(&self) -> &CrlAllocator {
-        &self.crl
-    }
-
-    /// Mutable access to the general process (for observing new
-    /// environments).
-    pub fn crl_mut(&mut self) -> &mut CrlAllocator {
-        &mut self.crl
-    }
-
-    /// Allocates `instance` for the day described by `signature` (fed to
-    /// the general process) and `local_rows` (one Table-I feature vector
-    /// per task, fed to the local process).
+    /// Allocates `instance` from `general` — the general process's outcome
+    /// for the day, over the same instance — and `local_rows` (one Table-I
+    /// feature vector per task, fed to the local process).
     ///
     /// # Errors
     ///
-    /// See [`DctaError`] variants.
+    /// [`DctaError::FeatureCount`] when `local_rows` does not cover every
+    /// task, [`CrlError::Shape`] when `general` does not; otherwise see
+    /// [`DctaError`] variants.
     pub fn allocate(
-        &mut self,
+        &self,
         instance: &TatimInstance,
-        signature: &[f64],
+        general: CrlOutcome,
         local_rows: &[Vec<f64>],
     ) -> Result<DctaOutcome, DctaError> {
         let n = instance.num_tasks();
         if local_rows.len() != n {
             return Err(DctaError::FeatureCount { tasks: n, rows: local_rows.len() });
         }
-        // F1: the general process's allocation (binary contribution).
-        let crl_outcome = self.crl.allocate(instance, signature)?;
-        // F2: the local process's selection scores.
+        if general.allocation.len() != n {
+            return Err(CrlError::Shape.into());
+        }
+        // F1 contributes its binary allocation decision, F2 its selection
+        // score.
         let mut combined = Vec::with_capacity(n);
         let norm = self.w1 + self.w2;
         for (j, row) in local_rows.iter().enumerate() {
-            let f1 = f64::from(crl_outcome.allocation.processor_of(j).is_some());
+            let f1 = f64::from(general.allocation.processor_of(j).is_some());
             let f2 = self.local.selection_score(row)?;
             combined.push((self.w1 * f1 + self.w2 * f2) / norm);
         }
@@ -183,78 +179,7 @@ impl DctaAllocator {
         // …then speed-aware placement of the selected set: heaviest tasks
         // onto the fastest processors, respecting both budgets.
         let allocation = speed_aware_placement(instance, &packed);
-        Ok(DctaOutcome { allocation, combined_scores: combined, crl: crl_outcome })
-    }
-
-    /// Converts this allocator into a thread-shareable [`SharedDcta`] bound
-    /// to `instance`'s task geometry: the general process is frozen via
-    /// [`CrlAllocator::freeze`], the (already immutable) local process and
-    /// weights move across unchanged. The frozen allocator's outcomes are
-    /// bit-identical to a pretrained mutable allocator's.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CrlError`] from freezing the general process.
-    pub fn freeze(self, instance: &TatimInstance) -> Result<SharedDcta, DctaError> {
-        Ok(SharedDcta {
-            crl: self.crl.freeze(instance)?,
-            local: self.local,
-            w1: self.w1,
-            w2: self.w2,
-        })
-    }
-}
-
-/// A frozen, `&self`-only cooperative allocator (see
-/// [`DctaAllocator::freeze`]); safe to share across request threads.
-#[derive(Debug)]
-pub struct SharedDcta {
-    crl: SharedCrlAllocator,
-    local: LocalProcess,
-    w1: f64,
-    w2: f64,
-}
-
-impl SharedDcta {
-    /// The cooperative weights `(w1, w2)`.
-    pub fn weights(&self) -> (f64, f64) {
-        (self.w1, self.w2)
-    }
-
-    /// Read access to the frozen general process.
-    pub fn crl(&self) -> &SharedCrlAllocator {
-        &self.crl
-    }
-
-    /// Allocates `instance` for the day described by `signature` and
-    /// `local_rows` — [`DctaAllocator::allocate`] arithmetic, verbatim,
-    /// against the frozen general process.
-    ///
-    /// # Errors
-    ///
-    /// See [`DctaError`] variants.
-    pub fn allocate(
-        &self,
-        instance: &TatimInstance,
-        signature: &[f64],
-        local_rows: &[Vec<f64>],
-    ) -> Result<DctaOutcome, DctaError> {
-        let n = instance.num_tasks();
-        if local_rows.len() != n {
-            return Err(DctaError::FeatureCount { tasks: n, rows: local_rows.len() });
-        }
-        let crl_outcome = self.crl.allocate(instance, signature)?;
-        let mut combined = Vec::with_capacity(n);
-        let norm = self.w1 + self.w2;
-        for (j, row) in local_rows.iter().enumerate() {
-            let f1 = f64::from(crl_outcome.allocation.processor_of(j).is_some());
-            let f2 = self.local.selection_score(row)?;
-            combined.push((self.w1 * f1 + self.w2 * f2) / norm);
-        }
-        let scored = instance.with_importances(&combined);
-        let packed = scored.solve(&SolverKind::Greedy)?.allocation;
-        let allocation = speed_aware_placement(instance, &packed);
-        Ok(DctaOutcome { allocation, combined_scores: combined, crl: crl_outcome })
+        Ok(DctaOutcome { allocation, combined_scores: combined, crl: general })
     }
 }
 
@@ -313,6 +238,7 @@ fn speed_aware_placement(instance: &TatimInstance, packed: &Allocation) -> Alloc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crl_alloc::CrlAllocator;
     use crate::local::LocalModelKind;
     use crate::processor::{Processor, ProcessorFleet};
     use crate::task::{EdgeTask, TaskId};
@@ -345,7 +271,10 @@ mod tests {
         LocalProcess::train(rows, labels, LocalModelKind::Svm, 0).unwrap()
     }
 
-    fn crl(n: usize, important: usize) -> CrlAllocator {
+    /// The general process's outcome for `inst` after a short training
+    /// that favours task `important`.
+    fn general(inst: &TatimInstance, important: usize) -> CrlOutcome {
+        let n = inst.num_tasks();
         let mut alloc = CrlAllocator::new(CrlConfig {
             episodes: 40,
             dqn: DqnConfig { hidden: vec![32], ..DqnConfig::default() },
@@ -356,30 +285,27 @@ mod tests {
         for d in 0..3 {
             alloc.observe(vec![d as f64 * 0.1], imp.clone()).unwrap();
         }
-        alloc
+        alloc.allocate(inst, &[0.0]).unwrap()
     }
 
     #[test]
     fn weights_validated() {
         assert!(matches!(
-            DctaAllocator::new(crl(2, 0), local(), -1.0, 1.0),
+            DctaAllocator::new(local(), -1.0, 1.0),
             Err(DctaError::BadWeights { .. })
         ));
-        assert!(matches!(
-            DctaAllocator::new(crl(2, 0), local(), 0.0, 0.0),
-            Err(DctaError::BadWeights { .. })
-        ));
-        assert!(DctaAllocator::new(crl(2, 0), local(), 0.5, 0.5).is_ok());
+        assert!(matches!(DctaAllocator::new(local(), 0.0, 0.0), Err(DctaError::BadWeights { .. })));
+        assert!(DctaAllocator::new(local(), 0.5, 0.5).is_ok());
     }
 
     #[test]
     fn combines_both_processes() {
         let n = 4;
         let inst = instance(n, 1.0);
-        let mut dcta = DctaAllocator::new(crl(n, 1), local(), 0.5, 0.5).unwrap();
+        let dcta = DctaAllocator::new(local(), 0.5, 0.5).unwrap();
         // Local features favour task 3 (feature 0.9), CRL favours task 1.
         let rows: Vec<Vec<f64>> = vec![vec![0.1], vec![0.2], vec![0.3], vec![0.9]];
-        let out = dcta.allocate(&inst, &[0.0], &rows).unwrap();
+        let out = dcta.allocate(&inst, general(&inst, 1), &rows).unwrap();
         assert_eq!(out.combined_scores.len(), n);
         // Task 3 gets local support; task 1 general support — both should
         // outscore task 0 which neither process likes.
@@ -390,12 +316,22 @@ mod tests {
 
     #[test]
     fn feature_count_checked() {
-        let n = 3;
-        let inst = instance(n, 1.0);
-        let mut dcta = DctaAllocator::new(crl(n, 0), local(), 1.0, 1.0).unwrap();
+        let inst = instance(3, 1.0);
+        let dcta = DctaAllocator::new(local(), 1.0, 1.0).unwrap();
+        let blank = |n| CrlOutcome {
+            allocation: Allocation::empty(n),
+            estimated_importances: vec![0.0; n],
+            cache_hit: true,
+        };
         assert!(matches!(
-            dcta.allocate(&inst, &[0.0], &[vec![0.1]]),
+            dcta.allocate(&inst, blank(3), &[vec![0.1]]),
             Err(DctaError::FeatureCount { tasks: 3, rows: 1 })
+        ));
+        // A general outcome over another instance is rejected, not indexed.
+        let rows = vec![vec![0.1]; 3];
+        assert!(matches!(
+            dcta.allocate(&inst, blank(2), &rows),
+            Err(DctaError::Crl(CrlError::Shape))
         ));
     }
 
@@ -425,9 +361,9 @@ mod tests {
         let n = 4;
         let inst = instance(n, 0.6);
         // w1 = 0: the SVM alone decides the selection priority.
-        let mut dcta = DctaAllocator::new(crl(n, 0), local(), 0.0, 1.0).unwrap();
+        let dcta = DctaAllocator::new(local(), 0.0, 1.0).unwrap();
         let rows: Vec<Vec<f64>> = vec![vec![0.0], vec![0.95], vec![0.1], vec![0.2]];
-        let out = dcta.allocate(&inst, &[0.0], &rows).unwrap();
+        let out = dcta.allocate(&inst, general(&inst, 0), &rows).unwrap();
         let max = out.combined_scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         assert_eq!(out.combined_scores[1], max);
         assert!(out.allocation.processor_of(1).is_some());

@@ -670,22 +670,11 @@ impl Pipeline {
             }
         }
         let local = LocalProcess::train(local_rows, local_labels, cfg.local_kind, cfg.seed)?;
-        let dcta = DctaAllocator::new(
-            CrlAllocator::new(cfg.crl.clone()),
-            local.clone(),
-            cfg.weights.0,
-            cfg.weights.1,
-        )?;
-        // DCTA's internal CRL shares the same history.
-        let mut dcta = dcta;
-        for d in 0..cfg.env_history_days {
-            dcta.crl_mut().observe(scenario.day(d).sensing.clone(), true_importances[d].clone())?;
-        }
+        let dcta = DctaAllocator::new(local, cfg.weights.0, cfg.weights.1)?;
         if pretrain {
             // Eagerly train an agent per environment so the first online
             // allocation of each context is a pure cache hit.
             crl.pretrain(&base)?;
-            dcta.crl_mut().pretrain(&base)?;
         }
 
         Ok(PreparedPipeline {
@@ -759,9 +748,9 @@ impl PipelineBuilder {
     }
 
     /// Eagerly trains a CRL agent per stored environment during the offline
-    /// phase (both the standalone CRL and DCTA's internal one), so the
-    /// first online allocation of each context skips training. Off by
-    /// default: it front-loads work sweeps may never need.
+    /// phase, so the first online allocation of each context — by
+    /// [`Method::Crl`] or [`Method::Dcta`], which share the agents — skips
+    /// training. Off by default: it front-loads work sweeps may never need.
     #[must_use]
     pub fn pretrain(mut self, on: bool) -> Self {
         self.pretrain = on;
@@ -799,6 +788,13 @@ impl PipelineBuilder {
 
 /// The pipeline after its offline phase: ready to allocate and execute any
 /// evaluation day.
+///
+/// It holds one general process: [`Method::Dcta`] feeds [`Method::Crl`]'s
+/// outcome to the cooperative step, so whichever request touches a context
+/// first trains the agent both then use. Without `.pretrain(true)` agents
+/// draw from one RNG stream in first-touch order — reproducible for a fixed
+/// request sequence; pretrained and frozen agents are seeded per context
+/// and no order matters (DESIGN.md §17, `tests/general_process.rs`).
 #[derive(Debug)]
 pub struct PreparedPipeline<'a> {
     scenario: &'a Scenario,
@@ -895,6 +891,24 @@ impl<'a> PreparedPipeline<'a> {
         Ok(())
     }
 
+    /// The cooperative step [`Method::Dcta`] applies to the general
+    /// process's outcome.
+    pub fn dcta(&self) -> &DctaAllocator {
+        &self.dcta
+    }
+
+    /// The Table-I local feature rows of day `day` (DCTA's `F2` input).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `day` is not a scenario day.
+    pub fn local_rows(&self, day: usize) -> Vec<Vec<f64>> {
+        let ctx = self.scenario.day(day);
+        (0..self.tasks.len())
+            .map(|j| local_features(self.scenario, &self.models, &self.history, ctx, j))
+            .collect()
+    }
+
     /// Produces the allocation described by `query`: `query.method()` on
     /// `query.day()`, shaped by the typed [`Objective`] — importance
     /// overrides, survival weighting (the proactive path), and route-cost
@@ -940,12 +954,9 @@ impl<'a> PreparedPipeline<'a> {
                         Some(self.crl.allocate(&blind, &ctx.sensing)?.estimated_importances)
                     }
                     Method::Dcta => {
-                        let rows: Vec<Vec<f64>> = (0..self.tasks.len())
-                            .map(|j| {
-                                local_features(self.scenario, &self.models, &self.history, ctx, j)
-                            })
-                            .collect();
-                        Some(self.dcta.allocate(&blind, &ctx.sensing, &rows)?.combined_scores)
+                        let general = self.crl.allocate(&blind, &ctx.sensing)?;
+                        let rows = self.local_rows(day);
+                        Some(self.dcta.allocate(&blind, general, &rows)?.combined_scores)
                     }
                     Method::RandomMapping | Method::Dml => None,
                 },
@@ -1007,10 +1018,8 @@ impl<'a> PreparedPipeline<'a> {
             }
             Method::Crl => self.crl.allocate(blind, &ctx.sensing)?.allocation,
             Method::Dcta => {
-                let rows: Vec<Vec<f64>> = (0..self.tasks.len())
-                    .map(|j| local_features(self.scenario, &self.models, &self.history, ctx, j))
-                    .collect();
-                self.dcta.allocate(blind, &ctx.sensing, &rows)?.allocation
+                let general = self.crl.allocate(blind, &ctx.sensing)?;
+                self.dcta.allocate(blind, general, &self.local_rows(day))?.allocation
             }
         })
     }
@@ -1057,7 +1066,7 @@ impl<'a> PreparedPipeline<'a> {
     }
 
     /// Feeds evaluation day `day`'s observed importances back into the CRL
-    /// environment stores — the accumulating-store behaviour of the paper's
+    /// environment store — the accumulating-store behaviour of the paper's
     /// online mode (footnote 2 / §VII): "the environment can change over
     /// time, due to the accumulating size of training data".
     ///
@@ -1068,10 +1077,7 @@ impl<'a> PreparedPipeline<'a> {
     pub fn observe_day(&mut self, day: usize) -> Result<(), PipelineError> {
         self.check_day(day)?;
         let sensing = self.scenario.day(day).sensing.clone();
-        let importances = self.true_importances[day].clone();
-        self.crl.observe(sensing.clone(), importances.clone())?;
-        self.dcta.crl_mut().observe(sensing, importances)?;
-        Ok(())
+        Ok(self.crl.observe(sensing, self.true_importances[day].clone())?)
     }
 
     /// Executes one evaluation run described by `spec` — the single entry
@@ -1214,28 +1220,28 @@ impl<'a> PreparedPipeline<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates [`CrlError`] from freezing the CRL allocators (e.g. an
+    /// Propagates [`CrlError`] from freezing the general process (e.g. an
     /// empty environment store).
     pub fn into_core(self) -> Result<crate::shared::PreparedCore, PipelineError> {
         let mut base = TatimInstance::new(self.tasks.clone(), self.fleet.clone());
         if self.config.crl.route_feature {
             base = base.with_route_factors(self.route_factors.clone());
         }
-        Ok(crate::shared::PreparedCore::from_parts(
-            Scenario::clone(self.scenario),
-            self.config,
-            self.models,
-            self.cluster,
-            self.fleet,
-            self.route_factors,
-            self.tasks,
-            self.true_importances,
-            self.crl.freeze(&base)?,
-            self.dcta.freeze(&base)?,
-            self.history,
-            self.cache,
-            self.availability.clone(),
-        ))
+        Ok(crate::shared::PreparedCore {
+            scenario: Scenario::clone(self.scenario),
+            crl: self.crl.freeze(&base)?,
+            dcta: self.dcta,
+            config: self.config,
+            models: self.models,
+            cluster: self.cluster,
+            fleet: self.fleet,
+            route_factors: self.route_factors,
+            tasks: self.tasks,
+            true_importances: self.true_importances,
+            history: self.history,
+            cache: self.cache,
+            availability: self.availability,
+        })
     }
 
     fn run_faulted_impl(
@@ -1537,6 +1543,55 @@ mod tests {
         let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         assert!(matches!(prepared.run_day(Method::Dml, 0), Err(PipelineError::BadDay { .. })));
         assert!(matches!(prepared.run_day(Method::Dml, 999), Err(PipelineError::BadDay { .. })));
+    }
+
+    /// A lone general process over `p`'s history, and its blind instance.
+    fn lone_crl(s: &Scenario, p: &PreparedPipeline<'_>) -> (CrlAllocator, TatimInstance) {
+        let mut lone = CrlAllocator::new(p.config.crl.clone());
+        for d in 0..p.config.env_history_days {
+            lone.observe(s.day(d).sensing.clone(), p.true_importances[d].clone()).unwrap();
+        }
+        (lone, TatimInstance::new(p.tasks.clone(), p.fleet.clone()))
+    }
+
+    #[test]
+    fn crl_and_dcta_train_each_context_once() {
+        let s = small_scenario();
+        let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        let days: Vec<usize> = prepared.test_days().collect();
+        // Distinct contexts: the days a lone allocator has to train for.
+        let (mut lone, blind) = lone_crl(&s, &prepared);
+        let mut miss = |d: usize| !lone.allocate(&blind, &s.day(d).sensing).unwrap().cache_hit;
+        let contexts = days.iter().filter(|&&d| miss(d)).count();
+        assert_eq!(prepared.crl.cached_agents(), 0, "a cold pipeline has trained nothing");
+        for method in [Method::Crl, Method::Dcta] {
+            for &day in &days {
+                prepared.run_day(method, day).unwrap();
+            }
+            assert_eq!(prepared.crl.cached_agents(), contexts, "after the {method} pass");
+        }
+        for &day in &days {
+            let general = prepared.crl.allocate(&blind, &s.day(day).sensing).unwrap();
+            let out = prepared.dcta.allocate(&blind, general, &prepared.local_rows(day)).unwrap();
+            assert!(out.crl.cache_hit, "day {day}");
+        }
+    }
+
+    #[test]
+    fn pretrain_trains_one_allocator_not_two() {
+        let s = small_scenario();
+        let mut prepared = Pipeline::builder(quick_config()).pretrain(true).prepare(&s).unwrap();
+        let (mut lone, blind) = lone_crl(&s, &prepared);
+        let agents_trained = lone.pretrain(&blind).unwrap();
+        assert!(agents_trained >= 1);
+        assert_eq!(prepared.crl.cached_agents(), agents_trained);
+        // Neither learned method trains anything further.
+        for method in [Method::Crl, Method::Dcta] {
+            for day in prepared.test_days() {
+                prepared.run_day(method, day).unwrap();
+            }
+        }
+        assert_eq!(prepared.crl.cached_agents(), agents_trained);
     }
 
     #[test]

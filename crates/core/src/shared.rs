@@ -6,8 +6,9 @@
 //! [`PreparedCore`] is its frozen counterpart for a serving layer: it owns
 //! its scenario, every method takes `&self`, and all interior state is
 //! thread-safe — the sharded [`ImportanceCache`], the per-key `OnceLock`
-//! agent slots inside the frozen CRL allocators, and per-request seeded RNG
-//! for the one stochastic baseline.
+//! agent slots inside the one frozen CRL allocator ([`Method::Crl`] and
+//! [`Method::Dcta`] share its agents), and per-request seeded RNG for the
+//! one stochastic baseline.
 //!
 //! ## Determinism contract
 //!
@@ -22,6 +23,13 @@
 //! mutable pipeline's (which depend on how many allocations preceded them —
 //! a history no concurrent server can meaningfully reproduce).
 //!
+//! A second order-dependence stays behind in the *lazy* batch pipeline (no
+//! `.pretrain(true)`): its one CRL trains agents on first touch from a
+//! single RNG stream, so whichever request — [`Method::Crl`] or
+//! [`Method::Dcta`], which share the agents — touches a context first
+//! decides that agent for both. The core's per-key seeds give every
+//! `(seed, context)` one agent, whoever asks.
+//!
 //! The frozen core deliberately has no `observe_day`: the accumulating
 //! environment store is an offline-phase facility. Re-prepare and re-freeze
 //! to fold new days in.
@@ -31,7 +39,7 @@ use crate::availability::{proactive_draw_seed, AvailabilityModel};
 use crate::baselines::{dml_balanced, random_mapping};
 use crate::cache::{CacheStats, ImportanceCache};
 use crate::crl_alloc::SharedCrlAllocator;
-use crate::dcta::SharedDcta;
+use crate::dcta::DctaAllocator;
 use crate::features::{local_features, TaskHistory};
 use crate::importance::{CopModels, ImportanceEvaluator};
 use crate::objective::{self, AllocOutcome, AllocQuery, Objective};
@@ -62,55 +70,22 @@ use std::time::Instant;
 /// [`crate::pipeline::PreparedPipeline::into_core`].
 #[derive(Debug)]
 pub struct PreparedCore {
-    scenario: Scenario,
-    config: PipelineConfig,
-    models: CopModels,
-    cluster: Cluster,
-    fleet: ProcessorFleet,
-    route_factors: Vec<f64>,
-    tasks: Vec<EdgeTask>,
-    true_importances: Vec<Vec<f64>>,
-    crl: SharedCrlAllocator,
-    dcta: SharedDcta,
-    history: TaskHistory,
-    cache: ImportanceCache,
-    availability: AvailabilityModel,
+    pub(crate) scenario: Scenario,
+    pub(crate) config: PipelineConfig,
+    pub(crate) models: CopModels,
+    pub(crate) cluster: Cluster,
+    pub(crate) fleet: ProcessorFleet,
+    pub(crate) route_factors: Vec<f64>,
+    pub(crate) tasks: Vec<EdgeTask>,
+    pub(crate) true_importances: Vec<Vec<f64>>,
+    pub(crate) crl: SharedCrlAllocator,
+    pub(crate) dcta: DctaAllocator,
+    pub(crate) history: TaskHistory,
+    pub(crate) cache: ImportanceCache,
+    pub(crate) availability: AvailabilityModel,
 }
 
 impl PreparedCore {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        scenario: Scenario,
-        config: PipelineConfig,
-        models: CopModels,
-        cluster: Cluster,
-        fleet: ProcessorFleet,
-        route_factors: Vec<f64>,
-        tasks: Vec<EdgeTask>,
-        true_importances: Vec<Vec<f64>>,
-        crl: SharedCrlAllocator,
-        dcta: SharedDcta,
-        history: TaskHistory,
-        cache: ImportanceCache,
-        availability: AvailabilityModel,
-    ) -> Self {
-        Self {
-            scenario,
-            config,
-            models,
-            cluster,
-            fleet,
-            route_factors,
-            tasks,
-            true_importances,
-            crl,
-            dcta,
-            history,
-            cache,
-            availability,
-        }
-    }
-
     /// The per-processor route budget factors of the frozen cluster
     /// (`1.0` everywhere on the uniform star testbed), aligned with
     /// [`Self::fleet`] columns.
@@ -150,11 +125,6 @@ impl PreparedCore {
     /// The frozen general process (per-key agents for Q-value serving).
     pub fn crl(&self) -> &SharedCrlAllocator {
         &self.crl
-    }
-
-    /// The frozen cooperative allocator.
-    pub fn dcta(&self) -> &SharedDcta {
-        &self.dcta
     }
 
     /// Hit/miss counters of the shared decision-performance cache.
@@ -249,8 +219,9 @@ impl PreparedCore {
                         Some(self.crl.allocate(&blind, &ctx.sensing)?.estimated_importances)
                     }
                     Method::Dcta => {
+                        let general = self.crl.allocate(&blind, &ctx.sensing)?;
                         let rows = self.local_rows(day);
-                        Some(self.dcta.allocate(&blind, &ctx.sensing, &rows)?.combined_scores)
+                        Some(self.dcta.allocate(&blind, general, &rows)?.combined_scores)
                     }
                     Method::RandomMapping | Method::Dml => None,
                 },
@@ -322,8 +293,8 @@ impl PreparedCore {
             }
             Method::Crl => self.crl.allocate(blind, &ctx.sensing)?.allocation,
             Method::Dcta => {
-                let rows = self.local_rows(day);
-                self.dcta.allocate(blind, &ctx.sensing, &rows)?.allocation
+                let general = self.crl.allocate(blind, &ctx.sensing)?;
+                self.dcta.allocate(blind, general, &self.local_rows(day))?.allocation
             }
         })
     }

@@ -240,8 +240,9 @@ pub struct TenantStats {
     pub batcher: BatcherStats,
     /// Per-context batchers instantiated so far.
     pub batchers: usize,
-    /// CRL agents trained so far (standalone CRL; DCTA's internal CRL
-    /// trains its own on the allocation path).
+    /// Agents of the tenant's one general process trained so far — CRL and
+    /// DCTA requests share them, so this reaches `SharedCrl::num_keys()`
+    /// and stays there once the tenant is warm.
     pub trained_agents: usize,
 }
 
@@ -357,18 +358,16 @@ impl AllocatorService {
         self.tenant(&request.tenant)?.answer(&request.query)
     }
 
-    /// Eagerly trains every CRL agent of a tenant (both the standalone CRL
-    /// and DCTA's internal one), so no request pays first-touch training.
-    /// Returns how many agents this call trained.
+    /// Eagerly trains every agent of a tenant's general process, so no CRL,
+    /// DCTA or Q-value request pays first-touch training. Returns how many
+    /// agents this call trained: `SharedCrl::num_keys()` on a cold tenant,
+    /// `0` on a warm one.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownTenant`] / training failures.
     pub fn warm(&self, tenant: &str) -> Result<usize, ServeError> {
-        let tenant = self.tenant(tenant)?;
-        let a = tenant.core.crl().pretrain_all()?;
-        let b = tenant.core.dcta().crl().pretrain_all()?;
-        Ok(a + b)
+        Ok(self.tenant(tenant)?.core.crl().pretrain_all()?)
     }
 
     /// Point-in-time serving counters of a tenant.
@@ -543,6 +542,26 @@ mod tests {
         assert_eq!(stats.batcher.batched_states, stats.batcher.requests);
         assert!(stats.batchers >= 1);
         assert!(stats.trained_agents >= 1);
+    }
+
+    #[test]
+    fn warm_trains_each_key_once_for_crl_and_dcta() {
+        let service = AllocatorService::new();
+        service.register("t", test_core()).unwrap();
+        let (keys, day) =
+            service.with_core("t", |c| (c.crl().shared().num_keys(), c.test_days().start)).unwrap();
+        assert_eq!(service.stats("t").unwrap().trained_agents, 0);
+        assert_eq!(service.warm("t").unwrap(), keys);
+        assert_eq!(service.warm("t").unwrap(), 0, "a warm tenant has nothing left to train");
+        assert_eq!(service.stats("t").unwrap().trained_agents, keys);
+        // DCTA's first request rides the agents `warm` trained.
+        service
+            .handle(&AllocRequest {
+                tenant: "t".into(),
+                query: Query::Run(RunSpec::new(Method::Dcta, day)),
+            })
+            .unwrap();
+        assert_eq!(service.stats("t").unwrap().trained_agents, keys);
     }
 
     #[test]
