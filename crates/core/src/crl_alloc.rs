@@ -27,6 +27,15 @@ pub struct CrlOutcome {
     pub cache_hit: bool,
 }
 
+fn outcome(allocation: CrlAllocation) -> CrlOutcome {
+    let CrlAllocation { assignment, estimated_importances, cache_hit, .. } = allocation;
+    CrlOutcome {
+        allocation: Allocation::from_placement(assignment),
+        estimated_importances,
+        cache_hit,
+    }
+}
+
 impl CrlAllocator {
     /// Creates an allocator with an empty environment store.
     pub fn new(config: CrlConfig) -> Self {
@@ -81,14 +90,7 @@ impl CrlAllocator {
         instance: &TatimInstance,
         signature: &[f64],
     ) -> Result<CrlOutcome, CrlError> {
-        let spec = instance.to_alloc_spec();
-        let CrlAllocation { assignment, estimated_importances, cache_hit, .. } =
-            self.crl.allocate(signature, &spec)?;
-        Ok(CrlOutcome {
-            allocation: Allocation::from_placement(assignment),
-            estimated_importances,
-            cache_hit,
-        })
+        Ok(outcome(self.crl.allocate(signature, &instance.to_alloc_spec())?))
     }
 
     /// Converts this allocator into a thread-shareable
@@ -152,14 +154,7 @@ impl SharedCrlAllocator {
         instance: &TatimInstance,
         signature: &[f64],
     ) -> Result<CrlOutcome, CrlError> {
-        let spec = instance.to_alloc_spec();
-        let CrlAllocation { assignment, estimated_importances, cache_hit, .. } =
-            self.crl.allocate(signature, &spec)?;
-        Ok(CrlOutcome {
-            allocation: Allocation::from_placement(assignment),
-            estimated_importances,
-            cache_hit,
-        })
+        Ok(outcome(self.crl.allocate(signature, &instance.to_alloc_spec())?))
     }
 }
 

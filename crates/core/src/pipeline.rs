@@ -3,7 +3,7 @@
 //!
 //! [`Pipeline::prepare`] performs the offline phase once (train the COP
 //! models, walk the environment-history days to populate the CRL store and
-//! the local process's training set); [`PreparedPipeline::run_day`] then
+//! the local process's training set); [`PreparedPipeline::run`] then
 //! executes any allocation [`Method`] on any evaluation day and reports the
 //! paper's metrics: processing time `PT` and decision performance `H`.
 
@@ -13,7 +13,7 @@ use crate::availability::{
 };
 use crate::baselines::{dml_balanced, random_mapping};
 use crate::cache::{CacheStats, ImportanceCache};
-use crate::crl_alloc::CrlAllocator;
+use crate::crl_alloc::{CrlAllocator, CrlOutcome};
 use crate::dcta::{DctaAllocator, DctaError};
 use crate::features::{local_features, TaskHistory};
 use crate::importance::{prediction_features, CopModels, ImportanceError, ImportanceEvaluator};
@@ -80,8 +80,10 @@ pub enum Topology {
     /// The paper's star WiFi testbed ([`PipelineConfig::workers`] workers
     /// behind per-node links).
     Star,
-    /// A seeded grid-with-chords mesh; the spec fixes the node count, so
-    /// [`PipelineConfig::workers`] is ignored.
+    /// A seeded grid-with-chords mesh. The spec fixes the node count;
+    /// [`PipelineConfig::workers`] still divides the Eq.-3 time budget
+    /// (`T = time_limit_fraction · Σ t_j / workers`), so it sets how much
+    /// each mesh node may host, not how many nodes there are.
     Mesh(MeshSpec),
 }
 
@@ -121,7 +123,7 @@ pub struct PipelineConfig {
     /// recovery as a fresh round on the survivors; lower it to model a
     /// recovery that must finish inside the original round's remaining
     /// window (tasks longer than the scaled budget become unplaceable).
-    /// Only [`PreparedPipeline::run_day_with_faults`] reads it.
+    /// Only fault-injected runs read it.
     pub recovery_budget_fraction: f64,
     /// Shaping of the learned per-node availability posterior
     /// ([`RecoveryMode::Proactive`] runs feed and read it).
@@ -182,6 +184,16 @@ pub enum PipelineError {
         /// Valid range.
         range: Range<usize>,
     },
+    /// An [`Objective::with_importances`] override the instance cannot be
+    /// priced with.
+    BadObjective {
+        /// Task count the override must match.
+        tasks: usize,
+        /// Length of the override supplied.
+        len: usize,
+        /// The first entry that is not a number in `[0, 1]`, if any.
+        invalid: Option<(usize, f64)>,
+    },
     /// Scenario has too few evaluation days for the configured history.
     TooFewDays {
         /// Days available.
@@ -205,6 +217,12 @@ impl fmt::Display for PipelineError {
             PipelineError::Recovery(e) => write!(f, "recovery failed: {e}"),
             PipelineError::BadDay { day, range } => {
                 write!(f, "day {day} outside evaluation range {range:?}")
+            }
+            PipelineError::BadObjective { tasks, len, invalid: None } => {
+                write!(f, "importance override has {len} entries for {tasks} tasks")
+            }
+            PipelineError::BadObjective { invalid: Some((task, value)), .. } => {
+                write!(f, "importance override for task {task} is {value}, outside [0, 1]")
             }
             PipelineError::TooFewDays { available, required } => {
                 write!(f, "scenario has {available} eval days, need more than {required}")
@@ -337,9 +355,7 @@ impl FaultRunReport {
 /// A complete description of one evaluation run: which [`Method`] on which
 /// day, optionally under a [`FaultSchedule`] with a [`RecoveryMode`], and
 /// optionally pinned to a thread count. The single entry point
-/// [`PreparedPipeline::run`] consumes it; the older
-/// `run_day`/`run_day_with_faults` pair are thin wrappers over the same
-/// path.
+/// [`PreparedPipeline::run`] consumes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     method: Method,
@@ -542,28 +558,6 @@ impl Pipeline {
         self.prepare_impl(scenario, ImportanceCache::new(), false, None)
     }
 
-    /// Runs the offline phase seeded with an existing decision-performance
-    /// cache — typically one restored from a previous run's dump
-    /// ([`ImportanceCache::load_file`]), which lets a repeated sweep skip
-    /// the offline importance sweep entirely. Keys carry the scenario seed
-    /// and evaluator fingerprint, so a mismatched cache is merely useless,
-    /// never wrong.
-    ///
-    /// Note: superseded by `Pipeline::builder(config).cache(c).prepare(s)`,
-    /// which composes with the other offline options; this wrapper remains
-    /// for source compatibility and delegates to the same path.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] variants.
-    pub fn prepare_with_cache<'a>(
-        &self,
-        scenario: &'a Scenario,
-        cache: ImportanceCache,
-    ) -> Result<PreparedPipeline<'a>, PipelineError> {
-        self.prepare_impl(scenario, cache, false, None)
-    }
-
     fn prepare_impl<'a>(
         &self,
         scenario: &'a Scenario,
@@ -613,7 +607,7 @@ impl Pipeline {
         // True importance of every evaluation day (oracles + CRL history +
         // metrics all need it). The cache memoises every decision-function
         // evaluation from here on: the full-mask result is shared by all
-        // leave-one-out columns of a day, and `run_day`/`execute` re-query
+        // leave-one-out columns of a day, and `run`/`execute` re-query
         // masks the offline phase already priced.
         let evaluator = ImportanceEvaluator::new(scenario, &models).with_cache(&cache);
         let true_importances = evaluator.importance_matrix()?;
@@ -624,19 +618,24 @@ impl Pipeline {
         let mut history = TaskHistory::new(n);
         let mut local_rows = Vec::new();
         let mut local_labels = Vec::new();
-        let mut base = TatimInstance::new(tasks.clone(), fleet.clone());
-        if cfg.crl.route_feature {
-            // The route feature column changes the DQN state dimension, so
-            // the offline store must see the same geometry the online
-            // queries will.
-            base = base.with_route_factors(route_factors.clone());
-        }
+        // The route feature column changes the DQN state dimension, so the
+        // offline store must see the same geometry the online queries will.
+        let annotate = |instance: TatimInstance| {
+            if cfg.crl.route_feature {
+                instance.with_route_factors(route_factors.clone())
+            } else {
+                instance
+            }
+        };
+        let routed_fleet = objective::deflated_fleet_with(&fleet, &route_factors)?;
+        let blind_routed = annotate(TatimInstance::new(tasks.clone(), routed_fleet));
+        let blind = annotate(TatimInstance::new(tasks, fleet));
         for d in 0..cfg.env_history_days {
             let day = scenario.day(d);
             let imp = &true_importances[d];
             crl.observe(day.sensing.clone(), imp.clone())?;
             // Optimal selection labels from the greedy oracle.
-            let opt = base.with_importances(imp).solve(&SolverKind::Greedy)?.allocation;
+            let opt = blind.with_importances(imp).solve(&SolverKind::Greedy)?.allocation;
             let selected: Vec<bool> = (0..n).map(|j| opt.processor_of(j).is_some()).collect();
             for j in 0..n {
                 local_rows.push(local_features(scenario, &models, &history, day, j));
@@ -674,36 +673,28 @@ impl Pipeline {
         if pretrain {
             // Eagerly train an agent per environment so the first online
             // allocation of each context is a pure cache hit.
-            crl.pretrain(&base)?;
+            crl.pretrain(&blind)?;
         }
 
         Ok(PreparedPipeline {
             scenario,
-            config: cfg.clone(),
-            models,
-            cluster,
-            fleet,
-            route_factors,
-            tasks,
-            true_importances,
-            crl,
-            dcta,
-            history,
-            cache,
-            availability: availability.unwrap_or_else(|| AvailabilityModel::new(cfg.availability)),
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0x51AB),
+            state: Prepared {
+                scenario: scenario.clone(),
+                config: cfg.clone(),
+                models,
+                cluster,
+                blind,
+                route_factors,
+                blind_routed,
+                true_importances,
+                dcta,
+                history,
+                cache,
+                availability: availability
+                    .unwrap_or_else(|| AvailabilityModel::new(cfg.availability)),
+            },
+            batch: Batch { crl, rng: StdRng::seed_from_u64(cfg.seed ^ 0x51AB) },
         })
-    }
-
-    /// Convenience one-shot: prepare and run DCTA on evaluation day `day`.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] variants.
-    pub fn run_day(&self, scenario: &Scenario, day: usize) -> Result<DayReport, PipelineError> {
-        let mut prepared = self.prepare(scenario)?;
-        let day = prepared.test_days().start + day;
-        prepared.run_day(Method::Dcta, day)
     }
 }
 
@@ -728,7 +719,11 @@ pub struct PipelineBuilder {
 
 impl PipelineBuilder {
     /// Seeds the offline phase with an existing decision-performance cache
-    /// (see [`Pipeline::prepare_with_cache`] for the key-safety argument).
+    /// — typically one restored from a previous run's dump
+    /// ([`ImportanceCache::load_file`]), which lets a repeated sweep skip
+    /// the offline importance sweep entirely. Keys carry the scenario seed
+    /// and evaluator fingerprint, so a mismatched cache is merely useless,
+    /// never wrong.
     #[must_use]
     pub fn cache(mut self, cache: ImportanceCache) -> Self {
         self.cache = cache;
@@ -786,104 +781,79 @@ impl PipelineBuilder {
     }
 }
 
-/// The pipeline after its offline phase: ready to allocate and execute any
-/// evaluation day.
-///
-/// It holds one general process: [`Method::Dcta`] feeds [`Method::Crl`]'s
-/// outcome to the cooperative step, so whichever request touches a context
-/// first trains the agent both then use. Without `.pretrain(true)` agents
-/// draw from one RNG stream in first-touch order — reproducible for a fixed
-/// request sequence; pretrained and frozen agents are seeded per context
-/// and no order matters (DESIGN.md §17, `tests/general_process.rs`).
+/// What [`PreparedPipeline`] and [`crate::shared::PreparedCore`] do
+/// differently. The [`crate::shared`] module docs hold the complete list
+/// and the reasons; everything else is [`Prepared`], written once.
+pub(crate) trait Face {
+    /// Whether a [`RecoveryMode::Proactive`] round teaches the availability
+    /// posterior.
+    const LEARNS_AVAILABILITY: bool;
+
+    /// The general process's outcome for the context `signature`.
+    fn general(&mut self, blind: &TatimInstance, signature: &[f64])
+        -> Result<CrlOutcome, CrlError>;
+
+    /// The [`Method::RandomMapping`] draw of `day` under master seed `seed`.
+    fn random_mapping(&mut self, blind: &TatimInstance, seed: u64, day: usize) -> Allocation;
+}
+
+/// The batch face: lazily trained agents and one sequential
+/// `RandomMapping` stream, both behind `&mut`.
 #[derive(Debug)]
-pub struct PreparedPipeline<'a> {
-    scenario: &'a Scenario,
-    config: PipelineConfig,
-    models: CopModels,
-    cluster: Cluster,
-    fleet: ProcessorFleet,
-    route_factors: Vec<f64>,
-    tasks: Vec<EdgeTask>,
-    true_importances: Vec<Vec<f64>>,
+struct Batch {
     crl: CrlAllocator,
-    dcta: DctaAllocator,
-    history: TaskHistory,
-    cache: ImportanceCache,
-    availability: AvailabilityModel,
     rng: StdRng,
 }
 
-impl<'a> PreparedPipeline<'a> {
-    /// The evaluation (non-history) day range.
-    pub fn test_days(&self) -> Range<usize> {
+impl Face for Batch {
+    const LEARNS_AVAILABILITY: bool = true;
+
+    fn general(
+        &mut self,
+        blind: &TatimInstance,
+        signature: &[f64],
+    ) -> Result<CrlOutcome, CrlError> {
+        self.crl.allocate(blind, signature)
+    }
+
+    fn random_mapping(&mut self, blind: &TatimInstance, _seed: u64, _day: usize) -> Allocation {
+        random_mapping(blind, &mut self.rng)
+    }
+}
+
+/// The prepared state both faces embed, and the allocate → simulate →
+/// recover → score stack over it.
+#[derive(Debug)]
+pub(crate) struct Prepared {
+    pub(crate) scenario: Scenario,
+    pub(crate) config: PipelineConfig,
+    models: CopModels,
+    cluster: Cluster,
+    /// The instance every online allocator decides over: the prepared
+    /// tasks and fleet with no importances priced in, annotated with
+    /// `route_factors` under [`CrlConfig::route_feature`].
+    pub(crate) blind: TatimInstance,
+    pub(crate) route_factors: Vec<f64>,
+    /// `blind` over the fleet deflated by `route_factors` — what a
+    /// route-cost objective solves over.
+    blind_routed: TatimInstance,
+    pub(crate) true_importances: Vec<Vec<f64>>,
+    dcta: DctaAllocator,
+    history: TaskHistory,
+    pub(crate) cache: ImportanceCache,
+    pub(crate) availability: AvailabilityModel,
+}
+
+impl Prepared {
+    pub(crate) fn fleet(&self) -> &ProcessorFleet {
+        self.blind.fleet()
+    }
+
+    pub(crate) fn test_days(&self) -> Range<usize> {
         self.config.env_history_days..self.scenario.days().len()
     }
 
-    /// The scenario under evaluation.
-    pub fn scenario(&self) -> &'a Scenario {
-        self.scenario
-    }
-
-    /// The simulated cluster.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
-    /// Mutable cluster access (bandwidth sweeps).
-    pub fn cluster_mut(&mut self) -> &mut Cluster {
-        &mut self.cluster
-    }
-
-    /// The processor fleet.
-    pub fn fleet(&self) -> &ProcessorFleet {
-        &self.fleet
-    }
-
-    /// The trained COP models.
-    pub fn models(&self) -> &CopModels {
-        &self.models
-    }
-
-    /// The pipeline's shared decision-performance cache.
-    pub fn importance_cache(&self) -> &ImportanceCache {
-        &self.cache
-    }
-
-    /// Hit/miss counters of the decision-performance cache — part of the
-    /// pipeline's run summary alongside PT and `H`.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// The learned per-node availability posterior. Interior-mutable:
-    /// callers may [`AvailabilityModel::absorb`] external failure history
-    /// or persist it ([`AvailabilityModel::save_file`]) through `&self`.
-    /// [`RecoveryMode::Proactive`] runs feed it automatically.
-    pub fn availability(&self) -> &AvailabilityModel {
-        &self.availability
-    }
-
-    /// True importances of evaluation day `day`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `day` is out of range.
-    pub fn true_importances(&self, day: usize) -> &[f64] {
-        &self.true_importances[day]
-    }
-
-    /// The TATIM instance of a day, priced with its true importances.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::BadDay`] for out-of-range days.
-    pub fn instance_for_day(&self, day: usize) -> Result<TatimInstance, PipelineError> {
-        self.check_day(day)?;
-        let base = TatimInstance::new(self.tasks.clone(), self.fleet.clone());
-        Ok(base.with_importances(&self.true_importances[day]))
-    }
-
-    fn check_day(&self, day: usize) -> Result<(), PipelineError> {
+    pub(crate) fn check_day(&self, day: usize) -> Result<(), PipelineError> {
         let range = self.test_days();
         if !range.contains(&day) {
             return Err(PipelineError::BadDay { day, range });
@@ -891,54 +861,47 @@ impl<'a> PreparedPipeline<'a> {
         Ok(())
     }
 
-    /// The cooperative step [`Method::Dcta`] applies to the general
-    /// process's outcome.
-    pub fn dcta(&self) -> &DctaAllocator {
-        &self.dcta
+    pub(crate) fn instance_for_day(&self, day: usize) -> Result<TatimInstance, PipelineError> {
+        self.check_day(day)?;
+        Ok(self.blind.with_importances(&self.true_importances[day]))
     }
 
-    /// The Table-I local feature rows of day `day` (DCTA's `F2` input).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `day` is not a scenario day.
-    pub fn local_rows(&self, day: usize) -> Vec<Vec<f64>> {
+    pub(crate) fn local_rows(&self, day: usize) -> Vec<Vec<f64>> {
         let ctx = self.scenario.day(day);
-        (0..self.tasks.len())
-            .map(|j| local_features(self.scenario, &self.models, &self.history, ctx, j))
+        (0..self.blind.num_tasks())
+            .map(|j| local_features(&self.scenario, &self.models, &self.history, ctx, j))
             .collect()
     }
 
-    /// Produces the allocation described by `query`: `query.method()` on
-    /// `query.day()`, shaped by the typed [`Objective`] — importance
-    /// overrides, survival weighting (the proactive path), and route-cost
-    /// budget deflation (the topology-aware path), each independently
-    /// optional. A blank objective reproduces the classic per-method
-    /// behaviour bit-for-bit; on the uniform star testbed every route
-    /// budget factor is exactly `1.0`, so enabling route cost there is
-    /// also a bitwise no-op (see [`crate::objective`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] variants.
-    pub fn allocate(&mut self, query: &AllocQuery) -> Result<AllocOutcome, PipelineError> {
+    /// An importance override arrives from outside the process
+    /// (`Query::Run` carries a [`RunSpec`]), and
+    /// [`TatimInstance::with_importances`] asserts what this checks.
+    fn check_overrides(&self, overrides: &[f64]) -> Result<(), PipelineError> {
+        let tasks = self.blind.num_tasks();
+        let invalid = overrides.iter().copied().enumerate().find(|(_, v)| !(0.0..=1.0).contains(v));
+        if overrides.len() != tasks || invalid.is_some() {
+            return Err(PipelineError::BadObjective { tasks, len: overrides.len(), invalid });
+        }
+        Ok(())
+    }
+
+    pub(crate) fn allocate<F: Face>(
+        &self,
+        face: &mut F,
+        query: &AllocQuery,
+    ) -> Result<AllocOutcome, PipelineError> {
         let (method, day) = (query.method(), query.day());
         let obj = query.objective();
         self.check_day(day)?;
+        if let Some(overrides) = obj.importances() {
+            self.check_overrides(overrides)?;
+        }
         let start = Instant::now();
-        // Route-cost objective: deflate each processor's Eq.-3 budget by
-        // its route budget factor, so expensive-to-reach processors can
+        // Route-cost objective: each processor's Eq.-3 budget is deflated
+        // by its route budget factor, so expensive-to-reach processors can
         // host less and every solver mode optimises importance per unit
         // (compute + transfer) without any solver-internal change.
-        let fleet = if obj.route_cost() {
-            objective::deflated_fleet_with(&self.fleet, &self.route_factors)?
-        } else {
-            self.fleet.clone()
-        };
-        let mut blind = TatimInstance::new(self.tasks.clone(), fleet);
-        if self.config.crl.route_feature {
-            blind = blind.with_route_factors(self.route_factors.clone());
-        }
+        let blind = if obj.route_cost() { &self.blind_routed } else { &self.blind };
         let mut certificate = None;
         let allocation = if obj.survival() {
             let ctx = self.scenario.day(day);
@@ -950,19 +913,17 @@ impl<'a> PreparedPipeline<'a> {
                     Method::GreedyOracle | Method::ExactOracle => {
                         Some(self.true_importances[day].clone())
                     }
-                    Method::Crl => {
-                        Some(self.crl.allocate(&blind, &ctx.sensing)?.estimated_importances)
-                    }
+                    Method::Crl => Some(face.general(blind, &ctx.sensing)?.estimated_importances),
                     Method::Dcta => {
-                        let general = self.crl.allocate(&blind, &ctx.sensing)?;
+                        let general = face.general(blind, &ctx.sensing)?;
                         let rows = self.local_rows(day);
-                        Some(self.dcta.allocate(&blind, general, &rows)?.combined_scores)
+                        Some(self.dcta.allocate(blind, general, &rows)?.combined_scores)
                     }
                     Method::RandomMapping | Method::Dml => None,
                 },
             };
             match estimates {
-                None => self.plain_allocation(method, day, &blind, None, &mut certificate)?,
+                None => self.plain_allocation(face, method, day, blind, None, &mut certificate)?,
                 Some(mut est) => {
                     for e in &mut est {
                         *e = e.clamp(0.0, 1.0);
@@ -970,7 +931,7 @@ impl<'a> PreparedPipeline<'a> {
                     let pc = self.config.proactive;
                     let draw_seed = proactive_draw_seed(pc.seed ^ self.config.seed, day as u64);
                     let weights: Vec<f64> = self
-                        .fleet
+                        .fleet()
                         .processors()
                         .iter()
                         .map(|p| {
@@ -985,7 +946,7 @@ impl<'a> PreparedPipeline<'a> {
                 }
             }
         } else {
-            self.plain_allocation(method, day, &blind, obj.importances(), &mut certificate)?
+            self.plain_allocation(face, method, day, blind, obj.importances(), &mut certificate)?
         };
         Ok(AllocOutcome { allocation, overhead_s: start.elapsed().as_secs_f64(), certificate })
     }
@@ -993,8 +954,9 @@ impl<'a> PreparedPipeline<'a> {
     /// The classic per-method dispatch: importances from `overrides` when
     /// set, else the day's true importances (oracles) or the method's own
     /// estimates (CRL/DCTA).
-    fn plain_allocation(
-        &mut self,
+    fn plain_allocation<F: Face>(
+        &self,
+        face: &mut F,
         method: Method,
         day: usize,
         blind: &TatimInstance,
@@ -1004,7 +966,7 @@ impl<'a> PreparedPipeline<'a> {
         let ctx = self.scenario.day(day);
         let importances = overrides.unwrap_or(&self.true_importances[day]);
         Ok(match method {
-            Method::RandomMapping => random_mapping(blind, &mut self.rng),
+            Method::RandomMapping => face.random_mapping(blind, self.config.seed, day),
             Method::Dml => dml_balanced(blind),
             Method::GreedyOracle => {
                 blind.with_importances(importances).solve(&SolverKind::Greedy)?.allocation
@@ -1016,150 +978,55 @@ impl<'a> PreparedPipeline<'a> {
                 *certificate = report.certificate;
                 report.allocation
             }
-            Method::Crl => self.crl.allocate(blind, &ctx.sensing)?.allocation,
+            Method::Crl => face.general(blind, &ctx.sensing)?.allocation,
             Method::Dcta => {
-                let general = self.crl.allocate(blind, &ctx.sensing)?;
+                let general = face.general(blind, &ctx.sensing)?;
                 self.dcta.allocate(blind, general, &self.local_rows(day))?.allocation
             }
         })
     }
 
-    /// [`Self::allocate`] under the blank objective, returning the tuple
-    /// shape of the pre-query API.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] variants.
-    #[deprecated(note = "use `allocate(&AllocQuery::new(method, day))`")]
-    pub fn allocate_certified(
-        &mut self,
-        method: Method,
-        day: usize,
-    ) -> Result<(Allocation, f64, Option<SolveCertificate>), PipelineError> {
-        let out = self.allocate(&AllocQuery::new(method, day))?;
-        Ok((out.allocation, out.overhead_s, out.certificate))
-    }
-
-    /// [`Self::allocate`] under `Objective::new().with_survival(true)`,
-    /// returning the tuple shape of the pre-query API.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] variants.
-    #[deprecated(note = "use `allocate` with `Objective::new().with_survival(true)`")]
-    pub fn allocate_proactive(
-        &mut self,
-        method: Method,
-        day: usize,
-    ) -> Result<(Allocation, f64), PipelineError> {
-        let query =
-            AllocQuery::new(method, day).with_objective(Objective::new().with_survival(true));
-        let out = self.allocate(&query)?;
-        Ok((out.allocation, out.overhead_s))
-    }
-
-    /// The per-processor route budget factors of the prepared cluster
-    /// (`1.0` everywhere on the uniform star testbed), aligned with
-    /// [`Self::fleet`] columns.
-    pub fn route_factors(&self) -> &[f64] {
-        &self.route_factors
-    }
-
-    /// Feeds evaluation day `day`'s observed importances back into the CRL
-    /// environment store — the accumulating-store behaviour of the paper's
-    /// online mode (footnote 2 / §VII): "the environment can change over
-    /// time, due to the accumulating size of training data".
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::BadDay`] for out-of-range days; propagates store
-    /// shape errors.
-    pub fn observe_day(&mut self, day: usize) -> Result<(), PipelineError> {
-        self.check_day(day)?;
-        let sensing = self.scenario.day(day).sensing.clone();
-        Ok(self.crl.observe(sensing, self.true_importances[day].clone())?)
-    }
-
-    /// Executes one evaluation run described by `spec` — the single entry
-    /// point behind [`Self::run_day`] and [`Self::run_day_with_faults`].
-    /// A fault-free spec yields [`RunReport::Healthy`]; a spec with a
-    /// schedule yields [`RunReport::Faulted`]. A thread override, when
-    /// present, is scoped to this call.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] variants.
-    pub fn run(&mut self, spec: &RunSpec) -> Result<RunReport, PipelineError> {
-        let _threads = spec.threads.map(parallel::ScopedThreads::new);
+    pub(crate) fn run<F: Face>(
+        &self,
+        face: &mut F,
+        spec: &RunSpec,
+    ) -> Result<RunReport, PipelineError> {
         match &spec.faults {
             None => {
                 let query =
                     AllocQuery::new(spec.method, spec.day).with_objective(spec.objective.clone());
-                let out = self.allocate(&query)?;
+                let out = self.allocate(face, &query)?;
                 let mut report =
                     self.execute(spec.method, spec.day, out.allocation, out.overhead_s)?;
                 report.solver = out.certificate;
                 Ok(RunReport::Healthy(report))
             }
             Some((schedule, mode)) => {
-                let report =
-                    self.run_faulted_impl(spec.method, spec.day, schedule, *mode, &spec.objective)?;
+                let report = self.run_faulted(face, spec, schedule, *mode)?;
                 Ok(RunReport::Faulted(Box::new(report)))
             }
         }
     }
 
-    /// Allocates with `method` and executes on the simulated testbed,
-    /// returning the full report.
-    ///
-    /// Note: superseded by [`Self::run`] with a [`RunSpec`]; this thin
-    /// wrapper remains for source compatibility and delegates to the same
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] variants.
-    pub fn run_day(&mut self, method: Method, day: usize) -> Result<DayReport, PipelineError> {
-        match self.run(&RunSpec::new(method, day))? {
-            RunReport::Healthy(r) => Ok(r),
-            RunReport::Faulted(_) => unreachable!("fault-free spec produced a fault report"),
-        }
-    }
-
-    /// Executes a pre-computed allocation (used by sweeps that vary the
-    /// cluster between allocation and execution).
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] variants.
-    pub fn execute(
-        &mut self,
+    pub(crate) fn execute(
+        &self,
         method: Method,
         day: usize,
         allocation: Allocation,
         allocator_overhead_s: f64,
     ) -> Result<DayReport, PipelineError> {
         self.check_day(day)?;
-        let sim_tasks: Vec<SimTask> = self
-            .tasks
-            .iter()
-            .map(|t| SimTask::new(t.input_bits(), self.config.result_bits, t.resource_demand()))
-            .collect::<Result<_, _>>()?;
-        let node_assignment = allocation.to_node_assignment(&self.fleet);
+        let sim_tasks = self.sim_tasks()?;
+        let node_assignment = allocation.to_node_assignment(self.fleet());
         let report = simulate(&self.cluster, &sim_tasks, &node_assignment, self.config.sim)?;
 
         let available: Vec<bool> =
-            (0..self.tasks.len()).map(|j| allocation.processor_of(j).is_some()).collect();
+            (0..self.blind.num_tasks()).map(|j| allocation.processor_of(j).is_some()).collect();
         let evaluator =
-            ImportanceEvaluator::new(self.scenario, &self.models).with_cache(&self.cache);
+            ImportanceEvaluator::new(&self.scenario, &self.models).with_cache(&self.cache);
         let decision_performance =
             evaluator.decision_performance(self.scenario.day(day), &available)?;
-        let captured_importance: f64 = available
-            .iter()
-            .zip(&self.true_importances[day])
-            .filter(|(&a, _)| a)
-            .map(|(_, &i)| i)
-            .sum();
+        let captured_importance = self.importance_of(day, &available);
         let scheduled = allocation.scheduled_count();
         let mut processing_time_s = report.processing_time;
         if self.config.include_allocation_overhead {
@@ -1177,6 +1044,20 @@ impl<'a> PreparedPipeline<'a> {
         })
     }
 
+    /// True importance of `day` summed over the tasks `mask` selects.
+    fn importance_of(&self, day: usize, mask: &[bool]) -> f64 {
+        mask.iter().zip(&self.true_importances[day]).filter(|(&m, _)| m).map(|(_, &i)| i).sum()
+    }
+
+    fn sim_tasks(&self) -> Result<Vec<SimTask>, PipelineError> {
+        Ok(self
+            .blind
+            .tasks()
+            .iter()
+            .map(|t| SimTask::new(t.input_bits(), self.config.result_bits, t.resource_demand()))
+            .collect::<Result<_, _>>()?)
+    }
+
     /// Allocates with `method`, executes under the fault `schedule`, and —
     /// depending on `mode` — re-plans the orphaned tasks over the surviving
     /// processors and runs the recovery round (DESIGN.md §9).
@@ -1187,90 +1068,26 @@ impl<'a> PreparedPipeline<'a> {
     /// reactions directly comparable (identical losses, different
     /// responses). In-round timeout/redispatch retries remain an
     /// `edgesim`-level facility configured via [`SimConfig::retry`].
-    ///
-    /// Note: superseded by [`Self::run`] with
-    /// `RunSpec::new(method, day).with_faults(schedule, mode)`; this thin
-    /// wrapper remains for source compatibility and delegates to the same
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] variants.
-    pub fn run_day_with_faults(
-        &mut self,
-        method: Method,
-        day: usize,
+    fn run_faulted<F: Face>(
+        &self,
+        face: &mut F,
+        spec: &RunSpec,
         schedule: &FaultSchedule,
         mode: RecoveryMode,
     ) -> Result<FaultRunReport, PipelineError> {
-        match self.run(&RunSpec::new(method, day).with_faults(schedule.clone(), mode))? {
-            RunReport::Faulted(r) => Ok(*r),
-            RunReport::Healthy(_) => unreachable!("faulted spec produced a healthy report"),
-        }
-    }
-
-    /// Freezes this pipeline into a [`crate::shared::PreparedCore`] — the
-    /// `Send + Sync`, `&self`-only form a serving layer shares across
-    /// request threads. The core owns a clone of the scenario (no borrow to
-    /// keep alive) and retrains any lazily-cached CRL agents race-free with
-    /// the `pretrain` per-key seed formula, so for every method except
-    /// [`Method::RandomMapping`] its runs are bit-identical to this
-    /// pipeline's with `.pretrain(true)` (see the `shared` module docs for
-    /// the `RandomMapping` caveat).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CrlError`] from freezing the general process (e.g. an
-    /// empty environment store).
-    pub fn into_core(self) -> Result<crate::shared::PreparedCore, PipelineError> {
-        let mut base = TatimInstance::new(self.tasks.clone(), self.fleet.clone());
-        if self.config.crl.route_feature {
-            base = base.with_route_factors(self.route_factors.clone());
-        }
-        Ok(crate::shared::PreparedCore {
-            scenario: Scenario::clone(self.scenario),
-            crl: self.crl.freeze(&base)?,
-            dcta: self.dcta,
-            config: self.config,
-            models: self.models,
-            cluster: self.cluster,
-            fleet: self.fleet,
-            route_factors: self.route_factors,
-            tasks: self.tasks,
-            true_importances: self.true_importances,
-            history: self.history,
-            cache: self.cache,
-            availability: self.availability,
-        })
-    }
-
-    fn run_faulted_impl(
-        &mut self,
-        method: Method,
-        day: usize,
-        schedule: &FaultSchedule,
-        mode: RecoveryMode,
-        base_objective: &Objective,
-    ) -> Result<FaultRunReport, PipelineError> {
+        let (method, day) = (spec.method, spec.day);
         self.check_day(day)?;
         // Proactive mode shapes the *initial* allocation with the learned
         // availability posterior (survival weighting forced on); every
         // other mode allocates with the spec's objective as-is and differs
         // only in its reaction.
-        let objective = if mode == RecoveryMode::Proactive {
-            base_objective.clone().with_survival(true)
-        } else {
-            base_objective.clone()
-        };
+        let survival = spec.objective.survival() || mode == RecoveryMode::Proactive;
+        let objective = spec.objective.clone().with_survival(survival);
         let allocation = self
-            .allocate(&AllocQuery::new(method, day).with_objective(objective.clone()))?
+            .allocate(face, &AllocQuery::new(method, day).with_objective(objective.clone()))?
             .allocation;
-        let sim_tasks: Vec<SimTask> = self
-            .tasks
-            .iter()
-            .map(|t| SimTask::new(t.input_bits(), self.config.result_bits, t.resource_demand()))
-            .collect::<Result<_, _>>()?;
-        let node_assignment = allocation.to_node_assignment(&self.fleet);
+        let sim_tasks = self.sim_tasks()?;
+        let node_assignment = allocation.to_node_assignment(self.fleet());
 
         // The fault-free reference: what this allocation delivers on a
         // healthy testbed.
@@ -1284,7 +1101,7 @@ impl<'a> PreparedPipeline<'a> {
         // node id (see `edgesim::run`).
         let mut sim_cfg = self.config.sim;
         let faulted = if mode == RecoveryMode::Proactive {
-            let max_node = self.fleet.processors().iter().map(|p| p.node.0).max().unwrap_or(0);
+            let max_node = self.fleet().processors().iter().map(|p| p.node.0).max().unwrap_or(0);
             let scores: Vec<f64> = (0..=max_node).map(|n| self.availability.mean(n)).collect();
             simulate_with_faults_biased(
                 &self.cluster,
@@ -1299,7 +1116,7 @@ impl<'a> PreparedPipeline<'a> {
             simulate_with_faults(&self.cluster, &sim_tasks, &node_assignment, sim_cfg, schedule)?
         };
 
-        let n = self.tasks.len();
+        let n = self.blind.num_tasks();
         let mut delivered_mask = faulted.completed.clone();
         let mut simulated_processing_time_s = faulted.processing_time;
         let mut shed = Vec::new();
@@ -1307,7 +1124,7 @@ impl<'a> PreparedPipeline<'a> {
 
         let orphans = faulted.failed_tasks();
         let survivors: Vec<NodeId> = self
-            .fleet
+            .fleet()
             .processors()
             .iter()
             .map(|p| p.node)
@@ -1320,13 +1137,8 @@ impl<'a> PreparedPipeline<'a> {
             // Recovery re-solves under the same objective the round was
             // allocated with: a route-cost objective deflates the
             // survivors' budgets too.
-            let instance = if objective.route_cost() {
-                let fleet = objective::deflated_fleet_with(&self.fleet, &self.route_factors)?;
-                TatimInstance::new(self.tasks.clone(), fleet)
-                    .with_importances(&self.true_importances[day])
-            } else {
-                self.instance_for_day(day)?
-            };
+            let blind = if objective.route_cost() { &self.blind_routed } else { &self.blind };
+            let instance = blind.with_importances(&self.true_importances[day]);
             let budget = self.config.recovery_budget_fraction;
             let plan = match mode {
                 RecoveryMode::Resolve => {
@@ -1353,7 +1165,7 @@ impl<'a> PreparedPipeline<'a> {
             reallocation_latency_s = plan.replan_latency_s;
             shed = plan.shed;
             if plan.allocation.scheduled_count() > 0 {
-                let retry_assignment = plan.allocation.to_node_assignment(&self.fleet);
+                let retry_assignment = plan.allocation.to_node_assignment(self.fleet());
                 let retry_round =
                     simulate(&self.cluster, &sim_tasks, &retry_assignment, self.config.sim)?;
                 simulated_processing_time_s += retry_round.processing_time;
@@ -1365,30 +1177,27 @@ impl<'a> PreparedPipeline<'a> {
             }
         }
 
-        // Proactive runs learn: the round's failure history becomes an
-        // exposure observation and the posterior advances one round. The
+        // A learning face absorbs the round's failure history as an
+        // exposure observation and advances the posterior one round. The
         // other modes leave the model untouched, so reactive arms of a
         // sweep stay bit-identical to their pre-availability behaviour.
-        if mode == RecoveryMode::Proactive {
-            let nodes: Vec<NodeId> = self.fleet.processors().iter().map(|p| p.node).collect();
+        if mode == RecoveryMode::Proactive && F::LEARNS_AVAILABILITY {
+            let nodes: Vec<NodeId> = self.fleet().processors().iter().map(|p| p.node).collect();
             let horizon = faulted.processing_time.max(1e-9);
             self.availability.absorb(&node_exposures(&faulted.failures, &nodes, horizon));
             self.availability.advance_round();
         }
 
         let evaluator =
-            ImportanceEvaluator::new(self.scenario, &self.models).with_cache(&self.cache);
+            ImportanceEvaluator::new(&self.scenario, &self.models).with_cache(&self.cache);
         let scheduled_mask: Vec<bool> =
             (0..n).map(|j| allocation.processor_of(j).is_some()).collect();
         let healthy_decision_performance =
             evaluator.decision_performance(self.scenario.day(day), &scheduled_mask)?;
         let decision_performance =
             evaluator.decision_performance(self.scenario.day(day), &delivered_mask)?;
-        let importance_of = |mask: &[bool]| -> f64 {
-            mask.iter().zip(&self.true_importances[day]).filter(|(&m, _)| m).map(|(_, &i)| i).sum()
-        };
-        let healthy_importance = importance_of(&scheduled_mask);
-        let delivered_importance = importance_of(&delivered_mask);
+        let healthy_importance = self.importance_of(day, &scheduled_mask);
+        let delivered_importance = self.importance_of(day, &delivered_mask);
         let retained_fraction =
             if healthy_importance <= 0.0 { 1.0 } else { delivered_importance / healthy_importance };
         let lost: Vec<usize> =
@@ -1416,13 +1225,201 @@ impl<'a> PreparedPipeline<'a> {
     }
 }
 
+/// The pipeline after its offline phase: ready to allocate and execute any
+/// evaluation day.
+///
+/// It holds one general process: [`Method::Dcta`] feeds [`Method::Crl`]'s
+/// outcome to the cooperative step, so whichever request touches a context
+/// first trains the agent both then use. Without `.pretrain(true)` agents
+/// draw from one RNG stream in first-touch order — reproducible for a fixed
+/// request sequence; pretrained and frozen agents are seeded per context
+/// and no order matters (DESIGN.md §17, `tests/general_process.rs`).
+#[derive(Debug)]
+pub struct PreparedPipeline<'a> {
+    scenario: &'a Scenario,
+    state: Prepared,
+    batch: Batch,
+}
+
+impl<'a> PreparedPipeline<'a> {
+    /// The evaluation (non-history) day range.
+    pub fn test_days(&self) -> Range<usize> {
+        self.state.test_days()
+    }
+
+    /// The scenario under evaluation.
+    pub fn scenario(&self) -> &'a Scenario {
+        self.scenario
+    }
+
+    /// The simulated cluster.
+    pub fn cluster(&self) -> &Cluster {
+        &self.state.cluster
+    }
+
+    /// Mutable cluster access (bandwidth sweeps).
+    pub fn cluster_mut(&mut self) -> &mut Cluster {
+        &mut self.state.cluster
+    }
+
+    /// The processor fleet.
+    pub fn fleet(&self) -> &ProcessorFleet {
+        self.state.fleet()
+    }
+
+    /// The trained COP models.
+    pub fn models(&self) -> &CopModels {
+        &self.state.models
+    }
+
+    /// The pipeline's shared decision-performance cache.
+    pub fn importance_cache(&self) -> &ImportanceCache {
+        &self.state.cache
+    }
+
+    /// Hit/miss counters of the decision-performance cache — part of the
+    /// pipeline's run summary alongside PT and `H`.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.state.cache.stats()
+    }
+
+    /// The learned per-node availability posterior. Interior-mutable:
+    /// callers may [`AvailabilityModel::absorb`] external failure history
+    /// or persist it ([`AvailabilityModel::save_file`]) through `&self`.
+    /// [`RecoveryMode::Proactive`] runs feed it automatically.
+    pub fn availability(&self) -> &AvailabilityModel {
+        &self.state.availability
+    }
+
+    /// True importances of evaluation day `day`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `day` is out of range.
+    pub fn true_importances(&self, day: usize) -> &[f64] {
+        &self.state.true_importances[day]
+    }
+
+    /// The TATIM instance of a day, priced with its true importances.
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::BadDay`] for out-of-range days.
+    pub fn instance_for_day(&self, day: usize) -> Result<TatimInstance, PipelineError> {
+        self.state.instance_for_day(day)
+    }
+
+    /// The cooperative step [`Method::Dcta`] applies to the general
+    /// process's outcome.
+    pub fn dcta(&self) -> &DctaAllocator {
+        &self.state.dcta
+    }
+
+    /// The Table-I local feature rows of day `day` (DCTA's `F2` input).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `day` is not a scenario day.
+    pub fn local_rows(&self, day: usize) -> Vec<Vec<f64>> {
+        self.state.local_rows(day)
+    }
+
+    /// Produces the allocation described by `query`: `query.method()` on
+    /// `query.day()`, shaped by the typed [`Objective`] — importance
+    /// overrides, survival weighting (the proactive path), and route-cost
+    /// budget deflation (the topology-aware path), each independently
+    /// optional. A blank objective reproduces the classic per-method
+    /// behaviour bit-for-bit; on the uniform star testbed every route
+    /// budget factor is exactly `1.0`, so enabling route cost there is
+    /// also a bitwise no-op (see [`crate::objective`]).
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::BadObjective`] for an importance override of the
+    /// wrong length or with an entry outside `[0, 1]`; otherwise see
+    /// [`PipelineError`] variants.
+    pub fn allocate(&mut self, query: &AllocQuery) -> Result<AllocOutcome, PipelineError> {
+        self.state.allocate(&mut self.batch, query)
+    }
+
+    /// The per-processor route budget factors of the prepared cluster
+    /// (`1.0` everywhere on the uniform star testbed), aligned with
+    /// [`Self::fleet`] columns.
+    pub fn route_factors(&self) -> &[f64] {
+        &self.state.route_factors
+    }
+
+    /// Feeds evaluation day `day`'s observed importances back into the CRL
+    /// environment store — the accumulating-store behaviour of the paper's
+    /// online mode (footnote 2 / §VII): "the environment can change over
+    /// time, due to the accumulating size of training data".
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::BadDay`] for out-of-range days; propagates store
+    /// shape errors.
+    pub fn observe_day(&mut self, day: usize) -> Result<(), PipelineError> {
+        self.state.check_day(day)?;
+        let sensing = self.scenario.day(day).sensing.clone();
+        Ok(self.batch.crl.observe(sensing, self.state.true_importances[day].clone())?)
+    }
+
+    /// Executes one evaluation run described by `spec`. A fault-free spec
+    /// yields [`RunReport::Healthy`]; a spec with a schedule yields
+    /// [`RunReport::Faulted`] (allocate, run under the schedule, re-plan
+    /// per its [`RecoveryMode`]; DESIGN.md §9). A thread override, when
+    /// present, is scoped to this call.
+    ///
+    /// # Errors
+    ///
+    /// See [`PipelineError`] variants.
+    pub fn run(&mut self, spec: &RunSpec) -> Result<RunReport, PipelineError> {
+        let _threads = spec.threads.map(parallel::ScopedThreads::new);
+        self.state.run(&mut self.batch, spec)
+    }
+
+    /// Executes a pre-computed allocation (used by sweeps that vary the
+    /// cluster between allocation and execution).
+    ///
+    /// # Errors
+    ///
+    /// See [`PipelineError`] variants.
+    pub fn execute(
+        &mut self,
+        method: Method,
+        day: usize,
+        allocation: Allocation,
+        allocator_overhead_s: f64,
+    ) -> Result<DayReport, PipelineError> {
+        self.state.execute(method, day, allocation, allocator_overhead_s)
+    }
+
+    /// Freezes this pipeline into a [`crate::shared::PreparedCore`] — the
+    /// `Send + Sync`, `&self`-only form a serving layer shares across
+    /// request threads. The prepared state moves over as it is; the general
+    /// process is frozen, which retrains any lazily-cached CRL agents
+    /// race-free with the `pretrain` per-key seed formula, so for every
+    /// method except [`Method::RandomMapping`] the core's runs are
+    /// bit-identical to this pipeline's with `.pretrain(true)` (the
+    /// `shared` module docs list what differs).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CrlError`] from freezing the general process (e.g. an
+    /// empty environment store).
+    pub fn into_core(self) -> Result<crate::shared::PreparedCore, PipelineError> {
+        let crl = self.batch.crl.freeze(&self.state.blind)?;
+        Ok(crate::shared::PreparedCore { state: self.state, crl })
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use buildings::scenario::ScenarioConfig;
     use rl::dqn::DqnConfig;
 
-    fn small_scenario() -> Scenario {
+    pub(crate) fn small_scenario() -> Scenario {
         Scenario::generate(ScenarioConfig {
             num_buildings: 2,
             chillers_per_building: 2,
@@ -1436,7 +1433,7 @@ mod tests {
         .unwrap()
     }
 
-    fn quick_config() -> PipelineConfig {
+    pub(crate) fn quick_config() -> PipelineConfig {
         PipelineConfig {
             workers: 4,
             env_history_days: 5,
@@ -1447,6 +1444,14 @@ mod tests {
             },
             ..PipelineConfig::default()
         }
+    }
+
+    pub(crate) fn healthy(
+        prepared: &mut PreparedPipeline<'_>,
+        method: Method,
+        day: usize,
+    ) -> DayReport {
+        prepared.run(&RunSpec::new(method, day)).unwrap().into_healthy().unwrap()
     }
 
     #[test]
@@ -1465,10 +1470,10 @@ mod tests {
         assert!(prepared.cluster().mesh().is_some(), "cluster should be a mesh");
         assert_eq!(prepared.cluster().nodes().len(), 16);
         let day = prepared.test_days().start;
-        let a = prepared.run_day(Method::Dcta, day).unwrap();
+        let a = healthy(&mut prepared, Method::Dcta, day);
         assert!(a.processing_time_s > 0.0);
         // Same prepared state, same day: mesh rounds are deterministic.
-        let b = prepared.run_day(Method::Dcta, day).unwrap();
+        let b = healthy(&mut prepared, Method::Dcta, day);
         assert_eq!(a.processing_time_s.to_bits(), b.processing_time_s.to_bits());
     }
 
@@ -1485,7 +1490,7 @@ mod tests {
             Method::Crl,
             Method::Dcta,
         ] {
-            let r = prepared.run_day(method, day).unwrap();
+            let r = healthy(&mut prepared, method, day);
             assert_eq!(r.method, method);
             assert!(r.processing_time_s > 0.0, "{method}: PT = {}", r.processing_time_s);
             assert!((0.0..=1.0).contains(&r.decision_performance), "{method}");
@@ -1498,9 +1503,9 @@ mod tests {
         let s = small_scenario();
         let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let day = prepared.test_days().start;
-        let rm = prepared.run_day(Method::RandomMapping, day).unwrap();
-        let dml = prepared.run_day(Method::Dml, day).unwrap();
-        let oracle = prepared.run_day(Method::GreedyOracle, day).unwrap();
+        let rm = healthy(&mut prepared, Method::RandomMapping, day);
+        let dml = healthy(&mut prepared, Method::Dml, day);
+        let oracle = healthy(&mut prepared, Method::GreedyOracle, day);
         assert_eq!(rm.scheduled, s.num_tasks());
         assert_eq!(dml.scheduled, s.num_tasks());
         assert!(oracle.scheduled < s.num_tasks(), "oracle must select a subset");
@@ -1511,8 +1516,8 @@ mod tests {
         let s = small_scenario();
         let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let day = prepared.test_days().start;
-        let rm = prepared.run_day(Method::RandomMapping, day).unwrap();
-        let dcta = prepared.run_day(Method::Dcta, day).unwrap();
+        let rm = healthy(&mut prepared, Method::RandomMapping, day);
+        let dcta = healthy(&mut prepared, Method::Dcta, day);
         assert!(
             dcta.processing_time_s < rm.processing_time_s,
             "DCTA {} vs RM {}",
@@ -1541,17 +1546,46 @@ mod tests {
     fn bad_day_rejected() {
         let s = small_scenario();
         let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
-        assert!(matches!(prepared.run_day(Method::Dml, 0), Err(PipelineError::BadDay { .. })));
-        assert!(matches!(prepared.run_day(Method::Dml, 999), Err(PipelineError::BadDay { .. })));
+        for day in [0, 999] {
+            assert!(matches!(
+                prepared.run(&RunSpec::new(Method::Dml, day)),
+                Err(PipelineError::BadDay { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn bad_importance_overrides_are_rejected_before_any_solve() {
+        let s = small_scenario();
+        let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        let day = prepared.test_days().start;
+        let n = s.num_tasks();
+        let mut not_a_number = vec![0.5; n];
+        not_a_number[3] = f64::NAN;
+        let mut too_large = vec![0.5; n];
+        too_large[0] = 1.5;
+        for survival in [false, true] {
+            for overrides in [vec![0.5; n + 1], not_a_number.clone(), too_large.clone()] {
+                let objective =
+                    Objective::new().with_importances(overrides).with_survival(survival);
+                let query = AllocQuery::new(Method::GreedyOracle, day).with_objective(objective);
+                assert!(matches!(
+                    prepared.allocate(&query),
+                    Err(PipelineError::BadObjective { tasks, .. }) if tasks == n
+                ));
+            }
+        }
+        let fine = Objective::new().with_importances(vec![0.5; n]);
+        assert!(prepared.run(&RunSpec::new(Method::Dml, day).with_objective(fine)).is_ok());
     }
 
     /// A lone general process over `p`'s history, and its blind instance.
     fn lone_crl(s: &Scenario, p: &PreparedPipeline<'_>) -> (CrlAllocator, TatimInstance) {
-        let mut lone = CrlAllocator::new(p.config.crl.clone());
-        for d in 0..p.config.env_history_days {
-            lone.observe(s.day(d).sensing.clone(), p.true_importances[d].clone()).unwrap();
+        let mut lone = CrlAllocator::new(p.state.config.crl.clone());
+        for d in 0..p.state.config.env_history_days {
+            lone.observe(s.day(d).sensing.clone(), p.state.true_importances[d].clone()).unwrap();
         }
-        (lone, TatimInstance::new(p.tasks.clone(), p.fleet.clone()))
+        (lone, p.state.blind.clone())
     }
 
     #[test]
@@ -1563,16 +1597,16 @@ mod tests {
         let (mut lone, blind) = lone_crl(&s, &prepared);
         let mut miss = |d: usize| !lone.allocate(&blind, &s.day(d).sensing).unwrap().cache_hit;
         let contexts = days.iter().filter(|&&d| miss(d)).count();
-        assert_eq!(prepared.crl.cached_agents(), 0, "a cold pipeline has trained nothing");
+        assert_eq!(prepared.batch.crl.cached_agents(), 0, "a cold pipeline has trained nothing");
         for method in [Method::Crl, Method::Dcta] {
             for &day in &days {
-                prepared.run_day(method, day).unwrap();
+                healthy(&mut prepared, method, day);
             }
-            assert_eq!(prepared.crl.cached_agents(), contexts, "after the {method} pass");
+            assert_eq!(prepared.batch.crl.cached_agents(), contexts, "after the {method} pass");
         }
         for &day in &days {
-            let general = prepared.crl.allocate(&blind, &s.day(day).sensing).unwrap();
-            let out = prepared.dcta.allocate(&blind, general, &prepared.local_rows(day)).unwrap();
+            let general = prepared.batch.crl.allocate(&blind, &s.day(day).sensing).unwrap();
+            let out = prepared.dcta().allocate(&blind, general, &prepared.local_rows(day)).unwrap();
             assert!(out.crl.cache_hit, "day {day}");
         }
     }
@@ -1584,21 +1618,14 @@ mod tests {
         let (mut lone, blind) = lone_crl(&s, &prepared);
         let agents_trained = lone.pretrain(&blind).unwrap();
         assert!(agents_trained >= 1);
-        assert_eq!(prepared.crl.cached_agents(), agents_trained);
+        assert_eq!(prepared.batch.crl.cached_agents(), agents_trained);
         // Neither learned method trains anything further.
         for method in [Method::Crl, Method::Dcta] {
             for day in prepared.test_days() {
-                prepared.run_day(method, day).unwrap();
+                healthy(&mut prepared, method, day);
             }
         }
-        assert_eq!(prepared.crl.cached_agents(), agents_trained);
-    }
-
-    #[test]
-    fn convenience_run_day_uses_dcta() {
-        let s = small_scenario();
-        let r = Pipeline::new(quick_config()).run_day(&s, 0).unwrap();
-        assert_eq!(r.method, Method::Dcta);
+        assert_eq!(prepared.batch.crl.cached_agents(), agents_trained);
     }
 
     #[test]
@@ -1608,9 +1635,8 @@ mod tests {
         let mut oracle_total = 0.0;
         let mut dcta_total = 0.0;
         for day in prepared.test_days() {
-            oracle_total +=
-                prepared.run_day(Method::GreedyOracle, day).unwrap().captured_importance;
-            dcta_total += prepared.run_day(Method::Dcta, day).unwrap().captured_importance;
+            oracle_total += healthy(&mut prepared, Method::GreedyOracle, day).captured_importance;
+            dcta_total += healthy(&mut prepared, Method::Dcta, day).captured_importance;
         }
         assert!(oracle_total + 1e-9 >= dcta_total * 0.8, "oracle {oracle_total} dcta {dcta_total}");
     }
@@ -1618,35 +1644,18 @@ mod tests {
 
 #[cfg(test)]
 mod fault_tests {
+    use super::tests::{healthy, quick_config, small_scenario};
     use super::*;
-    use buildings::scenario::ScenarioConfig;
-    use rl::dqn::DqnConfig;
 
-    fn small_scenario() -> Scenario {
-        Scenario::generate(ScenarioConfig {
-            num_buildings: 2,
-            chillers_per_building: 2,
-            bands_per_chiller: 4,
-            num_tasks: 12,
-            history_days: 50,
-            eval_days: 8,
-            mean_input_mbit: 40.0,
-            ..ScenarioConfig::default()
-        })
-        .unwrap()
-    }
-
-    fn quick_config() -> PipelineConfig {
-        PipelineConfig {
-            workers: 4,
-            env_history_days: 5,
-            crl: CrlConfig {
-                episodes: 12,
-                dqn: DqnConfig { hidden: vec![24], ..DqnConfig::default() },
-                ..CrlConfig::default()
-            },
-            ..PipelineConfig::default()
-        }
+    fn faulted(
+        prepared: &mut PreparedPipeline<'_>,
+        method: Method,
+        day: usize,
+        schedule: &FaultSchedule,
+        mode: RecoveryMode,
+    ) -> FaultRunReport {
+        let spec = RunSpec::new(method, day).with_faults(schedule.clone(), mode);
+        prepared.run(&spec).unwrap().into_faulted().unwrap()
     }
 
     /// The worker hosting the most scheduled tasks — guaranteed to orphan
@@ -1665,19 +1674,16 @@ mod fault_tests {
         let s = small_scenario();
         let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let day = prepared.test_days().start;
-        let healthy = prepared.run_day(Method::GreedyOracle, day).unwrap();
+        let healthy = healthy(&mut prepared, Method::GreedyOracle, day);
         let alloc =
             prepared.allocate(&AllocQuery::new(Method::GreedyOracle, day)).unwrap().allocation;
         let victim = busiest_node(&prepared, &alloc);
         let schedule =
             FaultSchedule::new().with_crash(victim, healthy.processing_time_s * 0.1).unwrap();
 
-        let resolve = prepared
-            .run_day_with_faults(Method::GreedyOracle, day, &schedule, RecoveryMode::Resolve)
-            .unwrap();
-        let none = prepared
-            .run_day_with_faults(Method::GreedyOracle, day, &schedule, RecoveryMode::None)
-            .unwrap();
+        let resolve =
+            faulted(&mut prepared, Method::GreedyOracle, day, &schedule, RecoveryMode::Resolve);
+        let none = faulted(&mut prepared, Method::GreedyOracle, day, &schedule, RecoveryMode::None);
 
         assert!(!resolve.failures.is_empty(), "crash left no trace");
         assert_eq!(resolve.down_at_end, vec![victim]);
@@ -1715,14 +1721,9 @@ mod fault_tests {
             let node = prepared.fleet().node_of(col);
             schedule = schedule.with_crash(node, 0.2).unwrap();
         }
-        let resolve = prepared
-            .run_day_with_faults(Method::Dml, day, &schedule, RecoveryMode::Resolve)
-            .unwrap();
-        let random = prepared
-            .run_day_with_faults(Method::Dml, day, &schedule, RecoveryMode::RandomShed)
-            .unwrap();
-        let none =
-            prepared.run_day_with_faults(Method::Dml, day, &schedule, RecoveryMode::None).unwrap();
+        let resolve = faulted(&mut prepared, Method::Dml, day, &schedule, RecoveryMode::Resolve);
+        let random = faulted(&mut prepared, Method::Dml, day, &schedule, RecoveryMode::RandomShed);
+        let none = faulted(&mut prepared, Method::Dml, day, &schedule, RecoveryMode::None);
 
         assert!(!resolve.shed.is_empty(), "survivor hosted everything; no shedding exercised");
         // Shed list is reported least-important first.
@@ -1742,11 +1743,9 @@ mod fault_tests {
     fn fault_runs_check_the_day_range() {
         let s = small_scenario();
         let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
-        let schedule = FaultSchedule::new();
-        assert!(matches!(
-            prepared.run_day_with_faults(Method::Dml, 0, &schedule, RecoveryMode::Resolve),
-            Err(PipelineError::BadDay { .. })
-        ));
+        let spec =
+            RunSpec::new(Method::Dml, 0).with_faults(FaultSchedule::new(), RecoveryMode::Resolve);
+        assert!(matches!(prepared.run(&spec), Err(PipelineError::BadDay { .. })));
     }
 
     #[test]
@@ -1754,9 +1753,8 @@ mod fault_tests {
         let s = small_scenario();
         let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let day = prepared.test_days().start;
-        let r = prepared
-            .run_day_with_faults(Method::Dml, day, &FaultSchedule::new(), RecoveryMode::Resolve)
-            .unwrap();
+        let r =
+            faulted(&mut prepared, Method::Dml, day, &FaultSchedule::new(), RecoveryMode::Resolve);
         assert_eq!(r.retained_fraction, 1.0);
         assert!(r.failures.is_empty());
         assert!(r.lost.is_empty());
@@ -1797,12 +1795,12 @@ mod online_tests {
         .prepare(&s)
         .unwrap();
         let day = prepared.test_days().start;
-        assert_eq!(prepared.crl.store_len(), 4);
+        assert_eq!(prepared.batch.crl.store_len(), 4);
         prepared.observe_day(day).unwrap();
-        assert_eq!(prepared.crl.store_len(), 5);
+        assert_eq!(prepared.batch.crl.store_len(), 5);
         // Out-of-range observation is rejected.
         assert!(matches!(prepared.observe_day(0), Err(PipelineError::BadDay { .. })));
         // Allocation still works with the grown store.
-        assert!(prepared.run_day(Method::Crl, day + 1).is_ok());
+        assert!(prepared.run(&RunSpec::new(Method::Crl, day + 1)).is_ok());
     }
 }

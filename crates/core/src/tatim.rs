@@ -22,8 +22,7 @@ use std::fmt;
 /// tasks × ~10 processors) exhaust their tree well inside this budget, so
 /// the oracle stays a proved optimum there; on production-size instances
 /// the oracle degrades gracefully to a certified incumbent instead of
-/// silently truncating. Shared by `pipeline.rs` and `shared.rs`, which
-/// previously each hard-coded their own copy.
+/// silently truncating.
 pub const EXACT_ORACLE_NODE_BUDGET: u64 = 200_000;
 
 /// A complete TATIM instance: tasks plus the processor fleet, optionally
@@ -112,25 +111,6 @@ pub struct SolveReport {
     pub objective: f64,
     /// Optimality certificate ([`SolverKind::Portfolio`] only).
     pub certificate: Option<SolveCertificate>,
-}
-
-/// Result of [`TatimInstance::solve_portfolio`]: the allocation plus the
-/// solver's optimality certificate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PortfolioOutcome {
-    /// The allocation found.
-    pub allocation: Allocation,
-    /// Captured importance of the allocation (the TATIM objective).
-    pub profit: f64,
-    /// Surrogate-relaxation upper bound on the optimal objective.
-    pub upper_bound: f64,
-    /// Relative optimality gap certificate (`0.0` when proved optimal).
-    pub gap: f64,
-    /// Whether the allocation is proved optimal.
-    pub proved_optimal: bool,
-    /// Branch-and-bound nodes explored (deterministic in budgeted modes,
-    /// reported as 0 in `SolveBudget::Exact`; see the portfolio docs).
-    pub nodes: u64,
 }
 
 impl TatimInstance {
@@ -229,10 +209,7 @@ impl TatimInstance {
     /// reduction and reports the allocation, the objective value, and —
     /// for [`SolverKind::Portfolio`] — the optimality certificate.
     ///
-    /// Every kind is bit-identical across thread counts; the older
-    /// `solve_greedy`/`solve_greedy_weighted`/`solve_exact_with`/
-    /// `solve_portfolio` entry points are deprecated wrappers over this
-    /// method and pinned bit-identical by `tests/api_equivalence.rs`.
+    /// Every kind is bit-identical across thread counts.
     ///
     /// # Panics
     ///
@@ -345,74 +322,6 @@ impl TatimInstance {
         Ok((r.allocation, r.objective))
     }
 
-    /// Exact allocation under explicit [`SolverOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the reduction.
-    #[deprecated(note = "use `solve(&SolverKind::Exact(options))`")]
-    pub fn solve_exact_with(
-        &self,
-        options: &SolverOptions,
-    ) -> Result<(Allocation, f64), TatimError> {
-        let r = self.solve(&SolverKind::Exact(*options))?;
-        Ok((r.allocation, r.objective))
-    }
-
-    /// Greedy + local-search allocation (edge-affordable).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the reduction.
-    #[deprecated(note = "use `solve(&SolverKind::Greedy)`")]
-    pub fn solve_greedy(&self) -> Result<(Allocation, f64), TatimError> {
-        let r = self.solve(&SolverKind::Greedy)?;
-        Ok((r.allocation, r.objective))
-    }
-
-    /// Anytime portfolio allocation: greedy warm start,
-    /// surrogate-relaxation upper bound, then branch-and-bound under
-    /// `budget`. With `SolveBudget::NodeBudget(EXACT_ORACLE_NODE_BUDGET)`
-    /// this is the pipeline's `ExactOracle`; `SolveBudget::Anytime` is the
-    /// production-size configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the reduction.
-    #[deprecated(note = "use `solve(&SolverKind::Portfolio(budget))`")]
-    pub fn solve_portfolio(&self, budget: SolveBudget) -> Result<PortfolioOutcome, TatimError> {
-        let r = self.solve(&SolverKind::Portfolio(budget))?;
-        let c = r.certificate.expect("portfolio solves always certify");
-        Ok(PortfolioOutcome {
-            allocation: r.allocation,
-            profit: r.objective,
-            upper_bound: c.upper_bound,
-            gap: c.gap,
-            proved_optimal: c.proved_optimal,
-            nodes: c.nodes,
-        })
-    }
-
-    /// Availability-weighted greedy allocation (see
-    /// [`SolverKind::WeightedGreedy`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sack_weights` has the wrong length or holds a
-    /// non-finite or negative weight.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the reduction.
-    #[deprecated(note = "use `solve(&SolverKind::WeightedGreedy(weights))`")]
-    pub fn solve_greedy_weighted(
-        &self,
-        sack_weights: &[f64],
-    ) -> Result<(Allocation, f64), TatimError> {
-        let r = self.solve(&SolverKind::WeightedGreedy(sack_weights.to_vec()))?;
-        Ok((r.allocation, r.objective))
-    }
-
     /// The RL view of the instance (for CRL): task demands and processor
     /// budgets; importances carried as-is (CRL overrides them with its
     /// clustered estimate). Heterogeneous per-processor limits (§VII) are
@@ -431,9 +340,6 @@ impl TatimInstance {
 }
 
 #[cfg(test)]
-// The suite deliberately keeps exercising the deprecated wrappers: they are
-// pinned bit-identical to the unified `solve` until removal.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::processor::Processor;
@@ -495,10 +401,10 @@ mod tests {
     #[test]
     fn greedy_is_feasible_and_bounded_by_exact() {
         let inst = instance();
-        let (galloc, gprofit) = inst.solve_greedy().unwrap();
+        let greedy = inst.solve(&SolverKind::Greedy).unwrap();
         let (_, eprofit) = inst.solve_exact().unwrap();
-        assert!(gprofit <= eprofit + 1e-9);
-        assert!(galloc.is_feasible(inst.tasks(), inst.fleet()));
+        assert!(greedy.objective <= eprofit + 1e-9);
+        assert!(greedy.allocation.is_feasible(inst.tasks(), inst.fleet()));
     }
 
     #[test]
@@ -527,10 +433,15 @@ mod tests {
         assert!(spec.validate().is_ok());
     }
 
+    fn weighted(inst: &TatimInstance, weights: &[f64]) -> (Allocation, f64) {
+        let r = inst.solve(&SolverKind::WeightedGreedy(weights.to_vec())).unwrap();
+        (r.allocation, r.objective)
+    }
+
     #[test]
     fn weighted_solve_with_unit_weights_matches_plain_objective() {
         let inst = instance();
-        let (alloc, wprofit) = inst.solve_greedy_weighted(&[1.0, 1.0]).unwrap();
+        let (alloc, wprofit) = weighted(&inst, &[1.0, 1.0]);
         assert!(alloc.is_feasible(inst.tasks(), inst.fleet()));
         assert!((alloc.total_importance(inst.tasks()) - wprofit).abs() < 1e-12);
         // Same scheduled set as the exact solver on this tiny instance.
@@ -543,23 +454,23 @@ mod tests {
         let inst = instance();
         // Processor 1 is far more likely to survive: the most important
         // task must land there.
-        let (alloc, _) = inst.solve_greedy_weighted(&[0.2, 0.9]).unwrap();
+        let (alloc, _) = weighted(&inst, &[0.2, 0.9]);
         assert_eq!(alloc.processor_of(0), Some(1));
-        let (flipped, _) = inst.solve_greedy_weighted(&[0.9, 0.2]).unwrap();
+        let (flipped, _) = weighted(&inst, &[0.9, 0.2]);
         assert_eq!(flipped.processor_of(0), Some(0));
     }
 
     #[test]
     fn weighted_profit_accounts_for_the_multiplier() {
         let inst = instance();
-        let (alloc, wprofit) = inst.solve_greedy_weighted(&[0.5, 0.5]).unwrap();
+        let (alloc, wprofit) = weighted(&inst, &[0.5, 0.5]);
         assert!((wprofit - 0.5 * alloc.total_importance(inst.tasks())).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "length")]
     fn weighted_solve_checks_weight_length() {
-        let _ = instance().solve_greedy_weighted(&[1.0]);
+        let _ = instance().solve(&SolverKind::WeightedGreedy(vec![1.0]));
     }
 
     #[test]

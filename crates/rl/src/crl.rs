@@ -90,7 +90,18 @@ impl EnvironmentStore {
             return Err(CrlError::EmptyStore);
         }
         let index = KnnIndex::new(self.records.iter().map(|r| r.signature.clone()).collect())?;
-        let hits = index.nearest(signature, k.max(1))?;
+        self.blend_in(&index, signature, k.max(1))
+    }
+
+    /// [`Self::nearest_blend`] against a kNN `index` already built over
+    /// this store's signatures.
+    fn blend_in(
+        &self,
+        index: &KnnIndex,
+        signature: &[f64],
+        k: usize,
+    ) -> Result<(usize, Vec<f64>), CrlError> {
+        let hits = index.nearest(signature, k)?;
         let n = self.records[0].importances.len();
         let mut blend = vec![0.0; n];
         let mut total = 0.0;
@@ -251,6 +262,43 @@ struct Clustering {
     store_len: usize,
 }
 
+/// Trains the agent of cache key `key` on its environment `blend`, seeded
+/// from `config.seed` mixed with the key alone — so the agent depends on
+/// neither the order environments are trained in nor the thread that
+/// trains it. [`Crl::pretrain`] and [`SharedCrl`]'s slots both train here.
+fn train_keyed(
+    config: &CrlConfig,
+    spec: &AllocSpec,
+    key: usize,
+    blend: &[f64],
+) -> Result<DqnAgent, CrlError> {
+    let clustered_spec = AllocSpec { importances: blend.to_vec(), ..spec.clone() };
+    let mut env = AllocEnv::new(clustered_spec)?;
+    // SplitMix-style key mixing keeps per-agent streams disjoint for any
+    // seed while staying reproducible.
+    let agent_seed = config.seed ^ (key as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut rng = StdRng::seed_from_u64(agent_seed);
+    let mut agent =
+        DqnAgent::new(env.state_dim(), env.num_actions(), config.dqn.clone(), &mut rng)?;
+    for _ in 0..config.episodes {
+        agent.train_episode(&mut env, &mut rng)?;
+    }
+    Ok(agent)
+}
+
+/// The greedy rollout of `agent` over the clustered environment `env`.
+fn rollout(
+    agent: &DqnAgent,
+    mut env: AllocEnv,
+    blend: Vec<f64>,
+    cache_hit: bool,
+) -> Result<CrlAllocation, CrlError> {
+    agent.evaluate_episode(&mut env)?;
+    let assignment = env.assignment().to_vec();
+    let estimated_value = env.assigned_value();
+    Ok(CrlAllocation { assignment, estimated_importances: blend, estimated_value, cache_hit })
+}
+
 /// The CRL allocator: environment store + per-environment agent cache.
 #[derive(Debug)]
 pub struct Crl {
@@ -334,6 +382,16 @@ impl Crl {
         }
     }
 
+    /// A valid `spec` over as many tasks as the (non-empty) store's records.
+    fn check_geometry(&self, spec: &AllocSpec) -> Result<(), CrlError> {
+        spec.validate()?;
+        match self.store.records().first() {
+            None => Err(CrlError::EmptyStore),
+            Some(first) if first.importances.len() != spec.num_tasks() => Err(CrlError::Shape),
+            Some(_) => Ok(()),
+        }
+    }
+
     /// Trains every environment's agent up front, in parallel, instead of
     /// lazily on first use. Returns the number of agents trained.
     ///
@@ -356,13 +414,7 @@ impl Crl {
     ///
     /// See [`CrlError`] variants.
     pub fn pretrain(&mut self, spec: &AllocSpec) -> Result<usize, CrlError> {
-        spec.validate()?;
-        if self.store.is_empty() {
-            return Err(CrlError::EmptyStore);
-        }
-        if self.store.records()[0].importances.len() != spec.num_tasks() {
-            return Err(CrlError::Shape);
-        }
+        self.check_geometry(spec)?;
         // Enumerate the agent-cache keys the configured lookup mode can ever
         // produce, with their environment blends, in deterministic order.
         let mut jobs: Vec<(usize, Vec<f64>)> = Vec::new();
@@ -387,29 +439,10 @@ impl Crl {
         // Grain 1: each job is a full multi-episode DQN training, far past
         // the point where thread spawn overhead matters, so even two jobs
         // deserve two threads.
-        let trained: Vec<(usize, DqnAgent)> = parallel::try_par_map_grained(
-            &jobs,
-            1,
-            |(key, blend)| -> Result<(usize, DqnAgent), CrlError> {
-                let clustered_spec = AllocSpec { importances: blend.clone(), ..spec.clone() };
-                let mut env = AllocEnv::new(clustered_spec)?;
-                // SplitMix-style key mixing keeps per-agent streams disjoint
-                // for any seed while staying reproducible.
-                let agent_seed =
-                    config.seed ^ (*key as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let mut rng = StdRng::seed_from_u64(agent_seed);
-                let mut agent = DqnAgent::new(
-                    env.state_dim(),
-                    env.num_actions(),
-                    config.dqn.clone(),
-                    &mut rng,
-                )?;
-                for _ in 0..config.episodes {
-                    agent.train_episode(&mut env, &mut rng)?;
-                }
-                Ok((*key, agent))
-            },
-        )?;
+        let trained: Vec<(usize, DqnAgent)> =
+            parallel::try_par_map_grained(&jobs, 1, |(key, blend)| {
+                train_keyed(config, spec, *key, blend).map(|agent| (*key, agent))
+            })?;
         let count = trained.len();
         self.agents.extend(trained);
         Ok(count)
@@ -451,10 +484,7 @@ impl Crl {
             self.agents.insert(nearest, agent);
         }
         let agent = self.agents.get(&nearest).expect("inserted above");
-        let (_, _actions) = agent.evaluate_episode(&mut env)?;
-        let assignment = env.assignment().to_vec();
-        let estimated_value = env.assigned_value();
-        Ok(CrlAllocation { assignment, estimated_importances: blend, estimated_value, cache_hit })
+        rollout(agent, env, blend, cache_hit)
     }
 
     /// Converts this allocator into a shareable, `&self`-only [`SharedCrl`]
@@ -476,13 +506,7 @@ impl Crl {
     /// `spec` disagrees with the stored importance arity, plus validation
     /// and clustering errors.
     pub fn freeze(mut self, spec: &AllocSpec) -> Result<SharedCrl, CrlError> {
-        spec.validate()?;
-        if self.store.is_empty() {
-            return Err(CrlError::EmptyStore);
-        }
-        if self.store.records()[0].importances.len() != spec.num_tasks() {
-            return Err(CrlError::Shape);
-        }
+        self.check_geometry(spec)?;
         let (lookup, blends) = match self.config.lookup {
             LookupMode::OnlineKnn => {
                 let index = KnnIndex::new(
@@ -492,11 +516,12 @@ impl Crl {
                 // them: record `k`'s self-query always resolves to key `k`
                 // (or a lower-index duplicate that shadows it, in which case
                 // key `k` is never produced by any query either).
+                let k = self.config.k.max(1);
                 let mut blends = Vec::with_capacity(self.store.len());
                 for record in self.store.records() {
-                    blends.push(self.store.nearest_blend(&record.signature, self.config.k)?.1);
+                    blends.push(self.store.blend_in(&index, &record.signature, k)?.1);
                 }
-                (SharedLookup::Knn { index, k: self.config.k.max(1) }, blends)
+                (SharedLookup::Knn { index, k }, blends)
             }
             LookupMode::OfflineKMeans { clusters } => {
                 self.ensure_clustering(clusters)?;
@@ -581,24 +606,7 @@ impl SharedCrl {
     /// [`CrlError::Knn`] on lookup failure.
     pub fn define_environment(&self, signature: &[f64]) -> Result<(usize, Vec<f64>), CrlError> {
         match &self.lookup {
-            SharedLookup::Knn { index, k } => {
-                let hits = index.nearest(signature, *k)?;
-                let n = self.store.records()[0].importances.len();
-                let mut blend = vec![0.0; n];
-                let mut total = 0.0;
-                for h in &hits {
-                    let w = 1.0 / (h.distance + 1e-9);
-                    for (b, &i) in blend.iter_mut().zip(&self.store.records()[h.index].importances)
-                    {
-                        *b += w * i;
-                    }
-                    total += w;
-                }
-                for b in &mut blend {
-                    *b /= total;
-                }
-                Ok((hits[0].index, blend))
-            }
+            SharedLookup::Knn { index, k } => self.store.blend_in(index, signature, *k),
             SharedLookup::KMeans { model, centroid_importances } => {
                 let cluster = model.predict(signature);
                 Ok((cluster, centroid_importances[cluster].clone()))
@@ -615,7 +623,9 @@ impl SharedCrl {
     /// [`CrlError::EmptyStore`] for an out-of-range key.
     pub fn agent(&self, key: usize) -> Result<&DqnAgent, CrlError> {
         let slot = self.slots.get(key).ok_or(CrlError::EmptyStore)?;
-        slot.get_or_init(|| self.train_key(key)).as_ref().map_err(Clone::clone)
+        slot.get_or_init(|| train_keyed(&self.config, &self.spec, key, &self.blends[key]))
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// Trains every key's agent up front (in parallel), the frozen
@@ -647,27 +657,7 @@ impl SharedCrl {
         let cache_hit = self.slots.get(key).is_some_and(|s| s.get().is_some());
         let agent = self.agent(key)?;
         let clustered_spec = AllocSpec { importances: blend.clone(), ..spec.clone() };
-        let mut env = AllocEnv::new(clustered_spec)?;
-        let (_, _actions) = agent.evaluate_episode(&mut env)?;
-        let assignment = env.assignment().to_vec();
-        let estimated_value = env.assigned_value();
-        Ok(CrlAllocation { assignment, estimated_importances: blend, estimated_value, cache_hit })
-    }
-
-    fn train_key(&self, key: usize) -> Result<DqnAgent, CrlError> {
-        let blend = &self.blends[key];
-        let clustered_spec = AllocSpec { importances: blend.clone(), ..self.spec.clone() };
-        let mut env = AllocEnv::new(clustered_spec)?;
-        // The `pretrain` seed formula, verbatim: agents must not depend on
-        // which request (or thread) got to the slot first.
-        let agent_seed = self.config.seed ^ (key as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut rng = StdRng::seed_from_u64(agent_seed);
-        let mut agent =
-            DqnAgent::new(env.state_dim(), env.num_actions(), self.config.dqn.clone(), &mut rng)?;
-        for _ in 0..self.config.episodes {
-            agent.train_episode(&mut env, &mut rng)?;
-        }
-        Ok(agent)
+        rollout(agent, AllocEnv::new(clustered_spec)?, blend, cache_hit)
     }
 }
 
@@ -675,7 +665,7 @@ impl SharedCrl {
 mod tests {
     use super::*;
 
-    fn spec(n: usize) -> AllocSpec {
+    pub(super) fn spec(n: usize) -> AllocSpec {
         AllocSpec {
             importances: vec![0.0; n], // unknown at decision time
             times: vec![1.0; n],
@@ -687,7 +677,7 @@ mod tests {
         }
     }
 
-    fn store_two_contexts(n: usize) -> EnvironmentStore {
+    pub(super) fn store_two_contexts(n: usize) -> EnvironmentStore {
         // Context A (signature ~ [0]): task 0 is the important one.
         // Context B (signature ~ [10]): task n-1 is the important one.
         let mut store = EnvironmentStore::new();
@@ -836,40 +826,8 @@ mod tests {
 
 #[cfg(test)]
 mod shared_tests {
+    use super::tests::{spec, store_two_contexts as store};
     use super::*;
-
-    fn spec(n: usize) -> AllocSpec {
-        AllocSpec {
-            importances: vec![0.0; n],
-            times: vec![1.0; n],
-            resources: vec![1.0; n],
-            time_limit: 1.0,
-            time_limits: None,
-            capacities: vec![1.0, 1.0],
-            route_factors: None,
-        }
-    }
-
-    fn store(n: usize) -> EnvironmentStore {
-        let mut store = EnvironmentStore::new();
-        let mut imp_a = vec![0.05; n];
-        imp_a[0] = 0.95;
-        let mut imp_b = vec![0.05; n];
-        imp_b[n - 1] = 0.95;
-        for d in 0..4 {
-            let jitter = d as f64 * 0.1;
-            store
-                .push(EnvironmentRecord { signature: vec![jitter], importances: imp_a.clone() })
-                .unwrap();
-            store
-                .push(EnvironmentRecord {
-                    signature: vec![10.0 + jitter],
-                    importances: imp_b.clone(),
-                })
-                .unwrap();
-        }
-        store
-    }
 
     fn configs() -> Vec<CrlConfig> {
         vec![
@@ -982,40 +940,8 @@ mod shared_tests {
 
 #[cfg(test)]
 mod offline_tests {
+    use super::tests::{spec, store_two_contexts as two_context_store};
     use super::*;
-
-    fn spec(n: usize) -> AllocSpec {
-        AllocSpec {
-            importances: vec![0.0; n],
-            times: vec![1.0; n],
-            resources: vec![1.0; n],
-            time_limit: 1.0,
-            time_limits: None,
-            capacities: vec![1.0, 1.0],
-            route_factors: None,
-        }
-    }
-
-    fn two_context_store(n: usize) -> EnvironmentStore {
-        let mut store = EnvironmentStore::new();
-        let mut imp_a = vec![0.05; n];
-        imp_a[0] = 0.95;
-        let mut imp_b = vec![0.05; n];
-        imp_b[n - 1] = 0.95;
-        for d in 0..4 {
-            let jitter = d as f64 * 0.1;
-            store
-                .push(EnvironmentRecord { signature: vec![jitter], importances: imp_a.clone() })
-                .unwrap();
-            store
-                .push(EnvironmentRecord {
-                    signature: vec![10.0 + jitter],
-                    importances: imp_b.clone(),
-                })
-                .unwrap();
-        }
-        store
-    }
 
     fn offline_config(clusters: usize) -> CrlConfig {
         CrlConfig {

@@ -401,6 +401,7 @@ mod tests {
     use super::*;
     use crate::pool::ServicePool;
     use buildings::scenario::{Scenario, ScenarioConfig};
+    use dcta_core::objective::Objective;
     use dcta_core::pipeline::{Pipeline, PipelineConfig};
     use rl::crl::CrlConfig;
     use rl::dqn::DqnConfig;
@@ -589,5 +590,30 @@ mod tests {
         let late = pool.submit(requests[0].clone());
         drop(pool);
         assert_eq!(&late.wait().unwrap(), &direct[0]);
+    }
+
+    #[test]
+    fn bad_importance_override_is_an_error_not_a_dead_worker() {
+        let service = Arc::new(AllocatorService::new());
+        service.register("t", test_core()).unwrap();
+        let (day, tasks) =
+            service.with_core("t", |c| (c.test_days().start, c.true_importances(0).len())).unwrap();
+        let run = |objective: Objective| AllocRequest {
+            tenant: "t".into(),
+            query: Query::Run(RunSpec::new(Method::GreedyOracle, day).with_objective(objective)),
+        };
+        // One worker: were it to panic, nothing after would be answered.
+        let pool = ServicePool::new(Arc::clone(&service), 1);
+        let mut not_a_number = vec![0.5; tasks];
+        not_a_number[1] = f64::NAN;
+        for overrides in [vec![0.5; tasks - 1], not_a_number] {
+            let ticket = pool.submit(run(Objective::new().with_importances(overrides)));
+            assert!(matches!(
+                ticket.wait(),
+                Err(ServeError::Pipeline(PipelineError::BadObjective { .. }))
+            ));
+        }
+        let good = run(Objective::new().with_importances(vec![0.5; tasks]));
+        assert_eq!(pool.submit(good.clone()).wait().unwrap(), service.handle(&good).unwrap());
     }
 }
