@@ -7,8 +7,8 @@
 //! ```
 //!
 //! Times the hot compute paths — the blocked matmul kernel against the
-//! old `ikj` loop, the batched DQN TD update against the per-sample
-//! reference, the importance matrix, CRL pretraining, the parallel
+//! old `ikj` loop, the DQN TD update, the importance matrix, CRL
+//! pretraining, the parallel
 //! edgesim step, the parallel branch-and-bound, the end-to-end pipeline,
 //! and the mesh-scale greedy re-solve — once on the exact serial path
 //! (`threads = 1`) and once at `--threads` (default: all cores), plus a
@@ -18,8 +18,6 @@
 //! `BENCH_TREND.json`) — one file accumulating an entry per PR/commit,
 //! replacing the per-PR `BENCH_PR*.json` snapshots. `--out PATH`
 //! additionally writes the single-run report in the old snapshot shape.
-//! For the `*_scalar` baselines the paired batched row's `speedup` is
-//! measured against the scalar row, not against 1.
 //!
 //! The `serve_throughput` mode swaps the kernel suite for the serving
 //! benchmark (`dcta_bench::serving`): one warmed tenant on an
@@ -225,7 +223,6 @@ fn bench_matrix(rows: usize, cols: usize, salt: u64) -> Matrix {
 /// `learn_step` runs its full minibatch update from the first timed call.
 fn warm_dqn_agent(
     batch_size: usize,
-    batched: bool,
     warm_episodes: usize,
 ) -> Result<(DqnAgent, StdRng), Box<dyn Error>> {
     let n = 8;
@@ -243,13 +240,7 @@ fn warm_dqn_agent(
     let mut agent = DqnAgent::new(
         env.state_dim(),
         env.num_actions(),
-        DqnConfig {
-            hidden: vec![32],
-            batch_size,
-            replay_capacity: 4096,
-            batched,
-            ..DqnConfig::default()
-        },
+        DqnConfig { hidden: vec![32], batch_size, replay_capacity: 4096, ..DqnConfig::default() },
         &mut rng,
     )?;
     for _ in 0..warm_episodes {
@@ -370,35 +361,22 @@ fn run(args: &Args) -> Result<Report, Box<dyn Error>> {
         speedup: ikj_ms / blocked_ms.max(1e-9),
     });
 
-    // -- DQN TD update: per-sample reference vs the batched path at the
-    // default batch size (serial; both paths return identical bits).
+    // -- DQN TD update at the default batch size (serial).
     let learn_steps = opts.pick(300, 60);
     println!("[dqn learn step: batch 32 x {learn_steps} steps]");
     parallel::set_max_threads(1);
-    let (mut scalar_agent, mut scalar_rng) = warm_dqn_agent(32, false, 12)?;
-    let scalar_step_ms = time_ms(reps, || {
+    let (mut agent, mut agent_rng) = warm_dqn_agent(32, 12)?;
+    let step_ms = time_ms(reps, || {
         for _ in 0..learn_steps {
-            scalar_agent.learn_step(&mut scalar_rng).expect("learn step");
-        }
-    });
-    let (mut batched_agent, mut batched_rng) = warm_dqn_agent(32, true, 12)?;
-    let batched_step_ms = time_ms(reps, || {
-        for _ in 0..learn_steps {
-            batched_agent.learn_step(&mut batched_rng).expect("learn step");
+            agent.learn_step(&mut agent_rng).expect("learn step");
         }
     });
     parallel::set_max_threads(0);
     rows.push(Row {
-        bench: "dqn_learn_step_scalar".to_string(),
-        threads: 1,
-        wall_ms: scalar_step_ms,
-        speedup: 1.0,
-    });
-    rows.push(Row {
         bench: "dqn_learn_step".to_string(),
         threads: 1,
-        wall_ms: batched_step_ms,
-        speedup: scalar_step_ms / batched_step_ms.max(1e-9),
+        wall_ms: step_ms,
+        speedup: 1.0,
     });
 
     // -- Chunked gradient reduction: a batch above GRAD_CHUNK (64) exercises
@@ -407,7 +385,7 @@ fn run(args: &Args) -> Result<Report, Box<dyn Error>> {
     // comfortably fill the replay past 160 (learn_step no-ops below that).
     let chunk_steps = opts.pick(120, 24);
     println!("[dqn learn step, chunked: batch 160 x {chunk_steps} steps]");
-    let (mut chunked_agent, mut chunked_rng) = warm_dqn_agent(160, true, 60)?;
+    let (mut chunked_agent, mut chunked_rng) = warm_dqn_agent(160, 60)?;
     rows.extend(versus("dqn_learn_step_chunked", args.threads, reps, || {
         for _ in 0..chunk_steps {
             chunked_agent.learn_step(&mut chunked_rng).expect("learn step");
@@ -463,33 +441,10 @@ fn run(args: &Args) -> Result<Report, Box<dyn Error>> {
     };
     let instance = crl_instance(&scenario);
 
-    // Scalar (per-sample learn step) baseline: the exact pre-PR4 compute
-    // path, so the batched rows report a true batched-vs-scalar speedup.
-    let scalar_crl_config = CrlConfig {
-        dqn: DqnConfig { batched: false, ..crl_config.dqn.clone() },
-        ..crl_config.clone()
-    };
-    parallel::set_max_threads(1);
-    let scalar_crl_ms = time_ms(reps, || {
-        let mut crl = CrlAllocator::with_store(store.clone(), scalar_crl_config.clone());
-        crl.pretrain(&instance).expect("pretrain");
-    });
-    parallel::set_max_threads(0);
-    rows.push(Row {
-        bench: "crl_pretrain_scalar".to_string(),
-        threads: 1,
-        wall_ms: scalar_crl_ms,
-        speedup: 1.0,
-    });
-
-    let mut crl_rows = versus("crl_pretrain", args.threads, reps, || {
+    rows.extend(versus("crl_pretrain", args.threads, reps, || {
         let mut crl = CrlAllocator::with_store(store.clone(), crl_config.clone());
         crl.pretrain(&instance).expect("pretrain");
-    });
-    // The serial batched row is measured against the scalar baseline, not
-    // against itself.
-    crl_rows[0].speedup = scalar_crl_ms / crl_rows[0].wall_ms.max(1e-9);
-    rows.extend(crl_rows);
+    }));
 
     // -- edgesim step: the per-node transmission fan-out vs the serial
     // event loop. A synthetic round-robin round well above the 256-task

@@ -47,6 +47,83 @@ impl fmt::Display for DimensionError {
 
 impl std::error::Error for DimensionError {}
 
+/// A `rows × width` matrix of exact `0.0`/`1.0` entries, stored as each
+/// row's ascending column indices of its ones — the DQN's binary selection
+/// block, of which at most one entry per task is set.
+///
+/// The prefix kernels ([`Matrix::matmul_prefix_into`],
+/// [`Matrix::matmul_transpose_a_prefix_scaled_into`]) take it as the leading
+/// columns of an operand whose remaining columns are dense.
+///
+/// # Examples
+///
+/// ```
+/// use learn::linalg::BinaryRows;
+///
+/// let mut ones = BinaryRows::default();
+/// ones.clear(4);
+/// ones.push_row(&[1, 3]).unwrap();
+/// ones.push_row(&[]).unwrap();
+/// assert!(ones.push_row(&[4]).is_err());
+/// assert_eq!((ones.rows(), ones.width()), (2, 4));
+/// assert_eq!(ones.row(0), &[1, 3]);
+/// assert!(ones.row(1).is_empty());
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct BinaryRows {
+    width: usize,
+    indices: Vec<u32>,
+    /// `ends[r]` is one past row `r`'s last position in `indices`.
+    ends: Vec<usize>,
+}
+
+impl BinaryRows {
+    /// Drops every row (keeping the allocations) and sets the column count.
+    pub fn clear(&mut self, width: usize) {
+        self.width = width;
+        self.indices.clear();
+        self.ends.clear();
+    }
+
+    /// Appends a row whose ones sit at `ones`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DimensionError`] (leaving `self` unchanged) unless `ones`
+    /// is strictly ascending and below `width()` — the order is what the
+    /// kernels' bit-identity rests on.
+    pub fn push_row(&mut self, ones: &[u32]) -> Result<(), DimensionError> {
+        let ascending = ones.windows(2).all(|w| w[0] < w[1]);
+        let top = ones.last().map_or(0, |&i| i as usize + 1);
+        if !ascending || top > self.width {
+            return Err(DimensionError { op: "push_row", left: (1, top), right: (1, self.width) });
+        }
+        self.indices.extend_from_slice(ones);
+        self.ends.push(self.indices.len());
+        Ok(())
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Number of columns.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Ascending column indices of row `r`'s ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= self.rows()`.
+    pub fn row(&self, r: usize) -> &[u32] {
+        let start = if r == 0 { 0 } else { self.ends[r - 1] };
+        &self.indices[start..self.ends[r]]
+    }
+}
+
 /// Register-block height of the tiled kernels: how many output rows (or
 /// accumulators) each pass keeps live. Four doubles fit comfortably in
 /// registers on every supported target while quartering the passes over the
@@ -64,6 +141,15 @@ impl Matrix {
     /// Creates a `rows × cols` matrix filled with `value`.
     pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
         Self { rows, cols, data: vec![value; rows * cols] }
+    }
+
+    /// Re-shapes to `rows × cols` in place, keeping the allocation whenever
+    /// it is already large enough (shrinking never frees). Contents are
+    /// unspecified afterwards; meant for scratch that a kernel overwrites.
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Creates the `n × n` identity matrix.
@@ -179,9 +265,17 @@ impl Matrix {
                 right: (self.cols, self.rows),
             });
         }
-        for (r, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
-            for (c, &v) in row.iter().enumerate() {
-                out.data[c * self.rows + r] = v;
+        // Source rows go `TB` at a time, so each destination row receives a
+        // contiguous `TB`-element run (a cache line) instead of one strided
+        // element per pass.
+        const TB: usize = 8;
+        let (rows, cols) = (self.rows, self.cols);
+        for r0 in (0..rows).step_by(TB) {
+            let block = &self.data[r0 * cols..(r0 + TB).min(rows) * cols];
+            for (c, dst) in out.data.chunks_exact_mut(rows.max(1)).enumerate() {
+                for (d, src_row) in dst[r0..].iter_mut().zip(block.chunks_exact(cols)) {
+                    *d = src_row[c];
+                }
             }
         }
         Ok(())
@@ -205,12 +299,9 @@ impl Matrix {
     /// Matrix product `self · rhs` written into `out` (which is fully
     /// overwritten), allocating nothing.
     ///
-    /// The kernel computes `MR×NR` register tiles of `out`: the accumulators
-    /// for a 4-row × 8-column block live in registers across the entire `k`
-    /// loop, so each output element is loaded/stored once instead of once
-    /// per `k` term (the store-bound pattern that capped the old k-outer
-    /// sweep). Because each accumulator still sums its `k` terms in index
-    /// order, every element accumulates exactly as the textbook ijk triple
+    /// This is the zero-seeded, full-width case of the accumulate-from
+    /// kernel behind [`Matrix::matmul_prefix_into`]: each output element
+    /// sums its `k` terms in index order, exactly as the textbook ijk triple
     /// loop does — bit-identical to the naive reference at any tile size.
     ///
     /// # Errors
@@ -228,12 +319,81 @@ impl Matrix {
                 right: (self.rows, rhs.cols),
             });
         }
+        out.data.fill(0.0);
+        self.matmul_accumulate(rhs, out);
+        Ok(())
+    }
+
+    /// Matrix product `[P | self] · rhs` written into `out` (fully
+    /// overwritten), where `P` is the 0/1 block `ones` describes and `self`
+    /// holds the remaining (dense) columns of the left operand.
+    ///
+    /// Each output element first sums the `rhs` rows its `ones` select, in
+    /// ascending index order, then *continues the same accumulator* through
+    /// the dense columns. Against the product with `P` written out densely,
+    /// the only terms left out are the `0.0 · rhs[k][j]` of the unset
+    /// entries: exact `±0.0` addends (for finite `rhs`) to an accumulator
+    /// that starts at `+0.0` and so can never be `-0.0`, i.e. identities.
+    /// A set entry contributes `1.0 · w`, which is `w`. The result therefore
+    /// has the bits of [`Matrix::matmul_into`] on the densified operand.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DimensionError`] when `ones` does not have one row per row
+    /// of `self`, when `ones.width() + self.cols() != rhs.rows()`, or when
+    /// `out` is not `self.rows() × rhs.cols()`.
+    pub fn matmul_prefix_into(
+        &self,
+        ones: &BinaryRows,
+        rhs: &Matrix,
+        out: &mut Matrix,
+    ) -> Result<(), DimensionError> {
+        if ones.rows() != self.rows || ones.width() + self.cols != rhs.rows {
+            return Err(DimensionError {
+                op: "matmul_prefix",
+                left: (self.rows, ones.width() + self.cols),
+                right: rhs.shape(),
+            });
+        }
+        if out.shape() != (self.rows, rhs.cols) {
+            return Err(DimensionError {
+                op: "matmul_prefix_into(out)",
+                left: out.shape(),
+                right: (self.rows, rhs.cols),
+            });
+        }
+        out.data.fill(0.0);
+        let n = rhs.cols;
+        if n > 0 {
+            for (s, out_row) in out.data.chunks_exact_mut(n).enumerate() {
+                for &i in ones.row(s) {
+                    for (o, &w) in out_row.iter_mut().zip(rhs.row(i as usize)) {
+                        *o += w;
+                    }
+                }
+            }
+        }
+        self.matmul_accumulate(rhs, out);
+        Ok(())
+    }
+
+    /// `out += self · rhs[k0.., ..]` with `k0 = rhs.rows() − self.cols()`:
+    /// the accumulate-from kernel shared by [`Matrix::matmul_into`] (`k0 =
+    /// 0`, `out` zeroed) and [`Matrix::matmul_prefix_into`] (`out` seeded
+    /// with the prefix sums). Shapes are the callers' responsibility.
+    ///
+    /// The kernel computes `MR×NR` register tiles of `out`: the accumulators
+    /// for a 4-row × 8-column block are loaded once, live in registers
+    /// across the entire `k` loop and are stored once (the store-bound
+    /// pattern that capped the old k-outer sweep). Each accumulator adds its
+    /// `k` terms in index order on top of its seed.
+    fn matmul_accumulate(&self, rhs: &Matrix, out: &mut Matrix) {
         let n = rhs.cols;
         let k = self.cols;
         if n == 0 || k == 0 {
-            out.data.fill(0.0);
-            return Ok(());
+            return;
         }
+        let rhs_rows = &rhs.data[(rhs.rows - k) * n..];
         const NR: usize = 8;
         let mut lhs_blocks = self.data.chunks_exact(MR * k);
         let mut out_blocks = out.data.chunks_exact_mut(MR * n);
@@ -246,12 +406,12 @@ impl Matrix {
             let (o2, o3) = or.split_at_mut(n);
             let mut j0 = 0;
             while j0 + NR <= n {
-                let mut a0 = [0.0f64; NR];
-                let mut a1 = [0.0f64; NR];
-                let mut a2 = [0.0f64; NR];
-                let mut a3 = [0.0f64; NR];
+                let mut a0: [f64; NR] = o0[j0..j0 + NR].try_into().expect("tile width");
+                let mut a1: [f64; NR] = o1[j0..j0 + NR].try_into().expect("tile width");
+                let mut a2: [f64; NR] = o2[j0..j0 + NR].try_into().expect("tile width");
+                let mut a3: [f64; NR] = o3[j0..j0 + NR].try_into().expect("tile width");
                 for ((((&c0, &c1), &c2), &c3), rhs_row) in
-                    l0.iter().zip(l1).zip(l2).zip(l3).zip(rhs.data.chunks_exact(n))
+                    l0.iter().zip(l1).zip(l2).zip(l3).zip(rhs_rows.chunks_exact(n))
                 {
                     let rv: &[f64; NR] = rhs_row[j0..j0 + NR].try_into().expect("tile width");
                     for c in 0..NR {
@@ -269,14 +429,18 @@ impl Matrix {
             }
             if j0 < n {
                 // Ragged column tail (< NR wide), once per row block: same
-                // tile, rhs copied into a zero-padded array. A `+0.0`
-                // accumulator only ever adds `±0.0` terms in the pad lanes,
-                // stays `+0.0`, and is never stored — the live lanes
-                // accumulate exactly as in the full tile.
+                // tile, rhs copied into a zero-padded array. A pad lane's
+                // `+0.0` accumulator only ever adds `±0.0` terms, stays
+                // `+0.0`, and is never stored — the live lanes accumulate
+                // exactly as in the full tile.
                 let nt = n - j0;
                 let mut acc = [[0.0f64; NR]; MR];
+                acc[0][..nt].copy_from_slice(&o0[j0..]);
+                acc[1][..nt].copy_from_slice(&o1[j0..]);
+                acc[2][..nt].copy_from_slice(&o2[j0..]);
+                acc[3][..nt].copy_from_slice(&o3[j0..]);
                 for ((((&c0, &c1), &c2), &c3), rhs_row) in
-                    l0.iter().zip(l1).zip(l2).zip(l3).zip(rhs.data.chunks_exact(n))
+                    l0.iter().zip(l1).zip(l2).zip(l3).zip(rhs_rows.chunks_exact(n))
                 {
                     let mut rv = [0.0f64; NR];
                     rv[..nt].copy_from_slice(&rhs_row[j0..]);
@@ -299,14 +463,12 @@ impl Matrix {
             .chunks_exact(k)
             .zip(out_blocks.into_remainder().chunks_exact_mut(n))
         {
-            out_row.fill(0.0);
-            for (&lhs_rk, rhs_row) in lhs_row.iter().zip(rhs.data.chunks_exact(n)) {
+            for (&lhs_rk, rhs_row) in lhs_row.iter().zip(rhs_rows.chunks_exact(n)) {
                 for (o, &x) in out_row.iter_mut().zip(rhs_row) {
                     *o += lhs_rk * x;
                 }
             }
         }
-        Ok(())
     }
 
     /// Matrix product `self · rhsᵀ` without materialising the transpose.
@@ -403,7 +565,9 @@ impl Matrix {
     /// layer deltas, `rhs` the `B×in` input activations and `α` the
     /// `1/batch` loss scale, `out` receives the layer's weight gradient with
     /// exactly the bits of the per-sample loop `grad[r][c] += (α·δ_b[r]) ·
-    /// a_b[c]` accumulated over samples in order.
+    /// a_b[c]` accumulated over samples in order. It is
+    /// [`Matrix::matmul_transpose_a_prefix_scaled_into`] with no 0/1 block;
+    /// see there for the terms it skips (`rhs` must be finite).
     ///
     /// # Errors
     ///
@@ -429,10 +593,90 @@ impl Matrix {
                 right: (self.cols, rhs.cols),
             });
         }
-        let n = rhs.cols;
+        self.weight_gradient(|_| &[], rhs, alpha, out);
+        Ok(())
+    }
+
+    /// Scaled Gram-style product `out = (α·selfᵀ) · [P | rhs]`, written into
+    /// `out` (fully overwritten), where `P` is the 0/1 block `ones`
+    /// describes and `rhs` holds the remaining (dense) columns: the weight
+    /// gradient of a layer whose input is mostly a binary selection matrix.
+    ///
+    /// Columns of `P` receive `α·self[b][r]` scattered at each sample's set
+    /// indices, samples ascending; columns of `rhs` run the column-tiled
+    /// kernel. Two kinds of term are skipped against the dense product, both
+    /// exact `±0.0` addends (for finite `rhs`) to accumulators that start at
+    /// `+0.0` and so can never be `-0.0`: the `t · 0.0` of an unset entry,
+    /// and every term of a sample/row pair whose `t = α·self[b][r]` is
+    /// itself zero — a dead ReLU, or an action the TD loss does not touch. A
+    /// set entry contributes `t · 1.0`, which is `t`. Per-element sample
+    /// order is unchanged, so the result has the bits of
+    /// [`Matrix::matmul_transpose_a_scaled_into`] on the densified operand.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DimensionError`] when `self`, `ones` and `rhs` disagree on
+    /// the row count, or when `out` is not `self.cols() × (ones.width() +
+    /// rhs.cols())`.
+    pub fn matmul_transpose_a_prefix_scaled_into(
+        &self,
+        ones: &BinaryRows,
+        rhs: &Matrix,
+        alpha: f64,
+        out: &mut Matrix,
+    ) -> Result<(), DimensionError> {
+        if self.rows != rhs.rows || self.rows != ones.rows() {
+            let rows = if ones.rows() == self.rows { rhs.rows } else { ones.rows() };
+            return Err(DimensionError {
+                op: "matmul_transpose_a_prefix",
+                left: self.shape(),
+                right: (rows, ones.width() + rhs.cols),
+            });
+        }
+        if out.shape() != (self.cols, ones.width() + rhs.cols) {
+            return Err(DimensionError {
+                op: "matmul_transpose_a_prefix_scaled_into(out)",
+                left: out.shape(),
+                right: (self.cols, ones.width() + rhs.cols),
+            });
+        }
+        self.weight_gradient(|b| ones.row(b), rhs, alpha, out);
+        Ok(())
+    }
+
+    /// The one weight-gradient kernel: `out = (α·selfᵀ) · [P | rhs]` with
+    /// `P`'s rows given by `ones_of` and `P`'s width by `out.cols() −
+    /// rhs.cols()`. Shapes (and `ones_of` staying inside that width) are
+    /// the callers' responsibility.
+    fn weight_gradient<'a>(
+        &self,
+        ones_of: impl Fn(usize) -> &'a [u32],
+        rhs: &Matrix,
+        alpha: f64,
+        out: &mut Matrix,
+    ) {
+        let n = out.cols;
+        let m = self.cols;
         out.data.fill(0.0);
-        if n == 0 || self.cols == 0 {
-            return Ok(());
+        if n == 0 || m == 0 {
+            return;
+        }
+        let prefix = n - rhs.cols;
+        if prefix > 0 {
+            // Output row outermost keeps the row being scattered into
+            // cache-resident; each element still takes its samples in
+            // ascending order.
+            for (r, out_row) in out.data.chunks_exact_mut(n).enumerate() {
+                for b in 0..self.rows {
+                    let t = alpha * self.data[b * m + r];
+                    if t == 0.0 {
+                        continue;
+                    }
+                    for &i in ones_of(b) {
+                        out_row[i as usize] += t;
+                    }
+                }
+            }
         }
         // Column tiles keep the in-progress gradient block cache-resident:
         // `out` (out_dim × in_dim) can exceed L1, and the untiled loop would
@@ -440,23 +684,24 @@ impl Matrix {
         // across *independent* output columns — each element still
         // accumulates its samples in ascending order, so bits are unchanged.
         const NC: usize = 64;
+        let nt = rhs.cols;
         let mut c0 = 0;
-        while c0 < n {
-            let nc = NC.min(n - c0);
-            for (lhs_row, rhs_row) in
-                self.data.chunks_exact(self.cols).zip(rhs.data.chunks_exact(n))
-            {
+        while c0 < nt {
+            let nc = NC.min(nt - c0);
+            for (lhs_row, rhs_row) in self.data.chunks_exact(m).zip(rhs.data.chunks_exact(nt)) {
                 let rhs_tile = &rhs_row[c0..c0 + nc];
                 for (&d, out_row) in lhs_row.iter().zip(out.data.chunks_exact_mut(n)) {
                     let t = alpha * d;
-                    for (o, &x) in out_row[c0..c0 + nc].iter_mut().zip(rhs_tile) {
+                    if t == 0.0 {
+                        continue;
+                    }
+                    for (o, &x) in out_row[prefix + c0..prefix + c0 + nc].iter_mut().zip(rhs_tile) {
                         *o += t * x;
                     }
                 }
             }
             c0 += nc;
         }
-        Ok(())
     }
 
     /// Matrix-vector product `self · v`.
@@ -854,6 +1099,34 @@ mod tests {
         assert_eq!(m.transpose().transpose(), m);
         assert_eq!(m.transpose().shape(), (3, 2));
         assert_eq!(m.transpose()[(2, 1)], 6.0);
+    }
+
+    #[test]
+    fn transpose_copies_every_element_at_block_edges() {
+        // Row counts below, at and past the 8-row source block.
+        for (r, c, salt) in [(1, 7, 31), (7, 3, 32), (8, 8, 33), (9, 5, 34), (17, 31, 35)] {
+            let m = dense_test_matrix(r, c, salt);
+            let t = m.transpose();
+            assert_eq!(t.shape(), (c, r));
+            for i in 0..r {
+                for j in 0..c {
+                    assert_eq!(t[(j, i)].to_bits(), m[(i, j)].to_bits(), "{r}x{c} at ({i},{j})");
+                }
+            }
+        }
+        assert_eq!(Matrix::zeros(0, 3).transpose().shape(), (3, 0));
+        assert_eq!(Matrix::zeros(3, 0).transpose().shape(), (0, 3));
+    }
+
+    #[test]
+    fn resize_keeps_the_allocation_when_it_fits() {
+        let mut m = Matrix::zeros(8, 4);
+        let ptr = m.as_slice().as_ptr();
+        m.resize(2, 4);
+        assert_eq!(m.shape(), (2, 4));
+        m.resize(4, 8);
+        assert_eq!((m.shape(), m.as_slice().len()), ((4, 8), 32));
+        assert_eq!(m.as_slice().as_ptr(), ptr);
     }
 
     /// The textbook ijk triple loop the ikj implementation must match

@@ -7,7 +7,7 @@
 //! loss, and SGD/Adam optimisers — with no external deep-learning
 //! dependency, as called for by the reproduction's substitution rule.
 
-use crate::linalg::Matrix;
+use crate::linalg::{BinaryRows, Matrix};
 use rand::Rng;
 use std::fmt;
 
@@ -113,19 +113,45 @@ pub struct LayerGrad {
 /// §10).
 const GRAD_CHUNK: usize = 64;
 
+/// One network input in sparse-prefix form: its leading entries are a block
+/// of exact `0.0`/`1.0` values given by the ascending indices of its ones,
+/// and `tail` holds every entry after that block. The block's width is
+/// passed beside the rows and is the same for a whole batch; a plain dense
+/// input is the width-0 case ([`PrefixRow::dense`]).
+///
+/// The first layer never multiplies by the block's zeros (see
+/// [`Matrix::matmul_prefix_into`] for why that cannot change a bit), which
+/// is most of the DQN's `N × M` selection-matrix state.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PrefixRow<'a> {
+    /// Strictly ascending indices of the ones in the leading 0/1 block.
+    pub ones: &'a [u32],
+    /// The entries after the block.
+    pub tail: &'a [f64],
+}
+
+impl<'a> PrefixRow<'a> {
+    /// A fully dense input (no 0/1 block).
+    pub fn dense(input: &'a [f64]) -> Self {
+        Self { ones: &[], tail: input }
+    }
+}
+
 /// Reusable scratch for the batched forward/backward paths.
 ///
 /// Owns the packed activation, pre-activation, delta and gradient buffers so
-/// steady-state training (same architecture, same batch size) performs zero
-/// heap allocations. Create one per training loop and pass it to
-/// [`Mlp::forward_batch_ws`] / [`Mlp::train_batch_ws`]; buffers are resized
-/// lazily whenever the architecture or batch size changes.
+/// steady-state training performs zero heap allocations. Create one per
+/// training loop and pass it to [`Mlp::forward_batch_ws`] /
+/// [`Mlp::train_batch_ws`]; buffers are rebuilt when the architecture
+/// changes and otherwise only ever grow, so alternating batch sizes on one
+/// workspace allocates nothing once the largest has been seen.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BatchWorkspace {
     sizes: Vec<usize>,
-    batch: usize,
-    /// `acts[0]` is the packed `B × input` batch; `acts[l + 1]` holds layer
-    /// `l`'s activations.
+    /// The packed batch's leading 0/1 block, one row per sample.
+    ones: BinaryRows,
+    /// `acts[0]` is the packed `B × tail` batch (the input columns after
+    /// the 0/1 block); `acts[l + 1]` holds layer `l`'s activations.
     acts: Vec<Matrix>,
     /// `pres[l]` holds layer `l`'s pre-activations (`z + b`).
     pres: Vec<Matrix>,
@@ -148,26 +174,42 @@ impl BatchWorkspace {
         Self::default()
     }
 
-    fn ensure(&mut self, net: &Mlp, batch: usize) {
-        if self.sizes == net.sizes && self.batch == batch {
-            return;
+    /// Shapes the buffers for `batch` samples of `net`, `tail` of whose
+    /// input columns are dense.
+    fn ensure(&mut self, net: &Mlp, batch: usize, tail: usize) {
+        if self.sizes != net.sizes {
+            self.sizes.clone_from(&net.sizes);
+            self.acts = vec![Matrix::zeros(0, 0); net.sizes.len()];
+            self.pres = vec![Matrix::zeros(0, 0); net.layers.len()];
+            self.deltas = vec![Matrix::zeros(0, 0); net.layers.len()];
+            self.wts = net
+                .layers
+                .iter()
+                .map(|l| Matrix::zeros(l.weights.cols(), l.weights.rows()))
+                .collect();
+            self.grads = net
+                .layers
+                .iter()
+                .map(|l| LayerGrad {
+                    weights: Matrix::zeros(l.weights.rows(), l.weights.cols()),
+                    bias: vec![0.0; l.bias.len()],
+                })
+                .collect();
         }
-        self.sizes.clone_from(&net.sizes);
-        self.batch = batch;
-        self.acts = net.sizes.iter().map(|&w| Matrix::zeros(batch, w)).collect();
-        self.pres = net.sizes[1..].iter().map(|&w| Matrix::zeros(batch, w)).collect();
-        self.deltas = net.sizes[1..].iter().map(|&w| Matrix::zeros(batch, w)).collect();
-        self.wts =
-            net.layers.iter().map(|l| Matrix::zeros(l.weights.cols(), l.weights.rows())).collect();
-        self.grads = net
-            .layers
-            .iter()
-            .map(|l| LayerGrad {
-                weights: Matrix::zeros(l.weights.rows(), l.weights.cols()),
-                bias: vec![0.0; l.bias.len()],
-            })
-            .collect();
+        self.acts[0].resize(batch, tail);
+        for (l, &w) in net.sizes[1..].iter().enumerate() {
+            self.acts[l + 1].resize(batch, w);
+            self.pres[l].resize(batch, w);
+            self.deltas[l].resize(batch, w);
+        }
     }
+}
+
+/// Reusable scratch for [`Mlp::forward_ilp_scratch`].
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ForwardScratch {
+    act: Vec<f64>,
+    z: Vec<f64>,
 }
 
 /// A dense feed-forward network.
@@ -289,21 +331,39 @@ impl Mlp {
     ///
     /// [`NetworkError::ArityMismatch`] when `input` has the wrong length.
     pub fn forward_ilp(&self, input: &[f64]) -> Result<Vec<f64>, NetworkError> {
+        let mut scratch = ForwardScratch::default();
+        self.forward_ilp_scratch(input, &mut scratch)?;
+        Ok(scratch.act)
+    }
+
+    /// [`Mlp::forward_ilp`] into caller-owned scratch: no allocation once
+    /// `scratch` has seen this architecture, and no copy of `input`.
+    ///
+    /// # Errors
+    ///
+    /// [`NetworkError::ArityMismatch`] when `input` has the wrong length.
+    pub fn forward_ilp_scratch<'s>(
+        &self,
+        input: &[f64],
+        scratch: &'s mut ForwardScratch,
+    ) -> Result<&'s [f64], NetworkError> {
         if input.len() != self.input_size() {
             return Err(NetworkError::ArityMismatch {
                 expected: self.input_size(),
                 got: input.len(),
             });
         }
-        let mut act = input.to_vec();
-        let mut z = Vec::new();
-        for layer in &self.layers {
+        for (li, layer) in self.layers.iter().enumerate() {
+            let ForwardScratch { act, z } = &mut *scratch;
+            let src: &[f64] = if li == 0 { input } else { act };
             z.resize(layer.weights.rows(), 0.0);
-            layer.weights.matvec_ilp_into(&act, &mut z).expect("sizes consistent by construction");
-            act.clear();
-            act.extend(z.iter().zip(&layer.bias).map(|(&zi, &b)| layer.activation.apply(zi + b)));
+            layer.weights.matvec_ilp_into(src, z).expect("sizes consistent by construction");
+            for (zi, &b) in z.iter_mut().zip(&layer.bias) {
+                *zi = layer.activation.apply(*zi + b);
+            }
+            std::mem::swap(act, z);
         }
-        Ok(act)
+        Ok(&scratch.act)
     }
 
     /// Forward pass retaining pre-activations and activations per layer, for
@@ -331,12 +391,17 @@ impl Mlp {
     /// accumulation order.
     ///
     /// Allocating convenience wrapper; hot loops should hold a
-    /// [`BatchWorkspace`] and call [`Mlp::forward_batch_ws`].
+    /// [`BatchWorkspace`] and call [`Mlp::forward_batch_ws`]. A batch of one
+    /// has nothing to share a weight transpose with and takes
+    /// [`Mlp::forward_ilp`] instead.
     ///
     /// # Errors
     ///
     /// [`NetworkError::EmptyBatch`] / [`NetworkError::ArityMismatch`].
     pub fn forward_batch(&self, inputs: &[&[f64]]) -> Result<Vec<Vec<f64>>, NetworkError> {
+        if let [single] = inputs {
+            return Ok(vec![self.forward_ilp(single)?]);
+        }
         let mut ws = BatchWorkspace::new();
         let out = self.forward_batch_ws(inputs, &mut ws)?;
         Ok((0..inputs.len()).map(|s| out.row(s).to_vec()).collect())
@@ -353,48 +418,83 @@ impl Mlp {
         inputs: &[&[f64]],
         ws: &'w mut BatchWorkspace,
     ) -> Result<&'w Matrix, NetworkError> {
-        self.pack_batch(inputs, ws)?;
+        self.pack_batch(0, inputs.iter().map(|x| PrefixRow::dense(x)), ws)?;
         self.forward_trace_batch(ws);
         Ok(ws.acts.last().expect("at least the input buffer"))
     }
 
-    /// Validates `inputs` and copies them into `ws.acts[0]`.
-    fn pack_batch(&self, inputs: &[&[f64]], ws: &mut BatchWorkspace) -> Result<(), NetworkError> {
-        if inputs.is_empty() {
+    /// [`Mlp::forward_batch_ws`] over inputs whose first `prefix` entries
+    /// are a 0/1 block: row `s` has the bits of `self.forward` on
+    /// `inputs[s]` written out densely.
+    ///
+    /// # Errors
+    ///
+    /// [`NetworkError::EmptyBatch`]; [`NetworkError::ArityMismatch`] when a
+    /// row's `prefix + tail.len()` is not the input size, or its `ones` are
+    /// not strictly ascending inside the block.
+    pub fn forward_prefix_batch_ws<'w>(
+        &self,
+        prefix: usize,
+        inputs: &[PrefixRow<'_>],
+        ws: &'w mut BatchWorkspace,
+    ) -> Result<&'w Matrix, NetworkError> {
+        self.pack_batch(prefix, inputs.iter().copied(), ws)?;
+        self.forward_trace_batch(ws);
+        Ok(ws.acts.last().expect("at least the input buffer"))
+    }
+
+    /// Validates `inputs` and packs them into `ws.ones` / `ws.acts[0]`.
+    fn pack_batch<'a>(
+        &self,
+        prefix: usize,
+        inputs: impl ExactSizeIterator<Item = PrefixRow<'a>>,
+        ws: &mut BatchWorkspace,
+    ) -> Result<(), NetworkError> {
+        if inputs.len() == 0 {
             return Err(NetworkError::EmptyBatch);
         }
-        for x in inputs {
-            if x.len() != self.input_size() {
+        let Some(tail) = self.input_size().checked_sub(prefix) else {
+            return Err(NetworkError::ArityMismatch { expected: self.input_size(), got: prefix });
+        };
+        ws.ensure(self, inputs.len(), tail);
+        ws.ones.clear(prefix);
+        for (s, x) in inputs.enumerate() {
+            if x.tail.len() != tail {
                 return Err(NetworkError::ArityMismatch {
                     expected: self.input_size(),
-                    got: x.len(),
+                    got: prefix + x.tail.len(),
                 });
             }
-        }
-        ws.ensure(self, inputs.len());
-        for (s, x) in inputs.iter().enumerate() {
-            ws.acts[0].row_mut(s).copy_from_slice(x);
+            ws.ones.push_row(x.ones).map_err(|_| NetworkError::ArityMismatch {
+                expected: prefix,
+                got: x.ones.last().map_or(0, |&i| i as usize),
+            })?;
+            ws.acts[0].row_mut(s).copy_from_slice(x.tail);
         }
         Ok(())
     }
 
     /// Batched analogue of `forward_trace` over the packed batch in
-    /// `ws.acts[0]`: per layer `Z = A·Wᵀ` (one blocked matmul), `Z += bias`
-    /// broadcast row-wise, `A' = σ(Z)`.
+    /// `ws.ones` / `ws.acts[0]`: per layer `Z = A·Wᵀ` (one blocked matmul),
+    /// `Z += bias` broadcast row-wise, `A' = σ(Z)`.
     ///
     /// The weight matrix is transposed into `ws.wts` first so the product
-    /// runs through the plain [`Matrix::matmul_into`] kernel, whose inner
-    /// loop is contiguous over the output dimension and auto-vectorises;
-    /// `A·(Wᵀ)` multiplies the same operand pairs in the same `k` order as
-    /// the row-dot formulation, so the result is bit-identical.
+    /// runs through the plain `A·(Wᵀ)` kernels, whose inner loop is
+    /// contiguous over the output dimension and auto-vectorises; `A·(Wᵀ)`
+    /// multiplies the same operand pairs in the same `k` order as the
+    /// row-dot formulation, so the result is bit-identical.
     fn forward_trace_batch(&self, ws: &mut BatchWorkspace) {
-        let batch = ws.batch;
+        let batch = ws.acts[0].rows();
         for (li, layer) in self.layers.iter().enumerate() {
             layer.weights.transpose_into(&mut ws.wts[li]).expect("sizes consistent");
             let (done, rest) = ws.acts.split_at_mut(li + 1);
             let a_in = &done[li];
             let pre = &mut ws.pres[li];
-            a_in.matmul_into(&ws.wts[li], pre).expect("sizes consistent");
+            if li == 0 {
+                a_in.matmul_prefix_into(&ws.ones, &ws.wts[0], pre).expect("sizes consistent");
+            } else {
+                a_in.matmul_into(&ws.wts[li], pre).expect("sizes consistent");
+            }
             let a_out = &mut rest[0];
             for s in 0..batch {
                 for (z, &b) in pre.row_mut(s).iter_mut().zip(&layer.bias) {
@@ -417,7 +517,7 @@ impl Mlp {
         scale: f64,
         ws: &mut BatchWorkspace,
     ) -> Result<f64, NetworkError> {
-        self.pack_batch(inputs, ws)?;
+        self.pack_batch(0, inputs.iter().map(|x| PrefixRow::dense(x)), ws)?;
         self.forward_trace_batch(ws);
         let batch = inputs.len();
         let last = self.layers.len() - 1;
@@ -458,13 +558,14 @@ impl Mlp {
     /// The scalar-vs-batched DQN tests gate the end-to-end equivalence.
     fn grad_td_chunk_into(
         &self,
-        inputs: &[&[f64]],
+        prefix: usize,
+        inputs: &[PrefixRow<'_>],
         actions: &[usize],
         bootstraps: &[f64],
         scale: f64,
         ws: &mut BatchWorkspace,
     ) -> Result<f64, NetworkError> {
-        self.pack_batch(inputs, ws)?;
+        self.pack_batch(prefix, inputs.iter().copied(), ws)?;
         self.forward_trace_batch(ws);
         let batch = inputs.len();
         let last = self.layers.len() - 1;
@@ -516,9 +617,16 @@ impl Mlp {
             // dW = (scale·Δ)ᵀ·A_in with samples ascending — the same
             // accumulation order (and the same `(scale·δ)·a` product shape)
             // as the per-sample reference; db likewise.
-            ws.deltas[li]
-                .matmul_transpose_a_scaled_into(&ws.acts[li], scale, &mut ws.grads[li].weights)
-                .expect("sizes consistent");
+            let gw = &mut ws.grads[li].weights;
+            if li == 0 {
+                ws.deltas[0]
+                    .matmul_transpose_a_prefix_scaled_into(&ws.ones, &ws.acts[0], scale, gw)
+                    .expect("sizes consistent");
+            } else {
+                ws.deltas[li]
+                    .matmul_transpose_a_scaled_into(&ws.acts[li], scale, gw)
+                    .expect("sizes consistent");
+            }
             let gb = &mut ws.grads[li].bias;
             gb.fill(0.0);
             for s in 0..batch {
@@ -584,7 +692,7 @@ impl Mlp {
                 .map(|loss| (loss, local.grads))
         })?;
         // Serial ascending reduction into the caller's workspace.
-        ws.ensure(self, 0);
+        ws.ensure(self, 0, 0);
         for g in &mut ws.grads {
             g.weights.as_mut_slice().fill(0.0);
             g.bias.fill(0.0);
@@ -634,14 +742,21 @@ impl Mlp {
     /// cheaper. Chunking above `GRAD_CHUNK` behaves exactly as in
     /// [`Mlp::train_batch_ws`].
     ///
+    /// Inputs come in sparse-prefix form (their first `prefix` entries are a
+    /// 0/1 block; `0` with [`PrefixRow::dense`] rows for plain inputs), and
+    /// the first layer's forward and weight gradient never touch the
+    /// block's zeros — bit-identical to training on the densified rows.
+    ///
     /// # Errors
     ///
     /// [`NetworkError::EmptyBatch`] when the batch is empty or the slice
     /// lengths disagree; [`NetworkError::ArityMismatch`] when an action
-    /// index is out of range for the output layer.
+    /// index is out of range for the output layer, or an input is
+    /// malformed as in [`Mlp::forward_prefix_batch_ws`].
     pub fn train_td_batch_ws(
         &mut self,
-        inputs: &[&[f64]],
+        prefix: usize,
+        inputs: &[PrefixRow<'_>],
         actions: &[usize],
         bootstraps: &[f64],
         optimizer: &mut impl Optimizer,
@@ -657,7 +772,7 @@ impl Mlp {
         }
         let scale = 1.0 / inputs.len() as f64;
         let loss = if inputs.len() <= GRAD_CHUNK {
-            let total = self.grad_td_chunk_into(inputs, actions, bootstraps, scale, ws)?;
+            let total = self.grad_td_chunk_into(prefix, inputs, actions, bootstraps, scale, ws)?;
             total * scale
         } else {
             let bounds: Vec<(usize, usize)> = (0..inputs.len())
@@ -669,6 +784,7 @@ impl Mlp {
             let partials = parallel::try_par_map_grained(&bounds, 1, |&(s, e)| {
                 let mut local = BatchWorkspace::new();
                 self.grad_td_chunk_into(
+                    prefix,
                     &inputs[s..e],
                     &actions[s..e],
                     &bootstraps[s..e],
@@ -677,7 +793,7 @@ impl Mlp {
                 )
                 .map(|loss| (loss, local.grads))
             })?;
-            ws.ensure(self, 0);
+            ws.ensure(self, 0, 0);
             for g in &mut ws.grads {
                 g.weights.as_mut_slice().fill(0.0);
                 g.bias.fill(0.0);
@@ -1251,6 +1367,71 @@ mod tests {
         }
         let last = net.loss(&inputs, &targets).unwrap();
         assert!(last < first / 10.0, "loss {first} -> {last}");
+    }
+
+    #[test]
+    fn workspace_buffers_only_grow_across_batch_sizes() {
+        let mut r = rng(45);
+        let net = Mlp::new(&[6, 9, 3], Activation::Relu, &mut r).unwrap();
+        let inputs = random_batch(&mut r, 32, 6);
+        let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+        let mut ws = BatchWorkspace::new();
+        let big = bits_of(net.forward_batch_ws(&refs, &mut ws).unwrap());
+        let buffers = |ws: &BatchWorkspace| -> Vec<*const f64> {
+            ws.acts
+                .iter()
+                .chain(&ws.pres)
+                .chain(&ws.deltas)
+                .chain(&ws.wts)
+                .map(|m| m.as_slice().as_ptr())
+                .collect()
+        };
+        let before = buffers(&ws);
+        // A 3-row batch between two 32-row ones reuses every allocation,
+        // and answers as a fresh workspace would.
+        let small = bits_of(net.forward_batch_ws(&refs[..3], &mut ws).unwrap());
+        assert_eq!(
+            small,
+            bits_of(net.forward_batch_ws(&refs[..3], &mut BatchWorkspace::new()).unwrap())
+        );
+        assert_eq!(bits_of(net.forward_batch_ws(&refs, &mut ws).unwrap()), big);
+        assert_eq!(buffers(&ws), before);
+    }
+
+    fn bits_of(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn single_input_forwards_match_the_reference() {
+        let mut r = rng(46);
+        let net = Mlp::new(&[5, 7, 4, 3], Activation::Tanh, &mut r).unwrap();
+        let mut scratch = ForwardScratch::default();
+        for x in random_batch(&mut r, 4, 5) {
+            let reference = net.forward(&x).unwrap();
+            // A batch of one skips the workspace and its weight transposes.
+            assert_eq!(net.forward_batch(&[&x]).unwrap(), vec![reference.clone()]);
+            assert_eq!(net.forward_ilp_scratch(&x, &mut scratch).unwrap(), &reference[..]);
+        }
+        assert!(net.forward_ilp_scratch(&[0.0; 4], &mut scratch).is_err());
+    }
+
+    #[test]
+    fn malformed_prefix_rows_are_rejected() {
+        let net = Mlp::new(&[5, 3, 2], Activation::Relu, &mut rng(47)).unwrap();
+        let mut ws = BatchWorkspace::new();
+        let tail = [0.5, -0.5];
+        let row = |ones| PrefixRow { ones, tail: &tail };
+        assert!(net.forward_prefix_batch_ws(3, &[row(&[0, 2])], &mut ws).is_ok());
+        for (prefix, ones) in [(3, &[2u32, 0][..]), (3, &[1, 1]), (3, &[3]), (2, &[]), (6, &[])] {
+            assert!(
+                matches!(
+                    net.forward_prefix_batch_ws(prefix, &[row(ones)], &mut ws),
+                    Err(NetworkError::ArityMismatch { .. })
+                ),
+                "prefix {prefix}, ones {ones:?}"
+            );
+        }
     }
 
     #[test]

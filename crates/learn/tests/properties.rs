@@ -1,10 +1,10 @@
 //! Property-based tests of the ML substrate's core invariants.
 
 use learn::dataset::{Dataset, Standardizer};
-use learn::linalg::{dot, euclidean_distance, Matrix};
+use learn::linalg::{dot, euclidean_distance, BinaryRows, Matrix};
 use learn::linear::RidgeRegression;
 use learn::metrics::{mae, prediction_accuracy, rmse};
-use learn::nn::{Activation, AdamOptimizer, BatchWorkspace, Mlp};
+use learn::nn::{Activation, AdamOptimizer, BatchWorkspace, Mlp, PrefixRow};
 use learn::transfer::fit_biased_ridge;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -40,6 +40,52 @@ fn small_matrix() -> impl Strategy<Value = Matrix> {
             .prop_map(move |data| Matrix::from_vec(r, c, data).expect("length matches"))
     })
 }
+
+/// A left operand `[P | T]` in both forms: `P` a 0/1 block of width `prefix`
+/// (as index lists and written out), `T` dense with exact and negative
+/// zeros mixed in. Rows are all-zero, all-one, a copy of the row above, or
+/// random, so empty lists, full lists and duplicates all occur.
+fn prefixed_operand(
+    rng: &mut StdRng,
+    rows: usize,
+    prefix: usize,
+    tail: usize,
+) -> (BinaryRows, Matrix, Matrix) {
+    use rand::Rng;
+    let mut ones = BinaryRows::default();
+    ones.clear(prefix);
+    let mut tails = Matrix::zeros(rows, tail);
+    let mut dense = Matrix::zeros(rows, prefix + tail);
+    for r in 0..rows {
+        let set: Vec<u32> = match rng.gen_range(0..4) {
+            0 => Vec::new(),
+            1 => (0..prefix as u32).collect(),
+            2 if r > 0 => ones.row(r - 1).to_vec(),
+            _ => (0..prefix as u32).filter(|_| rng.gen_bool(0.1)).collect(),
+        };
+        for &i in &set {
+            dense[(r, i as usize)] = 1.0;
+        }
+        ones.push_row(&set).expect("ascending, in range");
+        for c in 0..tail {
+            let x = match rng.gen_range(0..6) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-10.0..10.0),
+            };
+            tails[(r, c)] = x;
+            dense[(r, prefix + c)] = x;
+        }
+    }
+    (ones, tails, dense)
+}
+
+/// Batch sizes around the kernels' 4-row register block (row tails of
+/// every size) and output widths around their 8-column tile (48 exact, 51
+/// and 5 ragged); `(prefix, tail)` covers no block, only a block, and both.
+const PREFIX_BATCHES: [usize; 5] = [1, 3, 4, 32, 33];
+const PREFIX_WIDTHS: [usize; 3] = [48, 51, 5];
+const PREFIX_SPLITS: [(usize, usize); 4] = [(0, 13), (37, 0), (37, 13), (90, 27)];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -181,6 +227,101 @@ proptest! {
     }
 
     #[test]
+    fn prefix_forward_bits_match_dense_matmul(
+        batch in 0usize..5, width in 0usize..3, split in 0usize..4, seed in 0u64..10_000,
+    ) {
+        let (rows, n) = (PREFIX_BATCHES[batch], PREFIX_WIDTHS[width]);
+        let (prefix, tail) = PREFIX_SPLITS[split];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (ones, tails, dense) = prefixed_operand(&mut rng, rows, prefix, tail);
+        let weights: Vec<f64> = (0..(prefix + tail) * n)
+            .map(|i| if i % 11 == 0 { -0.0 } else { rand::Rng::gen_range(&mut rng, -3.0..3.0) })
+            .collect();
+        let rhs = Matrix::from_vec(prefix + tail, n, weights).expect("length matches");
+        let mut reference = Matrix::filled(rows, n, f64::NAN);
+        dense.matmul_into(&rhs, &mut reference).expect("shapes");
+        let mut fast = Matrix::filled(rows, n, f64::NAN);
+        tails.matmul_prefix_into(&ones, &rhs, &mut fast).expect("shapes");
+        prop_assert_eq!(bits(fast.as_slice()), bits(reference.as_slice()));
+    }
+
+    #[test]
+    fn prefix_weight_gradient_bits_match_dense_kernel(
+        batch in 0usize..5, width in 0usize..3, split in 0usize..4, seed in 0u64..10_000,
+    ) {
+        let (rows, m) = (PREFIX_BATCHES[batch], PREFIX_WIDTHS[width]);
+        let (prefix, tail) = PREFIX_SPLITS[split];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (ones, tails, dense) = prefixed_operand(&mut rng, rows, prefix, tail);
+        // Deltas as backprop leaves them: dead units are exact zeros of
+        // either sign.
+        let deltas: Vec<f64> = (0..rows * m)
+            .map(|_| match rand::Rng::gen_range(&mut rng, 0..4) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rand::Rng::gen_range(&mut rng, -2.0..2.0),
+            })
+            .collect();
+        let delta = Matrix::from_vec(rows, m, deltas).expect("length matches");
+        let alpha = 1.0 / rows as f64;
+        // The per-sample loop of `Mlp::gradients`, no term skipped.
+        let mut reference = Matrix::zeros(m, prefix + tail);
+        for s in 0..rows {
+            for r in 0..m {
+                for c in 0..prefix + tail {
+                    reference[(r, c)] += alpha * delta[(s, r)] * dense[(s, c)];
+                }
+            }
+        }
+        let mut dense_out = Matrix::filled(m, prefix + tail, f64::NAN);
+        delta.matmul_transpose_a_scaled_into(&dense, alpha, &mut dense_out).expect("shapes");
+        prop_assert_eq!(bits(dense_out.as_slice()), bits(reference.as_slice()));
+        let mut fast = Matrix::filled(m, prefix + tail, f64::NAN);
+        delta
+            .matmul_transpose_a_prefix_scaled_into(&ones, &tails, alpha, &mut fast)
+            .expect("shapes");
+        prop_assert_eq!(bits(fast.as_slice()), bits(reference.as_slice()));
+    }
+
+    #[test]
+    fn prefix_training_bits_match_dense_rows(
+        batch in 0usize..5, split in 0usize..4, seed in 0u64..10_000,
+    ) {
+        // End to end through the network: TD training on sparse-prefix rows
+        // leaves the parameters training on the densified rows leaves.
+        let rows = PREFIX_BATCHES[batch];
+        let (prefix, tail) = PREFIX_SPLITS[split];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (ones, tails, dense) = prefixed_operand(&mut rng, rows, prefix, tail);
+        let mut on_dense =
+            Mlp::new(&[prefix + tail, 9, 6, 5], Activation::Relu, &mut rng).expect("sizes");
+        let mut on_prefix = on_dense.clone();
+        let dense_rows: Vec<PrefixRow> =
+            (0..rows).map(|s| PrefixRow::dense(dense.row(s))).collect();
+        let prefix_rows: Vec<PrefixRow> =
+            (0..rows).map(|s| PrefixRow { ones: ones.row(s), tail: tails.row(s) }).collect();
+        let actions: Vec<usize> = (0..rows).map(|s| s % 5).collect();
+        let bootstraps: Vec<f64> = (0..rows).map(|s| s as f64 * 0.125 - 1.0).collect();
+        let (mut opt_d, mut opt_p) = (AdamOptimizer::new(0.01), AdamOptimizer::new(0.01));
+        let (mut ws_d, mut ws_p) = (BatchWorkspace::new(), BatchWorkspace::new());
+        for _ in 0..3 {
+            let ld = on_dense
+                .train_td_batch_ws(0, &dense_rows, &actions, &bootstraps, &mut opt_d, &mut ws_d)
+                .expect("valid batch");
+            let lp = on_prefix
+                .train_td_batch_ws(prefix, &prefix_rows, &actions, &bootstraps, &mut opt_p, &mut ws_p)
+                .expect("valid batch");
+            prop_assert_eq!(ld.to_bits(), lp.to_bits());
+        }
+        prop_assert_eq!(on_dense.parameter_bits(), on_prefix.parameter_bits());
+        let q_dense = on_dense.forward_batch_ws(
+            &(0..rows).map(|s| dense.row(s)).collect::<Vec<_>>(), &mut ws_d).expect("valid");
+        let q_prefix =
+            on_prefix.forward_prefix_batch_ws(prefix, &prefix_rows, &mut ws_p).expect("valid");
+        prop_assert_eq!(bits(q_dense.as_slice()), bits(q_prefix.as_slice()));
+    }
+
+    #[test]
     fn batched_forward_bits_match_per_sample(
         seed in 0u64..10_000,
         hidden in 1usize..10,
@@ -251,7 +392,7 @@ proptest! {
         let mut dense = Mlp::new(&[3, hidden, 4], Activation::Relu, &mut rng).expect("sizes");
         let mut fused = dense.clone();
         let inputs: Vec<Vec<f64>> = samples.iter().map(|(x, _, _)| x.clone()).collect();
-        let refs_x: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+        let refs_x: Vec<PrefixRow> = inputs.iter().map(|x| PrefixRow::dense(x)).collect();
         let actions: Vec<usize> = samples.iter().map(|(_, a, _)| *a).collect();
         let bootstraps: Vec<f64> = samples.iter().map(|(_, _, b)| *b).collect();
         let mut opt_d = AdamOptimizer::new(0.01);
@@ -272,7 +413,7 @@ proptest! {
                 .collect();
             let ld = dense.train_batch(&inputs, &targets, &mut opt_d).expect("valid batch");
             let lf = fused
-                .train_td_batch_ws(&refs_x, &actions, &bootstraps, &mut opt_f, &mut ws)
+                .train_td_batch_ws(0, &refs_x, &actions, &bootstraps, &mut opt_f, &mut ws)
                 .expect("valid batch");
             prop_assert_eq!(ld.to_bits(), lf.to_bits());
         }

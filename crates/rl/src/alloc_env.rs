@@ -340,6 +340,11 @@ impl Environment for AllocEnv {
     fn is_terminal(&self) -> bool {
         self.done
     }
+
+    /// The selection matrix `S` leads the encoding, routed or not.
+    fn binary_prefix(&self) -> usize {
+        self.spec.num_tasks() * self.spec.num_processors()
+    }
 }
 
 #[cfg(test)]
@@ -508,6 +513,33 @@ mod tests {
         // end — every earlier offset is untouched.
         assert_eq!(&rs[..ps.len()], &ps[..]);
         assert_eq!(&rs[ps.len()..], &[1.0, 0.25]);
+    }
+
+    #[test]
+    fn binary_prefix_is_the_selection_matrix_along_random_episodes() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        for routed in [false, true] {
+            let route_factors = routed.then(|| vec![0.5, 1.0]);
+            let mut env = AllocEnv::new(AllocSpec { route_factors, ..spec() }).unwrap();
+            // The route block is appended last, so the prefix is the same.
+            assert_eq!(env.binary_prefix(), 3 * 2);
+            for _ in 0..20 {
+                let mut state = env.reset();
+                loop {
+                    let block = &state[..env.binary_prefix()];
+                    assert!(block.iter().all(|&x| x.to_bits() == 0f64.to_bits() || x == 1.0));
+                    let assigned = env.assignment().iter().flatten().count();
+                    assert_eq!(block.iter().filter(|&&x| x == 1.0).count(), assigned);
+                    if env.is_terminal() {
+                        break;
+                    }
+                    let valid = env.valid_actions();
+                    state = env.step(valid[rng.gen_range(0..valid.len())]).unwrap().state;
+                }
+            }
+        }
     }
 
     #[test]

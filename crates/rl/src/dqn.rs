@@ -8,10 +8,13 @@
 //! and uniform replay sampling).
 
 use crate::mdp::{Environment, StepError};
-use crate::replay::{Experience, ReplayBuffer};
-use learn::nn::{Activation, AdamOptimizer, BatchWorkspace, Mlp, NetworkError};
+use crate::replay::{Experience, ReplayBuffer, StoredState};
+use learn::nn::{
+    Activation, AdamOptimizer, BatchWorkspace, ForwardScratch, Mlp, NetworkError, PrefixRow,
+};
 use rand::Rng;
 use std::fmt;
+use std::sync::Arc;
 
 /// Hyper-parameters for [`DqnAgent`].
 #[derive(Debug, Clone, PartialEq)]
@@ -40,14 +43,6 @@ pub struct DqnConfig {
     /// a))`), which counters Q-learning's max-operator overestimation bias.
     /// An extension beyond the paper's plain DQN; ablatable.
     pub double_dqn: bool,
-    /// Run the minibatch TD update through the batched compute path: all
-    /// Q-values and bootstrap targets come from batched forwards over the
-    /// online and target nets (one matmul per layer) and gradients
-    /// accumulate as matrix products in a reused [`BatchWorkspace`].
-    /// Bit-identical to the per-sample path for `batch_size` ≤ 64 (the
-    /// gradient chunk size); `false` keeps the per-sample reference path
-    /// for A/B benchmarks.
-    pub batched: bool,
 }
 
 impl Default for DqnConfig {
@@ -64,7 +59,6 @@ impl Default for DqnConfig {
             target_sync_interval: 200,
             max_steps_per_episode: 500,
             double_dqn: false,
-            batched: true,
         }
     }
 }
@@ -114,6 +108,21 @@ impl From<StepError> for DqnError {
     }
 }
 
+/// Work counts of an agent's learn steps since construction.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TrainCounters {
+    /// Minibatch updates applied.
+    pub learn_steps: u64,
+    /// Sampled non-terminal transitions whose target-network row was
+    /// already stored under the current sync epoch.
+    pub bootstrap_hits: u64,
+    /// Sampled non-terminal transitions whose row had to be evaluated.
+    pub bootstrap_misses: u64,
+    /// Online → target parameter copies.
+    pub target_syncs: u64,
+}
+
 /// A DQN agent bound to a fixed state/action geometry.
 #[derive(Debug, Clone)]
 pub struct DqnAgent {
@@ -123,13 +132,54 @@ pub struct DqnAgent {
     replay: ReplayBuffer,
     config: DqnConfig,
     epsilon: f64,
-    steps: usize,
     num_actions: usize,
-    /// Scratch for the fused TD forward/backward pass (and the Double-DQN
-    /// online action-selection forward).
-    ws_train: BatchWorkspace,
-    /// Scratch for the bootstrap forwards over next states.
-    ws_bootstrap: BatchWorkspace,
+    /// Length of the states' binary prefix, learnt from the environment at
+    /// each episode start ([`Environment::binary_prefix`]).
+    binary_prefix: usize,
+    /// Bumped by every online → target copy; the replay's memoised target
+    /// rows are current only under the epoch they were stored with.
+    target_epoch: u64,
+    counters: TrainCounters,
+    /// Scratch for the TD forward/backward pass (and, before it, the
+    /// Double-DQN online forward over the successor states).
+    ws: BatchWorkspace,
+    /// Scratch for single-state forwards: action selection and the target
+    /// rows the memo misses.
+    forward: ForwardScratch,
+    /// Per-step scratch: a missed successor state written out densely, the
+    /// sampled replay slots, and their actions and bootstrap values.
+    dense: Vec<f64>,
+    slots: Vec<usize>,
+    actions: Vec<usize>,
+    bootstraps: Vec<f64>,
+}
+
+/// Greedy action over `q` restricted to a non-empty `valid`, ties toward
+/// lower indices.
+fn greedy(q: &[f64], valid: &[usize]) -> usize {
+    valid
+        .iter()
+        .copied()
+        .max_by(|&a, &b| q[a].partial_cmp(&q[b]).expect("finite Q").then(b.cmp(&a)))
+        .expect("non-empty valid set")
+}
+
+/// ε-greedy choice over `valid`: one `gen_bool(ε)`, then either one
+/// `gen_range` over `valid` or whatever `exploit` picks.
+fn epsilon_greedy(
+    epsilon: f64,
+    valid: &[usize],
+    rng: &mut impl Rng,
+    exploit: impl FnOnce() -> Result<usize, DqnError>,
+) -> Result<usize, DqnError> {
+    if valid.is_empty() {
+        return Err(DqnError::NoValidActions);
+    }
+    if rng.gen_bool(epsilon.clamp(0.0, 1.0)) {
+        Ok(valid[rng.gen_range(0..valid.len())])
+    } else {
+        exploit()
+    }
 }
 
 impl DqnAgent {
@@ -159,11 +209,23 @@ impl DqnAgent {
             replay,
             epsilon: config.epsilon,
             config,
-            steps: 0,
             num_actions,
-            ws_train: BatchWorkspace::new(),
-            ws_bootstrap: BatchWorkspace::new(),
+            binary_prefix: 0,
+            target_epoch: 1,
+            counters: TrainCounters::default(),
+            ws: BatchWorkspace::new(),
+            forward: ForwardScratch::default(),
+            dense: Vec::new(),
+            slots: Vec::new(),
+            actions: Vec::new(),
+            bootstraps: Vec::new(),
         })
+    }
+
+    /// Learn-step work counts: how often the memoised target rows hit.
+    #[doc(hidden)]
+    pub fn train_counters(&self) -> TrainCounters {
+        self.counters
     }
 
     /// Current exploration rate.
@@ -226,12 +288,7 @@ impl DqnAgent {
         if valid.is_empty() {
             return Err(DqnError::NoValidActions);
         }
-        let q = self.q_values(state)?;
-        Ok(valid
-            .iter()
-            .copied()
-            .max_by(|&a, &b| q[a].partial_cmp(&q[b]).expect("finite Q").then(b.cmp(&a)))
-            .expect("non-empty valid set"))
+        Ok(greedy(&self.q_values(state)?, valid))
     }
 
     /// ε-greedy action restricted to `valid`.
@@ -245,14 +302,7 @@ impl DqnAgent {
         valid: &[usize],
         rng: &mut impl Rng,
     ) -> Result<usize, DqnError> {
-        if valid.is_empty() {
-            return Err(DqnError::NoValidActions);
-        }
-        if rng.gen_bool(self.epsilon.clamp(0.0, 1.0)) {
-            Ok(valid[rng.gen_range(0..valid.len())])
-        } else {
-            self.act_greedy(state, valid)
-        }
+        epsilon_greedy(self.epsilon, valid, rng, || self.act_greedy(state, valid))
     }
 
     /// Runs one training episode on `env`, returning its cumulative reward.
@@ -265,27 +315,49 @@ impl DqnAgent {
         env: &mut impl Environment,
         rng: &mut impl Rng,
     ) -> Result<f64, DqnError> {
+        self.run_episode(env, rng, Self::learn_step)
+    }
+
+    /// [`Self::train_episode`] with the minibatch update as a parameter, so
+    /// tests can drive the per-sample oracle through the same loop.
+    fn run_episode<R: Rng>(
+        &mut self,
+        env: &mut impl Environment,
+        rng: &mut R,
+        mut learn: impl FnMut(&mut Self, &mut R) -> Result<(), DqnError>,
+    ) -> Result<f64, DqnError> {
         let mut state = env.reset();
+        self.binary_prefix = env.binary_prefix();
+        // Each state is compacted once and shared by the transition that
+        // reaches it and the one that leaves it; its valid actions ride
+        // along, so the mask computed for the TD target also serves the
+        // next step's action choice.
+        let mut stored =
+            Arc::new(StoredState::new(&state, self.binary_prefix, env.valid_actions()));
         let mut total = 0.0;
         for _ in 0..self.config.max_steps_per_episode {
             if env.is_terminal() {
                 break;
             }
-            let valid = env.valid_actions();
-            let action = self.act(&state, &valid, rng)?;
+            let valid = stored.valid();
+            // The greedy forward runs in agent-owned scratch.
+            let action = epsilon_greedy(self.epsilon, valid, rng, || {
+                Ok(greedy(self.online.forward_ilp_scratch(&state, &mut self.forward)?, valid))
+            })?;
             let tr = env.step(action)?;
             total += tr.reward;
             let next_valid = if tr.done { Vec::new() } else { env.valid_actions() };
+            let next = Arc::new(StoredState::new(&tr.state, self.binary_prefix, next_valid));
             self.replay.push(Experience {
-                state: state.clone(),
+                state: stored,
                 action,
                 reward: tr.reward,
-                next_state: tr.state.clone(),
-                next_valid,
+                next: Arc::clone(&next),
                 done: tr.done,
             });
-            self.learn_step(rng)?;
+            learn(self, rng)?;
             state = tr.state;
+            stored = next;
             if tr.done {
                 break;
             }
@@ -326,10 +398,6 @@ impl DqnAgent {
 
     /// One minibatch TD update (no-op until the replay holds a full batch).
     ///
-    /// `config.batched` (the default) routes the update through
-    /// [`Self::learn_step_batched`]; the per-sample path is kept as the A/B
-    /// reference, bit-identical for batches of at most 64 samples.
-    ///
     /// Public (but doc-hidden) so `perfbench` can time the update in
     /// isolation; everything else reaches it through [`Self::train_episode`].
     ///
@@ -341,118 +409,153 @@ impl DqnAgent {
         if self.replay.len() < self.config.batch_size {
             return Ok(());
         }
-        if self.config.batched {
-            self.learn_step_batched(rng)?;
-        } else {
-            self.learn_step_scalar(rng)?;
-        }
-        self.steps += 1;
-        if self.steps.is_multiple_of(self.config.target_sync_interval.max(1)) {
+        self.td_update(rng)?;
+        self.finish_step()
+    }
+
+    /// Counts the update and copies online → target every
+    /// `target_sync_interval` of them, which retires every memoised row.
+    fn finish_step(&mut self) -> Result<(), DqnError> {
+        self.counters.learn_steps += 1;
+        let interval = self.config.target_sync_interval.max(1) as u64;
+        if self.counters.learn_steps.is_multiple_of(interval) {
             self.target.copy_parameters_from(&self.online)?;
+            self.target_epoch += 1;
+            self.counters.target_syncs += 1;
         }
         Ok(())
     }
 
-    /// Per-sample reference TD update: one forward per Q-value, one
-    /// forward/backward per sample inside `train_batch`.
-    fn learn_step_scalar(&mut self, rng: &mut impl Rng) -> Result<(), DqnError> {
-        let batch = self.replay.sample(self.config.batch_size, rng);
-        let mut inputs = Vec::with_capacity(batch.len());
-        let mut targets = Vec::with_capacity(batch.len());
-        for exp in batch {
-            // Target = current prediction everywhere except the taken
-            // action, which gets the Alg.-1 bootstrap value. This makes the
-            // batch MSE exactly the per-action TD loss.
-            let mut t = self.online.forward(&exp.state)?;
-            let bootstrap = if exp.done || exp.next_valid.is_empty() {
-                exp.reward
-            } else if self.config.double_dqn {
-                // Double DQN: the online network selects the action, the
-                // target network evaluates it.
-                let q_online = self.online.forward(&exp.next_state)?;
-                let chosen = exp
-                    .next_valid
-                    .iter()
-                    .copied()
-                    .max_by(|&a, &b| {
-                        q_online[a].partial_cmp(&q_online[b]).expect("finite Q").then(b.cmp(&a))
-                    })
-                    .expect("non-empty valid set");
-                let q_target = self.target.forward(&exp.next_state)?;
-                exp.reward + self.config.discount * q_target[chosen]
+    /// The TD update, computing only what can have changed since the last
+    /// one.
+    ///
+    /// The bootstrap term needs the target network's output at each sampled
+    /// successor state — a pure function of the target parameters and that
+    /// state, both fixed until the next sync (or until the ring reuses the
+    /// slot). So the row is evaluated once, by a single-state forward, and
+    /// kept on the replay slot under the current sync epoch; re-sampled
+    /// slots read it back. Plain DQN takes the masked max of the row,
+    /// Double DQN the entry the online network's argmax picks. Row `s` of a
+    /// batched forward equals the single-state forward bit for bit, so the
+    /// bootstraps equal a batched target forward's.
+    ///
+    /// The online half runs through [`Mlp::train_td_batch_ws`] on the
+    /// compact states, whose first layer skips the selection block's zeros.
+    fn td_update(&mut self, rng: &mut impl Rng) -> Result<(), DqnError> {
+        let Self {
+            online,
+            target,
+            optimizer,
+            replay,
+            config,
+            binary_prefix,
+            target_epoch,
+            counters,
+            ws,
+            forward,
+            dense,
+            slots,
+            actions,
+            bootstraps,
+            ..
+        } = self;
+        let (prefix, epoch) = (*binary_prefix, *target_epoch);
+        replay.sample_into(config.batch_size, rng, slots);
+
+        for &slot in slots.iter() {
+            let exp = replay.get(slot);
+            if exp.is_terminal() {
+                continue;
+            }
+            if replay.target_row(slot, epoch).is_some() {
+                counters.bootstrap_hits += 1;
             } else {
-                let qn = self.target.forward(&exp.next_state)?;
-                let best = exp.next_valid.iter().map(|&a| qn[a]).fold(f64::NEG_INFINITY, f64::max);
-                exp.reward + self.config.discount * best
-            };
-            t[exp.action] = bootstrap;
-            inputs.push(exp.state.clone());
-            targets.push(t);
+                counters.bootstrap_misses += 1;
+                exp.next.write_dense(target.input_size(), dense);
+                let row = target.forward_ilp_scratch(dense, forward)?;
+                replay.set_target_row(slot, epoch, row);
+            }
         }
-        self.online.train_batch(&inputs, &targets, &mut self.optimizer)?;
-        Ok(())
-    }
 
-    /// Batched TD update: every bootstrap term comes from one batched target
-    /// forward over the sampled next states (plus one batched online forward
-    /// for Double-DQN action selection), then the TD training step fuses
-    /// target-row construction with its own forward
-    /// ([`Mlp::train_td_batch_ws`]), and the gradient accumulation runs as
-    /// matrix products in the reused workspaces. Per-row arithmetic is
-    /// exactly the per-sample path's, so results match
-    /// [`Self::learn_step_scalar`] bit for bit at the default batch size.
-    fn learn_step_batched(&mut self, rng: &mut impl Rng) -> Result<(), DqnError> {
-        let Self { online, target, optimizer, replay, config, ws_train, ws_bootstrap, .. } = self;
-        let batch = replay.sample(config.batch_size, rng);
-        let states: Vec<&[f64]> = batch.iter().map(|e| e.state.as_slice()).collect();
-        let next_states: Vec<&[f64]> = batch.iter().map(|e| e.next_state.as_slice()).collect();
-
-        let mut bootstraps = vec![0.0; batch.len()];
-        if config.double_dqn {
-            let q_online = online.forward_batch_ws(&next_states, ws_train)?;
-            let q_target = target.forward_batch_ws(&next_states, ws_bootstrap)?;
-            for (s, exp) in batch.iter().enumerate() {
-                bootstraps[s] = if exp.done || exp.next_valid.is_empty() {
-                    exp.reward
-                } else {
-                    let qo = q_online.row(s);
-                    let chosen = exp
-                        .next_valid
-                        .iter()
-                        .copied()
-                        .max_by(|&a, &b| {
-                            qo[a].partial_cmp(&qo[b]).expect("finite Q").then(b.cmp(&a))
-                        })
-                        .expect("non-empty valid set");
-                    exp.reward + config.discount * q_target.row(s)[chosen]
-                };
-            }
+        let q_online = if config.double_dqn {
+            // The online network selects the action, the target network
+            // (through its stored row) evaluates it.
+            let next: Vec<PrefixRow> = slots.iter().map(|&i| replay.get(i).next.as_row()).collect();
+            Some(online.forward_prefix_batch_ws(prefix, &next, ws)?)
         } else {
-            let q_next = target.forward_batch_ws(&next_states, ws_bootstrap)?;
-            for (s, exp) in batch.iter().enumerate() {
-                bootstraps[s] = if exp.done || exp.next_valid.is_empty() {
-                    exp.reward
-                } else {
-                    let qn = q_next.row(s);
-                    let best =
-                        exp.next_valid.iter().map(|&a| qn[a]).fold(f64::NEG_INFINITY, f64::max);
-                    exp.reward + config.discount * best
+            None
+        };
+        actions.clear();
+        bootstraps.clear();
+        for (s, &slot) in slots.iter().enumerate() {
+            let exp = replay.get(slot);
+            actions.push(exp.action);
+            bootstraps.push(if exp.is_terminal() {
+                exp.reward
+            } else {
+                let q_target = replay.target_row(slot, epoch).expect("stored above");
+                let valid = exp.next.valid();
+                let q_next = match q_online {
+                    Some(q) => q_target[greedy(q.row(s), valid)],
+                    None => valid.iter().map(|&a| q_target[a]).fold(f64::NEG_INFINITY, f64::max),
                 };
-            }
+                exp.reward + config.discount * q_next
+            });
         }
 
         // TD step: target rows are the training forward's own predictions
         // with the taken action's entry replaced by its bootstrap value —
         // no separate predict-the-targets forward needed.
-        let actions: Vec<usize> = batch.iter().map(|e| e.action).collect();
-        online.train_td_batch_ws(&states, &actions, &bootstraps, optimizer, ws_train)?;
+        let states: Vec<PrefixRow> = slots.iter().map(|&i| replay.get(i).state.as_row()).collect();
+        online.train_td_batch_ws(prefix, &states, actions, bootstraps, optimizer, ws)?;
         Ok(())
+    }
+
+    /// Per-sample reference for [`Self::learn_step`]: every bootstrap is
+    /// recomputed with [`Mlp::forward`] on the dense state and the update
+    /// goes through [`Mlp::train_batch`] — no memo, no sparse kernel, no
+    /// batching.
+    #[cfg(test)]
+    fn learn_step_oracle(&mut self, rng: &mut impl Rng) -> Result<(), DqnError> {
+        if self.replay.len() < self.config.batch_size {
+            return Ok(());
+        }
+        self.replay.sample_into(self.config.batch_size, rng, &mut self.slots);
+        let state_dim = self.online.input_size();
+        let mut inputs = Vec::with_capacity(self.slots.len());
+        let mut targets = Vec::with_capacity(self.slots.len());
+        for &slot in &self.slots {
+            let exp = self.replay.get(slot);
+            let (mut state, mut next) = (Vec::new(), Vec::new());
+            exp.state.write_dense(state_dim, &mut state);
+            exp.next.write_dense(state_dim, &mut next);
+            // Target = current prediction everywhere except the taken
+            // action, which gets the Alg.-1 bootstrap value. This makes the
+            // batch MSE exactly the per-action TD loss.
+            let mut t = self.online.forward(&state)?;
+            t[exp.action] = if exp.is_terminal() {
+                exp.reward
+            } else if self.config.double_dqn {
+                let chosen = greedy(&self.online.forward(&next)?, exp.next.valid());
+                exp.reward + self.config.discount * self.target.forward(&next)?[chosen]
+            } else {
+                let qn = self.target.forward(&next)?;
+                let best =
+                    exp.next.valid().iter().map(|&a| qn[a]).fold(f64::NEG_INFINITY, f64::max);
+                exp.reward + self.config.discount * best
+            };
+            inputs.push(state);
+            targets.push(t);
+        }
+        self.online.train_batch(&inputs, &targets, &mut self.optimizer)?;
+        self.finish_step()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc_env::{AllocEnv, AllocSpec};
     use crate::mdp::Transition;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -617,29 +720,129 @@ mod tests {
         assert!((reward - 1.0).abs() < 1e-12);
     }
 
+    /// Trains `episodes` episodes with `learn` as the minibatch update.
+    fn train_with<E: Environment>(
+        mut env: E,
+        config: DqnConfig,
+        episodes: usize,
+        mut learn: impl FnMut(&mut DqnAgent, &mut StdRng) -> Result<(), DqnError>,
+    ) -> DqnAgent {
+        let mut rng = StdRng::seed_from_u64(33);
+        let mut agent =
+            DqnAgent::new(env.state_dim(), env.num_actions(), config, &mut rng).unwrap();
+        for _ in 0..episodes {
+            agent.run_episode(&mut env, &mut rng, &mut learn).unwrap();
+        }
+        agent
+    }
+
     #[test]
     fn batched_learn_step_bits_match_scalar_path() {
-        // Same seed, same environment, same sampling stream: the batched
-        // compute path must leave exactly the same weights as the per-sample
-        // reference — for plain and Double DQN.
+        // Same seed, same environment, same sampling stream: the learn step
+        // must leave exactly the same weights as the per-sample oracle — for
+        // plain and Double DQN.
         for double_dqn in [false, true] {
-            let train = |batched: bool| {
-                let mut rng = StdRng::seed_from_u64(33);
-                let mut env = Chain::new();
-                let mut agent = DqnAgent::new(
-                    2,
-                    2,
-                    DqnConfig { batched, double_dqn, ..quick_config() },
-                    &mut rng,
-                )
-                .unwrap();
-                for _ in 0..60 {
-                    agent.train_episode(&mut env, &mut rng).unwrap();
-                }
-                (agent.online.parameter_bits(), agent.target.parameter_bits())
-            };
-            assert_eq!(train(true), train(false), "double_dqn = {double_dqn}");
+            let config = DqnConfig { double_dqn, ..quick_config() };
+            let fast = train_with(Chain::new(), config.clone(), 60, DqnAgent::learn_step);
+            let oracle = train_with(Chain::new(), config, 60, DqnAgent::learn_step_oracle);
+            assert_eq!(fast.parameter_bits(), oracle.parameter_bits(), "double_dqn = {double_dqn}");
+            assert_eq!(fast.train_counters().learn_steps, oracle.train_counters().learn_steps);
         }
+    }
+
+    /// A small allocation MDP: a 6 × 2 selection block (the binary prefix)
+    /// ahead of the dense columns, routed or not.
+    fn alloc_env(routed: bool) -> AllocEnv {
+        AllocEnv::new(AllocSpec {
+            importances: vec![0.9, 0.2, 0.6, 0.4, 0.8, 0.1],
+            times: vec![1.0, 2.0, 1.5, 1.0, 2.5, 0.5],
+            resources: vec![1.0, 0.5, 1.0, 2.0, 1.0, 0.5],
+            time_limit: 3.0,
+            time_limits: None,
+            capacities: vec![3.0, 2.5],
+            route_factors: routed.then(|| vec![1.0, 0.5]),
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn memoised_bootstraps_bits_match_oracle_across_syncs_and_ring_wraps() {
+        for (double_dqn, routed) in [(false, false), (true, false), (false, true), (true, true)] {
+            let config = DqnConfig {
+                hidden: vec![12, 9],
+                batch_size: 16,
+                replay_capacity: 24,
+                target_sync_interval: 20,
+                double_dqn,
+                ..DqnConfig::default()
+            };
+            // Before each update, peek at the slots it is about to draw
+            // (same generator state, same draws): sampling is with
+            // replacement, so a slot can come up twice — and when its row is
+            // not current, the second draw must read what the first stored.
+            let mut repeated_misses = 0;
+            let fast = train_with(alloc_env(routed), config.clone(), 25, |agent, rng| {
+                if agent.replay.len() >= agent.config.batch_size {
+                    let mut slots = Vec::new();
+                    agent.replay.sample_into(agent.config.batch_size, &mut rng.clone(), &mut slots);
+                    slots.sort_unstable();
+                    repeated_misses += slots
+                        .windows(2)
+                        .filter(|w| {
+                            w[0] == w[1]
+                                && !agent.replay.get(w[0]).is_terminal()
+                                && agent.replay.target_row(w[0], agent.target_epoch).is_none()
+                        })
+                        .count();
+                }
+                agent.learn_step(rng)
+            });
+            let oracle = train_with(alloc_env(routed), config, 25, DqnAgent::learn_step_oracle);
+            assert_eq!(
+                fast.parameter_bits(),
+                oracle.parameter_bits(),
+                "double_dqn = {double_dqn}, routed = {routed}"
+            );
+
+            let c = fast.train_counters();
+            assert!(c.target_syncs >= 3, "only {} target syncs", c.target_syncs);
+            assert!(
+                c.learn_steps > 2 * fast.replay.capacity() as u64,
+                "the ring must wrap: {} steps",
+                c.learn_steps
+            );
+            assert!(repeated_misses > 0, "no batch drew a stale slot twice");
+            assert!(c.bootstrap_hits > 0 && c.bootstrap_misses > 0, "{c:?}");
+            assert_eq!(fast.binary_prefix, 12);
+        }
+    }
+
+    #[test]
+    fn bootstrap_memo_hits_at_the_benchmark_shape() {
+        // The paper's 50 × 9 geometry with the benchmark's `hidden [48]`
+        // network and default replay/sync settings: a sampled successor
+        // state's target row is almost always still current.
+        let n = 50;
+        let env = AllocEnv::new(AllocSpec {
+            importances: (0..n).map(|j| (j * 37 % 100) as f64 / 100.0).collect(),
+            times: (0..n).map(|j| 0.5 + (j * 13 % 10) as f64 / 10.0).collect(),
+            resources: (0..n).map(|j| 0.2 + (j * 7 % 5) as f64 / 10.0).collect(),
+            time_limit: 4.0,
+            time_limits: None,
+            capacities: vec![4.0; 9],
+            route_factors: None,
+        })
+        .unwrap();
+        let config = DqnConfig { hidden: vec![48], ..DqnConfig::default() };
+        let agent = train_with(env, config, 8, DqnAgent::learn_step);
+        let c = agent.train_counters();
+        let lookups = c.bootstrap_hits + c.bootstrap_misses;
+        assert!(c.target_syncs >= 1 && lookups > 0, "{c:?}");
+        assert!(
+            (c.bootstrap_misses as f64) < 0.10 * lookups as f64,
+            "miss fraction {:.3} ({c:?})",
+            c.bootstrap_misses as f64 / lookups as f64
+        );
     }
 
     #[test]

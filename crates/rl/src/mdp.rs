@@ -81,6 +81,13 @@ pub trait Environment {
 
     /// Whether the current episode has ended.
     fn is_terminal(&self) -> bool;
+
+    /// The first this-many entries of every encoded state are exactly `0.0`
+    /// or `1.0`. Agents may store and multiply that block by index instead
+    /// of by value; `0` (the default) promises nothing.
+    fn binary_prefix(&self) -> usize {
+        0
+    }
 }
 
 /// An environment with a small enumerable state space, for tabular agents.
