@@ -28,9 +28,8 @@
 //!
 //! The `edgesim_scale` mode runs the simulator scale sweep
 //! (`dcta_bench::scale`): star and mesh rounds at 10/100/1000 nodes and
-//! 1/2/8 threads, with the pre-PR7 star event loop (BinaryHeap queue,
-//! HashMap state, linear node lookup) kept verbatim as the measured
-//! baseline. Again use a distinct key (e.g. `ci-<sha>-scale`).
+//! 1/2/8 threads, each topology's speedups against its own 1-thread row.
+//! Again use a distinct key (e.g. `ci-<sha>-scale`).
 //!
 //! The `bnb_solve_large` mode runs the production-size solver sweep
 //! (`dcta_bench::portfolio`): exact branch-and-bound under a deadline vs

@@ -1,35 +1,28 @@
 //! Simulator scale sweep: events per second at 10/100/1000 nodes, star
-//! vs mesh, against the pre-PR7 event-loop core.
+//! vs mesh, at 1/2/8 threads.
 //!
-//! The baseline ([`legacy_event_loop`]) is the pre-PR7 star engine kept
-//! verbatim: a `BinaryHeap`-backed [`EventQueue`], `HashMap` link/CPU
-//! state keyed by `NodeId`, and the linear `nodes().iter().find(..)`
-//! node lookup the old `Cluster::node` performed on every event. The
-//! current engine replaces those with an indexed calendar queue, dense
-//! `Vec` state and O(1) node indexing; both produce bit-identical
-//! reports (asserted here per round), so the rows measure pure engine
-//! overhead on identical work.
-//!
-//! Mesh rows run the proportional-share fluid engine on the seeded
-//! grid-with-chords testbed at the same node counts. Mesh work is not
-//! comparable to star work (multi-hop routing, rate recomputation), so
-//! mesh speedups are reported against the mesh's own serial row.
+//! Star rows run healthy per-node-link rounds (the closed-form per-node
+//! legs, fanned out above 256 scheduled tasks); mesh rows run the
+//! proportional-share fluid transport on the seeded grid-with-chords
+//! testbed at the same node counts. Star and mesh work are not comparable
+//! (multi-hop routing, rate recomputation), so every speedup is reported
+//! against the same topology's own 1-thread row. What the rounds compute
+//! is pinned elsewhere, bit for bit: `edgesim`'s `engine_golden` test
+//! holds whole reports on both topologies, on both sides of the fan-out
+//! threshold, to digests of the engines these replaced.
 //!
 //! The throughput unit is *task events per second*: every scheduled task
-//! costs one input-arrival, one compute-done and one result-arrival, so
-//! both engines process `3 × scheduled` causal task events per round
-//! regardless of internal bookkeeping.
+//! costs one input-arrival, one compute-done and one result-arrival, so a
+//! round is `3 × scheduled` causal task events regardless of internal
+//! bookkeeping.
 
 use crate::common::{f1, RunOpts};
 use crate::trend::TrendRow as Row;
 use edgesim::cluster::{Cluster, MeshSpec};
-use edgesim::event::EventQueue;
-use edgesim::network::{Link, MediumMode};
 use edgesim::node::NodeId;
-use edgesim::run::{simulate, NodeAssignment, SimConfig, SimReport, SimTask, TaskTimeline};
+use edgesim::run::{simulate, NodeAssignment, SimConfig, SimTask};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::error::Error;
 use std::hint::black_box;
 use std::time::Instant;
@@ -39,114 +32,6 @@ pub const NODE_COUNTS: [usize; 3] = [10, 100, 1000];
 
 /// Thread caps each engine row is timed under.
 pub const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// The pre-PR7 discrete-event engine, verbatim: `BinaryHeap` queue,
-/// `HashMap` per-node state, linear node lookup. Kept as the measured
-/// baseline (the `matmul_ikj` pattern) — do not "fix" its hot paths.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum LegacyEv {
-    InputArrived(usize),
-    ComputeDone(usize),
-    ResultArrived(usize),
-}
-
-fn legacy_event_loop(
-    cluster: &Cluster,
-    tasks: &[SimTask],
-    assignment: &NodeAssignment,
-    config: SimConfig,
-) -> SimReport {
-    let controller = cluster.controller();
-    // The legacy star network resolved every link through a HashMap with
-    // a default fallback; the testbed never overrode a link, so the map
-    // stays empty and every lookup pays the hash-and-miss.
-    let legacy_links: HashMap<NodeId, Link> = HashMap::new();
-    let default_link = cluster.network().expect("star testbed").link(NodeId(1));
-    let link_of = |node: NodeId| legacy_links.get(&node).copied().unwrap_or(default_link);
-    // Legacy `Cluster::node`: a linear scan per event.
-    let node_of = |id: NodeId| cluster.nodes().iter().find(|n| n.id() == id).expect("validated");
-    let shared_key = NodeId(usize::MAX);
-    let link_key = |node: NodeId| match cluster.network().expect("star testbed").medium() {
-        MediumMode::PerNodeLink => node,
-        MediumMode::SharedMedium => shared_key,
-    };
-    let mut queue: EventQueue<LegacyEv> = EventQueue::new();
-    let mut link_free: HashMap<NodeId, f64> = HashMap::new();
-    let mut cpu_free: HashMap<NodeId, f64> = HashMap::new();
-    let mut link_busy: HashMap<NodeId, f64> = HashMap::new();
-    let mut node_busy: HashMap<NodeId, f64> = HashMap::new();
-    let mut timelines: Vec<Option<TaskTimeline>> = vec![None; tasks.len()];
-
-    let t0 = config.partition_overhead_s;
-    for i in 0..tasks.len() {
-        let Some(node) = assignment.node_of(i) else { continue };
-        let (transfer_start, arrive) = if node == controller {
-            (t0, t0)
-        } else {
-            let free = link_free.entry(link_key(node)).or_insert(t0);
-            let start = free.max(t0);
-            let dur = link_of(node).transfer_time(tasks[i].input_bits);
-            *free = start + dur;
-            *link_busy.entry(node).or_insert(0.0) += dur;
-            (start, start + dur)
-        };
-        timelines[i] = Some(TaskTimeline {
-            node,
-            transfer_start,
-            compute_start: 0.0,
-            compute_end: 0.0,
-            result_at: 0.0,
-        });
-        queue.schedule(arrive, LegacyEv::InputArrived(i));
-    }
-
-    let mut pending = assignment.scheduled_count();
-    let mut last_result = t0;
-    while let Some((now, ev)) = queue.pop_next() {
-        match ev {
-            LegacyEv::InputArrived(i) => {
-                let node = timelines[i].expect("scheduled task").node;
-                let free = cpu_free.entry(node).or_insert(now);
-                let start = free.max(now);
-                let dur = node_of(node).compute_time(tasks[i].input_bits);
-                *free = start + dur;
-                *node_busy.entry(node).or_insert(0.0) += dur;
-                let tl = timelines[i].as_mut().expect("scheduled task");
-                tl.compute_start = start;
-                tl.compute_end = start + dur;
-                queue.schedule(start + dur, LegacyEv::ComputeDone(i));
-            }
-            LegacyEv::ComputeDone(i) => {
-                let node = timelines[i].expect("scheduled task").node;
-                if node == controller {
-                    queue.schedule(now, LegacyEv::ResultArrived(i));
-                } else {
-                    let free = link_free.entry(link_key(node)).or_insert(now);
-                    let start = free.max(now);
-                    let dur = link_of(node).transfer_time(tasks[i].result_bits);
-                    *free = start + dur;
-                    *link_busy.entry(node).or_insert(0.0) += dur;
-                    queue.schedule(start + dur, LegacyEv::ResultArrived(i));
-                }
-            }
-            LegacyEv::ResultArrived(i) => {
-                timelines[i].as_mut().expect("scheduled task").result_at = now;
-                last_result = last_result.max(now);
-                pending -= 1;
-                if pending == 0 {
-                    break;
-                }
-            }
-        }
-    }
-
-    SimReport {
-        processing_time: last_result + config.decision_overhead_s,
-        timelines,
-        node_busy,
-        link_busy,
-    }
-}
 
 /// A seeded round-robin round over the cluster's workers: the same task
 /// stream for the star and mesh clusters of one node count.
@@ -183,12 +68,12 @@ fn events_per_sec(scheduled: usize, wall_ms: f64) -> f64 {
 }
 
 /// Runs the scale sweep; returns one trend row per
-/// `(engine, node count, thread cap)` cell plus one legacy-baseline row
-/// per node count.
+/// `(topology, node count, thread cap)` cell, each topology's speedups
+/// against its own 1-thread row.
 ///
 /// # Errors
 ///
-/// Propagates cluster construction and simulation failures.
+/// Propagates cluster and task construction failures.
 pub fn edgesim_scale(opts: &RunOpts) -> Result<Vec<Row>, Box<dyn Error>> {
     let reps = opts.pick(3, 1);
     let tasks_per_node = opts.pick(12, 3);
@@ -200,74 +85,31 @@ pub fn edgesim_scale(opts: &RunOpts) -> Result<Vec<Row>, Box<dyn Error>> {
         let config = SimConfig::default();
         println!("[edgesim scale: {nodes} nodes, {scheduled} tasks]");
 
-        // -- star: legacy baseline (serial by construction), then the
-        // current engine at each thread cap, bit-checked against legacy.
-        let star = Cluster::testbed_with_workers(nodes - 1)?;
-        parallel::set_max_threads(1);
-        let legacy_ms = time_ms(reps, || {
-            black_box(legacy_event_loop(&star, &tasks, &assignment, config));
-        });
-        parallel::set_max_threads(0);
-        let legacy_report = legacy_event_loop(&star, &tasks, &assignment, config);
-        println!(
-            "  star legacy: {} ev/s ({} ms)",
-            f1(events_per_sec(scheduled, legacy_ms)),
-            f1(legacy_ms),
-        );
-        rows.push(Row {
-            bench: format!("edgesim_scale_star{nodes}_legacy"),
-            threads: 1,
-            wall_ms: legacy_ms,
-            speedup: 1.0,
-        });
-        for &threads in &THREAD_COUNTS {
-            parallel::set_max_threads(threads);
-            let report = simulate(&star, &tasks, &assignment, config)?;
-            assert_eq!(
-                report.processing_time.to_bits(),
-                legacy_report.processing_time.to_bits(),
-                "star engine must match the legacy core bitwise",
-            );
-            let wall = time_ms(reps, || {
-                black_box(simulate(&star, &tasks, &assignment, config).expect("simulate"));
-            });
-            parallel::set_max_threads(0);
-            println!(
-                "  star {threads}t: {} ev/s ({} ms, {}x vs legacy)",
-                f1(events_per_sec(scheduled, wall)),
-                f1(wall),
-                f1(legacy_ms / wall.max(1e-9)),
-            );
-            rows.push(Row {
-                bench: format!("edgesim_scale_star{nodes}"),
-                threads,
-                wall_ms: wall,
-                speedup: legacy_ms / wall.max(1e-9),
-            });
-        }
-
-        // -- mesh: the fluid engine on the seeded grid-with-chords
-        // testbed; speedup is against the mesh's own serial row.
-        let mesh = Cluster::mesh_testbed(MeshSpec::new(nodes, opts.seed ^ 0x3E5))?;
-        let mut mesh_serial_ms = None;
-        for &threads in &THREAD_COUNTS {
-            parallel::set_max_threads(threads);
-            let wall = time_ms(reps, || {
-                black_box(simulate(&mesh, &tasks, &assignment, config).expect("simulate"));
-            });
-            parallel::set_max_threads(0);
-            let base = *mesh_serial_ms.get_or_insert(wall);
-            println!(
-                "  mesh {threads}t: {} ev/s ({} ms)",
-                f1(events_per_sec(scheduled, wall)),
-                f1(wall),
-            );
-            rows.push(Row {
-                bench: format!("edgesim_scale_mesh{nodes}"),
-                threads,
-                wall_ms: wall,
-                speedup: base / wall.max(1e-9),
-            });
+        let worlds = [
+            ("star", Cluster::testbed_with_workers(nodes - 1)?),
+            ("mesh", Cluster::mesh_testbed(MeshSpec::new(nodes, opts.seed ^ 0x3E5))?),
+        ];
+        for (topology, cluster) in &worlds {
+            let mut serial_ms = None;
+            for &threads in &THREAD_COUNTS {
+                parallel::set_max_threads(threads);
+                let wall = time_ms(reps, || {
+                    black_box(simulate(cluster, &tasks, &assignment, config).expect("simulate"));
+                });
+                parallel::set_max_threads(0);
+                let base = *serial_ms.get_or_insert(wall);
+                println!(
+                    "  {topology} {threads}t: {} ev/s ({} ms)",
+                    f1(events_per_sec(scheduled, wall)),
+                    f1(wall),
+                );
+                rows.push(Row {
+                    bench: format!("edgesim_scale_{topology}{nodes}"),
+                    threads,
+                    wall_ms: wall,
+                    speedup: base / wall.max(1e-9),
+                });
+            }
         }
     }
     Ok(rows)

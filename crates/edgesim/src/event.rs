@@ -2,7 +2,9 @@
 //!
 //! Events carry an `f64` timestamp and a user payload; ties are broken by
 //! insertion order so simulations are fully reproducible. This engine drives
-//! [`crate::run`]'s transmission/compute pipeline.
+//! [`crate::run`]'s transmission/compute pipeline. The production queue is
+//! [`CalendarQueue`]; the one-global-`BinaryHeap` queue it replaced lives
+//! on in this module's tests as the oracle its pop order is held to.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -35,84 +37,13 @@ impl<T: PartialEq> Ord for Scheduled<T> {
     }
 }
 
-/// An event queue ordered by time, FIFO among equal times.
-///
-/// # Examples
-///
-/// ```
-/// use edgesim::event::EventQueue;
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(2.0, "later");
-/// q.schedule(1.0, "sooner");
-/// assert_eq!(q.pop_next(), Some((1.0, "sooner")));
-/// assert_eq!(q.pop_next(), Some((2.0, "later")));
-/// assert_eq!(q.pop_next(), None);
-/// ```
-#[derive(Debug, Clone)]
-pub struct EventQueue<T> {
-    heap: BinaryHeap<Scheduled<T>>,
-    seq: u64,
-    now: f64,
-}
-
-impl<T: PartialEq> EventQueue<T> {
-    /// Creates an empty queue at time zero.
-    pub fn new() -> Self {
-        Self { heap: BinaryHeap::new(), seq: 0, now: 0.0 }
-    }
-
-    /// Current simulation time: the timestamp of the last popped event.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules `payload` at absolute time `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is non-finite or earlier than the current time
-    /// (events cannot be scheduled in the past).
-    pub fn schedule(&mut self, time: f64, payload: T) {
-        assert!(time.is_finite(), "event time must be finite");
-        assert!(time + 1e-12 >= self.now, "cannot schedule in the past: {time} < {}", self.now);
-        self.heap.push(Scheduled { time, seq: self.seq, payload });
-        self.seq += 1;
-    }
-
-    /// Pops the earliest event, advancing the clock to its timestamp.
-    /// (Named `pop_next` rather than `next` to avoid reading like
-    /// `Iterator::next`.)
-    pub fn pop_next(&mut self) -> Option<(f64, T)> {
-        let ev = self.heap.pop()?;
-        self.now = ev.time;
-        Some((ev.time, ev.payload))
-    }
-}
-
-impl<T: PartialEq> Default for EventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Smallest bucket count a [`CalendarQueue`] will shrink to.
 const MIN_BUCKETS: usize = 16;
 /// Largest bucket count a [`CalendarQueue`] will grow to.
 const MAX_BUCKETS: usize = 1 << 20;
 
-/// An indexed calendar (bucket) queue with the same ordering contract as
-/// [`EventQueue`]: earliest time first, FIFO among equal timestamps.
+/// An indexed calendar (bucket) queue: earliest time first, FIFO among
+/// equal timestamps.
 ///
 /// Events hash into `buckets.len()` time slices of `width` seconds each
 /// (`bucket = floor(time / width) mod buckets`); popping walks the calendar
@@ -126,11 +57,11 @@ const MAX_BUCKETS: usize = 1 << 20;
 /// span) when the population drifts out of balance with the calendar, so no
 /// tuning is needed.
 ///
-/// The pop order is *identical* to [`EventQueue`]'s — same `(time, seq)`
-/// key, same FIFO tie-break — which `tests/properties.rs` pins with a
-/// proptest over random insert/pop interleavings. The engines in
-/// [`crate::run`] rely on that equivalence: swapping the queue cannot move
-/// a single event.
+/// The pop order is *identical* to that of one global `BinaryHeap` keyed
+/// `(time, seq)` — same key, same FIFO tie-break — which this module's
+/// tests pin with a proptest over random insert/pop interleavings against
+/// that heap. The engine in [`crate::run`] relies on the equivalence: the
+/// calendar cannot move a single event.
 ///
 /// # Examples
 ///
@@ -483,6 +414,59 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The reference queue [`CalendarQueue`] is held to: one global
+    /// `BinaryHeap` ordered by time, FIFO among equal times.
+    #[derive(Debug, Clone)]
+    struct EventQueue<T> {
+        heap: BinaryHeap<Scheduled<T>>,
+        seq: u64,
+        now: f64,
+    }
+
+    impl<T: PartialEq> EventQueue<T> {
+        /// Creates an empty queue at time zero.
+        fn new() -> Self {
+            Self { heap: BinaryHeap::new(), seq: 0, now: 0.0 }
+        }
+
+        /// Current simulation time: the timestamp of the last popped event.
+        fn now(&self) -> f64 {
+            self.now
+        }
+
+        /// Number of pending events.
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        /// `true` when no events are pending.
+        fn is_empty(&self) -> bool {
+            self.heap.is_empty()
+        }
+
+        /// Schedules `payload` at absolute time `time`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `time` is non-finite or earlier than the current time
+        /// (events cannot be scheduled in the past).
+        fn schedule(&mut self, time: f64, payload: T) {
+            assert!(time.is_finite(), "event time must be finite");
+            assert!(time + 1e-12 >= self.now, "cannot schedule in the past: {time} < {}", self.now);
+            self.heap.push(Scheduled { time, seq: self.seq, payload });
+            self.seq += 1;
+        }
+
+        /// Pops the earliest event, advancing the clock to its timestamp.
+        /// (Named `pop_next` rather than `next` to avoid reading like
+        /// `Iterator::next`.)
+        fn pop_next(&mut self) -> Option<(f64, T)> {
+            let ev = self.heap.pop()?;
+            self.now = ev.time;
+            Some((ev.time, ev.payload))
+        }
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
@@ -745,6 +729,52 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The calendar queue must replay the `BinaryHeap` reference
+        /// exactly — same pop times (bitwise) and same payloads, including
+        /// FIFO order among same-timestamp ties — across random
+        /// schedule/pop interleavings that drive it through grow/shrink
+        /// resizes and bucket-rotation fallbacks.
+        #[test]
+        fn calendar_matches_heap_on_random_interleavings(
+            ops in prop::collection::vec((0u8..2, 0.0f64..50.0, 0usize..4), 1..300),
+        ) {
+            let mut cal: CalendarQueue<u32> = CalendarQueue::new();
+            let mut heap: EventQueue<u32> = EventQueue::new();
+            let mut next = 0u32;
+            for (pop, dt, dup) in ops {
+                if pop == 1 {
+                    match (cal.pop_next(), heap.pop_next()) {
+                        (Some((tc, vc)), Some((th, vh))) => {
+                            prop_assert_eq!(tc.to_bits(), th.to_bits());
+                            prop_assert_eq!(vc, vh);
+                        }
+                        (None, None) => {}
+                        (c, h) => prop_assert!(false, "divergence: {:?} vs {:?}", c, h),
+                    }
+                } else {
+                    // dup+1 events at one timestamp exercise the FIFO
+                    // tie-break; the time base is whichever clock both
+                    // queues share (they pop in lockstep).
+                    let t = cal.now() + dt;
+                    for _ in 0..=dup {
+                        cal.schedule(t, next);
+                        heap.schedule(t, next);
+                        next += 1;
+                    }
+                }
+            }
+            loop {
+                match (cal.pop_next(), heap.pop_next()) {
+                    (Some((tc, vc)), Some((th, vh))) => {
+                        prop_assert_eq!(tc.to_bits(), th.to_bits());
+                        prop_assert_eq!(vc, vh);
+                    }
+                    (None, None) => break,
+                    (c, h) => prop_assert!(false, "drain divergence: {:?} vs {:?}", c, h),
+                }
+            }
+        }
 
         /// Calendar + indexed heap with shared tickets pops exactly what
         /// one lazily-deleting queue pops — times bitwise, same-timestamp

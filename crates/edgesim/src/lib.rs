@@ -17,14 +17,16 @@
 //! * [`node`] — device models and compute rates.
 //! * [`network`] — star WiFi links and bandwidth sweeps, plus CSR mesh
 //!   topologies with per-hop links and build-time routing.
-//! * [`event`] — deterministic discrete-event queues: the reference
-//!   `BinaryHeap` [`event::EventQueue`] and the indexed
-//!   [`event::CalendarQueue`] with the identical `(time, seq)` FIFO
-//!   contract.
+//! * [`event`] — the deterministic discrete-event queue: the indexed
+//!   [`event::CalendarQueue`] with its `(time, seq)` FIFO contract (the
+//!   one-global-`BinaryHeap` queue it replaced is the oracle in that
+//!   module's tests, not part of the API).
 //! * [`cluster`] — Fig. 8 testbed assembly and variants; seeded
 //!   grid-with-chords mesh testbeds ([`cluster::Cluster::mesh_testbed`]).
 //! * [`run`] — executing a task→node assignment, producing a [`run::SimReport`];
 //!   fault-aware execution with retries via [`run::simulate_with_faults`].
+//!   One task lifecycle drives both topologies, generic over how a
+//!   transfer is carried (star FIFO reservations or mesh flows).
 //! * [`faults`] — seeded deterministic crash/link/straggler schedules.
 //! * [`trace`] — CSV execution traces, failure logs, per-node utilisation.
 //!

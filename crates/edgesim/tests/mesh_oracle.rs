@@ -1,6 +1,6 @@
 //! An independent oracle for the mesh engine's contention model: a
-//! fixed-step proportional-share stepper that shares no code with
-//! `MeshSim` — no events, no dirty edges, no cached grants, no routing.
+//! fixed-step proportional-share stepper that shares no code with the fluid
+//! transport — no events, no dirty edges, no cached grants, no routing.
 //!
 //! Every step it recomputes, for every edge, the total size of the
 //! transfers crossing it, gives each transfer the share
@@ -218,12 +218,12 @@ proptest! {
             let t = report.timelines[i].expect("scheduled task has a timeline");
             prop_assert!(
                 (t.compute_start - p.input_arrived).abs() <= TOLERANCE,
-                "task {i}: input arrives at {} in MeshSim, {} in the stepper",
+                "task {i}: input arrives at {} in the engine, {} in the stepper",
                 t.compute_start, p.input_arrived
             );
             prop_assert!(
                 (t.result_at - p.result_arrived).abs() <= TOLERANCE,
-                "task {i}: result arrives at {} in MeshSim, {} in the stepper",
+                "task {i}: result arrives at {} in the engine, {} in the stepper",
                 t.result_at, p.result_arrived
             );
         }

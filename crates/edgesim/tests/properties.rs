@@ -3,8 +3,11 @@
 
 use edgesim::cluster::Cluster;
 use edgesim::faults::FaultSchedule;
+use edgesim::network::MediumMode;
 use edgesim::node::NodeId;
-use edgesim::run::{simulate, simulate_with_faults, NodeAssignment, SimConfig, SimTask};
+use edgesim::run::{
+    simulate, simulate_with_faults, NodeAssignment, RetryPolicy, SimConfig, SimReport, SimTask,
+};
 use proptest::prelude::*;
 
 fn workload() -> impl Strategy<Value = (Vec<SimTask>, NodeAssignment)> {
@@ -30,6 +33,31 @@ fn config() -> SimConfig {
         enforce_capacity: false,
         ..SimConfig::default()
     }
+}
+
+/// Every number of a report as raw bits: PT, each timeline in task order
+/// (`None` marked), then both busy ledgers sorted by node id.
+fn report_bits(r: &SimReport) -> Vec<u64> {
+    let mut bits = vec![r.processing_time.to_bits()];
+    for tl in &r.timelines {
+        match tl {
+            None => bits.push(u64::MAX),
+            Some(tl) => bits.extend([
+                tl.node.0 as u64,
+                tl.transfer_start.to_bits(),
+                tl.compute_start.to_bits(),
+                tl.compute_end.to_bits(),
+                tl.result_at.to_bits(),
+            ]),
+        }
+    }
+    for ledger in [&r.node_busy, &r.link_busy] {
+        let mut rows: Vec<(NodeId, u64)> = ledger.iter().map(|(&n, s)| (n, s.to_bits())).collect();
+        rows.sort_by_key(|&(n, _)| n);
+        bits.push(rows.len() as u64);
+        bits.extend(rows.into_iter().flat_map(|(n, s)| [n.0 as u64, s]));
+    }
+    bits
 }
 
 proptest! {
@@ -83,23 +111,42 @@ proptest! {
         prop_assert!(less <= full + 1e-9, "dropping task {idx} raised PT: {less} > {full}");
     }
 
+    /// The event-driven engine with nothing to inject is the healthy round,
+    /// to the bit — on both media, on placements folded onto at most three
+    /// nodes (the controller among them), and with heartbeats that re-arm
+    /// every 0.05 s in the middle of every leg (`timeout_factor` 0) as well
+    /// as ones that outlast the attempt (3).
     #[test]
-    fn empty_fault_schedule_matches_plain_simulate((tasks, assignment) in workload()) {
-        let cluster = Cluster::paper_testbed().expect("testbed");
-        let plain = simulate(&cluster, &tasks, &assignment, config()).expect("simulate");
+    fn empty_fault_schedule_matches_plain_simulate(
+        (tasks, spread) in workload(),
+        shared in 0u8..2,
+        skew in prop::option::of(prop::collection::vec(0usize..10, 1..4)),
+        eager in 0u8..2,
+    ) {
+        let mut cluster = Cluster::paper_testbed().expect("testbed");
+        if shared == 1 {
+            cluster.network_mut().expect("star testbed").set_medium(MediumMode::SharedMedium);
+        }
+        let mut assignment = spread;
+        if let Some(hosts) = skew {
+            for i in 0..tasks.len() {
+                if assignment.node_of(i).is_some() {
+                    assignment.assign(i, Some(NodeId(hosts[i % hosts.len()])));
+                }
+            }
+        }
+        let timeout_factor = if eager == 1 { 0.0 } else { 3.0 };
+        let config =
+            SimConfig { retry: RetryPolicy { timeout_factor, ..RetryPolicy::default() }, ..config() };
+        let plain = simulate(&cluster, &tasks, &assignment, config).expect("simulate");
         let faulty =
-            simulate_with_faults(&cluster, &tasks, &assignment, config(), &FaultSchedule::new())
+            simulate_with_faults(&cluster, &tasks, &assignment, config, &FaultSchedule::new())
                 .expect("fault run");
-        prop_assert_eq!(
-            plain.processing_time.to_bits(),
-            faulty.processing_time.to_bits(),
-            "PT diverged: {} vs {}", plain.processing_time, faulty.processing_time
-        );
-        prop_assert_eq!(&plain.timelines, &faulty.timelines);
-        prop_assert_eq!(&plain.node_busy, &faulty.node_busy);
-        prop_assert_eq!(&plain.link_busy, &faulty.link_busy);
+        prop_assert_eq!(report_bits(&plain), report_bits(&faulty.to_sim_report()));
         prop_assert!(faulty.failures.is_empty());
         prop_assert!(faulty.down_at_end.is_empty());
+        prop_assert_eq!(faulty.completed_count(), assignment.scheduled_count());
+        prop_assert!(faulty.attempts.iter().all(|&a| a <= 1));
     }
 
     #[test]
@@ -204,60 +251,6 @@ fn edgesim_step_bit_identical_across_thread_counts_under_faults() {
             faulty_ref.processing_time.to_bits(),
             "faulted PT bits diverged at {threads} threads"
         );
-    }
-}
-
-/// The calendar queue must replay the `BinaryHeap` reference exactly —
-/// same pop times (bitwise) and same payloads, including FIFO order among
-/// same-timestamp ties — across random schedule/pop interleavings that
-/// drive it through grow/shrink resizes and bucket-rotation fallbacks.
-mod calendar_queue_equivalence {
-    use edgesim::event::{CalendarQueue, EventQueue};
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        #[test]
-        fn calendar_matches_heap_on_random_interleavings(
-            ops in prop::collection::vec((0u8..2, 0.0f64..50.0, 0usize..4), 1..300),
-        ) {
-            let mut cal: CalendarQueue<u32> = CalendarQueue::new();
-            let mut heap: EventQueue<u32> = EventQueue::new();
-            let mut next = 0u32;
-            for (pop, dt, dup) in ops {
-                if pop == 1 {
-                    match (cal.pop_next(), heap.pop_next()) {
-                        (Some((tc, vc)), Some((th, vh))) => {
-                            prop_assert_eq!(tc.to_bits(), th.to_bits());
-                            prop_assert_eq!(vc, vh);
-                        }
-                        (None, None) => {}
-                        (c, h) => prop_assert!(false, "divergence: {:?} vs {:?}", c, h),
-                    }
-                } else {
-                    // dup+1 events at one timestamp exercise the FIFO
-                    // tie-break; the time base is whichever clock both
-                    // queues share (they pop in lockstep).
-                    let t = cal.now() + dt;
-                    for _ in 0..=dup {
-                        cal.schedule(t, next);
-                        heap.schedule(t, next);
-                        next += 1;
-                    }
-                }
-            }
-            loop {
-                match (cal.pop_next(), heap.pop_next()) {
-                    (Some((tc, vc)), Some((th, vh))) => {
-                        prop_assert_eq!(tc.to_bits(), th.to_bits());
-                        prop_assert_eq!(vc, vh);
-                    }
-                    (None, None) => break,
-                    (c, h) => prop_assert!(false, "drain divergence: {:?} vs {:?}", c, h),
-                }
-            }
-        }
     }
 }
 
