@@ -61,7 +61,7 @@ fn bench_prediction(c: &mut Criterion) {
             })
             .expect("record");
     }
-    let mut crl = Crl::new(
+    let crl = Crl::new(
         store,
         CrlConfig {
             episodes: 20,

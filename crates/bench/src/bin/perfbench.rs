@@ -441,7 +441,7 @@ fn run(args: &Args) -> Result<Report, Box<dyn Error>> {
     let instance = crl_instance(&scenario);
 
     rows.extend(versus("crl_pretrain", args.threads, reps, || {
-        let mut crl = CrlAllocator::with_store(store.clone(), crl_config.clone());
+        let crl = CrlAllocator::with_store(store.clone(), crl_config.clone());
         crl.pretrain(&instance).expect("pretrain");
     }));
 

@@ -3,14 +3,15 @@
 
 use crate::allocation::Allocation;
 use crate::tatim::TatimInstance;
-use rl::crl::{
-    Crl, CrlAllocation, CrlConfig, CrlError, EnvironmentRecord, EnvironmentStore, SharedCrl,
-};
+use rl::crl::{Crl, CrlAllocation, CrlConfig, CrlError, EnvironmentRecord, EnvironmentStore};
 
 /// CRL allocator over [`TatimInstance`]s.
 ///
-/// Holds the historical environment store and the per-environment agent
-/// cache; see [`rl::crl::Crl`] for the underlying Algorithm 1 machinery.
+/// Holds the historical environment store and one agent per environment;
+/// see [`rl::crl::Crl`] for the Algorithm 1 machinery and the contract that
+/// makes every method but [`Self::observe`] `&self`: an agent is a function
+/// of the seed, its context and the geometry bound once, never of which
+/// request trained it.
 #[derive(Debug)]
 pub struct CrlAllocator {
     crl: Crl,
@@ -27,19 +28,10 @@ pub struct CrlOutcome {
     pub cache_hit: bool,
 }
 
-fn outcome(allocation: CrlAllocation) -> CrlOutcome {
-    let CrlAllocation { assignment, estimated_importances, cache_hit, .. } = allocation;
-    CrlOutcome {
-        allocation: Allocation::from_placement(assignment),
-        estimated_importances,
-        cache_hit,
-    }
-}
-
 impl CrlAllocator {
     /// Creates an allocator with an empty environment store.
     pub fn new(config: CrlConfig) -> Self {
-        Self { crl: Crl::new(EnvironmentStore::new(), config) }
+        Self::with_store(EnvironmentStore::new(), config)
     }
 
     /// Creates an allocator over a pre-populated store.
@@ -48,6 +40,8 @@ impl CrlAllocator {
     }
 
     /// Records a historical `(sensing signature, importance vector)` pair.
+    /// Agents whose environment the new record leaves bit-identical are
+    /// kept ([`rl::crl::Crl::observe`]).
     ///
     /// # Errors
     ///
@@ -61,90 +55,33 @@ impl CrlAllocator {
         self.crl.store().len()
     }
 
-    /// Number of cached trained agents.
-    pub fn cached_agents(&self) -> usize {
-        self.crl.cached_agents()
-    }
-
-    /// Trains an agent for every environment the store can produce, in
-    /// parallel, so later [`Self::allocate`] calls are pure cache hits.
-    /// Returns the number of agents trained; see [`rl::crl::Crl::pretrain`]
-    /// for the determinism contract.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CrlError`].
-    pub fn pretrain(&mut self, instance: &TatimInstance) -> Result<usize, CrlError> {
-        self.crl.pretrain(&instance.to_alloc_spec())
-    }
-
-    /// Allocates `instance` for the context described by `signature`.
-    /// The instance's own importances are ignored — CRL substitutes its
-    /// clustered estimate, which is the whole point of the method.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CrlError`].
-    pub fn allocate(
-        &mut self,
-        instance: &TatimInstance,
-        signature: &[f64],
-    ) -> Result<CrlOutcome, CrlError> {
-        Ok(outcome(self.crl.allocate(signature, &instance.to_alloc_spec())?))
-    }
-
-    /// Converts this allocator into a thread-shareable
-    /// [`SharedCrlAllocator`] bound to `instance`'s task geometry — the
-    /// core-side face of [`rl::crl::Crl::freeze`]. Any agents already
-    /// cached here are discarded; the frozen allocator retrains them
-    /// race-free with the `pretrain` seed formula, so its allocations are
-    /// bit-identical to a pretrained mutable allocator's.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CrlError`] (empty store, shape mismatch).
-    pub fn freeze(self, instance: &TatimInstance) -> Result<SharedCrlAllocator, CrlError> {
-        Ok(SharedCrlAllocator { crl: self.crl.freeze(&instance.to_alloc_spec())? })
-    }
-}
-
-/// A frozen, `&self`-only CRL allocator over [`TatimInstance`]s (see
-/// [`CrlAllocator::freeze`]); safe to share across request threads.
-#[derive(Debug)]
-pub struct SharedCrlAllocator {
-    crl: SharedCrl,
-}
-
-impl SharedCrlAllocator {
-    /// Number of stored environments.
-    pub fn store_len(&self) -> usize {
-        self.crl.store().len()
-    }
-
     /// Number of agents trained so far.
     pub fn cached_agents(&self) -> usize {
         self.crl.cached_agents()
     }
 
-    /// Trains every key's agent up front, in parallel. Returns the number
-    /// trained now.
+    /// The underlying CRL — exposes environment definition, geometry
+    /// binding and per-key agents (batched Q-value serving reads them).
+    pub fn shared(&self) -> &Crl {
+        &self.crl
+    }
+
+    /// Trains an agent for every environment the store can produce, in
+    /// parallel, so later [`Self::allocate`] calls are pure cache hits.
+    /// Returns the number of agents trained now. It moves work, not
+    /// answers ([`rl::crl::Crl::pretrain`]).
     ///
     /// # Errors
     ///
     /// Propagates [`CrlError`].
-    pub fn pretrain_all(&self) -> Result<usize, CrlError> {
-        self.crl.pretrain_all()
+    pub fn pretrain(&self, instance: &TatimInstance) -> Result<usize, CrlError> {
+        self.crl.pretrain(&instance.to_alloc_spec())
     }
 
-    /// The underlying frozen CRL — exposes per-key agents for batched
-    /// Q-value serving.
-    pub fn shared(&self) -> &SharedCrl {
-        &self.crl
-    }
-
-    /// Allocates `instance` for `signature`, lazily (and race-free)
-    /// training the context's agent on first touch. Matches
-    /// [`CrlAllocator::allocate`] on a pretrained allocator bit for bit.
+    /// Allocates `instance` for the context described by `signature`,
+    /// training the context's agent (race-free) on first touch. The
+    /// instance's own importances are ignored — CRL substitutes its
+    /// clustered estimate, which is the whole point of the method.
     ///
     /// # Errors
     ///
@@ -154,7 +91,13 @@ impl SharedCrlAllocator {
         instance: &TatimInstance,
         signature: &[f64],
     ) -> Result<CrlOutcome, CrlError> {
-        Ok(outcome(self.crl.allocate(signature, &instance.to_alloc_spec())?))
+        let CrlAllocation { assignment, estimated_importances, cache_hit, .. } =
+            self.crl.allocate(signature, &instance.to_alloc_spec())?;
+        Ok(CrlOutcome {
+            allocation: Allocation::from_placement(assignment),
+            estimated_importances,
+            cache_hit,
+        })
     }
 }
 
@@ -229,7 +172,7 @@ mod tests {
 
     #[test]
     fn empty_store_errors() {
-        let mut alloc = CrlAllocator::new(config());
+        let alloc = CrlAllocator::new(config());
         assert!(matches!(alloc.allocate(&instance(3), &[0.0]), Err(CrlError::EmptyStore)));
     }
 

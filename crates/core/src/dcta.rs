@@ -107,13 +107,11 @@ pub struct DctaOutcome {
 /// The cooperative step of Eq. 6: the local process `F2` and the weights.
 ///
 /// It owns no general process. The caller runs its one [`CrlAllocator`]
-/// (or frozen [`SharedCrlAllocator`]) and hands the outcome to
-/// [`Self::allocate`], so CRL and DCTA share every trained agent and the
-/// allocator itself is immutable — `&self` serves the batch pipeline and
-/// the concurrent core alike.
+/// and hands the outcome to [`Self::allocate`], so CRL and DCTA share every
+/// trained agent and the allocator itself is immutable — `&self` serves the
+/// batch pipeline and the concurrent core alike.
 ///
 /// [`CrlAllocator`]: crate::crl_alloc::CrlAllocator
-/// [`SharedCrlAllocator`]: crate::crl_alloc::SharedCrlAllocator
 #[derive(Debug)]
 pub struct DctaAllocator {
     local: LocalProcess,

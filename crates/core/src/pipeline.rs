@@ -13,7 +13,7 @@ use crate::availability::{
 };
 use crate::baselines::{dml_balanced, random_mapping};
 use crate::cache::{CacheStats, ImportanceCache};
-use crate::crl_alloc::{CrlAllocator, CrlOutcome};
+use crate::crl_alloc::CrlAllocator;
 use crate::dcta::{DctaAllocator, DctaError};
 use crate::features::{local_features, TaskHistory};
 use crate::importance::{prediction_features, CopModels, ImportanceError, ImportanceEvaluator};
@@ -670,9 +670,10 @@ impl Pipeline {
         }
         let local = LocalProcess::train(local_rows, local_labels, cfg.local_kind, cfg.seed)?;
         let dcta = DctaAllocator::new(local, cfg.weights.0, cfg.weights.1)?;
+        // Every agent trains against the blind geometry, whichever request —
+        // and whichever objective's fleet — reaches its context first.
+        crl.shared().bind(&blind.to_alloc_spec())?;
         if pretrain {
-            // Eagerly train an agent per environment so the first online
-            // allocation of each context is a pure cache hit.
             crl.pretrain(&blind)?;
         }
 
@@ -687,13 +688,14 @@ impl Pipeline {
                 route_factors,
                 blind_routed,
                 true_importances,
+                crl,
                 dcta,
                 history,
                 cache,
                 availability: availability
                     .unwrap_or_else(|| AvailabilityModel::new(cfg.availability)),
             },
-            batch: Batch { crl, rng: StdRng::seed_from_u64(cfg.seed ^ 0x51AB) },
+            rng: StdRng::seed_from_u64(cfg.seed ^ 0x51AB),
         })
     }
 }
@@ -745,7 +747,9 @@ impl PipelineBuilder {
     /// Eagerly trains a CRL agent per stored environment during the offline
     /// phase, so the first online allocation of each context — by
     /// [`Method::Crl`] or [`Method::Dcta`], which share the agents — skips
-    /// training. Off by default: it front-loads work sweeps may never need.
+    /// training. It moves work and changes no answer: these are the agents
+    /// first touch would have trained. Off by default: it front-loads work
+    /// sweeps may never need.
     #[must_use]
     pub fn pretrain(mut self, on: bool) -> Self {
         self.pretrain = on;
@@ -789,35 +793,16 @@ pub(crate) trait Face {
     /// posterior.
     const LEARNS_AVAILABILITY: bool;
 
-    /// The general process's outcome for the context `signature`.
-    fn general(&mut self, blind: &TatimInstance, signature: &[f64])
-        -> Result<CrlOutcome, CrlError>;
-
     /// The [`Method::RandomMapping`] draw of `day` under master seed `seed`.
     fn random_mapping(&mut self, blind: &TatimInstance, seed: u64, day: usize) -> Allocation;
 }
 
-/// The batch face: lazily trained agents and one sequential
-/// `RandomMapping` stream, both behind `&mut`.
-#[derive(Debug)]
-struct Batch {
-    crl: CrlAllocator,
-    rng: StdRng,
-}
-
-impl Face for Batch {
+/// The batch face is its one sequential `RandomMapping` stream.
+impl Face for StdRng {
     const LEARNS_AVAILABILITY: bool = true;
 
-    fn general(
-        &mut self,
-        blind: &TatimInstance,
-        signature: &[f64],
-    ) -> Result<CrlOutcome, CrlError> {
-        self.crl.allocate(blind, signature)
-    }
-
     fn random_mapping(&mut self, blind: &TatimInstance, _seed: u64, _day: usize) -> Allocation {
-        random_mapping(blind, &mut self.rng)
+        random_mapping(blind, self)
     }
 }
 
@@ -838,6 +823,9 @@ pub(crate) struct Prepared {
     /// route-cost objective solves over.
     blind_routed: TatimInstance,
     pub(crate) true_importances: Vec<Vec<f64>>,
+    /// The one general process: [`Method::Crl`]'s allocator, whose outcome
+    /// [`Method::Dcta`] feeds to the cooperative step.
+    pub(crate) crl: CrlAllocator,
     dcta: DctaAllocator,
     history: TaskHistory,
     pub(crate) cache: ImportanceCache,
@@ -913,9 +901,11 @@ impl Prepared {
                     Method::GreedyOracle | Method::ExactOracle => {
                         Some(self.true_importances[day].clone())
                     }
-                    Method::Crl => Some(face.general(blind, &ctx.sensing)?.estimated_importances),
+                    Method::Crl => {
+                        Some(self.crl.allocate(blind, &ctx.sensing)?.estimated_importances)
+                    }
                     Method::Dcta => {
-                        let general = face.general(blind, &ctx.sensing)?;
+                        let general = self.crl.allocate(blind, &ctx.sensing)?;
                         let rows = self.local_rows(day);
                         Some(self.dcta.allocate(blind, general, &rows)?.combined_scores)
                     }
@@ -978,9 +968,9 @@ impl Prepared {
                 *certificate = report.certificate;
                 report.allocation
             }
-            Method::Crl => face.general(blind, &ctx.sensing)?.allocation,
+            Method::Crl => self.crl.allocate(blind, &ctx.sensing)?.allocation,
             Method::Dcta => {
-                let general = face.general(blind, &ctx.sensing)?;
+                let general = self.crl.allocate(blind, &ctx.sensing)?;
                 self.dcta.allocate(blind, general, &self.local_rows(day))?.allocation
             }
         })
@@ -1230,15 +1220,14 @@ impl Prepared {
 ///
 /// It holds one general process: [`Method::Dcta`] feeds [`Method::Crl`]'s
 /// outcome to the cooperative step, so whichever request touches a context
-/// first trains the agent both then use. Without `.pretrain(true)` agents
-/// draw from one RNG stream in first-touch order — reproducible for a fixed
-/// request sequence; pretrained and frozen agents are seeded per context
-/// and no order matters (DESIGN.md §17, `tests/general_process.rs`).
+/// first trains the agent both then use — and, agents being seeded per
+/// context, trains the same agent any other request would have (DESIGN.md
+/// §21, `tests/touch_order.rs`).
 #[derive(Debug)]
 pub struct PreparedPipeline<'a> {
     scenario: &'a Scenario,
     state: Prepared,
-    batch: Batch,
+    rng: StdRng,
 }
 
 impl<'a> PreparedPipeline<'a> {
@@ -1309,6 +1298,11 @@ impl<'a> PreparedPipeline<'a> {
         self.state.instance_for_day(day)
     }
 
+    /// The general process (store size, trained agents, per-key agents).
+    pub fn crl(&self) -> &CrlAllocator {
+        &self.state.crl
+    }
+
     /// The cooperative step [`Method::Dcta`] applies to the general
     /// process's outcome.
     pub fn dcta(&self) -> &DctaAllocator {
@@ -1339,7 +1333,7 @@ impl<'a> PreparedPipeline<'a> {
     /// wrong length or with an entry outside `[0, 1]`; otherwise see
     /// [`PipelineError`] variants.
     pub fn allocate(&mut self, query: &AllocQuery) -> Result<AllocOutcome, PipelineError> {
-        self.state.allocate(&mut self.batch, query)
+        self.state.allocate(&mut self.rng, query)
     }
 
     /// The per-processor route budget factors of the prepared cluster
@@ -1361,7 +1355,7 @@ impl<'a> PreparedPipeline<'a> {
     pub fn observe_day(&mut self, day: usize) -> Result<(), PipelineError> {
         self.state.check_day(day)?;
         let sensing = self.scenario.day(day).sensing.clone();
-        Ok(self.batch.crl.observe(sensing, self.state.true_importances[day].clone())?)
+        Ok(self.state.crl.observe(sensing, self.state.true_importances[day].clone())?)
     }
 
     /// Executes one evaluation run described by `spec`. A fault-free spec
@@ -1375,7 +1369,7 @@ impl<'a> PreparedPipeline<'a> {
     /// See [`PipelineError`] variants.
     pub fn run(&mut self, spec: &RunSpec) -> Result<RunReport, PipelineError> {
         let _threads = spec.threads.map(parallel::ScopedThreads::new);
-        self.state.run(&mut self.batch, spec)
+        self.state.run(&mut self.rng, spec)
     }
 
     /// Executes a pre-computed allocation (used by sweeps that vary the
@@ -1396,20 +1390,17 @@ impl<'a> PreparedPipeline<'a> {
 
     /// Freezes this pipeline into a [`crate::shared::PreparedCore`] — the
     /// `Send + Sync`, `&self`-only form a serving layer shares across
-    /// request threads. The prepared state moves over as it is; the general
-    /// process is frozen, which retrains any lazily-cached CRL agents
-    /// race-free with the `pretrain` per-key seed formula, so for every
-    /// method except [`Method::RandomMapping`] the core's runs are
-    /// bit-identical to this pipeline's with `.pretrain(true)` (the
-    /// `shared` module docs list what differs).
+    /// request threads. The prepared state moves over as it is, every agent
+    /// already trained included, so for every method except
+    /// [`Method::RandomMapping`] the core's runs are bit-identical to this
+    /// pipeline's (the `shared` module docs list what differs).
     ///
     /// # Errors
     ///
-    /// Propagates [`CrlError`] from freezing the general process (e.g. an
-    /// empty environment store).
+    /// None: whatever could fail already did in `prepare`. The `Result` is
+    /// what callers have always unwrapped.
     pub fn into_core(self) -> Result<crate::shared::PreparedCore, PipelineError> {
-        let crl = self.batch.crl.freeze(&self.state.blind)?;
-        Ok(crate::shared::PreparedCore { state: self.state, crl })
+        Ok(crate::shared::PreparedCore { state: self.state })
     }
 }
 
@@ -1579,34 +1570,28 @@ pub(crate) mod tests {
         assert!(prepared.run(&RunSpec::new(Method::Dml, day).with_objective(fine)).is_ok());
     }
 
-    /// A lone general process over `p`'s history, and its blind instance.
-    fn lone_crl(s: &Scenario, p: &PreparedPipeline<'_>) -> (CrlAllocator, TatimInstance) {
-        let mut lone = CrlAllocator::new(p.state.config.crl.clone());
-        for d in 0..p.state.config.env_history_days {
-            lone.observe(s.day(d).sensing.clone(), p.state.true_importances[d].clone()).unwrap();
-        }
-        (lone, p.state.blind.clone())
-    }
-
     #[test]
     fn crl_and_dcta_train_each_context_once() {
         let s = small_scenario();
         let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let days: Vec<usize> = prepared.test_days().collect();
-        // Distinct contexts: the days a lone allocator has to train for.
-        let (mut lone, blind) = lone_crl(&s, &prepared);
-        let mut miss = |d: usize| !lone.allocate(&blind, &s.day(d).sensing).unwrap().cache_hit;
-        let contexts = days.iter().filter(|&&d| miss(d)).count();
-        assert_eq!(prepared.batch.crl.cached_agents(), 0, "a cold pipeline has trained nothing");
+        // Distinct contexts: the keys the days' signatures resolve to.
+        let key =
+            |d: usize| prepared.crl().shared().define_environment(&s.day(d).sensing).unwrap().0;
+        let mut contexts: Vec<usize> = days.iter().map(|&d| key(d)).collect();
+        contexts.sort_unstable();
+        contexts.dedup();
+        assert_eq!(prepared.crl().cached_agents(), 0, "a cold pipeline has trained nothing");
         for method in [Method::Crl, Method::Dcta] {
             for &day in &days {
                 healthy(&mut prepared, method, day);
             }
-            assert_eq!(prepared.batch.crl.cached_agents(), contexts, "after the {method} pass");
+            assert_eq!(prepared.crl().cached_agents(), contexts.len(), "after the {method} pass");
         }
         for &day in &days {
-            let general = prepared.batch.crl.allocate(&blind, &s.day(day).sensing).unwrap();
-            let out = prepared.dcta().allocate(&blind, general, &prepared.local_rows(day)).unwrap();
+            let blind = &prepared.state.blind;
+            let general = prepared.crl().allocate(blind, &s.day(day).sensing).unwrap();
+            let out = prepared.dcta().allocate(blind, general, &prepared.local_rows(day)).unwrap();
             assert!(out.crl.cache_hit, "day {day}");
         }
     }
@@ -1615,17 +1600,16 @@ pub(crate) mod tests {
     fn pretrain_trains_one_allocator_not_two() {
         let s = small_scenario();
         let mut prepared = Pipeline::builder(quick_config()).pretrain(true).prepare(&s).unwrap();
-        let (mut lone, blind) = lone_crl(&s, &prepared);
-        let agents_trained = lone.pretrain(&blind).unwrap();
+        let agents_trained = prepared.crl().shared().num_keys();
         assert!(agents_trained >= 1);
-        assert_eq!(prepared.batch.crl.cached_agents(), agents_trained);
+        assert_eq!(prepared.crl().cached_agents(), agents_trained);
         // Neither learned method trains anything further.
         for method in [Method::Crl, Method::Dcta] {
             for day in prepared.test_days() {
                 healthy(&mut prepared, method, day);
             }
         }
-        assert_eq!(prepared.batch.crl.cached_agents(), agents_trained);
+        assert_eq!(prepared.crl().cached_agents(), agents_trained);
     }
 
     #[test]
@@ -1795,9 +1779,9 @@ mod online_tests {
         .prepare(&s)
         .unwrap();
         let day = prepared.test_days().start;
-        assert_eq!(prepared.batch.crl.store_len(), 4);
+        assert_eq!(prepared.crl().store_len(), 4);
         prepared.observe_day(day).unwrap();
-        assert_eq!(prepared.batch.crl.store_len(), 5);
+        assert_eq!(prepared.crl().store_len(), 5);
         // Out-of-range observation is rejected.
         assert!(matches!(prepared.observe_day(0), Err(PipelineError::BadDay { .. })));
         // Allocation still works with the grown store.

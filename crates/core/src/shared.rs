@@ -1,26 +1,24 @@
 //! A `Send + Sync` prepared pipeline for concurrent serving.
 //!
 //! [`crate::pipeline::PreparedPipeline`] is a batch artefact: it borrows its
-//! scenario, takes `&mut self` everywhere (a shared RNG, lazily-trained CRL
-//! agents, accumulating stores), and therefore serves exactly one caller.
-//! [`PreparedCore`] is its frozen counterpart for a serving layer: it owns
-//! its scenario, every method takes `&self`, and all interior state is
-//! thread-safe — the sharded [`crate::cache::ImportanceCache`], the
-//! per-key `OnceLock` agent slots inside the one frozen CRL allocator
-//! ([`Method::Crl`] and [`Method::Dcta`] share its agents), and
-//! per-request seeded RNG for the one stochastic baseline.
+//! scenario, serves one caller through `&mut self`, and can grow its
+//! environment store. [`PreparedCore`] is its frozen counterpart for a
+//! serving layer: it owns its scenario, every method takes `&self`, and all
+//! interior state is thread-safe — the sharded
+//! [`crate::cache::ImportanceCache`], the per-key `OnceLock` agent slots of
+//! the one CRL allocator ([`Method::Crl`] and [`Method::Dcta`] share its
+//! agents), and a per-request seeded RNG for the one stochastic baseline.
 //!
 //! ## One stack, two faces
 //!
-//! Both types embed the same prepared state, and `allocate`, `run`,
-//! `execute` and the faulted run are written once over it (in
-//! `pipeline.rs`). A face hands that code the three things it does
-//! differently, and nothing else differs
-//! (`tests/stack_golden.rs::the_faces_differ_in_three_things_only`):
+//! Both types embed the same prepared state — general process included —
+//! and `allocate`, `run`, `execute` and the faulted run are written once
+//! over it (in `pipeline.rs`). A face hands that code the two things it
+//! does differently, and nothing else differs
+//! (`tests/stack_golden.rs::the_faces_differ_in_two_things_only`):
 //!
 //! | | batch `PreparedPipeline` | frozen `PreparedCore` |
 //! |---|---|---|
-//! | general process | `&mut CrlAllocator`: agents trained on first touch from one RNG stream, or per-key seeds under `.pretrain(true)` | `&SharedCrlAllocator`: one `OnceLock` slot per key, per-key seeds |
 //! | `RandomMapping` RNG | the pipeline's sequential `StdRng` (`seed ^ 0x51AB`) | a fresh `StdRng` keyed by `(seed, day)` |
 //! | availability learning | a [`RecoveryMode::Proactive`](crate::recovery::RecoveryMode::Proactive) round absorbs its failure log and advances the posterior | never: the posterior is read-only |
 //!
@@ -30,24 +28,15 @@
 //! ## Determinism contract
 //!
 //! For every method except [`Method::RandomMapping`], a `PreparedCore` run
-//! is bit-identical to the same [`RunSpec`] on a `PreparedPipeline` built
-//! with `.pretrain(true)` — frozen agents are trained with the `pretrain`
-//! per-key seed formula, so neither request order, nor request interleaving,
-//! nor the number of serving threads can change a single answer bit.
-//! `RandomMapping` draws from a fresh RNG seeded by `(config.seed, day)`
-//! instead of the batch pipeline's sequential shared stream: still fully
-//! deterministic and interleaving-invariant, but its draws differ from the
-//! mutable pipeline's (which depend on how many allocations preceded them —
-//! a history no concurrent server can meaningfully reproduce).
-//!
-//! A second order-dependence stays behind in the *lazy* batch pipeline (no
-//! `.pretrain(true)`): its one CRL trains agents on first touch from a
-//! single RNG stream, so whichever request — [`Method::Crl`] or
-//! [`Method::Dcta`], which share the agents — touches a context first
-//! decides that agent for both. The core's per-key seeds give every
-//! `(seed, context)` one agent, whoever asks. Every tracked learned-method
-//! artefact is computed with the lazy stream's agents, which is why the
-//! batch face keeps it rather than becoming a `&mut` wrapper over the core.
+//! is bit-identical to the same [`RunSpec`] on the `PreparedPipeline` it was
+//! made from, with or without `.pretrain(true)`: a context's agent is a
+//! function of the seed, the context and the blind geometry, so neither
+//! request order, nor request interleaving, nor the number of serving
+//! threads, nor the face that happened to train it can change a single
+//! answer bit (DESIGN.md §21). `RandomMapping`'s per-`(seed, day)` draws are
+//! as deterministic and interleaving-invariant, but differ from the batch
+//! stream's, which depend on how many allocations preceded them — a
+//! history no concurrent server can meaningfully reproduce.
 //!
 //! The frozen core deliberately has no `observe_day`: the accumulating
 //! environment store is an offline-phase facility. Re-prepare and re-freeze
@@ -57,7 +46,7 @@ use crate::allocation::Allocation;
 use crate::availability::AvailabilityModel;
 use crate::baselines::random_mapping;
 use crate::cache::CacheStats;
-use crate::crl_alloc::{CrlOutcome, SharedCrlAllocator};
+use crate::crl_alloc::CrlAllocator;
 use crate::objective::{AllocOutcome, AllocQuery};
 use crate::pipeline::{
     DayReport, Face, Method, PipelineConfig, PipelineError, Prepared, RunReport, RunSpec,
@@ -67,7 +56,6 @@ use crate::tatim::TatimInstance;
 use buildings::scenario::Scenario;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rl::crl::CrlError;
 use std::ops::Range;
 
 /// The prepared pipeline, frozen for concurrent `&self` serving (see the
@@ -76,20 +64,13 @@ use std::ops::Range;
 #[derive(Debug)]
 pub struct PreparedCore {
     pub(crate) state: Prepared,
-    pub(crate) crl: SharedCrlAllocator,
 }
 
 /// The frozen face (see the module docs).
-impl Face for &SharedCrlAllocator {
-    const LEARNS_AVAILABILITY: bool = false;
+struct Frozen;
 
-    fn general(
-        &mut self,
-        blind: &TatimInstance,
-        signature: &[f64],
-    ) -> Result<CrlOutcome, CrlError> {
-        self.allocate(blind, signature)
-    }
+impl Face for Frozen {
+    const LEARNS_AVAILABILITY: bool = false;
 
     fn random_mapping(&mut self, blind: &TatimInstance, seed: u64, day: usize) -> Allocation {
         let mut rng = StdRng::seed_from_u64(
@@ -138,9 +119,9 @@ impl PreparedCore {
         self.state.fleet()
     }
 
-    /// The frozen general process (per-key agents for Q-value serving).
-    pub fn crl(&self) -> &SharedCrlAllocator {
-        &self.crl
+    /// The general process (per-key agents for Q-value serving).
+    pub fn crl(&self) -> &CrlAllocator {
+        &self.state.crl
     }
 
     /// Hit/miss counters of the shared decision-performance cache.
@@ -168,8 +149,8 @@ impl PreparedCore {
     }
 
     /// The blind TATIM instance (no importances priced in) every online
-    /// allocator decides over — the geometry the general process was
-    /// frozen against.
+    /// allocator decides over — the geometry the general process's agents
+    /// train against.
     pub fn blind_instance(&self) -> TatimInstance {
         self.state.blind.clone()
     }
@@ -191,7 +172,7 @@ impl PreparedCore {
     ///
     /// See [`PipelineError`] variants.
     pub fn allocate(&self, query: &AllocQuery) -> Result<AllocOutcome, PipelineError> {
-        self.state.allocate(&mut &self.crl, query)
+        self.state.allocate(&mut Frozen, query)
     }
 
     /// Executes one evaluation run described by `spec` — the `&self`
@@ -207,7 +188,7 @@ impl PreparedCore {
     ///
     /// See [`PipelineError`] variants.
     pub fn run(&self, spec: &RunSpec) -> Result<RunReport, PipelineError> {
-        self.state.run(&mut &self.crl, spec)
+        self.state.run(&mut Frozen, spec)
     }
 
     /// Executes a pre-computed allocation on the simulated testbed.

@@ -15,7 +15,6 @@ use learn::kmeans::{KMeans, KMeansError};
 use learn::knn::{KnnError, KnnIndex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -90,7 +89,7 @@ impl EnvironmentStore {
             return Err(CrlError::EmptyStore);
         }
         let index = KnnIndex::new(self.records.iter().map(|r| r.signature.clone()).collect())?;
-        self.blend_in(&index, signature, k.max(1))
+        self.blend_in(&index, signature, k)
     }
 
     /// [`Self::nearest_blend`] against a kNN `index` already built over
@@ -101,7 +100,7 @@ impl EnvironmentStore {
         signature: &[f64],
         k: usize,
     ) -> Result<(usize, Vec<f64>), CrlError> {
-        let hits = index.nearest(signature, k)?;
+        let hits = index.nearest(signature, k.max(1))?;
         let n = self.records[0].importances.len();
         let mut blend = vec![0.0; n];
         let mut total = 0.0;
@@ -134,6 +133,9 @@ pub enum CrlError {
     Spec(SpecError),
     /// DQN failure.
     Dqn(DqnError),
+    /// An agent was asked for before any task geometry was bound
+    /// ([`Crl::bind`]).
+    Unbound,
 }
 
 impl fmt::Display for CrlError {
@@ -145,6 +147,7 @@ impl fmt::Display for CrlError {
             CrlError::KMeans(e) => write!(f, "environment clustering failed: {e}"),
             CrlError::Spec(e) => write!(f, "invalid allocation spec: {e}"),
             CrlError::Dqn(e) => write!(f, "agent failure: {e}"),
+            CrlError::Unbound => write!(f, "no task geometry is bound to train agents against"),
         }
     }
 }
@@ -252,20 +255,10 @@ pub struct CrlAllocation {
     pub cache_hit: bool,
 }
 
-/// Offline clustering state (lazy; invalidated when the store grows).
-#[derive(Debug, Clone)]
-struct Clustering {
-    model: KMeans,
-    /// Mean importance vector per cluster.
-    centroid_importances: Vec<Vec<f64>>,
-    /// Store length the clustering was built from.
-    store_len: usize,
-}
-
-/// Trains the agent of cache key `key` on its environment `blend`, seeded
-/// from `config.seed` mixed with the key alone — so the agent depends on
-/// neither the order environments are trained in nor the thread that
-/// trains it. [`Crl::pretrain`] and [`SharedCrl`]'s slots both train here.
+/// Trains the agent of key `key` on its environment `blend`, seeded from
+/// `config.seed` mixed with the key alone — so the agent depends on neither
+/// the order environments are trained in nor the thread that trains it.
+/// Every CRL agent is made here.
 fn train_keyed(
     config: &CrlConfig,
     spec: &AllocSpec,
@@ -286,34 +279,140 @@ fn train_keyed(
     Ok(agent)
 }
 
-/// The greedy rollout of `agent` over the clustered environment `env`.
-fn rollout(
-    agent: &DqnAgent,
-    mut env: AllocEnv,
-    blend: Vec<f64>,
-    cache_hit: bool,
-) -> Result<CrlAllocation, CrlError> {
-    agent.evaluate_episode(&mut env)?;
-    let assignment = env.assignment().to_vec();
-    let estimated_value = env.assigned_value();
-    Ok(CrlAllocation { assignment, estimated_importances: blend, estimated_value, cache_hit })
+/// The environment-definition index over one state of the store.
+#[derive(Debug)]
+enum Lookup {
+    /// Online mode: the kNN index over every stored signature.
+    Knn(KnnIndex),
+    /// Offline mode: the clustering of the stored signatures.
+    KMeans(KMeans),
 }
 
-/// The CRL allocator: environment store + per-environment agent cache.
+/// One agent key: the environment its agent trains on, and the agent.
+#[derive(Debug)]
+struct Context {
+    /// Record `key`'s own kNN blend (online mode) or cluster `key`'s mean
+    /// importance vector (offline mode).
+    blend: Vec<f64>,
+    /// Trained on first use; `Err` is cached too, so a failing geometry
+    /// does not retrain on every request.
+    agent: OnceLock<Result<DqnAgent, CrlError>>,
+}
+
+/// Everything derived from one state of the store: the lookup index and
+/// the contexts it can resolve a query to.
+#[derive(Debug)]
+struct Contexts {
+    lookup: Lookup,
+    /// Indexed by agent key. `None` is a kNN key no query can produce: a
+    /// record whose signature repeats a lower-index record's, which wins
+    /// every tie.
+    by_key: Vec<Option<Context>>,
+}
+
+impl Contexts {
+    fn build(store: &EnvironmentStore, config: &CrlConfig) -> Result<Self, CrlError> {
+        if store.is_empty() {
+            return Err(CrlError::EmptyStore);
+        }
+        let signatures: Vec<Vec<f64>> =
+            store.records().iter().map(|r| r.signature.clone()).collect();
+        let context = |blend| Context { blend, agent: OnceLock::new() };
+        let (lookup, by_key) = match config.lookup {
+            LookupMode::OnlineKnn => {
+                let index = KnnIndex::new(signatures)?;
+                let mut by_key = Vec::with_capacity(store.len());
+                for (key, record) in store.records().iter().enumerate() {
+                    let (nearest, blend) = store.blend_in(&index, &record.signature, config.k)?;
+                    by_key.push((nearest == key).then(|| context(blend)));
+                }
+                (Lookup::Knn(index), by_key)
+            }
+            LookupMode::OfflineKMeans { clusters } => {
+                let k = clusters.clamp(1, signatures.len());
+                // A fresh stream per fit: the clustering is a function of
+                // the store, not of what was trained before it.
+                let mut rng = StdRng::seed_from_u64(config.seed);
+                let model = KMeans::fit(&signatures, k, 100, &mut rng)?;
+                let n = store.records()[0].importances.len();
+                let mut sums = vec![vec![0.0; n]; k];
+                let mut counts = vec![0usize; k];
+                for (record, &c) in store.records().iter().zip(model.assignments()) {
+                    counts[c] += 1;
+                    for (s, &v) in sums[c].iter_mut().zip(&record.importances) {
+                        *s += v;
+                    }
+                }
+                for (sum, &count) in sums.iter_mut().zip(&counts) {
+                    for v in sum.iter_mut() {
+                        *v /= count.max(1) as f64;
+                    }
+                }
+                (Lookup::KMeans(model), sums.into_iter().map(|mean| Some(context(mean))).collect())
+            }
+        };
+        Ok(Self { lookup, by_key })
+    }
+
+    /// Moves over from `stale` — the contexts of the store before it grew —
+    /// the agent of every key whose blend came out bit-identical. An agent
+    /// is a function of its key and blend, so these are the agents a cold
+    /// allocator over the grown store would train; every other key starts
+    /// untrained.
+    fn adopt(&mut self, stale: Contexts) {
+        fn bits(blend: &[f64]) -> impl Iterator<Item = u64> + '_ {
+            blend.iter().map(|v| v.to_bits())
+        }
+        for (context, old) in self.by_key.iter_mut().zip(stale.by_key) {
+            if let (Some(context), Some(old)) = (context, old) {
+                if bits(&context.blend).eq(bits(&old.blend)) {
+                    context.agent = old.agent;
+                }
+            }
+        }
+    }
+
+    fn get(&self, key: usize) -> Option<&Context> {
+        self.by_key.get(key)?.as_ref()
+    }
+
+    fn is_trained(&self, key: usize) -> bool {
+        self.get(key).is_some_and(|c| c.agent.get().is_some())
+    }
+
+    /// The keys a query can resolve to, ascending.
+    fn keys(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.by_key.len()).filter(|&key| self.by_key[key].is_some())
+    }
+}
+
+/// The CRL allocator: the environment store, the lookup built over it, and
+/// one lazily trained agent per environment.
+///
+/// Only [`Self::observe`] takes `&mut self`. Everything else is `&self` and
+/// thread-safe: the lookup is built once per store state, and each agent
+/// lives in its own [`OnceLock`] slot, so concurrent first-touch training
+/// is race-free — one winner trains, everyone else blocks on the same slot.
+///
+/// An agent is a pure function of `config.seed`, its key, its training
+/// blend and the task geometry bound once per allocator ([`Self::bind`]).
+/// Which request, thread or ordering trains it cannot change a bit of it,
+/// and [`Self::pretrain`] decides only *when* agents are trained.
 #[derive(Debug)]
 pub struct Crl {
     store: EnvironmentStore,
     config: CrlConfig,
-    agents: HashMap<usize, DqnAgent>,
-    clustering: Option<Clustering>,
-    rng: StdRng,
+    /// The task geometry agents train against (importances replaced per
+    /// key by the training blend).
+    spec: OnceLock<AllocSpec>,
+    /// Built on first use; [`Self::observe`] rebuilds it.
+    contexts: OnceLock<Result<Contexts, CrlError>>,
 }
 
 impl Crl {
     /// Creates a CRL allocator over `store`.
     pub fn new(store: EnvironmentStore, config: CrlConfig) -> Self {
-        let rng = StdRng::seed_from_u64(config.seed);
-        Self { store, config, agents: HashMap::new(), clustering: None, rng }
+        Self { store, config, spec: OnceLock::new(), contexts: OnceLock::new() }
     }
 
     /// Read access to the environment store.
@@ -321,295 +420,87 @@ impl Crl {
         &self.store
     }
 
-    /// Adds a freshly-observed environment (stores accumulate daily).
+    /// Adds a freshly-observed environment (stores accumulate daily). A
+    /// lookup already built is rebuilt over the grown store, keeping
+    /// exactly the agents whose training blend is bit-identical in the new
+    /// lookup: kNN keys whose `k` nearest records the new one did not
+    /// join, k-means clusters whose mean importances the re-fit
+    /// reproduced. Every other agent is dropped and retrains on next use.
     ///
     /// # Errors
     ///
     /// [`CrlError::Shape`] on arity mismatch.
     pub fn observe(&mut self, record: EnvironmentRecord) -> Result<(), CrlError> {
-        self.store.push(record)
-    }
-
-    /// Number of trained agents currently cached.
-    pub fn cached_agents(&self) -> usize {
-        self.agents.len()
-    }
-
-    /// (Re)builds the offline clustering when stale — a grown store
-    /// invalidates clusters and the agents trained on them.
-    fn ensure_clustering(&mut self, clusters: usize) -> Result<(), CrlError> {
-        if self.store.is_empty() {
-            return Err(CrlError::EmptyStore);
-        }
-        let stale = self.clustering.as_ref().is_none_or(|c| c.store_len != self.store.len());
-        if stale {
-            let signatures: Vec<Vec<f64>> =
-                self.store.records().iter().map(|r| r.signature.clone()).collect();
-            let k = clusters.clamp(1, signatures.len());
-            let model = KMeans::fit(&signatures, k, 100, &mut self.rng)?;
-            let n = self.store.records()[0].importances.len();
-            let mut sums = vec![vec![0.0; n]; k];
-            let mut counts = vec![0usize; k];
-            for (i, &c) in model.assignments().iter().enumerate() {
-                counts[c] += 1;
-                for (s, &v) in sums[c].iter_mut().zip(&self.store.records()[i].importances) {
-                    *s += v;
-                }
+        self.store.push(record)?;
+        if let Some(stale) = self.contexts.take() {
+            let mut fresh = Contexts::build(&self.store, &self.config);
+            if let (Ok(fresh), Ok(stale)) = (&mut fresh, stale) {
+                fresh.adopt(stale);
             }
-            for (c, sum) in sums.iter_mut().enumerate() {
-                for v in sum.iter_mut() {
-                    *v /= counts[c].max(1) as f64;
-                }
-            }
-            self.agents.clear();
-            self.clustering =
-                Some(Clustering { model, centroid_importances: sums, store_len: self.store.len() });
+            self.contexts = OnceLock::from(fresh);
         }
         Ok(())
     }
 
-    /// Environment definition in the configured [`LookupMode`]: returns the
-    /// agent-cache key plus the blended importance estimate.
-    fn define_environment(&mut self, signature: &[f64]) -> Result<(usize, Vec<f64>), CrlError> {
-        match self.config.lookup {
-            LookupMode::OnlineKnn => self.store.nearest_blend(signature, self.config.k),
-            LookupMode::OfflineKMeans { clusters } => {
-                self.ensure_clustering(clusters)?;
-                let clustering = self.clustering.as_ref().expect("built above");
-                let cluster = clustering.model.predict(signature);
-                Ok((cluster, clustering.centroid_importances[cluster].clone()))
-            }
-        }
+    fn contexts(&self) -> Result<&Contexts, CrlError> {
+        self.contexts
+            .get_or_init(|| Contexts::build(&self.store, &self.config))
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
-    /// A valid `spec` over as many tasks as the (non-empty) store's records.
-    fn check_geometry(&self, spec: &AllocSpec) -> Result<(), CrlError> {
-        spec.validate()?;
-        match self.store.records().first() {
-            None => Err(CrlError::EmptyStore),
-            Some(first) if first.importances.len() != spec.num_tasks() => Err(CrlError::Shape),
-            Some(_) => Ok(()),
-        }
-    }
-
-    /// Trains every environment's agent up front, in parallel, instead of
-    /// lazily on first use. Returns the number of agents trained.
-    ///
-    /// The paper's claim that "the training phase merely needs to be
-    /// conducted once" makes this the natural offline step: per-cluster
-    /// (offline mode) or per-record-neighbourhood (online mode) trainings
-    /// are fully independent, so they fan out across threads. Unlike the
-    /// lazy path — which draws initialisation and exploration noise from
-    /// the allocator's single shared RNG, making each agent's weights
-    /// depend on the order environments are first encountered — pretraining
-    /// seeds each agent from `config.seed` mixed with its cache key, so the
-    /// resulting agents are bit-identical at any thread count and
-    /// independent of training order.
-    ///
-    /// Already-cached agents are left untouched; subsequent
-    /// [`Self::allocate`] calls for pretrained environments report
-    /// `cache_hit = true`.
-    ///
-    /// # Errors
-    ///
-    /// See [`CrlError`] variants.
-    pub fn pretrain(&mut self, spec: &AllocSpec) -> Result<usize, CrlError> {
-        self.check_geometry(spec)?;
-        // Enumerate the agent-cache keys the configured lookup mode can ever
-        // produce, with their environment blends, in deterministic order.
-        let mut jobs: Vec<(usize, Vec<f64>)> = Vec::new();
-        match self.config.lookup {
-            LookupMode::OfflineKMeans { clusters } => {
-                self.ensure_clustering(clusters)?;
-                let clustering = self.clustering.as_ref().expect("built above");
-                jobs.extend(clustering.centroid_importances.iter().cloned().enumerate());
-            }
-            LookupMode::OnlineKnn => {
-                for record in self.store.records() {
-                    let (key, blend) =
-                        self.store.nearest_blend(&record.signature, self.config.k)?;
-                    if !jobs.iter().any(|&(existing, _)| existing == key) {
-                        jobs.push((key, blend));
-                    }
-                }
-            }
-        }
-        jobs.retain(|(key, _)| !self.agents.contains_key(key));
-        let config = &self.config;
-        // Grain 1: each job is a full multi-episode DQN training, far past
-        // the point where thread spawn overhead matters, so even two jobs
-        // deserve two threads.
-        let trained: Vec<(usize, DqnAgent)> =
-            parallel::try_par_map_grained(&jobs, 1, |(key, blend)| {
-                train_keyed(config, spec, *key, blend).map(|agent| (*key, agent))
-            })?;
-        let count = trained.len();
-        self.agents.extend(trained);
-        Ok(count)
-    }
-
-    /// Allocates the live instance: environment definition (kNN or k-means
-    /// per the configured mode), then the (possibly cached) DQN's greedy
-    /// rollout. `spec.importances` is *ignored and replaced* by the
-    /// clustered estimate — CRL's whole point is that live importances are
-    /// unknown.
-    ///
-    /// # Errors
-    ///
-    /// See [`CrlError`] variants.
-    pub fn allocate(
-        &mut self,
-        signature: &[f64],
-        spec: &AllocSpec,
-    ) -> Result<CrlAllocation, CrlError> {
-        spec.validate()?;
-        let (nearest, blend) = self.define_environment(signature)?;
-        if blend.len() != spec.num_tasks() {
-            return Err(CrlError::Shape);
-        }
-        let clustered_spec = AllocSpec { importances: blend.clone(), ..spec.clone() };
-        let mut env = AllocEnv::new(clustered_spec)?;
-
-        let cache_hit = self.agents.contains_key(&nearest);
-        if !cache_hit {
-            let mut agent = DqnAgent::new(
-                env.state_dim(),
-                env.num_actions(),
-                self.config.dqn.clone(),
-                &mut self.rng,
-            )?;
-            for _ in 0..self.config.episodes {
-                agent.train_episode(&mut env, &mut self.rng)?;
-            }
-            self.agents.insert(nearest, agent);
-        }
-        let agent = self.agents.get(&nearest).expect("inserted above");
-        rollout(agent, env, blend, cache_hit)
-    }
-
-    /// Converts this allocator into a shareable, `&self`-only [`SharedCrl`]
-    /// bound to `spec`'s task geometry.
-    ///
-    /// The frozen allocator answers concurrent queries from shared state:
-    /// the kNN index (online mode) or k-means clustering (offline mode) is
-    /// built once here, and per-environment agents live in per-key
-    /// [`OnceLock`] slots seeded exactly like [`Self::pretrain`] — so lazy
-    /// concurrent training produces agents bit-identical to an up-front
-    /// `pretrain`, independent of request order and thread count. Any
-    /// agents this allocator had already cached are discarded: lazily
-    /// trained ones drew from the shared RNG and are therefore
-    /// order-dependent, which the frozen contract forbids.
-    ///
-    /// # Errors
-    ///
-    /// [`CrlError::EmptyStore`] on an empty store, [`CrlError::Shape`] when
-    /// `spec` disagrees with the stored importance arity, plus validation
-    /// and clustering errors.
-    pub fn freeze(mut self, spec: &AllocSpec) -> Result<SharedCrl, CrlError> {
-        self.check_geometry(spec)?;
-        let (lookup, blends) = match self.config.lookup {
-            LookupMode::OnlineKnn => {
-                let index = KnnIndex::new(
-                    self.store.records().iter().map(|r| r.signature.clone()).collect(),
-                )?;
-                // Per-key training blends exactly as `pretrain` enumerates
-                // them: record `k`'s self-query always resolves to key `k`
-                // (or a lower-index duplicate that shadows it, in which case
-                // key `k` is never produced by any query either).
-                let k = self.config.k.max(1);
-                let mut blends = Vec::with_capacity(self.store.len());
-                for record in self.store.records() {
-                    blends.push(self.store.blend_in(&index, &record.signature, k)?.1);
-                }
-                (SharedLookup::Knn { index, k }, blends)
-            }
-            LookupMode::OfflineKMeans { clusters } => {
-                self.ensure_clustering(clusters)?;
-                let clustering = self.clustering.take().expect("built above");
-                let blends = clustering.centroid_importances.clone();
-                (
-                    SharedLookup::KMeans {
-                        model: clustering.model,
-                        centroid_importances: clustering.centroid_importances,
-                    },
-                    blends,
-                )
-            }
-        };
-        let slots = blends.iter().map(|_| OnceLock::new()).collect();
-        Ok(SharedCrl {
-            store: self.store,
-            config: self.config,
-            spec: spec.clone(),
-            lookup,
-            blends,
-            slots,
-        })
-    }
-}
-
-/// Frozen environment-definition state shared across queries.
-#[derive(Debug)]
-enum SharedLookup {
-    /// Online mode: one kNN index built at freeze time (the mutable path
-    /// rebuilds it per query).
-    Knn { index: KnnIndex, k: usize },
-    /// Offline mode: the clustering frozen at its freeze-time state.
-    KMeans { model: KMeans, centroid_importances: Vec<Vec<f64>> },
-}
-
-/// A frozen, thread-shareable CRL allocator (see [`Crl::freeze`]).
-///
-/// Every method takes `&self`; the agent cache is a vector of per-key
-/// [`OnceLock`] slots, so concurrent first-touch training is race-free —
-/// one winner trains, everyone else blocks on the same slot — and each
-/// agent is seeded from `config.seed` mixed with its key (the
-/// [`Crl::pretrain`] formula), making results bit-identical regardless of
-/// which request, thread, or ordering trained it.
-#[derive(Debug)]
-pub struct SharedCrl {
-    store: EnvironmentStore,
-    config: CrlConfig,
-    /// The task geometry agents are trained against (importances replaced
-    /// per key by the training blend).
-    spec: AllocSpec,
-    lookup: SharedLookup,
-    /// Training blend per agent key.
-    blends: Vec<Vec<f64>>,
-    /// Lazily-trained agent per key; `Err` is cached too so a failing
-    /// geometry does not retrain on every request.
-    slots: Vec<OnceLock<Result<DqnAgent, CrlError>>>,
-}
-
-impl SharedCrl {
-    /// Read access to the environment store.
-    pub fn store(&self) -> &EnvironmentStore {
-        &self.store
-    }
-
-    /// Number of agent keys the frozen lookup can produce.
+    /// Number of agent keys the lookup can produce (`0` while the store is
+    /// empty).
     pub fn num_keys(&self) -> usize {
-        self.slots.len()
+        self.contexts().map_or(0, |c| c.keys().count())
     }
 
     /// Number of agents trained so far.
     pub fn cached_agents(&self) -> usize {
-        self.slots.iter().filter(|s| s.get().is_some()).count()
+        match self.contexts.get() {
+            Some(Ok(c)) => c.keys().filter(|&key| c.is_trained(key)).count(),
+            _ => 0,
+        }
     }
 
-    /// Environment definition against the frozen lookup state: the agent
-    /// key plus the query's blended importance estimate. Bit-identical to
-    /// the mutable [`Crl`]'s definition at freeze time.
+    /// Binds the task geometry every agent of this allocator trains
+    /// against. The first binding wins — this call, [`Self::pretrain`], or
+    /// the first [`Self::allocate`] — and later ones change nothing, so an
+    /// agent cannot depend on which request reached it first.
     ///
     /// # Errors
     ///
-    /// [`CrlError::Knn`] on lookup failure.
+    /// [`CrlError::EmptyStore`] on an empty store, [`CrlError::Shape`] when
+    /// `spec` disagrees with the stored importance arity, plus spec
+    /// validation.
+    pub fn bind(&self, spec: &AllocSpec) -> Result<(), CrlError> {
+        spec.validate()?;
+        match self.store.records().first() {
+            None => return Err(CrlError::EmptyStore),
+            Some(first) if first.importances.len() != spec.num_tasks() => {
+                return Err(CrlError::Shape)
+            }
+            Some(_) => {}
+        }
+        self.spec.get_or_init(|| spec.clone());
+        Ok(())
+    }
+
+    /// Environment definition in the configured [`LookupMode`]: the agent
+    /// key plus the query's blended importance estimate. This is the
+    /// `EnvironmentDefinition(E, Z)` step of Alg. 1.
+    ///
+    /// # Errors
+    ///
+    /// [`CrlError::EmptyStore`], or the lookup's build or query failure.
     pub fn define_environment(&self, signature: &[f64]) -> Result<(usize, Vec<f64>), CrlError> {
-        match &self.lookup {
-            SharedLookup::Knn { index, k } => self.store.blend_in(index, signature, *k),
-            SharedLookup::KMeans { model, centroid_importances } => {
+        let contexts = self.contexts()?;
+        match &contexts.lookup {
+            Lookup::Knn(index) => self.store.blend_in(index, signature, self.config.k),
+            Lookup::KMeans(model) => {
                 let cluster = model.predict(signature);
-                Ok((cluster, centroid_importances[cluster].clone()))
+                let context = contexts.get(cluster).ok_or(CrlError::EmptyStore)?;
+                Ok((cluster, context.blend.clone()))
             }
         }
     }
@@ -619,45 +510,66 @@ impl SharedCrl {
     ///
     /// # Errors
     ///
-    /// Replays the training error cached in the slot, or
-    /// [`CrlError::EmptyStore`] for an out-of-range key.
+    /// Replays the training error cached in the slot;
+    /// [`CrlError::EmptyStore`] for a key the lookup cannot produce;
+    /// [`CrlError::Unbound`] before any geometry is bound.
     pub fn agent(&self, key: usize) -> Result<&DqnAgent, CrlError> {
-        let slot = self.slots.get(key).ok_or(CrlError::EmptyStore)?;
-        slot.get_or_init(|| train_keyed(&self.config, &self.spec, key, &self.blends[key]))
+        let context = self.contexts()?.get(key).ok_or(CrlError::EmptyStore)?;
+        let spec = self.spec.get().ok_or(CrlError::Unbound)?;
+        context
+            .agent
+            .get_or_init(|| train_keyed(&self.config, spec, key, &context.blend))
             .as_ref()
             .map_err(Clone::clone)
     }
 
-    /// Trains every key's agent up front (in parallel), the frozen
-    /// counterpart of [`Crl::pretrain`]. Returns the number trained now.
+    /// Trains every environment's agent up front, in parallel, instead of
+    /// on first use, binding `spec` as the geometry if none is bound yet.
+    /// Returns the number of agents trained now.
+    ///
+    /// The paper's claim that "the training phase merely needs to be
+    /// conducted once" makes this the natural offline step: per-cluster
+    /// (offline mode) or per-record-neighbourhood (online mode) trainings
+    /// are independent, so they fan out across threads. It moves work, not
+    /// answers: the agents are the ones first use would have trained.
     ///
     /// # Errors
     ///
-    /// The first training error, if any.
-    pub fn pretrain_all(&self) -> Result<usize, CrlError> {
-        let cold: Vec<usize> =
-            (0..self.slots.len()).filter(|&key| self.slots[key].get().is_none()).collect();
-        let trained = parallel::try_par_map_grained(&cold, 1, |&key| self.agent(key).map(|_| ()))?;
-        Ok(trained.len())
+    /// See [`CrlError`] variants.
+    pub fn pretrain(&self, spec: &AllocSpec) -> Result<usize, CrlError> {
+        self.bind(spec)?;
+        let contexts = self.contexts()?;
+        let cold: Vec<usize> = contexts.keys().filter(|&key| !contexts.is_trained(key)).collect();
+        // Grain 1: each job is a full multi-episode DQN training, far past
+        // the point where thread spawn overhead matters, so even two jobs
+        // deserve two threads.
+        parallel::try_par_map_grained(&cold, 1, |&key| self.agent(key).map(|_| ()))?;
+        Ok(cold.len())
     }
 
-    /// Allocates the live instance against the frozen store: environment
-    /// definition, (lazily trained) cached agent, greedy rollout. Matches
-    /// [`Crl::allocate`] on a pretrained mutable allocator bit for bit.
+    /// Allocates the live instance: environment definition (kNN or k-means
+    /// per the configured mode), then the (possibly cached) DQN's greedy
+    /// rollout. `spec.importances` is *ignored and replaced* by the
+    /// clustered estimate — CRL's whole point is that live importances are
+    /// unknown. On an allocator with no geometry bound yet, `spec` binds
+    /// it.
     ///
     /// # Errors
     ///
     /// See [`CrlError`] variants.
     pub fn allocate(&self, signature: &[f64], spec: &AllocSpec) -> Result<CrlAllocation, CrlError> {
-        spec.validate()?;
+        self.bind(spec)?;
         let (key, blend) = self.define_environment(signature)?;
-        if blend.len() != spec.num_tasks() {
-            return Err(CrlError::Shape);
-        }
-        let cache_hit = self.slots.get(key).is_some_and(|s| s.get().is_some());
+        let cache_hit = self.contexts()?.is_trained(key);
         let agent = self.agent(key)?;
-        let clustered_spec = AllocSpec { importances: blend.clone(), ..spec.clone() };
-        rollout(agent, AllocEnv::new(clustered_spec)?, blend, cache_hit)
+        let mut env = AllocEnv::new(AllocSpec { importances: blend.clone(), ..spec.clone() })?;
+        agent.evaluate_episode(&mut env)?;
+        Ok(CrlAllocation {
+            assignment: env.assignment().to_vec(),
+            estimated_importances: blend,
+            estimated_value: env.assigned_value(),
+            cache_hit,
+        })
     }
 }
 
@@ -732,10 +644,33 @@ mod tests {
         assert!(matches!(store.nearest_blend(&[0.0], 1), Err(CrlError::EmptyStore)));
     }
 
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Enough episodes for the replay buffer to fill and learning to start,
+    /// so an agent's parameters depend on its blend and geometry.
+    fn quick(lookup: LookupMode) -> CrlConfig {
+        CrlConfig { episodes: 40, lookup, ..CrlConfig::default() }
+    }
+
+    const MODES: [LookupMode; 2] =
+        [LookupMode::OnlineKnn, LookupMode::OfflineKMeans { clusters: 2 }];
+
+    /// Per key the lookup can produce: its training blend's bits, and
+    /// whether its agent is trained.
+    fn snapshot(crl: &Crl) -> Vec<(usize, Vec<u64>, bool)> {
+        let contexts = crl.contexts().unwrap();
+        contexts
+            .keys()
+            .map(|key| (key, bits(&contexts.get(key).unwrap().blend), contexts.is_trained(key)))
+            .collect()
+    }
+
     #[test]
     fn crl_allocates_context_appropriate_tasks() {
         let n = 4;
-        let mut crl =
+        let crl =
             Crl::new(store_two_contexts(n), CrlConfig { episodes: 80, ..CrlConfig::default() });
         // Context A: the agent should place task 0 (importance 0.95).
         let alloc = crl.allocate(&[0.0], &spec(n)).unwrap();
@@ -749,8 +684,7 @@ mod tests {
     #[test]
     fn agent_cache_is_reused_per_environment() {
         let n = 3;
-        let mut crl =
-            Crl::new(store_two_contexts(n), CrlConfig { episodes: 10, ..CrlConfig::default() });
+        let crl = Crl::new(store_two_contexts(n), quick(LookupMode::OnlineKnn));
         let first = crl.allocate(&[0.0], &spec(n)).unwrap();
         assert!(!first.cache_hit);
         assert_eq!(crl.cached_agents(), 1);
@@ -764,257 +698,234 @@ mod tests {
 
     #[test]
     fn shape_mismatch_between_store_and_spec() {
-        let mut crl =
-            Crl::new(store_two_contexts(4), CrlConfig { episodes: 1, ..CrlConfig::default() });
+        let crl = Crl::new(store_two_contexts(4), quick(LookupMode::OnlineKnn));
         assert!(matches!(crl.allocate(&[0.0], &spec(3)), Err(CrlError::Shape)));
-    }
-
-    #[test]
-    fn observe_accumulates() {
-        let mut crl =
-            Crl::new(EnvironmentStore::new(), CrlConfig { episodes: 1, ..CrlConfig::default() });
-        crl.observe(EnvironmentRecord { signature: vec![1.0], importances: vec![1.0, 0.0] })
-            .unwrap();
-        assert_eq!(crl.store().len(), 1);
-    }
-
-    #[test]
-    fn pretrain_populates_online_agent_cache() {
-        let n = 4;
-        let mut crl =
-            Crl::new(store_two_contexts(n), CrlConfig { episodes: 10, ..CrlConfig::default() });
-        let trained = crl.pretrain(&spec(n)).unwrap();
-        assert!(trained >= 2, "both contexts should get agents, trained {trained}");
-        assert_eq!(crl.cached_agents(), trained);
-        // Every allocation now reuses a pretrained agent.
-        assert!(crl.allocate(&[0.0], &spec(n)).unwrap().cache_hit);
-        assert!(crl.allocate(&[10.0], &spec(n)).unwrap().cache_hit);
-        // Pretraining again is a no-op.
-        assert_eq!(crl.pretrain(&spec(n)).unwrap(), 0);
-    }
-
-    #[test]
-    fn pretrain_validates_inputs() {
-        let mut empty =
-            Crl::new(EnvironmentStore::new(), CrlConfig { episodes: 1, ..CrlConfig::default() });
-        assert!(matches!(empty.pretrain(&spec(2)), Err(CrlError::EmptyStore)));
-        let mut crl =
-            Crl::new(store_two_contexts(4), CrlConfig { episodes: 1, ..CrlConfig::default() });
+        assert!(matches!(crl.bind(&spec(3)), Err(CrlError::Shape)));
         assert!(matches!(crl.pretrain(&spec(3)), Err(CrlError::Shape)));
+        // A rejected geometry binds nothing.
+        assert!(matches!(crl.agent(0), Err(CrlError::Unbound)));
     }
 
     #[test]
-    fn pretrained_agents_are_order_independent() {
-        // Unlike the lazy path, pretrained agents are seeded per cache key,
-        // so the allocation they emit cannot depend on which environment was
-        // pretrained (or queried) first.
+    fn empty_store_is_an_error_until_something_is_observed() {
+        for lookup in MODES {
+            let mut crl = Crl::new(EnvironmentStore::new(), quick(lookup));
+            assert_eq!(crl.num_keys(), 0);
+            assert!(matches!(crl.allocate(&[0.0], &spec(2)), Err(CrlError::EmptyStore)));
+            assert!(matches!(crl.pretrain(&spec(2)), Err(CrlError::EmptyStore)));
+            crl.observe(EnvironmentRecord { signature: vec![1.0], importances: vec![0.9, 0.1] })
+                .unwrap();
+            assert_eq!(crl.store().len(), 1);
+            // More clusters than records is clamped.
+            assert_eq!(crl.num_keys(), 1);
+            assert!(crl.allocate(&[0.0], &spec(2)).unwrap().estimated_importances[0] > 0.8);
+        }
+    }
+
+    #[test]
+    fn pretrain_trains_every_key_once() {
         let n = 4;
-        let run = |probe_order: &[f64]| {
-            let mut crl =
-                Crl::new(store_two_contexts(n), CrlConfig { episodes: 15, ..CrlConfig::default() });
-            crl.pretrain(&spec(n)).unwrap();
-            let mut out = Vec::new();
-            for &sig in probe_order {
-                out.push((sig.to_bits(), crl.allocate(&[sig], &spec(n)).unwrap().assignment));
+        for lookup in MODES {
+            let crl = Crl::new(store_two_contexts(n), quick(lookup));
+            assert_eq!(crl.cached_agents(), 0);
+            assert_eq!(crl.pretrain(&spec(n)).unwrap(), crl.num_keys());
+            assert_eq!(crl.cached_agents(), crl.num_keys());
+            // Every allocation now reuses a pretrained agent.
+            assert!(crl.allocate(&[0.0], &spec(n)).unwrap().cache_hit);
+            assert!(crl.allocate(&[10.0], &spec(n)).unwrap().cache_hit);
+            // Pretraining again is a no-op.
+            assert_eq!(crl.pretrain(&spec(n)).unwrap(), 0);
+        }
+    }
+
+    #[test]
+    fn a_duplicate_signature_is_not_a_key() {
+        let n = 3;
+        let mut store = store_two_contexts(n);
+        let shadowed = store.len();
+        store.push(store.records()[1].clone()).unwrap();
+        let crl = Crl::new(store, quick(LookupMode::OnlineKnn));
+        // No query resolves to the repeat — record 1 wins the tie — so it
+        // is neither counted, nor pretrained, nor trainable by hand.
+        assert_eq!(crl.num_keys(), shadowed);
+        assert_eq!(crl.pretrain(&spec(n)).unwrap(), shadowed);
+        assert_eq!(crl.define_environment(&[10.0]).unwrap().0, 1);
+        assert!(matches!(crl.agent(shadowed), Err(CrlError::EmptyStore)));
+        assert_eq!(crl.cached_agents(), shadowed);
+    }
+
+    /// `pretrain` decides when agents are trained, never which: a lazy
+    /// allocator probed in one order, a pretrained one probed in the other
+    /// and one hammered from four threads answer bit for bit alike.
+    #[test]
+    fn answers_do_not_depend_on_who_trains_an_agent_or_when() {
+        let n = 4;
+        let signatures = [0.05, 3.0, 9.95, 10.2, 5.0];
+        let probe = |crl: &Crl, reversed: bool| {
+            let mut order = signatures.to_vec();
+            if reversed {
+                order.reverse();
             }
+            let mut out: Vec<_> = order
+                .iter()
+                .map(|&sig| {
+                    let a = crl.allocate(&[sig], &spec(n)).unwrap();
+                    let value = a.estimated_value.to_bits();
+                    (sig.to_bits(), a.assignment, bits(&a.estimated_importances), value)
+                })
+                .collect();
             out.sort();
             out
         };
-        assert_eq!(run(&[0.0, 10.0]), run(&[10.0, 0.0]));
-    }
-}
+        for lookup in MODES {
+            let lazy = probe(&Crl::new(store_two_contexts(n), quick(lookup)), false);
+            let pretrained = Crl::new(store_two_contexts(n), quick(lookup));
+            pretrained.pretrain(&spec(n)).unwrap();
+            assert_eq!(probe(&pretrained, true), lazy, "{lookup:?}");
 
-#[cfg(test)]
-mod shared_tests {
-    use super::tests::{spec, store_two_contexts as store};
-    use super::*;
-
-    fn configs() -> Vec<CrlConfig> {
-        vec![
-            CrlConfig { episodes: 10, ..CrlConfig::default() },
-            CrlConfig {
-                episodes: 10,
-                lookup: LookupMode::OfflineKMeans { clusters: 2 },
-                ..CrlConfig::default()
-            },
-        ]
+            let shared = &Crl::new(store_two_contexts(n), quick(lookup));
+            let probe = &probe;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> =
+                    (0..4).map(|t| scope.spawn(move || probe(shared, t % 2 == 1))).collect();
+                for handle in handles {
+                    assert_eq!(handle.join().unwrap(), lazy, "{lookup:?}");
+                }
+            });
+        }
     }
 
+    /// The geometry is bound once: a query over another geometry (the
+    /// pipeline's route-deflated fleet) that reaches a context first rolls
+    /// out over its own budgets, but trains the agent everyone else gets.
     #[test]
-    fn frozen_allocations_match_pretrained_mutable_path() {
+    fn the_first_query_geometry_does_not_decide_the_agent() {
         let n = 4;
-        for config in configs() {
-            let mut mutable = Crl::new(store(n), config.clone());
-            mutable.pretrain(&spec(n)).unwrap();
-            let shared = Crl::new(store(n), config.clone()).freeze(&spec(n)).unwrap();
-            for sig in [0.05, 3.0, 9.95, 10.2] {
-                let reference = mutable.allocate(&[sig], &spec(n)).unwrap();
-                let frozen = shared.allocate(&[sig], &spec(n)).unwrap();
-                assert_eq!(frozen.assignment, reference.assignment, "{config:?} sig {sig}");
-                let frozen_bits: Vec<u64> =
-                    frozen.estimated_importances.iter().map(|v| v.to_bits()).collect();
-                let reference_bits: Vec<u64> =
-                    reference.estimated_importances.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(frozen_bits, reference_bits);
-                assert_eq!(frozen.estimated_value.to_bits(), reference.estimated_value.to_bits());
-            }
+        let tight = AllocSpec { time_limits: Some(vec![1.0, 0.5]), ..spec(n) };
+        let in_order = Crl::new(store_two_contexts(n), quick(LookupMode::OnlineKnn));
+        in_order.bind(&spec(n)).unwrap();
+        in_order.allocate(&[0.0], &spec(n)).unwrap();
+        let tight_first = Crl::new(store_two_contexts(n), quick(LookupMode::OnlineKnn));
+        tight_first.bind(&spec(n)).unwrap();
+        tight_first.allocate(&[0.0], &tight).unwrap();
+        assert_eq!(
+            tight_first.agent(0).unwrap().parameter_bits(),
+            in_order.agent(0).unwrap().parameter_bits()
+        );
+        // Unbound, the same query would have trained on its own geometry.
+        let unbound = Crl::new(store_two_contexts(n), quick(LookupMode::OnlineKnn));
+        unbound.allocate(&[0.0], &tight).unwrap();
+        assert_ne!(
+            unbound.agent(0).unwrap().parameter_bits(),
+            in_order.agent(0).unwrap().parameter_bits()
+        );
+    }
+
+    /// Trains every agent on both sides and compares them.
+    fn assert_same_agents(grown: &Crl, cold: &Crl, n: usize) {
+        assert_eq!(grown.num_keys(), cold.num_keys());
+        grown.pretrain(&spec(n)).unwrap();
+        cold.pretrain(&spec(n)).unwrap();
+        for (key, blend, _) in snapshot(cold) {
+            assert_eq!(bits(&grown.contexts().unwrap().get(key).unwrap().blend), blend);
+            assert_eq!(
+                grown.agent(key).unwrap().parameter_bits(),
+                cold.agent(key).unwrap().parameter_bits(),
+                "key {key}"
+            );
         }
     }
 
     #[test]
-    fn concurrent_lazy_training_is_thread_and_order_invariant() {
-        let n = 4;
-        let config = CrlConfig { episodes: 10, ..CrlConfig::default() };
-        let shared = Crl::new(store(n), config.clone()).freeze(&spec(n)).unwrap();
-        let signatures = [0.0, 10.0, 0.2, 10.3, 5.0];
-        // Hammer the frozen allocator from several threads; every thread
-        // must see identical allocations, and they must match a fresh
-        // single-threaded freeze probed in a different order.
-        let mut collected: Vec<Vec<(u64, Vec<Option<usize>>)>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|t| {
-                    let shared = &shared;
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut order: Vec<f64> = signatures.to_vec();
-                        if t % 2 == 1 {
-                            order.reverse();
-                        }
-                        for sig in order {
-                            let alloc = shared.allocate(&[sig], &spec(n)).unwrap();
-                            out.push((sig.to_bits(), alloc.assignment));
-                        }
-                        out.sort();
-                        out
-                    })
-                })
-                .collect();
-            for handle in handles {
-                collected.push(handle.join().unwrap());
-            }
-        });
-        let solo = Crl::new(store(n), config).freeze(&spec(n)).unwrap();
-        let mut reference: Vec<(u64, Vec<Option<usize>>)> = signatures
-            .iter()
-            .rev()
-            .map(|&sig| (sig.to_bits(), solo.allocate(&[sig], &spec(n)).unwrap().assignment))
-            .collect();
-        reference.sort();
-        for run in &collected {
-            assert_eq!(run, &reference);
-        }
-    }
-
-    #[test]
-    fn pretrain_all_covers_every_key_and_is_idempotent() {
+    fn observe_keeps_knn_agents_whose_neighbourhood_did_not_change() {
         let n = 3;
-        let config = CrlConfig {
-            episodes: 5,
-            lookup: LookupMode::OfflineKMeans { clusters: 2 },
-            ..CrlConfig::default()
-        };
-        let shared = Crl::new(store(n), config).freeze(&spec(n)).unwrap();
-        assert_eq!(shared.cached_agents(), 0);
-        assert_eq!(shared.pretrain_all().unwrap(), shared.num_keys());
-        assert_eq!(shared.cached_agents(), shared.num_keys());
-        assert_eq!(shared.pretrain_all().unwrap(), 0);
-        assert!(shared.allocate(&[0.0], &spec(n)).unwrap().cache_hit);
+        let mut crl = Crl::new(store_two_contexts(n), quick(LookupMode::OnlineKnn));
+        crl.pretrain(&spec(n)).unwrap();
+        let stale = crl.agent(1).unwrap().parameter_bits();
+        // Lands between records 1 (10.0) and 3 (10.1): it joins their three
+        // nearest and nobody else's.
+        let record = EnvironmentRecord { signature: vec![10.05], importances: vec![0.5; n] };
+        crl.observe(record.clone()).unwrap();
+        let trained: Vec<usize> =
+            snapshot(&crl).into_iter().filter(|(_, _, t)| *t).map(|(key, ..)| key).collect();
+        assert_eq!(trained, [0, 2, 4, 5, 6, 7], "kept agents");
+        assert_eq!(crl.num_keys(), 9);
+        assert!(crl.allocate(&[0.0], &spec(n)).unwrap().cache_hit);
+        assert!(!crl.allocate(&[10.0], &spec(n)).unwrap().cache_hit);
+        assert_ne!(crl.agent(1).unwrap().parameter_bits(), stale, "a new blend is a new agent");
+
+        let mut store = store_two_contexts(n);
+        store.push(record).unwrap();
+        assert_same_agents(&crl, &Crl::new(store, quick(LookupMode::OnlineKnn)), n);
     }
 
     #[test]
-    fn freeze_validates_inputs() {
-        let empty =
-            Crl::new(EnvironmentStore::new(), CrlConfig { episodes: 1, ..CrlConfig::default() });
-        assert!(matches!(empty.freeze(&spec(2)), Err(CrlError::EmptyStore)));
-        let crl = Crl::new(store(4), CrlConfig { episodes: 1, ..CrlConfig::default() });
-        assert!(matches!(crl.freeze(&spec(3)), Err(CrlError::Shape)));
-    }
-
-    #[test]
-    fn shared_crl_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<SharedCrl>();
-    }
-}
-
-#[cfg(test)]
-mod offline_tests {
-    use super::tests::{spec, store_two_contexts as two_context_store};
-    use super::*;
-
-    fn offline_config(clusters: usize) -> CrlConfig {
-        CrlConfig {
-            lookup: LookupMode::OfflineKMeans { clusters },
-            episodes: 80,
-            ..CrlConfig::default()
+    fn observe_keeps_a_cluster_only_if_the_refit_reproduced_it() {
+        let n = 3;
+        let config = quick(LookupMode::OfflineKMeans { clusters: 2 });
+        let mut crl = Crl::new(store_two_contexts(n), config.clone());
+        crl.pretrain(&spec(n)).unwrap();
+        let before = snapshot(&crl);
+        // Joins context B's cluster and moves its mean importances.
+        let record = EnvironmentRecord { signature: vec![10.4], importances: vec![0.5; n] };
+        crl.observe(record.clone()).unwrap();
+        let after = snapshot(&crl);
+        for ((key, old, _), (_, new, trained)) in before.iter().zip(&after) {
+            assert_eq!(*trained, old == new, "cluster {key}");
         }
+        assert_eq!(crl.cached_agents(), 1, "one cluster kept, one dropped: {after:?}");
+
+        let mut store = store_two_contexts(n);
+        store.push(record).unwrap();
+        assert_same_agents(&crl, &Crl::new(store, config), n);
+    }
+
+    /// The re-fit draws from a fresh stream, so the clustering is a
+    /// function of the store and not of how many agents were trained
+    /// before the store grew.
+    #[test]
+    fn refit_after_training_clusters_like_a_cold_allocator() {
+        let n = 3;
+        let config = quick(LookupMode::OfflineKMeans { clusters: 3 });
+        let record = EnvironmentRecord { signature: vec![5.0], importances: vec![0.5; n] };
+        let mut used = Crl::new(store_two_contexts(n), config.clone());
+        used.allocate(&[0.0], &spec(n)).unwrap();
+        used.allocate(&[10.0], &spec(n)).unwrap();
+        assert_eq!(used.cached_agents(), 2);
+        used.observe(record.clone()).unwrap();
+
+        let mut store = store_two_contexts(n);
+        store.push(record).unwrap();
+        let cold = Crl::new(store, config);
+        for sig in [0.0, 0.3, 4.0, 5.0, 7.0, 10.0, 10.3] {
+            let (key, blend) = used.define_environment(&[sig]).unwrap();
+            let (cold_key, cold_blend) = cold.define_environment(&[sig]).unwrap();
+            assert_eq!((key, bits(&blend)), (cold_key, bits(&cold_blend)), "signature {sig}");
+        }
+        assert_same_agents(&used, &cold, n);
     }
 
     #[test]
     fn offline_mode_routes_to_matching_cluster() {
         let n = 4;
-        let mut crl = Crl::new(two_context_store(n), offline_config(2));
+        let crl = Crl::new(
+            store_two_contexts(n),
+            CrlConfig { episodes: 80, ..quick(LookupMode::OfflineKMeans { clusters: 2 }) },
+        );
         let a = crl.allocate(&[0.1], &spec(n)).unwrap();
         assert!(a.estimated_importances[0] > 0.8, "blend {:?}", a.estimated_importances);
         let b = crl.allocate(&[10.1], &spec(n)).unwrap();
         assert!(b.estimated_importances[3] > 0.8, "blend {:?}", b.estimated_importances);
         assert!(a.assignment[0].is_some());
         assert!(b.assignment[3].is_some());
-    }
-
-    #[test]
-    fn offline_mode_caches_per_cluster() {
-        let n = 3;
-        let mut crl =
-            Crl::new(two_context_store(n), CrlConfig { episodes: 5, ..offline_config(2) });
-        let first = crl.allocate(&[0.0], &spec(n)).unwrap();
-        assert!(!first.cache_hit);
-        // A different signature in the SAME cluster reuses the agent.
-        let second = crl.allocate(&[0.3], &spec(n)).unwrap();
-        assert!(second.cache_hit);
-        assert_eq!(crl.cached_agents(), 1);
-    }
-
-    #[test]
-    fn growing_the_store_invalidates_clusters() {
-        let n = 3;
-        let mut crl =
-            Crl::new(two_context_store(n), CrlConfig { episodes: 3, ..offline_config(2) });
-        crl.allocate(&[0.0], &spec(n)).unwrap();
-        assert_eq!(crl.cached_agents(), 1);
-        crl.observe(EnvironmentRecord { signature: vec![5.0], importances: vec![0.5; n] }).unwrap();
-        // Next allocation re-clusters and rebuilds agents.
-        let out = crl.allocate(&[0.0], &spec(n)).unwrap();
-        assert!(!out.cache_hit);
-    }
-
-    #[test]
-    fn offline_empty_store_errors() {
-        let mut crl = Crl::new(EnvironmentStore::new(), offline_config(2));
-        assert!(matches!(crl.allocate(&[0.0], &spec(2)), Err(CrlError::EmptyStore)));
-    }
-
-    #[test]
-    fn pretrain_covers_every_cluster() {
-        let n = 3;
-        let mut crl =
-            Crl::new(two_context_store(n), CrlConfig { episodes: 5, ..offline_config(2) });
-        assert_eq!(crl.pretrain(&spec(n)).unwrap(), 2);
+        // A different signature in the same cluster reuses the agent.
+        assert!(crl.allocate(&[0.3], &spec(n)).unwrap().cache_hit);
         assert_eq!(crl.cached_agents(), 2);
-        assert!(crl.allocate(&[0.0], &spec(n)).unwrap().cache_hit);
-        assert!(crl.allocate(&[10.0], &spec(n)).unwrap().cache_hit);
     }
 
     #[test]
-    fn more_clusters_than_records_is_clamped() {
-        let n = 2;
-        let mut store = EnvironmentStore::new();
-        store
-            .push(EnvironmentRecord { signature: vec![0.0], importances: vec![0.9, 0.1] })
-            .unwrap();
-        let mut crl = Crl::new(store, CrlConfig { episodes: 3, ..offline_config(10) });
-        let out = crl.allocate(&[0.0], &spec(n)).unwrap();
-        assert!(out.estimated_importances[0] > 0.8);
+    fn crl_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Crl>();
     }
 }

@@ -38,7 +38,7 @@ fn store(n: usize) -> EnvironmentStore {
 fn run_at(threads: usize, lookup: LookupMode) -> Vec<(Vec<Option<usize>>, Vec<u64>)> {
     let n = 4;
     parallel::set_max_threads(threads);
-    let mut crl = Crl::new(
+    let crl = Crl::new(
         store(n),
         CrlConfig {
             lookup,

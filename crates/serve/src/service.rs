@@ -241,8 +241,9 @@ pub struct TenantStats {
     /// Per-context batchers instantiated so far.
     pub batchers: usize,
     /// Agents of the tenant's one general process trained so far — CRL and
-    /// DCTA requests share them, so this reaches `SharedCrl::num_keys()`
-    /// and stays there once the tenant is warm.
+    /// DCTA requests share them, so this reaches `Crl::num_keys()` and stays
+    /// there once the tenant is warm. Agents the pipeline trained before
+    /// `into_core` count: they moved over with it.
     pub trained_agents: usize,
 }
 
@@ -358,16 +359,17 @@ impl AllocatorService {
         self.tenant(&request.tenant)?.answer(&request.query)
     }
 
-    /// Eagerly trains every agent of a tenant's general process, so no CRL,
-    /// DCTA or Q-value request pays first-touch training. Returns how many
-    /// agents this call trained: `SharedCrl::num_keys()` on a cold tenant,
-    /// `0` on a warm one.
+    /// Eagerly trains every agent of a tenant's general process that is not
+    /// trained yet, so no CRL, DCTA or Q-value request pays first-touch
+    /// training. Returns how many agents this call trained:
+    /// `Crl::num_keys()` on a cold tenant, `0` on a warm one.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownTenant`] / training failures.
     pub fn warm(&self, tenant: &str) -> Result<usize, ServeError> {
-        Ok(self.tenant(tenant)?.core.crl().pretrain_all()?)
+        let tenant = self.tenant(tenant)?;
+        Ok(tenant.core.crl().pretrain(&tenant.core.blind_instance())?)
     }
 
     /// Point-in-time serving counters of a tenant.
@@ -406,8 +408,8 @@ mod tests {
     use rl::crl::CrlConfig;
     use rl::dqn::DqnConfig;
 
-    fn test_core() -> PreparedCore {
-        let scenario = Scenario::generate(ScenarioConfig {
+    fn test_scenario() -> Scenario {
+        Scenario::generate(ScenarioConfig {
             num_buildings: 2,
             chillers_per_building: 2,
             bands_per_chiller: 4,
@@ -417,7 +419,10 @@ mod tests {
             mean_input_mbit: 40.0,
             ..ScenarioConfig::default()
         })
-        .unwrap();
+        .unwrap()
+    }
+
+    fn test_pipeline() -> Pipeline {
         Pipeline::new(PipelineConfig {
             workers: 3,
             env_history_days: 4,
@@ -428,10 +433,10 @@ mod tests {
             },
             ..PipelineConfig::default()
         })
-        .prepare(&scenario)
-        .unwrap()
-        .into_core()
-        .unwrap()
+    }
+
+    fn test_core() -> PreparedCore {
+        test_pipeline().prepare(&test_scenario()).unwrap().into_core().unwrap()
     }
 
     #[test]
@@ -563,6 +568,47 @@ mod tests {
             })
             .unwrap();
         assert_eq!(service.stats("t").unwrap().trained_agents, keys);
+    }
+
+    /// Agents the batch pipeline trained move into the core with it: the
+    /// tenant starts with them, `warm` trains only the rest, and nothing
+    /// it answers differs from a tenant frozen cold.
+    #[test]
+    fn agents_trained_before_into_core_are_kept() {
+        let scenario = test_scenario();
+        let mut prepared = test_pipeline().prepare(&scenario).unwrap();
+        let days: Vec<usize> = prepared.test_days().collect();
+        let key =
+            |c: &PreparedCore, d| c.crl().shared().define_environment(&c.scenario().day(d).sensing);
+        // Two days in two different contexts.
+        let cold = test_core();
+        let first = key(&cold, days[0]).unwrap().0;
+        let other =
+            *days.iter().find(|&&d| key(&cold, d).unwrap().0 != first).expect("two contexts");
+        prepared.run(&RunSpec::new(Method::Crl, days[0])).unwrap();
+        prepared.run(&RunSpec::new(Method::Dcta, other)).unwrap();
+
+        let service = AllocatorService::new();
+        service.register("carried", prepared.into_core().unwrap()).unwrap();
+        service.register("cold", cold).unwrap();
+        let keys = service.with_core("carried", |c| c.crl().shared().num_keys()).unwrap();
+        assert_eq!(service.stats("carried").unwrap().trained_agents, 2);
+        assert_eq!(service.stats("cold").unwrap().trained_agents, 0);
+        assert_eq!(service.warm("carried").unwrap(), keys - 2);
+        assert_eq!(service.stats("carried").unwrap().trained_agents, keys);
+
+        for &day in &days {
+            for query in [
+                Query::Run(RunSpec::new(Method::Crl, day)),
+                Query::Run(RunSpec::new(Method::Dcta, day)),
+                Query::QValues { day, state: None },
+            ] {
+                let ask = |tenant: &str| {
+                    service.handle(&AllocRequest { tenant: tenant.into(), query: query.clone() })
+                };
+                assert_eq!(ask("carried").unwrap(), ask("cold").unwrap(), "day {day}");
+            }
+        }
     }
 
     #[test]

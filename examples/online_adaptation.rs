@@ -43,19 +43,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let report =
                 prepared.run(&RunSpec::new(Method::Crl, day))?.into_healthy().expect("healthy run");
             captured += report.captured_importance;
+            let trained = prepared.crl().cached_agents();
+            // Feed today's observation back: tomorrow's lookup knows more.
+            prepared.observe_day(day)?;
             println!(
-                "day {day}: scheduled {:>2} tasks, captured importance {:.3}, decision perf {:.3}, store size {}",
+                "day {day}: scheduled {:>2} tasks, captured importance {:.3}, decision perf {:.3}, \
+                 store size {}, agents kept {} of {trained}",
                 report.scheduled,
                 report.captured_importance,
                 report.decision_performance,
-                4 + (day - prepared.test_days().start)
+                prepared.crl().store_len(),
+                prepared.crl().cached_agents(),
             );
-            // Feed today's observation back: tomorrow's lookup knows more.
-            prepared.observe_day(day)?;
         }
         println!("total captured importance: {captured:.3}\n");
     }
-    println!("The store grows by one environment per day; similar future days");
-    println!("reuse the cached agent while novel contexts trigger retraining.");
+    println!("The store grows by one environment per day. An agent survives the growth");
+    println!("only if its environment came out bit-identical: a kNN context the new day");
+    println!("did not join, or a k-means cluster the re-fit reproduced. Observing the day");
+    println!("just served joins the very context that served it, so its agent retrains.");
     Ok(())
 }

@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         route_factors: None,
     };
 
-    let mut crl = Crl::new(store, CrlConfig { episodes: 120, ..CrlConfig::default() });
+    let crl = Crl::new(store, CrlConfig { episodes: 120, ..CrlConfig::default() });
     for ctx in ["highway", "school", "downtown"] {
         let out = crl.allocate(&context(ctx), &spec)?;
         println!("== context: {ctx} ==");
