@@ -132,6 +132,11 @@ impl BinaryRows {
 /// regardless of blocking.
 const MR: usize = 4;
 
+/// Register-tile width of [`Matrix::vecmat_into`]: how many outputs keep
+/// their accumulator live across the whole `k` loop. Like [`MR`] it only
+/// affects speed.
+const VR: usize = 16;
+
 impl Matrix {
     /// Creates a `rows × cols` matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
@@ -750,56 +755,76 @@ impl Matrix {
         Ok(())
     }
 
-    /// Matrix–vector product with four-row instruction-level parallelism:
-    /// rows are processed in blocks of [`MR`] independent accumulator
-    /// chains, hiding the FMA latency a single dot's serial chain exposes.
+    /// Vector–matrix product `out = vᵀ · self`: `out[j] = Σ_k v[k] ·
+    /// self[k][j]`, `k` ascending — [`Matrix::matvec_into`] on a matrix that
+    /// is stored transposed. This is the single-state inference kernel: with
+    /// `self` a layer's `in × out` weights, a row is one *input's*
+    /// contribution to every output, so the outputs are independent,
+    /// contiguous accumulator chains (in the row-dot form each output is one
+    /// serial add chain), and a row whose `v[k]` is exactly zero is skipped.
     ///
-    /// Each output element is still its own ascending-`k` dot product over
-    /// exactly the same operand pairs, so results are bit-identical to
-    /// [`Matrix::matvec_into`]. This is the latency-sensitive inference
-    /// kernel (DQN action selection); `matvec_into` stays the frozen
-    /// per-sample reference kernel.
+    /// Accumulators live in [`VR`]-wide register tiles across the whole `k`
+    /// loop and are stored once. A skipped term is a `±0.0` product (for
+    /// finite `self`) that would have been added to an accumulator which
+    /// starts at `+0.0` and so can never hold `-0.0`: an identity. The
+    /// surviving terms are `matvec_into`'s, in its order, so for finite
+    /// `self` the bits are `self.transpose().matvec_into(v, out)`'s — with
+    /// one exception this kernel shares with the `matmul` family: an output
+    /// whose every term is `-0.0` is `+0.0` here and `-0.0` there, because
+    /// [`dot`]'s `Iterator::sum` starts from `-0.0`.
     ///
     /// # Errors
     ///
-    /// Returns [`DimensionError`] when `self.cols() != v.len()` or
-    /// `out.len() != self.rows()`.
-    pub fn matvec_ilp_into(&self, v: &[f64], out: &mut [f64]) -> Result<(), DimensionError> {
-        if self.cols != v.len() {
-            return Err(DimensionError { op: "matvec", left: self.shape(), right: (v.len(), 1) });
+    /// Returns [`DimensionError`] when `self.rows() != v.len()` or
+    /// `out.len() != self.cols()`.
+    pub fn vecmat_into(&self, v: &[f64], out: &mut [f64]) -> Result<(), DimensionError> {
+        if self.rows != v.len() {
+            return Err(DimensionError { op: "vecmat", left: (1, v.len()), right: self.shape() });
         }
-        if out.len() != self.rows {
+        if out.len() != self.cols {
             return Err(DimensionError {
-                op: "matvec_ilp_into(out)",
-                left: (out.len(), 1),
-                right: (self.rows, 1),
+                op: "vecmat_into(out)",
+                left: (1, out.len()),
+                right: (1, self.cols),
             });
         }
-        let k = self.cols;
-        if k == 0 {
-            out.fill(0.0);
+        let n = self.cols;
+        if n == 0 {
             return Ok(());
         }
-        let mut row_blocks = self.data.chunks_exact(MR * k);
-        let mut out_cells = out.chunks_exact_mut(MR);
-        for (block, cells) in row_blocks.by_ref().zip(out_cells.by_ref()) {
-            let (r0, rr) = block.split_at(k);
-            let (r1, rr) = rr.split_at(k);
-            let (r2, r3) = rr.split_at(k);
-            let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
-            for (kk, &x) in v.iter().enumerate() {
-                a0 += r0[kk] * x;
-                a1 += r1[kk] * x;
-                a2 += r2[kk] * x;
-                a3 += r3[kk] * x;
+        let rows = || v.iter().zip(self.data.chunks_exact(n));
+        if n < VR {
+            // Narrower than a tile: accumulate in `out` itself.
+            out.fill(0.0);
+            for (&x, row) in rows() {
+                if x == 0.0 {
+                    continue;
+                }
+                for (o, &w) in out.iter_mut().zip(row) {
+                    *o += x * w;
+                }
             }
-            cells[0] = a0;
-            cells[1] = a1;
-            cells[2] = a2;
-            cells[3] = a3;
+            return Ok(());
         }
-        for (row, cell) in row_blocks.remainder().chunks_exact(k).zip(out_cells.into_remainder()) {
-            *cell = dot(row, v);
+        let mut j0 = 0;
+        loop {
+            let mut acc = [0.0f64; VR];
+            for (&x, row) in rows() {
+                if x == 0.0 {
+                    continue;
+                }
+                let rv: &[f64; VR] = row[j0..j0 + VR].try_into().expect("tile width");
+                for c in 0..VR {
+                    acc[c] += x * rv[c];
+                }
+            }
+            out[j0..j0 + VR].copy_from_slice(&acc);
+            if j0 + VR == n {
+                break;
+            }
+            // A ragged last tile slides left to end at `n`; the outputs it
+            // shares with its neighbour are computed twice, to the same bits.
+            j0 = (j0 + VR).min(n - VR);
         }
         Ok(())
     }
@@ -1252,6 +1277,51 @@ mod tests {
     }
 
     #[test]
+    fn vecmat_bits_match_matvec_on_the_transpose() {
+        // Output widths below, at and past the VR-wide tile (the ragged
+        // last tile overlaps its neighbour), and both DQN layer shapes.
+        // `dense_test_matrix` mixes `±0.0` into weights and inputs alike, so
+        // rows are skipped mid-stream.
+        for (k, n, salt) in [
+            (1, 1, 41),
+            (9, 15, 42),
+            (9, 16, 43),
+            (9, 17, 44),
+            (33, 33, 45),
+            (48, 51, 46),
+            (927, 48, 47),
+        ] {
+            let wt = dense_test_matrix(k, n, salt);
+            let w = wt.transpose();
+            let dense = dense_test_matrix(1, k, salt ^ 0x7777).into_vec();
+            let mut one_hot = vec![0.0; k];
+            one_hot[k / 2] = 1.0;
+            for v in [dense, one_hot] {
+                let mut reference = vec![f64::NAN; n];
+                w.matvec_into(&v, &mut reference).unwrap();
+                let mut out = vec![f64::NAN; n];
+                wt.vecmat_into(&v, &mut out).unwrap();
+                assert_eq!(
+                    out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    reference.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    "vecmat_into diverged at {k}x{n}"
+                );
+            }
+        }
+        // The documented exception: when every term of an output is `-0.0`
+        // the row dot (whose `sum` starts from `-0.0`) keeps the sign, and a
+        // `+0.0` accumulator does not.
+        let wt = Matrix::from_vec(2, 1, vec![-1.0, -2.0]).unwrap();
+        let (mut out, mut reference) = ([f64::NAN], [f64::NAN]);
+        wt.vecmat_into(&[0.0, 0.0], &mut out).unwrap();
+        wt.transpose().matvec_into(&[0.0, 0.0], &mut reference).unwrap();
+        assert_eq!(
+            (out[0].to_bits(), reference[0].to_bits()),
+            (0.0f64.to_bits(), (-0.0f64).to_bits())
+        );
+    }
+
+    #[test]
     fn into_kernels_validate_shapes() {
         let a = Matrix::zeros(3, 4);
         let b = Matrix::zeros(4, 2);
@@ -1266,6 +1336,8 @@ mod tests {
             .is_err());
         assert!(a.matvec_into(&[0.0; 3], &mut [0.0; 3]).is_err());
         assert!(a.matvec_into(&[0.0; 4], &mut [0.0; 2]).is_err());
+        assert!(a.vecmat_into(&[0.0; 4], &mut [0.0; 4]).is_err());
+        assert!(a.vecmat_into(&[0.0; 3], &mut [0.0; 3]).is_err());
     }
 
     #[test]
@@ -1283,6 +1355,13 @@ mod tests {
         let mut mv = [f64::NAN; 3];
         a.matvec_into(&[], &mut mv).unwrap();
         assert!(mv.iter().all(|&x| x == 0.0));
+        // `vecmat_into`: no inputs (narrow and tiled), then no outputs.
+        for n in [2, 51] {
+            let mut vm = vec![f64::NAN; n];
+            Matrix::zeros(0, n).vecmat_into(&[], &mut vm).unwrap();
+            assert!(vm.iter().all(|&x| x.to_bits() == 0.0f64.to_bits()));
+        }
+        a.vecmat_into(&[1.0; 3], &mut []).unwrap();
     }
 
     #[test]

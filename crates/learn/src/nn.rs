@@ -83,10 +83,56 @@ impl fmt::Display for NetworkError {
 
 impl std::error::Error for NetworkError {}
 
+/// A layer's weights in both layouts, in a module of their own so that the
+/// rest of this file cannot reach the fields.
+mod weights {
+    use crate::linalg::Matrix;
+
+    /// A layer's `out × in` weight matrix `W` together with `Wᵀ` (`in ×
+    /// out`), the layout every forward but the reference reads: there a row
+    /// is one input's contribution to all outputs, contiguous over the
+    /// output dimension.
+    ///
+    /// `W` is what dereferencing yields and what gradients, optimisers and
+    /// `Mlp::parameter_bits` see. Nothing hands out `&mut` to either matrix:
+    /// [`Weights::update`] is the only way to write `W` and the only code
+    /// that writes `Wᵀ`, so the two cannot disagree.
+    #[derive(Debug, Clone, PartialEq)]
+    pub(super) struct Weights {
+        w: Matrix,
+        wt: Matrix,
+    }
+
+    impl Weights {
+        pub(super) fn zeros(fan_out: usize, fan_in: usize) -> Self {
+            Self { w: Matrix::zeros(fan_out, fan_in), wt: Matrix::zeros(fan_in, fan_out) }
+        }
+
+        /// `Wᵀ`: element for element a bitwise copy of `W`.
+        pub(super) fn transposed(&self) -> &Matrix {
+            &self.wt
+        }
+
+        /// Lets `write` change `W` (not its shape), then re-transposes.
+        pub(super) fn update(&mut self, write: impl FnOnce(&mut Matrix)) {
+            write(&mut self.w);
+            self.w.transpose_into(&mut self.wt).expect("shape fixed at construction");
+        }
+    }
+
+    impl std::ops::Deref for Weights {
+        type Target = Matrix;
+
+        fn deref(&self) -> &Matrix {
+            &self.w
+        }
+    }
+}
+use weights::Weights;
+
 #[derive(Debug, Clone, PartialEq)]
 struct Layer {
-    /// `out × in` weight matrix.
-    weights: Matrix,
+    weights: Weights,
     bias: Vec<f64>,
     activation: Activation,
 }
@@ -157,14 +203,6 @@ pub struct BatchWorkspace {
     pres: Vec<Matrix>,
     /// `deltas[l]` holds ∂loss/∂z for layer `l`.
     deltas: Vec<Matrix>,
-    /// `wts[l]` caches layer `l`'s weights transposed (`in × out`), refreshed
-    /// on every batched forward. The transposed layout turns the forward
-    /// `Z = A·Wᵀ` into the plain `A·(Wᵀ)` kernel whose inner loop walks the
-    /// output dimension contiguously — auto-vectorisable, unlike the
-    /// row-by-row dot products of `matmul_transpose_b` — while each output
-    /// element still accumulates identical terms in identical `k` order, so
-    /// the bits cannot change.
-    wts: Vec<Matrix>,
     grads: Vec<LayerGrad>,
 }
 
@@ -182,11 +220,6 @@ impl BatchWorkspace {
             self.acts = vec![Matrix::zeros(0, 0); net.sizes.len()];
             self.pres = vec![Matrix::zeros(0, 0); net.layers.len()];
             self.deltas = vec![Matrix::zeros(0, 0); net.layers.len()];
-            self.wts = net
-                .layers
-                .iter()
-                .map(|l| Matrix::zeros(l.weights.cols(), l.weights.rows()))
-                .collect();
             self.grads = net
                 .layers
                 .iter()
@@ -205,7 +238,7 @@ impl BatchWorkspace {
     }
 }
 
-/// Reusable scratch for [`Mlp::forward_ilp_scratch`].
+/// Reusable scratch for [`Mlp::forward_single_scratch`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ForwardScratch {
     act: Vec<f64>,
@@ -271,10 +304,12 @@ impl Mlp {
             let (fan_in, fan_out) = (w[0], w[1]);
             let is_output = layers.len() == sizes.len() - 2;
             let scale = (2.0 / fan_in as f64).sqrt();
-            let mut weights = Matrix::zeros(fan_out, fan_in);
-            for v in weights.as_mut_slice() {
-                *v = rng.gen_range(-1.0..1.0) * scale;
-            }
+            let mut weights = Weights::zeros(fan_out, fan_in);
+            weights.update(|w| {
+                for v in w.as_mut_slice() {
+                    *v = rng.gen_range(-1.0..1.0) * scale;
+                }
+            });
             layers.push(Layer {
                 weights,
                 bias: vec![0.0; fan_out],
@@ -299,7 +334,9 @@ impl Mlp {
         self.layers.iter().map(|l| l.weights.rows() * l.weights.cols() + l.bias.len()).sum()
     }
 
-    /// Forward pass.
+    /// Forward pass: the per-sample reference, one serial row dot per output
+    /// on `W` as stored ([`Matrix::matvec`]). Every other forward is held to
+    /// its bits; callers that want speed take [`Mlp::forward_single`].
     ///
     /// # Errors
     ///
@@ -320,29 +357,33 @@ impl Mlp {
         Ok(act)
     }
 
-    /// Forward pass through the ILP-blocked inference kernel
-    /// ([`Matrix::matvec_ilp_into`]). Bit-identical to [`Mlp::forward`] —
-    /// every output element is the same ascending-`k` dot — but several
-    /// times faster on deep-and-narrow latency chains, so action selection
-    /// and other single-sample inference go through here while the
-    /// per-sample training reference keeps the frozen `forward`.
+    /// Single-state forward pass on the transposed weights
+    /// ([`Matrix::vecmat_into`]): every output of a layer accumulates side
+    /// by side, and an input that is exactly zero — an unset selection
+    /// entry, a dead ReLU — costs nothing. Each output adds the terms of
+    /// [`Mlp::forward`]'s row dot in its order, less the exact-zero ones, so
+    /// for finite weights the result is `forward`'s bit for bit (the one
+    /// pre-activation the kernels can disagree on is `±0.0`, and a bias is
+    /// never `-0.0`: it starts at `+0.0` and no optimiser step can produce
+    /// one). Action selection, rollouts and every other one-sample inference
+    /// go through here.
     ///
     /// # Errors
     ///
     /// [`NetworkError::ArityMismatch`] when `input` has the wrong length.
-    pub fn forward_ilp(&self, input: &[f64]) -> Result<Vec<f64>, NetworkError> {
+    pub fn forward_single(&self, input: &[f64]) -> Result<Vec<f64>, NetworkError> {
         let mut scratch = ForwardScratch::default();
-        self.forward_ilp_scratch(input, &mut scratch)?;
+        self.forward_single_scratch(input, &mut scratch)?;
         Ok(scratch.act)
     }
 
-    /// [`Mlp::forward_ilp`] into caller-owned scratch: no allocation once
+    /// [`Mlp::forward_single`] into caller-owned scratch: no allocation once
     /// `scratch` has seen this architecture, and no copy of `input`.
     ///
     /// # Errors
     ///
     /// [`NetworkError::ArityMismatch`] when `input` has the wrong length.
-    pub fn forward_ilp_scratch<'s>(
+    pub fn forward_single_scratch<'s>(
         &self,
         input: &[f64],
         scratch: &'s mut ForwardScratch,
@@ -357,7 +398,11 @@ impl Mlp {
             let ForwardScratch { act, z } = &mut *scratch;
             let src: &[f64] = if li == 0 { input } else { act };
             z.resize(layer.weights.rows(), 0.0);
-            layer.weights.matvec_ilp_into(src, z).expect("sizes consistent by construction");
+            layer
+                .weights
+                .transposed()
+                .vecmat_into(src, z)
+                .expect("sizes consistent by construction");
             for (zi, &b) in z.iter_mut().zip(&layer.bias) {
                 *zi = layer.activation.apply(*zi + b);
             }
@@ -392,15 +437,14 @@ impl Mlp {
     ///
     /// Allocating convenience wrapper; hot loops should hold a
     /// [`BatchWorkspace`] and call [`Mlp::forward_batch_ws`]. A batch of one
-    /// has nothing to share a weight transpose with and takes
-    /// [`Mlp::forward_ilp`] instead.
+    /// needs no workspace and takes [`Mlp::forward_single`] instead.
     ///
     /// # Errors
     ///
     /// [`NetworkError::EmptyBatch`] / [`NetworkError::ArityMismatch`].
     pub fn forward_batch(&self, inputs: &[&[f64]]) -> Result<Vec<Vec<f64>>, NetworkError> {
         if let [single] = inputs {
-            return Ok(vec![self.forward_ilp(single)?]);
+            return Ok(vec![self.forward_single(single)?]);
         }
         let mut ws = BatchWorkspace::new();
         let out = self.forward_batch_ws(inputs, &mut ws)?;
@@ -478,22 +522,22 @@ impl Mlp {
     /// `ws.ones` / `ws.acts[0]`: per layer `Z = A·Wᵀ` (one blocked matmul),
     /// `Z += bias` broadcast row-wise, `A' = σ(Z)`.
     ///
-    /// The weight matrix is transposed into `ws.wts` first so the product
-    /// runs through the plain `A·(Wᵀ)` kernels, whose inner loop is
-    /// contiguous over the output dimension and auto-vectorises; `A·(Wᵀ)`
-    /// multiplies the same operand pairs in the same `k` order as the
-    /// row-dot formulation, so the result is bit-identical.
+    /// The product runs on the layer's own `Wᵀ` through the plain `A·(Wᵀ)`
+    /// kernels, whose inner loop is contiguous over the output dimension and
+    /// auto-vectorises; `A·(Wᵀ)` multiplies the same operand pairs in the
+    /// same `k` order as the row-dot formulation, so the result is
+    /// bit-identical.
     fn forward_trace_batch(&self, ws: &mut BatchWorkspace) {
         let batch = ws.acts[0].rows();
         for (li, layer) in self.layers.iter().enumerate() {
-            layer.weights.transpose_into(&mut ws.wts[li]).expect("sizes consistent");
+            let wt = layer.weights.transposed();
             let (done, rest) = ws.acts.split_at_mut(li + 1);
             let a_in = &done[li];
             let pre = &mut ws.pres[li];
             if li == 0 {
-                a_in.matmul_prefix_into(&ws.ones, &ws.wts[0], pre).expect("sizes consistent");
+                a_in.matmul_prefix_into(&ws.ones, wt, pre).expect("sizes consistent");
             } else {
-                a_in.matmul_into(&ws.wts[li], pre).expect("sizes consistent");
+                a_in.matmul_into(wt, pre).expect("sizes consistent");
             }
             let a_out = &mut rest[0];
             for s in 0..batch {
@@ -971,7 +1015,11 @@ impl Mlp {
                 got: other.num_parameters(),
             });
         }
-        self.layers.clone_from(&other.layers);
+        for (dst, src) in self.layers.iter_mut().zip(&other.layers) {
+            dst.weights.update(|w| w.clone_from(&src.weights));
+            dst.bias.clone_from(&src.bias);
+            dst.activation = src.activation;
+        }
         Ok(())
     }
 }
@@ -1024,7 +1072,7 @@ impl Optimizer for SgdOptimizer {
         for ((layer, grad), vel) in net.layers.iter_mut().zip(grads).zip(velocity.iter_mut()) {
             vel.weights.scale(self.momentum);
             vel.weights.axpy(-self.learning_rate, &grad.weights).expect("same shape");
-            layer.weights.axpy(1.0, &vel.weights).expect("same shape");
+            layer.weights.update(|w| w.axpy(1.0, &vel.weights).expect("same shape"));
             for ((b, &g), v) in layer.bias.iter_mut().zip(&grad.bias).zip(&mut vel.bias) {
                 *v = self.momentum * *v - self.learning_rate * g;
                 *b += *v;
@@ -1085,20 +1133,21 @@ impl Optimizer for AdamOptimizer {
             // element-wise update — including the sqrt/divide — vectorises;
             // per-element arithmetic is unchanged, so bits are unchanged.
             let (lr, eps) = (self.learning_rate, self.epsilon);
-            for (((w, &g), mk), vk) in layer
-                .weights
-                .as_mut_slice()
-                .iter_mut()
-                .zip(grad.weights.as_slice())
-                .zip(mi.weights.as_mut_slice().iter_mut())
-                .zip(vi.weights.as_mut_slice().iter_mut())
-            {
-                *mk = b1 * *mk + (1.0 - b1) * g;
-                *vk = b2 * *vk + (1.0 - b2) * g * g;
-                let m_hat = *mk / bc1;
-                let v_hat = *vk / bc2;
-                *w -= lr * m_hat / (v_hat.sqrt() + eps);
-            }
+            layer.weights.update(|weights| {
+                for (((w, &g), mk), vk) in weights
+                    .as_mut_slice()
+                    .iter_mut()
+                    .zip(grad.weights.as_slice())
+                    .zip(mi.weights.as_mut_slice().iter_mut())
+                    .zip(vi.weights.as_mut_slice().iter_mut())
+                {
+                    *mk = b1 * *mk + (1.0 - b1) * g;
+                    *vk = b2 * *vk + (1.0 - b2) * g * g;
+                    let m_hat = *mk / bc1;
+                    let v_hat = *vk / bc2;
+                    *w -= lr * m_hat / (v_hat.sqrt() + eps);
+                }
+            });
             for (((w, &g), mk), vk) in layer
                 .bias
                 .iter_mut()
@@ -1164,11 +1213,11 @@ mod tests {
         for li in 0..net.layers.len() {
             for k in 0..net.layers[li].weights.as_slice().len() {
                 let orig = net.layers[li].weights.as_slice()[k];
-                net.layers[li].weights.as_mut_slice()[k] = orig + eps;
+                net.layers[li].weights.update(|w| w.as_mut_slice()[k] = orig + eps);
                 let lp = net.loss(&inputs, &targets).unwrap();
-                net.layers[li].weights.as_mut_slice()[k] = orig - eps;
+                net.layers[li].weights.update(|w| w.as_mut_slice()[k] = orig - eps);
                 let lm = net.loss(&inputs, &targets).unwrap();
-                net.layers[li].weights.as_mut_slice()[k] = orig;
+                net.layers[li].weights.update(|w| w.as_mut_slice()[k] = orig);
                 let numeric = (lp - lm) / (2.0 * eps);
                 let analytic = grads[li].weights.as_slice()[k];
                 assert!(
@@ -1382,7 +1431,6 @@ mod tests {
                 .iter()
                 .chain(&ws.pres)
                 .chain(&ws.deltas)
-                .chain(&ws.wts)
                 .map(|m| m.as_slice().as_ptr())
                 .collect()
         };
@@ -1409,11 +1457,54 @@ mod tests {
         let mut scratch = ForwardScratch::default();
         for x in random_batch(&mut r, 4, 5) {
             let reference = net.forward(&x).unwrap();
-            // A batch of one skips the workspace and its weight transposes.
+            // A batch of one skips the workspace.
             assert_eq!(net.forward_batch(&[&x]).unwrap(), vec![reference.clone()]);
-            assert_eq!(net.forward_ilp_scratch(&x, &mut scratch).unwrap(), &reference[..]);
+            assert_eq!(net.forward_single_scratch(&x, &mut scratch).unwrap(), &reference[..]);
         }
-        assert!(net.forward_ilp_scratch(&[0.0; 4], &mut scratch).is_err());
+        assert!(net.forward_single_scratch(&[0.0; 4], &mut scratch).is_err());
+    }
+
+    /// Every forward but [`Mlp::forward`] reads `Wᵀ`; `forward` reads `W`. So
+    /// after each writer of `W` — construction, an Adam step, an SGD step
+    /// with momentum, `copy_parameters_from` — and after `clone`, the
+    /// single-state forward and a batched row must equal `forward` to the
+    /// bit. A writer that left `Wᵀ` at the previous parameters trips the
+    /// "single-state forward is stale after <writer>" assertion naming it
+    /// (checked once by giving Adam an `update` without the re-transpose:
+    /// "... stale after AdamOptimizer::step"; with the re-transpose dropped
+    /// from `update` itself it is "... stale after Mlp::new").
+    #[test]
+    fn every_writer_refreshes_the_transposed_weights() {
+        fn check(net: &Mlp, r: &mut StdRng, writer: &str) {
+            let xs = random_batch(r, 3, 6);
+            let refs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
+            let batched = net.forward_batch(&refs).unwrap();
+            for (x, row) in xs.iter().zip(&batched) {
+                let reference = net.forward(x).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&net.forward_single(x).unwrap()),
+                    bits(&reference),
+                    "single-state forward is stale after {writer}"
+                );
+                assert_eq!(bits(row), bits(&reference), "batched forward is stale after {writer}");
+            }
+        }
+        let mut r = rng(48);
+        let mut net = Mlp::new(&[6, 20, 5], Activation::Relu, &mut r).unwrap();
+        check(&net, &mut r, "Mlp::new");
+        let (x, y) = (random_batch(&mut r, 4, 6), random_batch(&mut r, 4, 5));
+        net.train_batch(&x, &y, &mut AdamOptimizer::new(0.05)).unwrap();
+        check(&net, &mut r, "AdamOptimizer::step");
+        let mut sgd = SgdOptimizer::new(0.05, 0.9);
+        for _ in 0..2 {
+            net.train_batch(&x, &y, &mut sgd).unwrap();
+            check(&net, &mut r, "SgdOptimizer::step");
+        }
+        let mut copy = Mlp::new(&[6, 20, 5], Activation::Relu, &mut r).unwrap();
+        copy.copy_parameters_from(&net).unwrap();
+        check(&copy, &mut r, "copy_parameters_from");
+        check(&net.clone(), &mut r, "clone");
     }
 
     #[test]

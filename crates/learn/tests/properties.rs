@@ -87,6 +87,35 @@ const PREFIX_BATCHES: [usize; 5] = [1, 3, 4, 32, 33];
 const PREFIX_WIDTHS: [usize; 3] = [48, 51, 5];
 const PREFIX_SPLITS: [(usize, usize); 4] = [(0, 13), (37, 0), (37, 13), (90, 27)];
 
+/// `Wᵀ` shapes `(inputs, outputs)` for the single-state kernel: both layers
+/// of the benchmark's 927 → 48 → 51 network, output widths on either side
+/// of its 16-wide register tile (narrower, exact, a ragged tile overlapping
+/// one or two full ones) and an empty sum.
+const VECMAT_SHAPES: [(usize, usize); 8] =
+    [(927, 48), (48, 51), (48, 1), (48, 15), (48, 16), (48, 17), (48, 33), (0, 51)];
+
+/// A single-state input of one of five kinds: all `+0.0`, all `-0.0`,
+/// one-hot, dense, or a DQN-like mix of exact zeros of both signs,
+/// subnormals and values of both signs.
+fn vecmat_input(rng: &mut StdRng, kind: usize, len: usize) -> Vec<f64> {
+    use rand::Rng;
+    let hot = rng.gen_range(0..len.max(1));
+    (0..len)
+        .map(|i| match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from(i == hot),
+            3 => rng.gen_range(-10.0..10.0),
+            _ => match rng.gen_range(0..6) {
+                0 | 1 => 0.0,
+                2 => -0.0,
+                3 => rng.gen_range(-1.0..1.0) * f64::MIN_POSITIVE,
+                _ => rng.gen_range(-10.0..10.0),
+            },
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -367,16 +396,45 @@ proptest! {
     }
 
     #[test]
-    fn ilp_kernels_bits_match_reference(
-        seed in 0u64..10_000,
-        hidden in 1usize..10,
-        x in prop::collection::vec(-5.0f64..5.0, 4),
+    fn vecmat_bits_match_matvec_on_the_transpose(
+        shape in 0usize..8, kind in 0usize..5, seed in 0u64..10_000,
     ) {
+        // The kernel on `Wᵀ` against the frozen row-dot reference on `W`.
+        // (The one documented difference needs every term of an output to
+        // be `-0.0` — all 48+ weights of a column of one sign under an
+        // all-zero input — and is pinned in `linalg`'s unit tests.)
+        let (k, n) = VECMAT_SHAPES[shape];
         let mut rng = StdRng::seed_from_u64(seed);
-        let net = Mlp::new(&[4, hidden, 3], Activation::Tanh, &mut rng).expect("valid sizes");
+        let weights: Vec<f64> = (0..k * n)
+            .map(|_| match rand::Rng::gen_range(&mut rng, 0..12) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rand::Rng::gen_range(&mut rng, -3.0..3.0),
+            })
+            .collect();
+        let wt = Matrix::from_vec(k, n, weights).expect("length matches");
+        let x = vecmat_input(&mut rng, kind, k);
+        let mut reference = vec![f64::NAN; n];
+        wt.transpose().matvec_into(&x, &mut reference).expect("shapes");
+        let mut fast = vec![f64::NAN; n];
+        wt.vecmat_into(&x, &mut fast).expect("shapes");
+        prop_assert_eq!(bits(&fast), bits(&reference));
+    }
+
+    #[test]
+    fn single_state_forward_bits_match_reference(
+        seed in 0u64..10_000,
+        hidden in 1usize..40,
+        kind in 0usize..5,
+    ) {
+        // Hidden widths on both sides of the kernel's tile; ReLU, so dead
+        // units feed exact zeros to the second layer as well.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = Mlp::new(&[13, hidden, 19], Activation::Relu, &mut rng).expect("valid sizes");
+        let x = vecmat_input(&mut rng, kind, 13);
         let reference = net.forward(&x).expect("arity");
-        let ilp = net.forward_ilp(&x).expect("arity");
-        prop_assert_eq!(bits(&reference), bits(&ilp));
+        let single = net.forward_single(&x).expect("arity");
+        prop_assert_eq!(bits(&reference), bits(&single));
     }
 
     #[test]

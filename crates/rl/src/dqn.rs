@@ -253,9 +253,7 @@ impl DqnAgent {
     ///
     /// Propagates arity mismatches from the network.
     pub fn q_values(&self, state: &[f64]) -> Result<Vec<f64>, DqnError> {
-        // ILP-blocked inference kernel: bit-identical to `forward`, several
-        // times faster on the rollout path's single-state latency chain.
-        Ok(self.online.forward_ilp(state)?)
+        Ok(self.online.forward_single(state)?)
     }
 
     /// Q-values for a batch of states in one ride over the batched forward
@@ -285,10 +283,20 @@ impl DqnAgent {
     ///
     /// [`DqnError::NoValidActions`] when `valid` is empty.
     pub fn act_greedy(&self, state: &[f64], valid: &[usize]) -> Result<usize, DqnError> {
+        self.act_greedy_scratch(state, valid, &mut ForwardScratch::default())
+    }
+
+    /// [`Self::act_greedy`] with the forward in caller-owned scratch.
+    fn act_greedy_scratch(
+        &self,
+        state: &[f64],
+        valid: &[usize],
+        scratch: &mut ForwardScratch,
+    ) -> Result<usize, DqnError> {
         if valid.is_empty() {
             return Err(DqnError::NoValidActions);
         }
-        Ok(greedy(&self.q_values(state)?, valid))
+        Ok(greedy(self.online.forward_single_scratch(state, scratch)?, valid))
     }
 
     /// ε-greedy action restricted to `valid`.
@@ -342,7 +350,7 @@ impl DqnAgent {
             let valid = stored.valid();
             // The greedy forward runs in agent-owned scratch.
             let action = epsilon_greedy(self.epsilon, valid, rng, || {
-                Ok(greedy(self.online.forward_ilp_scratch(&state, &mut self.forward)?, valid))
+                Ok(greedy(self.online.forward_single_scratch(&state, &mut self.forward)?, valid))
             })?;
             let tr = env.step(action)?;
             total += tr.reward;
@@ -379,12 +387,13 @@ impl DqnAgent {
         let mut state = env.reset();
         let mut total = 0.0;
         let mut actions = Vec::new();
+        let mut scratch = ForwardScratch::default();
         for _ in 0..self.config.max_steps_per_episode {
             if env.is_terminal() {
                 break;
             }
             let valid = env.valid_actions();
-            let action = self.act_greedy(&state, &valid)?;
+            let action = self.act_greedy_scratch(&state, &valid, &mut scratch)?;
             let tr = env.step(action)?;
             actions.push(action);
             total += tr.reward;
@@ -472,7 +481,7 @@ impl DqnAgent {
             } else {
                 counters.bootstrap_misses += 1;
                 exp.next.write_dense(target.input_size(), dense);
-                let row = target.forward_ilp_scratch(dense, forward)?;
+                let row = target.forward_single_scratch(dense, forward)?;
                 replay.set_target_row(slot, epoch, row);
             }
         }
@@ -817,24 +826,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bootstrap_memo_hits_at_the_benchmark_shape() {
-        // The paper's 50 × 9 geometry with the benchmark's `hidden [48]`
-        // network and default replay/sync settings: a sampled successor
-        // state's target row is almost always still current.
+    /// The paper's 50 × 9 geometry, routed or not.
+    fn paper_env(routed: bool) -> AllocEnv {
         let n = 50;
-        let env = AllocEnv::new(AllocSpec {
+        AllocEnv::new(AllocSpec {
             importances: (0..n).map(|j| (j * 37 % 100) as f64 / 100.0).collect(),
             times: (0..n).map(|j| 0.5 + (j * 13 % 10) as f64 / 10.0).collect(),
             resources: (0..n).map(|j| 0.2 + (j * 7 % 5) as f64 / 10.0).collect(),
             time_limit: 4.0,
             time_limits: None,
             capacities: vec![4.0; 9],
-            route_factors: None,
+            route_factors: routed.then(|| (0..9).map(|p| 1.0 - p as f64 / 12.0).collect()),
         })
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn bootstrap_memo_hits_at_the_benchmark_shape() {
+        // The paper's geometry with the benchmark's `hidden [48]` network
+        // and default replay/sync settings: a sampled successor state's
+        // target row is almost always still current.
         let config = DqnConfig { hidden: vec![48], ..DqnConfig::default() };
-        let agent = train_with(env, config, 8, DqnAgent::learn_step);
+        let agent = train_with(paper_env(false), config, 8, DqnAgent::learn_step);
         let c = agent.train_counters();
         let lookups = c.bootstrap_hits + c.bootstrap_misses;
         assert!(c.target_syncs >= 1 && lookups > 0, "{c:?}");
@@ -843,6 +856,37 @@ mod tests {
             "miss fraction {:.3} ({c:?})",
             c.bootstrap_misses as f64 / lookups as f64
         );
+    }
+
+    #[test]
+    fn rollout_matches_an_episode_driven_through_the_reference_forward() {
+        // The served decision: `evaluate_episode` on a trained agent at the
+        // benchmark shape, against the same episode stepped by hand with
+        // `Mlp::forward` choosing every action.
+        for routed in [false, true] {
+            let config = DqnConfig { hidden: vec![48], ..DqnConfig::default() };
+            let agent = train_with(paper_env(routed), config, 3, DqnAgent::learn_step);
+            let mut env = paper_env(routed);
+            let mut state = env.reset();
+            let (mut reward, mut actions) = (0.0, Vec::new());
+            while !env.is_terminal() {
+                let q = agent.online.forward(&state).unwrap();
+                let bits = |q: &[f64]| q.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&agent.q_values(&state).unwrap()),
+                    bits(&q),
+                    "routed = {routed}, step {}",
+                    actions.len()
+                );
+                let action = greedy(&q, &env.valid_actions());
+                let tr = env.step(action).unwrap();
+                actions.push(action);
+                reward += tr.reward;
+                state = tr.state;
+            }
+            assert!(actions.len() > 1, "a {}-step episode compares nothing", actions.len());
+            assert_eq!(agent.evaluate_episode(&mut env).unwrap(), (reward, actions));
+        }
     }
 
     #[test]

@@ -204,8 +204,11 @@ impl Tenant {
                 let shared = self.core.crl().shared();
                 let (key, blend) = shared.define_environment(signature)?;
                 let agent = shared.agent(key)?;
-                let state = match state {
-                    Some(s) => s.clone(),
+                let initial;
+                let state: &[f64] = match state {
+                    // Borrowed: the batcher's queue makes the one copy, after
+                    // the arity check.
+                    Some(s) => s,
                     None => {
                         // The context's initial state: its blended
                         // importances over the blind instance, nothing
@@ -214,7 +217,8 @@ impl Tenant {
                             importances: blend,
                             ..self.core.blind_instance().to_alloc_spec()
                         };
-                        AllocEnv::new(spec)?.reset()
+                        initial = AllocEnv::new(spec)?.reset();
+                        &initial
                     }
                 };
                 if state.len() != agent.state_dim() {
@@ -223,7 +227,7 @@ impl Tenant {
                         got: state.len(),
                     });
                 }
-                let q = self.batcher_for(key).submit(agent, &state)?;
+                let q = self.batcher_for(key).submit(agent, state)?;
                 Ok(AllocResponse::QValues { key, q })
             }
         }
