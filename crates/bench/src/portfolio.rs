@@ -7,10 +7,10 @@
 //! tasks and 5–120 processors, where exact search stops being an option?
 //! For each instance size it times
 //!
-//! 1. the *exact probe* — serial [`BranchAndBound`] under a wall-clock
-//!    deadline and node cap, reporting whether the search actually
-//!    completed (`bnb_exact_{n}x{m}`, suffix `_dnf` when the budget cut
-//!    it short and the profit is only an incumbent), and
+//! 1. the *exact probe* — serial [`BranchAndBound`] under a node cap,
+//!    reporting whether the search actually completed
+//!    (`bnb_exact_{n}x{m}`, suffix `_dnf` when the cap cut it short and
+//!    the profit is only an incumbent — the same on every host), and
 //! 2. the *portfolio* — [`solve_portfolio`] in [`SolveBudget::Anytime`]
 //!    mode, whose row name carries the certified optimality gap
 //!    (`bnb_portfolio_{n}x{m}_gap{g}pct`, suffix `_proved` when the
@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::error::Error;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Instance sizes (tasks × processors) the full sweep visits. The small
 /// end overlaps the solver study's exact-tractable regime (so the sweep
@@ -45,14 +45,13 @@ pub const SIZES: [(usize, usize); 5] = [(35, 4), (120, 12), (400, 40), (800, 80)
 /// Sizes the `--quick` smoke run visits.
 pub const QUICK_SIZES: [(usize, usize); 4] = [(35, 4), (120, 12), (400, 40), (1200, 120)];
 
-/// Wall-clock budget for one exact probe in the full sweep. Generous
-/// enough that paper-scale instances complete with slack, small enough
-/// that the production sizes (which would run for days) cut off quickly.
-pub const EXACT_DEADLINE: Duration = Duration::from_secs(20);
-
-/// Node cap backing up the deadline on the exact probe, so a probe that
-/// races through cheap nodes still terminates deterministically.
-pub const EXACT_NODE_CAP: u64 = 50_000_000;
+/// Budget of one exact probe in the full sweep, in nodes × sacks: a node's
+/// cost is linear in the sack count (≈ 12 ns per sack on the reference
+/// host), so a probe over `m` sacks gets `EXACT_SACK_NODES / m` nodes —
+/// about 20 s at every size. Generous enough that paper-scale instances
+/// complete with slack, small enough that the production sizes (which
+/// would run for days) cut off quickly.
+pub const EXACT_SACK_NODES: u64 = 1_600_000_000;
 
 /// Runs the production-size sweep, returning trend rows.
 ///
@@ -61,8 +60,7 @@ pub const EXACT_NODE_CAP: u64 = 50_000_000;
 /// Currently infallible in practice; boxed for interface uniformity.
 pub fn bnb_solve_large(opts: &RunOpts) -> Result<Vec<Row>, Box<dyn Error>> {
     let sizes: &[(usize, usize)] = if opts.quick { &QUICK_SIZES } else { &SIZES };
-    let deadline = opts.pick(EXACT_DEADLINE, Duration::from_secs(2));
-    let node_cap = opts.pick(EXACT_NODE_CAP, 2_000_000);
+    let sack_nodes = opts.pick(EXACT_SACK_NODES, EXACT_SACK_NODES / 20);
     let reps = opts.pick(3, 1);
     let mut rng = StdRng::seed_from_u64(opts.seed ^ 0xB16);
     let mut rows = Vec::new();
@@ -74,10 +72,9 @@ pub fn bnb_solve_large(opts: &RunOpts) -> Result<Vec<Row>, Box<dyn Error>> {
         );
 
         // Exact probe: one serial run (best-of-reps would multiply the
-        // deadline cost for no information — the probe is deterministic).
-        let solver = BranchAndBound::with_options(
-            SolverOptions::new().node_limit(node_cap).deadline(deadline),
-        );
+        // cost for no information — the probe is deterministic).
+        let node_cap = sack_nodes / m as u64;
+        let solver = BranchAndBound::with_options(SolverOptions::new().node_limit(node_cap));
         let t0 = Instant::now();
         let exact = black_box(solver.solve_reporting(&problem));
         let exact_ms = t0.elapsed().as_secs_f64() * 1e3;

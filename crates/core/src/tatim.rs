@@ -10,7 +10,7 @@ use crate::allocation::Allocation;
 use crate::processor::ProcessorFleet;
 use crate::task::EdgeTask;
 use knapsack::exact::{BranchAndBound, SolverOptions};
-use knapsack::greedy::{self, DensityIndex};
+use knapsack::greedy;
 use knapsack::portfolio::{solve_portfolio, SolveBudget};
 use knapsack::problem::{Item, Packing, Problem, ProblemError, Sack};
 use rl::alloc_env::AllocSpec;
@@ -221,94 +221,30 @@ impl TatimInstance {
     /// Propagates the reduction.
     pub fn solve(&self, kind: &SolverKind) -> Result<SolveReport, TatimError> {
         let problem = self.to_knapsack()?;
-        Ok(match kind {
-            SolverKind::Greedy => {
-                let sol = greedy::greedy_with_local_search(&problem);
-                SolveReport {
-                    allocation: self.allocation_from_packing(&sol.packing),
-                    objective: sol.profit,
-                    certificate: None,
-                }
+        let (solution, certificate) = match kind {
+            SolverKind::Greedy => (greedy::greedy_with_local_search(&problem), None),
+            SolverKind::WeightedGreedy(weights) => {
+                (greedy::greedy_weighted(&problem, weights), None)
             }
-            SolverKind::WeightedGreedy(weights) => self.weighted_greedy(&problem, weights),
             SolverKind::Exact(options) => {
-                let sol = BranchAndBound::with_options(*options).solve(&problem);
-                SolveReport {
-                    allocation: self.allocation_from_packing(&sol.packing),
-                    objective: sol.profit,
-                    certificate: None,
-                }
+                (BranchAndBound::with_options(*options).solve(&problem), None)
             }
             SolverKind::Portfolio(budget) => {
                 let r = solve_portfolio(&problem, *budget);
-                SolveReport {
-                    allocation: self.allocation_from_packing(&r.solution.packing),
-                    objective: r.solution.profit,
-                    certificate: Some(SolveCertificate {
-                        proved_optimal: r.proved_optimal,
-                        gap: r.gap(),
-                        upper_bound: r.upper_bound,
-                        nodes: r.nodes,
-                    }),
-                }
+                let certificate = SolveCertificate {
+                    proved_optimal: r.proved_optimal,
+                    gap: r.gap(),
+                    upper_bound: r.upper_bound,
+                    nodes: r.nodes,
+                };
+                (r.solution, Some(certificate))
             }
+        };
+        Ok(SolveReport {
+            allocation: self.allocation_from_packing(&solution.packing),
+            objective: solution.profit,
+            certificate,
         })
-    }
-
-    /// The multiplier-weighted greedy loop: maximises the *expected
-    /// retained* importance `Σ_j I_j · m_{p(j)}`, where `m_p = weights[p]`
-    /// is processor `p`'s retention multiplier (for the proactive path,
-    /// `(1 − w) + w · survival_p`). Items are visited in the same
-    /// profit-density order as [`SolverKind::Greedy`]; each is placed into
-    /// the feasible sack with the highest multiplier, multiplier ties
-    /// broken by best-fit slack and then the lowest sack index — fully
-    /// deterministic, no RNG, no local search.
-    fn weighted_greedy(&self, problem: &Problem, sack_weights: &[f64]) -> SolveReport {
-        assert_eq!(sack_weights.len(), self.fleet.len(), "sack weight vector length");
-        assert!(
-            sack_weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "sack weights must be finite and non-negative"
-        );
-        let n = problem.num_items();
-        // Same profit-density order (and tie-break) as `greedy`, deduplicated
-        // into the reusable index.
-        let index = DensityIndex::new(problem);
-        let (total_w, total_v) = index.scales();
-        let mut packing = Packing::empty(n);
-        let mut residual: Vec<(f64, f64)> =
-            problem.sacks().iter().map(|s| (s.weight_capacity, s.volume_capacity)).collect();
-        let mut weighted_profit = 0.0;
-        for &i in index.order() {
-            let item = problem.items()[i];
-            // Highest multiplier first; among equal multipliers, best fit.
-            let mut best: Option<(usize, f64, f64)> = None;
-            for (s, &(rw, rv)) in residual.iter().enumerate() {
-                if item.weight <= rw + 1e-12 && item.volume <= rv + 1e-12 {
-                    let m = sack_weights[s];
-                    let slack = (rw - item.weight) / total_w + (rv - item.volume) / total_v;
-                    let better = match best {
-                        None => true,
-                        Some((_, bm, bs)) => {
-                            m > bm + 1e-12 || ((m - bm).abs() <= 1e-12 && slack < bs)
-                        }
-                    };
-                    if better {
-                        best = Some((s, m, slack));
-                    }
-                }
-            }
-            if let Some((s, m, _)) = best {
-                residual[s].0 -= item.weight;
-                residual[s].1 -= item.volume;
-                packing.assign(i, Some(s));
-                weighted_profit += item.profit * m;
-            }
-        }
-        SolveReport {
-            allocation: self.allocation_from_packing(&packing),
-            objective: weighted_profit,
-            certificate: None,
-        }
     }
 
     /// Optimal allocation via branch-and-bound (the offline reference the

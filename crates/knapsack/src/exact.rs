@@ -10,7 +10,6 @@
 use crate::bounds::{surrogate_bound_subset, SuffixBounds};
 use crate::problem::{Packing, Problem, Solution};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 /// Exhaustive search over all `(num_sacks + 1)^num_items` placements.
 ///
@@ -94,12 +93,8 @@ pub struct BranchAndBound {
 ///
 /// ```
 /// use knapsack::exact::SolverOptions;
-/// use std::time::Duration;
 ///
-/// let opts = SolverOptions::new()
-///     .node_limit(100_000)
-///     .deadline(Duration::from_millis(50))
-///     .parallel(true);
+/// let opts = SolverOptions::new().node_limit(100_000).parallel(true);
 /// assert_eq!(opts.node_limit, Some(100_000));
 /// ```
 ///
@@ -114,24 +109,19 @@ pub struct BranchAndBound {
 ///   and disables the shared incumbent bound, so the anytime result is
 ///   still thread-count invariant (though it differs from the serial
 ///   solver's anytime result, whose budget is global).
-/// * `deadline` is wall-clock and therefore inherently non-deterministic;
-///   the determinism guarantees above hold only for deadline-free runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolverOptions {
     /// Optional cap on explored nodes; `None` = unlimited. When the cap is
     /// hit the incumbent (a feasible, possibly sub-optimal packing) is
     /// returned — useful as an anytime solver inside benchmarks.
     pub node_limit: Option<u64>,
-    /// Optional wall-clock budget; checked every 1024 nodes, so overshoot
-    /// is bounded by ~1024 node expansions. `None` = no deadline.
-    pub deadline: Option<Duration>,
     /// Explore top-level subtrees in parallel (via `dcta-parallel`) with a
     /// deterministic best-solution reduction. Off by default.
     pub parallel: bool,
 }
 
 impl SolverOptions {
-    /// Default options: unlimited nodes, no deadline, serial.
+    /// Default options: unlimited nodes, serial.
     pub fn new() -> Self {
         Self::default()
     }
@@ -140,13 +130,6 @@ impl SolverOptions {
     #[must_use]
     pub fn node_limit(mut self, limit: u64) -> Self {
         self.node_limit = Some(limit);
-        self
-    }
-
-    /// Sets a wall-clock budget (anytime incumbent on overrun).
-    #[must_use]
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 
@@ -175,15 +158,6 @@ impl BranchAndBound {
         Self { options: SolverOptions::new() }
     }
 
-    /// Creates an anytime solver that stops after `limit` nodes.
-    ///
-    /// Compatibility wrapper kept for older call sites; prefer
-    /// [`BranchAndBound::with_options`] with
-    /// [`SolverOptions::node_limit`].
-    pub fn with_node_limit(limit: u64) -> Self {
-        Self::with_options(SolverOptions::new().node_limit(limit))
-    }
-
     /// Creates a solver from typed [`SolverOptions`].
     pub fn with_options(options: SolverOptions) -> Self {
         Self { options }
@@ -195,7 +169,7 @@ impl BranchAndBound {
     }
 
     /// Solves `problem`, returning the best packing found (the optimum when
-    /// no node/deadline budget is set).
+    /// no node budget is set).
     ///
     /// With [`SolverOptions::parallel`] the top-level branch-and-bound
     /// subtrees are explored concurrently, sharing a monotone incumbent
@@ -211,24 +185,15 @@ impl BranchAndBound {
     /// Like [`BranchAndBound::solve`], but also reports whether the search
     /// ran to exhaustion — i.e. whether the returned incumbent is *proved*
     /// optimal — and how many nodes were explored. Callers running with a
-    /// node or deadline budget should use this instead of `solve` whenever
+    /// node budget should use this instead of `solve` whenever
     /// incumbent-versus-optimum matters downstream.
     pub fn solve_reporting(&self, problem: &Problem) -> SearchReport {
         let order = density_order(problem);
-        let deadline = self.options.deadline.map(|d| Instant::now() + d);
         let bounds = SuffixBounds::new(problem, &order);
         if self.options.parallel && problem.num_items() > 0 {
-            solve_parallel(
-                problem,
-                &order,
-                &self.options,
-                deadline,
-                f64::NEG_INFINITY,
-                &bounds,
-                &|_| false,
-            )
+            solve_parallel(problem, &order, &self.options, f64::NEG_INFINITY, &bounds, &|_| false)
         } else {
-            solve_serial(problem, &order, &self.options, deadline, f64::NEG_INFINITY, &bounds)
+            solve_serial(problem, &order, &self.options, f64::NEG_INFINITY, &bounds)
         }
     }
 }
@@ -240,7 +205,7 @@ impl BranchAndBound {
 pub struct SearchReport {
     /// Best packing found.
     pub solution: Solution,
-    /// True when no node/deadline budget cut exploration short, so
+    /// True when no node budget cut exploration short, so
     /// `solution` is proved optimal (over the region not excluded by a
     /// warm-start floor, which only ever excludes sub-incumbent packings).
     pub completed: bool,
@@ -272,7 +237,6 @@ fn solve_serial(
     problem: &Problem,
     order: &[usize],
     options: &SolverOptions,
-    deadline: Option<Instant>,
     floor: f64,
     bounds: &SuffixBounds,
 ) -> SearchReport {
@@ -289,14 +253,12 @@ fn solve_serial(
         nodes: 0,
         node_limit: options.node_limit,
         limit_hit: false,
-        deadline,
-        deadline_hit: false,
     };
     search.dfs_shared(0, 0.0, None);
     let profit = search.best_profit.max(0.0);
     SearchReport {
         solution: Solution { packing: search.best, profit },
-        completed: !search.limit_hit && !search.deadline_hit,
+        completed: !search.limit_hit,
         nodes: search.nodes,
     }
 }
@@ -318,8 +280,6 @@ struct Search<'a> {
     nodes: u64,
     node_limit: Option<u64>,
     limit_hit: bool,
-    deadline: Option<Instant>,
-    deadline_hit: bool,
 }
 
 // ---------------------------------------------------------------------------
@@ -466,12 +426,10 @@ fn enumerate_prefix(
     (en.slots, en.enum_best)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn solve_parallel(
     problem: &Problem,
     order: &[usize],
     options: &SolverOptions,
-    deadline: Option<Instant>,
     floor: f64,
     bounds: &SuffixBounds,
     skip_subtree: &(dyn Fn(&SubtreeRoot) -> bool + Sync),
@@ -531,11 +489,9 @@ fn solve_parallel(
             nodes: 0,
             node_limit: options.node_limit,
             limit_hit: false,
-            deadline,
-            deadline_hit: false,
         };
         search.dfs_shared(root.depth, root.profit, shared.as_ref());
-        (search.best_profit, search.best, !search.limit_hit && !search.deadline_hit, search.nodes)
+        (search.best_profit, search.best, !search.limit_hit, search.nodes)
     });
 
     // Serial reduction in DFS slot order: first strict improvement wins,
@@ -582,7 +538,7 @@ pub(crate) fn solve_with_floor(
 ) -> SearchReport {
     let order = density_order(problem);
     let bounds = SuffixBounds::new(problem, &order);
-    let options = SolverOptions { node_limit, deadline: None, parallel: true };
+    let options = SolverOptions { node_limit, parallel: true };
     let skip = |root: &SubtreeRoot| {
         let agg_w: f64 = root.residual.iter().map(|r| r.0.max(0.0)).sum();
         let agg_v: f64 = root.residual.iter().map(|r| r.1.max(0.0)).sum();
@@ -595,7 +551,7 @@ pub(crate) fn solve_with_floor(
             nodes: 0,
         };
     }
-    solve_parallel(problem, &order, &options, None, floor, &bounds, &skip)
+    solve_parallel(problem, &order, &options, floor, &bounds, &skip)
 }
 
 impl Search<'_> {
@@ -609,15 +565,6 @@ impl Search<'_> {
         if let Some(limit) = self.node_limit {
             if self.nodes > limit {
                 self.limit_hit = true;
-                return;
-            }
-        }
-        if self.deadline_hit {
-            return;
-        }
-        if let Some(d) = self.deadline {
-            if self.nodes & 1023 == 0 && Instant::now() >= d {
-                self.deadline_hit = true;
                 return;
             }
         }
@@ -782,7 +729,7 @@ mod tests {
             .map(|_| (rng.gen_range(1.0..5.0), rng.gen_range(1.0..5.0), rng.gen_range(1.0..10.0)))
             .collect();
         let p = problem(items, vec![(15.0, 15.0), (10.0, 10.0)]);
-        let s = BranchAndBound::with_node_limit(50).solve(&p);
+        let s = BranchAndBound::with_options(SolverOptions::new().node_limit(50)).solve(&p);
         assert!(s.packing.is_feasible(&p));
         let full = BranchAndBound::new().solve(&p);
         assert!(full.profit >= s.profit);
@@ -811,13 +758,10 @@ mod tests {
 
     #[test]
     fn solver_options_builder_composes() {
-        let opts =
-            SolverOptions::new().node_limit(10).deadline(Duration::from_millis(5)).parallel(true);
+        let opts = SolverOptions::new().node_limit(10).parallel(true);
         assert_eq!(opts.node_limit, Some(10));
-        assert_eq!(opts.deadline, Some(Duration::from_millis(5)));
         assert!(opts.parallel);
         assert_eq!(BranchAndBound::with_options(opts).options(), &opts);
-        assert_eq!(BranchAndBound::with_node_limit(7).options().node_limit, Some(7));
         assert_eq!(BranchAndBound::new().options(), &SolverOptions::default());
     }
 
@@ -886,23 +830,6 @@ mod tests {
             let got = solver.solve(&p);
             assert_eq!(got.profit.to_bits(), reference.profit.to_bits(), "threads {threads}");
             assert_eq!(got.packing.placement(), reference.packing.placement());
-        }
-    }
-
-    #[test]
-    fn deadline_returns_feasible_incumbent() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let items: Vec<(f64, f64, f64)> = (0..26)
-            .map(|_| (rng.gen_range(1.0..5.0), rng.gen_range(1.0..5.0), rng.gen_range(1.0..10.0)))
-            .collect();
-        let p = problem(items, vec![(16.0, 16.0), (12.0, 12.0), (8.0, 8.0)]);
-        for opts in [
-            SolverOptions::new().deadline(Duration::ZERO),
-            SolverOptions::new().deadline(Duration::ZERO).parallel(true),
-        ] {
-            let s = BranchAndBound::with_options(opts).solve(&p);
-            assert!(s.packing.is_feasible(&p));
-            assert!(s.profit >= 0.0);
         }
     }
 }

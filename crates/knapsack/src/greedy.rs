@@ -102,35 +102,72 @@ fn capacity_scales(problem: &Problem) -> (f64, f64) {
 pub fn greedy_with_index(problem: &Problem, index: &DensityIndex) -> Solution {
     let n = problem.num_items();
     assert_eq!(index.order.len(), n, "density index built for a different item count");
-    let (total_w, total_v) = index.scales();
-    assert_eq!(
-        (total_w, total_v),
-        capacity_scales(problem),
-        "density index built for different sacks"
+    assert_eq!(index.scales(), capacity_scales(problem), "density index built for different sacks");
+    let (packing, _) = place(problem, index, |_| 1.0);
+    let profit = packing.profit(problem);
+    Solution { packing, profit }
+}
+
+/// Multiplier-weighted greedy: maximises `Σ_i profit_i · m_{s(i)}` for
+/// per-sack multipliers `m`. Items are visited in [`greedy`]'s density
+/// order; each goes to the feasible sack with the highest multiplier,
+/// multipliers within `1e-12` of each other tied and broken by best-fit
+/// slack, then by the lowest sack index. With equal multipliers that is
+/// [`greedy`]'s placement. The returned `profit` is the multiplier-weighted
+/// sum, accumulated in placement order.
+///
+/// # Panics
+///
+/// Panics unless `multipliers` holds one finite, non-negative value per
+/// sack.
+pub fn greedy_weighted(problem: &Problem, multipliers: &[f64]) -> Solution {
+    assert_eq!(multipliers.len(), problem.sacks().len(), "sack weight vector length");
+    assert!(
+        multipliers.iter().all(|m| m.is_finite() && *m >= 0.0),
+        "sack weights must be finite and non-negative"
     );
-    let mut packing = Packing::empty(n);
+    let (packing, profit) = place(problem, &DensityIndex::new(problem), |s| multipliers[s]);
+    Solution { packing, profit }
+}
+
+/// The one placement loop: items in `index` order, each into the feasible
+/// sack with the highest `multiplier`, then the least leftover headroom
+/// (best fit), then the lowest index. Returns the packing and `Σ profit ·
+/// multiplier` in placement order. Under a constant multiplier the first
+/// comparison is never true and the rule is plain best fit.
+fn place(
+    problem: &Problem,
+    index: &DensityIndex,
+    multiplier: impl Fn(usize) -> f64,
+) -> (Packing, f64) {
+    let (total_w, total_v) = index.scales();
+    let mut packing = Packing::empty(problem.num_items());
     let mut residual: Vec<(f64, f64)> =
         problem.sacks().iter().map(|s| (s.weight_capacity, s.volume_capacity)).collect();
+    let mut weighted_profit = 0.0;
     for &i in &index.order {
         let item = problem.items()[i];
-        // Best fit: the feasible sack minimising leftover headroom.
-        let mut best: Option<(usize, f64)> = None;
+        let mut best: Option<(usize, f64, f64)> = None;
         for (s, &(rw, rv)) in residual.iter().enumerate() {
             if item.weight <= rw + 1e-12 && item.volume <= rv + 1e-12 {
+                let m = multiplier(s);
                 let slack = (rw - item.weight) / total_w + (rv - item.volume) / total_v;
-                if best.is_none_or(|(_, b)| slack < b) {
-                    best = Some((s, slack));
+                let better = best.is_none_or(|(_, bm, bs)| {
+                    m > bm + 1e-12 || ((m - bm).abs() <= 1e-12 && slack < bs)
+                });
+                if better {
+                    best = Some((s, m, slack));
                 }
             }
         }
-        if let Some((s, _)) = best {
+        if let Some((s, m, _)) = best {
             residual[s].0 -= item.weight;
             residual[s].1 -= item.volume;
             packing.assign(i, Some(s));
+            weighted_profit += item.profit * m;
         }
     }
-    let profit = packing.profit(problem);
-    Solution { packing, profit }
+    (packing, weighted_profit)
 }
 
 /// What a [`FirstHit`] node knows about the leaves below it: the largest
@@ -521,6 +558,29 @@ mod tests {
             let ls_now = greedy_with_local_search(&p);
             assert_eq!(ls_now.packing.placement(), ls_reference.packing.placement());
             assert_eq!(ls_now.profit.to_bits(), ls_reference.profit.to_bits());
+        }
+    }
+
+    #[test]
+    fn equal_multipliers_place_like_plain_greedy() {
+        // Under equal multipliers the weighted rule never prefers a sack by
+        // multiplier, so it must be plain best fit to the bit — whatever
+        // the common value, zero included.
+        use crate::generator::{generate, GeneratorConfig};
+        let mut rng = StdRng::seed_from_u64(0x9EED);
+        for (round, m) in [1.0, 0.37, 0.0, 1.0, 2.5, 1.0].into_iter().enumerate() {
+            let config = GeneratorConfig {
+                num_items: 20 + 30 * round,
+                num_sacks: 1 + 3 * round,
+                capacity_ratio: 0.3 + 0.1 * round as f64,
+                ..GeneratorConfig::default()
+            };
+            let p = generate(config, &mut rng);
+            let plain = greedy_with_index(&p, &DensityIndex::new(&p));
+            let weighted = greedy_weighted(&p, &vec![m; p.sacks().len()]);
+            assert_eq!(weighted.packing.placement(), plain.packing.placement(), "round {round}");
+            assert_eq!(weighted.packing.profit(&p).to_bits(), plain.profit.to_bits());
+            assert!((weighted.profit - m * plain.profit).abs() < 1e-9, "round {round}");
         }
     }
 

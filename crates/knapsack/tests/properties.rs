@@ -104,7 +104,7 @@ proptest! {
         let gl = greedy_with_local_search(&p);
         prop_assert!(gl.packing.is_feasible(&p));
         // Anytime exact with a small node budget must stay feasible too.
-        let bb = BranchAndBound::with_node_limit(500).solve(&p);
+        let bb = BranchAndBound::with_options(SolverOptions::new().node_limit(500)).solve(&p);
         prop_assert!(bb.packing.is_feasible(&p));
     }
 
@@ -124,7 +124,7 @@ proptest! {
     fn profit_cached_equals_recomputed(p in medium_problem()) {
         let g = greedy(&p);
         prop_assert!((g.profit - g.packing.profit(&p)).abs() < 1e-9);
-        let e = BranchAndBound::with_node_limit(2_000).solve(&p);
+        let e = BranchAndBound::with_options(SolverOptions::new().node_limit(2_000)).solve(&p);
         prop_assert!((e.profit - e.packing.profit(&p)).abs() < 1e-9);
     }
 

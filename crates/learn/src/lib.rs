@@ -18,8 +18,6 @@
 //! * [`nn`] — the MLP + optimisers backing the Deep-Q-Network.
 //! * [`transfer`] — multi-task transfer learning over per-task models.
 //! * [`logistic`] — logistic regression (an extra local-process candidate).
-//! * [`validation`] — k-fold cross-validation for scarce-data model
-//!   selection.
 //!
 //! ## Quick example
 //!
@@ -51,4 +49,3 @@ pub mod nn;
 pub mod svm;
 pub mod transfer;
 pub mod tree;
-pub mod validation;

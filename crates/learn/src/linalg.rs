@@ -52,8 +52,8 @@ impl std::error::Error for DimensionError {}
 /// block, of which at most one entry per task is set.
 ///
 /// The prefix kernels ([`Matrix::matmul_prefix_into`],
-/// [`Matrix::matmul_transpose_a_prefix_scaled_into`]) take it as the leading
-/// columns of an operand whose remaining columns are dense.
+/// [`Matrix::prefix_gram_scaled_into`]) take it as the leading columns of an
+/// operand whose remaining columns are dense.
 ///
 /// # Examples
 ///
@@ -248,42 +248,15 @@ impl Matrix {
         self.data
     }
 
-    /// Matrix transpose.
+    /// Matrix transpose; every element is a bitwise copy.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
-        self.transpose_into(&mut t).expect("shape matches by construction");
-        t
-    }
-
-    /// Transpose written into `out` (fully overwritten), allocating nothing.
-    /// Every element is a bitwise copy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DimensionError`] when `out` is not `self.cols() ×
-    /// self.rows()`.
-    pub fn transpose_into(&self, out: &mut Matrix) -> Result<(), DimensionError> {
-        if out.shape() != (self.cols, self.rows) {
-            return Err(DimensionError {
-                op: "transpose_into(out)",
-                left: out.shape(),
-                right: (self.cols, self.rows),
-            });
-        }
-        // Source rows go `TB` at a time, so each destination row receives a
-        // contiguous `TB`-element run (a cache line) instead of one strided
-        // element per pass.
-        const TB: usize = 8;
-        let (rows, cols) = (self.rows, self.cols);
-        for r0 in (0..rows).step_by(TB) {
-            let block = &self.data[r0 * cols..(r0 + TB).min(rows) * cols];
-            for (c, dst) in out.data.chunks_exact_mut(rows.max(1)).enumerate() {
-                for (d, src_row) in dst[r0..].iter_mut().zip(block.chunks_exact(cols)) {
-                    *d = src_row[c];
-                }
+        for (r, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
+            for (c, &x) in row.iter().enumerate() {
+                t.data[c * self.rows + r] = x;
             }
         }
-        Ok(())
+        t
     }
 
     /// Matrix product `self · rhs`, computed by the register-blocked
@@ -495,10 +468,10 @@ impl Matrix {
     /// product of the two rows. The kernel keeps [`MR`] accumulators live so
     /// one pass over a `self` row feeds `MR` output columns.
     ///
-    /// This is the batched-forward kernel: with `self` a `B×d` batch of
-    /// activation rows and `rhs` an `out×d` weight matrix, `out` holds the
-    /// `B×out` pre-activations, each bit-identical to the per-sample
-    /// [`Matrix::matvec`].
+    /// This is the delta-propagation kernel of batched backprop: with `self`
+    /// a `B×out` batch of layer deltas and `rhs` the layer's `in×out` `Wᵀ`,
+    /// `out` holds `Δ·W` — each element summed over the layer's outputs in
+    /// ascending order from `+0.0`, as [`Matrix::matmul_into`] would on `W`.
     ///
     /// # Errors
     ///
@@ -561,152 +534,79 @@ impl Matrix {
         Ok(())
     }
 
-    /// Scaled Gram-style product `out = (α·selfᵀ) · rhs`, written into `out`
-    /// (fully overwritten), allocating nothing and never materialising the
-    /// transpose: `out[r][c] = Σ_b (α·self[b][r]) · rhs[b][c]`, with `b`
-    /// ascending.
+    /// Scaled Gram-style product `out = [P | self]ᵀ · (α·delta)`, written
+    /// into `out` (fully overwritten), where `P` is the 0/1 block `ones`
+    /// describes (`None`: no block) and `self` holds the remaining (dense)
+    /// columns: `out[c][r] = Σ_b (α·delta[b][r]) · x_b[c]`, `b` ascending,
+    /// with `x_b` row `b` of `[P | self]`.
     ///
-    /// This is the batched-backprop kernel: with `self` a `B×out` batch of
-    /// layer deltas, `rhs` the `B×in` input activations and `α` the
-    /// `1/batch` loss scale, `out` receives the layer's weight gradient with
-    /// exactly the bits of the per-sample loop `grad[r][c] += (α·δ_b[r]) ·
-    /// a_b[c]` accumulated over samples in order. It is
-    /// [`Matrix::matmul_transpose_a_prefix_scaled_into`] with no 0/1 block;
-    /// see there for the terms it skips (`rhs` must be finite).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DimensionError`] when `self.rows() != rhs.rows()` or when
-    /// `out` is not `self.cols() × rhs.cols()`.
-    pub fn matmul_transpose_a_scaled_into(
-        &self,
-        rhs: &Matrix,
-        alpha: f64,
-        out: &mut Matrix,
-    ) -> Result<(), DimensionError> {
-        if self.rows != rhs.rows {
-            return Err(DimensionError {
-                op: "matmul_transpose_a",
-                left: self.shape(),
-                right: rhs.shape(),
-            });
-        }
-        if out.shape() != (self.cols, rhs.cols) {
-            return Err(DimensionError {
-                op: "matmul_transpose_a_scaled_into(out)",
-                left: out.shape(),
-                right: (self.cols, rhs.cols),
-            });
-        }
-        self.weight_gradient(|_| &[], rhs, alpha, out);
-        Ok(())
-    }
-
-    /// Scaled Gram-style product `out = (α·selfᵀ) · [P | rhs]`, written into
-    /// `out` (fully overwritten), where `P` is the 0/1 block `ones`
-    /// describes and `rhs` holds the remaining (dense) columns: the weight
-    /// gradient of a layer whose input is mostly a binary selection matrix.
-    ///
-    /// Columns of `P` receive `α·self[b][r]` scattered at each sample's set
-    /// indices, samples ascending; columns of `rhs` run the column-tiled
-    /// kernel. Two kinds of term are skipped against the dense product, both
-    /// exact `±0.0` addends (for finite `rhs`) to accumulators that start at
-    /// `+0.0` and so can never be `-0.0`: the `t · 0.0` of an unset entry,
-    /// and every term of a sample/row pair whose `t = α·self[b][r]` is
-    /// itself zero — a dead ReLU, or an action the TD loss does not touch. A
-    /// set entry contributes `t · 1.0`, which is `t`. Per-element sample
-    /// order is unchanged, so the result has the bits of
-    /// [`Matrix::matmul_transpose_a_scaled_into`] on the densified operand.
+    /// This is the weight-gradient kernel of batched backprop: with `self`
+    /// the `B×in` input activations of a layer, `delta` its `B×out` deltas
+    /// and `α` the `1/batch` loss scale, `out` receives `∂loss/∂Wᵀ` with
+    /// exactly the bits of the per-sample loop `grad[c][r] += (α·δ_b[r]) ·
+    /// a_b[c]` accumulated over samples in order. A set entry of `P` adds
+    /// the sample's scaled delta row (`t · 1.0` is `t`); an unset entry and
+    /// an exact-zero activation — a dead ReLU feeding the next layer — are
+    /// skipped. The skipped terms are exact `±0.0` addends (for finite
+    /// operands) to accumulators that start at `+0.0` and so can never be
+    /// `-0.0`: identities. Rows of `out` are independent, so each keeps its
+    /// accumulators hot across the whole batch.
     ///
     /// # Errors
     ///
-    /// Returns [`DimensionError`] when `self`, `ones` and `rhs` disagree on
-    /// the row count, or when `out` is not `self.cols() × (ones.width() +
-    /// rhs.cols())`.
-    pub fn matmul_transpose_a_prefix_scaled_into(
+    /// Returns [`DimensionError`] when `self`, `ones` and `delta` disagree
+    /// on the row count, or when `out` is not `(ones.width() + self.cols())
+    /// × delta.cols()`.
+    pub fn prefix_gram_scaled_into(
         &self,
-        ones: &BinaryRows,
-        rhs: &Matrix,
+        ones: Option<&BinaryRows>,
+        delta: &Matrix,
         alpha: f64,
         out: &mut Matrix,
     ) -> Result<(), DimensionError> {
-        if self.rows != rhs.rows || self.rows != ones.rows() {
-            let rows = if ones.rows() == self.rows { rhs.rows } else { ones.rows() };
+        let prefix = ones.map_or(0, BinaryRows::width);
+        if self.rows != delta.rows || ones.is_some_and(|o| o.rows() != self.rows) {
             return Err(DimensionError {
-                op: "matmul_transpose_a_prefix",
-                left: self.shape(),
-                right: (rows, ones.width() + rhs.cols),
+                op: "prefix_gram",
+                left: (ones.map_or(self.rows, BinaryRows::rows), prefix + self.cols),
+                right: delta.shape(),
             });
         }
-        if out.shape() != (self.cols, ones.width() + rhs.cols) {
+        if out.shape() != (prefix + self.cols, delta.cols) {
             return Err(DimensionError {
-                op: "matmul_transpose_a_prefix_scaled_into(out)",
+                op: "prefix_gram_scaled_into(out)",
                 left: out.shape(),
-                right: (self.cols, ones.width() + rhs.cols),
+                right: (prefix + self.cols, delta.cols),
             });
         }
-        self.weight_gradient(|b| ones.row(b), rhs, alpha, out);
-        Ok(())
-    }
-
-    /// The one weight-gradient kernel: `out = (α·selfᵀ) · [P | rhs]` with
-    /// `P`'s rows given by `ones_of` and `P`'s width by `out.cols() −
-    /// rhs.cols()`. Shapes (and `ones_of` staying inside that width) are
-    /// the callers' responsibility.
-    fn weight_gradient<'a>(
-        &self,
-        ones_of: impl Fn(usize) -> &'a [u32],
-        rhs: &Matrix,
-        alpha: f64,
-        out: &mut Matrix,
-    ) {
-        let n = out.cols;
-        let m = self.cols;
         out.data.fill(0.0);
-        if n == 0 || m == 0 {
-            return;
+        let m = delta.cols;
+        if m == 0 {
+            return Ok(());
         }
-        let prefix = n - rhs.cols;
-        if prefix > 0 {
-            // Output row outermost keeps the row being scattered into
-            // cache-resident; each element still takes its samples in
-            // ascending order.
-            for (r, out_row) in out.data.chunks_exact_mut(n).enumerate() {
-                for b in 0..self.rows {
-                    let t = alpha * self.data[b * m + r];
-                    if t == 0.0 {
-                        continue;
-                    }
-                    for &i in ones_of(b) {
-                        out_row[i as usize] += t;
+        let (block, dense) = out.data.split_at_mut(prefix * m);
+        if let Some(ones) = ones {
+            for (b, d_row) in delta.data.chunks_exact(m).enumerate() {
+                for &i in ones.row(b) {
+                    for (o, &d) in block[i as usize * m..][..m].iter_mut().zip(d_row) {
+                        *o += alpha * d;
                     }
                 }
             }
         }
-        // Column tiles keep the in-progress gradient block cache-resident:
-        // `out` (out_dim × in_dim) can exceed L1, and the untiled loop would
-        // re-stream all of it once per sample. Tiling reorders work only
-        // across *independent* output columns — each element still
-        // accumulates its samples in ascending order, so bits are unchanged.
-        const NC: usize = 64;
-        let nt = rhs.cols;
-        let mut c0 = 0;
-        while c0 < nt {
-            let nc = NC.min(nt - c0);
-            for (lhs_row, rhs_row) in self.data.chunks_exact(m).zip(rhs.data.chunks_exact(nt)) {
-                let rhs_tile = &rhs_row[c0..c0 + nc];
-                for (&d, out_row) in lhs_row.iter().zip(out.data.chunks_exact_mut(n)) {
-                    let t = alpha * d;
-                    if t == 0.0 {
-                        continue;
-                    }
-                    for (o, &x) in out_row[prefix + c0..prefix + c0 + nc].iter_mut().zip(rhs_tile) {
-                        *o += t * x;
-                    }
+        for (c, out_row) in dense.chunks_exact_mut(m).enumerate() {
+            for (x_row, d_row) in self.data.chunks_exact(self.cols).zip(delta.data.chunks_exact(m))
+            {
+                let x = x_row[c];
+                if x == 0.0 {
+                    continue;
+                }
+                for (o, &d) in out_row.iter_mut().zip(d_row) {
+                    *o += (alpha * d) * x;
                 }
             }
-            c0 += nc;
         }
+        Ok(())
     }
 
     /// Matrix-vector product `self · v`.
@@ -1127,8 +1027,7 @@ mod tests {
     }
 
     #[test]
-    fn transpose_copies_every_element_at_block_edges() {
-        // Row counts below, at and past the 8-row source block.
+    fn transpose_copies_every_element() {
         for (r, c, salt) in [(1, 7, 31), (7, 3, 32), (8, 8, 33), (9, 5, 34), (17, 31, 35)] {
             let m = dense_test_matrix(r, c, salt);
             let t = m.transpose();
@@ -1234,26 +1133,49 @@ mod tests {
     }
 
     #[test]
-    fn matmul_transpose_a_scaled_matches_per_sample_loop() {
+    fn matmul_transpose_b_on_transposed_weights_matches_matmul_on_the_weights() {
+        // Delta propagation: `Δ·(Wᵀ)ᵀ` against `matmul_into(Δ, W)`, at the
+        // DQN's output layer and a ragged shape. Input 1 of `W` meets only
+        // `-0.0` weights, so every term of its sum is a signed zero: both
+        // kernels start from `+0.0` and agree (a `dot` would keep the sign).
+        for (b, m, n, salt) in [(32, 51, 48, 15), (5, 7, 9, 16)] {
+            let delta = dense_test_matrix(b, m, salt);
+            let mut wt = dense_test_matrix(n, m, salt ^ 0x9999);
+            wt.row_mut(1).fill(-0.0);
+            let mut reference = Matrix::filled(b, n, f64::NAN);
+            delta.matmul_into(&wt.transpose(), &mut reference).unwrap();
+            let mut out = Matrix::filled(b, n, f64::NAN);
+            delta.matmul_transpose_b_into(&wt, &mut out).unwrap();
+            assert_eq!(
+                out.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                reference.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "Δ·(Wᵀ)ᵀ diverged at {b}x{m} · ({n}x{m})ᵀ"
+            );
+            assert!((0..b).all(|s| out[(s, 1)].to_bits() == 0.0f64.to_bits()));
+        }
+    }
+
+    #[test]
+    fn prefix_gram_scaled_matches_per_sample_loop() {
         for (b, m, n, salt) in [(1, 1, 1, 11), (4, 3, 5, 12), (9, 4, 4, 13), (32, 5, 7, 14)] {
             let delta = dense_test_matrix(b, m, salt);
             let acts = dense_test_matrix(b, n, salt ^ 0x5555);
             let alpha = 1.0 / b as f64;
             // Reference: the per-sample accumulation order of nn backprop.
-            let mut reference = Matrix::zeros(m, n);
+            let mut reference = Matrix::zeros(n, m);
             for s in 0..b {
                 for r in 0..m {
                     for c in 0..n {
-                        reference[(r, c)] += alpha * delta[(s, r)] * acts[(s, c)];
+                        reference[(c, r)] += alpha * delta[(s, r)] * acts[(s, c)];
                     }
                 }
             }
-            let mut out = Matrix::filled(m, n, f64::NAN);
-            delta.matmul_transpose_a_scaled_into(&acts, alpha, &mut out).unwrap();
+            let mut out = Matrix::filled(n, m, f64::NAN);
+            acts.prefix_gram_scaled_into(None, &delta, alpha, &mut out).unwrap();
             assert_eq!(
                 out.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 reference.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "scaled δᵀ·A diverged at {b}x{m} · {b}x{n}"
+                "scaled Aᵀ·δ diverged at {b}x{n} · {b}x{m}"
             );
         }
     }
@@ -1330,10 +1252,15 @@ mod tests {
         assert!(a.matmul_into(&Matrix::zeros(3, 2), &mut Matrix::zeros(3, 2)).is_err());
         assert!(a.matmul_transpose_b_into(&Matrix::zeros(2, 3), &mut bad).is_err());
         assert!(a.matmul_transpose_b_into(&Matrix::zeros(2, 4), &mut bad).is_err());
-        assert!(a.matmul_transpose_a_scaled_into(&Matrix::zeros(2, 2), 1.0, &mut bad).is_err());
+        assert!(a.prefix_gram_scaled_into(None, &Matrix::zeros(2, 2), 1.0, &mut bad).is_err());
+        let delta = Matrix::zeros(3, 2);
+        assert!(a.prefix_gram_scaled_into(None, &delta, 1.0, &mut Matrix::zeros(3, 3)).is_err());
+        let mut ones = BinaryRows::default();
+        ones.clear(1);
         assert!(a
-            .matmul_transpose_a_scaled_into(&Matrix::zeros(3, 2), 1.0, &mut Matrix::zeros(3, 3))
+            .prefix_gram_scaled_into(Some(&ones), &delta, 1.0, &mut Matrix::zeros(5, 2))
             .is_err());
+        assert!(a.prefix_gram_scaled_into(None, &delta, 1.0, &mut Matrix::zeros(4, 2)).is_ok());
         assert!(a.matvec_into(&[0.0; 3], &mut [0.0; 3]).is_err());
         assert!(a.matvec_into(&[0.0; 4], &mut [0.0; 2]).is_err());
         assert!(a.vecmat_into(&[0.0; 4], &mut [0.0; 4]).is_err());

@@ -83,56 +83,12 @@ impl fmt::Display for NetworkError {
 
 impl std::error::Error for NetworkError {}
 
-/// A layer's weights in both layouts, in a module of their own so that the
-/// rest of this file cannot reach the fields.
-mod weights {
-    use crate::linalg::Matrix;
-
-    /// A layer's `out × in` weight matrix `W` together with `Wᵀ` (`in ×
-    /// out`), the layout every forward but the reference reads: there a row
-    /// is one input's contribution to all outputs, contiguous over the
-    /// output dimension.
-    ///
-    /// `W` is what dereferencing yields and what gradients, optimisers and
-    /// `Mlp::parameter_bits` see. Nothing hands out `&mut` to either matrix:
-    /// [`Weights::update`] is the only way to write `W` and the only code
-    /// that writes `Wᵀ`, so the two cannot disagree.
-    #[derive(Debug, Clone, PartialEq)]
-    pub(super) struct Weights {
-        w: Matrix,
-        wt: Matrix,
-    }
-
-    impl Weights {
-        pub(super) fn zeros(fan_out: usize, fan_in: usize) -> Self {
-            Self { w: Matrix::zeros(fan_out, fan_in), wt: Matrix::zeros(fan_in, fan_out) }
-        }
-
-        /// `Wᵀ`: element for element a bitwise copy of `W`.
-        pub(super) fn transposed(&self) -> &Matrix {
-            &self.wt
-        }
-
-        /// Lets `write` change `W` (not its shape), then re-transposes.
-        pub(super) fn update(&mut self, write: impl FnOnce(&mut Matrix)) {
-            write(&mut self.w);
-            self.w.transpose_into(&mut self.wt).expect("shape fixed at construction");
-        }
-    }
-
-    impl std::ops::Deref for Weights {
-        type Target = Matrix;
-
-        fn deref(&self) -> &Matrix {
-            &self.w
-        }
-    }
-}
-use weights::Weights;
-
 #[derive(Debug, Clone, PartialEq)]
 struct Layer {
-    weights: Weights,
+    /// `Wᵀ` (`in × out`): a row is one input's contribution to every
+    /// output, contiguous over the output dimension. The only copy of the
+    /// weights; `LayerGrad` and the optimisers' moments share the layout.
+    wt: Matrix,
     bias: Vec<f64>,
     activation: Activation,
 }
@@ -144,8 +100,16 @@ struct Layer {
 #[doc(hidden)]
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerGrad {
-    weights: Matrix,
+    /// `∂loss/∂Wᵀ`: `in × out`, like the layer's own `wt`.
+    wt: Matrix,
     bias: Vec<f64>,
+}
+
+impl LayerGrad {
+    /// All-zero gradients shaped like `wt` and `bias`.
+    fn zeros(wt: &Matrix, bias: &[f64]) -> Self {
+        Self { wt: Matrix::zeros(wt.rows(), wt.cols()), bias: vec![0.0; bias.len()] }
+    }
 }
 
 /// Number of samples per fixed gradient-accumulation chunk.
@@ -220,14 +184,7 @@ impl BatchWorkspace {
             self.acts = vec![Matrix::zeros(0, 0); net.sizes.len()];
             self.pres = vec![Matrix::zeros(0, 0); net.layers.len()];
             self.deltas = vec![Matrix::zeros(0, 0); net.layers.len()];
-            self.grads = net
-                .layers
-                .iter()
-                .map(|l| LayerGrad {
-                    weights: Matrix::zeros(l.weights.rows(), l.weights.cols()),
-                    bias: vec![0.0; l.bias.len()],
-                })
-                .collect();
+            self.grads = net.layers.iter().map(|l| LayerGrad::zeros(&l.wt, &l.bias)).collect();
         }
         self.acts[0].resize(batch, tail);
         for (l, &w) in net.sizes[1..].iter().enumerate() {
@@ -236,6 +193,13 @@ impl BatchWorkspace {
             self.deltas[l].resize(batch, w);
         }
     }
+}
+
+/// `W·x` read off `wt = Wᵀ` for the per-sample reference: output `r` is one
+/// serial [`Iterator::sum`] down column `r` — the terms, the order and the
+/// `-0.0` seed of [`crate::linalg::dot`] along row `r` of `W`.
+fn column_dots(wt: &Matrix, x: &[f64]) -> Vec<f64> {
+    (0..wt.cols()).map(|r| x.iter().enumerate().map(|(c, x)| wt[(c, r)] * x).sum()).collect()
 }
 
 /// Reusable scratch for [`Mlp::forward_single_scratch`].
@@ -282,7 +246,9 @@ impl Mlp {
     /// `hidden_activation`; the output layer is linear (Identity), the
     /// standard choice for Q-value regression.
     ///
-    /// Weights are initialised with He/Xavier-style scaling from `rng`.
+    /// Weights are initialised with He/Xavier-style scaling from `rng`, drawn
+    /// in `out × in` row-major order — the order [`Mlp::parameter_bits`]
+    /// emits, whatever the layer stores.
     ///
     /// # Errors
     ///
@@ -304,14 +270,14 @@ impl Mlp {
             let (fan_in, fan_out) = (w[0], w[1]);
             let is_output = layers.len() == sizes.len() - 2;
             let scale = (2.0 / fan_in as f64).sqrt();
-            let mut weights = Weights::zeros(fan_out, fan_in);
-            weights.update(|w| {
-                for v in w.as_mut_slice() {
-                    *v = rng.gen_range(-1.0..1.0) * scale;
+            let mut wt = Matrix::zeros(fan_in, fan_out);
+            for r in 0..fan_out {
+                for c in 0..fan_in {
+                    wt[(c, r)] = rng.gen_range(-1.0..1.0) * scale;
                 }
-            });
+            }
             layers.push(Layer {
-                weights,
+                wt,
                 bias: vec![0.0; fan_out],
                 activation: if is_output { Activation::Identity } else { hidden_activation },
             });
@@ -331,12 +297,13 @@ impl Mlp {
 
     /// Total number of trainable parameters.
     pub fn num_parameters(&self) -> usize {
-        self.layers.iter().map(|l| l.weights.rows() * l.weights.cols() + l.bias.len()).sum()
+        self.layers.iter().map(|l| l.wt.as_slice().len() + l.bias.len()).sum()
     }
 
-    /// Forward pass: the per-sample reference, one serial row dot per output
-    /// on `W` as stored ([`Matrix::matvec`]). Every other forward is held to
-    /// its bits; callers that want speed take [`Mlp::forward_single`].
+    /// Forward pass: the per-sample reference, one serial dot per output
+    /// down a column of `Wᵀ` — the sum [`Matrix::matvec`] takes along a row
+    /// of `W`. Every other forward is held to its bits; callers that want
+    /// speed take [`Mlp::forward_single`].
     ///
     /// # Errors
     ///
@@ -350,18 +317,18 @@ impl Mlp {
         }
         let mut act = input.to_vec();
         for layer in &self.layers {
-            let z = layer.weights.matvec(&act).expect("sizes consistent by construction");
+            let z = column_dots(&layer.wt, &act);
             act =
                 z.iter().zip(&layer.bias).map(|(&zi, &b)| layer.activation.apply(zi + b)).collect();
         }
         Ok(act)
     }
 
-    /// Single-state forward pass on the transposed weights
-    /// ([`Matrix::vecmat_into`]): every output of a layer accumulates side
-    /// by side, and an input that is exactly zero — an unset selection
-    /// entry, a dead ReLU — costs nothing. Each output adds the terms of
-    /// [`Mlp::forward`]'s row dot in its order, less the exact-zero ones, so
+    /// Single-state forward pass ([`Matrix::vecmat_into`] on `Wᵀ`): every
+    /// output of a layer accumulates side by side, and an input that is
+    /// exactly zero — an unset selection entry, a dead ReLU — costs nothing.
+    /// Each output adds the terms of [`Mlp::forward`]'s dot in its order,
+    /// less the exact-zero ones, so
     /// for finite weights the result is `forward`'s bit for bit (the one
     /// pre-activation the kernels can disagree on is `±0.0`, and a bias is
     /// never `-0.0`: it starts at `+0.0` and no optimiser step can produce
@@ -397,12 +364,8 @@ impl Mlp {
         for (li, layer) in self.layers.iter().enumerate() {
             let ForwardScratch { act, z } = &mut *scratch;
             let src: &[f64] = if li == 0 { input } else { act };
-            z.resize(layer.weights.rows(), 0.0);
-            layer
-                .weights
-                .transposed()
-                .vecmat_into(src, z)
-                .expect("sizes consistent by construction");
+            z.resize(layer.bias.len(), 0.0);
+            layer.wt.vecmat_into(src, z).expect("sizes consistent by construction");
             for (zi, &b) in z.iter_mut().zip(&layer.bias) {
                 *zi = layer.activation.apply(*zi + b);
             }
@@ -419,7 +382,7 @@ impl Mlp {
         let mut acts = Vec::with_capacity(self.layers.len() + 1);
         acts.push(input.to_vec());
         for layer in &self.layers {
-            let mut z = layer.weights.matvec(acts.last().expect("non-empty")).expect("sizes");
+            let mut z = column_dots(&layer.wt, acts.last().expect("non-empty"));
             for (zi, &b) in z.iter_mut().zip(&layer.bias) {
                 *zi += b;
             }
@@ -522,15 +485,14 @@ impl Mlp {
     /// `ws.ones` / `ws.acts[0]`: per layer `Z = A·Wᵀ` (one blocked matmul),
     /// `Z += bias` broadcast row-wise, `A' = σ(Z)`.
     ///
-    /// The product runs on the layer's own `Wᵀ` through the plain `A·(Wᵀ)`
-    /// kernels, whose inner loop is contiguous over the output dimension and
-    /// auto-vectorises; `A·(Wᵀ)` multiplies the same operand pairs in the
-    /// same `k` order as the row-dot formulation, so the result is
-    /// bit-identical.
+    /// The plain `A·(Wᵀ)` kernels' inner loop is contiguous over the output
+    /// dimension and auto-vectorises; they multiply the same operand pairs
+    /// in the same `k` order as the reference's per-output dot, so the
+    /// result is bit-identical.
     fn forward_trace_batch(&self, ws: &mut BatchWorkspace) {
         let batch = ws.acts[0].rows();
         for (li, layer) in self.layers.iter().enumerate() {
-            let wt = layer.weights.transposed();
+            let wt = &layer.wt;
             let (done, rest) = ws.acts.split_at_mut(li + 1);
             let a_in = &done[li];
             let pre = &mut ws.pres[li];
@@ -617,9 +579,9 @@ impl Mlp {
         let mut total_loss = 0.0;
         // Sparse output layer: per sample the only non-zero residual sits at
         // the action index, so the loss reduces to that one squared term and
-        // dW/db accumulate a single scaled row per sample — in the same
+        // dWᵀ/db accumulate a single scaled column per sample — in the same
         // ascending sample order as the dense accumulation.
-        let LayerGrad { weights: gw, bias: gb } = &mut ws.grads[last];
+        let LayerGrad { wt: gw, bias: gb } = &mut ws.grads[last];
         gw.as_mut_slice().fill(0.0);
         gb.fill(0.0);
         for (s, (&a, &bootstrap)) in actions.iter().zip(bootstraps).enumerate() {
@@ -629,24 +591,24 @@ impl Mlp {
             let d = r * act_last.derivative(ws.pres[last].row(s)[a]);
             ws.deltas[last].row_mut(s)[a] = d;
             let t = scale * d;
-            for (gwc, &x) in gw.row_mut(a).iter_mut().zip(ws.acts[last].row(s)) {
-                *gwc += t * x;
+            for (c, &x) in ws.acts[last].row(s).iter().enumerate() {
+                gw[(c, a)] += t * x;
             }
             gb[a] += t;
         }
         if last > 0 {
             // Sparse propagation: Δ_prev[s] = δ_s · W[a_s] ⊙ σ'(z_prev) —
-            // one weight row per sample instead of the full Δ·W product.
-            let w = &self.layers[last].weights;
+            // one column of `Wᵀ` per sample instead of the full Δ·W product.
+            let wt = &self.layers[last].wt;
             let act_prev = self.layers[last - 1].activation;
             let (lower, upper) = ws.deltas.split_at_mut(last);
             let prev = &mut lower[last - 1];
             for (s, &a) in actions.iter().enumerate() {
                 let d = upper[0].row(s)[a];
-                for ((p, &wv), &z) in
-                    prev.row_mut(s).iter_mut().zip(w.row(a)).zip(ws.pres[last - 1].row(s))
+                for (c, (p, &z)) in
+                    prev.row_mut(s).iter_mut().zip(ws.pres[last - 1].row(s)).enumerate()
                 {
-                    *p = (d * wv) * act_prev.derivative(z);
+                    *p = (d * wt[(c, a)]) * act_prev.derivative(z);
                 }
             }
             self.backward_layers_into(last - 1, batch, scale, ws);
@@ -658,19 +620,13 @@ impl Mlp {
     /// already in `ws.deltas[top]` and fills `ws.grads[..=top]`.
     fn backward_layers_into(&self, top: usize, batch: usize, scale: f64, ws: &mut BatchWorkspace) {
         for li in (0..=top).rev() {
-            // dW = (scale·Δ)ᵀ·A_in with samples ascending — the same
+            // dWᵀ = A_inᵀ·(scale·Δ) with samples ascending — the same
             // accumulation order (and the same `(scale·δ)·a` product shape)
             // as the per-sample reference; db likewise.
-            let gw = &mut ws.grads[li].weights;
-            if li == 0 {
-                ws.deltas[0]
-                    .matmul_transpose_a_prefix_scaled_into(&ws.ones, &ws.acts[0], scale, gw)
-                    .expect("sizes consistent");
-            } else {
-                ws.deltas[li]
-                    .matmul_transpose_a_scaled_into(&ws.acts[li], scale, gw)
-                    .expect("sizes consistent");
-            }
+            let ones = (li == 0).then_some(&ws.ones);
+            ws.acts[li]
+                .prefix_gram_scaled_into(ones, &ws.deltas[li], scale, &mut ws.grads[li].wt)
+                .expect("sizes consistent");
             let gb = &mut ws.grads[li].bias;
             gb.fill(0.0);
             for s in 0..batch {
@@ -678,12 +634,14 @@ impl Mlp {
                     *b += scale * d;
                 }
             }
-            // Propagate: Δ_prev = (Δ·W) ⊙ σ'(z_prev), rows of W ascending as
-            // in the per-sample loop.
+            // Propagate: Δ_prev = (Δ·W) ⊙ σ'(z_prev) as Δ·(Wᵀ)ᵀ, outputs of
+            // W ascending from `+0.0` as in the per-sample loop.
             if li > 0 {
                 let (lower, upper) = ws.deltas.split_at_mut(li);
                 let prev = &mut lower[li - 1];
-                upper[0].matmul_into(&self.layers[li].weights, prev).expect("sizes consistent");
+                upper[0]
+                    .matmul_transpose_b_into(&self.layers[li].wt, prev)
+                    .expect("sizes consistent");
                 let act = self.layers[li - 1].activation;
                 for s in 0..batch {
                     for (d, &z) in prev.row_mut(s).iter_mut().zip(ws.pres[li - 1].row(s)) {
@@ -720,32 +678,45 @@ impl Mlp {
             }
         }
         let scale = 1.0 / inputs.len() as f64;
-        if inputs.len() <= GRAD_CHUNK {
-            let total = self.grad_chunk_into(inputs, targets, scale, ws)?;
-            return Ok(total * scale);
+        let total = self.chunked_gradients(inputs.len(), ws, |s, e, ws| {
+            self.grad_chunk_into(&inputs[s..e], &targets[s..e], scale, ws)
+        })?;
+        Ok(total * scale)
+    }
+
+    /// Fills `ws.grads` for a batch of `n` samples and returns its unscaled
+    /// summed loss, where `chunk(start, end, ws)` does so for samples
+    /// `start..end`. Up to `GRAD_CHUNK` samples are one chunk, straight
+    /// into `ws`; above, chunks at fixed `GRAD_CHUNK` boundaries run through
+    /// `dcta-parallel`, each in a workspace of its own, and are summed
+    /// serially in ascending order.
+    fn chunked_gradients(
+        &self,
+        n: usize,
+        ws: &mut BatchWorkspace,
+        chunk: impl Fn(usize, usize, &mut BatchWorkspace) -> Result<f64, NetworkError> + Sync,
+    ) -> Result<f64, NetworkError> {
+        if n <= GRAD_CHUNK {
+            return chunk(0, n, ws);
         }
-        let bounds: Vec<(usize, usize)> = (0..inputs.len())
-            .step_by(GRAD_CHUNK)
-            .map(|s| (s, (s + GRAD_CHUNK).min(inputs.len())))
-            .collect();
+        let bounds: Vec<(usize, usize)> =
+            (0..n).step_by(GRAD_CHUNK).map(|s| (s, (s + GRAD_CHUNK).min(n))).collect();
         // Grain 1: one chunk is GRAD_CHUNK whole forward/backward passes,
         // far above thread spawn cost, so even two chunks get two threads.
         let partials = parallel::try_par_map_grained(&bounds, 1, |&(s, e)| {
             let mut local = BatchWorkspace::new();
-            self.grad_chunk_into(&inputs[s..e], &targets[s..e], scale, &mut local)
-                .map(|loss| (loss, local.grads))
+            chunk(s, e, &mut local).map(|loss| (loss, local.grads))
         })?;
-        // Serial ascending reduction into the caller's workspace.
         ws.ensure(self, 0, 0);
         for g in &mut ws.grads {
-            g.weights.as_mut_slice().fill(0.0);
+            g.wt.as_mut_slice().fill(0.0);
             g.bias.fill(0.0);
         }
         let mut total = 0.0;
         for (chunk_loss, chunk_grads) in &partials {
             total += chunk_loss;
             for (dst, src) in ws.grads.iter_mut().zip(chunk_grads) {
-                for (d, &s) in dst.weights.as_mut_slice().iter_mut().zip(src.weights.as_slice()) {
+                for (d, &s) in dst.wt.as_mut_slice().iter_mut().zip(src.wt.as_slice()) {
                     *d += s;
                 }
                 for (d, &s) in dst.bias.iter_mut().zip(&src.bias) {
@@ -753,7 +724,7 @@ impl Mlp {
                 }
             }
         }
-        Ok(total * scale)
+        Ok(total)
     }
 
     /// One optimiser step on the batch MSE via the batched path; scratch
@@ -815,60 +786,26 @@ impl Mlp {
             }
         }
         let scale = 1.0 / inputs.len() as f64;
-        let loss = if inputs.len() <= GRAD_CHUNK {
-            let total = self.grad_td_chunk_into(prefix, inputs, actions, bootstraps, scale, ws)?;
-            total * scale
-        } else {
-            let bounds: Vec<(usize, usize)> = (0..inputs.len())
-                .step_by(GRAD_CHUNK)
-                .map(|s| (s, (s + GRAD_CHUNK).min(inputs.len())))
-                .collect();
-            // Grain 1, as in `gradients_batched`: a chunk is GRAD_CHUNK whole
-            // forward/backward passes.
-            let partials = parallel::try_par_map_grained(&bounds, 1, |&(s, e)| {
-                let mut local = BatchWorkspace::new();
-                self.grad_td_chunk_into(
-                    prefix,
-                    &inputs[s..e],
-                    &actions[s..e],
-                    &bootstraps[s..e],
-                    scale,
-                    &mut local,
-                )
-                .map(|loss| (loss, local.grads))
-            })?;
-            ws.ensure(self, 0, 0);
-            for g in &mut ws.grads {
-                g.weights.as_mut_slice().fill(0.0);
-                g.bias.fill(0.0);
-            }
-            let mut total = 0.0;
-            for (chunk_loss, chunk_grads) in &partials {
-                total += chunk_loss;
-                for (dst, src) in ws.grads.iter_mut().zip(chunk_grads) {
-                    for (d, &s) in dst.weights.as_mut_slice().iter_mut().zip(src.weights.as_slice())
-                    {
-                        *d += s;
-                    }
-                    for (d, &s) in dst.bias.iter_mut().zip(&src.bias) {
-                        *d += s;
-                    }
-                }
-            }
-            total * scale
-        };
+        let total = self.chunked_gradients(inputs.len(), ws, |s, e, ws| {
+            let (actions, bootstraps) = (&actions[s..e], &bootstraps[s..e]);
+            self.grad_td_chunk_into(prefix, &inputs[s..e], actions, bootstraps, scale, ws)
+        })?;
+        let loss = total * scale;
         optimizer.step(self, &ws.grads);
         Ok(loss)
     }
 
-    /// All trainable parameters' raw `f64` bit patterns in a fixed layer
-    /// order. Test hook for bit-identity assertions across execution
-    /// strategies.
+    /// All trainable parameters' raw `f64` bit patterns: per layer, `W` in
+    /// `out × in` row-major order (a strided read of the stored `Wᵀ`), then
+    /// the biases. Test hook for bit-identity assertions across execution
+    /// strategies; the order is what every parameter digest is taken in.
     #[doc(hidden)]
     pub fn parameter_bits(&self) -> Vec<u64> {
         let mut bits = Vec::with_capacity(self.num_parameters());
         for l in &self.layers {
-            bits.extend(l.weights.as_slice().iter().map(|x| x.to_bits()));
+            for r in 0..l.wt.cols() {
+                bits.extend((0..l.wt.rows()).map(|c| l.wt[(c, r)].to_bits()));
+            }
             bits.extend(l.bias.iter().map(|x| x.to_bits()));
         }
         bits
@@ -935,14 +872,8 @@ impl Mlp {
         if inputs.is_empty() || inputs.len() != targets.len() {
             return Err(NetworkError::EmptyBatch);
         }
-        let mut grads: Vec<LayerGrad> = self
-            .layers
-            .iter()
-            .map(|l| LayerGrad {
-                weights: Matrix::zeros(l.weights.rows(), l.weights.cols()),
-                bias: vec![0.0; l.bias.len()],
-            })
-            .collect();
+        let mut grads: Vec<LayerGrad> =
+            self.layers.iter().map(|l| LayerGrad::zeros(&l.wt, &l.bias)).collect();
         let mut total_loss = 0.0;
         let scale = 1.0 / inputs.len() as f64;
 
@@ -978,19 +909,18 @@ impl Mlp {
                 let act_in = &acts[li];
                 let g = &mut grads[li];
                 for (r, &dr) in delta.iter().enumerate() {
-                    let row = g.weights.row_mut(r);
-                    for (gw, &a) in row.iter_mut().zip(act_in) {
-                        *gw += scale * dr * a;
+                    for (c, &a) in act_in.iter().enumerate() {
+                        g.wt[(c, r)] += scale * dr * a;
                     }
                     g.bias[r] += scale * dr;
                 }
                 // Propagate delta to previous layer.
                 if li > 0 {
-                    let w = &self.layers[li].weights;
-                    let mut next = vec![0.0; w.cols()];
+                    let wt = &self.layers[li].wt;
+                    let mut next = vec![0.0; wt.rows()];
                     for (r, &dr) in delta.iter().enumerate() {
-                        for (nc, &wrc) in next.iter_mut().zip(w.row(r)) {
-                            *nc += dr * wrc;
+                        for (c, nc) in next.iter_mut().enumerate() {
+                            *nc += dr * wt[(c, r)];
                         }
                     }
                     for (nc, &z) in next.iter_mut().zip(&pres[li - 1]) {
@@ -1016,7 +946,7 @@ impl Mlp {
             });
         }
         for (dst, src) in self.layers.iter_mut().zip(&other.layers) {
-            dst.weights.update(|w| w.clone_from(&src.weights));
+            dst.wt.clone_from(&src.wt);
             dst.bias.clone_from(&src.bias);
             dst.activation = src.activation;
         }
@@ -1061,18 +991,12 @@ impl SgdOptimizer {
 impl Optimizer for SgdOptimizer {
     fn step(&mut self, net: &mut Mlp, grads: &[LayerGrad]) {
         let velocity = self.velocity.get_or_insert_with(|| {
-            grads
-                .iter()
-                .map(|g| LayerGrad {
-                    weights: Matrix::zeros(g.weights.rows(), g.weights.cols()),
-                    bias: vec![0.0; g.bias.len()],
-                })
-                .collect()
+            grads.iter().map(|g| LayerGrad::zeros(&g.wt, &g.bias)).collect()
         });
         for ((layer, grad), vel) in net.layers.iter_mut().zip(grads).zip(velocity.iter_mut()) {
-            vel.weights.scale(self.momentum);
-            vel.weights.axpy(-self.learning_rate, &grad.weights).expect("same shape");
-            layer.weights.update(|w| w.axpy(1.0, &vel.weights).expect("same shape"));
+            vel.wt.scale(self.momentum);
+            vel.wt.axpy(-self.learning_rate, &grad.wt).expect("same shape");
+            layer.wt.axpy(1.0, &vel.wt).expect("same shape");
             for ((b, &g), v) in layer.bias.iter_mut().zip(&grad.bias).zip(&mut vel.bias) {
                 *v = self.momentum * *v - self.learning_rate * g;
                 *b += *v;
@@ -1108,13 +1032,7 @@ impl AdamOptimizer {
 impl Optimizer for AdamOptimizer {
     fn step(&mut self, net: &mut Mlp, grads: &[LayerGrad]) {
         let zeros = || -> Vec<LayerGrad> {
-            grads
-                .iter()
-                .map(|g| LayerGrad {
-                    weights: Matrix::zeros(g.weights.rows(), g.weights.cols()),
-                    bias: vec![0.0; g.bias.len()],
-                })
-                .collect()
+            grads.iter().map(|g| LayerGrad::zeros(&g.wt, &g.bias)).collect()
         };
         if self.m.is_none() {
             self.m = Some(zeros());
@@ -1133,21 +1051,20 @@ impl Optimizer for AdamOptimizer {
             // element-wise update — including the sqrt/divide — vectorises;
             // per-element arithmetic is unchanged, so bits are unchanged.
             let (lr, eps) = (self.learning_rate, self.epsilon);
-            layer.weights.update(|weights| {
-                for (((w, &g), mk), vk) in weights
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(grad.weights.as_slice())
-                    .zip(mi.weights.as_mut_slice().iter_mut())
-                    .zip(vi.weights.as_mut_slice().iter_mut())
-                {
-                    *mk = b1 * *mk + (1.0 - b1) * g;
-                    *vk = b2 * *vk + (1.0 - b2) * g * g;
-                    let m_hat = *mk / bc1;
-                    let v_hat = *vk / bc2;
-                    *w -= lr * m_hat / (v_hat.sqrt() + eps);
-                }
-            });
+            for (((w, &g), mk), vk) in layer
+                .wt
+                .as_mut_slice()
+                .iter_mut()
+                .zip(grad.wt.as_slice())
+                .zip(mi.wt.as_mut_slice().iter_mut())
+                .zip(vi.wt.as_mut_slice().iter_mut())
+            {
+                *mk = b1 * *mk + (1.0 - b1) * g;
+                *vk = b2 * *vk + (1.0 - b2) * g * g;
+                let m_hat = *mk / bc1;
+                let v_hat = *vk / bc2;
+                *w -= lr * m_hat / (v_hat.sqrt() + eps);
+            }
             for (((w, &g), mk), vk) in layer
                 .bias
                 .iter_mut()
@@ -1211,15 +1128,15 @@ mod tests {
         let (_, grads) = net.gradients(&inputs, &targets).unwrap();
         let eps = 1e-6;
         for li in 0..net.layers.len() {
-            for k in 0..net.layers[li].weights.as_slice().len() {
-                let orig = net.layers[li].weights.as_slice()[k];
-                net.layers[li].weights.update(|w| w.as_mut_slice()[k] = orig + eps);
+            for k in 0..net.layers[li].wt.as_slice().len() {
+                let orig = net.layers[li].wt.as_slice()[k];
+                net.layers[li].wt.as_mut_slice()[k] = orig + eps;
                 let lp = net.loss(&inputs, &targets).unwrap();
-                net.layers[li].weights.update(|w| w.as_mut_slice()[k] = orig - eps);
+                net.layers[li].wt.as_mut_slice()[k] = orig - eps;
                 let lm = net.loss(&inputs, &targets).unwrap();
-                net.layers[li].weights.update(|w| w.as_mut_slice()[k] = orig);
+                net.layers[li].wt.as_mut_slice()[k] = orig;
                 let numeric = (lp - lm) / (2.0 * eps);
-                let analytic = grads[li].weights.as_slice()[k];
+                let analytic = grads[li].wt.as_slice()[k];
                 assert!(
                     (numeric - analytic).abs() < 1e-6,
                     "layer {li} weight {k}: numeric {numeric} vs analytic {analytic}"
@@ -1359,14 +1276,8 @@ mod tests {
         let loss = net.gradients_batched(&refs_x, &refs_y, &mut ws).unwrap();
 
         let scale = 1.0 / n as f64;
-        let mut expected: Vec<LayerGrad> = ws
-            .grads
-            .iter()
-            .map(|g| LayerGrad {
-                weights: Matrix::zeros(g.weights.rows(), g.weights.cols()),
-                bias: vec![0.0; g.bias.len()],
-            })
-            .collect();
+        let mut expected: Vec<LayerGrad> =
+            ws.grads.iter().map(|g| LayerGrad::zeros(&g.wt, &g.bias)).collect();
         let mut expected_loss = 0.0;
         for start in (0..n).step_by(GRAD_CHUNK) {
             let end = (start + GRAD_CHUNK).min(n);
@@ -1376,7 +1287,7 @@ mod tests {
                 .unwrap();
             expected_loss += chunk_loss;
             for (dst, src) in expected.iter_mut().zip(&chunk_ws.grads) {
-                for (d, &s) in dst.weights.as_mut_slice().iter_mut().zip(src.weights.as_slice()) {
+                for (d, &s) in dst.wt.as_mut_slice().iter_mut().zip(src.wt.as_slice()) {
                     *d += s;
                 }
                 for (d, &s) in dst.bias.iter_mut().zip(&src.bias) {
@@ -1386,8 +1297,8 @@ mod tests {
         }
         assert_eq!(loss.to_bits(), (expected_loss * scale).to_bits());
         for (got, want) in ws.grads.iter().zip(&expected) {
-            let gb: Vec<u64> = got.weights.as_slice().iter().map(|x| x.to_bits()).collect();
-            let wb: Vec<u64> = want.weights.as_slice().iter().map(|x| x.to_bits()).collect();
+            let gb: Vec<u64> = got.wt.as_slice().iter().map(|x| x.to_bits()).collect();
+            let wb: Vec<u64> = want.wt.as_slice().iter().map(|x| x.to_bits()).collect();
             assert_eq!(gb, wb);
             assert_eq!(
                 got.bias.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -1464,17 +1375,14 @@ mod tests {
         assert!(net.forward_single_scratch(&[0.0; 4], &mut scratch).is_err());
     }
 
-    /// Every forward but [`Mlp::forward`] reads `Wᵀ`; `forward` reads `W`. So
-    /// after each writer of `W` — construction, an Adam step, an SGD step
-    /// with momentum, `copy_parameters_from` — and after `clone`, the
-    /// single-state forward and a batched row must equal `forward` to the
-    /// bit. A writer that left `Wᵀ` at the previous parameters trips the
-    /// "single-state forward is stale after <writer>" assertion naming it
-    /// (checked once by giving Adam an `update` without the re-transpose:
-    /// "... stale after AdamOptimizer::step"; with the re-transpose dropped
-    /// from `update` itself it is "... stale after Mlp::new").
+    /// The three forwards read the one `Wᵀ` three ways: [`Mlp::forward`]
+    /// down its columns, the single-state kernel across its rows, the
+    /// batched kernels in register tiles. Whatever wrote the parameters —
+    /// construction, an Adam step, SGD steps with momentum,
+    /// `copy_parameters_from`, `clone` — the single-state forward and a
+    /// batched row equal `forward` to the bit.
     #[test]
-    fn every_writer_refreshes_the_transposed_weights() {
+    fn all_forwards_agree_after_every_writer() {
         fn check(net: &Mlp, r: &mut StdRng, writer: &str) {
             let xs = random_batch(r, 3, 6);
             let refs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
@@ -1485,9 +1393,9 @@ mod tests {
                 assert_eq!(
                     bits(&net.forward_single(x).unwrap()),
                     bits(&reference),
-                    "single-state forward is stale after {writer}"
+                    "single-state forward diverged after {writer}"
                 );
-                assert_eq!(bits(row), bits(&reference), "batched forward is stale after {writer}");
+                assert_eq!(bits(row), bits(&reference), "batched forward diverged after {writer}");
             }
         }
         let mut r = rng(48);

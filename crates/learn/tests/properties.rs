@@ -82,10 +82,12 @@ fn prefixed_operand(
 
 /// Batch sizes around the kernels' 4-row register block (row tails of
 /// every size) and output widths around their 8-column tile (48 exact, 51
-/// and 5 ragged); `(prefix, tail)` covers no block, only a block, and both.
+/// and 5 ragged); `(prefix, tail)` covers no block, only a block, both, and
+/// the inputs of the benchmark's two layers (927 = 450 + 477, and 48).
 const PREFIX_BATCHES: [usize; 5] = [1, 3, 4, 32, 33];
 const PREFIX_WIDTHS: [usize; 3] = [48, 51, 5];
-const PREFIX_SPLITS: [(usize, usize); 4] = [(0, 13), (37, 0), (37, 13), (90, 27)];
+const PREFIX_SPLITS: [(usize, usize); 6] =
+    [(0, 13), (37, 0), (37, 13), (90, 27), (450, 477), (0, 48)];
 
 /// `Wᵀ` shapes `(inputs, outputs)` for the single-state kernel: both layers
 /// of the benchmark's 927 → 48 → 51 network, output widths on either side
@@ -257,7 +259,7 @@ proptest! {
 
     #[test]
     fn prefix_forward_bits_match_dense_matmul(
-        batch in 0usize..5, width in 0usize..3, split in 0usize..4, seed in 0u64..10_000,
+        batch in 0usize..5, width in 0usize..3, split in 0usize..6, seed in 0u64..10_000,
     ) {
         let (rows, n) = (PREFIX_BATCHES[batch], PREFIX_WIDTHS[width]);
         let (prefix, tail) = PREFIX_SPLITS[split];
@@ -276,7 +278,7 @@ proptest! {
 
     #[test]
     fn prefix_weight_gradient_bits_match_dense_kernel(
-        batch in 0usize..5, width in 0usize..3, split in 0usize..4, seed in 0u64..10_000,
+        batch in 0usize..5, width in 0usize..3, split in 0usize..6, seed in 0u64..10_000,
     ) {
         let (rows, m) = (PREFIX_BATCHES[batch], PREFIX_WIDTHS[width]);
         let (prefix, tail) = PREFIX_SPLITS[split];
@@ -294,27 +296,25 @@ proptest! {
         let delta = Matrix::from_vec(rows, m, deltas).expect("length matches");
         let alpha = 1.0 / rows as f64;
         // The per-sample loop of `Mlp::gradients`, no term skipped.
-        let mut reference = Matrix::zeros(m, prefix + tail);
+        let mut reference = Matrix::zeros(prefix + tail, m);
         for s in 0..rows {
             for r in 0..m {
                 for c in 0..prefix + tail {
-                    reference[(r, c)] += alpha * delta[(s, r)] * dense[(s, c)];
+                    reference[(c, r)] += alpha * delta[(s, r)] * dense[(s, c)];
                 }
             }
         }
-        let mut dense_out = Matrix::filled(m, prefix + tail, f64::NAN);
-        delta.matmul_transpose_a_scaled_into(&dense, alpha, &mut dense_out).expect("shapes");
+        let mut dense_out = Matrix::filled(prefix + tail, m, f64::NAN);
+        dense.prefix_gram_scaled_into(None, &delta, alpha, &mut dense_out).expect("shapes");
         prop_assert_eq!(bits(dense_out.as_slice()), bits(reference.as_slice()));
-        let mut fast = Matrix::filled(m, prefix + tail, f64::NAN);
-        delta
-            .matmul_transpose_a_prefix_scaled_into(&ones, &tails, alpha, &mut fast)
-            .expect("shapes");
+        let mut fast = Matrix::filled(prefix + tail, m, f64::NAN);
+        tails.prefix_gram_scaled_into(Some(&ones), &delta, alpha, &mut fast).expect("shapes");
         prop_assert_eq!(bits(fast.as_slice()), bits(reference.as_slice()));
     }
 
     #[test]
     fn prefix_training_bits_match_dense_rows(
-        batch in 0usize..5, split in 0usize..4, seed in 0u64..10_000,
+        batch in 0usize..5, split in 0usize..6, seed in 0u64..10_000,
     ) {
         // End to end through the network: TD training on sparse-prefix rows
         // leaves the parameters training on the densified rows leaves.

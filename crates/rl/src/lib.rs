@@ -3,12 +3,10 @@
 //! Implements the learning stack of §III: the allocation MDP with the
 //! paper's one-action-per-step trick and terminal `Σ I_j` reward, deep
 //! Q-learning with replay and a target network (Algorithm 1's optimiser),
-//! tabular Q-learning as the convergence reference, and Clustered RL (kNN
-//! environment definition over a historical store, per-environment agent
-//! cache).
+//! and Clustered RL (kNN environment definition over a historical store,
+//! per-environment agent cache).
 //!
 //! * [`mdp`] — environment traits and step errors.
-//! * [`tabular`] — Watkins Q-learning on discrete states.
 //! * [`replay`] — experience replay buffer.
 //! * [`dqn`] — masked-action DQN agent.
 //! * [`alloc_env`] — the TATIM allocation environment (`e = [I_j × V_p]`).
@@ -47,4 +45,3 @@ pub mod crl;
 pub mod dqn;
 pub mod mdp;
 pub mod replay;
-pub mod tabular;

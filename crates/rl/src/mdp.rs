@@ -1,10 +1,8 @@
 //! Environment abstractions for reinforcement learning.
 //!
 //! The paper optimises TATIM "in a Markov Decision Process ... a five-tuple
-//! ⟨S, A, P, r, λ⟩" (§III-B). Two environment traits are provided:
-//! [`Environment`] exposes encoded (vector) states for function-approximation
-//! agents like the DQN, and [`DiscreteEnvironment`] exposes integer states
-//! for tabular agents used as convergence references.
+//! ⟨S, A, P, r, λ⟩" (§III-B). [`Environment`] exposes encoded (vector)
+//! states for function-approximation agents like the DQN.
 
 use std::fmt;
 
@@ -88,25 +86,6 @@ pub trait Environment {
     fn binary_prefix(&self) -> usize {
         0
     }
-}
-
-/// An environment with a small enumerable state space, for tabular agents.
-pub trait DiscreteEnvironment {
-    /// Number of states.
-    fn num_states(&self) -> usize;
-
-    /// Number of actions.
-    fn num_actions(&self) -> usize;
-
-    /// Starts a new episode, returning the initial state index.
-    fn reset(&mut self) -> usize;
-
-    /// Applies `action`, returning `(next_state, reward, done)`.
-    ///
-    /// # Errors
-    ///
-    /// [`StepError`] on unknown actions or a finished episode.
-    fn step(&mut self, action: usize) -> Result<(usize, f64, bool), StepError>;
 }
 
 #[cfg(test)]

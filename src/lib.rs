@@ -9,7 +9,7 @@
 //! * [`knapsack`] — exact/greedy solvers for the multiply-constrained
 //!   multiple knapsack problem TATIM reduces to (Thm. 1).
 //! * [`learn`] — regression/SVM/trees/boosting/kNN/k-means/MLP substrate.
-//! * [`rl`] — tabular Q-learning, DQN and Clustered RL.
+//! * [`rl`] — DQN and Clustered RL.
 //! * [`edgesim`] — discrete-event simulator of the Raspberry-Pi testbed.
 //! * [`parallel`] — deterministic fork-join layer (bit-identical results at
 //!   any thread count).
