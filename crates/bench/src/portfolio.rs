@@ -50,7 +50,7 @@ pub const QUICK_SIZES: [(usize, usize); 4] = [(35, 4), (120, 12), (400, 40), (12
 /// host), so a probe over `m` sacks gets `EXACT_SACK_NODES / m` nodes —
 /// about 20 s at every size. Generous enough that paper-scale instances
 /// complete with slack, small enough that the production sizes (which
-/// would run for days) cut off quickly.
+/// would run for days) cut off quickly. `--quick` takes a twentieth.
 pub const EXACT_SACK_NODES: u64 = 1_600_000_000;
 
 /// Runs the production-size sweep, returning trend rows.

@@ -565,10 +565,11 @@ impl Matrix {
         out: &mut Matrix,
     ) -> Result<(), DimensionError> {
         let prefix = ones.map_or(0, BinaryRows::width);
-        if self.rows != delta.rows || ones.is_some_and(|o| o.rows() != self.rows) {
+        let rows = ones.map_or(self.rows, BinaryRows::rows);
+        if rows != self.rows || self.rows != delta.rows {
             return Err(DimensionError {
                 op: "prefix_gram",
-                left: (ones.map_or(self.rows, BinaryRows::rows), prefix + self.cols),
+                left: (rows, prefix + self.cols),
                 right: delta.shape(),
             });
         }

@@ -328,12 +328,11 @@ impl Mlp {
     /// output of a layer accumulates side by side, and an input that is
     /// exactly zero — an unset selection entry, a dead ReLU — costs nothing.
     /// Each output adds the terms of [`Mlp::forward`]'s dot in its order,
-    /// less the exact-zero ones, so
-    /// for finite weights the result is `forward`'s bit for bit (the one
-    /// pre-activation the kernels can disagree on is `±0.0`, and a bias is
-    /// never `-0.0`: it starts at `+0.0` and no optimiser step can produce
-    /// one). Action selection, rollouts and every other one-sample inference
-    /// go through here.
+    /// less the exact-zero ones, so for finite weights the result is
+    /// `forward`'s bit for bit (the one pre-activation the kernels can
+    /// disagree on is `±0.0`, and a bias is never `-0.0`: it starts at
+    /// `+0.0` and no optimiser step can produce one). Action selection,
+    /// rollouts and every other one-sample inference go through here.
     ///
     /// # Errors
     ///
@@ -492,14 +491,13 @@ impl Mlp {
     fn forward_trace_batch(&self, ws: &mut BatchWorkspace) {
         let batch = ws.acts[0].rows();
         for (li, layer) in self.layers.iter().enumerate() {
-            let wt = &layer.wt;
             let (done, rest) = ws.acts.split_at_mut(li + 1);
             let a_in = &done[li];
             let pre = &mut ws.pres[li];
             if li == 0 {
-                a_in.matmul_prefix_into(&ws.ones, wt, pre).expect("sizes consistent");
+                a_in.matmul_prefix_into(&ws.ones, &layer.wt, pre).expect("sizes consistent");
             } else {
-                a_in.matmul_into(wt, pre).expect("sizes consistent");
+                a_in.matmul_into(&layer.wt, pre).expect("sizes consistent");
             }
             let a_out = &mut rest[0];
             for s in 0..batch {
