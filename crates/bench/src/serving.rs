@@ -4,7 +4,7 @@
 //! One tenant (the canonical paper scenario, frozen via
 //! `PreparedPipeline::into_core`) is registered on an [`AllocatorService`]
 //! and warmed, then a fixed mixed request stream — DCTA runs, DML
-//! decisions and batched Q-value probes over every evaluation day — is
+//! decisions and Q-value probes over every evaluation day — is
 //! pushed through a [`ServicePool`] at 1, 2 and 8 workers. The wall clock
 //! covers pool creation, submission, and every ticket's answer; the
 //! request list and all answers are identical at every worker count (the
@@ -51,7 +51,7 @@ pub fn serve_throughput(opts: &RunOpts) -> Result<(Vec<Row>, f64), Box<dyn Error
     let days: Vec<usize> = service.with_core(TENANT, |c| c.test_days())?.collect();
 
     // Mixed stream: a full DCTA day run, a bare DML decision, and a
-    // batched Q-value probe per evaluation day, tiled to the target size.
+    // Q-value probe per evaluation day, tiled to the target size.
     let per_day: Vec<AllocRequest> = days
         .iter()
         .flat_map(|&day| {
@@ -106,12 +106,8 @@ pub fn serve_throughput(opts: &RunOpts) -> Result<(Vec<Row>, f64), Box<dyn Error
 
     let stats = service.stats(TENANT)?;
     println!(
-        "  [q batching: {} requests in {} batches (mean {:.2}); cache {} hits / {} misses]",
-        stats.batcher.requests,
-        stats.batcher.batches,
-        stats.batcher.mean_batch_size(),
-        stats.cache.hits,
-        stats.cache.misses,
+        "  [{} q-value probes; cache {} hits / {} misses]",
+        stats.batcher.requests, stats.cache.hits, stats.cache.misses,
     );
     Ok((rows, stats.cache.hit_rate()))
 }

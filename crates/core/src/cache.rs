@@ -44,7 +44,7 @@
 //! [`ImportanceEvaluator::with_cache`]: crate::importance::ImportanceEvaluator::with_cache
 
 use buildings::scenario::DayContext;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
@@ -446,8 +446,9 @@ impl ImportanceCache {
     ///
     /// # Errors
     ///
-    /// [`CachePersistError::Parse`] on a malformed dump; nothing is merged
-    /// partially — the text is validated before any insert.
+    /// [`CachePersistError::Parse`] on a malformed dump, a non-finite value,
+    /// or a key the dump repeats; nothing is merged partially — the text is
+    /// validated before any insert.
     pub fn load_text(&self, text: &str) -> Result<usize, CachePersistError> {
         let mut lines = text.lines().enumerate();
         match lines.next() {
@@ -458,6 +459,7 @@ impl ImportanceCache {
             None => return Err(CachePersistError::Parse { line: 1, reason: "empty file" }),
         }
         let mut parsed: Vec<(CacheKey, f64)> = Vec::new();
+        let mut seen: HashSet<CacheKey> = HashSet::new();
         for (idx, line) in lines {
             if line.is_empty() {
                 continue;
@@ -477,6 +479,9 @@ impl ImportanceCache {
             let evaluator = next("bad evaluator field")?;
             let day = next("bad day field")?;
             let value = f64::from_bits(next("bad value field")?);
+            if !value.is_finite() {
+                return Err(CachePersistError::Parse { line: idx + 1, reason: "value not finite" });
+            }
             let mask: Vec<u64> = fields[4..]
                 .iter()
                 .map(|f| {
@@ -486,7 +491,11 @@ impl ImportanceCache {
                     })
                 })
                 .collect::<Result<_, _>>()?;
-            parsed.push((CacheKey { seed, evaluator, day, mask }, value));
+            let key = CacheKey { seed, evaluator, day, mask };
+            if !seen.insert(key.clone()) {
+                return Err(CachePersistError::Parse { line: idx + 1, reason: "duplicate key" });
+            }
+            parsed.push((key, value));
         }
         let count = parsed.len();
         for (key, value) in parsed {
@@ -751,6 +760,38 @@ mod persist_tests {
         // Nothing was merged by the failed loads.
         assert_eq!(cache.stats().entries, 0);
         assert!(CachePersistError::Parse { line: 2, reason: "x" }.to_string().contains("line 2"));
+    }
+
+    /// A dump whose line 2 is valid and whose line 3 carries `value` under
+    /// `day` must fail on line 3 with `reason`, leaving `cache` as it was.
+    fn assert_rejected_whole(value: f64, day: u64, reason: &'static str) {
+        let cache = ImportanceCache::new();
+        let _: Result<f64, ()> = cache.lookup_or_compute(9, 9, 9, &[true], || Ok(0.75));
+        let _: Result<f64, ()> = cache.lookup_or_compute(9, 9, 9, &[true], || unreachable!());
+        let (text, stats) = (cache.to_text(), cache.stats());
+        let line = |day: u64, v: f64| format!("1 2 {day:x} {:016x} 1", v.to_bits());
+        let dump = format!("{PERSIST_HEADER}\n{}\n{}\n", line(0, 0.5), line(day, value));
+        assert!(matches!(
+            cache.load_text(&dump),
+            Err(CachePersistError::Parse { line: 3, reason: r }) if r == reason
+        ));
+        assert_eq!(cache.to_text(), text, "contents moved");
+        assert_eq!(cache.stats(), stats, "stats moved");
+    }
+
+    #[test]
+    fn nan_value_is_rejected_before_any_insert() {
+        assert_rejected_whole(f64::NAN, 1, "value not finite");
+    }
+
+    #[test]
+    fn infinite_value_is_rejected_before_any_insert() {
+        assert_rejected_whole(f64::INFINITY, 1, "value not finite");
+    }
+
+    #[test]
+    fn duplicate_key_is_rejected_before_any_insert() {
+        assert_rejected_whole(0.25, 0, "duplicate key");
     }
 
     #[test]

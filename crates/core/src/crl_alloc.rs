@@ -61,7 +61,7 @@ impl CrlAllocator {
     }
 
     /// The underlying CRL — exposes environment definition, geometry
-    /// binding and per-key agents (batched Q-value serving reads them).
+    /// binding and per-key agents (Q-value serving reads them).
     pub fn shared(&self) -> &Crl {
         &self.crl
     }

@@ -393,28 +393,10 @@ impl Mlp {
     }
 
     /// Batched forward pass: one blocked matmul per layer instead of `B`
-    /// matvecs. Row `s` of the result equals `self.forward(inputs[s])` bit
-    /// for bit — the `linalg` kernels keep every output element's textbook
-    /// accumulation order.
-    ///
-    /// Allocating convenience wrapper; hot loops should hold a
-    /// [`BatchWorkspace`] and call [`Mlp::forward_batch_ws`]. A batch of one
-    /// needs no workspace and takes [`Mlp::forward_single`] instead.
-    ///
-    /// # Errors
-    ///
-    /// [`NetworkError::EmptyBatch`] / [`NetworkError::ArityMismatch`].
-    pub fn forward_batch(&self, inputs: &[&[f64]]) -> Result<Vec<Vec<f64>>, NetworkError> {
-        if let [single] = inputs {
-            return Ok(vec![self.forward_single(single)?]);
-        }
-        let mut ws = BatchWorkspace::new();
-        let out = self.forward_batch_ws(inputs, &mut ws)?;
-        Ok((0..inputs.len()).map(|s| out.row(s).to_vec()).collect())
-    }
-
-    /// Allocation-free batched forward pass. Returns the `B × out` activation
-    /// matrix held in `ws`; row `s` is the output for `inputs[s]`.
+    /// matvecs, with no allocation once `ws` has seen this batch size.
+    /// Returns the `B × out` activation matrix held in `ws`; row `s` equals
+    /// `self.forward(inputs[s])` bit for bit — the `linalg` kernels keep
+    /// every output element's textbook accumulation order.
     ///
     /// # Errors
     ///
@@ -1217,12 +1199,13 @@ mod tests {
     fn forward_batch_bits_match_per_sample_forward() {
         let mut r = rng(40);
         let net = Mlp::new(&[5, 9, 7, 3], Activation::Relu, &mut r).unwrap();
+        let mut ws = BatchWorkspace::new();
         for n in [1, 4, 5, 32] {
             let inputs = random_batch(&mut r, n, 5);
             let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
-            let batched = net.forward_batch(&refs).unwrap();
-            for (x, row) in inputs.iter().zip(&batched) {
-                let single = net.forward(x).unwrap();
+            let batched = net.forward_batch_ws(&refs, &mut ws).unwrap();
+            for (s, x) in inputs.iter().enumerate() {
+                let (row, single) = (batched.row(s), net.forward(x).unwrap());
                 assert_eq!(
                     row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     single.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -1363,11 +1346,10 @@ mod tests {
     fn single_input_forwards_match_the_reference() {
         let mut r = rng(46);
         let net = Mlp::new(&[5, 7, 4, 3], Activation::Tanh, &mut r).unwrap();
-        let mut scratch = ForwardScratch::default();
+        let (mut scratch, mut ws) = (ForwardScratch::default(), BatchWorkspace::new());
         for x in random_batch(&mut r, 4, 5) {
             let reference = net.forward(&x).unwrap();
-            // A batch of one skips the workspace.
-            assert_eq!(net.forward_batch(&[&x]).unwrap(), vec![reference.clone()]);
+            assert_eq!(net.forward_batch_ws(&[&x], &mut ws).unwrap().row(0), &reference[..]);
             assert_eq!(net.forward_single_scratch(&x, &mut scratch).unwrap(), &reference[..]);
         }
         assert!(net.forward_single_scratch(&[0.0; 4], &mut scratch).is_err());
@@ -1384,9 +1366,10 @@ mod tests {
         fn check(net: &Mlp, r: &mut StdRng, writer: &str) {
             let xs = random_batch(r, 3, 6);
             let refs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
-            let batched = net.forward_batch(&refs).unwrap();
-            for (x, row) in xs.iter().zip(&batched) {
-                let reference = net.forward(x).unwrap();
+            let mut ws = BatchWorkspace::new();
+            let batched = net.forward_batch_ws(&refs, &mut ws).unwrap();
+            for (s, x) in xs.iter().enumerate() {
+                let (row, reference) = (batched.row(s), net.forward(x).unwrap());
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
                     bits(&net.forward_single(x).unwrap()),
@@ -1436,9 +1419,9 @@ mod tests {
         let mut net = Mlp::new(&[2, 3, 1], Activation::Relu, &mut rng(44)).unwrap();
         let mut opt = SgdOptimizer::new(0.1, 0.0);
         let mut ws = BatchWorkspace::new();
-        assert!(matches!(net.forward_batch(&[]), Err(NetworkError::EmptyBatch)));
+        assert!(matches!(net.forward_batch_ws(&[], &mut ws), Err(NetworkError::EmptyBatch)));
         assert!(matches!(
-            net.forward_batch(&[&[1.0][..]]),
+            net.forward_batch_ws(&[&[1.0][..]], &mut ws),
             Err(NetworkError::ArityMismatch { expected: 2, got: 1 })
         ));
         assert!(matches!(

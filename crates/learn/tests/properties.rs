@@ -359,10 +359,11 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let net = Mlp::new(&[4, hidden, 3], Activation::Tanh, &mut rng).expect("valid sizes");
         let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
-        let batched = net.forward_batch(&refs).expect("valid batch");
-        for (x, row) in inputs.iter().zip(&batched) {
+        let mut ws = BatchWorkspace::new();
+        let batched = net.forward_batch_ws(&refs, &mut ws).expect("valid batch");
+        for (s, x) in inputs.iter().enumerate() {
             let single = net.forward(x).expect("arity");
-            prop_assert_eq!(bits(row), bits(&single));
+            prop_assert_eq!(bits(batched.row(s)), bits(&single));
         }
     }
 

@@ -256,22 +256,6 @@ impl DqnAgent {
         Ok(self.online.forward_single(state)?)
     }
 
-    /// Q-values for a batch of states in one ride over the batched forward
-    /// kernel: one matmul per layer instead of one forward per state.
-    ///
-    /// Row `s` of the result equals `self.q_values(states[s])` bit for bit
-    /// (the batched forward is row-wise bit-identical to the scalar one, see
-    /// [`learn::nn::Mlp::forward_batch`]), which is what lets a serving
-    /// layer coalesce concurrent scalar queries into one batch without
-    /// changing a single answer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates arity mismatches from the network.
-    pub fn q_values_batch(&self, states: &[&[f64]]) -> Result<Vec<Vec<f64>>, DqnError> {
-        Ok(self.online.forward_batch(states)?)
-    }
-
     /// The state dimensionality this agent was built for.
     pub fn state_dim(&self) -> usize {
         self.online.input_size()
@@ -693,25 +677,8 @@ mod tests {
         let agent = DqnAgent::new(4, 5, quick_config(), &mut rng).unwrap();
         assert_eq!(agent.q_values(&[0.0; 4]).unwrap().len(), 5);
         assert_eq!(agent.num_actions(), 5);
+        assert_eq!(agent.state_dim(), 4);
         assert!(agent.q_values(&[0.0; 3]).is_err());
-    }
-
-    #[test]
-    fn batched_q_values_bits_match_scalar_queries() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut env = Chain::new();
-        let mut agent = DqnAgent::new(2, 2, quick_config(), &mut rng).unwrap();
-        for _ in 0..20 {
-            agent.train_episode(&mut env, &mut rng).unwrap();
-        }
-        let states: Vec<Vec<f64>> =
-            vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![0.5, 0.25], vec![-1.0, 2.0]];
-        let refs: Vec<&[f64]> = states.iter().map(Vec::as_slice).collect();
-        let batched = agent.q_values_batch(&refs).unwrap();
-        for (state, row) in states.iter().zip(&batched) {
-            assert_eq!(row, &agent.q_values(state).unwrap());
-        }
-        assert_eq!(agent.state_dim(), 2);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! * [`dqn`] — masked-action DQN agent.
 //! * [`alloc_env`] — the TATIM allocation environment (`e = [I_j × V_p]`).
 //! * [`crl`] — Clustered Reinforcement Learning (Algorithm 1).
-//! * [`batcher`] — cross-request batched Q-value inference for serving.
 //!
 //! ## Example
 //!
@@ -40,7 +39,6 @@
 #![forbid(unsafe_code)]
 
 pub mod alloc_env;
-pub mod batcher;
 pub mod crl;
 pub mod dqn;
 pub mod mdp;

@@ -9,17 +9,14 @@
 //!
 //! * full evaluation runs ([`Query::Run`]) and bare allocation decisions
 //!   ([`Query::Decision`]) execute directly on the tenant's core;
-//! * Q-value queries ([`Query::QValues`]) ride *cross-request batched* DQN
-//!   inference: concurrent queries against the same per-context agent
-//!   coalesce in a [`rl::batcher::QBatcher`] (flush at 64 queued states or
-//!   after 100 µs, whichever first) and are answered by one batched forward
-//!   — bit-identical to scalar answers, because the batched kernel is
-//!   row-wise bit-identical to the scalar one.
+//! * a Q-value probe ([`Query::QValues`]) is one single-state forward of
+//!   the day's per-context agent, on the thread that handles it.
 //!
 //! [`pool::ServicePool`] adds a worker pool in front of the service:
 //! [`pool::ServicePool::submit`] enqueues a request and returns a
 //! [`pool::Ticket`] to wait on, so callers overlap while a fixed number of
-//! workers drain the queue.
+//! workers drain the queue. A request whose handler panics answers its own
+//! ticket with [`ServeError::WorkerPanicked`]; the worker keeps serving.
 //!
 //! ## Determinism contract
 //!
@@ -27,7 +24,7 @@
 //! deterministic per `(seed, day)`, just differently seeded than the batch
 //! pipeline — see the `dcta_core::shared` module docs) is bit-identical to
 //! the same query answered solo on a freshly frozen core: no request order,
-//! interleaving, worker count, or batch composition can change an answer.
+//! interleaving, or worker count can change an answer.
 //! Tenants are fully isolated — they share no caches, agents, or RNG.
 //!
 //! ## Example
@@ -58,4 +55,6 @@
 pub mod pool;
 pub mod service;
 
-pub use service::{AllocRequest, AllocResponse, AllocatorService, Query, ServeError, TenantStats};
+pub use service::{
+    AllocRequest, AllocResponse, AllocatorService, BatcherStats, Query, ServeError, TenantStats,
+};

@@ -5,10 +5,13 @@
 //! The pool adds *throughput*, not semantics — every answer is exactly what
 //! a direct `handle` call would have produced (see the crate-level
 //! determinism contract), so the worker count is a pure performance knob.
-//! Dropping the pool finishes all queued work before joining the workers.
+//! A request whose handler panics costs its own ticket
+//! ([`ServeError::WorkerPanicked`]), not the worker. Dropping the pool
+//! finishes all queued work before joining the workers.
 
 use crate::service::{AllocRequest, AllocResponse, AllocatorService, ServeError};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -69,6 +72,15 @@ impl ServicePool {
     ///
     /// Panics when `workers` is zero or a thread fails to spawn.
     pub fn new(service: Arc<AllocatorService>, workers: usize) -> Self {
+        let target = Arc::clone(&service);
+        Self::spawn(service, workers, move |r| target.handle(r))
+    }
+
+    /// Spawns `workers` threads that answer each request with `handle`.
+    fn spawn<H>(service: Arc<AllocatorService>, workers: usize, handle: H) -> Self
+    where
+        H: Fn(&AllocRequest) -> Result<AllocResponse, ServeError> + Send + Sync + 'static,
+    {
         assert!(workers > 0, "a pool needs at least one worker");
         let shared = Arc::new(PoolShared {
             service,
@@ -76,12 +88,14 @@ impl ServicePool {
             work_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
+        let handle = Arc::new(handle);
         let workers = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
+                let handle = Arc::clone(&handle);
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || worker_loop(&shared, &*handle))
                     .expect("failed to spawn serve worker")
             })
             .collect();
@@ -115,16 +129,17 @@ impl Drop for ServicePool {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.work_ready.notify_all();
         for worker in self.workers.drain(..) {
-            // A worker that panicked already filled no ticket; surfacing the
-            // panic here beats silently swallowing it.
-            if let Err(e) = worker.join() {
-                std::panic::resume_unwind(e);
-            }
+            // A handler panic already answered its ticket inside the loop;
+            // there is nothing left to surface here.
+            let _ = worker.join();
         }
     }
 }
 
-fn worker_loop(shared: &PoolShared) {
+fn worker_loop(
+    shared: &PoolShared,
+    handle: &dyn Fn(&AllocRequest) -> Result<AllocResponse, ServeError>,
+) {
     loop {
         let job = {
             let mut queue = shared.queue.lock().expect("pool queue poisoned");
@@ -140,8 +155,46 @@ fn worker_loop(shared: &PoolShared) {
                 queue = shared.work_ready.wait(queue).expect("pool queue poisoned");
             }
         };
-        let result = shared.service.handle(&job.request);
+        let result = catch_unwind(AssertUnwindSafe(|| handle(&job.request)))
+            .unwrap_or_else(|payload| Err(ServeError::WorkerPanicked(panic_message(&*payload))));
         *job.ticket.slot.lock().expect("ticket poisoned") = Some(result);
         job.ticket.ready.notify_all();
+    }
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(s), _) => (*s).to_string(),
+        (_, Some(s)) => s.clone(),
+        _ => "non-string panic payload".to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::Query;
+
+    fn probe(day: usize) -> AllocRequest {
+        AllocRequest { tenant: "t".into(), query: Query::QValues { day, state: None } }
+    }
+
+    #[test]
+    fn a_panicking_request_costs_its_ticket_not_the_worker() {
+        // One worker: had the panic killed it, nothing after would answer.
+        let pool = ServicePool::spawn(Arc::new(AllocatorService::new()), 1, |r| match r.query {
+            Query::QValues { day: 1, .. } => panic!("probe 1 explodes"),
+            Query::QValues { day, .. } => Ok(AllocResponse::QValues { key: day, q: vec![] }),
+            _ => unreachable!("the test only sends probes"),
+        });
+        let tickets: Vec<Ticket> = (0..3).map(|day| pool.submit(probe(day))).collect();
+        let answers: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
+        assert_eq!(answers[0].as_ref().unwrap(), &AllocResponse::QValues { key: 0, q: vec![] });
+        assert!(
+            matches!(&answers[1], Err(ServeError::WorkerPanicked(m)) if m == "probe 1 explodes"),
+            "{:?}",
+            answers[1]
+        );
+        assert_eq!(answers[2].as_ref().unwrap(), &AllocResponse::QValues { key: 2, q: vec![] });
     }
 }

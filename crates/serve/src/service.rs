@@ -7,14 +7,13 @@ use dcta_core::objective::AllocQuery;
 use dcta_core::pipeline::{Method, PipelineError, RunReport, RunSpec};
 use dcta_core::shared::PreparedCore;
 use rl::alloc_env::{AllocEnv, AllocSpec, SpecError};
-use rl::batcher::{BatcherStats, QBatcher, DEFAULT_MAX_BATCH, DEFAULT_MAX_WAIT};
 use rl::crl::CrlError;
 use rl::dqn::DqnError;
 use rl::mdp::Environment;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 
 /// Error raised by the serving layer.
 #[derive(Debug)]
@@ -35,10 +34,13 @@ pub enum ServeError {
     Pipeline(PipelineError),
     /// The frozen CRL failed (environment definition or agent training).
     Crl(CrlError),
-    /// The batched DQN forward failed.
+    /// The DQN forward failed.
     Dqn(DqnError),
     /// Building the default Q-value state failed spec validation.
     Spec(SpecError),
+    /// The handler panicked on this request; the payload's message. Only
+    /// this request's ticket carries it — the worker keeps serving.
+    WorkerPanicked(String),
 }
 
 impl fmt::Display for ServeError {
@@ -55,6 +57,7 @@ impl fmt::Display for ServeError {
             ServeError::Crl(e) => write!(f, "CRL failed: {e}"),
             ServeError::Dqn(e) => write!(f, "DQN inference failed: {e}"),
             ServeError::Spec(e) => write!(f, "default state construction failed: {e}"),
+            ServeError::WorkerPanicked(msg) => write!(f, "request handler panicked: {msg}"),
         }
     }
 }
@@ -92,9 +95,10 @@ pub enum Query {
     /// A full evaluation run (allocate + simulate + metrics) described by a
     /// [`RunSpec`] — healthy or fault-injected.
     Run(RunSpec),
-    /// The Q-values of the day's CRL context at a state — answered through
-    /// cross-request batched inference. `None` evaluates the context's
-    /// initial state (nothing assigned yet).
+    /// The Q-values of the day's CRL context at a state — one single-state
+    /// forward of the context's agent (`DqnAgent::q_values`) on the thread
+    /// that handles the request. `None` evaluates the context's initial
+    /// state (nothing assigned yet).
     QValues {
         /// Evaluation-day index (selects the sensing signature, hence the
         /// per-context agent).
@@ -168,27 +172,15 @@ impl AllocResponse {
     }
 }
 
-/// A registered scenario: its frozen core plus the per-context batchers
-/// coalescing its Q-value traffic.
+/// A registered scenario: its frozen core plus a count of the Q-value
+/// probes it has answered.
 #[derive(Debug)]
 struct Tenant {
     core: PreparedCore,
-    /// One batcher per CRL context key — a batcher must only ever see one
-    /// agent (see [`QBatcher`]), and agents are per-context.
-    batchers: Mutex<HashMap<usize, Arc<QBatcher>>>,
-    max_batch: usize,
-    max_wait: Duration,
+    probes: AtomicU64,
 }
 
 impl Tenant {
-    fn batcher_for(&self, key: usize) -> Arc<QBatcher> {
-        let mut map = self.batchers.lock().expect("batcher registry poisoned");
-        Arc::clone(
-            map.entry(key)
-                .or_insert_with(|| Arc::new(QBatcher::new(self.max_batch, self.max_wait))),
-        )
-    }
-
     fn answer(&self, query: &Query) -> Result<AllocResponse, ServeError> {
         match query {
             Query::Run(spec) => Ok(AllocResponse::Run(self.core.run(spec)?)),
@@ -206,8 +198,6 @@ impl Tenant {
                 let agent = shared.agent(key)?;
                 let initial;
                 let state: &[f64] = match state {
-                    // Borrowed: the batcher's queue makes the one copy, after
-                    // the arity check.
                     Some(s) => s,
                     None => {
                         // The context's initial state: its blended
@@ -227,11 +217,28 @@ impl Tenant {
                         got: state.len(),
                     });
                 }
-                let q = self.batcher_for(key).submit(agent, state)?;
+                let q = agent.q_values(state)?;
+                self.probes.fetch_add(1, Ordering::Relaxed);
                 Ok(AllocResponse::QValues { key, q })
             }
         }
     }
+}
+
+/// A tenant's Q-value probe counters. Each probe is one forward of one
+/// state, so `batches == batched_states == requests` and
+/// `deadline_flushes == 0`: the fields keep the shape the benchmark's
+/// `rl.batcher.*` metrics read until those metrics retire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BatcherStats {
+    /// Q-value probes answered.
+    pub requests: u64,
+    /// Forwards run: one per probe.
+    pub batches: u64,
+    /// States evaluated: one per probe.
+    pub batched_states: u64,
+    /// Always 0: no probe waits on a deadline.
+    pub deadline_flushes: u64,
 }
 
 /// Point-in-time counters describing one tenant's serving state.
@@ -239,11 +246,8 @@ impl Tenant {
 pub struct TenantStats {
     /// The tenant's decision-performance cache counters.
     pub cache: CacheStats,
-    /// Q-value batching counters, summed over the tenant's per-context
-    /// batchers.
+    /// Q-value probe counters.
     pub batcher: BatcherStats,
-    /// Per-context batchers instantiated so far.
-    pub batchers: usize,
     /// Agents of the tenant's one general process trained so far — CRL and
     /// DCTA requests share them, so this reaches `Crl::num_keys()` and stays
     /// there once the tenant is warm. Agents the pipeline trained before
@@ -254,39 +258,19 @@ pub struct TenantStats {
 /// The long-lived, multi-tenant allocation service. `&self` throughout:
 /// share one instance (e.g. in an `Arc`) across as many request threads as
 /// you like, or put a [`crate::pool::ServicePool`] in front of it.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AllocatorService {
     tenants: RwLock<HashMap<String, Arc<Tenant>>>,
-    max_batch: usize,
-    max_wait: Duration,
-}
-
-impl Default for AllocatorService {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl AllocatorService {
-    /// An empty service with the default Q-value batching policy
-    /// (flush at [`DEFAULT_MAX_BATCH`] states or [`DEFAULT_MAX_WAIT`]).
+    /// An empty service.
     pub fn new() -> Self {
-        Self::with_batch_policy(DEFAULT_MAX_BATCH, DEFAULT_MAX_WAIT)
-    }
-
-    /// An empty service whose tenants flush Q-value batches at `max_batch`
-    /// queued states or after `max_wait`, whichever comes first.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `max_batch` is zero.
-    pub fn with_batch_policy(max_batch: usize, max_wait: Duration) -> Self {
-        assert!(max_batch > 0, "batch trigger must be positive");
-        Self { tenants: RwLock::new(HashMap::new()), max_batch, max_wait }
+        Self::default()
     }
 
     /// Registers `core` under `name`. Tenants are fully isolated from each
-    /// other: nothing — caches, agents, batchers — is shared between them.
+    /// other: nothing — caches, agents, counters — is shared between them.
     ///
     /// # Errors
     ///
@@ -297,15 +281,7 @@ impl AllocatorService {
         if tenants.contains_key(&name) {
             return Err(ServeError::DuplicateTenant(name));
         }
-        tenants.insert(
-            name,
-            Arc::new(Tenant {
-                core,
-                batchers: Mutex::new(HashMap::new()),
-                max_batch: self.max_batch,
-                max_wait: self.max_wait,
-            }),
-        );
+        tenants.insert(name, Arc::new(Tenant { core, probes: AtomicU64::new(0) }));
         Ok(())
     }
 
@@ -352,9 +328,8 @@ impl AllocatorService {
     }
 
     /// Answers one request on the calling thread. Safe to call from any
-    /// number of threads concurrently; Q-value queries from concurrent
-    /// callers against the same tenant context coalesce into batched
-    /// forwards.
+    /// number of threads concurrently; a Q-value probe is one forward and
+    /// never waits for other probes to arrive.
     ///
     /// # Errors
     ///
@@ -383,20 +358,15 @@ impl AllocatorService {
     /// [`ServeError::UnknownTenant`] when the tenant doesn't exist.
     pub fn stats(&self, tenant: &str) -> Result<TenantStats, ServeError> {
         let tenant = self.tenant(tenant)?;
-        let batchers = tenant.batchers.lock().expect("batcher registry poisoned");
-        let mut batcher = BatcherStats::default();
-        for b in batchers.values() {
-            let s = b.stats();
-            batcher.requests += s.requests;
-            batcher.batches += s.batches;
-            batcher.size_flushes += s.size_flushes;
-            batcher.deadline_flushes += s.deadline_flushes;
-            batcher.batched_states += s.batched_states;
-        }
+        let probes = tenant.probes.load(Ordering::Relaxed);
         Ok(TenantStats {
             cache: tenant.core.cache_stats(),
-            batcher,
-            batchers: batchers.len(),
+            batcher: BatcherStats {
+                requests: probes,
+                batches: probes,
+                batched_states: probes,
+                deadline_flushes: 0,
+            },
             trained_agents: tenant.core.crl().cached_agents(),
         })
     }
@@ -491,7 +461,7 @@ mod tests {
             .allocation;
         assert_eq!(decision, direct_alloc);
 
-        // Wrong-arity Q-value states are rejected before touching a batch.
+        // Wrong-arity Q-value states are rejected before the forward.
         let bad = AllocRequest {
             tenant: "a".into(),
             query: Query::QValues { day, state: Some(vec![0.0; 3]) },
@@ -504,8 +474,8 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_q_values_ride_batches_and_stay_bit_identical() {
-        let service = AllocatorService::with_batch_policy(4, Duration::from_micros(200));
+    fn concurrent_q_values_stay_bit_identical_to_the_agent() {
+        let service = AllocatorService::new();
         service.register("t", test_core()).unwrap();
         let days: Vec<usize> = service.with_core("t", |c| c.test_days().collect()).unwrap();
         // Scalar references straight off the per-context agents.
@@ -547,10 +517,19 @@ mod tests {
                 });
             }
         });
+        // One forward per probe: the shape the benchmark's `rl.batcher.*`
+        // metrics read.
+        let probes = (THREADS * days.len()) as u64;
         let stats = service.stats("t").unwrap();
-        assert_eq!(stats.batcher.requests, (THREADS * days.len()) as u64);
-        assert_eq!(stats.batcher.batched_states, stats.batcher.requests);
-        assert!(stats.batchers >= 1);
+        assert_eq!(
+            stats.batcher,
+            BatcherStats {
+                requests: probes,
+                batches: probes,
+                batched_states: probes,
+                deadline_flushes: 0
+            }
+        );
         assert!(stats.trained_agents >= 1);
     }
 

@@ -1,12 +1,11 @@
 //! Allocation-as-a-service: two tenant scenarios served concurrently from
-//! one `AllocatorService`, with Q-value queries riding cross-request
-//! batched DQN inference.
+//! one `AllocatorService` through a 4-worker pool.
 //!
 //! Each tenant is a frozen pipeline core (`PreparedPipeline::into_core`):
 //! `Send + Sync`, `&self`-only, so one service instance answers any number
-//! of request threads. Concurrent Q-value queries against the same CRL
-//! context coalesce into batched forwards — bit-identical to scalar
-//! answers, so batching is invisible in the results.
+//! of request threads. A Q-value probe is one single-state forward of the
+//! day's CRL agent on the worker that handles it. CI runs this example as
+//! a smoke test: a hang or a panic in the pool fails the build.
 //!
 //! ```text
 //! cargo run --release --example serve_demo
@@ -114,16 +113,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for tenant in service.tenant_names() {
         let stats = service.stats(&tenant)?;
         println!(
-            "  {tenant}: {} q-requests in {} batches (mean batch {:.2}, {} size / {} deadline), \
-             cache {} hits / {} misses, {} trained agents",
-            stats.batcher.requests,
-            stats.batcher.batches,
-            stats.batcher.mean_batch_size(),
-            stats.batcher.size_flushes,
-            stats.batcher.deadline_flushes,
-            stats.cache.hits,
-            stats.cache.misses,
-            stats.trained_agents,
+            "  {tenant}: {} q-value probes, cache {} hits / {} misses, {} trained agents",
+            stats.batcher.requests, stats.cache.hits, stats.cache.misses, stats.trained_agents,
         );
     }
     drop(pool);

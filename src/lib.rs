@@ -15,8 +15,7 @@
 //!   any thread count).
 //! * [`buildings`] — synthetic green-building (chiller AIOps) workloads.
 //! * [`serve`] — allocation-as-a-service: a concurrent multi-tenant serving
-//!   layer over frozen pipeline cores with cross-request batched DQN
-//!   inference.
+//!   layer over frozen pipeline cores.
 //!
 //! See `README.md` for a tour and `DESIGN.md` for the per-experiment index.
 //!

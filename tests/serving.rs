@@ -1,12 +1,11 @@
 //! Serving-layer integration: a multi-tenant `AllocatorService` must be a
-//! pure throughput layer. Whatever the request interleaving, worker count,
-//! or batch-flush path (size vs deadline), every response is bit-identical
-//! to the same query answered solo — and tenants are fully isolated: one
-//! tenant's fault schedules never perturb another's reports.
+//! pure throughput layer. Whatever the request interleaving or worker
+//! count, every response is bit-identical to the same query answered solo
+//! — and tenants are fully isolated: one tenant's fault schedules never
+//! perturb another's reports.
 
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 use tatim::buildings::scenario::{Scenario, ScenarioConfig};
 use tatim::core::pipeline::{Method, Pipeline, PipelineConfig, RunSpec};
 use tatim::core::recovery::RecoveryMode;
@@ -148,45 +147,10 @@ proptest! {
     }
 }
 
-/// The same Q-value query answers with the same bits whether its batch
-/// flushed on size or on deadline.
+/// A served probe with an explicit state answers with the bits of the
+/// agent's own `q_values`, computed off the core directly.
 #[test]
-fn size_and_deadline_flushes_answer_identically() {
-    // Deadline path: generous size trigger, tight deadline, one request.
-    let by_deadline = AllocatorService::with_batch_policy(64, Duration::from_micros(100));
-    // Size path: trigger 2, deadline far beyond the test budget, exactly two
-    // concurrent requests — the second submission always flushes both.
-    let by_size = AllocatorService::with_batch_policy(2, Duration::from_secs(30));
-    by_deadline.register("t", tenant_core(31, 8)).expect("register");
-    by_size.register("t", tenant_core(31, 8)).expect("register");
-    let day = by_deadline.with_core("t", |c| c.test_days().start).expect("tenant");
-    let request = AllocRequest { tenant: "t".into(), query: Query::QValues { day, state: None } };
-
-    let deadline_answer = by_deadline.handle(&request).expect("deadline answer");
-    let stats = by_deadline.stats("t").expect("stats");
-    assert_eq!(stats.batcher.deadline_flushes, 1);
-    assert_eq!(stats.batcher.size_flushes, 0);
-
-    let by_size = Arc::new(by_size);
-    let pool = ServicePool::new(Arc::clone(&by_size), 2);
-    let t1 = pool.submit(request.clone());
-    let t2 = pool.submit(request.clone());
-    let a1 = t1.wait().expect("size answer 1");
-    let a2 = t2.wait().expect("size answer 2");
-    drop(pool);
-    let stats = by_size.stats("t").expect("stats");
-    assert_eq!(stats.batcher.size_flushes, 1, "expected one size-triggered flush");
-    assert_eq!(stats.batcher.deadline_flushes, 0);
-    assert_eq!(stats.batcher.batched_states, 2);
-
-    assert_bit_identical(&a1, &deadline_answer, "size flush 1 vs deadline flush");
-    assert_bit_identical(&a2, &deadline_answer, "size flush 2 vs deadline flush");
-}
-
-/// A custom state rides the batch exactly like the default state, and both
-/// match the agent's scalar answer computed off the core directly.
-#[test]
-fn batched_answers_match_scalar_agent_queries() {
+fn explicit_state_answers_match_scalar_agent_queries() {
     let fx = fixture();
     let day = fx.service.with_core("alpha", |c| c.test_days().start).expect("tenant");
     let (state, scalar) = fx
@@ -201,18 +165,18 @@ fn batched_answers_match_scalar_agent_queries() {
             (state, scalar)
         })
         .expect("tenant");
-    let batched = fx
+    let served = fx
         .service
         .handle(&AllocRequest {
             tenant: "alpha".into(),
             query: Query::QValues { day, state: Some(state) },
         })
-        .expect("batched")
+        .expect("served")
         .into_q_values()
         .expect("q kind");
-    let got: Vec<u64> = batched.iter().map(|v| v.to_bits()).collect();
+    let got: Vec<u64> = served.iter().map(|v| v.to_bits()).collect();
     let want: Vec<u64> = scalar.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(got, want, "explicit-state batched query diverged from the scalar agent");
+    assert_eq!(got, want, "explicit-state query diverged from the scalar agent");
 }
 
 /// Tenant isolation: alpha absorbing fault-injected runs concurrently must
