@@ -2,21 +2,25 @@
 //! optimality certificates in tests and the anytime portfolio
 //! ([`crate::portfolio`]).
 
-use crate::problem::Problem;
+use crate::problem::{Item, Problem};
+use std::cmp::Ordering;
 
-/// Fractional single-constraint bound: relax to one aggregate knapsack on
-/// the given `capacity`, allowing fractional items, considering only the
-/// constraint dimension selected by `size_of`.
-fn fractional_bound(
-    items: &[(f64, f64)], // (size, profit)
-    capacity: f64,
-) -> f64 {
-    let mut sorted: Vec<(f64, f64)> = items.to_vec();
-    sorted.sort_by(|a, b| {
-        let da = if a.0 <= 1e-15 { f64::INFINITY } else { a.1 / a.0 };
-        let db = if b.0 <= 1e-15 { f64::INFINITY } else { b.1 / b.0 };
-        db.partial_cmp(&da).expect("finite or +inf densities")
-    });
+/// Decreasing profit density of two `(size, profit)` pairs, a size of at
+/// most `1e-15` counting as `+∞`. Every density sort in this module uses
+/// this one comparator, which is what lets a sorted view stand in for the
+/// sort of any subset of it (see [`SuffixBounds`]).
+fn by_density(a: (f64, f64), b: (f64, f64)) -> Ordering {
+    let density =
+        |(size, profit): (f64, f64)| if size <= 1e-15 { f64::INFINITY } else { profit / size };
+    density(b).partial_cmp(&density(a)).expect(
+        "`Item::new` rejects non-finite and negative values, so a density is finite or +inf",
+    )
+}
+
+/// Fractional knapsack fill of `(size, profit)` pairs, taken in the given
+/// order, into `capacity`: whole items while they fit, then the fitting
+/// fraction of the first that does not. Zero-size items always count fully.
+fn fill(sorted: impl IntoIterator<Item = (f64, f64)>, capacity: f64) -> f64 {
     let mut remaining = capacity;
     let mut bound = 0.0;
     for (size, profit) in sorted {
@@ -31,6 +35,17 @@ fn fractional_bound(
         }
     }
     bound
+}
+
+/// Fractional single-constraint bound: relax to one aggregate knapsack on
+/// the given `capacity`, allowing fractional items, in density order.
+fn fractional_bound(
+    items: &[(f64, f64)], // (size, profit)
+    capacity: f64,
+) -> f64 {
+    let mut sorted: Vec<(f64, f64)> = items.to_vec();
+    sorted.sort_by(|&a, &b| by_density(a, b));
+    fill(sorted, capacity)
 }
 
 /// A valid upper bound on the optimal MCMK profit.
@@ -86,8 +101,9 @@ pub fn surrogate_bound(problem: &Problem) -> f64 {
 }
 
 /// [`surrogate_bound`] restricted to the item subset `indices` under explicit
-/// aggregate residual capacities — used to certify whole branch-and-bound
-/// subtrees against a warm-start incumbent before exploring them.
+/// aggregate residual capacities — the bound that certifies whole
+/// branch-and-bound subtrees against a warm-start incumbent, which the
+/// search computes without sorting through [`SuffixBounds::surrogate`].
 pub fn surrogate_bound_subset(
     problem: &Problem,
     indices: &[usize],
@@ -110,21 +126,33 @@ pub fn surrogate_bound_subset(
     best
 }
 
-/// Precomputed suffix-bound accelerator for branch-and-bound.
+/// Density-sorted views for branch-and-bound over a fixed exploration
+/// `order`: one per dimension, and one combined size per surrogate
+/// multiplier.
 ///
-/// At every node the solver evaluates [`upper_bound_subset`] on the
-/// not-yet-branched suffix `order[depth..]` — two sorts and three
-/// allocations per node. The exploration order is fixed, so the sorted
-/// density view of any suffix equals the stable-sorted *whole* order
-/// filtered to positions `≥ depth` (stable sorting commutes with taking
-/// subsequences under the same comparator). One sort per dimension up front
-/// therefore lets each query run in `O(n)` with no allocation while
-/// visiting items in exactly the sequence the per-node sort would have
-/// produced — the same floating-point accumulation, hence bit-identical
-/// bounds.
+/// The search bounds the not-yet-branched suffix `order[depth..]`. Every
+/// view is sorted once, stably, with the one density comparator; the
+/// density sort of any suffix is then this view filtered to positions
+/// `≥ depth`, because a stable sort commutes with taking subsequences under
+/// the same comparator. A query walks a view in that order, so it visits the
+/// suffix's items in exactly the sequence [`upper_bound_subset`] and
+/// [`surrogate_bound_subset`] sort them into and accumulates the same floats:
+/// [`SuffixBounds::bound`] and [`SuffixBounds::surrogate`] are bit-identical
+/// to them. Inside one search, `LiveBounds` walks the weight and volume
+/// views over linked live entries instead of skipping decided ones.
 pub struct SuffixBounds {
-    by_weight: Vec<DimEntry>,
-    by_volume: Vec<DimEntry>,
+    /// Weight, then volume.
+    dims: [View; 2],
+    /// One combined-size view per entry of [`SURROGATE_THETAS`].
+    thetas: [View; SURROGATE_THETAS.len()],
+}
+
+/// One density-sorted view of the exploration order.
+struct View {
+    /// Entries in decreasing density, ties in exploration order.
+    sorted: Vec<DimEntry>,
+    /// `rank[pos]`: the index in `sorted` of exploration position `pos`.
+    rank: Vec<u32>,
 }
 
 #[derive(Clone, Copy)]
@@ -135,69 +163,163 @@ struct DimEntry {
     profit: f64,
 }
 
-impl SuffixBounds {
-    /// Builds the per-dimension density-sorted views of `problem` over the
-    /// fixed exploration `order`.
-    pub fn new(problem: &Problem, order: &[usize]) -> Self {
-        fn build(problem: &Problem, order: &[usize], weight_dim: bool) -> Vec<DimEntry> {
-            let mut entries: Vec<DimEntry> = order
-                .iter()
-                .enumerate()
-                .map(|(pos, &i)| {
-                    let item = problem.items()[i];
-                    DimEntry {
-                        pos: pos as u32,
-                        size: if weight_dim { item.weight } else { item.volume },
-                        profit: item.profit,
-                    }
-                })
-                .collect();
-            // Same comparator as `fractional_bound`, so filtering this sort
-            // by position reproduces its per-suffix sort exactly.
-            entries.sort_by(|a, b| {
-                let da = if a.size <= 1e-15 { f64::INFINITY } else { a.profit / a.size };
-                let db = if b.size <= 1e-15 { f64::INFINITY } else { b.profit / b.size };
-                db.partial_cmp(&da).expect("finite or +inf densities")
-            });
-            entries
+impl View {
+    fn new(problem: &Problem, order: &[usize], size: impl Fn(&Item) -> f64) -> Self {
+        let mut sorted: Vec<DimEntry> = order
+            .iter()
+            .enumerate()
+            .map(|(pos, &i)| {
+                let item = &problem.items()[i];
+                DimEntry { pos: pos as u32, size: size(item), profit: item.profit }
+            })
+            .collect();
+        sorted.sort_by(|a, b| by_density((a.size, a.profit), (b.size, b.profit)));
+        let mut rank = vec![0; sorted.len()];
+        for (k, e) in sorted.iter().enumerate() {
+            rank[e.pos as usize] = k as u32;
         }
-        Self { by_weight: build(problem, order, true), by_volume: build(problem, order, false) }
+        Self { sorted, rank }
+    }
+
+    /// The fractional fill of the positions `≥ depth` into `capacity`.
+    fn suffix(&self, depth: usize, capacity: f64) -> f64 {
+        let live = self.sorted.iter().filter(|e| e.pos as usize >= depth);
+        fill(live.map(|e| (e.size, e.profit)), capacity)
+    }
+}
+
+impl SuffixBounds {
+    /// Sorts the views of `problem` over the fixed exploration `order`.
+    pub fn new(problem: &Problem, order: &[usize]) -> Self {
+        Self {
+            dims: [
+                View::new(problem, order, |item| item.weight),
+                View::new(problem, order, |item| item.volume),
+            ],
+            thetas: SURROGATE_THETAS.map(|theta| {
+                View::new(problem, order, |item| theta * item.weight + (1.0 - theta) * item.volume)
+            }),
+        }
     }
 
     /// Upper bound on the profit attainable from the suffix `order[depth..]`
     /// under the given aggregate residual capacities. Bit-identical to
     /// `upper_bound_subset(problem, &order[depth..], agg_w, agg_v)`.
     pub fn bound(&self, depth: usize, aggregate_weight: f64, aggregate_volume: f64) -> f64 {
-        let wb = dim_bound(&self.by_weight, depth, aggregate_weight.max(0.0));
-        let vb = dim_bound(&self.by_volume, depth, aggregate_volume.max(0.0));
+        let [w, v] = &self.dims;
+        let wb = w.suffix(depth, aggregate_weight.max(0.0));
+        let vb = v.suffix(depth, aggregate_volume.max(0.0));
+        wb.min(vb)
+    }
+
+    /// Surrogate upper bound on the suffix `order[depth..]`. Bit-identical
+    /// to `surrogate_bound_subset(problem, &order[depth..], agg_w, agg_v)`.
+    pub fn surrogate(&self, depth: usize, aggregate_weight: f64, aggregate_volume: f64) -> f64 {
+        let mut best = self.bound(depth, aggregate_weight, aggregate_volume);
+        let w = aggregate_weight.max(0.0);
+        let v = aggregate_volume.max(0.0);
+        for (theta, view) in SURROGATE_THETAS.into_iter().zip(&self.thetas) {
+            best = best.min(view.suffix(depth, theta * w + (1.0 - theta) * v));
+        }
+        best
+    }
+}
+
+/// The live suffix of one depth-first search: the weight and volume views
+/// of a [`SuffixBounds`] with only the not-yet-branched positions linked.
+///
+/// Dancing links: the search unlinks position `d` before it explores the
+/// children of a depth-`d` node and relinks it after the last child, so the
+/// calls nest last-in first-out and each relink finds the neighbours its
+/// unlink left. Unlinking keeps the others in sorted order, so
+/// [`LiveBounds::bound`] walks the entries [`SuffixBounds::bound`] keeps, in
+/// its order, without visiting the ones it skips: the same float
+/// operations, over a walk whose length does not grow with the depth.
+pub(crate) struct LiveBounds<'a> {
+    bounds: &'a SuffixBounds,
+    /// Per dimension.
+    links: [Links; 2],
+}
+
+/// Doubly linked list over one view's sorted indices; index `len` is the
+/// head.
+struct Links {
+    next: Vec<u32>,
+    prev: Vec<u32>,
+}
+
+impl<'a> LiveBounds<'a> {
+    /// Links the positions `≥ depth`: the live suffix of a search rooted at
+    /// `depth`.
+    pub(crate) fn new(bounds: &'a SuffixBounds, depth: usize) -> Self {
+        let links = bounds.dims.each_ref().map(|view| {
+            let head = view.sorted.len();
+            let mut next = vec![head as u32; head + 1];
+            let mut prev = vec![head as u32; head + 1];
+            let mut last = head;
+            for (k, e) in view.sorted.iter().enumerate() {
+                if e.pos as usize >= depth {
+                    next[last] = k as u32;
+                    prev[k] = last as u32;
+                    last = k;
+                }
+            }
+            next[last] = head as u32;
+            prev[head] = last as u32;
+            Links { next, prev }
+        });
+        Self { bounds, links }
+    }
+
+    /// Takes position `pos` out of the live suffix.
+    pub(crate) fn unlink(&mut self, pos: usize) {
+        for (view, links) in self.bounds.dims.iter().zip(&mut self.links) {
+            let k = view.rank[pos] as usize;
+            let (prev, next) = (links.prev[k], links.next[k]);
+            links.next[prev as usize] = next;
+            links.prev[next as usize] = prev;
+        }
+    }
+
+    /// Puts `pos`, the position most recently unlinked, back in place.
+    pub(crate) fn relink(&mut self, pos: usize) {
+        for (view, links) in self.bounds.dims.iter().zip(&mut self.links) {
+            let k = view.rank[pos];
+            links.next[links.prev[k as usize] as usize] = k;
+            links.prev[links.next[k as usize] as usize] = k;
+        }
+    }
+
+    /// [`SuffixBounds::bound`] at the depth whose suffix is linked, to the
+    /// bit.
+    pub(crate) fn bound(&self, aggregate_weight: f64, aggregate_volume: f64) -> f64 {
+        let [w, v] = &self.bounds.dims;
+        let [lw, lv] = &self.links;
+        let wb = fill(linked(w, lw), aggregate_weight.max(0.0));
+        let vb = fill(linked(v, lv), aggregate_volume.max(0.0));
         wb.min(vb)
     }
 }
 
-fn dim_bound(sorted: &[DimEntry], depth: usize, capacity: f64) -> f64 {
-    let mut remaining = capacity;
-    let mut bound = 0.0;
-    for e in sorted {
-        if (e.pos as usize) < depth {
-            continue;
-        }
-        if e.size <= 1e-15 {
-            bound += e.profit;
-        } else if e.size <= remaining {
-            remaining -= e.size;
-            bound += e.profit;
-        } else {
-            bound += e.profit * (remaining / e.size);
-            break;
-        }
-    }
-    bound
+/// The linked entries of `view`, in sorted order, as `(size, profit)`.
+fn linked<'a>(view: &'a View, links: &'a Links) -> impl Iterator<Item = (f64, f64)> + 'a {
+    let head = view.sorted.len();
+    let mut k = links.next[head] as usize;
+    std::iter::from_fn(move || {
+        (k != head).then(|| {
+            let e = view.sorted[k];
+            k = links.next[k] as usize;
+            (e.size, e.profit)
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{Item, Sack};
+    use crate::problem::Sack;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn problem(items: Vec<(f64, f64, f64)>, sacks: Vec<(f64, f64)>) -> Problem {
         Problem::new(
@@ -252,8 +374,6 @@ mod tests {
 
     #[test]
     fn surrogate_never_looser_than_aggregate_bound() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(41);
         for _ in 0..40 {
             let n = rng.gen_range(1..12);
@@ -273,8 +393,6 @@ mod tests {
     #[test]
     fn surrogate_bounds_the_optimum() {
         use crate::exact::brute_force;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(42);
         for round in 0..40 {
             let n = rng.gen_range(1..8);
@@ -298,33 +416,45 @@ mod tests {
         }
     }
 
+    /// Residual caps the bit-identity tests query: roomy, tight, empty and
+    /// negative (a clamped over-packed residual).
+    const CAPS: [(f64, f64); 4] = [(10.0, 12.0), (3.5, 2.0), (0.0, 5.0), (-1.0, 4.0)];
+
+    /// Up to 14 items and a shuffled exploration order. On the integer grid
+    /// the items include zero sizes and duplicate densities, so stable-sort
+    /// tie handling is actually exercised.
+    fn shuffled_instance(rng: &mut StdRng, integer: bool) -> (Problem, Vec<usize>) {
+        let n = rng.gen_range(1..15);
+        let items: Vec<(f64, f64, f64)> = (0..n)
+            .map(|_| {
+                let (w, v, p) = (
+                    rng.gen_range(0.0..3.0f64),
+                    rng.gen_range(0.0..3.0f64),
+                    rng.gen_range(0.0..5.0f64),
+                );
+                if integer {
+                    (w.round(), v.round(), p.round())
+                } else {
+                    (w, v, p)
+                }
+            })
+            .collect();
+        let p = problem(items, vec![(7.0, 7.0), (3.0, 5.0)]);
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        (p, order)
+    }
+
     #[test]
     fn suffix_bounds_bit_identical_to_subset_bound() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(43);
         for _ in 0..30 {
-            let n = rng.gen_range(1..15);
-            let items: Vec<(f64, f64, f64)> = (0..n)
-                .map(|_| {
-                    // Include zero sizes and duplicate densities so stable-
-                    // sort tie handling is actually exercised.
-                    (
-                        rng.gen_range(0.0..3.0f64).round(),
-                        rng.gen_range(0.0..3.0f64).round(),
-                        rng.gen_range(0.0..5.0f64).round(),
-                    )
-                })
-                .collect();
-            let p = problem(items, vec![(7.0, 7.0), (3.0, 5.0)]);
-            // An arbitrary (shuffled) exploration order.
-            let mut order: Vec<usize> = (0..n).collect();
-            for i in (1..n).rev() {
-                order.swap(i, rng.gen_range(0..=i));
-            }
+            let (p, order) = shuffled_instance(&mut rng, true);
             let sb = SuffixBounds::new(&p, &order);
-            for depth in 0..=n {
-                for (agg_w, agg_v) in [(10.0, 12.0), (3.5, 2.0), (0.0, 5.0), (-1.0, 4.0)] {
+            for depth in 0..=order.len() {
+                for (agg_w, agg_v) in CAPS {
                     let fast = sb.bound(depth, agg_w, agg_v);
                     let slow = upper_bound_subset(&p, &order[depth..], agg_w, agg_v);
                     assert_eq!(
@@ -332,6 +462,61 @@ mod tests {
                         slow.to_bits(),
                         "depth {depth} caps ({agg_w},{agg_v})"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn presorted_surrogate_bit_identical_to_subset_surrogate() {
+        let mut rng = StdRng::seed_from_u64(45);
+        for round in 0..60 {
+            let (p, order) = shuffled_instance(&mut rng, round % 2 == 0);
+            let sb = SuffixBounds::new(&p, &order);
+            for depth in 0..=order.len() {
+                for (agg_w, agg_v) in CAPS {
+                    let fast = sb.surrogate(depth, agg_w, agg_v);
+                    let slow = surrogate_bound_subset(&p, &order[depth..], agg_w, agg_v);
+                    assert_eq!(
+                        fast.to_bits(),
+                        slow.to_bits(),
+                        "round {round} depth {depth} caps ({agg_w},{agg_v})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The search's use of the links: rooted at a random depth, descend
+    /// (unlink) and backtrack (relink) last-in first-out, and at every
+    /// depth reached the linked bound equals the sorted suffix's.
+    #[test]
+    fn live_bounds_bit_identical_along_a_depth_first_walk() {
+        let mut rng = StdRng::seed_from_u64(44);
+        for round in 0..60 {
+            let (p, order) = shuffled_instance(&mut rng, round % 2 == 0);
+            let n = order.len();
+            let sb = SuffixBounds::new(&p, &order);
+            let root = rng.gen_range(0..=n);
+            let mut live = LiveBounds::new(&sb, root);
+            let mut depth = root;
+            for step in 0..120 {
+                for (agg_w, agg_v) in CAPS {
+                    let fast = live.bound(agg_w, agg_v);
+                    let slow = upper_bound_subset(&p, &order[depth..], agg_w, agg_v);
+                    assert_eq!(
+                        fast.to_bits(),
+                        slow.to_bits(),
+                        "round {round} step {step} root {root} depth {depth}"
+                    );
+                }
+                // Descend twice as often as backtrack, so walks reach leaves.
+                if depth < n && (depth == root || rng.gen_range(0..3) > 0) {
+                    live.unlink(depth);
+                    depth += 1;
+                } else if depth > root {
+                    depth -= 1;
+                    live.relink(depth);
                 }
             }
         }

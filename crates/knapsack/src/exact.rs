@@ -7,7 +7,8 @@
 //! what the data-driven allocators amortise. The exact solver is the
 //! reference that CRL/DCTA allocation quality is measured against.
 
-use crate::bounds::{surrogate_bound_subset, SuffixBounds};
+use crate::bounds::{LiveBounds, SuffixBounds};
+use crate::first_hit::{FirstHit, Summary};
 use crate::problem::{Packing, Problem, Solution};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -240,20 +241,13 @@ fn solve_serial(
     floor: f64,
     bounds: &SuffixBounds,
 ) -> SearchReport {
-    let n = problem.num_items();
-    let mut search = Search {
-        problem,
-        order,
-        bounds,
-        best: Packing::empty(n),
-        best_profit: -1.0,
-        floor,
+    let root = SubtreeRoot {
+        depth: 0,
+        profit: 0.0,
         residual: full_residual(problem),
-        current: Packing::empty(n),
-        nodes: 0,
-        node_limit: options.node_limit,
-        limit_hit: false,
+        current: Packing::empty(problem.num_items()),
     };
+    let mut search = Search::new(problem, order, bounds, floor, options.node_limit, &root);
     search.dfs_shared(0, 0.0, None);
     let profit = search.best_profit.max(0.0);
     SearchReport {
@@ -266,7 +260,10 @@ fn solve_serial(
 struct Search<'a> {
     problem: &'a Problem,
     order: &'a [usize],
-    bounds: &'a SuffixBounds,
+    /// The not-yet-branched suffix, linked for the per-node bound.
+    live: LiveBounds<'a>,
+    /// The sacks keyed by `residual`, for the branching scan.
+    sacks: FirstHit,
     best: Packing,
     best_profit: f64,
     /// Warm-start incumbent profit: subtrees whose optimistic potential is
@@ -477,19 +474,7 @@ fn solve_parallel(
         if skip_subtree(root) {
             return (f64::NEG_INFINITY, Packing::empty(n), true, 0);
         }
-        let mut search = Search {
-            problem,
-            order,
-            bounds,
-            best: Packing::empty(n),
-            best_profit: -1.0,
-            floor,
-            residual: root.residual.clone(),
-            current: root.current.clone(),
-            nodes: 0,
-            node_limit: options.node_limit,
-            limit_hit: false,
-        };
+        let mut search = Search::new(problem, order, bounds, floor, options.node_limit, root);
         search.dfs_shared(root.depth, root.profit, shared.as_ref());
         (search.best_profit, search.best, !search.limit_hit, search.nodes)
     });
@@ -542,7 +527,7 @@ pub(crate) fn solve_with_floor(
     let skip = |root: &SubtreeRoot| {
         let agg_w: f64 = root.residual.iter().map(|r| r.0.max(0.0)).sum();
         let agg_v: f64 = root.residual.iter().map(|r| r.1.max(0.0)).sum();
-        root.profit + surrogate_bound_subset(problem, &order[root.depth..], agg_w, agg_v) < floor
+        root.profit + bounds.surrogate(root.depth, agg_w, agg_v) < floor
     };
     if problem.num_items() == 0 {
         return SearchReport {
@@ -554,7 +539,35 @@ pub(crate) fn solve_with_floor(
     solve_parallel(problem, &order, &options, floor, &bounds, &skip)
 }
 
-impl Search<'_> {
+impl<'a> Search<'a> {
+    /// A search of the subtree below `root`: its live suffix linked from
+    /// the root's depth, its sack index keyed by the root's residuals.
+    fn new(
+        problem: &'a Problem,
+        order: &'a [usize],
+        bounds: &'a SuffixBounds,
+        floor: f64,
+        node_limit: Option<u64>,
+        root: &SubtreeRoot,
+    ) -> Self {
+        let mut sacks = FirstHit::new(problem.num_sacks());
+        sacks.fill(root.residual.iter().copied().map(Summary::room));
+        Self {
+            problem,
+            order,
+            live: LiveBounds::new(bounds, root.depth),
+            sacks,
+            best: Packing::empty(problem.num_items()),
+            best_profit: -1.0,
+            floor,
+            residual: root.residual.clone(),
+            current: root.current.clone(),
+            nodes: 0,
+            node_limit,
+            limit_hit: false,
+        }
+    }
+
     /// The branch-and-bound DFS, with an optional shared incumbent:
     /// improvements are published with a monotone `fetch_max` over the
     /// profit bits, and subtrees are additionally pruned against the shared
@@ -570,7 +583,7 @@ impl Search<'_> {
         }
         if profit > self.best_profit {
             self.best_profit = profit;
-            self.best = self.current.clone();
+            self.best.clone_from(&self.current);
             if let Some(shared) = shared {
                 shared.fetch_max(profit.to_bits(), Ordering::Relaxed);
             }
@@ -580,11 +593,11 @@ impl Search<'_> {
         }
 
         // Prune: fractional bound on the remaining items over aggregate
-        // residual capacity (precomputed, bit-identical to the old per-node
-        // sort — see `SuffixBounds`).
+        // residual capacity, walked over the live suffix (bit-identical to
+        // sorting it — see `SuffixBounds` and `LiveBounds`).
         let agg_w: f64 = self.residual.iter().map(|r| r.0.max(0.0)).sum();
         let agg_v: f64 = self.residual.iter().map(|r| r.1.max(0.0)).sum();
-        let bound = self.bounds.bound(depth, agg_w, agg_v);
+        let bound = self.live.bound(agg_w, agg_v);
         let potential = profit + bound;
         if potential <= self.best_profit + 1e-12 {
             return;
@@ -600,23 +613,31 @@ impl Search<'_> {
 
         let item_idx = self.order[depth];
         let item = self.problem.items()[item_idx];
+        self.live.unlink(depth);
+        // One child per sack the item fits, in sack order — the sack index
+        // finds exactly the sacks a scan would — except residuals already
+        // tried; then the skip child.
         let mut seen: Vec<(f64, f64)> = Vec::new();
-        for s in 0..self.problem.num_sacks() {
+        let mut next = self.sacks.first_from(0, |room| room.fits(&item));
+        while let Some(s) = next {
             let (rw, rv) = self.residual[s];
-            if item.weight > rw + 1e-12 || item.volume > rv + 1e-12 {
-                continue;
+            if !seen.iter().any(|&(w, v)| (w - rw).abs() < 1e-12 && (v - rv).abs() < 1e-12) {
+                seen.push((rw, rv));
+                self.set_residual(s, (rw - item.weight, rv - item.volume));
+                self.current.assign(item_idx, Some(s));
+                self.dfs_shared(depth + 1, profit + item.profit, shared);
+                self.current.assign(item_idx, None);
+                self.set_residual(s, (rw, rv));
             }
-            if seen.iter().any(|&(w, v)| (w - rw).abs() < 1e-12 && (v - rv).abs() < 1e-12) {
-                continue;
-            }
-            seen.push((rw, rv));
-            self.residual[s] = (rw - item.weight, rv - item.volume);
-            self.current.assign(item_idx, Some(s));
-            self.dfs_shared(depth + 1, profit + item.profit, shared);
-            self.current.assign(item_idx, None);
-            self.residual[s] = (rw, rv);
+            next = self.sacks.first_from(s + 1, |room| room.fits(&item));
         }
         self.dfs_shared(depth + 1, profit, shared);
+        self.live.relink(depth);
+    }
+
+    fn set_residual(&mut self, s: usize, residual: (f64, f64)) {
+        self.residual[s] = residual;
+        self.sacks.set(s, Summary::room(residual));
     }
 }
 

@@ -6,7 +6,8 @@
 //! limits). Local search tightens it when a little more compute is
 //! available.
 
-use crate::problem::{Item, Packing, Problem, Solution};
+use crate::first_hit::{FirstHit, Summary};
+use crate::problem::{Packing, Problem, Solution};
 
 /// Density-ordered greedy first-fit: items are sorted by profit density
 /// (profit per aggregate-normalised size) and each is placed into the sack
@@ -170,116 +171,6 @@ fn place(
     (packing, weighted_profit)
 }
 
-/// What a [`FirstHit`] node knows about the leaves below it: the largest
-/// weight and volume headroom and the smallest profit among them.
-#[derive(Debug, Clone, Copy)]
-struct Summary {
-    weight: f64,
-    volume: f64,
-    profit: f64,
-}
-
-impl Summary {
-    /// A leaf no query admits (an unpacked item, or padding), and the
-    /// identity of [`Summary::merge`].
-    const NONE: Self =
-        Self { weight: f64::NEG_INFINITY, volume: f64::NEG_INFINITY, profit: f64::INFINITY };
-
-    /// A sack leaf: its residual capacity. Sacks earn nothing, and the
-    /// insert test never reads `profit`.
-    fn room((weight, volume): (f64, f64)) -> Self {
-        Self { weight, volume, profit: f64::NEG_INFINITY }
-    }
-
-    fn merge(self, other: Self) -> Self {
-        Self {
-            weight: self.weight.max(other.weight),
-            volume: self.volume.max(other.volume),
-            profit: self.profit.min(other.profit),
-        }
-    }
-
-    /// The insert test of [`local_search`]: `item` fits this headroom.
-    fn fits(&self, item: &Item) -> bool {
-        item.weight <= self.weight + 1e-12 && item.volume <= self.volume + 1e-12
-    }
-
-    /// The swap test of [`local_search`]: `item` out-earns this profit and
-    /// fits this headroom.
-    fn yields_to(&self, item: &Item) -> bool {
-        item.profit > self.profit + 1e-12 && self.fits(item)
-    }
-}
-
-/// Find-first index for [`local_search`]: a complete binary tree, stored
-/// heap-style (`nodes[1]` the root, leaf `k` at `nodes[size + k]`), whose
-/// every node holds the [`Summary`] of its leaves.
-///
-/// [`FirstHit::first`] returns the lowest-indexed leaf a predicate admits.
-/// The predicates are conjunctions of `x <= key + 1e-12` on the maxima and
-/// `x > key + 1e-12` on the minimum; float `+`, `max` and `min` are
-/// monotone, so a leaf that passes makes every ancestor pass the same
-/// test. Evaluating the leaf's own predicate on a node therefore prunes
-/// only subtrees without a hit, and the left-first descent ends on exactly
-/// the leaf a linear scan would stop at.
-#[derive(Debug)]
-struct FirstHit {
-    size: usize,
-    nodes: Vec<Summary>,
-}
-
-impl FirstHit {
-    /// A tree over `len` leaves, all [`Summary::NONE`].
-    fn new(len: usize) -> Self {
-        let size = len.next_power_of_two();
-        Self { size, nodes: vec![Summary::NONE; 2 * size] }
-    }
-
-    /// Overwrites leaves `0..` with `leaves` and rebuilds every summary.
-    fn fill(&mut self, leaves: impl Iterator<Item = Summary>) {
-        for (slot, leaf) in self.nodes[self.size..].iter_mut().zip(leaves) {
-            *slot = leaf;
-        }
-        for k in (1..self.size).rev() {
-            self.nodes[k] = self.nodes[2 * k].merge(self.nodes[2 * k + 1]);
-        }
-    }
-
-    /// Replaces one leaf and the summaries above it.
-    fn set(&mut self, leaf: usize, summary: Summary) {
-        let mut k = self.size + leaf;
-        self.nodes[k] = summary;
-        while k > 1 {
-            k /= 2;
-            self.nodes[k] = self.nodes[2 * k].merge(self.nodes[2 * k + 1]);
-        }
-    }
-
-    /// The lowest-indexed leaf `admits` accepts, by depth-first descent that
-    /// skips every subtree whose summary `admits` rejects.
-    fn first(&self, admits: impl Fn(&Summary) -> bool) -> Option<usize> {
-        let mut k = 1;
-        loop {
-            if admits(&self.nodes[k]) {
-                if k >= self.size {
-                    return Some(k - self.size);
-                }
-                k *= 2;
-            } else {
-                // Next subtree in leaf order: the right sibling of the
-                // nearest ancestor-or-self that is a left child.
-                while k % 2 == 1 {
-                    if k == 1 {
-                        return None;
-                    }
-                    k /= 2;
-                }
-                k += 1;
-            }
-        }
-    }
-}
-
 /// Hill-climbing improvement over an initial packing. Each round visits the
 /// unpacked items in index order twice: first every item with positive
 /// profit is *inserted* into the lowest-indexed sack with room, then every
@@ -319,7 +210,7 @@ pub fn local_search(problem: &Problem, initial: Solution, max_rounds: usize) -> 
             if packing.sack_of(i).is_some() || item.profit <= 0.0 {
                 continue;
             }
-            if let Some(s) = sacks.first(|room| room.fits(item)) {
+            if let Some(s) = sacks.first_from(0, |room| room.fits(item)) {
                 packing.assign(i, Some(s));
                 residual[s].0 -= item.weight;
                 residual[s].1 -= item.volume;
@@ -352,7 +243,7 @@ pub fn local_search(problem: &Problem, initial: Solution, max_rounds: usize) -> 
             if packing.sack_of(i).is_some() {
                 continue;
             }
-            let Some(j) = packed.first(|out| out.yields_to(inc)) else { continue };
+            let Some(j) = packed.first_from(0, |out| out.yields_to(inc)) else { continue };
             let s = packing.sack_of(j).expect("only packed leaves admit a swap");
             let freed = leaf(j, s, &residual);
             packing.assign(j, None);
@@ -724,25 +615,6 @@ mod tests {
         assert!(swapped_out > 0, "swaps must fire on the deflated mesh shape");
         let empty = Solution { packing: Packing::empty(n), profit: 0.0 };
         assert_matches_scan(&p, &empty, 32, "deflated mesh, empty start");
-    }
-
-    /// `first` is the scan's first hit even when a node passes every
-    /// summary test through different leaves and holds no hit itself.
-    #[test]
-    fn first_hit_backtracks_out_of_subtrees_without_a_hit() {
-        let key = |weight, volume, profit| Summary { weight, volume, profit };
-        // Leaves 0 and 1 together admit (weight 5, volume 5, profit 5);
-        // neither does alone. Leaf 3 is the only hit.
-        let leaves = [key(9.0, 1.0, 1.0), key(1.0, 9.0, 1.0), Summary::NONE, key(6.0, 6.0, 2.0)];
-        let mut tree = FirstHit::new(leaves.len());
-        tree.fill(leaves.into_iter());
-        let item = Item::new(5.0, 5.0, 5.0).unwrap();
-        assert!(tree.nodes[2].yields_to(&item), "the left subtree passes on summaries");
-        assert_eq!(tree.first(|k| k.yields_to(&item)), Some(3));
-        tree.set(3, Summary::NONE);
-        assert_eq!(tree.first(|k| k.yields_to(&item)), None);
-        tree.set(1, key(5.0, 9.0, 4.0));
-        assert_eq!(tree.first(|k| k.yields_to(&item)), Some(1));
     }
 
     #[test]

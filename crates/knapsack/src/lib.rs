@@ -43,6 +43,7 @@
 pub mod bounds;
 pub mod dp;
 pub mod exact;
+mod first_hit;
 pub mod generator;
 pub mod greedy;
 pub mod portfolio;
