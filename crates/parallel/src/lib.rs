@@ -17,9 +17,12 @@
 //! Work is chunked: contiguous index ranges are claimed from an atomic
 //! counter by a scoped crew of worker threads (std threads, no external
 //! runtime), so uneven per-item cost load-balances without changing output
-//! order. With an effective thread count of 1 the implementation *is* the
-//! serial loop — no threads are spawned at all. The crew is additionally
-//! capped by a serial-below-threshold guard
+//! order. Each chunk's outputs land in a `OnceLock` slot that only the
+//! worker which claimed the chunk sets, so no lock is taken and none can be
+//! poisoned; sharing the slots across the crew is why outputs and errors
+//! must be `Sync` as well as `Send`. With an effective thread count of 1 the
+//! implementation *is* the serial loop — no threads are spawned at all. The
+//! crew is additionally capped by a serial-below-threshold guard
 //! ([`DEFAULT_MIN_ITEMS_PER_THREAD`], tunable per call via the `*_grained`
 //! variants), so tiny workloads never pay thread spawn/join overhead.
 //!
@@ -54,7 +57,7 @@
 
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
 /// Process-wide thread-count override; 0 means "no override".
 static MAX_THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -89,7 +92,9 @@ fn effective_threads(n: usize, min_items_per_thread: usize) -> usize {
 }
 
 /// One chunk's outcome: its ordered outputs, or the first failing index.
-type ChunkSlot<U, E> = Mutex<Option<Result<Vec<U>, (usize, E)>>>;
+/// Each chunk index is claimed by exactly one worker, which sets its slot
+/// once; the slot is read only after the crew has joined.
+type ChunkSlot<U, E> = OnceLock<Result<Vec<U>, (usize, E)>>;
 
 /// Sets a process-wide thread-count override (`0` clears it, falling back
 /// to `DCTA_THREADS` / detected parallelism). Benchmarks use this to time
@@ -172,7 +177,7 @@ pub fn max_threads() -> usize {
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
-    U: Send,
+    U: Send + Sync,
     F: Fn(&T) -> U + Sync,
 {
     par_map_grained(items, DEFAULT_MIN_ITEMS_PER_THREAD, f)
@@ -184,7 +189,7 @@ where
 pub fn par_map_grained<T, U, F>(items: &[T], min_items_per_thread: usize, f: F) -> Vec<U>
 where
     T: Sync,
-    U: Send,
+    U: Send + Sync,
     F: Fn(&T) -> U + Sync,
 {
     par_map_indexed_grained(items.len(), min_items_per_thread, |i| f(&items[i]))
@@ -195,7 +200,7 @@ where
 /// See the crate docs for the determinism contract.
 pub fn par_map_indexed<U, F>(n: usize, f: F) -> Vec<U>
 where
-    U: Send,
+    U: Send + Sync,
     F: Fn(usize) -> U + Sync,
 {
     par_map_indexed_grained(n, DEFAULT_MIN_ITEMS_PER_THREAD, f)
@@ -205,7 +210,7 @@ where
 /// [`par_map_grained`].
 pub fn par_map_indexed_grained<U, F>(n: usize, min_items_per_thread: usize, f: F) -> Vec<U>
 where
-    U: Send,
+    U: Send + Sync,
     F: Fn(usize) -> U + Sync,
 {
     match try_par_map_indexed_grained(n, min_items_per_thread, |i| Ok::<U, Infallible>(f(i))) {
@@ -223,8 +228,8 @@ where
 pub fn try_par_map<T, U, E, F>(items: &[T], f: F) -> Result<Vec<U>, E>
 where
     T: Sync,
-    U: Send,
-    E: Send,
+    U: Send + Sync,
+    E: Send + Sync,
     F: Fn(&T) -> Result<U, E> + Sync,
 {
     try_par_map_grained(items, DEFAULT_MIN_ITEMS_PER_THREAD, f)
@@ -243,8 +248,8 @@ pub fn try_par_map_grained<T, U, E, F>(
 ) -> Result<Vec<U>, E>
 where
     T: Sync,
-    U: Send,
-    E: Send,
+    U: Send + Sync,
+    E: Send + Sync,
     F: Fn(&T) -> Result<U, E> + Sync,
 {
     try_par_map_indexed_grained(items.len(), min_items_per_thread, |i| f(&items[i]))
@@ -258,8 +263,8 @@ where
 /// The first (lowest-index) `Err` produced by `f`, if any.
 pub fn try_par_map_indexed<U, E, F>(n: usize, f: F) -> Result<Vec<U>, E>
 where
-    U: Send,
-    E: Send,
+    U: Send + Sync,
+    E: Send + Sync,
     F: Fn(usize) -> Result<U, E> + Sync,
 {
     try_par_map_indexed_grained(n, DEFAULT_MIN_ITEMS_PER_THREAD, f)
@@ -278,8 +283,8 @@ pub fn try_par_map_indexed_grained<U, E, F>(
     f: F,
 ) -> Result<Vec<U>, E>
 where
-    U: Send,
-    E: Send,
+    U: Send + Sync,
+    E: Send + Sync,
     F: Fn(usize) -> Result<U, E> + Sync,
 {
     let threads = effective_threads(n, min_items_per_thread);
@@ -294,7 +299,7 @@ where
     let num_chunks = (threads * CHUNKS_PER_THREAD).min(n);
     let chunk_len = n.div_ceil(num_chunks);
     let next_chunk = AtomicUsize::new(0);
-    let slots: Vec<ChunkSlot<U, E>> = (0..num_chunks).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<ChunkSlot<U, E>> = (0..num_chunks).map(|_| OnceLock::new()).collect();
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -316,7 +321,8 @@ where
                         }
                     }
                 }
-                *slots[c].lock().expect("chunk slot poisoned") = Some(match failure {
+                // `c` came from the counter once, so this is the slot's only set.
+                let _ = slots[c].set(match failure {
                     None => Ok(out),
                     Some(ie) => Err(ie),
                 });
@@ -329,7 +335,7 @@ where
     let mut results = Vec::with_capacity(n);
     let mut first_err: Option<(usize, E)> = None;
     for slot in slots {
-        let outcome = slot.into_inner().expect("chunk slot poisoned").expect("chunk completed");
+        let outcome = slot.into_inner().expect("chunk completed");
         match outcome {
             Ok(mut v) => results.append(&mut v),
             Err((i, e)) => {
@@ -348,7 +354,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
+    use std::sync::{Mutex, MutexGuard};
 
     /// Tests mutate the process-wide override; serialise them.
     static LOCK: Mutex<()> = Mutex::new(());
