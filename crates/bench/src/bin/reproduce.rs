@@ -11,15 +11,16 @@
 //! With no `--exp`, every experiment runs. Available ids: `fig2`, `fig3`,
 //! `fig45`, `tab1`, `rl-stale` (covers both staleness ablations),
 //! `local-model`, `fig9`, `fig10`, `fig11`, `knapsack`, `weights`,
-//! `env-lookup`, `quality-gap`, `shapley`, `medium`, `fault-sweep`,
-//! `mesh-alloc`.
+//! `env-lookup`, `quality-gap`, `shapley`, `medium`, `hetero-budget`,
+//! `fault-sweep`, `mesh-alloc`, `edgesim-scale`, `bnb-solve-large`,
+//! `serve-throughput`.
 //! Tables print to stdout; JSON snapshots land in `--out` (default
 //! `results/`).
 
 use dcta_bench::common::RunOpts;
 use dcta_bench::{
-    ablations, distribution, extensions, faultsweep, localmodel, meshalloc, solvers, staleness,
-    sweeps,
+    ablations, distribution, extensions, faultsweep, localmodel, meshalloc, portfolio, scale,
+    serving, solvers, staleness, sweeps,
 };
 use serde::Serialize;
 use std::error::Error;
@@ -47,6 +48,9 @@ const ALL: &[&str] = &[
     "hetero-budget",
     "fault-sweep",
     "mesh-alloc",
+    "edgesim-scale",
+    "bnb-solve-large",
+    "serve-throughput",
 ];
 
 struct Args {
@@ -194,12 +198,51 @@ fn run_one(id: &str, opts: &RunOpts, out: &Path) -> Result<(), Box<dyn Error>> {
         "fault-sweep" => {
             let r = faultsweep::run(opts)?;
             print!("{}", r.table.render());
+            // Per policy, in `resolve`, `none`, `random-shed`, `proactive`
+            // order: the summary lines the table does not show.
+            let (overall, worst) = (&r.overall_retained, &r.worst_cell_retained);
+            println!(
+                "[overall retained: resolve {:.3}, none {:.3}, random-shed {:.3}, proactive {:.3}]",
+                overall[0], overall[1], overall[2], overall[3]
+            );
+            println!(
+                "[worst cell retained: resolve {:.3}, proactive {:.3} ({:+.3})]",
+                worst[0],
+                worst[3],
+                worst[3] - worst[0]
+            );
+            if let Some(mesh) = &r.mesh {
+                println!(
+                    "[mesh {} nodes: {} link outages, {} crashes; retained resolve {:.3}, \
+                     proactive {:.3}]",
+                    mesh.nodes,
+                    mesh.link_outages,
+                    mesh.crashes,
+                    mesh.arms[0].mean_retained_fraction,
+                    mesh.arms[3].mean_retained_fraction
+                );
+            }
             save(out, "fault_sweep", &r)
         }
         "mesh-alloc" => {
             let r = meshalloc::run(opts)?;
             print!("{}", r.table.render());
             save(out, "mesh_alloc", &r)
+        }
+        "edgesim-scale" => {
+            let r = scale::run(opts)?;
+            print!("{}", r.table.render());
+            save(out, "edgesim_scale", &r)
+        }
+        "bnb-solve-large" => {
+            let r = portfolio::run(opts)?;
+            print!("{}", r.table.render());
+            save(out, "bnb_solve_large", &r)
+        }
+        "serve-throughput" => {
+            let r = serving::run(opts)?;
+            print!("{}", r.table.render());
+            save(out, "serve_throughput", &r)
         }
         other => Err(format!("unknown experiment `{other}`").into()),
     }

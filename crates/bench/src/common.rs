@@ -11,6 +11,7 @@ use serde::Serialize;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Options shared by every experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +74,7 @@ pub fn paper_pipeline(opts: &RunOpts) -> PipelineConfig {
 /// LRU capacity of the persisted importance cache. Entries are one
 /// `(day, mask) -> f64` evaluation each, so this caps the on-disk snapshot
 /// at a few megabytes while comfortably holding every sweep's working set.
-pub const CACHE_CAPACITY: usize = 1 << 16;
+const CACHE_CAPACITY: usize = 1 << 16;
 
 /// Basename of the importance-cache snapshot stored next to `results/*.json`.
 pub const CACHE_BASENAME: &str = "importance_cache.txt";
@@ -243,6 +244,26 @@ pub fn mean(xs: &[f64]) -> f64 {
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
     }
+}
+
+/// Runs `f` `reps` times (at least once) and returns the best wall time in
+/// milliseconds with the last run's output. Each earlier output is dropped
+/// after its clock stops, so teardown is never timed.
+///
+/// # Errors
+///
+/// Returns the first error `f` returns.
+pub fn best_of_ms<T, E>(reps: usize, mut f: impl FnMut() -> Result<T, E>) -> Result<(f64, T), E> {
+    let start = Instant::now();
+    let mut out = f()?;
+    let mut best = start.elapsed().as_secs_f64() * 1e3;
+    for _ in 1..reps {
+        let start = Instant::now();
+        let next = f()?;
+        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        out = next;
+    }
+    Ok((best, out))
 }
 
 #[cfg(test)]

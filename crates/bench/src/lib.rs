@@ -15,9 +15,10 @@
 //! | [`ablations`] | Eq. 6 weight sweep, §VII kNN-vs-k-means lookup, quality gap |
 //! | [`extensions`] | Shapley-vs-LOO importance, shared-medium contention |
 //! | [`faultsweep`] | Robustness extension: crash-rate × MTTR recovery grid |
-//! | [`serving`] | Serving extension: allocation-as-a-service throughput (`perfbench serve_throughput`) |
-//! | [`scale`] | Scale extension: star/mesh events-per-second sweep (`perfbench edgesim_scale`) |
-//! | [`portfolio`] | Anytime portfolio: exact-vs-portfolio at production sizes (`perfbench bnb_solve_large`) |
+//! | [`meshalloc`] | Objective extension: route-aware vs blind allocation on large meshes |
+//! | [`serving`] | Serving extension: allocation-as-a-service throughput |
+//! | [`scale`] | Scale extension: star/mesh events-per-second sweep |
+//! | [`portfolio`] | Anytime portfolio: exact-vs-portfolio at production sizes |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,4 +36,3 @@ pub mod serving;
 pub mod solvers;
 pub mod staleness;
 pub mod sweeps;
-pub mod trend;

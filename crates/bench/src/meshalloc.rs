@@ -12,7 +12,6 @@
 //! ahead on congested worlds.
 
 use crate::common::{f3, RunOpts, Table};
-use crate::trend::TrendRow;
 use dcta_core::objective::{deflated_fleet_with, route_budget_factors};
 use dcta_core::processor::ProcessorFleet;
 use dcta_core::task::{EdgeTask, TaskId};
@@ -78,35 +77,6 @@ pub struct MeshAllocStudy {
     pub table: Table,
 }
 
-impl MeshAllocStudy {
-    /// Trend rows for the (non-gating) `BENCH_TREND.json` entry:
-    /// `wall_ms` carries the solver wall-clock, `speedup` the world's
-    /// aware-over-blind metric gain for that solver.
-    pub fn trend_rows(&self) -> Vec<TrendRow> {
-        self.cells
-            .iter()
-            .map(|c| {
-                let gain = self
-                    .gains
-                    .iter()
-                    .find(|g| g.nodes == c.nodes && g.solver == c.solver)
-                    .map_or(1.0, |g| g.gain);
-                TrendRow {
-                    bench: format!(
-                        "mesh_alloc_{}n_{}_{}",
-                        c.nodes,
-                        c.solver,
-                        if c.aware { "aware" } else { "blind" }
-                    ),
-                    threads: 1,
-                    wall_ms: c.solve_ms,
-                    speedup: gain,
-                }
-            })
-            .collect()
-    }
-}
-
 /// The seeded synthetic round for one mesh world: ~2 tasks per worker with
 /// log-uniform-ish input sizes and uniform importances, plus the matching
 /// simulator tasks (results are 1% of inputs, the pipeline's default
@@ -131,19 +101,19 @@ fn synthetic_round(
 /// One seeded mesh world priced as a TATIM round: the cluster, the round's
 /// simulator tasks, and the same tasks over the raw (*blind*) and the
 /// route-deflated (*aware*) fleet.
-pub struct MeshWorld {
+struct MeshWorld {
     /// The mesh testbed.
-    pub cluster: Cluster,
+    cluster: Cluster,
     /// The round as the simulator replays it.
-    pub sim_tasks: Vec<SimTask>,
+    sim_tasks: Vec<SimTask>,
     /// The undeflated fleet (the real cluster's budgets).
-    pub fleet: ProcessorFleet,
+    fleet: ProcessorFleet,
     /// Smallest route budget factor over the fleet.
-    pub min_route_factor: f64,
+    min_route_factor: f64,
     /// The round over the raw fleet.
-    pub blind: TatimInstance,
+    blind: TatimInstance,
     /// The round over the route-deflated fleet.
-    pub aware: TatimInstance,
+    aware: TatimInstance,
 }
 
 impl MeshWorld {
@@ -154,7 +124,7 @@ impl MeshWorld {
     /// # Errors
     ///
     /// Propagates cluster, task and fleet construction failures.
-    pub fn build(nodes: usize, seed: u64) -> Result<Self, Box<dyn Error>> {
+    fn build(nodes: usize, seed: u64) -> Result<Self, Box<dyn Error>> {
         let cluster = Cluster::mesh_testbed(MeshSpec::new(nodes, seed ^ 0xA110C))?;
         let workers = cluster.num_workers();
         let (tasks, sim_tasks) = synthetic_round(workers, seed ^ nodes as u64)?;
@@ -278,6 +248,5 @@ mod tests {
         assert_eq!(study.cells.len(), QUICK_NODE_COUNTS.len() * 4);
         assert!(study.cells.iter().all(|c| c.importance_per_s > 0.0));
         assert_eq!(study.gains.len(), QUICK_NODE_COUNTS.len() * 2);
-        assert_eq!(study.trend_rows().len(), study.cells.len());
     }
 }

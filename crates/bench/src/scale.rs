@@ -1,5 +1,5 @@
-//! Simulator scale sweep: events per second at 10/100/1000 nodes, star
-//! vs mesh, at 1/2/8 threads.
+//! Simulator scale sweep (`reproduce --exp edgesim-scale`): events per
+//! second at 10/100/1000 nodes, star vs mesh, at 1/2/8 threads.
 //!
 //! Star rows run healthy per-node-link rounds (the closed-form per-node
 //! legs, fanned out above 256 scheduled tasks); mesh rows run the
@@ -16,22 +16,53 @@
 //! round is `3 × scheduled` causal task events regardless of internal
 //! bookkeeping.
 
-use crate::common::{f1, RunOpts};
-use crate::trend::TrendRow as Row;
+use crate::common::{best_of_ms, f1, f3, RunOpts, Table};
 use edgesim::cluster::{Cluster, MeshSpec};
 use edgesim::node::NodeId;
 use edgesim::run::{simulate, NodeAssignment, SimConfig, SimTask};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::Serialize;
 use std::error::Error;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Cluster sizes the sweep visits (total nodes, controller included).
 pub const NODE_COUNTS: [usize; 3] = [10, 100, 1000];
 
 /// Thread caps each engine row is timed under.
 pub const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+
+/// One `(topology, node count, thread cap)` cell.
+#[derive(Debug, Clone, Serialize)]
+pub struct ScaleRow {
+    /// `star` or `mesh`.
+    pub topology: String,
+    /// Total nodes, controller included.
+    pub nodes: usize,
+    /// Thread cap the round ran under.
+    pub threads: usize,
+    /// Tasks the round schedules.
+    pub scheduled: usize,
+    /// Best-of-reps wall time of one round, milliseconds.
+    pub wall_ms: f64,
+    /// Task events per second (`3 × scheduled` per round).
+    pub events_per_s: f64,
+    /// Against the same topology and node count at 1 thread.
+    pub speedup: f64,
+}
+
+/// The sweep snapshot.
+#[derive(Debug, Clone, Serialize)]
+pub struct ScaleStudy {
+    /// Every measured cell.
+    pub rows: Vec<ScaleRow>,
+    /// Whether quick workloads were used.
+    pub quick: bool,
+    /// Master seed.
+    pub seed: u64,
+    /// Rendered table.
+    pub table: Table,
+}
 
 /// A seeded round-robin round over the cluster's workers: the same task
 /// stream for the star and mesh clusters of one node count.
@@ -52,39 +83,24 @@ fn scale_round(
     Ok((tasks, assignment))
 }
 
-/// Best-of-`reps` wall time in milliseconds.
-fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-fn events_per_sec(scheduled: usize, wall_ms: f64) -> f64 {
-    3.0 * scheduled as f64 / (wall_ms / 1e3).max(1e-9)
-}
-
-/// Runs the scale sweep; returns one trend row per
-/// `(topology, node count, thread cap)` cell, each topology's speedups
-/// against its own 1-thread row.
+/// Runs the scale sweep.
 ///
 /// # Errors
 ///
-/// Propagates cluster and task construction failures.
-pub fn edgesim_scale(opts: &RunOpts) -> Result<Vec<Row>, Box<dyn Error>> {
+/// Propagates cluster, task construction and simulation failures.
+pub fn run(opts: &RunOpts) -> Result<ScaleStudy, Box<dyn Error>> {
     let reps = opts.pick(3, 1);
     let tasks_per_node = opts.pick(12, 3);
+    let mut table = Table::new(
+        "Simulator scale — task events per second by topology, nodes and threads",
+        &["topology", "nodes", "tasks", "threads", "wall (ms)", "events/s", "speedup"],
+    );
     let mut rows = Vec::new();
 
     for &nodes in &NODE_COUNTS {
         let (tasks, assignment) = scale_round(nodes, tasks_per_node, opts.seed)?;
         let scheduled = assignment.scheduled_count();
         let config = SimConfig::default();
-        println!("[edgesim scale: {nodes} nodes, {scheduled} tasks]");
-
         let worlds = [
             ("star", Cluster::testbed_with_workers(nodes - 1)?),
             ("mesh", Cluster::mesh_testbed(MeshSpec::new(nodes, opts.seed ^ 0x3E5))?),
@@ -92,25 +108,31 @@ pub fn edgesim_scale(opts: &RunOpts) -> Result<Vec<Row>, Box<dyn Error>> {
         for (topology, cluster) in &worlds {
             let mut serial_ms = None;
             for &threads in &THREAD_COUNTS {
-                parallel::set_max_threads(threads);
-                let wall = time_ms(reps, || {
-                    black_box(simulate(cluster, &tasks, &assignment, config).expect("simulate"));
-                });
-                parallel::set_max_threads(0);
-                let base = *serial_ms.get_or_insert(wall);
-                println!(
-                    "  {topology} {threads}t: {} ev/s ({} ms)",
-                    f1(events_per_sec(scheduled, wall)),
-                    f1(wall),
-                );
-                rows.push(Row {
-                    bench: format!("edgesim_scale_{topology}{nodes}"),
+                let _threads = parallel::ScopedThreads::new(threads);
+                let (wall_ms, _) = best_of_ms(reps, || {
+                    simulate(cluster, &tasks, &assignment, config).map(black_box)
+                })?;
+                let row = ScaleRow {
+                    topology: topology.to_string(),
+                    nodes,
                     threads,
-                    wall_ms: wall,
-                    speedup: base / wall.max(1e-9),
-                });
+                    scheduled,
+                    wall_ms,
+                    events_per_s: 3.0 * scheduled as f64 / (wall_ms / 1e3).max(1e-9),
+                    speedup: *serial_ms.get_or_insert(wall_ms) / wall_ms.max(1e-9),
+                };
+                table.push_row(vec![
+                    row.topology.clone(),
+                    nodes.to_string(),
+                    scheduled.to_string(),
+                    threads.to_string(),
+                    f3(wall_ms),
+                    f1(row.events_per_s),
+                    f3(row.speedup),
+                ]);
+                rows.push(row);
             }
         }
     }
-    Ok(rows)
+    Ok(ScaleStudy { rows, quick: opts.quick, seed: opts.seed, table })
 }

@@ -31,12 +31,7 @@ pub struct CrlOutcome {
 impl CrlAllocator {
     /// Creates an allocator with an empty environment store.
     pub fn new(config: CrlConfig) -> Self {
-        Self::with_store(EnvironmentStore::new(), config)
-    }
-
-    /// Creates an allocator over a pre-populated store.
-    pub fn with_store(store: EnvironmentStore, config: CrlConfig) -> Self {
-        Self { crl: Crl::new(store, config) }
+        Self { crl: Crl::new(EnvironmentStore::new(), config) }
     }
 
     /// Records a historical `(sensing signature, importance vector)` pair.

@@ -391,8 +391,9 @@ impl DqnAgent {
 
     /// One minibatch TD update (no-op until the replay holds a full batch).
     ///
-    /// Public (but doc-hidden) so `perfbench` can time the update in
-    /// isolation; everything else reaches it through [`Self::train_episode`].
+    /// Public (but doc-hidden) so the system benchmark can time the update
+    /// in isolation (`rl.dqn.learn_step_us`); everything else reaches it
+    /// through [`Self::train_episode`].
     ///
     /// # Errors
     ///
