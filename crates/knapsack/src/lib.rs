@@ -13,7 +13,6 @@
 //! * [`portfolio`] — anytime solver portfolio: warm start + budgeted
 //!   branch-and-bound + optimality-gap certificate, for production-size
 //!   instances.
-//! * [`dp`] — pseudo-polynomial single-sack DPs (1-D and 2-D).
 //! * [`bounds`] — fractional and surrogate relaxation upper bounds.
 //! * [`generator`] — long-tail random instances shaped like TATIM
 //!   workloads.
@@ -41,7 +40,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bounds;
-pub mod dp;
 pub mod exact;
 mod first_hit;
 pub mod generator;
