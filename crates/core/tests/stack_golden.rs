@@ -13,7 +13,11 @@
 //! when each had its own copy of the stack, so they hold both faces to
 //! what the two copies computed. The batch rows are that commit's
 //! `.pretrain(true)` rows: `.pretrain(true)` decides only when agents are
-//! trained, and the test asserts it moves no digest.
+//! trained, and the test asserts it moves no digest. The two star
+//! `ExactOracle` rows were regenerated when the knapsack bounds began to
+//! count only items that fit the largest room: the certificates'
+//! `upper_bound` and `nodes` moved, and digests without those two fields
+//! equal the earlier rows on all 24 rows.
 //!
 //! One prepared pipeline per (world, face) answers its 6 × 40 runs in the
 //! fixed order below. For two things the order is part of the golden: the
@@ -277,13 +281,13 @@ const GOLDEN: &[(&str, &str, Method, u64)] = &[
     ("star", "batch", Method::RandomMapping, 0x80cb76e59a55d9ba),
     ("star", "batch", Method::Dml, 0x2ee2dad306ebe233),
     ("star", "batch", Method::GreedyOracle, 0xadf34b8fd4443a30),
-    ("star", "batch", Method::ExactOracle, 0x71cc2e0d1fd435b5),
+    ("star", "batch", Method::ExactOracle, 0x85be0374ce5318bd),
     ("star", "batch", Method::Crl, 0x835b09a838734cfb),
     ("star", "batch", Method::Dcta, 0x0e5ae74671d06e98),
     ("star", "frozen", Method::RandomMapping, 0xd1fb8b237964ab9d),
     ("star", "frozen", Method::Dml, 0x10464d755b70891d),
     ("star", "frozen", Method::GreedyOracle, 0xc8288f594926e446),
-    ("star", "frozen", Method::ExactOracle, 0x7dd87209d6522468),
+    ("star", "frozen", Method::ExactOracle, 0xc7c7c894d2d4460c),
     ("star", "frozen", Method::Crl, 0x98a3b84d6a472f9e),
     ("star", "frozen", Method::Dcta, 0x1bb090c7a550530c),
     ("mesh16", "batch", Method::RandomMapping, 0x050e52f53d354ff9),

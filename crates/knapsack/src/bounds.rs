@@ -1,7 +1,19 @@
 //! Upper bounds on MCMK optima, used for branch-and-bound pruning and as
 //! optimality certificates in tests and the anytime portfolio
 //! ([`crate::portfolio`]).
+//!
+//! Every bound here counts an item only if it fits the *largest room*: the
+//! largest weight and the largest volume any sack has left, taken
+//! dimension by dimension (`w ≤ max_s r_w + 1e-12 ∧ v ≤ max_s r_v + 1e-12`,
+//! the branching test applied to the maxima). A packed item fits its own
+//! sack, so it fits the largest room; an item that does not can only be
+//! left out, and leaving it out of the relaxation keeps the bound valid.
+//! Residuals only shrink along a depth-first path, so an item that fails
+//! the test at a node fails it everywhere below. Each bound takes the room
+//! as an argument next to the aggregate capacities; the whole-instance
+//! bounds take it from the sack capacities.
 
+use crate::first_hit::Summary;
 use crate::problem::{Item, Problem};
 use std::cmp::Ordering;
 
@@ -15,6 +27,20 @@ fn by_density(a: (f64, f64), b: (f64, f64)) -> Ordering {
     density(b).partial_cmp(&density(a)).expect(
         "`Item::new` rejects non-finite and negative values, so a density is finite or +inf",
     )
+}
+
+/// The largest room among residual `(weight, volume)` pairs, dimension by
+/// dimension: what the root of a [`crate::first_hit::FirstHit`] over them
+/// holds. No pairs give `(−∞, −∞)`, a room nothing fits.
+pub(crate) fn largest_room(residuals: impl IntoIterator<Item = (f64, f64)>) -> (f64, f64) {
+    residuals
+        .into_iter()
+        .fold((f64::NEG_INFINITY, f64::NEG_INFINITY), |(w, v), (rw, rv)| (w.max(rw), v.max(rv)))
+}
+
+/// The largest room the sacks of `problem` offer before anything is packed.
+fn sack_room(problem: &Problem) -> (f64, f64) {
+    largest_room(problem.sacks().iter().map(|s| (s.weight_capacity, s.volume_capacity)))
 }
 
 /// Fractional knapsack fill of `(size, profit)` pairs, taken in the given
@@ -48,30 +74,39 @@ fn fractional_bound(
     fill(sorted, capacity)
 }
 
+/// The items of `indices` that fit `room`, in the order given.
+fn fitting<'a>(problem: &'a Problem, indices: &[usize], room: (f64, f64)) -> Vec<&'a Item> {
+    let room = Summary::room(room);
+    indices.iter().map(|&i| &problem.items()[i]).filter(|item| room.fits(item)).collect()
+}
+
 /// A valid upper bound on the optimal MCMK profit.
 ///
 /// Every feasible packing satisfies, in aggregate, `Σ packed weights ≤
-/// Σ weight capacities` and `Σ packed volumes ≤ Σ volume capacities`; hence
-/// each single-constraint fractional relaxation bounds the optimum, and so
-/// does their minimum.
+/// Σ weight capacities` and `Σ packed volumes ≤ Σ volume capacities`, and
+/// packs only items that fit the largest sack (see the [module docs](self));
+/// hence each single-constraint fractional relaxation over those items
+/// bounds the optimum, and so does their minimum.
 pub fn upper_bound(problem: &Problem) -> f64 {
     let total_w: f64 = problem.sacks().iter().map(|s| s.weight_capacity).sum();
     let total_v: f64 = problem.sacks().iter().map(|s| s.volume_capacity).sum();
-    upper_bound_subset(problem, &(0..problem.num_items()).collect::<Vec<_>>(), total_w, total_v)
+    let all: Vec<usize> = (0..problem.num_items()).collect();
+    upper_bound_subset(problem, &all, total_w, total_v, sack_room(problem))
 }
 
-/// Same bound restricted to the item subset `indices` and explicit aggregate
-/// residual capacities — the form branch-and-bound needs mid-search.
+/// Same bound restricted to the item subset `indices`, explicit aggregate
+/// residual capacities and the largest residual `room` — the form
+/// branch-and-bound needs mid-search.
 pub fn upper_bound_subset(
     problem: &Problem,
     indices: &[usize],
     aggregate_weight: f64,
     aggregate_volume: f64,
+    room: (f64, f64),
 ) -> f64 {
-    let w_items: Vec<(f64, f64)> =
-        indices.iter().map(|&i| (problem.items()[i].weight, problem.items()[i].profit)).collect();
-    let v_items: Vec<(f64, f64)> =
-        indices.iter().map(|&i| (problem.items()[i].volume, problem.items()[i].profit)).collect();
+    let items = fitting(problem, indices, room);
+    let w_items: Vec<(f64, f64)> = items.iter().map(|item| (item.weight, item.profit)).collect();
+    let v_items: Vec<(f64, f64)> = items.iter().map(|item| (item.volume, item.profit)).collect();
     let wb = fractional_bound(&w_items, aggregate_weight.max(0.0));
     let vb = fractional_bound(&v_items, aggregate_volume.max(0.0));
     wb.min(vb)
@@ -93,35 +128,37 @@ const SURROGATE_THETAS: [f64; 5] = [0.1, 0.25, 0.5, 0.75, 0.9];
 /// does the minimum over `θ`. This is the surrogate dual of the aggregate
 /// relaxation (equivalently, a Lagrangian bound on the aggregated pair),
 /// and is never looser than [`upper_bound`] because the endpoints are
-/// included.
+/// included. Like every bound here it counts only the items that fit the
+/// largest sack.
 pub fn surrogate_bound(problem: &Problem) -> f64 {
     let total_w: f64 = problem.sacks().iter().map(|s| s.weight_capacity).sum();
     let total_v: f64 = problem.sacks().iter().map(|s| s.volume_capacity).sum();
-    surrogate_bound_subset(problem, &(0..problem.num_items()).collect::<Vec<_>>(), total_w, total_v)
+    let all: Vec<usize> = (0..problem.num_items()).collect();
+    surrogate_bound_subset(problem, &all, total_w, total_v, sack_room(problem))
 }
 
 /// [`surrogate_bound`] restricted to the item subset `indices` under explicit
-/// aggregate residual capacities — the bound that certifies whole
-/// branch-and-bound subtrees against a warm-start incumbent, which the
-/// search computes without sorting through [`SuffixBounds::surrogate`].
+/// aggregate residual capacities and the largest residual `room` — the
+/// bound that certifies whole branch-and-bound subtrees against a
+/// warm-start incumbent, which the search computes without sorting through
+/// [`SuffixBounds::surrogate`].
 pub fn surrogate_bound_subset(
     problem: &Problem,
     indices: &[usize],
     aggregate_weight: f64,
     aggregate_volume: f64,
+    room: (f64, f64),
 ) -> f64 {
-    let mut best = upper_bound_subset(problem, indices, aggregate_weight, aggregate_volume);
+    let mut best = upper_bound_subset(problem, indices, aggregate_weight, aggregate_volume, room);
     let w = aggregate_weight.max(0.0);
     let v = aggregate_volume.max(0.0);
+    let items = fitting(problem, indices, room);
     for theta in SURROGATE_THETAS {
-        let items: Vec<(f64, f64)> = indices
+        let combined: Vec<(f64, f64)> = items
             .iter()
-            .map(|&i| {
-                let item = problem.items()[i];
-                (theta * item.weight + (1.0 - theta) * item.volume, item.profit)
-            })
+            .map(|item| (theta * item.weight + (1.0 - theta) * item.volume, item.profit))
             .collect();
-        best = best.min(fractional_bound(&items, theta * w + (1.0 - theta) * v));
+        best = best.min(fractional_bound(&combined, theta * w + (1.0 - theta) * v));
     }
     best
 }
@@ -132,19 +169,26 @@ pub fn surrogate_bound_subset(
 ///
 /// The search bounds the not-yet-branched suffix `order[depth..]`. Every
 /// view is sorted once, stably, with the one density comparator; the
-/// density sort of any suffix is then this view filtered to positions
-/// `≥ depth`, because a stable sort commutes with taking subsequences under
-/// the same comparator. A query walks a view in that order, so it visits the
-/// suffix's items in exactly the sequence [`upper_bound_subset`] and
-/// [`surrogate_bound_subset`] sort them into and accumulates the same floats:
-/// [`SuffixBounds::bound`] and [`SuffixBounds::surrogate`] are bit-identical
-/// to them. Inside one search, `LiveBounds` walks the weight and volume
-/// views over linked live entries instead of skipping decided ones.
+/// density sort of any subset of the suffix — the items that fit a room —
+/// is then this view filtered to those positions, because a stable sort
+/// commutes with taking subsequences under the same comparator. A query
+/// walks a view in that order, so it visits the suffix's fitting items in
+/// exactly the sequence [`upper_bound_subset`] and
+/// [`surrogate_bound_subset`] sort them into and accumulates the same
+/// floats: [`SuffixBounds::bound`] and [`SuffixBounds::surrogate`] are
+/// bit-identical to them. Inside one search, `LiveBounds` walks the weight
+/// and volume views over linked live entries instead of skipping decided
+/// ones.
 pub struct SuffixBounds {
     /// Weight, then volume.
     dims: [View; 2],
     /// One combined-size view per entry of [`SURROGATE_THETAS`].
     thetas: [View; SURROGATE_THETAS.len()],
+    /// The items in exploration order, for the room test.
+    items: Vec<Item>,
+    /// The largest weight and the largest volume among `items`: a room that
+    /// holds these holds every item, with no per-item test.
+    largest: Item,
 }
 
 /// One density-sorted view of the exploration order.
@@ -164,14 +208,11 @@ struct DimEntry {
 }
 
 impl View {
-    fn new(problem: &Problem, order: &[usize], size: impl Fn(&Item) -> f64) -> Self {
-        let mut sorted: Vec<DimEntry> = order
+    fn new(items: &[Item], size: impl Fn(&Item) -> f64) -> Self {
+        let mut sorted: Vec<DimEntry> = items
             .iter()
             .enumerate()
-            .map(|(pos, &i)| {
-                let item = &problem.items()[i];
-                DimEntry { pos: pos as u32, size: size(item), profit: item.profit }
-            })
+            .map(|(pos, item)| DimEntry { pos: pos as u32, size: size(item), profit: item.profit })
             .collect();
         sorted.sort_by(|a, b| by_density((a.size, a.profit), (b.size, b.profit)));
         let mut rank = vec![0; sorted.len()];
@@ -181,9 +222,9 @@ impl View {
         Self { sorted, rank }
     }
 
-    /// The fractional fill of the positions `≥ depth` into `capacity`.
-    fn suffix(&self, depth: usize, capacity: f64) -> f64 {
-        let live = self.sorted.iter().filter(|e| e.pos as usize >= depth);
+    /// The fractional fill of the positions `counts` admits into `capacity`.
+    fn fill(&self, capacity: f64, counts: impl Fn(usize) -> bool) -> f64 {
+        let live = self.sorted.iter().filter(|e| counts(e.pos as usize));
         fill(live.map(|e| (e.size, e.profit)), capacity)
     }
 }
@@ -191,42 +232,75 @@ impl View {
 impl SuffixBounds {
     /// Sorts the views of `problem` over the fixed exploration `order`.
     pub fn new(problem: &Problem, order: &[usize]) -> Self {
+        let items: Vec<Item> = order.iter().map(|&i| problem.items()[i]).collect();
         Self {
-            dims: [
-                View::new(problem, order, |item| item.weight),
-                View::new(problem, order, |item| item.volume),
-            ],
+            dims: [View::new(&items, |item| item.weight), View::new(&items, |item| item.volume)],
             thetas: SURROGATE_THETAS.map(|theta| {
-                View::new(problem, order, |item| theta * item.weight + (1.0 - theta) * item.volume)
+                View::new(&items, |item| theta * item.weight + (1.0 - theta) * item.volume)
             }),
+            largest: items.iter().fold(Item { weight: 0.0, volume: 0.0, profit: 0.0 }, |m, i| {
+                Item { weight: m.weight.max(i.weight), volume: m.volume.max(i.volume), ..m }
+            }),
+            items,
         }
     }
 
+    /// Whether exploration position `pos` is at or past `depth` and its item
+    /// fits `room`.
+    fn counts(&self, depth: usize, room: (f64, f64)) -> impl Fn(usize) -> bool + '_ {
+        let room = Summary::room(room);
+        let all_fit = room.fits(&self.largest);
+        move |pos| pos >= depth && (all_fit || room.fits(&self.items[pos]))
+    }
+
     /// Upper bound on the profit attainable from the suffix `order[depth..]`
-    /// under the given aggregate residual capacities. Bit-identical to
-    /// `upper_bound_subset(problem, &order[depth..], agg_w, agg_v)`.
-    pub fn bound(&self, depth: usize, aggregate_weight: f64, aggregate_volume: f64) -> f64 {
+    /// under the given aggregate residual capacities and largest residual
+    /// `room`. Bit-identical to
+    /// `upper_bound_subset(problem, &order[depth..], agg_w, agg_v, room)`.
+    pub fn bound(
+        &self,
+        depth: usize,
+        aggregate_weight: f64,
+        aggregate_volume: f64,
+        room: (f64, f64),
+    ) -> f64 {
         let [w, v] = &self.dims;
-        let wb = w.suffix(depth, aggregate_weight.max(0.0));
-        let vb = v.suffix(depth, aggregate_volume.max(0.0));
+        let wb = w.fill(aggregate_weight.max(0.0), self.counts(depth, room));
+        let vb = v.fill(aggregate_volume.max(0.0), self.counts(depth, room));
         wb.min(vb)
     }
 
     /// Surrogate upper bound on the suffix `order[depth..]`. Bit-identical
-    /// to `surrogate_bound_subset(problem, &order[depth..], agg_w, agg_v)`.
-    pub fn surrogate(&self, depth: usize, aggregate_weight: f64, aggregate_volume: f64) -> f64 {
-        let mut best = self.bound(depth, aggregate_weight, aggregate_volume);
+    /// to `surrogate_bound_subset(problem, &order[depth..], agg_w, agg_v,
+    /// room)`.
+    pub fn surrogate(
+        &self,
+        depth: usize,
+        aggregate_weight: f64,
+        aggregate_volume: f64,
+        room: (f64, f64),
+    ) -> f64 {
+        let mut best = self.bound(depth, aggregate_weight, aggregate_volume, room);
         let w = aggregate_weight.max(0.0);
         let v = aggregate_volume.max(0.0);
         for (theta, view) in SURROGATE_THETAS.into_iter().zip(&self.thetas) {
-            best = best.min(view.suffix(depth, theta * w + (1.0 - theta) * v));
+            best = best.min(view.fill(theta * w + (1.0 - theta) * v, self.counts(depth, room)));
         }
         best
     }
 }
 
 /// The live suffix of one depth-first search: the weight and volume views
-/// of a [`SuffixBounds`] with only the not-yet-branched positions linked.
+/// of a [`SuffixBounds`] with only the not-yet-branched positions whose
+/// items fit the room at the search's root linked.
+///
+/// The room is fixed when the search starts. Residuals only shrink below
+/// the root, so a node's own room is never larger and the bound stays valid
+/// with the root's: an item that fails the root's room can be packed
+/// nowhere below it. Re-reading the room at every node would be tighter,
+/// but the walk would then have to pass the entries that fail it instead of
+/// ending at the first that overflows, which costs more per node than it
+/// saves in nodes (DESIGN.md §15.1).
 ///
 /// Dancing links: the search unlinks position `d` before it explores the
 /// children of a depth-`d` node and relinks it after the last child, so the
@@ -239,6 +313,8 @@ pub(crate) struct LiveBounds<'a> {
     bounds: &'a SuffixBounds,
     /// Per dimension.
     links: [Links; 2],
+    /// `linked[pos]`: position `pos` was linked when the search started.
+    linked: Vec<bool>,
 }
 
 /// Doubly linked list over one view's sorted indices; index `len` is the
@@ -249,16 +325,19 @@ struct Links {
 }
 
 impl<'a> LiveBounds<'a> {
-    /// Links the positions `≥ depth`: the live suffix of a search rooted at
-    /// `depth`.
-    pub(crate) fn new(bounds: &'a SuffixBounds, depth: usize) -> Self {
+    /// Links the positions `≥ depth` whose items fit `room`: the live
+    /// suffix of a search rooted at `depth` whose largest residual is
+    /// `room`.
+    pub(crate) fn new(bounds: &'a SuffixBounds, depth: usize, room: (f64, f64)) -> Self {
+        let counts = bounds.counts(depth, room);
+        let linked: Vec<bool> = (0..bounds.items.len()).map(counts).collect();
         let links = bounds.dims.each_ref().map(|view| {
             let head = view.sorted.len();
             let mut next = vec![head as u32; head + 1];
             let mut prev = vec![head as u32; head + 1];
             let mut last = head;
             for (k, e) in view.sorted.iter().enumerate() {
-                if e.pos as usize >= depth {
+                if linked[e.pos as usize] {
                     next[last] = k as u32;
                     prev[k] = last as u32;
                     last = k;
@@ -268,11 +347,14 @@ impl<'a> LiveBounds<'a> {
             prev[head] = last as u32;
             Links { next, prev }
         });
-        Self { bounds, links }
+        Self { bounds, links, linked }
     }
 
     /// Takes position `pos` out of the live suffix.
     pub(crate) fn unlink(&mut self, pos: usize) {
+        if !self.linked[pos] {
+            return;
+        }
         for (view, links) in self.bounds.dims.iter().zip(&mut self.links) {
             let k = view.rank[pos] as usize;
             let (prev, next) = (links.prev[k], links.next[k]);
@@ -283,6 +365,9 @@ impl<'a> LiveBounds<'a> {
 
     /// Puts `pos`, the position most recently unlinked, back in place.
     pub(crate) fn relink(&mut self, pos: usize) {
+        if !self.linked[pos] {
+            return;
+        }
         for (view, links) in self.bounds.dims.iter().zip(&mut self.links) {
             let k = view.rank[pos];
             links.next[links.prev[k as usize] as usize] = k;
@@ -290,8 +375,8 @@ impl<'a> LiveBounds<'a> {
         }
     }
 
-    /// [`SuffixBounds::bound`] at the depth whose suffix is linked, to the
-    /// bit.
+    /// [`SuffixBounds::bound`] at the depth whose suffix is linked and the
+    /// room the links were built with, to the bit.
     pub(crate) fn bound(&self, aggregate_weight: f64, aggregate_volume: f64) -> f64 {
         let [w, v] = &self.bounds.dims;
         let [lw, lv] = &self.links;
@@ -365,11 +450,29 @@ mod tests {
     #[test]
     fn subset_bound_uses_residuals() {
         let p = problem(vec![(2.0, 1.0, 10.0), (2.0, 1.0, 8.0)], vec![(4.0, 2.0)]);
-        let b = upper_bound_subset(&p, &[1], 1.0, 1.0);
+        let b = upper_bound_subset(&p, &[1], 1.0, 1.0, (2.0, 1.0));
         // Only half of item 1 fits the residual weight 1.0.
         assert!((b - 4.0).abs() < 1e-12);
-        assert_eq!(upper_bound_subset(&p, &[], 4.0, 2.0), 0.0);
-        assert_eq!(upper_bound_subset(&p, &[0], -1.0, 1.0), 0.0);
+        // No residual holds item 1's weight 2, so none of it counts.
+        assert_eq!(upper_bound_subset(&p, &[1], 1.0, 1.0, (1.0, 1.0)), 0.0);
+        assert_eq!(upper_bound_subset(&p, &[], 4.0, 2.0, (4.0, 2.0)), 0.0);
+        assert_eq!(upper_bound_subset(&p, &[0], -1.0, 1.0, (-1.0, 1.0)), 0.0);
+    }
+
+    #[test]
+    fn items_no_sack_holds_do_not_count() {
+        // Item 0 is heavier than either sack; item 1 is bulkier. Together
+        // they would fill the aggregate capacity; only item 2 counts.
+        let p = problem(
+            vec![(5.0, 1.0, 100.0), (1.0, 3.0, 50.0), (1.0, 1.0, 1.0)],
+            vec![(4.0, 2.0), (2.0, 2.0)],
+        );
+        assert_eq!(upper_bound(&p), 1.0);
+        assert_eq!(surrogate_bound(&p), 1.0);
+        // The test is per dimension over the largest room: an item that
+        // fits the weight of one sack and the volume of another counts.
+        let split = problem(vec![(3.0, 3.0, 7.0)], vec![(4.0, 1.0), (1.0, 4.0)]);
+        assert_eq!(upper_bound(&split), 7.0);
     }
 
     #[test]
@@ -390,35 +493,99 @@ mod tests {
         }
     }
 
+    /// `(weight, volume, profit)` items and `(weight, volume)` sacks.
+    type Instance = (Vec<(f64, f64, f64)>, Vec<(f64, f64)>);
+
+    /// Integer items whose sizes reach 15 against sacks up to 10, so some
+    /// items fit no sack at all and others only some of them.
+    fn oversized(rng: &mut StdRng) -> Instance {
+        let n = rng.gen_range(1..8);
+        let m = rng.gen_range(1..4);
+        let items = (0..n)
+            .map(|_| {
+                (
+                    rng.gen_range(0.0..15.0f64).round(),
+                    rng.gen_range(0.0..12.0f64).round(),
+                    rng.gen_range(0.0..9.0f64).round(),
+                )
+            })
+            .collect();
+        let sacks = (0..m)
+            .map(|_| (rng.gen_range(0.0..10.0f64).round(), rng.gen_range(0.0..10.0f64).round()))
+            .collect();
+        (items, sacks)
+    }
+
+    /// How many of `items` fail the largest-room test against `residuals`.
+    fn left_out(items: &[(f64, f64, f64)], residuals: &[(f64, f64)]) -> usize {
+        let room = Summary::room(largest_room(residuals.iter().copied()));
+        items.iter().filter(|&&(w, v, p)| !room.fits(&Item::new(w, v, p).unwrap())).count()
+    }
+
     #[test]
     fn surrogate_bounds_the_optimum() {
         use crate::exact::brute_force;
         let mut rng = StdRng::seed_from_u64(42);
-        for round in 0..40 {
-            let n = rng.gen_range(1..8);
-            let m = rng.gen_range(1..4);
-            let items: Vec<(f64, f64, f64)> = (0..n)
-                .map(|_| {
-                    (
-                        rng.gen_range(0.0..5.0f64).round(),
-                        rng.gen_range(0.0..5.0f64).round(),
-                        rng.gen_range(0.0..9.0f64).round(),
-                    )
-                })
-                .collect();
-            let sacks: Vec<(f64, f64)> = (0..m)
-                .map(|_| (rng.gen_range(0.0..8.0f64).round(), rng.gen_range(0.0..8.0f64).round()))
-                .collect();
+        let mut excluded = 0;
+        for round in 0..60 {
+            let (items, sacks) = oversized(&mut rng);
+            excluded += left_out(&items, &sacks);
             let p = problem(items, sacks);
             let opt = brute_force(&p).profit;
             let sb = surrogate_bound(&p);
+            let ub = upper_bound(&p);
             assert!(sb + 1e-9 >= opt, "round {round}: surrogate {sb} < optimum {opt}");
+            assert!(ub + 1e-9 >= opt, "round {round}: bound {ub} < optimum {opt}");
         }
+        assert!(excluded > 20, "the rule must bite at the root, left out {excluded} items");
+    }
+
+    /// The rule below the root: pack a random prefix, then every bound over
+    /// the rest, under the residuals' aggregate and largest room, is at
+    /// least the best completion, found by brute force over the residuals.
+    #[test]
+    fn subset_bounds_bound_the_best_completion() {
+        use crate::exact::brute_force;
+        let mut rng = StdRng::seed_from_u64(46);
+        let mut excluded = 0;
+        for round in 0..120 {
+            let (items, sacks) = oversized(&mut rng);
+            let p = problem(items.clone(), sacks.clone());
+            let k = rng.gen_range(0..=items.len());
+            let mut residual = sacks;
+            for &(w, v, _) in &items[..k] {
+                let s = rng.gen_range(0..residual.len());
+                if w <= residual[s].0 && v <= residual[s].1 {
+                    residual[s] = (residual[s].0 - w, residual[s].1 - v);
+                }
+            }
+            excluded += left_out(&items[k..], &residual);
+            let rest: Vec<usize> = (k..items.len()).collect();
+            let opt = brute_force(&problem(items[k..].to_vec(), residual.clone())).profit;
+            let agg_w: f64 = residual.iter().map(|r| r.0).sum();
+            let agg_v: f64 = residual.iter().map(|r| r.1).sum();
+            let room = largest_room(residual.iter().copied());
+            let ub = upper_bound_subset(&p, &rest, agg_w, agg_v, room);
+            let sb = surrogate_bound_subset(&p, &rest, agg_w, agg_v, room);
+            assert!(ub + 1e-9 >= opt, "round {round}: bound {ub} < best completion {opt}");
+            assert!(sb + 1e-9 >= opt, "round {round}: surrogate {sb} < best completion {opt}");
+        }
+        assert!(excluded > 40, "the rule must bite below the root, left out {excluded} items");
     }
 
     /// Residual caps the bit-identity tests query: roomy, tight, empty and
     /// negative (a clamped over-packed residual).
     const CAPS: [(f64, f64); 4] = [(10.0, 12.0), (3.5, 2.0), (0.0, 5.0), (-1.0, 4.0)];
+
+    /// Largest rooms the bit-identity tests query: one that holds every
+    /// item, two that leave some entries out by weight or by volume, and
+    /// one that holds only weightless items.
+    const ROOMS: [(f64, f64); 4] = [(7.0, 7.0), (2.0, 3.0), (1.5, 0.5), (0.0, 2.0)];
+
+    /// Every pair of residual caps and largest room.
+    fn queries() -> impl Iterator<Item = ((f64, f64), (f64, f64))> {
+        CAPS.into_iter().flat_map(|caps| ROOMS.into_iter().map(move |room| (caps, room)))
+    }
 
     /// Up to 14 items and a shuffled exploration order. On the integer grid
     /// the items include zero sizes and duplicate densities, so stable-sort
@@ -454,13 +621,13 @@ mod tests {
             let (p, order) = shuffled_instance(&mut rng, true);
             let sb = SuffixBounds::new(&p, &order);
             for depth in 0..=order.len() {
-                for (agg_w, agg_v) in CAPS {
-                    let fast = sb.bound(depth, agg_w, agg_v);
-                    let slow = upper_bound_subset(&p, &order[depth..], agg_w, agg_v);
+                for ((agg_w, agg_v), room) in queries() {
+                    let fast = sb.bound(depth, agg_w, agg_v, room);
+                    let slow = upper_bound_subset(&p, &order[depth..], agg_w, agg_v, room);
                     assert_eq!(
                         fast.to_bits(),
                         slow.to_bits(),
-                        "depth {depth} caps ({agg_w},{agg_v})"
+                        "depth {depth} caps ({agg_w},{agg_v}) room {room:?}"
                     );
                 }
             }
@@ -474,22 +641,23 @@ mod tests {
             let (p, order) = shuffled_instance(&mut rng, round % 2 == 0);
             let sb = SuffixBounds::new(&p, &order);
             for depth in 0..=order.len() {
-                for (agg_w, agg_v) in CAPS {
-                    let fast = sb.surrogate(depth, agg_w, agg_v);
-                    let slow = surrogate_bound_subset(&p, &order[depth..], agg_w, agg_v);
+                for ((agg_w, agg_v), room) in queries() {
+                    let fast = sb.surrogate(depth, agg_w, agg_v, room);
+                    let slow = surrogate_bound_subset(&p, &order[depth..], agg_w, agg_v, room);
                     assert_eq!(
                         fast.to_bits(),
                         slow.to_bits(),
-                        "round {round} depth {depth} caps ({agg_w},{agg_v})"
+                        "round {round} depth {depth} caps ({agg_w},{agg_v}) room {room:?}"
                     );
                 }
             }
         }
     }
 
-    /// The search's use of the links: rooted at a random depth, descend
-    /// (unlink) and backtrack (relink) last-in first-out, and at every
-    /// depth reached the linked bound equals the sorted suffix's.
+    /// The search's use of the links: rooted at a random depth and room,
+    /// descend (unlink) and backtrack (relink) last-in first-out, and at
+    /// every depth reached the linked bound equals the sorted suffix's under
+    /// the root's room, whose entries the room leaves out never linked.
     #[test]
     fn live_bounds_bit_identical_along_a_depth_first_walk() {
         let mut rng = StdRng::seed_from_u64(44);
@@ -498,16 +666,17 @@ mod tests {
             let n = order.len();
             let sb = SuffixBounds::new(&p, &order);
             let root = rng.gen_range(0..=n);
-            let mut live = LiveBounds::new(&sb, root);
+            let room = ROOMS[rng.gen_range(0..ROOMS.len())];
+            let mut live = LiveBounds::new(&sb, root, room);
             let mut depth = root;
             for step in 0..120 {
                 for (agg_w, agg_v) in CAPS {
                     let fast = live.bound(agg_w, agg_v);
-                    let slow = upper_bound_subset(&p, &order[depth..], agg_w, agg_v);
+                    let slow = upper_bound_subset(&p, &order[depth..], agg_w, agg_v, room);
                     assert_eq!(
                         fast.to_bits(),
                         slow.to_bits(),
-                        "round {round} step {step} root {root} depth {depth}"
+                        "round {round} step {step} root {root} depth {depth} room {room:?}"
                     );
                 }
                 // Descend twice as often as backtrack, so walks reach leaves.

@@ -7,7 +7,7 @@
 //! what the data-driven allocators amortise. The exact solver is the
 //! reference that CRL/DCTA allocation quality is measured against.
 
-use crate::bounds::{LiveBounds, SuffixBounds};
+use crate::bounds::{largest_room, LiveBounds, SuffixBounds};
 use crate::first_hit::{FirstHit, Summary};
 use crate::problem::{Packing, Problem, Solution};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,10 +63,11 @@ pub fn brute_force(problem: &Problem) -> Solution {
 
 /// Depth-first branch-and-bound exact solver.
 ///
-/// Items are explored in decreasing profit-density order; at each node the
-/// fractional aggregate relaxation ([`crate::bounds`]) prunes subtrees that
-/// cannot beat the incumbent. Identical residual sacks are canonicalised to
-/// curb permutation symmetry.
+/// Items some sack can hold are explored in decreasing profit-density
+/// order; at each node the fractional aggregate relaxation over the items
+/// that fit the largest residual at the search's root ([`crate::bounds`])
+/// prunes subtrees that cannot beat the incumbent. Identical residual
+/// sacks are canonicalised to curb permutation symmetry.
 ///
 /// # Examples
 ///
@@ -191,7 +192,7 @@ impl BranchAndBound {
     pub fn solve_reporting(&self, problem: &Problem) -> SearchReport {
         let order = density_order(problem);
         let bounds = SuffixBounds::new(problem, &order);
-        if self.options.parallel && problem.num_items() > 0 {
+        if self.options.parallel && !order.is_empty() {
             solve_parallel(problem, &order, &self.options, f64::NEG_INFINITY, &bounds, &|_| false)
         } else {
             solve_serial(problem, &order, &self.options, f64::NEG_INFINITY, &bounds)
@@ -217,11 +218,17 @@ pub struct SearchReport {
     pub nodes: u64,
 }
 
-/// Item exploration order: decreasing profit per aggregate size.
+/// Item exploration order: decreasing profit per aggregate size, over the
+/// items some sack can hold. Residuals only shrink, so an item no sack
+/// holds empty can only ever take the skip child: leaving it out removes
+/// one level of single-child nodes and changes no answer.
 pub(crate) fn density_order(problem: &Problem) -> Vec<usize> {
     let total_w: f64 = problem.sacks().iter().map(|s| s.weight_capacity).sum::<f64>().max(1e-12);
     let total_v: f64 = problem.sacks().iter().map(|s| s.volume_capacity).sum::<f64>().max(1e-12);
-    let mut order: Vec<usize> = (0..problem.num_items()).collect();
+    let sacks: Vec<Summary> = full_residual(problem).into_iter().map(Summary::room).collect();
+    let mut order: Vec<usize> = (0..problem.num_items())
+        .filter(|&i| sacks.iter().any(|sack| sack.fits(&problem.items()[i])))
+        .collect();
     order.sort_by(|&a, &b| {
         let da = problem.items()[a].density(total_w, total_v);
         let db = problem.items()[b].density(total_w, total_v);
@@ -361,7 +368,8 @@ impl PrefixEnum<'_> {
         // what the serial solver prunes and can never cut off its answer.
         let agg_w: f64 = self.residual.iter().map(|r| r.0.max(0.0)).sum();
         let agg_v: f64 = self.residual.iter().map(|r| r.1.max(0.0)).sum();
-        let bound = self.bounds.bound(depth, agg_w, agg_v);
+        let room = largest_room(self.residual.iter().copied());
+        let bound = self.bounds.bound(depth, agg_w, agg_v, room);
         if profit + bound <= self.enum_best + 1e-12 {
             return;
         }
@@ -435,7 +443,7 @@ fn solve_parallel(
     // Deepen the split until enough independent subtrees exist. Each
     // candidate depth re-enumerates from scratch; the prefix region is tiny
     // relative to the full tree, so this costs a negligible serial prelude.
-    let max_split = n.min(PAR_MAX_SPLIT_DEPTH);
+    let max_split = order.len().min(PAR_MAX_SPLIT_DEPTH);
     let mut split_depth = 1usize.min(max_split);
     let (mut slots, mut enum_best) = enumerate_prefix(problem, order, bounds, split_depth, floor);
     while split_depth < max_split
@@ -527,15 +535,9 @@ pub(crate) fn solve_with_floor(
     let skip = |root: &SubtreeRoot| {
         let agg_w: f64 = root.residual.iter().map(|r| r.0.max(0.0)).sum();
         let agg_v: f64 = root.residual.iter().map(|r| r.1.max(0.0)).sum();
-        root.profit + bounds.surrogate(root.depth, agg_w, agg_v) < floor
+        let room = largest_room(root.residual.iter().copied());
+        root.profit + bounds.surrogate(root.depth, agg_w, agg_v, room) < floor
     };
-    if problem.num_items() == 0 {
-        return SearchReport {
-            solution: Solution { packing: Packing::empty(0), profit: 0.0 },
-            completed: true,
-            nodes: 0,
-        };
-    }
     solve_parallel(problem, &order, &options, floor, &bounds, &skip)
 }
 
@@ -552,10 +554,11 @@ impl<'a> Search<'a> {
     ) -> Self {
         let mut sacks = FirstHit::new(problem.num_sacks());
         sacks.fill(root.residual.iter().copied().map(Summary::room));
+        let room = sacks.root();
         Self {
             problem,
             order,
-            live: LiveBounds::new(bounds, root.depth),
+            live: LiveBounds::new(bounds, root.depth, (room.weight, room.volume)),
             sacks,
             best: Packing::empty(problem.num_items()),
             best_profit: -1.0,
@@ -592,9 +595,10 @@ impl<'a> Search<'a> {
             return;
         }
 
-        // Prune: fractional bound on the remaining items over aggregate
-        // residual capacity, walked over the live suffix (bit-identical to
-        // sorting it — see `SuffixBounds` and `LiveBounds`).
+        // Prune: fractional bound on the remaining items that fit the
+        // largest residual at the search's root over aggregate residual
+        // capacity, walked over the live suffix (bit-identical to sorting
+        // it — see `SuffixBounds` and `LiveBounds`).
         let agg_w: f64 = self.residual.iter().map(|r| r.0.max(0.0)).sum();
         let agg_v: f64 = self.residual.iter().map(|r| r.1.max(0.0)).sum();
         let bound = self.live.bound(agg_w, agg_v);
@@ -718,10 +722,12 @@ mod tests {
         for round in 0..60 {
             let n = rng.gen_range(1..=7);
             let m = rng.gen_range(1..=3);
+            // Weights reach 11 against sacks up to 8: some items fit no
+            // sack and leave the exploration order.
             let items: Vec<(f64, f64, f64)> = (0..n)
                 .map(|_| {
                     (
-                        rng.gen_range(0.0..5.0f64).round(),
+                        rng.gen_range(0.0..11.0f64).round(),
                         rng.gen_range(0.0..5.0f64).round(),
                         rng.gen_range(0.0..10.0f64).round(),
                     )

@@ -89,6 +89,12 @@ impl FirstHit {
         }
     }
 
+    /// The root summary: the largest weight and the largest volume over
+    /// all leaves. On a sack tree that is the largest room any sack offers.
+    pub(crate) fn root(&self) -> Summary {
+        self.nodes[1]
+    }
+
     /// The lowest-indexed leaf at or after `start` that `admits` accepts.
     ///
     /// The descent starts at the largest subtree whose leftmost leaf is

@@ -6,6 +6,7 @@
 //! limits). Local search tightens it when a little more compute is
 //! available.
 
+use crate::bounds::largest_room;
 use crate::first_hit::{FirstHit, Summary};
 use crate::problem::{Packing, Problem, Solution};
 
@@ -136,6 +137,9 @@ pub fn greedy_weighted(problem: &Problem, multipliers: &[f64]) -> Solution {
 /// (best fit), then the lowest index. Returns the packing and `Σ profit ·
 /// multiplier` in placement order. Under a constant multiplier the first
 /// comparison is never true and the rule is plain best fit.
+///
+/// An item larger than the largest sack is skipped without a scan:
+/// residuals only shrink, so no sack's `≤ r + 1e-12` test could pass.
 fn place(
     problem: &Problem,
     index: &DensityIndex,
@@ -145,9 +149,13 @@ fn place(
     let mut packing = Packing::empty(problem.num_items());
     let mut residual: Vec<(f64, f64)> =
         problem.sacks().iter().map(|s| (s.weight_capacity, s.volume_capacity)).collect();
+    let room = Summary::room(largest_room(residual.iter().copied()));
     let mut weighted_profit = 0.0;
     for &i in &index.order {
         let item = problem.items()[i];
+        if !room.fits(&item) {
+            continue;
+        }
         let mut best: Option<(usize, f64, f64)> = None;
         for (s, &(rw, rv)) in residual.iter().enumerate() {
             if item.weight <= rw + 1e-12 && item.volume <= rv + 1e-12 {

@@ -17,7 +17,14 @@
 //! 2. **Upper bound** — the surrogate relaxation
 //!    ([`crate::bounds::surrogate_bound`]) certifies how far the incumbent
 //!    can be from the optimum before any tree search runs, and certifies
-//!    whole subtrees as hopeless at their roots during the search.
+//!    whole subtrees as hopeless at their roots during the search. Like
+//!    every bound in [`crate::bounds`] it counts only items that fit the
+//!    largest room a sack has left: an item larger than every sack can
+//!    never be packed, so counting it only loosens the certificate. When
+//!    budgets are tight enough that many items fit no sack (a uniform time
+//!    budget equal to the mean task time leaves about half the tasks out)
+//!    and the warm start packs all the rest, the bound equals the warm
+//!    profit and proves it optimal before any search.
 //! 3. **Budgeted search** — [`SolveBudget`] picks how much tree the solve
 //!    is allowed: everything, an explicit per-subtree node budget, or the
 //!    fixed [`ANYTIME_SUBTREE_NODE_BUDGET`].
@@ -38,6 +45,11 @@
 //!   tree search is skipped entirely and the warm packing is returned as
 //!   proved optimal. (`Exact`/`NodeBudget` never take this shortcut: their
 //!   returned *packing* is part of the contract, not just its profit.)
+//!
+//! An exhaustive search returns the same profit and packing whichever valid
+//! bound prunes it: a prune only cuts subtrees that cannot beat the
+//! incumbent. A tighter bound moves only the certificate (bound bits, node
+//! count) and, under a node budget, which incumbent the budget reaches.
 
 use crate::bounds::surrogate_bound;
 use crate::exact::solve_with_floor;

@@ -15,28 +15,41 @@ use std::sync::Mutex;
 /// tests that flip it are serialised against each other.
 static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
+/// An item of the paper's shape or, one time in four, one whose weight or
+/// volume may exceed every sack (sacks reach `max_size`). The bounds'
+/// largest-room rule then bites at the root and, as residuals shrink,
+/// inside the search.
+fn item(max_size: f64) -> impl Strategy<Value = Item> {
+    let fitting = (0.0f64..5.0, 0.0f64..5.0, 0.0f64..1.0);
+    let oversized = (0.0f64..max_size + 5.0, 0.0f64..max_size + 3.0, 0.0f64..1.0);
+    (0u8..4, fitting, oversized).prop_map(|(pick, fitting, oversized)| {
+        let (w, v, p) = if pick == 0 { oversized } else { fitting };
+        Item::new(w, v, p).expect("valid ranges")
+    })
+}
+
 fn small_problem() -> impl Strategy<Value = Problem> {
-    let item = (0.0f64..5.0, 0.0f64..5.0, 0.0f64..1.0)
-        .prop_map(|(w, v, p)| Item::new(w, v, p).expect("valid ranges"));
     let sack =
         (0.0f64..10.0, 0.0f64..10.0).prop_map(|(w, v)| Sack::new(w, v).expect("valid ranges"));
-    (prop::collection::vec(item, 0..8), prop::collection::vec(sack, 1..4))
+    (prop::collection::vec(item(10.0), 0..8), prop::collection::vec(sack, 1..4))
         .prop_map(|(items, sacks)| Problem::new(items, sacks).expect("sacks non-empty"))
 }
 
 fn medium_problem() -> impl Strategy<Value = Problem> {
-    let item = (0.0f64..5.0, 0.0f64..5.0, 0.0f64..1.0)
-        .prop_map(|(w, v, p)| Item::new(w, v, p).expect("valid ranges"));
     let sack =
         (0.0f64..12.0, 0.0f64..12.0).prop_map(|(w, v)| Sack::new(w, v).expect("valid ranges"));
-    (prop::collection::vec(item, 0..25), prop::collection::vec(sack, 1..6))
+    (prop::collection::vec(item(12.0), 0..25), prop::collection::vec(sack, 1..6))
         .prop_map(|(items, sacks)| Problem::new(items, sacks).expect("sacks non-empty"))
 }
 
 /// Integer-valued instances: profit gaps are ≥ 1 ≫ the solver's 1e-12
-/// epsilon, so results must agree to the bit across thread counts.
+/// epsilon, so results must agree to the bit across thread counts. Weights
+/// reach 15 against sacks up to 9.
 fn integer_problem() -> impl Strategy<Value = Problem> {
-    let item = (0u8..5, 0u8..5, 0u8..10).prop_map(|(w, v, p)| {
+    let fitting = (0u8..5, 0u8..5, 0u8..10);
+    let oversized = (0u8..16, 0u8..12, 0u8..10);
+    let item = (0u8..4, fitting, oversized).prop_map(|(pick, fitting, oversized)| {
+        let (w, v, p) = if pick == 0 { oversized } else { fitting };
         Item::new(f64::from(w), f64::from(v), f64::from(p)).expect("valid ranges")
     });
     let sack = (0u8..10, 0u8..10)

@@ -1,26 +1,33 @@
-//! Golden digests of whole branch-and-bound answers.
+//! Golden digests of whole branch-and-bound answers and their certificates.
 //!
-//! Each constant below is an FNV-1a digest of one solve's `(profit bits,
-//! placement, upper bound bits, proved optimal, nodes)`, generated on the
-//! commit *before* the search's per-node bookkeeping was rewritten (the
-//! linked live-suffix bound, the indexed sack scan and the presorted
-//! surrogate views). A change to how a node is evaluated must keep them to
-//! the bit: the node count pins the visited tree, the placement pins the
-//! branching order, and the bound bits pin the certificate.
+//! Each solve is pinned by two FNV-1a digests: its *answer* — profit bits
+//! and placement — and its *certificate* — upper bound bits, proof flag and
+//! node count. The answer digests of the exhaustive solves (`exact` and
+//! `serial`) were generated before the search's per-node bookkeeping was
+//! rewritten (the linked live-suffix bound, the indexed sack scan and the
+//! presorted surrogate views), and kept when the bounds began to count only
+//! items that fit the largest room: a valid bound changes which nodes an
+//! exhaustive search visits, never what it returns. The certificate digests,
+//! and the answers of budgeted solves, whose incumbents depend on the
+//! visited tree, were regenerated with that rule. A change to how a node is
+//! evaluated must keep all of them to the bit: the node count pins the
+//! visited tree, the placement pins the branching order, and the bound bits
+//! pin the certificate.
 //!
 //! The cases cover the portfolio in every budget mode, the serial solver
 //! with and without a node limit, the parallel solver under a node limit,
-//! seeded generator instances and a route-deflated mesh-shaped instance
-//! whose subtrees run out of anytime budget. Every digest is asserted at 1,
-//! 2 and 8 threads.
+//! seeded generator instances, a route-deflated mesh-shaped instance whose
+//! subtrees run out of anytime budget, and a uniform-budget instance shaped
+//! like the benchmark's `solve_scale`, whose anytime solve the bound alone
+//! proves. Every digest is asserted at 1, 2 and 8 threads.
 //!
 //! Only an intended change to what a solve returns may regenerate these:
 //! the test prints the rows on mismatch; paste them over `GOLDEN`.
 
-use knapsack::exact::{BranchAndBound, SearchReport, SolverOptions};
+use knapsack::exact::{BranchAndBound, SolverOptions};
 use knapsack::generator::{generate, GeneratorConfig};
-use knapsack::portfolio::{solve_portfolio, PortfolioSolution, SolveBudget};
-use knapsack::problem::{Item, Problem, Sack};
+use knapsack::portfolio::{solve_portfolio, SolveBudget};
+use knapsack::problem::{Item, Problem, Sack, Solution};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,35 +42,16 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-/// `(profit bits, placement, upper bound bits, proved, nodes)`, with an
-/// unpacked item as `u64::MAX` and a report without a bound as `u64::MAX`.
-fn digest(
-    profit: f64,
-    placement: &[Option<usize>],
-    upper_bound: Option<f64>,
-    proved: bool,
-    nodes: u64,
-) -> u64 {
-    let placement = placement.iter().map(|s| s.map_or(u64::MAX, |s| s as u64));
-    fnv(std::iter::once(profit.to_bits()).chain(placement).chain([
-        upper_bound.map_or(u64::MAX, f64::to_bits),
-        u64::from(proved),
-        nodes,
-    ]))
+/// `(profit bits, placement)`, with an unpacked item as `u64::MAX`.
+fn answer(solution: &Solution) -> u64 {
+    let placement = solution.packing.placement().iter().map(|s| s.map_or(u64::MAX, |s| s as u64));
+    fnv(std::iter::once(solution.profit.to_bits()).chain(placement))
 }
 
-fn portfolio_digest(r: &PortfolioSolution) -> u64 {
-    digest(
-        r.solution.profit,
-        r.solution.packing.placement(),
-        Some(r.upper_bound),
-        r.proved_optimal,
-        r.nodes,
-    )
-}
-
-fn search_digest(r: &SearchReport) -> u64 {
-    digest(r.solution.profit, r.solution.packing.placement(), None, r.completed, r.nodes)
+/// `(upper bound bits, proved, nodes)`, with a report without a bound as
+/// `u64::MAX`.
+fn certificate(upper_bound: Option<f64>, proved: bool, nodes: u64) -> u64 {
+    fnv([upper_bound.map_or(u64::MAX, f64::to_bits), u64::from(proved), nodes])
 }
 
 fn generated(num_items: usize, num_sacks: usize, seed: u64) -> Problem {
@@ -86,6 +74,21 @@ fn integer(num_items: usize, num_sacks: usize, seed: u64) -> Problem {
     let sacks = (0..num_sacks)
         .map(|_| Sack::new(f64::from(rng.gen_range(0..4u8) * 3), 9.0).unwrap())
         .collect();
+    Problem::new(items, sacks).unwrap()
+}
+
+/// `solve_scale`'s shape: two unit-demand tasks per sack and one time
+/// budget, the mean task time, for every sack. Task sizes span 2e5–4e6
+/// bits, so about half the tasks fit no sack.
+fn uniform_budget(num_items: usize, seed: u64) -> Problem {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let items: Vec<Item> = (0..num_items)
+        .map(|_| {
+            Item::new(rng.gen_range(2e5..4e6) * 4.75e-7, 1.0, rng.gen_range(0.0..1.0)).unwrap()
+        })
+        .collect();
+    let budget = items.iter().map(|i| i.weight).sum::<f64>() / num_items as f64;
+    let sacks = vec![Sack::new(budget, 4.0).unwrap(); num_items / 2];
     Problem::new(items, sacks).unwrap()
 }
 
@@ -113,11 +116,16 @@ enum Solve {
     Search(SolverOptions),
 }
 
-fn run(problem: &Problem, solve: &Solve) -> u64 {
+/// `(answer, certificate)` digests of one solve.
+fn run(problem: &Problem, solve: &Solve) -> (u64, u64) {
     match solve {
-        Solve::Portfolio(budget) => portfolio_digest(&solve_portfolio(problem, *budget)),
+        Solve::Portfolio(budget) => {
+            let r = solve_portfolio(problem, *budget);
+            (answer(&r.solution), certificate(Some(r.upper_bound), r.proved_optimal, r.nodes))
+        }
         Solve::Search(options) => {
-            search_digest(&BranchAndBound::with_options(*options).solve_reporting(problem))
+            let r = BranchAndBound::with_options(*options).solve_reporting(problem);
+            (answer(&r.solution), certificate(None, r.completed, r.nodes))
         }
     }
 }
@@ -154,51 +162,57 @@ fn cases() -> Vec<Case> {
         ("gen_120x12", generated(120, 12, 0x5EA6), budgeted()),
         ("int_60x8", integer(60, 8, 0x5EA7), budgeted()),
         ("mesh_200x100", deflated_mesh(200, 100, 0x5EA8), budgeted()),
+        ("uniform_200x100", uniform_budget(200, 0x5EA9), budgeted()),
     ]
 }
 
-const GOLDEN: [(&str, u64); 41] = [
-    ("gen_12x3/exact", 0xeef821c4160c22e3),
-    ("gen_12x3/budget50", 0xe135a662891df161),
-    ("gen_12x3/budget2000", 0x84eba0c74548d14c),
-    ("gen_12x3/anytime", 0x84eba0c74548d14c),
-    ("gen_12x3/serial", 0x4a4e8ca3c99ba98c),
-    ("gen_12x3/serial_limit", 0x4a4e8ca3c99ba98c),
-    ("gen_12x3/parallel_limit", 0xe86bd35ea15e06ed),
-    ("gen_20x4/exact", 0x89cfa93467753dfa),
-    ("gen_20x4/budget50", 0xb3d58151e8d905e9),
-    ("gen_20x4/budget2000", 0x1be9ec91193279cd),
-    ("gen_20x4/anytime", 0x1be9ec91193279cd),
-    ("gen_20x4/serial", 0xa57342c283828cb2),
-    ("gen_20x4/serial_limit", 0x82907cbb1263ade9),
-    ("gen_20x4/parallel_limit", 0x5dec768a75ed1f2e),
-    ("int_14x4/exact", 0x71611a9529924c1d),
-    ("int_14x4/budget50", 0xf54975616a163271),
-    ("int_14x4/budget2000", 0x60a6cee5dd2ff411),
-    ("int_14x4/anytime", 0x60a6cee5dd2ff411),
-    ("int_14x4/serial", 0x82a1466bc8c6a311),
-    ("int_14x4/serial_limit", 0x28c18dbfe75285fc),
-    ("int_14x4/parallel_limit", 0x128ad3493ba32ca9),
-    ("gen_40x6/budget50", 0x68213471f00a3f4d),
-    ("gen_40x6/budget2000", 0x5e99d01342abe5ba),
-    ("gen_40x6/anytime", 0x5e99d01342abe5ba),
-    ("gen_40x6/serial_limit", 0x234da84a84493d0a),
-    ("gen_40x6/parallel_limit", 0x037b066f7cece20b),
-    ("gen_120x12/budget50", 0x9962f2fc5fbf8c97),
-    ("gen_120x12/budget2000", 0x2427920ab1e9398e),
-    ("gen_120x12/anytime", 0x2427920ab1e9398e),
-    ("gen_120x12/serial_limit", 0x20bae5b638d48612),
-    ("gen_120x12/parallel_limit", 0x9d97099fb05af586),
-    ("int_60x8/budget50", 0x7939ca151eb50fbc),
-    ("int_60x8/budget2000", 0xda1434f96e9f78a1),
-    ("int_60x8/anytime", 0xda1434f96e9f78a1),
-    ("int_60x8/serial_limit", 0x1b071a5b07963bc6),
-    ("int_60x8/parallel_limit", 0x49ae2e42fb65cf89),
-    ("mesh_200x100/budget50", 0x1edee6535c55a785),
-    ("mesh_200x100/budget2000", 0x774ea894e1453c52),
-    ("mesh_200x100/anytime", 0x774ea894e1453c52),
-    ("mesh_200x100/serial_limit", 0xd296f81bcc2056cc),
-    ("mesh_200x100/parallel_limit", 0x29bb4375b0731ea2),
+const GOLDEN: [(&str, u64, u64); 46] = [
+    ("gen_12x3/exact", 0x0a1c8b63c9c7df1f, 0x9f2f55e54f89286d),
+    ("gen_12x3/budget50", 0x0a1c8b63c9c7df1f, 0x3399c6786c417279),
+    ("gen_12x3/budget2000", 0x0a1c8b63c9c7df1f, 0x3399c6786c417279),
+    ("gen_12x3/anytime", 0x0a1c8b63c9c7df1f, 0x3399c6786c417279),
+    ("gen_12x3/serial", 0x0a1c8b63c9c7df1f, 0x7c8a6f40f2311fb2),
+    ("gen_12x3/serial_limit", 0x0a1c8b63c9c7df1f, 0x7c8a6f40f2311fb2),
+    ("gen_12x3/parallel_limit", 0x0a1c8b63c9c7df1f, 0x5be1531a58b04f32),
+    ("gen_20x4/exact", 0x48ca49cd9fb4100a, 0x47738c7cfa0c87b1),
+    ("gen_20x4/budget50", 0x5ebf2f26147b8fe5, 0x568fac466cbec88b),
+    ("gen_20x4/budget2000", 0x48ca49cd9fb4100a, 0xf371b9be52f4ab79),
+    ("gen_20x4/anytime", 0x48ca49cd9fb4100a, 0xf371b9be52f4ab79),
+    ("gen_20x4/serial", 0x48ca49cd9fb4100a, 0xd8e9f92b8d0e34a5),
+    ("gen_20x4/serial_limit", 0xbcb8ae947c1bff67, 0xfdefac0877d3bdff),
+    ("gen_20x4/parallel_limit", 0x48ca49cd9fb4100a, 0x06906f355270a16b),
+    ("int_14x4/exact", 0x5831f48f3d8e006f, 0x19ffefc5500ef927),
+    ("int_14x4/budget50", 0x5831f48f3d8e006f, 0x82378a6ce4c01117),
+    ("int_14x4/budget2000", 0x5831f48f3d8e006f, 0xb5807ea6cd51efab),
+    ("int_14x4/anytime", 0x5831f48f3d8e006f, 0xb5807ea6cd51efab),
+    ("int_14x4/serial", 0x5831f48f3d8e006f, 0x05158cb4fd63979b),
+    ("int_14x4/serial_limit", 0x5831f48f3d8e006f, 0xd5f3bf4c3527e0b2),
+    ("int_14x4/parallel_limit", 0x5831f48f3d8e006f, 0x487dba105be50853),
+    ("gen_40x6/budget50", 0xb32cf147527ea42c, 0x37ba05b9d9fa84fc),
+    ("gen_40x6/budget2000", 0x6c2c531bf43e07da, 0x66fab188dfbda469),
+    ("gen_40x6/anytime", 0x6c2c531bf43e07da, 0x66fab188dfbda469),
+    ("gen_40x6/serial_limit", 0xcd64544daebc8153, 0x65083c521e351194),
+    ("gen_40x6/parallel_limit", 0xba02118a857e2b18, 0xb1e55f899f1e8c92),
+    ("gen_120x12/budget50", 0x43d0047d1bb264bc, 0x3ddba358abb0f0a2),
+    ("gen_120x12/budget2000", 0xbbec72840510347c, 0xa4ced6b5129b6443),
+    ("gen_120x12/anytime", 0xbbec72840510347c, 0xa4ced6b5129b6443),
+    ("gen_120x12/serial_limit", 0xbe14fdda87b63c4e, 0xf17da254fd5fba7d),
+    ("gen_120x12/parallel_limit", 0x45e792a1a13bc235, 0x1a34e799ea012596),
+    ("int_60x8/budget50", 0x11c710cdb731f391, 0x1a067bc10eee3310),
+    ("int_60x8/budget2000", 0x11c710cdb731f391, 0x5210000f143c311d),
+    ("int_60x8/anytime", 0x11c710cdb731f391, 0x5210000f143c311d),
+    ("int_60x8/serial_limit", 0x4765cd8e7f3a33f6, 0xa4d4312a55d4e6e9),
+    ("int_60x8/parallel_limit", 0x11c710cdb731f391, 0x087ea376f8be2d4d),
+    ("mesh_200x100/budget50", 0xac553f4b2b800cdc, 0x702958d644788e00),
+    ("mesh_200x100/budget2000", 0xac553f4b2b800cdc, 0x781f652d8cbf4ec0),
+    ("mesh_200x100/anytime", 0xac553f4b2b800cdc, 0x781f652d8cbf4ec0),
+    ("mesh_200x100/serial_limit", 0xce46e0fa732c8bf6, 0x53638876f4b9024a),
+    ("mesh_200x100/parallel_limit", 0xce46e0fa732c8bf6, 0xb6c58736786401d6),
+    ("uniform_200x100/budget50", 0x9b730fe1a4588404, 0x81c1ed23d00d2a96),
+    ("uniform_200x100/budget2000", 0x9b730fe1a4588404, 0x81c1ed23d00d2a96),
+    ("uniform_200x100/anytime", 0x9b730fe1a4588404, 0x81c1ed23d00d2a96),
+    ("uniform_200x100/serial_limit", 0x25d6c700f8108446, 0x5d8fa837e741d591),
+    ("uniform_200x100/parallel_limit", 0x25d6c700f8108446, 0x9b1166211274f2b9),
 ];
 
 #[test]
@@ -206,19 +220,41 @@ fn search_answers_match_parent_digests() {
     let cases = cases();
     for threads in [1usize, 2, 8] {
         let _t = parallel::ScopedThreads::new(threads);
-        let mut got: Vec<(String, u64)> = Vec::new();
+        let mut got: Vec<(String, u64, u64)> = Vec::new();
         for (name, problem, solves) in &cases {
             for (label, solve) in solves {
-                got.push((format!("{name}/{label}"), run(problem, solve)));
+                let (answer, certificate) = run(problem, solve);
+                got.push((format!("{name}/{label}"), answer, certificate));
             }
         }
         let matches = got.len() == GOLDEN.len()
-            && got.iter().zip(GOLDEN).all(|((n, d), (gn, gd))| n == gn && *d == gd);
+            && got
+                .iter()
+                .zip(GOLDEN)
+                .all(|((n, a, c), (gn, ga, gc))| n == gn && *a == ga && *c == gc);
         if !matches {
-            for (name, d) in &got {
-                println!("    (\"{name}\", {d:#018x}),");
+            for (name, a, c) in &got {
+                println!("    (\"{name}\", {a:#018x}, {c:#018x}),");
             }
         }
-        assert!(matches, "{threads} threads: search answers drifted from the parent digests");
+        assert!(matches, "{threads} threads: search answers drifted from the golden digests");
+    }
+}
+
+/// The uniform-budget case is the benchmark's `solve_scale` in small: the
+/// warm start packs every task some sack holds, and the bound, counting
+/// only those, proves it optimal before any search.
+#[test]
+fn uniform_budget_anytime_is_proved_without_search() {
+    let problem = uniform_budget(200, 0x5EA9);
+    let budget = problem.sacks()[0].weight_capacity;
+    let unpackable = problem.items().iter().filter(|i| i.weight > budget).count();
+    assert!(unpackable > 60, "only {unpackable} of 200 tasks exceed the budget");
+    for threads in [1usize, 2, 8] {
+        let _t = parallel::ScopedThreads::new(threads);
+        let r = solve_portfolio(&problem, SolveBudget::Anytime);
+        assert!(r.proved_optimal, "{threads} threads: gap {}", r.gap());
+        assert_eq!(r.nodes, 0, "{threads} threads");
+        assert_eq!(r.solution.profit.to_bits(), r.warm_profit.to_bits(), "{threads} threads");
     }
 }
