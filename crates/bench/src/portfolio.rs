@@ -7,9 +7,11 @@
 //! tasks and 5–120 processors, where exact search stops being an option?
 //! For each instance size it times
 //!
-//! 1. the *exact probe* — serial [`BranchAndBound`] under a node cap,
-//!    reporting whether the search actually completed (when the cap cut it
-//!    short the profit is only an incumbent — the same on every host), and
+//! 1. the *exact probe* — [`solve_portfolio`] under a
+//!    [`SolveBudget::NodeBudget`], the pipeline's `ExactOracle` algorithm
+//!    with a larger budget, reporting whether the search proved its answer
+//!    (when the budget cut it short the profit is only an incumbent — the
+//!    same on every host), and
 //! 2. the *portfolio* — [`solve_portfolio`] in [`SolveBudget::Anytime`]
 //!    mode, with its certified optimality gap and whether the certificate
 //!    is exact.
@@ -19,7 +21,6 @@
 //! sweep measures node-count reduction, not parallel fan-out.
 
 use crate::common::{best_of_ms, f3, pct, RunOpts, Table};
-use knapsack::exact::{BranchAndBound, SolverOptions};
 use knapsack::generator::{generate, GeneratorConfig};
 use knapsack::portfolio::{solve_portfolio, SolveBudget};
 use rand::rngs::StdRng;
@@ -40,12 +41,15 @@ pub const SIZES: [(usize, usize); 5] = [(35, 4), (120, 12), (400, 40), (800, 80)
 /// Sizes the `--quick` smoke run visits.
 pub const QUICK_SIZES: [(usize, usize); 4] = [(35, 4), (120, 12), (400, 40), (1200, 120)];
 
-/// Budget of one exact probe in the full sweep, in nodes × sacks: a node's
-/// cost is linear in the sack count (≈ 12 ns per sack on the reference
-/// host), so a probe over `m` sacks gets `EXACT_SACK_NODES / m` nodes —
-/// about 20 s at every size. Generous enough that paper-scale instances
-/// complete with slack, small enough that the production sizes (which
-/// would run for days) cut off quickly. `--quick` takes a twentieth.
+/// Budget of one exact probe in the full sweep, in nodes × sacks. A node's
+/// cost is linear in the sack count, so a probe over `m` sacks gets
+/// `EXACT_SACK_NODES / m` nodes in all, split evenly over the subtrees its
+/// search opens (the budget is per subtree, so every subtree gets the same
+/// share) — about the same time at every size. Generous enough that
+/// paper-scale instances complete with slack, small enough that the
+/// production sizes (which would run for days) cut off. `--quick` takes an
+/// eighth: less, and the largest subtree of the paper-scale instance no
+/// longer fits its share.
 pub const EXACT_SACK_NODES: u64 = 1_600_000_000;
 
 /// One instance size: the exact probe and the portfolio side by side.
@@ -55,8 +59,8 @@ pub struct PortfolioRow {
     pub items: usize,
     /// Sacks (processors).
     pub sacks: usize,
-    /// Whether the exact probe finished inside its node cap; when it did
-    /// not, `exact_profit` is an incumbent, not an optimum.
+    /// Whether the exact probe proved its answer inside its node budget;
+    /// when it did not, `exact_profit` is an incumbent, not an optimum.
     pub exact_completed: bool,
     /// Exact probe wall-clock, milliseconds (one run).
     pub exact_ms: f64,
@@ -93,7 +97,7 @@ pub struct PortfolioStudy {
 /// probe proved — a solver bug, reported instead of aborting the run.
 pub fn run(opts: &RunOpts) -> Result<PortfolioStudy, Box<dyn Error>> {
     let sizes: &[(usize, usize)] = if opts.quick { &QUICK_SIZES } else { &SIZES };
-    let sack_nodes = opts.pick(EXACT_SACK_NODES, EXACT_SACK_NODES / 20);
+    let sack_nodes = opts.pick(EXACT_SACK_NODES, EXACT_SACK_NODES / 8);
     let reps = opts.pick(3, 1);
     let mut rng = StdRng::seed_from_u64(opts.seed ^ 0xB16);
     let mut table = Table::new(
@@ -108,17 +112,19 @@ pub fn run(opts: &RunOpts) -> Result<PortfolioStudy, Box<dyn Error>> {
             &mut rng,
         );
 
-        // Exact probe: one serial run (best-of-reps would multiply the
-        // cost for no information — the probe is deterministic).
-        let solver =
-            BranchAndBound::with_options(SolverOptions::new().node_limit(sack_nodes / m as u64));
+        // Exact probe: one run (best-of-reps would multiply the cost for no
+        // information — the probe is deterministic). Under a zero budget
+        // every subtree the search opens costs exactly one node, so that
+        // solve counts them.
+        let subtrees = solve_portfolio(&problem, SolveBudget::NodeBudget(0)).nodes.max(1);
+        let budget = SolveBudget::NodeBudget(sack_nodes / m as u64 / subtrees);
         let t0 = Instant::now();
-        let exact = black_box(solver.solve_reporting(&problem));
+        let exact = black_box(solve_portfolio(&problem, budget));
         let exact_ms = t0.elapsed().as_secs_f64() * 1e3;
         let (portfolio_ms, r) = best_of_ms(reps, || {
             Ok::<_, Infallible>(black_box(solve_portfolio(&problem, SolveBudget::Anytime)))
         })?;
-        if exact.completed && r.solution.profit > exact.solution.profit + 1e-9 {
+        if exact.proved_optimal && r.solution.profit > exact.solution.profit + 1e-9 {
             return Err(format!(
                 "portfolio profit {} above the proved optimum {} at {n}x{m}",
                 r.solution.profit, exact.solution.profit
@@ -128,7 +134,7 @@ pub fn run(opts: &RunOpts) -> Result<PortfolioStudy, Box<dyn Error>> {
         let row = PortfolioRow {
             items: n,
             sacks: m,
-            exact_completed: exact.completed,
+            exact_completed: exact.proved_optimal,
             exact_ms,
             exact_profit: exact.solution.profit,
             portfolio_ms,

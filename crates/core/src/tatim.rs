@@ -9,7 +9,6 @@
 use crate::allocation::Allocation;
 use crate::processor::ProcessorFleet;
 use crate::task::EdgeTask;
-use knapsack::exact::{BranchAndBound, SolverOptions};
 use knapsack::greedy;
 use knapsack::portfolio::{solve_portfolio, SolveBudget};
 use knapsack::problem::{Item, Packing, Problem, ProblemError, Sack};
@@ -93,8 +92,6 @@ pub enum SolverKind {
     /// per-sack multipliers `m` (survival weighting uses this). No local
     /// search; deterministic multiplier/best-fit/index tie-breaks.
     WeightedGreedy(Vec<f64>),
-    /// Exact branch-and-bound under explicit [`SolverOptions`].
-    Exact(SolverOptions),
     /// Anytime portfolio under a [`SolveBudget`]; the only kind that
     /// returns a [`SolveCertificate`].
     Portfolio(SolveBudget),
@@ -106,7 +103,7 @@ pub struct SolveReport {
     /// The allocation found.
     pub allocation: Allocation,
     /// The solver's objective value: captured importance for
-    /// [`SolverKind::Greedy`]/[`SolverKind::Exact`]/[`SolverKind::Portfolio`],
+    /// [`SolverKind::Greedy`]/[`SolverKind::Portfolio`],
     /// the multiplier-weighted sum for [`SolverKind::WeightedGreedy`].
     pub objective: f64,
     /// Optimality certificate ([`SolverKind::Portfolio`] only).
@@ -226,9 +223,6 @@ impl TatimInstance {
             SolverKind::WeightedGreedy(weights) => {
                 (greedy::greedy_weighted(&problem, weights), None)
             }
-            SolverKind::Exact(options) => {
-                (BranchAndBound::with_options(*options).solve(&problem), None)
-            }
             SolverKind::Portfolio(budget) => {
                 let r = solve_portfolio(&problem, *budget);
                 let certificate = SolveCertificate {
@@ -247,14 +241,15 @@ impl TatimInstance {
         })
     }
 
-    /// Optimal allocation via branch-and-bound (the offline reference the
-    /// data-driven allocators are measured against).
+    /// Optimal allocation via the portfolio's exhaustive branch-and-bound,
+    /// [`SolveBudget::Exact`] (the offline reference the data-driven
+    /// allocators are measured against).
     ///
     /// # Errors
     ///
     /// Propagates the reduction.
     pub fn solve_exact(&self) -> Result<(Allocation, f64), TatimError> {
-        let r = self.solve(&SolverKind::Exact(SolverOptions::new()))?;
+        let r = self.solve(&SolverKind::Portfolio(SolveBudget::Exact))?;
         Ok((r.allocation, r.objective))
     }
 

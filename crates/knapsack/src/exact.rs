@@ -1,11 +1,13 @@
-//! Exact MCMK solvers: depth-first branch-and-bound, plus a tiny brute-force
-//! enumerator used as ground truth in tests.
+//! Exact MCMK search: the depth-first branch-and-bound behind
+//! [`crate::portfolio::solve_portfolio`], plus a tiny brute-force enumerator
+//! used as ground truth in tests.
 //!
 //! TATIM instances on the edge are small (tens of tasks, ~10 processors), so
 //! exact solutions are attainable offline; the paper's point is that solving
 //! them *repeatedly under varying importance* is too slow on-device, which is
-//! what the data-driven allocators amortise. The exact solver is the
-//! reference that CRL/DCTA allocation quality is measured against.
+//! what the data-driven allocators amortise. The exact solve
+//! (`solve_portfolio(problem, SolveBudget::Exact)`) is the reference that
+//! CRL/DCTA allocation quality is measured against.
 
 use crate::bounds::{largest_room, LiveBounds, SuffixBounds};
 use crate::first_hit::{FirstHit, Summary};
@@ -14,8 +16,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Exhaustive search over all `(num_sacks + 1)^num_items` placements.
 ///
-/// Only viable for very small instances; used to validate
-/// [`BranchAndBound`]. Runs in `O((M+1)^N)`.
+/// Only viable for very small instances; used to validate the
+/// branch-and-bound. Runs in `O((M+1)^N)`.
 ///
 /// # Panics
 ///
@@ -24,7 +26,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub fn brute_force(problem: &Problem) -> Solution {
     assert!(problem.num_items() <= 16, "brute force limited to 16 items");
     let n = problem.num_items();
-    let m = problem.num_sacks();
     let mut best = Packing::empty(n);
     let mut best_profit = 0.0;
     let mut current = Packing::empty(n);
@@ -56,91 +57,8 @@ pub fn brute_force(problem: &Problem) -> Solution {
         current.assign(i, None);
     }
 
-    let _ = m;
     recurse(problem, 0, &mut current, &mut best, &mut best_profit);
     Solution { packing: best, profit: best_profit }
-}
-
-/// Depth-first branch-and-bound exact solver.
-///
-/// Items some sack can hold are explored in decreasing profit-density
-/// order; at each node the fractional aggregate relaxation over the items
-/// that fit the largest residual at the search's root ([`crate::bounds`])
-/// prunes subtrees that cannot beat the incumbent. Identical residual
-/// sacks are canonicalised to curb permutation symmetry.
-///
-/// # Examples
-///
-/// ```
-/// use knapsack::exact::BranchAndBound;
-/// use knapsack::problem::{Item, Problem, Sack};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let p = Problem::new(
-///     vec![Item::new(2.0, 1.0, 10.0)?, Item::new(2.0, 1.0, 7.0)?],
-///     vec![Sack::new(2.0, 1.0)?],
-/// )?;
-/// let solution = BranchAndBound::new().solve(&p);
-/// assert_eq!(solution.profit, 10.0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BranchAndBound {
-    options: SolverOptions,
-}
-
-/// Typed configuration for [`BranchAndBound`], replacing the old
-/// positional/boolean knobs with a chainable builder:
-///
-/// ```
-/// use knapsack::exact::SolverOptions;
-///
-/// let opts = SolverOptions::new().node_limit(100_000).parallel(true);
-/// assert_eq!(opts.node_limit, Some(100_000));
-/// ```
-///
-/// # Determinism
-///
-/// * Default options reproduce the original serial solver node-for-node.
-/// * `parallel(true)` keeps the *returned* `Solution` (profit **and**
-///   assignment) bit-identical to the serial solver at every thread count;
-///   only the set of explored nodes may differ (see
-///   [`BranchAndBound::solve`]).
-/// * `node_limit` with `parallel(true)` applies the budget *per subtree*
-///   and disables the shared incumbent bound, so the anytime result is
-///   still thread-count invariant (though it differs from the serial
-///   solver's anytime result, whose budget is global).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SolverOptions {
-    /// Optional cap on explored nodes; `None` = unlimited. When the cap is
-    /// hit the incumbent (a feasible, possibly sub-optimal packing) is
-    /// returned — useful as an anytime solver inside benchmarks.
-    pub node_limit: Option<u64>,
-    /// Explore top-level subtrees in parallel (via `dcta-parallel`) with a
-    /// deterministic best-solution reduction. Off by default.
-    pub parallel: bool,
-}
-
-impl SolverOptions {
-    /// Default options: unlimited nodes, serial.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Caps the number of explored nodes (anytime incumbent on overrun).
-    #[must_use]
-    pub fn node_limit(mut self, limit: u64) -> Self {
-        self.node_limit = Some(limit);
-        self
-    }
-
-    /// Enables or disables parallel subtree exploration.
-    #[must_use]
-    pub fn parallel(mut self, on: bool) -> Self {
-        self.parallel = on;
-        self
-    }
 }
 
 /// Once at least this many open subtrees exist at the split depth, prefix
@@ -153,69 +71,21 @@ const PAR_SUBTREE_TARGET: usize = 64;
 /// to dominate, and a tree still this thin is heavily pruned anyway.
 const PAR_MAX_SPLIT_DEPTH: usize = 12;
 
-impl BranchAndBound {
-    /// Creates an exact solver with default [`SolverOptions`] (serial,
-    /// unlimited). Equivalent to `with_options(SolverOptions::new())`.
-    pub fn new() -> Self {
-        Self { options: SolverOptions::new() }
-    }
-
-    /// Creates a solver from typed [`SolverOptions`].
-    pub fn with_options(options: SolverOptions) -> Self {
-        Self { options }
-    }
-
-    /// The solver's configuration.
-    pub fn options(&self) -> &SolverOptions {
-        &self.options
-    }
-
-    /// Solves `problem`, returning the best packing found (the optimum when
-    /// no node budget is set).
-    ///
-    /// With [`SolverOptions::parallel`] the top-level branch-and-bound
-    /// subtrees are explored concurrently, sharing a monotone incumbent
-    /// bound through an atomic; pruning (and hence node counts) may differ
-    /// across thread counts, but the returned optimum and assignment may
-    /// not — the reduction scans subtrees in the fixed serial DFS order
-    /// (lexicographic in the branching sequence) and keeps the first
-    /// strict improvement, which is exactly the serial solver's answer.
-    pub fn solve(&self, problem: &Problem) -> Solution {
-        self.solve_reporting(problem).solution
-    }
-
-    /// Like [`BranchAndBound::solve`], but also reports whether the search
-    /// ran to exhaustion — i.e. whether the returned incumbent is *proved*
-    /// optimal — and how many nodes were explored. Callers running with a
-    /// node budget should use this instead of `solve` whenever
-    /// incumbent-versus-optimum matters downstream.
-    pub fn solve_reporting(&self, problem: &Problem) -> SearchReport {
-        let order = density_order(problem);
-        let bounds = SuffixBounds::new(problem, &order);
-        if self.options.parallel && !order.is_empty() {
-            solve_parallel(problem, &order, &self.options, f64::NEG_INFINITY, &bounds, &|_| false)
-        } else {
-            solve_serial(problem, &order, &self.options, f64::NEG_INFINITY, &bounds)
-        }
-    }
-}
-
-/// Outcome of [`BranchAndBound::solve_reporting`]: the incumbent plus an
-/// explicit optimality signal, closing the old silent-failure path where a
-/// node-capped solve was indistinguishable from a proved optimum.
+/// Outcome of [`solve_with_floor`]: the incumbent plus an explicit
+/// optimality signal, so a node-capped solve is distinguishable from a
+/// proved optimum.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SearchReport {
+pub(crate) struct SearchReport {
     /// Best packing found.
-    pub solution: Solution,
+    pub(crate) solution: Solution,
     /// True when no node budget cut exploration short, so
     /// `solution` is proved optimal (over the region not excluded by a
     /// warm-start floor, which only ever excludes sub-incumbent packings).
-    pub completed: bool,
-    /// Explored node count. Deterministic for serial runs and for parallel
-    /// runs with a node budget (shared-bound pruning disabled); for
-    /// parallel exhaustive runs the count depends on thread interleaving
-    /// and is reported as observed.
-    pub nodes: u64,
+    pub(crate) completed: bool,
+    /// Explored node count. Deterministic under a node budget (shared-bound
+    /// pruning disabled); for exhaustive runs the count depends on thread
+    /// interleaving and is reported as observed.
+    pub(crate) nodes: u64,
 }
 
 /// Item exploration order: decreasing profit per aggregate size, over the
@@ -241,29 +111,6 @@ fn full_residual(problem: &Problem) -> Vec<(f64, f64)> {
     problem.sacks().iter().map(|s| (s.weight_capacity, s.volume_capacity)).collect()
 }
 
-fn solve_serial(
-    problem: &Problem,
-    order: &[usize],
-    options: &SolverOptions,
-    floor: f64,
-    bounds: &SuffixBounds,
-) -> SearchReport {
-    let root = SubtreeRoot {
-        depth: 0,
-        profit: 0.0,
-        residual: full_residual(problem),
-        current: Packing::empty(problem.num_items()),
-    };
-    let mut search = Search::new(problem, order, bounds, floor, options.node_limit, &root);
-    search.dfs_shared(0, 0.0, None);
-    let profit = search.best_profit.max(0.0);
-    SearchReport {
-        solution: Solution { packing: search.best, profit },
-        completed: !search.limit_hit,
-        nodes: search.nodes,
-    }
-}
-
 struct Search<'a> {
     problem: &'a Problem,
     order: &'a [usize],
@@ -276,8 +123,8 @@ struct Search<'a> {
     /// Warm-start incumbent profit: subtrees whose optimistic potential is
     /// strictly below this are pruned. `NEG_INFINITY` disables the floor.
     /// Strictness matters — a path tying the floor (hence possibly tying
-    /// the optimum) is never cut, so the serial DFS's first optimum
-    /// achiever survives and the returned packing is unchanged.
+    /// the optimum) is never cut, so the plain DFS's first optimum achiever
+    /// survives and the returned packing is unchanged.
     floor: f64,
     residual: Vec<(f64, f64)>,
     current: Packing,
@@ -289,9 +136,11 @@ struct Search<'a> {
 // ---------------------------------------------------------------------------
 // Parallel subtree exploration.
 //
-// The serial solver is a fixed-order DFS whose answer is its *first*
-// strict-improvement optimum achiever. The parallel solver reproduces that
-// answer in three phases:
+// The plain depth-first search — `Search` from the root, with no split, no
+// floor, no budget and no shared bound; a test oracle (`tests::plain_dfs`) —
+// is a fixed-order DFS whose answer is its *first* strict-improvement
+// optimum achiever. The exhaustive search reproduces that answer in three
+// phases:
 //
 //  1. A serial *prefix enumeration* walks the identical DFS down to a
 //     deterministic split depth, recording in DFS order both every
@@ -306,20 +155,20 @@ struct Search<'a> {
 //     because non-negative IEEE-754 doubles order like their bits). The
 //     shared bound prunes with a *strict* `<`: a path whose optimistic
 //     potential ties the global optimum is never shared-pruned, so the
-//     subtree containing the serial answer always reaches it, no matter
-//     how the threads interleave. Local pruning keeps the serial solver's
-//     epsilon rule.
+//     subtree containing the plain DFS's answer always reaches it, no
+//     matter how the threads interleave. Local pruning keeps the plain
+//     DFS's epsilon rule.
 //  3. A serial reduction scans the slots in DFS order, keeping the first
-//     strict improvement — i.e. the serial solver's first achiever. The
-//     slot order is the serial branching order (sack 0, 1, …, skip), so
-//     ties resolve to the lexicographically-smallest branching sequence,
-//     exactly as in the serial DFS.
+//     strict improvement — i.e. the plain DFS's first achiever. The slot
+//     order is the branching order (sack 0, 1, …, skip), so ties resolve
+//     to the lexicographically-smallest branching sequence, exactly as in
+//     the plain DFS.
 //
 // Racy sub-optimal subtrees (whose exploration was cut short by a shared
 // bound published mid-flight) can only under-report — and only in subtrees
 // whose true maximum is below the global optimum — so they can never win
 // the reduction, and the returned `Solution` is thread-count invariant.
-// Caveat: like the serial epsilon prune, the argument assumes optima are
+// Caveat: like the plain DFS's epsilon prune, the argument assumes optima are
 // separated by more than 1e-12; profits built from small integers (as in
 // the TATIM reduction's scaled importances) satisfy this exactly.
 // ---------------------------------------------------------------------------
@@ -327,7 +176,7 @@ struct Search<'a> {
 /// One entry of the DFS-ordered work list produced by prefix enumeration.
 enum Slot {
     /// An incumbent improvement observed *during* enumeration: a feasible
-    /// packing and its profit, at its serial DFS position.
+    /// packing and its profit, at its DFS position.
     Candidate { profit: f64, packing: Packing },
     /// An unexplored subtree rooted at the split depth.
     Subtree(SubtreeRoot),
@@ -362,10 +211,10 @@ impl PrefixEnum<'_> {
         if depth == self.order.len() {
             return;
         }
-        // Same epsilon prune as the serial DFS, but against the running
-        // enumeration incumbent — a lower bar than the serial solver's
-        // global incumbent at the same node, so this prunes a *subset* of
-        // what the serial solver prunes and can never cut off its answer.
+        // Same epsilon prune as the plain DFS, but against the running
+        // enumeration incumbent — a lower bar than the plain DFS's global
+        // incumbent at the same node, so this prunes a *subset* of what the
+        // plain DFS prunes and can never cut off its answer.
         let agg_w: f64 = self.residual.iter().map(|r| r.0.max(0.0)).sum();
         let agg_v: f64 = self.residual.iter().map(|r| r.1.max(0.0)).sum();
         let room = largest_room(self.residual.iter().copied());
@@ -431,27 +280,34 @@ fn enumerate_prefix(
     (en.slots, en.enum_best)
 }
 
-fn solve_parallel(
+/// The branch-and-bound behind [`crate::portfolio::solve_portfolio`]:
+/// parallel subtree search seeded with a warm-start incumbent `floor`, with
+/// whole subtrees certified-and-skipped via the surrogate relaxation when
+/// their optimistic maximum is strictly below the floor.
+///
+/// `node_limit`, when given, is a budget per subtree (shared bound off), so
+/// the result is thread-count invariant in every mode. Without one the
+/// returned packing is the plain DFS's first optimum achiever.
+pub(crate) fn solve_with_floor(
     problem: &Problem,
-    order: &[usize],
-    options: &SolverOptions,
+    node_limit: Option<u64>,
     floor: f64,
-    bounds: &SuffixBounds,
-    skip_subtree: &(dyn Fn(&SubtreeRoot) -> bool + Sync),
 ) -> SearchReport {
     let n = problem.num_items();
+    let order = density_order(problem);
+    let bounds = SuffixBounds::new(problem, &order);
     // Deepen the split until enough independent subtrees exist. Each
     // candidate depth re-enumerates from scratch; the prefix region is tiny
     // relative to the full tree, so this costs a negligible serial prelude.
     let max_split = order.len().min(PAR_MAX_SPLIT_DEPTH);
     let mut split_depth = 1usize.min(max_split);
-    let (mut slots, mut enum_best) = enumerate_prefix(problem, order, bounds, split_depth, floor);
+    let (mut slots, mut enum_best) = enumerate_prefix(problem, &order, &bounds, split_depth, floor);
     while split_depth < max_split
         && (1..PAR_SUBTREE_TARGET)
             .contains(&slots.iter().filter(|s| matches!(s, Slot::Subtree(_))).count())
     {
         split_depth += 1;
-        (slots, enum_best) = enumerate_prefix(problem, order, bounds, split_depth, floor);
+        (slots, enum_best) = enumerate_prefix(problem, &order, &bounds, split_depth, floor);
     }
 
     // A node budget makes each subtree's exploration depend on its pruning
@@ -459,7 +315,7 @@ fn solve_parallel(
     // stay thread-count invariant; each subtree then is a pure function.
     // (Seeding with the warm floor is safe for the same reason the floor
     // prune is: the shared prune is strict.)
-    let shared = if options.node_limit.is_none() {
+    let shared = if node_limit.is_none() {
         Some(AtomicU64::new(enum_best.max(0.0).max(floor).to_bits()))
     } else {
         None
@@ -477,18 +333,21 @@ fn solve_parallel(
     let results: Vec<(f64, Packing, bool, u64)> = parallel::par_map_grained(&roots, 1, |root| {
         // A subtree whose surrogate-certified maximum is below the floor
         // can be discarded wholesale: it cannot contain anything the
-        // portfolio would return. The predicate is a pure function of the
-        // root, so the partition of skipped subtrees is thread-invariant.
-        if skip_subtree(root) {
+        // portfolio would return. The test is a pure function of the root,
+        // so the partition of skipped subtrees is thread-invariant.
+        let agg_w: f64 = root.residual.iter().map(|r| r.0.max(0.0)).sum();
+        let agg_v: f64 = root.residual.iter().map(|r| r.1.max(0.0)).sum();
+        let room = largest_room(root.residual.iter().copied());
+        if root.profit + bounds.surrogate(root.depth, agg_w, agg_v, room) < floor {
             return (f64::NEG_INFINITY, Packing::empty(n), true, 0);
         }
-        let mut search = Search::new(problem, order, bounds, floor, options.node_limit, root);
+        let mut search = Search::new(problem, &order, &bounds, floor, node_limit, root);
         search.dfs_shared(root.depth, root.profit, shared.as_ref());
         (search.best_profit, search.best, !search.limit_hit, search.nodes)
     });
 
     // Serial reduction in DFS slot order: first strict improvement wins,
-    // reproducing the serial solver's first optimum achiever.
+    // reproducing the plain DFS's first optimum achiever.
     let mut best_profit = -1.0;
     let mut best = Packing::empty(n);
     let mut completed = true;
@@ -515,30 +374,6 @@ fn solve_parallel(
         completed,
         nodes,
     }
-}
-
-/// Portfolio entry point (see [`crate::portfolio`]): parallel subtree
-/// branch-and-bound seeded with a warm-start incumbent `floor`, with whole
-/// subtrees certified-and-skipped via the surrogate relaxation when their
-/// optimistic maximum is strictly below the floor.
-///
-/// The node budget, when given, applies per subtree (shared bound off), so
-/// the result is thread-count invariant in every mode.
-pub(crate) fn solve_with_floor(
-    problem: &Problem,
-    node_limit: Option<u64>,
-    floor: f64,
-) -> SearchReport {
-    let order = density_order(problem);
-    let bounds = SuffixBounds::new(problem, &order);
-    let options = SolverOptions { node_limit, parallel: true };
-    let skip = |root: &SubtreeRoot| {
-        let agg_w: f64 = root.residual.iter().map(|r| r.0.max(0.0)).sum();
-        let agg_v: f64 = root.residual.iter().map(|r| r.1.max(0.0)).sum();
-        let room = largest_room(root.residual.iter().copied());
-        root.profit + bounds.surrogate(root.depth, agg_w, agg_v, room) < floor
-    };
-    solve_parallel(problem, &order, &options, floor, &bounds, &skip)
 }
 
 impl<'a> Search<'a> {
@@ -575,7 +410,8 @@ impl<'a> Search<'a> {
     /// improvements are published with a monotone `fetch_max` over the
     /// profit bits, and subtrees are additionally pruned against the shared
     /// bound with a *strict* `<` so tie-potential paths survive (see the
-    /// module notes on determinism). `shared = None` is the serial solver.
+    /// module notes on determinism). `shared = None` searches without one:
+    /// a budgeted subtree, or the plain DFS.
     fn dfs_shared(&mut self, depth: usize, profit: f64, shared: Option<&AtomicU64>) {
         self.nodes += 1;
         if let Some(limit) = self.node_limit {
@@ -648,7 +484,9 @@ impl<'a> Search<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::portfolio::{solve_portfolio, SolveBudget};
     use crate::problem::{Item, Sack};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -660,10 +498,31 @@ mod tests {
         .unwrap()
     }
 
+    /// The contract's reference: `Search` from the root, with no split, no
+    /// floor, no budget and no shared bound. The exhaustive search must
+    /// return its first optimum achiever.
+    fn plain_dfs(problem: &Problem) -> Solution {
+        let order = density_order(problem);
+        let bounds = SuffixBounds::new(problem, &order);
+        let root = SubtreeRoot {
+            depth: 0,
+            profit: 0.0,
+            residual: full_residual(problem),
+            current: Packing::empty(problem.num_items()),
+        };
+        let mut search = Search::new(problem, &order, &bounds, f64::NEG_INFINITY, None, &root);
+        search.dfs_shared(0, 0.0, None);
+        Solution { packing: search.best, profit: search.best_profit.max(0.0) }
+    }
+
+    fn exact(problem: &Problem) -> Solution {
+        solve_portfolio(problem, SolveBudget::Exact).solution
+    }
+
     #[test]
     fn picks_higher_profit_when_capacity_binds() {
         let p = problem(vec![(2.0, 1.0, 10.0), (2.0, 1.0, 7.0)], vec![(2.0, 1.0)]);
-        let s = BranchAndBound::new().solve(&p);
+        let s = exact(&p);
         assert_eq!(s.profit, 10.0);
         assert!(s.packing.is_feasible(&p));
         assert_eq!(s.packing.sack_of(0), Some(0));
@@ -676,7 +535,7 @@ mod tests {
             vec![(2.0, 1.0, 10.0), (2.0, 1.0, 7.0), (2.0, 1.0, 5.0)],
             vec![(2.0, 1.0), (2.0, 1.0)],
         );
-        let s = BranchAndBound::new().solve(&p);
+        let s = exact(&p);
         assert_eq!(s.profit, 17.0);
         assert_eq!(s.packing.packed_count(), 2);
     }
@@ -685,23 +544,23 @@ mod tests {
     fn respects_volume_constraint() {
         // Weight is loose, volume binds.
         let p = problem(vec![(0.1, 2.0, 5.0), (0.1, 2.0, 4.0)], vec![(10.0, 2.0)]);
-        let s = BranchAndBound::new().solve(&p);
-        assert_eq!(s.profit, 5.0);
+        assert_eq!(exact(&p).profit, 5.0);
     }
 
     #[test]
     fn empty_items_is_zero() {
         let p = problem(vec![], vec![(1.0, 1.0)]);
-        let s = BranchAndBound::new().solve(&p);
+        let s = exact(&p);
         assert_eq!(s.profit, 0.0);
         assert_eq!(s.packing.packed_count(), 0);
+        assert_eq!(plain_dfs(&p).profit, 0.0);
     }
 
     #[test]
     fn nothing_fits_is_zero() {
         let p = problem(vec![(5.0, 5.0, 100.0)], vec![(1.0, 1.0)]);
-        let s = BranchAndBound::new().solve(&p);
-        assert_eq!(s.profit, 0.0);
+        assert_eq!(exact(&p).profit, 0.0);
+        assert_eq!(plain_dfs(&p).profit, 0.0);
     }
 
     #[test]
@@ -712,8 +571,8 @@ mod tests {
             vec![(5.0, 0.0, 10.0), (4.0, 0.0, 40.0), (6.0, 0.0, 30.0), (3.0, 0.0, 50.0)],
             vec![(10.0, 0.0)],
         );
-        let s = BranchAndBound::new().solve(&p);
-        assert_eq!(s.profit, 90.0);
+        assert_eq!(exact(&p).profit, 90.0);
+        assert_eq!(plain_dfs(&p).profit, 90.0);
     }
 
     #[test]
@@ -737,15 +596,16 @@ mod tests {
                 .map(|_| (rng.gen_range(0.0..8.0f64).round(), rng.gen_range(0.0..8.0f64).round()))
                 .collect();
             let p = problem(items, sacks);
-            let bb = BranchAndBound::new().solve(&p);
             let bf = brute_force(&p);
-            assert!(
-                (bb.profit - bf.profit).abs() < 1e-9,
-                "round {round}: bb {} vs bf {} on {p:?}",
-                bb.profit,
-                bf.profit
-            );
-            assert!(bb.packing.is_feasible(&p));
+            for (name, s) in [("plain DFS", plain_dfs(&p)), ("exact", exact(&p))] {
+                assert!(
+                    (s.profit - bf.profit).abs() < 1e-9,
+                    "round {round}: {name} {} vs bf {} on {p:?}",
+                    s.profit,
+                    bf.profit
+                );
+                assert!(s.packing.is_feasible(&p));
+            }
         }
     }
 
@@ -756,107 +616,48 @@ mod tests {
             .map(|_| (rng.gen_range(1.0..5.0), rng.gen_range(1.0..5.0), rng.gen_range(1.0..10.0)))
             .collect();
         let p = problem(items, vec![(15.0, 15.0), (10.0, 10.0)]);
-        let s = BranchAndBound::with_options(SolverOptions::new().node_limit(50)).solve(&p);
-        assert!(s.packing.is_feasible(&p));
-        let full = BranchAndBound::new().solve(&p);
-        assert!(full.profit >= s.profit);
+        let r = solve_with_floor(&p, Some(50), f64::NEG_INFINITY);
+        assert!(r.solution.packing.is_feasible(&p));
+        assert!(plain_dfs(&p).profit >= r.solution.profit);
+    }
+
+    /// Integer-valued MCMK instances: profit gaps are ≥ 1 ≫ the solver's
+    /// 1e-12 epsilon, so the answers must agree to the bit. At least one
+    /// item: the portfolio answers an empty instance with its warm start,
+    /// whose empty profit sum is `-0.0`.
+    fn integer_problem() -> impl Strategy<Value = Problem> {
+        let item = (0u8..5, 0u8..5, 0u8..10).prop_map(|(w, v, p)| {
+            Item::new(f64::from(w), f64::from(v), f64::from(p)).expect("valid ranges")
+        });
+        let sack = (0u8..10, 0u8..10)
+            .prop_map(|(w, v)| Sack::new(f64::from(w), f64::from(v)).expect("valid ranges"));
+        (prop::collection::vec(item, 1..16), prop::collection::vec(sack, 1..5))
+            .prop_map(|(items, sacks)| Problem::new(items, sacks).expect("sacks non-empty"))
     }
 
     /// Tests below flip the process-wide thread override; serialise them.
     static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    fn random_integer_problem(rng: &mut StdRng, max_items: usize) -> Problem {
-        let n = rng.gen_range(1..=max_items);
-        let m = rng.gen_range(1..=4);
-        let items: Vec<(f64, f64, f64)> = (0..n)
-            .map(|_| {
-                (
-                    rng.gen_range(0.0..5.0f64).round(),
-                    rng.gen_range(0.0..5.0f64).round(),
-                    rng.gen_range(0.0..10.0f64).round(),
-                )
-            })
-            .collect();
-        let sacks: Vec<(f64, f64)> = (0..m)
-            .map(|_| (rng.gen_range(0.0..9.0f64).round(), rng.gen_range(0.0..9.0f64).round()))
-            .collect();
-        problem(items, sacks)
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-    #[test]
-    fn solver_options_builder_composes() {
-        let opts = SolverOptions::new().node_limit(10).parallel(true);
-        assert_eq!(opts.node_limit, Some(10));
-        assert!(opts.parallel);
-        assert_eq!(BranchAndBound::with_options(opts).options(), &opts);
-        assert_eq!(BranchAndBound::new().options(), &SolverOptions::default());
-    }
-
-    #[test]
-    fn parallel_matches_serial_bits_across_thread_counts() {
-        let _g = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let mut rng = StdRng::seed_from_u64(77);
-        let serial_solver = BranchAndBound::new();
-        let par_solver = BranchAndBound::with_options(SolverOptions::new().parallel(true));
-        for round in 0..20 {
-            let p = random_integer_problem(&mut rng, 18);
-            let serial = serial_solver.solve(&p);
+        /// The exhaustive portfolio returns the plain DFS's profit bits and
+        /// placement at 1, 2 and 8 threads: the split, the warm floor, the
+        /// subtree skip and the shared bound only prune.
+        #[test]
+        fn exact_mode_matches_plain_dfs_packing(p in integer_problem()) {
+            let _g = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            let reference = plain_dfs(&p);
             for threads in [1usize, 2, 8] {
                 let _t = parallel::ScopedThreads::new(threads);
-                let par = par_solver.solve(&p);
-                assert_eq!(
-                    par.profit.to_bits(),
-                    serial.profit.to_bits(),
-                    "round {round} threads {threads}: profit mismatch {} vs {}",
-                    par.profit,
-                    serial.profit
-                );
-                assert_eq!(
-                    par.packing.placement(),
-                    serial.packing.placement(),
-                    "round {round} threads {threads}: assignment mismatch"
-                );
+                let r = solve_portfolio(&p, SolveBudget::Exact);
+                prop_assert!(r.proved_optimal, "threads {}", threads);
+                prop_assert_eq!(r.solution.profit.to_bits(), reference.profit.to_bits(),
+                    "threads {}: profit {} vs plain DFS {}", threads, r.solution.profit,
+                    reference.profit);
+                prop_assert_eq!(r.solution.packing.placement(), reference.packing.placement(),
+                    "threads {}: packing differs from the plain DFS's first achiever", threads);
             }
-        }
-    }
-
-    #[test]
-    fn parallel_matches_brute_force_on_small_instances() {
-        let _g = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _t = parallel::ScopedThreads::new(4);
-        let mut rng = StdRng::seed_from_u64(31);
-        let solver = BranchAndBound::with_options(SolverOptions::new().parallel(true));
-        for round in 0..40 {
-            let p = random_integer_problem(&mut rng, 7);
-            let par = solver.solve(&p);
-            let bf = brute_force(&p);
-            assert!(
-                (par.profit - bf.profit).abs() < 1e-9,
-                "round {round}: parallel {} vs brute force {}",
-                par.profit,
-                bf.profit
-            );
-            assert!(par.packing.is_feasible(&p));
-        }
-    }
-
-    #[test]
-    fn parallel_node_limit_is_thread_count_invariant() {
-        let _g = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let mut rng = StdRng::seed_from_u64(5151);
-        let p = random_integer_problem(&mut rng, 18);
-        let solver =
-            BranchAndBound::with_options(SolverOptions::new().parallel(true).node_limit(40));
-        let reference = {
-            let _t = parallel::ScopedThreads::new(1);
-            solver.solve(&p)
-        };
-        assert!(reference.packing.is_feasible(&p));
-        for threads in [2usize, 8] {
-            let _t = parallel::ScopedThreads::new(threads);
-            let got = solver.solve(&p);
-            assert_eq!(got.profit.to_bits(), reference.profit.to_bits(), "threads {threads}");
-            assert_eq!(got.packing.placement(), reference.packing.placement());
         }
     }
 }

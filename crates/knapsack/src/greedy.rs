@@ -283,7 +283,7 @@ pub fn greedy_with_local_search(problem: &Problem) -> Solution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::BranchAndBound;
+    use crate::portfolio::{solve_portfolio, SolveBudget};
     use crate::problem::{Item, Sack};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -338,7 +338,7 @@ mod tests {
                 .collect();
             let p = problem(items, vec![(6.0, 6.0), (4.0, 4.0)]);
             let g = greedy_with_local_search(&p);
-            let e = BranchAndBound::new().solve(&p);
+            let e = solve_portfolio(&p, SolveBudget::Exact).solution;
             assert!(g.profit <= e.profit + 1e-9, "greedy {} > exact {}", g.profit, e.profit);
             if e.profit > 0.0 {
                 ratio_sum += g.profit / e.profit;

@@ -7,7 +7,7 @@
 //! capacity). This crate provides the combinatorial machinery:
 //!
 //! * [`problem`] — items, sacks, packings, feasibility.
-//! * [`exact`] — branch-and-bound (optionally anytime) and brute force.
+//! * [`exact`] — brute force; the branch-and-bound the portfolio runs.
 //! * [`greedy`] — density greedy + local search, the on-edge-affordable
 //!   heuristics.
 //! * [`portfolio`] — anytime solver portfolio: warm start + budgeted
@@ -20,8 +20,8 @@
 //! ## Example
 //!
 //! ```
-//! use knapsack::exact::BranchAndBound;
 //! use knapsack::greedy::greedy;
+//! use knapsack::portfolio::{solve_portfolio, SolveBudget};
 //! use knapsack::problem::{Item, Problem, Sack};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,8 +30,9 @@
 //!     vec![Sack::new(2.0, 2.0)?],
 //! )?;
 //! let heuristic = greedy(&problem);
-//! let optimum = BranchAndBound::new().solve(&problem);
-//! assert!(heuristic.profit <= optimum.profit);
+//! let optimum = solve_portfolio(&problem, SolveBudget::Exact);
+//! assert!(optimum.proved_optimal);
+//! assert!(heuristic.profit <= optimum.solution.profit);
 //! # Ok(())
 //! # }
 //! ```

@@ -1,19 +1,23 @@
 //! Property-based tests of the MCMK solver stack invariants:
 //! feasibility of every solver output, greedy ≤ exact ≤ upper bound, and
-//! monotonicity of the optimum in capacity.
+//! monotonicity of the optimum in capacity. "Exact" is
+//! `solve_portfolio(.., SolveBudget::Exact)`, the one exhaustive search.
 
 use knapsack::bounds::upper_bound;
-use knapsack::exact::{brute_force, BranchAndBound, SolverOptions};
+use knapsack::exact::brute_force;
 use knapsack::greedy::{greedy, greedy_with_local_search, local_search};
+use knapsack::portfolio::{solve_portfolio, SolveBudget};
 use knapsack::problem::{Item, Packing, Problem, Sack, Solution};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
-/// The parallel-vs-serial tests flip the process-wide thread override;
-/// serialise them so concurrent test threads don't fight over it. (The
-/// override never changes any *result* — only which sweep a test believes
-/// it is timing — but the tests are only meaningful when it sticks.)
+/// The thread-count test flips the process-wide thread override; serialise
+/// it so concurrent test threads don't fight over it.
 static THREADS_LOCK: Mutex<()> = Mutex::new(());
+
+fn exact(p: &Problem) -> Solution {
+    solve_portfolio(p, SolveBudget::Exact).solution
+}
 
 fn small_problem() -> impl Strategy<Value = Problem> {
     let item = (0.0f64..5.0, 0.0f64..5.0, 0.0f64..1.0)
@@ -24,8 +28,7 @@ fn small_problem() -> impl Strategy<Value = Problem> {
         .prop_map(|(items, sacks)| Problem::new(items, sacks).expect("sacks non-empty"))
 }
 
-/// Integer-valued MCMK instances: profit gaps are ≥ 1 ≫ the solver's
-/// 1e-12 epsilon, so serial and parallel answers must agree to the bit.
+/// Integer-valued MCMK instances: zero sizes, zero profits and profit ties.
 fn integer_problem() -> impl Strategy<Value = Problem> {
     let item = (0u8..5, 0u8..5, 0u8..10).prop_map(|(w, v, p)| {
         Item::new(f64::from(w), f64::from(v), f64::from(p)).expect("valid ranges")
@@ -91,7 +94,7 @@ proptest! {
 
     #[test]
     fn exact_matches_brute_force(p in small_problem()) {
-        let bb = BranchAndBound::new().solve(&p);
+        let bb = exact(&p);
         let bf = brute_force(&p);
         prop_assert!((bb.profit - bf.profit).abs() < 1e-9,
             "bb {} != bf {}", bb.profit, bf.profit);
@@ -103,8 +106,8 @@ proptest! {
         prop_assert!(g.packing.is_feasible(&p));
         let gl = greedy_with_local_search(&p);
         prop_assert!(gl.packing.is_feasible(&p));
-        // Anytime exact with a small node budget must stay feasible too.
-        let bb = BranchAndBound::with_options(SolverOptions::new().node_limit(500)).solve(&p);
+        // Branch-and-bound with a small node budget must stay feasible too.
+        let bb = solve_portfolio(&p, SolveBudget::NodeBudget(500)).solution;
         prop_assert!(bb.packing.is_feasible(&p));
     }
 
@@ -112,7 +115,7 @@ proptest! {
     fn solver_chain_is_ordered(p in small_problem()) {
         let g = greedy(&p);
         let gl = greedy_with_local_search(&p);
-        let e = BranchAndBound::new().solve(&p);
+        let e = exact(&p);
         let ub = upper_bound(&p);
         prop_assert!(g.profit <= gl.profit + 1e-9, "local search regressed greedy");
         prop_assert!(gl.profit <= e.profit + 1e-9, "heuristic beat the optimum");
@@ -124,13 +127,13 @@ proptest! {
     fn profit_cached_equals_recomputed(p in medium_problem()) {
         let g = greedy(&p);
         prop_assert!((g.profit - g.packing.profit(&p)).abs() < 1e-9);
-        let e = BranchAndBound::with_options(SolverOptions::new().node_limit(2_000)).solve(&p);
+        let e = solve_portfolio(&p, SolveBudget::NodeBudget(2_000)).solution;
         prop_assert!((e.profit - e.packing.profit(&p)).abs() < 1e-9);
     }
 
     #[test]
     fn optimum_monotone_in_capacity(p in small_problem(), extra in 0.0f64..5.0) {
-        let base = BranchAndBound::new().solve(&p).profit;
+        let base = exact(&p).profit;
         let grown = Problem::new(
             p.items().to_vec(),
             p.sacks()
@@ -139,57 +142,45 @@ proptest! {
                     .expect("valid"))
                 .collect(),
         ).expect("sacks unchanged");
-        let bigger = BranchAndBound::new().solve(&grown).profit;
+        let bigger = exact(&grown).profit;
         prop_assert!(bigger + 1e-9 >= base, "capacity growth reduced optimum");
     }
 
     #[test]
     fn adding_an_item_never_hurts(p in small_problem(), w in 0.0f64..5.0, v in 0.0f64..5.0,
                                   profit in 0.0f64..1.0) {
-        let base = BranchAndBound::new().solve(&p).profit;
+        let base = exact(&p).profit;
         let mut items = p.items().to_vec();
         items.push(Item::new(w, v, profit).expect("valid"));
         let grown = Problem::new(items, p.sacks().to_vec()).expect("sacks unchanged");
-        let bigger = BranchAndBound::new().solve(&grown).profit;
+        let bigger = exact(&grown).profit;
         prop_assert!(bigger + 1e-9 >= base, "new item reduced optimum");
     }
 
     #[test]
-    fn parallel_bnb_matches_serial_optimum_and_assignment(p in integer_problem()) {
+    fn exact_profit_within_eps_across_threads_on_continuous_instances(p in medium_problem()) {
         let _g = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let serial = BranchAndBound::new().solve(&p);
-        let par_solver = BranchAndBound::with_options(SolverOptions::new().parallel(true));
-        for threads in [1usize, 2, 8] {
-            let _t = parallel::ScopedThreads::new(threads);
-            let par = par_solver.solve(&p);
-            prop_assert_eq!(par.profit.to_bits(), serial.profit.to_bits(),
-                "threads {}: parallel profit {} != serial {}", threads, par.profit, serial.profit);
-            prop_assert_eq!(par.packing.placement(), serial.packing.placement(),
-                "threads {}: assignment diverged", threads);
-        }
-    }
-
-    #[test]
-    fn parallel_bnb_profit_within_eps_on_continuous_instances(p in medium_problem()) {
-        let _g = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let one = {
+            let _t = parallel::ScopedThreads::new(1);
+            exact(&p)
+        };
         let _t = parallel::ScopedThreads::new(4);
-        let serial = BranchAndBound::new().solve(&p);
-        let par = BranchAndBound::with_options(SolverOptions::new().parallel(true)).solve(&p);
+        let four = exact(&p);
         // Continuous profits can tie within the solver's 1e-12 prune
         // epsilon, where the assignment may legitimately differ; the
         // optimum value itself must still agree to ~1e-12.
-        prop_assert!((par.profit - serial.profit).abs() < 1e-9,
-            "parallel {} vs serial {}", par.profit, serial.profit);
-        prop_assert!(par.packing.is_feasible(&p));
+        prop_assert!((four.profit - one.profit).abs() < 1e-9,
+            "4 threads {} vs 1 thread {}", four.profit, one.profit);
+        prop_assert!(four.packing.is_feasible(&p));
     }
 
     #[test]
     fn zero_profit_items_do_not_change_optimum(p in small_problem()) {
-        let base = BranchAndBound::new().solve(&p).profit;
+        let base = exact(&p).profit;
         let mut items = p.items().to_vec();
         items.push(Item::new(1.0, 1.0, 0.0).expect("valid"));
         let grown = Problem::new(items, p.sacks().to_vec()).expect("sacks unchanged");
-        let same = BranchAndBound::new().solve(&grown).profit;
+        let same = exact(&grown).profit;
         prop_assert!((same - base).abs() < 1e-9);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Each solve is pinned by two FNV-1a digests: its *answer* — profit bits
 //! and placement — and its *certificate* — upper bound bits, proof flag and
-//! node count. The answer digests of the exhaustive solves (`exact` and
-//! `serial`) were generated before the search's per-node bookkeeping was
+//! node count. The answer digests of the exhaustive `exact` solves were
+//! generated before the search's per-node bookkeeping was
 //! rewritten (the linked live-suffix bound, the indexed sack scan and the
 //! presorted surrogate views), and kept when the bounds began to count only
 //! items that fit the largest room: a valid bound changes which nodes an
@@ -14,9 +14,8 @@
 //! visited tree, the placement pins the branching order, and the bound bits
 //! pin the certificate.
 //!
-//! The cases cover the portfolio in every budget mode, the serial solver
-//! with and without a node limit, the parallel solver under a node limit,
-//! seeded generator instances, a route-deflated mesh-shaped instance whose
+//! The cases cover the portfolio in every budget mode on seeded generator
+//! instances, a route-deflated mesh-shaped instance whose
 //! subtrees run out of anytime budget, and a uniform-budget instance shaped
 //! like the benchmark's `solve_scale`, whose anytime solve the bound alone
 //! proves. Every digest is asserted at 1, 2 and 8 threads.
@@ -24,7 +23,6 @@
 //! Only an intended change to what a solve returns may regenerate these:
 //! the test prints the rows on mismatch; paste them over `GOLDEN`.
 
-use knapsack::exact::{BranchAndBound, SolverOptions};
 use knapsack::generator::{generate, GeneratorConfig};
 use knapsack::portfolio::{solve_portfolio, SolveBudget};
 use knapsack::problem::{Item, Problem, Sack, Solution};
@@ -48,10 +46,9 @@ fn answer(solution: &Solution) -> u64 {
     fnv(std::iter::once(solution.profit.to_bits()).chain(placement))
 }
 
-/// `(upper bound bits, proved, nodes)`, with a report without a bound as
-/// `u64::MAX`.
-fn certificate(upper_bound: Option<f64>, proved: bool, nodes: u64) -> u64 {
-    fnv([upper_bound.map_or(u64::MAX, f64::to_bits), u64::from(proved), nodes])
+/// `(upper bound bits, proved, nodes)`.
+fn certificate(upper_bound: f64, proved: bool, nodes: u64) -> u64 {
+    fnv([upper_bound.to_bits(), u64::from(proved), nodes])
 }
 
 fn generated(num_items: usize, num_sacks: usize, seed: u64) -> Problem {
@@ -111,49 +108,24 @@ fn deflated_mesh(num_items: usize, num_sacks: usize, seed: u64) -> Problem {
     Problem::new(items, sacks).unwrap()
 }
 
-enum Solve {
-    Portfolio(SolveBudget),
-    Search(SolverOptions),
-}
-
 /// `(answer, certificate)` digests of one solve.
-fn run(problem: &Problem, solve: &Solve) -> (u64, u64) {
-    match solve {
-        Solve::Portfolio(budget) => {
-            let r = solve_portfolio(problem, *budget);
-            (answer(&r.solution), certificate(Some(r.upper_bound), r.proved_optimal, r.nodes))
-        }
-        Solve::Search(options) => {
-            let r = BranchAndBound::with_options(*options).solve_reporting(problem);
-            (answer(&r.solution), certificate(None, r.completed, r.nodes))
-        }
-    }
+fn run(problem: &Problem, budget: SolveBudget) -> (u64, u64) {
+    let r = solve_portfolio(problem, budget);
+    (answer(&r.solution), certificate(r.upper_bound, r.proved_optimal, r.nodes))
 }
 
-/// One instance and the labelled solves run on it.
-type Case = (&'static str, Problem, Vec<(&'static str, Solve)>);
+/// One instance and the labelled budgets it is solved under.
+type Case = (&'static str, Problem, Vec<(&'static str, SolveBudget)>);
 
 fn cases() -> Vec<Case> {
-    let every_budget = || {
-        vec![
-            ("exact", Solve::Portfolio(SolveBudget::Exact)),
-            ("budget50", Solve::Portfolio(SolveBudget::NodeBudget(50))),
-            ("budget2000", Solve::Portfolio(SolveBudget::NodeBudget(2000))),
-            ("anytime", Solve::Portfolio(SolveBudget::Anytime)),
-            ("serial", Solve::Search(SolverOptions::new())),
-            ("serial_limit", Solve::Search(SolverOptions::new().node_limit(5_000))),
-            ("parallel_limit", Solve::Search(SolverOptions::new().parallel(true).node_limit(300))),
-        ]
-    };
     let budgeted = || {
         vec![
-            ("budget50", Solve::Portfolio(SolveBudget::NodeBudget(50))),
-            ("budget2000", Solve::Portfolio(SolveBudget::NodeBudget(2000))),
-            ("anytime", Solve::Portfolio(SolveBudget::Anytime)),
-            ("serial_limit", Solve::Search(SolverOptions::new().node_limit(20_000))),
-            ("parallel_limit", Solve::Search(SolverOptions::new().parallel(true).node_limit(300))),
+            ("budget50", SolveBudget::NodeBudget(50)),
+            ("budget2000", SolveBudget::NodeBudget(2000)),
+            ("anytime", SolveBudget::Anytime),
         ]
     };
+    let every_budget = || [vec![("exact", SolveBudget::Exact)], budgeted()].concat();
     vec![
         ("gen_12x3", generated(12, 3, 0x5EA2), every_budget()),
         ("gen_20x4", generated(20, 4, 0x5EA3), every_budget()),
@@ -166,53 +138,34 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-const GOLDEN: [(&str, u64, u64); 46] = [
+const GOLDEN: [(&str, u64, u64); 27] = [
     ("gen_12x3/exact", 0x0a1c8b63c9c7df1f, 0x9f2f55e54f89286d),
     ("gen_12x3/budget50", 0x0a1c8b63c9c7df1f, 0x3399c6786c417279),
     ("gen_12x3/budget2000", 0x0a1c8b63c9c7df1f, 0x3399c6786c417279),
     ("gen_12x3/anytime", 0x0a1c8b63c9c7df1f, 0x3399c6786c417279),
-    ("gen_12x3/serial", 0x0a1c8b63c9c7df1f, 0x7c8a6f40f2311fb2),
-    ("gen_12x3/serial_limit", 0x0a1c8b63c9c7df1f, 0x7c8a6f40f2311fb2),
-    ("gen_12x3/parallel_limit", 0x0a1c8b63c9c7df1f, 0x5be1531a58b04f32),
     ("gen_20x4/exact", 0x48ca49cd9fb4100a, 0x47738c7cfa0c87b1),
     ("gen_20x4/budget50", 0x5ebf2f26147b8fe5, 0x568fac466cbec88b),
     ("gen_20x4/budget2000", 0x48ca49cd9fb4100a, 0xf371b9be52f4ab79),
     ("gen_20x4/anytime", 0x48ca49cd9fb4100a, 0xf371b9be52f4ab79),
-    ("gen_20x4/serial", 0x48ca49cd9fb4100a, 0xd8e9f92b8d0e34a5),
-    ("gen_20x4/serial_limit", 0xbcb8ae947c1bff67, 0xfdefac0877d3bdff),
-    ("gen_20x4/parallel_limit", 0x48ca49cd9fb4100a, 0x06906f355270a16b),
     ("int_14x4/exact", 0x5831f48f3d8e006f, 0x19ffefc5500ef927),
     ("int_14x4/budget50", 0x5831f48f3d8e006f, 0x82378a6ce4c01117),
     ("int_14x4/budget2000", 0x5831f48f3d8e006f, 0xb5807ea6cd51efab),
     ("int_14x4/anytime", 0x5831f48f3d8e006f, 0xb5807ea6cd51efab),
-    ("int_14x4/serial", 0x5831f48f3d8e006f, 0x05158cb4fd63979b),
-    ("int_14x4/serial_limit", 0x5831f48f3d8e006f, 0xd5f3bf4c3527e0b2),
-    ("int_14x4/parallel_limit", 0x5831f48f3d8e006f, 0x487dba105be50853),
     ("gen_40x6/budget50", 0xb32cf147527ea42c, 0x37ba05b9d9fa84fc),
     ("gen_40x6/budget2000", 0x6c2c531bf43e07da, 0x66fab188dfbda469),
     ("gen_40x6/anytime", 0x6c2c531bf43e07da, 0x66fab188dfbda469),
-    ("gen_40x6/serial_limit", 0xcd64544daebc8153, 0x65083c521e351194),
-    ("gen_40x6/parallel_limit", 0xba02118a857e2b18, 0xb1e55f899f1e8c92),
     ("gen_120x12/budget50", 0x43d0047d1bb264bc, 0x3ddba358abb0f0a2),
     ("gen_120x12/budget2000", 0xbbec72840510347c, 0xa4ced6b5129b6443),
     ("gen_120x12/anytime", 0xbbec72840510347c, 0xa4ced6b5129b6443),
-    ("gen_120x12/serial_limit", 0xbe14fdda87b63c4e, 0xf17da254fd5fba7d),
-    ("gen_120x12/parallel_limit", 0x45e792a1a13bc235, 0x1a34e799ea012596),
     ("int_60x8/budget50", 0x11c710cdb731f391, 0x1a067bc10eee3310),
     ("int_60x8/budget2000", 0x11c710cdb731f391, 0x5210000f143c311d),
     ("int_60x8/anytime", 0x11c710cdb731f391, 0x5210000f143c311d),
-    ("int_60x8/serial_limit", 0x4765cd8e7f3a33f6, 0xa4d4312a55d4e6e9),
-    ("int_60x8/parallel_limit", 0x11c710cdb731f391, 0x087ea376f8be2d4d),
     ("mesh_200x100/budget50", 0xac553f4b2b800cdc, 0x702958d644788e00),
     ("mesh_200x100/budget2000", 0xac553f4b2b800cdc, 0x781f652d8cbf4ec0),
     ("mesh_200x100/anytime", 0xac553f4b2b800cdc, 0x781f652d8cbf4ec0),
-    ("mesh_200x100/serial_limit", 0xce46e0fa732c8bf6, 0x53638876f4b9024a),
-    ("mesh_200x100/parallel_limit", 0xce46e0fa732c8bf6, 0xb6c58736786401d6),
     ("uniform_200x100/budget50", 0x9b730fe1a4588404, 0x81c1ed23d00d2a96),
     ("uniform_200x100/budget2000", 0x9b730fe1a4588404, 0x81c1ed23d00d2a96),
     ("uniform_200x100/anytime", 0x9b730fe1a4588404, 0x81c1ed23d00d2a96),
-    ("uniform_200x100/serial_limit", 0x25d6c700f8108446, 0x5d8fa837e741d591),
-    ("uniform_200x100/parallel_limit", 0x25d6c700f8108446, 0x9b1166211274f2b9),
 ];
 
 #[test]
@@ -222,8 +175,8 @@ fn search_answers_match_parent_digests() {
         let _t = parallel::ScopedThreads::new(threads);
         let mut got: Vec<(String, u64, u64)> = Vec::new();
         for (name, problem, solves) in &cases {
-            for (label, solve) in solves {
-                let (answer, certificate) = run(problem, solve);
+            for (label, budget) in solves {
+                let (answer, certificate) = run(problem, *budget);
                 got.push((format!("{name}/{label}"), answer, certificate));
             }
         }

@@ -6,11 +6,9 @@
 //! room. Appending such items to an instance must therefore leave every
 //! solve as it was, to the bit: the profit, the placement of the original
 //! items (the appended ones stay unpacked), the upper bound, the proof flag
-//! and the node count. The relation is checked in every `SolveBudget` mode,
-//! in the serial and node-limited parallel searches and in
-//! `greedy_with_local_search`, at 1, 2 and 8 threads.
+//! and the node count. The relation is checked in every `SolveBudget` mode
+//! and in `greedy_with_local_search`, at 1, 2 and 8 threads.
 
-use knapsack::exact::{BranchAndBound, SolverOptions};
 use knapsack::generator::{generate, GeneratorConfig};
 use knapsack::greedy::greedy_with_local_search;
 use knapsack::portfolio::{solve_portfolio, SolveBudget};
@@ -60,17 +58,6 @@ fn solves(problem: &Problem) -> Vec<(String, Outcome)> {
             ..Outcome::of(&r.solution)
         };
         out.push((format!("{budget:?}"), outcome));
-    }
-    let searches = [
-        ("serial", SolverOptions::new()),
-        ("serial_limit", SolverOptions::new().node_limit(500)),
-        ("parallel_limit", SolverOptions::new().parallel(true).node_limit(100)),
-    ];
-    for (label, options) in searches {
-        let r = BranchAndBound::with_options(options).solve_reporting(problem);
-        let outcome =
-            Outcome { proved: Some(r.completed), nodes: Some(r.nodes), ..Outcome::of(&r.solution) };
-        out.push((label.to_string(), outcome));
     }
     out.push((
         "greedy_with_local_search".to_string(),

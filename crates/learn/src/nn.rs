@@ -151,8 +151,8 @@ impl<'a> PrefixRow<'a> {
 ///
 /// Owns the packed activation, pre-activation, delta and gradient buffers so
 /// steady-state training performs zero heap allocations. Create one per
-/// training loop and pass it to [`Mlp::forward_batch_ws`] /
-/// [`Mlp::train_batch_ws`]; buffers are rebuilt when the architecture
+/// training loop and pass it to [`Mlp::forward_prefix_batch_ws`] /
+/// [`Mlp::train_td_batch_ws`]; buffers are rebuilt when the architecture
 /// changes and otherwise only ever grow, so alternating batch sizes on one
 /// workspace allocates nothing once the largest has been seen.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -394,26 +394,12 @@ impl Mlp {
 
     /// Batched forward pass: one blocked matmul per layer instead of `B`
     /// matvecs, with no allocation once `ws` has seen this batch size.
+    /// Inputs come in sparse-prefix form (their first `prefix` entries are a
+    /// 0/1 block; `0` with [`PrefixRow::dense`] rows for plain inputs).
     /// Returns the `B × out` activation matrix held in `ws`; row `s` equals
-    /// `self.forward(inputs[s])` bit for bit — the `linalg` kernels keep
-    /// every output element's textbook accumulation order.
-    ///
-    /// # Errors
-    ///
-    /// [`NetworkError::EmptyBatch`] / [`NetworkError::ArityMismatch`].
-    pub fn forward_batch_ws<'w>(
-        &self,
-        inputs: &[&[f64]],
-        ws: &'w mut BatchWorkspace,
-    ) -> Result<&'w Matrix, NetworkError> {
-        self.pack_batch(0, inputs.iter().map(|x| PrefixRow::dense(x)), ws)?;
-        self.forward_trace_batch(ws);
-        Ok(ws.acts.last().expect("at least the input buffer"))
-    }
-
-    /// [`Mlp::forward_batch_ws`] over inputs whose first `prefix` entries
-    /// are a 0/1 block: row `s` has the bits of `self.forward` on
-    /// `inputs[s]` written out densely.
+    /// `self.forward` on `inputs[s]` written out densely, bit for bit — the
+    /// `linalg` kernels keep every output element's textbook accumulation
+    /// order.
     ///
     /// # Errors
     ///
@@ -426,19 +412,19 @@ impl Mlp {
         inputs: &[PrefixRow<'_>],
         ws: &'w mut BatchWorkspace,
     ) -> Result<&'w Matrix, NetworkError> {
-        self.pack_batch(prefix, inputs.iter().copied(), ws)?;
+        self.pack_batch(prefix, inputs, ws)?;
         self.forward_trace_batch(ws);
         Ok(ws.acts.last().expect("at least the input buffer"))
     }
 
     /// Validates `inputs` and packs them into `ws.ones` / `ws.acts[0]`.
-    fn pack_batch<'a>(
+    fn pack_batch(
         &self,
         prefix: usize,
-        inputs: impl ExactSizeIterator<Item = PrefixRow<'a>>,
+        inputs: &[PrefixRow<'_>],
         ws: &mut BatchWorkspace,
     ) -> Result<(), NetworkError> {
-        if inputs.len() == 0 {
+        if inputs.is_empty() {
             return Err(NetworkError::EmptyBatch);
         }
         let Some(tail) = self.input_size().checked_sub(prefix) else {
@@ -446,7 +432,7 @@ impl Mlp {
         };
         ws.ensure(self, inputs.len(), tail);
         ws.ones.clear(prefix);
-        for (s, x) in inputs.enumerate() {
+        for (s, x) in inputs.iter().enumerate() {
             if x.tail.len() != tail {
                 return Err(NetworkError::ArityMismatch {
                     expected: self.input_size(),
@@ -493,46 +479,15 @@ impl Mlp {
         }
     }
 
-    /// Loss and gradients for one chunk, all samples in a single accumulation
-    /// stream, written into `ws.grads`. Returns the *unscaled* summed loss
-    /// `Σ_s ||f(x_s) − y_s||² / 2`.
-    fn grad_chunk_into(
-        &self,
-        inputs: &[&[f64]],
-        targets: &[&[f64]],
-        scale: f64,
-        ws: &mut BatchWorkspace,
-    ) -> Result<f64, NetworkError> {
-        self.pack_batch(0, inputs.iter().map(|x| PrefixRow::dense(x)), ws)?;
-        self.forward_trace_batch(ws);
-        let batch = inputs.len();
-        let last = self.layers.len() - 1;
-        let mut total_loss = 0.0;
-        // Output delta (out − y) ⊙ σ'(z) and the per-sample loss terms, in
-        // the same ascending sample order as the per-sample reference.
-        for (s, y) in targets.iter().enumerate() {
-            let out = ws.acts[last + 1].row(s);
-            total_loss +=
-                out.iter().zip(y.iter()).map(|(o, t)| (o - t) * (o - t)).sum::<f64>() / 2.0;
-            let act = self.layers[last].activation;
-            let pre = ws.pres[last].row(s);
-            for (((d, o), t), &z) in
-                ws.deltas[last].row_mut(s).iter_mut().zip(out).zip(y.iter()).zip(pre)
-            {
-                *d = (o - t) * act.derivative(z);
-            }
-        }
-        self.backward_layers_into(last, batch, scale, ws);
-        Ok(total_loss)
-    }
-
-    /// TD variant of [`Mlp::grad_chunk_into`]: the target row for sample `s`
-    /// is this pass's own output with entry `actions[s]` replaced by
-    /// `bootstraps[s]`, so the redundant "predict the targets" forward the
-    /// dense formulation needs is fused away — and because every off-action
-    /// residual is the exact `+0.0` of the dense subtraction `o − o`, the
-    /// output-layer backward touches only the action entries instead of all
-    /// `B × out` deltas.
+    /// Temporal-difference loss and gradients for one chunk, all samples in
+    /// a single accumulation stream, written into `ws.grads`; returns the
+    /// *unscaled* summed loss. The target row for sample `s` is this pass's
+    /// own output with entry `actions[s]` replaced by `bootstraps[s]`, so
+    /// the redundant "predict the targets" forward the dense formulation
+    /// needs is fused away — and because every off-action residual is the
+    /// exact `+0.0` of the dense subtraction `o − o`, the output-layer
+    /// backward touches only the action entries instead of all `B × out`
+    /// deltas.
     ///
     /// The skipped terms are all exact `±0.0` products, and skipping them
     /// cannot change any accumulated bit: under round-to-nearest an f64
@@ -551,7 +506,7 @@ impl Mlp {
         scale: f64,
         ws: &mut BatchWorkspace,
     ) -> Result<f64, NetworkError> {
-        self.pack_batch(prefix, inputs.iter().copied(), ws)?;
+        self.pack_batch(prefix, inputs, ws)?;
         self.forward_trace_batch(ws);
         let batch = inputs.len();
         let last = self.layers.len() - 1;
@@ -596,7 +551,7 @@ impl Mlp {
         Ok(total_loss)
     }
 
-    /// Shared dense backward pass over layers `0..=top`: consumes the deltas
+    /// Dense backward pass over layers `0..=top`: consumes the deltas
     /// already in `ws.deltas[top]` and fills `ws.grads[..=top]`.
     fn backward_layers_into(&self, top: usize, batch: usize, scale: f64, ws: &mut BatchWorkspace) {
         for li in (0..=top).rev() {
@@ -630,38 +585,6 @@ impl Mlp {
                 }
             }
         }
-    }
-
-    /// Batched loss + gradients written into `ws.grads`.
-    ///
-    /// Bit-identical to the per-sample [`Mlp::gradients`] for batches of at
-    /// most `GRAD_CHUNK` samples. Larger batches are split at fixed
-    /// `GRAD_CHUNK` boundaries, chunk partials run through `dcta-parallel`,
-    /// and the reduction happens serially in ascending chunk order — a
-    /// different (equally valid) summation order than the per-sample path,
-    /// but invariant to the thread count.
-    fn gradients_batched(
-        &self,
-        inputs: &[&[f64]],
-        targets: &[&[f64]],
-        ws: &mut BatchWorkspace,
-    ) -> Result<f64, NetworkError> {
-        if inputs.is_empty() || inputs.len() != targets.len() {
-            return Err(NetworkError::EmptyBatch);
-        }
-        for y in targets {
-            if y.len() != self.output_size() {
-                return Err(NetworkError::ArityMismatch {
-                    expected: self.output_size(),
-                    got: y.len(),
-                });
-            }
-        }
-        let scale = 1.0 / inputs.len() as f64;
-        let total = self.chunked_gradients(inputs.len(), ws, |s, e, ws| {
-            self.grad_chunk_into(&inputs[s..e], &targets[s..e], scale, ws)
-        })?;
-        Ok(total * scale)
     }
 
     /// Fills `ws.grads` for a batch of `n` samples and returns its unscaled
@@ -707,35 +630,18 @@ impl Mlp {
         Ok(total)
     }
 
-    /// One optimiser step on the batch MSE via the batched path; scratch
-    /// lives in `ws`, so steady-state training allocates nothing for batches
-    /// of at most `GRAD_CHUNK` samples. Returns the pre-step loss.
-    ///
-    /// Bit-identical to [`Mlp::train_batch`] for such batches.
-    ///
-    /// # Errors
-    ///
-    /// [`NetworkError::EmptyBatch`] or [`NetworkError::ArityMismatch`].
-    pub fn train_batch_ws(
-        &mut self,
-        inputs: &[&[f64]],
-        targets: &[&[f64]],
-        optimizer: &mut impl Optimizer,
-        ws: &mut BatchWorkspace,
-    ) -> Result<f64, NetworkError> {
-        let loss = self.gradients_batched(inputs, targets, ws)?;
-        optimizer.step(self, &ws.grads);
-        Ok(loss)
-    }
-
     /// One optimiser step on the temporal-difference loss: the target row
     /// for sample `s` is the network's *own* prediction with entry
     /// `actions[s]` replaced by `bootstraps[s]` — the Q-learning update —
     /// computed from the training forward itself instead of a separate
-    /// predict-the-targets pass. Bit-identical to materialising those target
-    /// rows and calling [`Mlp::train_batch_ws`], one batched forward
-    /// cheaper. Chunking above `GRAD_CHUNK` behaves exactly as in
-    /// [`Mlp::train_batch_ws`].
+    /// predict-the-targets pass. Scratch lives in `ws`, so steady-state
+    /// training allocates nothing for batches of at most `GRAD_CHUNK`
+    /// samples, and for those it is bit-identical to materialising the
+    /// target rows and calling the per-sample [`Mlp::train_batch`]. Larger
+    /// batches are split at fixed `GRAD_CHUNK` boundaries and their chunk
+    /// partials summed in ascending order: a different (equally valid)
+    /// summation order than the per-sample path, invariant to the thread
+    /// count.
     ///
     /// Inputs come in sparse-prefix form (their first `prefix` entries are a
     /// 0/1 block; `0` with [`PrefixRow::dense`] rows for plain inputs), and
@@ -800,20 +706,16 @@ impl Mlp {
         if inputs.is_empty() || inputs.len() != targets.len() {
             return Err(NetworkError::EmptyBatch);
         }
-        // One batched forward instead of a fresh allocating `forward` per
-        // sample; per-row outputs (and hence the loss) are bit-identical.
-        let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
-        let mut ws = BatchWorkspace::new();
-        let out = self.forward_batch_ws(&refs, &mut ws)?;
         let mut total = 0.0;
-        for (s, y) in targets.iter().enumerate() {
+        for (x, y) in inputs.iter().zip(targets) {
             if y.len() != self.output_size() {
                 return Err(NetworkError::ArityMismatch {
                     expected: self.output_size(),
                     got: y.len(),
                 });
             }
-            total += out.row(s).iter().zip(y).map(|(o, t)| (o - t) * (o - t)).sum::<f64>() / 2.0;
+            let out = self.forward(x)?;
+            total += out.iter().zip(y).map(|(o, t)| (o - t) * (o - t)).sum::<f64>() / 2.0;
         }
         Ok(total / inputs.len() as f64)
     }
@@ -821,9 +723,8 @@ impl Mlp {
     /// One optimiser step on the batch MSE. Returns the pre-step loss.
     ///
     /// This is the *per-sample reference path* (one forward/backward per
-    /// sample); [`Mlp::train_batch_ws`] is the batched equivalent, kept
-    /// bit-identical for batches of at most `GRAD_CHUNK` samples so the two
-    /// can be A/B-compared in tests and benchmarks.
+    /// sample). [`Mlp::train_td_batch_ws`] is the batched step, held
+    /// bit-identical to it for batches of at most `GRAD_CHUNK` samples.
     ///
     /// DQN usage note: passing targets equal to the current prediction in
     /// every coordinate except the taken action makes this exactly the Alg. 1
@@ -1195,6 +1096,29 @@ mod tests {
         (0..n).map(|_| (0..dim).map(|_| rng.gen_range(-2.0..2.0)).collect()).collect()
     }
 
+    fn dense_rows(inputs: &[Vec<f64>]) -> Vec<PrefixRow<'_>> {
+        inputs.iter().map(|x| PrefixRow::dense(x)).collect()
+    }
+
+    /// The per-sample TD reference: full target rows materialised from the
+    /// net's own predictions, the action entry replaced by its bootstrap.
+    fn td_targets(
+        net: &Mlp,
+        inputs: &[Vec<f64>],
+        actions: &[usize],
+        boots: &[f64],
+    ) -> Vec<Vec<f64>> {
+        inputs
+            .iter()
+            .zip(actions.iter().zip(boots))
+            .map(|(x, (&a, &b))| {
+                let mut t = net.forward(x).unwrap();
+                t[a] = b;
+                t
+            })
+            .collect()
+    }
+
     #[test]
     fn forward_batch_bits_match_per_sample_forward() {
         let mut r = rng(40);
@@ -1202,8 +1126,7 @@ mod tests {
         let mut ws = BatchWorkspace::new();
         for n in [1, 4, 5, 32] {
             let inputs = random_batch(&mut r, n, 5);
-            let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
-            let batched = net.forward_batch_ws(&refs, &mut ws).unwrap();
+            let batched = net.forward_prefix_batch_ws(0, &dense_rows(&inputs), &mut ws).unwrap();
             for (s, x) in inputs.iter().enumerate() {
                 let (row, single) = (batched.row(s), net.forward(x).unwrap());
                 assert_eq!(
@@ -1216,21 +1139,24 @@ mod tests {
     }
 
     #[test]
-    fn train_batch_ws_bits_match_per_sample_path() {
+    fn train_td_batch_ws_bits_match_per_sample_path() {
         for batch in [1, 3, 32, GRAD_CHUNK] {
             let mut r = rng(41);
             let mut scalar = Mlp::new(&[4, 8, 2], Activation::Tanh, &mut r).unwrap();
             let mut batched = scalar.clone();
             let inputs = random_batch(&mut r, batch, 4);
-            let targets = random_batch(&mut r, batch, 2);
-            let refs_x: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
-            let refs_y: Vec<&[f64]> = targets.iter().map(Vec::as_slice).collect();
+            let actions: Vec<usize> = (0..batch).map(|s| s % 2).collect();
+            let boots: Vec<f64> = (0..batch).map(|_| r.gen_range(-2.0..2.0)).collect();
+            let rows = dense_rows(&inputs);
             let mut opt_s = AdamOptimizer::new(0.01);
             let mut opt_b = AdamOptimizer::new(0.01);
             let mut ws = BatchWorkspace::new();
             for _ in 0..5 {
+                let targets = td_targets(&scalar, &inputs, &actions, &boots);
                 let ls = scalar.train_batch(&inputs, &targets, &mut opt_s).unwrap();
-                let lb = batched.train_batch_ws(&refs_x, &refs_y, &mut opt_b, &mut ws).unwrap();
+                let lb = batched
+                    .train_td_batch_ws(0, &rows, &actions, &boots, &mut opt_b, &mut ws)
+                    .unwrap();
                 assert_eq!(ls.to_bits(), lb.to_bits(), "loss diverged at batch {batch}");
             }
             assert_eq!(
@@ -1243,18 +1169,20 @@ mod tests {
 
     #[test]
     fn chunked_gradients_match_manual_chunk_reduction() {
-        // Above GRAD_CHUNK the batched path switches to fixed-boundary chunk
+        // Above GRAD_CHUNK the TD step switches to fixed-boundary chunk
         // partials reduced in ascending order; replicate that reduction by
-        // hand from per-sample gradients and compare bits.
+        // hand from one-chunk gradients and compare bits.
         let n = GRAD_CHUNK + 37;
         let mut r = rng(42);
-        let net = Mlp::new(&[3, 6, 2], Activation::Relu, &mut r).unwrap();
+        let mut net = Mlp::new(&[3, 6, 2], Activation::Relu, &mut r).unwrap();
+        let before = net.clone();
         let inputs = random_batch(&mut r, n, 3);
-        let targets = random_batch(&mut r, n, 2);
-        let refs_x: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
-        let refs_y: Vec<&[f64]> = targets.iter().map(Vec::as_slice).collect();
+        let rows = dense_rows(&inputs);
+        let actions: Vec<usize> = (0..n).map(|s| s % 2).collect();
+        let boots: Vec<f64> = (0..n).map(|_| r.gen_range(-2.0..2.0)).collect();
         let mut ws = BatchWorkspace::new();
-        let loss = net.gradients_batched(&refs_x, &refs_y, &mut ws).unwrap();
+        let mut opt = SgdOptimizer::new(0.1, 0.0);
+        let loss = net.train_td_batch_ws(0, &rows, &actions, &boots, &mut opt, &mut ws).unwrap();
 
         let scale = 1.0 / n as f64;
         let mut expected: Vec<LayerGrad> =
@@ -1263,8 +1191,9 @@ mod tests {
         for start in (0..n).step_by(GRAD_CHUNK) {
             let end = (start + GRAD_CHUNK).min(n);
             let mut chunk_ws = BatchWorkspace::new();
-            let chunk_loss = net
-                .grad_chunk_into(&refs_x[start..end], &refs_y[start..end], scale, &mut chunk_ws)
+            let (a, b) = (&actions[start..end], &boots[start..end]);
+            let chunk_loss = before
+                .grad_td_chunk_into(0, &rows[start..end], a, b, scale, &mut chunk_ws)
                 .unwrap();
             expected_loss += chunk_loss;
             for (dst, src) in expected.iter_mut().zip(&chunk_ws.grads) {
@@ -1292,19 +1221,21 @@ mod tests {
     fn chunked_gradients_descend() {
         // Sanity: a > GRAD_CHUNK batch still trains (finite-difference level
         // checks live in gradients_match_finite_differences; this guards the
-        // chunk plumbing end to end).
+        // chunk plumbing end to end). One output, so the TD loss at action
+        // 0 is the MSE against the bootstraps.
         let n = 2 * GRAD_CHUNK + 5;
         let mut r = rng(43);
         let mut net = Mlp::new(&[1, 8, 1], Activation::Relu, &mut r).unwrap();
         let inputs: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 / n as f64 - 0.5]).collect();
         let targets: Vec<Vec<f64>> = inputs.iter().map(|x| vec![1.5 * x[0] - 0.2]).collect();
-        let refs_x: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
-        let refs_y: Vec<&[f64]> = targets.iter().map(Vec::as_slice).collect();
+        let rows = dense_rows(&inputs);
+        let actions = vec![0; n];
+        let boots: Vec<f64> = targets.iter().map(|y| y[0]).collect();
         let mut opt = SgdOptimizer::new(0.05, 0.9);
         let mut ws = BatchWorkspace::new();
         let first = net.loss(&inputs, &targets).unwrap();
         for _ in 0..300 {
-            net.train_batch_ws(&refs_x, &refs_y, &mut opt, &mut ws).unwrap();
+            net.train_td_batch_ws(0, &rows, &actions, &boots, &mut opt, &mut ws).unwrap();
         }
         let last = net.loss(&inputs, &targets).unwrap();
         assert!(last < first / 10.0, "loss {first} -> {last}");
@@ -1315,9 +1246,9 @@ mod tests {
         let mut r = rng(45);
         let net = Mlp::new(&[6, 9, 3], Activation::Relu, &mut r).unwrap();
         let inputs = random_batch(&mut r, 32, 6);
-        let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+        let rows = dense_rows(&inputs);
         let mut ws = BatchWorkspace::new();
-        let big = bits_of(net.forward_batch_ws(&refs, &mut ws).unwrap());
+        let big = bits_of(net.forward_prefix_batch_ws(0, &rows, &mut ws).unwrap());
         let buffers = |ws: &BatchWorkspace| -> Vec<*const f64> {
             ws.acts
                 .iter()
@@ -1329,12 +1260,14 @@ mod tests {
         let before = buffers(&ws);
         // A 3-row batch between two 32-row ones reuses every allocation,
         // and answers as a fresh workspace would.
-        let small = bits_of(net.forward_batch_ws(&refs[..3], &mut ws).unwrap());
+        let small = bits_of(net.forward_prefix_batch_ws(0, &rows[..3], &mut ws).unwrap());
         assert_eq!(
             small,
-            bits_of(net.forward_batch_ws(&refs[..3], &mut BatchWorkspace::new()).unwrap())
+            bits_of(
+                net.forward_prefix_batch_ws(0, &rows[..3], &mut BatchWorkspace::new()).unwrap()
+            )
         );
-        assert_eq!(bits_of(net.forward_batch_ws(&refs, &mut ws).unwrap()), big);
+        assert_eq!(bits_of(net.forward_prefix_batch_ws(0, &rows, &mut ws).unwrap()), big);
         assert_eq!(buffers(&ws), before);
     }
 
@@ -1349,7 +1282,8 @@ mod tests {
         let (mut scratch, mut ws) = (ForwardScratch::default(), BatchWorkspace::new());
         for x in random_batch(&mut r, 4, 5) {
             let reference = net.forward(&x).unwrap();
-            assert_eq!(net.forward_batch_ws(&[&x], &mut ws).unwrap().row(0), &reference[..]);
+            let batched = net.forward_prefix_batch_ws(0, &[PrefixRow::dense(&x)], &mut ws).unwrap();
+            assert_eq!(batched.row(0), &reference[..]);
             assert_eq!(net.forward_single_scratch(&x, &mut scratch).unwrap(), &reference[..]);
         }
         assert!(net.forward_single_scratch(&[0.0; 4], &mut scratch).is_err());
@@ -1365,9 +1299,8 @@ mod tests {
     fn all_forwards_agree_after_every_writer() {
         fn check(net: &Mlp, r: &mut StdRng, writer: &str) {
             let xs = random_batch(r, 3, 6);
-            let refs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
             let mut ws = BatchWorkspace::new();
-            let batched = net.forward_batch_ws(&refs, &mut ws).unwrap();
+            let batched = net.forward_prefix_batch_ws(0, &dense_rows(&xs), &mut ws).unwrap();
             for (s, x) in xs.iter().enumerate() {
                 let (row, reference) = (batched.row(s), net.forward(x).unwrap());
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1419,18 +1352,26 @@ mod tests {
         let mut net = Mlp::new(&[2, 3, 1], Activation::Relu, &mut rng(44)).unwrap();
         let mut opt = SgdOptimizer::new(0.1, 0.0);
         let mut ws = BatchWorkspace::new();
-        assert!(matches!(net.forward_batch_ws(&[], &mut ws), Err(NetworkError::EmptyBatch)));
         assert!(matches!(
-            net.forward_batch_ws(&[&[1.0][..]], &mut ws),
-            Err(NetworkError::ArityMismatch { expected: 2, got: 1 })
-        ));
-        assert!(matches!(
-            net.train_batch_ws(&[], &[], &mut opt, &mut ws),
+            net.forward_prefix_batch_ws(0, &[], &mut ws),
             Err(NetworkError::EmptyBatch)
         ));
         assert!(matches!(
-            net.train_batch_ws(&[&[1.0, 2.0][..]], &[&[0.0, 0.0][..]], &mut opt, &mut ws),
-            Err(NetworkError::ArityMismatch { expected: 1, got: 2 })
+            net.forward_prefix_batch_ws(0, &[PrefixRow::dense(&[1.0])], &mut ws),
+            Err(NetworkError::ArityMismatch { expected: 2, got: 1 })
+        ));
+        assert!(matches!(
+            net.train_td_batch_ws(0, &[], &[], &[], &mut opt, &mut ws),
+            Err(NetworkError::EmptyBatch)
+        ));
+        let row = [PrefixRow::dense(&[1.0, 2.0])];
+        assert!(matches!(
+            net.train_td_batch_ws(0, &row, &[0, 0], &[0.5], &mut opt, &mut ws),
+            Err(NetworkError::EmptyBatch)
+        ));
+        assert!(matches!(
+            net.train_td_batch_ws(0, &row, &[1], &[0.5], &mut opt, &mut ws),
+            Err(NetworkError::ArityMismatch { expected: 1, got: 1 })
         ));
     }
 }

@@ -3,12 +3,14 @@
 //!
 //! Each constant in `GOLDEN` is an FNV-1a digest of [`Mlp::parameter_bits`]
 //! generated on the commit *before* a layer stored its weights as `Wᵀ`
-//! alone. `dqn_golden` reaches only Adam and the TD step on one hidden
-//! layer; the bit-identity tests in `nn` and `properties.rs` compare two
-//! sides that a layout change moves together. These rows cover what is
-//! left: the dense batched step under both optimisers, the per-sample
-//! reference, the chunked reduction above 64 samples and the TD step's
-//! dense propagation through a second hidden layer.
+//! alone, except `adam_td_chunked_70`, generated on the commit before the
+//! dense MSE batch step was deleted (the TD step was the same code there).
+//! `dqn_golden` reaches only Adam and the TD step on one hidden layer; the
+//! bit-identity tests in `nn` and `properties.rs` compare two sides that a
+//! layout change moves together. These rows cover what is left: the
+//! per-sample reference under both optimisers, and the TD step's dense
+//! propagation through a second hidden layer under both optimisers and,
+//! above 64 samples, through the chunked reduction.
 //!
 //! Only an intended change to what training computes may regenerate them:
 //! the test prints the rows on mismatch; paste them over `GOLDEN`.
@@ -45,17 +47,6 @@ fn fixture(n: usize) -> (Mlp, Vec<Vec<f64>>, Vec<Vec<f64>>) {
     (net, inputs, targets)
 }
 
-fn batched(n: usize, mut opt: impl Optimizer) -> u64 {
-    let (mut net, inputs, targets) = fixture(n);
-    let xs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
-    let ys: Vec<&[f64]> = targets.iter().map(Vec::as_slice).collect();
-    let mut ws = BatchWorkspace::new();
-    for _ in 0..3 {
-        net.train_batch_ws(&xs, &ys, &mut opt, &mut ws).unwrap();
-    }
-    fnv(&net.parameter_bits())
-}
-
 fn per_sample(n: usize, mut opt: impl Optimizer) -> u64 {
     let (mut net, inputs, targets) = fixture(n);
     for _ in 0..3 {
@@ -80,14 +71,12 @@ fn td(n: usize, mut opt: impl Optimizer) -> u64 {
     fnv(&net.parameter_bits())
 }
 
-const GOLDEN: [(&str, u64); 7] = [
-    ("adam_batched", 0xb614_0c17_c4e7_4fb5),
-    ("sgd_momentum_batched", 0xacf4_d25f_ddba_5331),
+const GOLDEN: [(&str, u64); 5] = [
     ("adam_per_sample", 0xb614_0c17_c4e7_4fb5),
     ("sgd_momentum_per_sample", 0xacf4_d25f_ddba_5331),
-    ("adam_chunked_70", 0x6745_d544_e750_dcb8),
     ("adam_td", 0xfa77_ea86_6722_1048),
     ("sgd_momentum_td", 0xedc9_cb8d_37a9_09f8),
+    ("adam_td_chunked_70", 0x8301_d2af_7316_bd8c),
 ];
 
 #[test]
@@ -95,13 +84,11 @@ fn trained_parameters_match_parent_digests() {
     let adam = || AdamOptimizer::new(0.01);
     let sgd = || SgdOptimizer::new(0.05, 0.9);
     let got = [
-        ("adam_batched", batched(7, adam())),
-        ("sgd_momentum_batched", batched(7, sgd())),
         ("adam_per_sample", per_sample(7, adam())),
         ("sgd_momentum_per_sample", per_sample(7, sgd())),
-        ("adam_chunked_70", batched(70, adam())),
         ("adam_td", td(7, adam())),
         ("sgd_momentum_td", td(7, sgd())),
+        ("adam_td_chunked_70", td(70, adam())),
     ];
     if got != GOLDEN {
         for (name, d) in &got {

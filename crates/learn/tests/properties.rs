@@ -343,8 +343,7 @@ proptest! {
             prop_assert_eq!(ld.to_bits(), lp.to_bits());
         }
         prop_assert_eq!(on_dense.parameter_bits(), on_prefix.parameter_bits());
-        let q_dense = on_dense.forward_batch_ws(
-            &(0..rows).map(|s| dense.row(s)).collect::<Vec<_>>(), &mut ws_d).expect("valid");
+        let q_dense = on_dense.forward_prefix_batch_ws(0, &dense_rows, &mut ws_d).expect("valid");
         let q_prefix =
             on_prefix.forward_prefix_batch_ws(prefix, &prefix_rows, &mut ws_p).expect("valid");
         prop_assert_eq!(bits(q_dense.as_slice()), bits(q_prefix.as_slice()));
@@ -358,42 +357,13 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let net = Mlp::new(&[4, hidden, 3], Activation::Tanh, &mut rng).expect("valid sizes");
-        let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+        let rows: Vec<PrefixRow> = inputs.iter().map(|x| PrefixRow::dense(x)).collect();
         let mut ws = BatchWorkspace::new();
-        let batched = net.forward_batch_ws(&refs, &mut ws).expect("valid batch");
+        let batched = net.forward_prefix_batch_ws(0, &rows, &mut ws).expect("valid batch");
         for (s, x) in inputs.iter().enumerate() {
             let single = net.forward(x).expect("arity");
             prop_assert_eq!(bits(batched.row(s)), bits(&single));
         }
-    }
-
-    #[test]
-    fn batched_training_bits_match_per_sample(
-        seed in 0u64..10_000,
-        hidden in 1usize..10,
-        samples in prop::collection::vec(
-            (prop::collection::vec(-5.0f64..5.0, 3), prop::collection::vec(-2.0f64..2.0, 2)),
-            1..48,
-        ),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut scalar = Mlp::new(&[3, hidden, 2], Activation::Relu, &mut rng).expect("sizes");
-        let mut batched = scalar.clone();
-        let inputs: Vec<Vec<f64>> = samples.iter().map(|(x, _)| x.clone()).collect();
-        let targets: Vec<Vec<f64>> = samples.iter().map(|(_, y)| y.clone()).collect();
-        let refs_x: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
-        let refs_y: Vec<&[f64]> = targets.iter().map(Vec::as_slice).collect();
-        let mut opt_s = AdamOptimizer::new(0.01);
-        let mut opt_b = AdamOptimizer::new(0.01);
-        let mut ws = BatchWorkspace::new();
-        for _ in 0..3 {
-            let ls = scalar.train_batch(&inputs, &targets, &mut opt_s).expect("valid batch");
-            let lb = batched
-                .train_batch_ws(&refs_x, &refs_y, &mut opt_b, &mut ws)
-                .expect("valid batch");
-            prop_assert_eq!(ls.to_bits(), lb.to_bits());
-        }
-        prop_assert_eq!(scalar.parameter_bits(), batched.parameter_bits());
     }
 
     #[test]

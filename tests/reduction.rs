@@ -6,7 +6,7 @@ use tatim::core::processor::{Processor, ProcessorFleet};
 use tatim::core::task::{EdgeTask, TaskId};
 use tatim::core::tatim::{SolverKind, TatimInstance};
 use tatim::edgesim::node::NodeId;
-use tatim::knapsack::exact::BranchAndBound;
+use tatim::knapsack::portfolio::{solve_portfolio, SolveBudget};
 
 fn instance_strategy() -> impl Strategy<Value = TatimInstance> {
     let task = (0.0f64..5e6, 0.0f64..4.0, 0.0f64..1.0);
@@ -49,7 +49,7 @@ proptest! {
         // must give an allocation whose importance equals the solver's
         // reported profit.
         let problem = inst.to_knapsack().expect("reduction");
-        let sol = BranchAndBound::new().solve(&problem);
+        let sol = solve_portfolio(&problem, SolveBudget::Exact).solution;
         let alloc = inst.allocation_from_packing(&sol.packing);
         prop_assert!((alloc.total_importance(inst.tasks()) - sol.profit).abs() < 1e-9);
     }

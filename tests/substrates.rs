@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tatim::buildings::scenario::{Scenario, ScenarioConfig};
 use tatim::core::importance::{strip_power_feature, CopModels, ImportanceEvaluator};
-use tatim::knapsack::exact::BranchAndBound;
+use tatim::knapsack::portfolio::{solve_portfolio, SolveBudget};
 use tatim::knapsack::problem::{Item, Problem, Sack};
 use tatim::learn::transfer::{MtlConfig, MtlMode};
 use tatim::rl::alloc_env::{AllocEnv, AllocSpec};
@@ -33,7 +33,7 @@ fn trained_dqn_approaches_knapsack_optimum_on_small_instance() {
         vec![Sack::new(1.0, 1.0).expect("valid"); 2],
     )
     .expect("problem");
-    let optimum = BranchAndBound::new().solve(&problem).profit;
+    let optimum = solve_portfolio(&problem, SolveBudget::Exact).solution.profit;
     assert!((optimum - 1.6).abs() < 1e-9);
 
     let mut rng = StdRng::seed_from_u64(5);
