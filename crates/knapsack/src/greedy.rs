@@ -8,17 +8,20 @@
 
 use crate::bounds::largest_room;
 use crate::first_hit::{FirstHit, Summary};
-use crate::problem::{Packing, Problem, Solution};
+use crate::problem::{Item, Packing, Problem, Solution};
 
 /// Density-ordered greedy first-fit: items are sorted by profit density
 /// (profit per aggregate-normalised size) and each is placed into the sack
 /// with the *least* remaining headroom that still fits (best-fit), leaving
 /// big headroom for big items.
 ///
-/// Runs in `O(N log N + N·M)`: the density sort plus one best-fit scan of
-/// the sacks per item. That is this function alone — the controller's
-/// `SolverKind::Greedy` is [`greedy_with_local_search`], which also pays
-/// for [`local_search`] (costs stated there).
+/// Runs in `O(N log N + N·M)` in the worst case: the density sort plus one
+/// best-fit pass over the sacks per item. The pass walks blocks of 64
+/// sacks and scans only those that could hold the item and beat the best
+/// sack found so far, so it typically costs `N·M/64` block tests plus a
+/// few scanned blocks per item. That is this function alone — the
+/// controller's `SolverKind::Greedy` is [`greedy_with_local_search`], which
+/// also pays for [`local_search`] (costs stated there).
 ///
 /// # Examples
 ///
@@ -58,16 +61,22 @@ pub struct DensityIndex {
 impl DensityIndex {
     /// Sorts the items of `problem` by decreasing profit density, breaking
     /// density ties by decreasing profit.
+    ///
+    /// Each item's `(density, profit)` key is computed once. Keys are never
+    /// NaN (items are finite and non-negative; a zero size has density
+    /// +∞), and `+ 0.0` turns −0.0 into +0.0, so `total_cmp` on them
+    /// decides every comparison as `partial_cmp` would; the sort is stable,
+    /// so equal keys keep index order.
     pub fn new(problem: &Problem) -> Self {
         let (total_w, total_v) = capacity_scales(problem);
-        let mut order: Vec<usize> = (0..problem.num_items()).collect();
-        order.sort_by(|&a, &b| {
-            let da = problem.items()[a].density(total_w, total_v);
-            let db = problem.items()[b].density(total_w, total_v);
-            db.partial_cmp(&da).expect("densities comparable").then(
-                problem.items()[b].profit.partial_cmp(&problem.items()[a].profit).expect("finite"),
-            )
-        });
+        let mut keyed: Vec<(f64, f64, usize)> = problem
+            .items()
+            .iter()
+            .enumerate()
+            .map(|(i, item)| (item.density(total_w, total_v) + 0.0, item.profit + 0.0, i))
+            .collect();
+        keyed.sort_by(|a, b| b.0.total_cmp(&a.0).then(b.1.total_cmp(&a.1)));
+        let order = keyed.into_iter().map(|(_, _, i)| i).collect();
         Self { order, total_w, total_v }
     }
 
@@ -105,7 +114,7 @@ pub fn greedy_with_index(problem: &Problem, index: &DensityIndex) -> Solution {
     let n = problem.num_items();
     assert_eq!(index.order.len(), n, "density index built for a different item count");
     assert_eq!(index.scales(), capacity_scales(problem), "density index built for different sacks");
-    let (packing, _) = place(problem, index, |_| 1.0);
+    let (packing, _) = place(problem, index, None);
     let profit = packing.profit(problem);
     Solution { packing, profit }
 }
@@ -128,55 +137,172 @@ pub fn greedy_weighted(problem: &Problem, multipliers: &[f64]) -> Solution {
         multipliers.iter().all(|m| m.is_finite() && *m >= 0.0),
         "sack weights must be finite and non-negative"
     );
-    let (packing, profit) = place(problem, &DensityIndex::new(problem), |s| multipliers[s]);
+    let (packing, profit) = place(problem, &DensityIndex::new(problem), Some(multipliers));
     Solution { packing, profit }
 }
 
+/// Sacks per block of the best-fit pass. Not a knob: any value gives the
+/// same placement.
+const BLOCK: usize = 64;
+
+/// Lanes of the masked minimum inside a block.
+const LANES: usize = 8;
+
+/// Best-fit slack of `item` in a sack with residual `(rw, rv)`: the headroom
+/// left, each dimension normalised by its aggregate scale. Monotone in each
+/// residual, since a float subtraction, a division by a positive scale and
+/// an addition each preserve order under rounding.
+fn best_fit_slack(item: &Item, rw: f64, rv: f64, (total_w, total_v): (f64, f64)) -> f64 {
+    (rw - item.weight) / total_w + (rv - item.volume) / total_v
+}
+
+/// What [`place`] keeps per block of sacks: the largest residual in each
+/// dimension, which an item must fit for any sack of the block to hold it,
+/// and the smallest, whose slack no sack of the block goes below.
+struct Block {
+    room: Summary,
+    low: (f64, f64),
+}
+
+impl Block {
+    fn of(rw: &[f64], rv: &[f64]) -> Self {
+        let residuals = rw.iter().copied().zip(rv.iter().copied());
+        let low = residuals
+            .clone()
+            .fold((f64::INFINITY, f64::INFINITY), |(w, v), (rw, rv)| (w.min(rw), v.min(rv)));
+        Self { room: Summary::room(largest_room(residuals)), low }
+    }
+}
+
 /// The one placement loop: items in `index` order, each into the feasible
-/// sack with the highest `multiplier`, then the least leftover headroom
+/// sack with the highest multiplier, then the least leftover headroom
 /// (best fit), then the lowest index. Returns the packing and `Σ profit ·
-/// multiplier` in placement order. Under a constant multiplier the first
-/// comparison is never true and the rule is plain best fit.
+/// multiplier` in placement order. `None` stands for a multiplier of 1 on
+/// every sack, under which the rule is plain best fit.
 ///
-/// An item larger than the largest sack is skipped without a scan:
-/// residuals only shrink, so no sack's `≤ r + 1e-12` test could pass.
-fn place(
-    problem: &Problem,
-    index: &DensityIndex,
-    multiplier: impl Fn(usize) -> f64,
-) -> (Packing, f64) {
-    let (total_w, total_v) = index.scales();
+/// The residuals are two flat vectors, padded to whole blocks of [`BLOCK`]
+/// sacks with `−∞`, which no item fits. A block is skipped unless the item
+/// fits its largest residuals: the monotone test [`FirstHit`] descends by,
+/// so a skipped block holds no sack the item fits. A placement recomputes
+/// only its own block. An item larger than the largest sack is skipped
+/// before the walk: residuals only shrink.
+///
+/// Under a uniform multiplier a block is also skipped once the slack at its
+/// smallest residuals is not below the incumbent's (by monotonicity no sack
+/// in it could displace the incumbent), and otherwise searched by
+/// [`block_best_fit`]. A block replaces the incumbent only on a strictly
+/// smaller slack, so the sack chosen is the full scan's first least-slack
+/// sack. Per-sack multipliers keep the sequential rule inside a block: its
+/// `1e-12` multiplier tolerance is not transitive, so no lane reduction
+/// reproduces it.
+///
+/// Cost per item: one or two tests per block, then, per block searched, 64
+/// slack evaluations for the minimum and, only if it beats the incumbent,
+/// at most 64 more to find its first sack.
+fn place(problem: &Problem, index: &DensityIndex, multipliers: Option<&[f64]>) -> (Packing, f64) {
+    let scales = index.scales();
+    let sacks = problem.sacks();
+    let num_sacks = sacks.len();
+    let padded = num_sacks.div_ceil(BLOCK) * BLOCK;
+    let mut rw = vec![f64::NEG_INFINITY; padded];
+    let mut rv = vec![f64::NEG_INFINITY; padded];
+    for (s, sack) in sacks.iter().enumerate() {
+        rw[s] = sack.weight_capacity;
+        rv[s] = sack.volume_capacity;
+    }
+    let real = |b: usize| b * BLOCK..num_sacks.min((b + 1) * BLOCK);
+    let block = |b: usize, rw: &[f64], rv: &[f64]| Block::of(&rw[real(b)], &rv[real(b)]);
+    let mut blocks: Vec<Block> = (0..padded / BLOCK).map(|b| block(b, &rw, &rv)).collect();
+    let room =
+        Summary::room(largest_room(sacks.iter().map(|s| (s.weight_capacity, s.volume_capacity))));
     let mut packing = Packing::empty(problem.num_items());
-    let mut residual: Vec<(f64, f64)> =
-        problem.sacks().iter().map(|s| (s.weight_capacity, s.volume_capacity)).collect();
-    let room = Summary::room(largest_room(residual.iter().copied()));
     let mut weighted_profit = 0.0;
     for &i in &index.order {
         let item = problem.items()[i];
         if !room.fits(&item) {
             continue;
         }
+        // The incumbent's (sack, multiplier, slack).
         let mut best: Option<(usize, f64, f64)> = None;
-        for (s, &(rw, rv)) in residual.iter().enumerate() {
-            if item.weight <= rw + 1e-12 && item.volume <= rv + 1e-12 {
-                let m = multiplier(s);
-                let slack = (rw - item.weight) / total_w + (rv - item.volume) / total_v;
-                let better = best.is_none_or(|(_, bm, bs)| {
-                    m > bm + 1e-12 || ((m - bm).abs() <= 1e-12 && slack < bs)
-                });
-                if better {
-                    best = Some((s, m, slack));
+        for (b, block) in blocks.iter().enumerate() {
+            if !block.room.fits(&item) {
+                continue;
+            }
+            if let Some(multipliers) = multipliers {
+                for s in real(b) {
+                    if item.weight <= rw[s] + 1e-12 && item.volume <= rv[s] + 1e-12 {
+                        let m = multipliers[s];
+                        let slack = best_fit_slack(&item, rw[s], rv[s], scales);
+                        let better = best.is_none_or(|(_, bm, bs)| {
+                            m > bm + 1e-12 || ((m - bm).abs() <= 1e-12 && slack < bs)
+                        });
+                        if better {
+                            best = Some((s, m, slack));
+                        }
+                    }
                 }
+                continue;
+            }
+            let incumbent = best.map(|(_, _, slack)| slack);
+            let (low_w, low_v) = block.low;
+            if incumbent.is_some_and(|bs| best_fit_slack(&item, low_w, low_v, scales) >= bs) {
+                continue;
+            }
+            let span = b * BLOCK..(b + 1) * BLOCK;
+            if let Some((k, least)) =
+                block_best_fit(&rw[span.clone()], &rv[span], &item, scales, incumbent)
+            {
+                best = Some((b * BLOCK + k, 1.0, least));
             }
         }
         if let Some((s, m, _)) = best {
-            residual[s].0 -= item.weight;
-            residual[s].1 -= item.volume;
+            rw[s] -= item.weight;
+            rv[s] -= item.volume;
+            blocks[s / BLOCK] = block(s / BLOCK, &rw, &rv);
             packing.assign(i, Some(s));
             weighted_profit += item.profit * m;
         }
     }
     (packing, weighted_profit)
+}
+
+/// The first sack of one block with the least best-fit slack among those
+/// `item` fits, and that slack, if the slack is strictly below the
+/// `incumbent`'s; `None` when it is not, or when the item fits no sack here.
+///
+/// A branch-free masked minimum over [`LANES`] lanes, then, only if it
+/// beats the incumbent, the first sack at that minimum. The slack is the
+/// scan's expression (no reciprocal, no fused multiply-add), so every
+/// rounding is the scan's, and `==` holds −0.0 and +0.0 equal as the scan's
+/// `<` does: the sack found is the scan's first argmin within the block,
+/// and a block never displaces an earlier tie.
+fn block_best_fit(
+    rw: &[f64],
+    rv: &[f64],
+    item: &Item,
+    scales: (f64, f64),
+    incumbent: Option<f64>,
+) -> Option<(usize, f64)> {
+    let fits = |w: f64, v: f64| (item.weight <= w + 1e-12) & (item.volume <= v + 1e-12);
+    let mut lanes = [f64::INFINITY; LANES];
+    for (cw, cv) in rw.chunks_exact(LANES).zip(rv.chunks_exact(LANES)) {
+        for k in 0..LANES {
+            let masked = if fits(cw[k], cv[k]) {
+                best_fit_slack(item, cw[k], cv[k], scales)
+            } else {
+                f64::INFINITY
+            };
+            lanes[k] = if masked < lanes[k] { masked } else { lanes[k] };
+        }
+    }
+    let least = lanes.into_iter().fold(f64::INFINITY, |a, x| if x < a { x } else { a });
+    if incumbent.is_some_and(|bs| least >= bs) {
+        return None;
+    }
+    rw.iter()
+        .zip(rv)
+        .position(|(&w, &v)| fits(w, v) && best_fit_slack(item, w, v, scales) == least)
+        .map(|k| (k, least))
 }
 
 /// Hill-climbing improvement over an initial packing. Each round visits the
@@ -480,6 +606,162 @@ mod tests {
             assert_eq!(weighted.packing.placement(), plain.packing.placement(), "round {round}");
             assert_eq!(weighted.packing.profit(&p).to_bits(), plain.profit.to_bits());
             assert!((weighted.profit - m * plain.profit).abs() < 1e-9, "round {round}");
+        }
+    }
+
+    /// `place` verbatim as it stood before the sacks were walked in blocks:
+    /// one sequential scan of every sack per item — the oracle the blocked
+    /// loop is held to under per-sack multipliers.
+    fn place_scan(
+        problem: &Problem,
+        index: &DensityIndex,
+        multiplier: impl Fn(usize) -> f64,
+    ) -> (Packing, f64) {
+        let (total_w, total_v) = index.scales();
+        let mut packing = Packing::empty(problem.num_items());
+        let mut residual: Vec<(f64, f64)> =
+            problem.sacks().iter().map(|s| (s.weight_capacity, s.volume_capacity)).collect();
+        let room = Summary::room(largest_room(residual.iter().copied()));
+        let mut weighted_profit = 0.0;
+        for &i in &index.order {
+            let item = problem.items()[i];
+            if !room.fits(&item) {
+                continue;
+            }
+            let mut best: Option<(usize, f64, f64)> = None;
+            for (s, &(rw, rv)) in residual.iter().enumerate() {
+                if item.weight <= rw + 1e-12 && item.volume <= rv + 1e-12 {
+                    let m = multiplier(s);
+                    let slack = (rw - item.weight) / total_w + (rv - item.volume) / total_v;
+                    let better = best.is_none_or(|(_, bm, bs)| {
+                        m > bm + 1e-12 || ((m - bm).abs() <= 1e-12 && slack < bs)
+                    });
+                    if better {
+                        best = Some((s, m, slack));
+                    }
+                }
+            }
+            if let Some((s, m, _)) = best {
+                residual[s].0 -= item.weight;
+                residual[s].1 -= item.volume;
+                packing.assign(i, Some(s));
+                weighted_profit += item.profit * m;
+            }
+        }
+        (packing, weighted_profit)
+    }
+
+    /// Sack counts on both sides of the block size: one partial block, one
+    /// short of a block, exactly one, one over, and several.
+    const BLOCKED_SACK_COUNTS: [usize; 6] = [1, 63, 64, 65, 130, 300];
+
+    /// A seeded instance of `shape` over `m` sacks, drawn to put the block
+    /// walk's edge cases in play.
+    fn blocked_instance(rng: &mut StdRng, m: usize, shape: usize) -> Problem {
+        let n = rng.gen_range(m / 2..2 * m + 8);
+        let grid = |rng: &mut StdRng, hi: f64| rng.gen_range(0.0..hi).round();
+        let sacks: Vec<(f64, f64)> = (0..m)
+            .map(|s| match shape {
+                // Identical sacks: every slack ties, across every boundary.
+                0 => (4.0, 3.0),
+                // Few distinct capacities, signed zeros among them.
+                1 => match rng.gen_range(0..5) {
+                    0 => (0.0, 0.0),
+                    1 => (-0.0, -0.0),
+                    2 => (0.0, 2.0),
+                    _ => (grid(rng, 5.0), grid(rng, 4.0)),
+                },
+                // Equal least-slack sacks on both sides of each boundary,
+                // everything else roomier.
+                2 if s % BLOCK == BLOCK - 1 || s % BLOCK == 0 => (2.0, 2.0),
+                2 => (6.0, 6.0),
+                _ => (rng.gen_range(0.0..9.0), rng.gen_range(0.0..9.0)),
+            })
+            .collect();
+        let items: Vec<(f64, f64, f64)> = (0..n)
+            .map(|_| {
+                let profit = match rng.gen_range(0..4) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => grid(rng, 6.0),
+                };
+                match (shape, rng.gen_range(0..6)) {
+                    (_, 0) => (0.0, 0.0, profit),
+                    (_, 1) => (-0.0, 0.0, profit),
+                    // Exactly at the `1e-12` edge of a capacity, and past it.
+                    (_, 2) => (2.0 + 1e-12, 1.0, profit),
+                    (_, 3) => (2.0 + 2e-12, 1.0, profit),
+                    (3, _) => (rng.gen_range(0.0..5.0), rng.gen_range(0.0..5.0), profit),
+                    _ => (grid(rng, 4.0), grid(rng, 3.0), profit),
+                }
+            })
+            .collect();
+        Problem::new(
+            items.into_iter().map(|(w, v, p)| Item::new(w, v, p).unwrap()).collect(),
+            sacks.into_iter().map(|(w, v)| Sack::new(w, v).unwrap()).collect(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn blocked_greedy_bit_identical_to_original() {
+        let mut rng = StdRng::seed_from_u64(0xB10C);
+        for m in BLOCKED_SACK_COUNTS {
+            for shape in 0..4 {
+                for round in 0..6 {
+                    let p = blocked_instance(&mut rng, m, shape);
+                    let reference = greedy_original(&p);
+                    let got = greedy(&p);
+                    let what = format!("{m} sacks, shape {shape}, round {round}");
+                    assert_eq!(got.packing.placement(), reference.packing.placement(), "{what}");
+                    assert_eq!(got.profit.to_bits(), reference.profit.to_bits(), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_ties_keep_the_first_sack() {
+        // Sacks 63 and 64 tie on the least slack from two blocks; 127 and
+        // 128 tie again once both are full. Best fit takes the lower index.
+        let mut sacks = vec![(6.0, 6.0); 200];
+        for s in [63, 64, 127, 128] {
+            sacks[s] = (2.0, 2.0);
+        }
+        let p = problem(vec![(2.0, 2.0, 4.0); 5], sacks);
+        let placed: Vec<_> = greedy(&p).packing.placement().to_vec();
+        let want = [63, 64, 127, 128, 0].map(Some);
+        assert_eq!(placed, want);
+        assert_eq!(greedy_original(&p).packing.placement(), want);
+    }
+
+    #[test]
+    fn blocked_weighted_greedy_matches_the_scan() {
+        let mut rng = StdRng::seed_from_u64(0x5CA7);
+        for m in BLOCKED_SACK_COUNTS {
+            for shape in 0..4 {
+                for round in 0..4 {
+                    let p = blocked_instance(&mut rng, m, shape);
+                    // Multipliers within 1e-12 of each other (tied by the
+                    // rule), just beyond it, and spread out.
+                    let multipliers: Vec<f64> = (0..m)
+                        .map(|_| match rng.gen_range(0..6) {
+                            0 => 1.0,
+                            1 => 1.0 + 5e-13,
+                            2 => 1.0 - 9e-13,
+                            3 => 1.0 + 2e-12,
+                            4 => 0.0,
+                            _ => rng.gen_range(0.0..2.0),
+                        })
+                        .collect();
+                    let (packing, profit) =
+                        place_scan(&p, &DensityIndex::new(&p), |s| multipliers[s]);
+                    let got = greedy_weighted(&p, &multipliers);
+                    let what = format!("{m} sacks, shape {shape}, round {round}");
+                    assert_eq!(got.packing.placement(), packing.placement(), "{what}");
+                    assert_eq!(got.profit.to_bits(), profit.to_bits(), "{what}");
+                }
+            }
         }
     }
 

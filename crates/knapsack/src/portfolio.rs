@@ -8,8 +8,10 @@
 //!
 //! 1. **Warm start** — density greedy plus local search
 //!    ([`crate::greedy`]) produces a feasible incumbent: `O(N log N + N·M)`
-//!    for the greedy pass, then per local-search round `O(N + M)` plus one
-//!    indexed find-first query per unpacked item (costs and worst case at
+//!    at worst for the greedy pass, which skips whole blocks of 64 sacks
+//!    that cannot hold an item or beat its best sack so far, then per
+//!    local-search round `O(N + M)` plus one indexed find-first query per
+//!    unpacked item (costs and worst case at
 //!    [`crate::greedy::local_search`]). Its profit seeds the
 //!    branch-and-bound floor (and, in exhaustive mode, the shared atomic
 //!    incumbent), so the search starts pruning against a realistic bar
