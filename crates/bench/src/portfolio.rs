@@ -116,7 +116,8 @@ pub fn run(opts: &RunOpts) -> Result<PortfolioStudy, Box<dyn Error>> {
         // information — the probe is deterministic). Under a zero budget
         // every subtree the search opens costs exactly one node, so that
         // solve counts them.
-        let subtrees = solve_portfolio(&problem, SolveBudget::NodeBudget(0)).nodes.max(1);
+        let subtrees =
+            solve_portfolio(&problem, SolveBudget::NodeBudget(0)).certificate.nodes.max(1);
         let budget = SolveBudget::NodeBudget(sack_nodes / m as u64 / subtrees);
         let t0 = Instant::now();
         let exact = black_box(solve_portfolio(&problem, budget));
@@ -124,23 +125,23 @@ pub fn run(opts: &RunOpts) -> Result<PortfolioStudy, Box<dyn Error>> {
         let (portfolio_ms, r) = best_of_ms(reps, || {
             Ok::<_, Infallible>(black_box(solve_portfolio(&problem, SolveBudget::Anytime)))
         })?;
-        if exact.proved_optimal && r.solution.profit > exact.solution.profit + 1e-9 {
+        if exact.certificate.proved_optimal && r.profit > exact.profit + 1e-9 {
             return Err(format!(
                 "portfolio profit {} above the proved optimum {} at {n}x{m}",
-                r.solution.profit, exact.solution.profit
+                r.profit, exact.profit
             )
             .into());
         }
         let row = PortfolioRow {
             items: n,
             sacks: m,
-            exact_completed: exact.proved_optimal,
+            exact_completed: exact.certificate.proved_optimal,
             exact_ms,
-            exact_profit: exact.solution.profit,
+            exact_profit: exact.profit,
             portfolio_ms,
-            portfolio_profit: r.solution.profit,
-            gap: r.gap(),
-            proved_optimal: r.proved_optimal,
+            portfolio_profit: r.profit,
+            gap: r.certificate.gap,
+            proved_optimal: r.certificate.proved_optimal,
         };
         table.push_row(vec![
             format!("{n}x{m}"),

@@ -74,11 +74,11 @@ pub fn run(opts: &RunOpts) -> Result<Solvers, Box<dyn Error>> {
             g_time += t0.elapsed().as_secs_f64() * 1e6;
             let ls = greedy_with_local_search(&p);
             let t1 = Instant::now();
-            let e = solve_portfolio(&p, SolveBudget::Exact).solution;
+            let e = solve_portfolio(&p, SolveBudget::Exact);
             e_time += t1.elapsed().as_secs_f64() * 1e6;
             let opt = e.profit.max(1e-12);
-            g_ratio += g.profit / opt;
-            ls_ratio += ls.profit / opt;
+            g_ratio += g.profit(&p) / opt;
+            ls_ratio += ls.profit(&p) / opt;
             tightness += opt / upper_bound(&p).max(1e-12);
         }
         let k = instances_per_size as f64;

@@ -217,12 +217,6 @@ impl EnergyReport {
 pub struct ImportanceEvaluator<'a> {
     scenario: &'a Scenario,
     models: &'a CopModels,
-    /// COP assumed for bands with no usable task: a single rule-of-thumb
-    /// plant COP, the same for every chiller. Without the data-driven task
-    /// the operator has no machine-specific knowledge at all, so the
-    /// fallback deliberately carries none — cross-chiller ranking is lost,
-    /// which is exactly the degradation Definition 1 measures.
-    fallback_cop: f64,
     /// Optional memoisation of `decision_performance` results, keyed by
     /// `(scenario seed, evaluator fingerprint, day content, mask)`.
     cache: Option<&'a ImportanceCache>,
@@ -231,11 +225,17 @@ pub struct ImportanceEvaluator<'a> {
     evaluator_fp: u64,
 }
 
+/// COP assumed for bands with no usable task: a single rule-of-thumb plant
+/// COP, the same for every chiller. Without the data-driven task the
+/// operator has no machine-specific knowledge at all, so the fallback
+/// deliberately carries none — cross-chiller ranking is lost, which is
+/// exactly the degradation Definition 1 measures.
+const FALLBACK_COP: f64 = 3.0;
+
 impl<'a> ImportanceEvaluator<'a> {
-    /// Creates an evaluator with the default rule-of-thumb fallback
-    /// (COP 3.0, a generic plant-wide figure).
+    /// Creates an evaluator over `scenario` with the trained `models`.
     pub fn new(scenario: &'a Scenario, models: &'a CopModels) -> Self {
-        Self { scenario, models, fallback_cop: 3.0, cache: None, evaluator_fp: 0 }
+        Self { scenario, models, cache: None, evaluator_fp: 0 }
     }
 
     /// The scenario under evaluation.
@@ -243,24 +243,10 @@ impl<'a> ImportanceEvaluator<'a> {
         self.scenario
     }
 
-    /// Overrides the fallback COP (ablations).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `cop` is in `(0, 12]`.
-    pub fn with_fallback_cop(mut self, cop: f64) -> Self {
-        assert!(cop > 0.0 && cop <= 12.0, "fallback COP out of range");
-        self.fallback_cop = cop;
-        if self.cache.is_some() {
-            self.evaluator_fp = self.fingerprint();
-        }
-        self
-    }
-
     /// Attaches a memoisation cache. Results are pure functions of the
     /// evaluator's inputs, so cached replies are bit-identical to fresh
     /// evaluations; the key embeds a fingerprint of the model weights and
-    /// fallback COP so a cache shared across ablations cannot alias.
+    /// fallback COP so a cache shared across model sets cannot alias.
     pub fn with_cache(mut self, cache: &'a ImportanceCache) -> Self {
         self.evaluator_fp = self.fingerprint();
         self.cache = Some(cache);
@@ -271,7 +257,8 @@ impl<'a> ImportanceEvaluator<'a> {
     /// that determines a decision-performance value.
     fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new();
-        fp.push_f64(self.fallback_cop);
+        // Digested although constant, so persisted caches keep their keys.
+        fp.push_f64(FALLBACK_COP);
         for model in &self.models.models {
             fp.push_f64(model.bias());
             for &w in model.weights() {
@@ -310,7 +297,7 @@ impl<'a> ImportanceEvaluator<'a> {
                 );
                 self.models.predict(t, &f)
             }
-            None => self.fallback_cop,
+            None => FALLBACK_COP,
         }
     }
 
@@ -644,21 +631,5 @@ mod tests {
             .map(|row| row.iter().enumerate().filter(|(_, &v)| v > 1e-9).map(|(t, _)| t).collect())
             .collect();
         assert!(sets.windows(2).any(|w| w[0] != w[1]), "importance sets identical every day");
-    }
-
-    #[test]
-    fn fallback_cop_validated() {
-        let s = scenario();
-        let m = models(&s);
-        let ev = ImportanceEvaluator::new(&s, &m).with_fallback_cop(4.0);
-        assert!(ev.decision_performance(s.day(0), &vec![true; s.num_tasks()]).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "fallback COP")]
-    fn bad_fallback_panics() {
-        let s = scenario();
-        let m = models(&s);
-        let _ = ImportanceEvaluator::new(&s, &m).with_fallback_cop(0.0);
     }
 }

@@ -353,24 +353,21 @@ impl FaultRunReport {
 }
 
 /// A complete description of one evaluation run: which [`Method`] on which
-/// day, optionally under a [`FaultSchedule`] with a [`RecoveryMode`], and
-/// optionally pinned to a thread count. The single entry point
-/// [`PreparedPipeline::run`] consumes it.
+/// day, optionally under a [`FaultSchedule`] with a [`RecoveryMode`]. The
+/// single entry point [`PreparedPipeline::run`] consumes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     method: Method,
     day: usize,
     faults: Option<(FaultSchedule, RecoveryMode)>,
-    threads: Option<usize>,
     objective: Objective,
 }
 
 impl RunSpec {
-    /// A fault-free run of `method` on evaluation day `day`, at the
-    /// session's ambient thread count, under the blank (classic)
-    /// objective.
+    /// A fault-free run of `method` on evaluation day `day`, under the
+    /// blank (classic) objective.
     pub fn new(method: Method, day: usize) -> Self {
-        Self { method, day, faults: None, threads: None, objective: Objective::default() }
+        Self { method, day, faults: None, objective: Objective::default() }
     }
 
     /// Shapes the allocation with `objective` (route-cost deflation,
@@ -392,16 +389,6 @@ impl RunSpec {
         self
     }
 
-    /// Pins the run to `threads` worker threads (`0` = auto). The override
-    /// is scoped to the run: the ambient setting is restored on return.
-    /// Results are thread-count invariant by the §8.1 determinism contract;
-    /// this only changes wall-clock.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
     /// The method under evaluation.
     pub fn method(&self) -> Method {
         self.method
@@ -415,11 +402,6 @@ impl RunSpec {
     /// The fault schedule and recovery mode, when set.
     pub fn faults(&self) -> Option<(&FaultSchedule, RecoveryMode)> {
         self.faults.as_ref().map(|(s, m)| (s, *m))
-    }
-
-    /// The pinned thread count, when set.
-    pub fn thread_override(&self) -> Option<usize> {
-        self.threads
     }
 
     /// The allocation objective.
@@ -531,14 +513,13 @@ impl Pipeline {
     }
 
     /// Starts a [`PipelineBuilder`] — the preferred way to configure the
-    /// offline phase (`.cache(...)`, `.pretrain(true)`, `.threads(n)`)
-    /// before calling [`PipelineBuilder::prepare`].
+    /// offline phase (`.cache(...)`, `.pretrain(true)`) before calling
+    /// [`PipelineBuilder::prepare`].
     pub fn builder(config: PipelineConfig) -> PipelineBuilder {
         PipelineBuilder {
             config,
             cache: ImportanceCache::new(),
             pretrain: false,
-            threads: None,
             availability: None,
         }
     }
@@ -715,7 +696,6 @@ pub struct PipelineBuilder {
     config: PipelineConfig,
     cache: ImportanceCache,
     pretrain: bool,
-    threads: Option<usize>,
     availability: Option<AvailabilityModel>,
 }
 
@@ -756,15 +736,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Pins the offline phase to `threads` worker threads (`0` = auto),
-    /// restoring the ambient setting on return. Results are thread-count
-    /// invariant (§8.1); this only changes wall-clock.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
     /// Runs the offline phase against `scenario` with the configured
     /// options.
     ///
@@ -775,7 +746,6 @@ impl PipelineBuilder {
         self,
         scenario: &'a Scenario,
     ) -> Result<PreparedPipeline<'a>, PipelineError> {
-        let _threads = self.threads.map(parallel::ScopedThreads::new);
         Pipeline::new(self.config).prepare_impl(
             scenario,
             self.cache,
@@ -1361,14 +1331,12 @@ impl<'a> PreparedPipeline<'a> {
     /// Executes one evaluation run described by `spec`. A fault-free spec
     /// yields [`RunReport::Healthy`]; a spec with a schedule yields
     /// [`RunReport::Faulted`] (allocate, run under the schedule, re-plan
-    /// per its [`RecoveryMode`]; DESIGN.md §9). A thread override, when
-    /// present, is scoped to this call.
+    /// per its [`RecoveryMode`]; DESIGN.md §9).
     ///
     /// # Errors
     ///
     /// See [`PipelineError`] variants.
     pub fn run(&mut self, spec: &RunSpec) -> Result<RunReport, PipelineError> {
-        let _threads = spec.threads.map(parallel::ScopedThreads::new);
         self.state.run(&mut self.rng, spec)
     }
 

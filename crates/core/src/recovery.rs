@@ -196,10 +196,12 @@ fn finish_plan(
 ) -> RecoveryPlan {
     let mut shed: Vec<usize> =
         unfinished.iter().copied().filter(|&j| allocation.processor_of(j).is_none()).collect();
+    // Importances are validated into [0, 1], never NaN, and `+ 0.0` folds
+    // −0.0 into +0.0, so `total_cmp` orders them as `partial_cmp` would.
     shed.sort_by(|&a, &b| {
-        let ia = instance.tasks()[a].importance();
-        let ib = instance.tasks()[b].importance();
-        ia.partial_cmp(&ib).expect("finite importances").then(a.cmp(&b))
+        let ia = instance.tasks()[a].importance() + 0.0;
+        let ib = instance.tasks()[b].importance() + 0.0;
+        ia.total_cmp(&ib).then(a.cmp(&b))
     });
     let importance_of =
         |idx: &[usize]| -> f64 { idx.iter().map(|&j| instance.tasks()[j].importance()).sum() };

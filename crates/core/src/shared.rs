@@ -22,9 +22,6 @@
 //! | `RandomMapping` RNG | the pipeline's sequential `StdRng` (`seed ^ 0x51AB`) | a fresh `StdRng` keyed by `(seed, day)` |
 //! | availability learning | a [`RecoveryMode::Proactive`](crate::recovery::RecoveryMode::Proactive) round absorbs its failure log and advances the posterior | never: the posterior is read-only |
 //!
-//! [`RunSpec`]'s thread override is likewise honoured by the batch face
-//! only.
-//!
 //! ## Determinism contract
 //!
 //! For every method except [`Method::RandomMapping`], a `PreparedCore` run
@@ -177,12 +174,6 @@ impl PreparedCore {
 
     /// Executes one evaluation run described by `spec` — the `&self`
     /// counterpart of [`crate::pipeline::PreparedPipeline::run`].
-    ///
-    /// `spec`'s thread override is ignored: the ambient thread count is a
-    /// process-global knob, and scoping it per request from concurrent
-    /// serving threads would race. Results are thread-count invariant
-    /// anyway (§8.1); a serving layer's concurrency comes from its own
-    /// worker pool.
     ///
     /// # Errors
     ///

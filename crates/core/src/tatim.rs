@@ -15,6 +15,8 @@ use knapsack::problem::{Item, Packing, Problem, ProblemError, Sack};
 use rl::alloc_env::AllocSpec;
 use std::fmt;
 
+pub use knapsack::portfolio::SolveCertificate;
+
 /// Node budget the pipeline's `ExactOracle` method grants branch-and-bound,
 /// applied *per top-level subtree* by the portfolio (the deterministic
 /// parallel split of `knapsack::exact`). Paper-scale instances (tens of
@@ -63,21 +65,6 @@ impl From<ProblemError> for TatimError {
     }
 }
 
-/// Optimality certificate of the solver that produced an allocation,
-/// surfaced so a node-capped branch-and-bound incumbent is distinguishable
-/// from a proved optimum (the old silent-failure path).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolveCertificate {
-    /// Whether the allocation is proved optimal for its objective.
-    pub proved_optimal: bool,
-    /// Relative optimality gap certificate (`0.0` when proved optimal).
-    pub gap: f64,
-    /// Relaxation upper bound on the optimal objective.
-    pub upper_bound: f64,
-    /// Branch-and-bound nodes explored (deterministic under a node budget).
-    pub nodes: u64,
-}
-
 /// Which solver a [`TatimInstance::solve`] request runs. Every variant is
 /// deterministic and bit-identical across thread counts; the kinds are
 /// *distinct algorithms*, not quality tiers — in particular
@@ -88,9 +75,9 @@ pub struct SolveCertificate {
 pub enum SolverKind {
     /// Greedy + local search (the paper's edge-affordable solver).
     Greedy,
-    /// Multiplier-weighted greedy: maximises `Σ_j I_j · m_{p(j)}` for
-    /// per-sack multipliers `m` (survival weighting uses this). No local
-    /// search; deterministic multiplier/best-fit/index tie-breaks.
+    /// Multiplier-weighted greedy: places to maximise `Σ_j I_j · m_{p(j)}`
+    /// for per-sack multipliers `m` (survival weighting uses this). No
+    /// local search; deterministic multiplier/best-fit/index tie-breaks.
     WeightedGreedy(Vec<f64>),
     /// Anytime portfolio under a [`SolveBudget`]; the only kind that
     /// returns a [`SolveCertificate`].
@@ -102,9 +89,8 @@ pub enum SolverKind {
 pub struct SolveReport {
     /// The allocation found.
     pub allocation: Allocation,
-    /// The solver's objective value: captured importance for
-    /// [`SolverKind::Greedy`]/[`SolverKind::Portfolio`],
-    /// the multiplier-weighted sum for [`SolverKind::WeightedGreedy`].
+    /// The importance it captures, for every kind: bit-identical to
+    /// `allocation.total_importance(tasks)`.
     pub objective: f64,
     /// Optimality certificate ([`SolverKind::Portfolio`] only).
     pub certificate: Option<SolveCertificate>,
@@ -218,25 +204,19 @@ impl TatimInstance {
     /// Propagates the reduction.
     pub fn solve(&self, kind: &SolverKind) -> Result<SolveReport, TatimError> {
         let problem = self.to_knapsack()?;
-        let (solution, certificate) = match kind {
+        let (packing, certificate) = match kind {
             SolverKind::Greedy => (greedy::greedy_with_local_search(&problem), None),
             SolverKind::WeightedGreedy(weights) => {
                 (greedy::greedy_weighted(&problem, weights), None)
             }
             SolverKind::Portfolio(budget) => {
                 let r = solve_portfolio(&problem, *budget);
-                let certificate = SolveCertificate {
-                    proved_optimal: r.proved_optimal,
-                    gap: r.gap(),
-                    upper_bound: r.upper_bound,
-                    nodes: r.nodes,
-                };
-                (r.solution, Some(certificate))
+                (r.packing, Some(r.certificate))
             }
         };
         Ok(SolveReport {
-            allocation: self.allocation_from_packing(&solution.packing),
-            objective: solution.profit,
+            allocation: self.allocation_from_packing(&packing),
+            objective: packing.profit(&problem),
             certificate,
         })
     }
@@ -364,9 +344,17 @@ mod tests {
         assert!(spec.validate().is_ok());
     }
 
+    /// The weighted greedy's allocation and its multiplier-weighted sum
+    /// `Σ_j I_j · m_{p(j)}`, summed from the allocation.
     fn weighted(inst: &TatimInstance, weights: &[f64]) -> (Allocation, f64) {
         let r = inst.solve(&SolverKind::WeightedGreedy(weights.to_vec())).unwrap();
-        (r.allocation, r.objective)
+        let wprofit = (0..inst.num_tasks())
+            .filter_map(|j| {
+                r.allocation.processor_of(j).map(|p| inst.tasks()[j].importance() * weights[p])
+            })
+            .sum();
+        assert_eq!(r.objective.to_bits(), r.allocation.total_importance(inst.tasks()).to_bits());
+        (r.allocation, wprofit)
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Equivalences of the prepare/run API that still have two sides:
 //! `Pipeline::new(c).prepare(s)` against `Pipeline::builder(c).prepare(s)`,
-//! a seeded `.cache(..)` against the default one, and the wall-clock-only
-//! options against the plain offline phase. Everything deterministic must
-//! agree to the bit. (The pre-`RunSpec` and pre-`AllocQuery` wrappers this
+//! a seeded `.cache(..)` against the default one, and pre-training or a
+//! pinned thread count against the plain offline phase. Everything
+//! deterministic must agree to the bit. (The pre-`RunSpec` and pre-`AllocQuery` wrappers this
 //! file used to pin were removed in PR 15; `stack_golden.rs` holds the
 //! stack itself to the digests of the commit before.)
 
@@ -63,21 +63,23 @@ fn builder_matches_prepare_paths() {
     assert_eq!(cached.cache_stats().misses, 0, "a fully seeded cache still missed");
 }
 
-/// Pinning a thread count — at prepare or per `RunSpec` — is a pure
-/// wall-clock option. Pre-training reseeds the agents per context
-/// (DESIGN.md §17.3), which on this star scenario reaches the same reports
-/// as the lazy stream.
+/// Pinning a thread count around prepare and run is a pure wall-clock
+/// choice. Pre-training reseeds the agents per context (DESIGN.md §17.3),
+/// which on this star scenario reaches the same reports as the lazy stream.
 #[test]
 fn pretrain_and_thread_overrides_do_not_change_results() {
     let s = small_scenario();
+    let methods = [Method::Crl, Method::Dcta];
     let mut plain = Pipeline::new(quick_config()).prepare(&s).unwrap();
-    let mut tuned =
-        Pipeline::builder(quick_config()).pretrain(true).threads(2).prepare(&s).unwrap();
     let day = plain.test_days().start;
-    for method in [Method::Crl, Method::Dcta] {
-        let a = plain.run(&RunSpec::new(method, day)).unwrap();
-        let b = tuned.run(&RunSpec::new(method, day).threads(2)).unwrap();
-        assert_eq!(a, b, "{method}: pretrain/threads changed the report");
+    let reference: Vec<_> =
+        methods.iter().map(|&m| plain.run(&RunSpec::new(m, day)).unwrap()).collect();
+
+    let _threads = parallel::ScopedThreads::new(2);
+    let mut tuned = Pipeline::builder(quick_config()).pretrain(true).prepare(&s).unwrap();
+    for (&method, a) in methods.iter().zip(&reference) {
+        let b = tuned.run(&RunSpec::new(method, day)).unwrap();
+        assert_eq!(a, &b, "{method}: pretrain/threads changed the report");
     }
 }
 
@@ -86,12 +88,10 @@ fn pretrain_and_thread_overrides_do_not_change_results() {
 #[test]
 fn run_spec_and_report_accessors() {
     let schedule = FaultSchedule::new();
-    let spec = RunSpec::new(Method::Dcta, 7)
-        .with_faults(schedule.clone(), RecoveryMode::RandomShed)
-        .threads(3);
+    let spec =
+        RunSpec::new(Method::Dcta, 7).with_faults(schedule.clone(), RecoveryMode::RandomShed);
     assert_eq!(spec.method(), Method::Dcta);
     assert_eq!(spec.day(), 7);
-    assert_eq!(spec.thread_override(), Some(3));
     let (sched, mode) = spec.faults().expect("faults set");
     assert_eq!(sched, &schedule);
     assert_eq!(mode, RecoveryMode::RandomShed);

@@ -71,17 +71,17 @@ fn faulted_pipeline_is_thread_count_invariant() {
     for threads in THREAD_COUNTS {
         // Preparation (model training + the offline importance sweep) is
         // inside the loop on purpose: the whole train → allocate → fault →
-        // recover chain must be invariant, not just the last hop. The
-        // builder's and spec's scoped overrides cap both halves.
-        let mut prepared = Pipeline::builder(quick_config()).threads(threads).prepare(&s).unwrap();
+        // recover chain must be invariant, not just the last hop. One scoped
+        // override caps both halves.
+        let _threads = parallel::ScopedThreads::new(threads);
+        let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let day = prepared.test_days().start;
         let workers: Vec<NodeId> =
             prepared.fleet().processors().iter().map(|p| p.node).filter(|n| n.0 != 0).collect();
         let schedule = FaultSchedule::seeded(9, &workers, 0.7, 0.0, 10.0).unwrap();
         assert!(!schedule.is_empty(), "seed 9 must crash at least one worker");
-        let spec = RunSpec::new(Method::GreedyOracle, day)
-            .with_faults(schedule, RecoveryMode::Resolve)
-            .threads(threads);
+        let spec =
+            RunSpec::new(Method::GreedyOracle, day).with_faults(schedule, RecoveryMode::Resolve);
         let r = prepared.run(&spec).unwrap().into_faulted().unwrap();
         runs.push(deterministic_bits(&r));
     }

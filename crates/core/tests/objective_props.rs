@@ -151,8 +151,9 @@ fn mesh_route_cost_runs_are_thread_invariant() {
         let healthy: Vec<_> = [1usize, 2, 8]
             .iter()
             .map(|&t| {
+                let _threads = parallel::ScopedThreads::new(t);
                 let mut p = Pipeline::new(mesh_config()).prepare(&s).unwrap();
-                p.run(&RunSpec::new(method, day).with_objective(objective.clone()).threads(t))
+                p.run(&RunSpec::new(method, day).with_objective(objective.clone()))
                     .unwrap()
                     .into_healthy()
                     .unwrap()
@@ -166,11 +167,11 @@ fn mesh_route_cost_runs_are_thread_invariant() {
         let faulted: Vec<_> = [1usize, 2, 8]
             .iter()
             .map(|&t| {
+                let _threads = parallel::ScopedThreads::new(t);
                 let mut p = Pipeline::new(mesh_config()).prepare(&s).unwrap();
                 let spec = RunSpec::new(Method::GreedyOracle, day)
                     .with_objective(objective.clone())
-                    .with_faults(schedule.clone(), mode)
-                    .threads(t);
+                    .with_faults(schedule.clone(), mode);
                 p.run(&spec).unwrap().into_faulted().unwrap()
             })
             .collect();

@@ -21,12 +21,14 @@ use std::cmp::Ordering;
 /// most `1e-15` counting as `+∞`. Every density sort in this module uses
 /// this one comparator, which is what lets a sorted view stand in for the
 /// sort of any subset of it (see [`SuffixBounds`]).
+///
+/// `Item::new` rejects non-finite and negative values, so a density is
+/// finite or +∞, never NaN; `+ 0.0` folds −0.0 into +0.0, so `total_cmp`
+/// orders densities as `partial_cmp` would.
 fn by_density(a: (f64, f64), b: (f64, f64)) -> Ordering {
     let density =
         |(size, profit): (f64, f64)| if size <= 1e-15 { f64::INFINITY } else { profit / size };
-    density(b).partial_cmp(&density(a)).expect(
-        "`Item::new` rejects non-finite and negative values, so a density is finite or +inf",
-    )
+    (density(b) + 0.0).total_cmp(&(density(a) + 0.0))
 }
 
 /// The largest room among residual `(weight, volume)` pairs, dimension by
@@ -531,7 +533,7 @@ mod tests {
             let (items, sacks) = oversized(&mut rng);
             excluded += left_out(&items, &sacks);
             let p = problem(items, sacks);
-            let opt = brute_force(&p).profit;
+            let opt = brute_force(&p).profit(&p);
             let sb = surrogate_bound(&p);
             let ub = upper_bound(&p);
             assert!(sb + 1e-9 >= opt, "round {round}: surrogate {sb} < optimum {opt}");
@@ -561,7 +563,8 @@ mod tests {
             }
             excluded += left_out(&items[k..], &residual);
             let rest: Vec<usize> = (k..items.len()).collect();
-            let opt = brute_force(&problem(items[k..].to_vec(), residual.clone())).profit;
+            let rest_problem = problem(items[k..].to_vec(), residual.clone());
+            let opt = brute_force(&rest_problem).profit(&rest_problem);
             let agg_w: f64 = residual.iter().map(|r| r.0).sum();
             let agg_v: f64 = residual.iter().map(|r| r.1).sum();
             let room = largest_room(residual.iter().copied());

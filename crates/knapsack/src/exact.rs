@@ -11,19 +11,20 @@
 
 use crate::bounds::{largest_room, LiveBounds, SuffixBounds};
 use crate::first_hit::{FirstHit, Summary};
-use crate::problem::{Packing, Problem, Solution};
+use crate::problem::{Packing, Problem};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Exhaustive search over all `(num_sacks + 1)^num_items` placements.
 ///
 /// Only viable for very small instances; used to validate the
-/// branch-and-bound. Runs in `O((M+1)^N)`.
+/// branch-and-bound. Runs in `O((M+1)^N)` and returns the first packing, in
+/// enumeration order, of the highest [`Packing::profit`].
 ///
 /// # Panics
 ///
 /// Panics if `problem.num_items() > 16` — beyond that the enumeration is
 /// unreasonable even for tests.
-pub fn brute_force(problem: &Problem) -> Solution {
+pub fn brute_force(problem: &Problem) -> Packing {
     assert!(problem.num_items() <= 16, "brute force limited to 16 items");
     let n = problem.num_items();
     let mut best = Packing::empty(n);
@@ -58,7 +59,7 @@ pub fn brute_force(problem: &Problem) -> Solution {
     }
 
     recurse(problem, 0, &mut current, &mut best, &mut best_profit);
-    Solution { packing: best, profit: best_profit }
+    best
 }
 
 /// Once at least this many open subtrees exist at the split depth, prefix
@@ -73,13 +74,14 @@ const PAR_MAX_SPLIT_DEPTH: usize = 12;
 
 /// Outcome of [`solve_with_floor`]: the incumbent plus an explicit
 /// optimality signal, so a node-capped solve is distinguishable from a
-/// proved optimum.
+/// proved optimum. The search's path sums stay inside it; the packing's
+/// value is [`Packing::profit`].
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SearchReport {
-    /// Best packing found.
-    pub(crate) solution: Solution,
+    /// Best packing found: the first strict improvement in DFS order.
+    pub(crate) packing: Packing,
     /// True when no node budget cut exploration short, so
-    /// `solution` is proved optimal (over the region not excluded by a
+    /// `packing` is proved optimal (over the region not excluded by a
     /// warm-start floor, which only ever excludes sub-incumbent packings).
     pub(crate) completed: bool,
     /// Explored node count. Deterministic under a node budget (shared-bound
@@ -99,10 +101,12 @@ pub(crate) fn density_order(problem: &Problem) -> Vec<usize> {
     let mut order: Vec<usize> = (0..problem.num_items())
         .filter(|&i| sacks.iter().any(|sack| sack.fits(&problem.items()[i])))
         .collect();
+    // Densities are never NaN and `+ 0.0` folds −0.0 into +0.0, so
+    // `total_cmp` orders them as `partial_cmp` would; the sort is stable.
     order.sort_by(|&a, &b| {
-        let da = problem.items()[a].density(total_w, total_v);
-        let db = problem.items()[b].density(total_w, total_v);
-        db.partial_cmp(&da).expect("densities comparable")
+        let da = problem.items()[a].density(total_w, total_v) + 0.0;
+        let db = problem.items()[b].density(total_w, total_v) + 0.0;
+        db.total_cmp(&da)
     });
     order
 }
@@ -167,7 +171,7 @@ struct Search<'a> {
 // Racy sub-optimal subtrees (whose exploration was cut short by a shared
 // bound published mid-flight) can only under-report — and only in subtrees
 // whose true maximum is below the global optimum — so they can never win
-// the reduction, and the returned `Solution` is thread-count invariant.
+// the reduction, and the returned packing is thread-count invariant.
 // Caveat: like the plain DFS's epsilon prune, the argument assumes optima are
 // separated by more than 1e-12; profits built from small integers (as in
 // the TATIM reduction's scaled importances) satisfy this exactly.
@@ -346,8 +350,8 @@ pub(crate) fn solve_with_floor(
         (search.best_profit, search.best, !search.limit_hit, search.nodes)
     });
 
-    // Serial reduction in DFS slot order: first strict improvement wins,
-    // reproducing the plain DFS's first optimum achiever.
+    // Serial reduction in DFS slot order over the path sums: first strict
+    // improvement wins, reproducing the plain DFS's first optimum achiever.
     let mut best_profit = -1.0;
     let mut best = Packing::empty(n);
     let mut completed = true;
@@ -369,11 +373,7 @@ pub(crate) fn solve_with_floor(
             best = packing;
         }
     }
-    SearchReport {
-        solution: Solution { packing: best, profit: best_profit.max(0.0) },
-        completed,
-        nodes,
-    }
+    SearchReport { packing: best, completed, nodes }
 }
 
 impl<'a> Search<'a> {
@@ -501,7 +501,7 @@ mod tests {
     /// The contract's reference: `Search` from the root, with no split, no
     /// floor, no budget and no shared bound. The exhaustive search must
     /// return its first optimum achiever.
-    fn plain_dfs(problem: &Problem) -> Solution {
+    fn plain_dfs(problem: &Problem) -> Packing {
         let order = density_order(problem);
         let bounds = SuffixBounds::new(problem, &order);
         let root = SubtreeRoot {
@@ -512,21 +512,21 @@ mod tests {
         };
         let mut search = Search::new(problem, &order, &bounds, f64::NEG_INFINITY, None, &root);
         search.dfs_shared(0, 0.0, None);
-        Solution { packing: search.best, profit: search.best_profit.max(0.0) }
+        search.best
     }
 
-    fn exact(problem: &Problem) -> Solution {
-        solve_portfolio(problem, SolveBudget::Exact).solution
+    fn exact(problem: &Problem) -> Packing {
+        solve_portfolio(problem, SolveBudget::Exact).packing
     }
 
     #[test]
     fn picks_higher_profit_when_capacity_binds() {
         let p = problem(vec![(2.0, 1.0, 10.0), (2.0, 1.0, 7.0)], vec![(2.0, 1.0)]);
         let s = exact(&p);
-        assert_eq!(s.profit, 10.0);
-        assert!(s.packing.is_feasible(&p));
-        assert_eq!(s.packing.sack_of(0), Some(0));
-        assert_eq!(s.packing.sack_of(1), None);
+        assert_eq!(s.profit(&p), 10.0);
+        assert!(s.is_feasible(&p));
+        assert_eq!(s.sack_of(0), Some(0));
+        assert_eq!(s.sack_of(1), None);
     }
 
     #[test]
@@ -536,31 +536,29 @@ mod tests {
             vec![(2.0, 1.0), (2.0, 1.0)],
         );
         let s = exact(&p);
-        assert_eq!(s.profit, 17.0);
-        assert_eq!(s.packing.packed_count(), 2);
+        assert_eq!(s.profit(&p), 17.0);
+        assert_eq!(s.packed_count(), 2);
     }
 
     #[test]
     fn respects_volume_constraint() {
         // Weight is loose, volume binds.
         let p = problem(vec![(0.1, 2.0, 5.0), (0.1, 2.0, 4.0)], vec![(10.0, 2.0)]);
-        assert_eq!(exact(&p).profit, 5.0);
+        assert_eq!(exact(&p).profit(&p), 5.0);
     }
 
     #[test]
     fn empty_items_is_zero() {
         let p = problem(vec![], vec![(1.0, 1.0)]);
-        let s = exact(&p);
-        assert_eq!(s.profit, 0.0);
-        assert_eq!(s.packing.packed_count(), 0);
-        assert_eq!(plain_dfs(&p).profit, 0.0);
+        assert_eq!(exact(&p).packed_count(), 0);
+        assert_eq!(plain_dfs(&p).packed_count(), 0);
     }
 
     #[test]
     fn nothing_fits_is_zero() {
         let p = problem(vec![(5.0, 5.0, 100.0)], vec![(1.0, 1.0)]);
-        assert_eq!(exact(&p).profit, 0.0);
-        assert_eq!(plain_dfs(&p).profit, 0.0);
+        assert_eq!(exact(&p).packed_count(), 0);
+        assert_eq!(plain_dfs(&p).packed_count(), 0);
     }
 
     #[test]
@@ -571,8 +569,8 @@ mod tests {
             vec![(5.0, 0.0, 10.0), (4.0, 0.0, 40.0), (6.0, 0.0, 30.0), (3.0, 0.0, 50.0)],
             vec![(10.0, 0.0)],
         );
-        assert_eq!(exact(&p).profit, 90.0);
-        assert_eq!(plain_dfs(&p).profit, 90.0);
+        assert_eq!(exact(&p).profit(&p), 90.0);
+        assert_eq!(plain_dfs(&p).profit(&p), 90.0);
     }
 
     #[test]
@@ -596,15 +594,14 @@ mod tests {
                 .map(|_| (rng.gen_range(0.0..8.0f64).round(), rng.gen_range(0.0..8.0f64).round()))
                 .collect();
             let p = problem(items, sacks);
-            let bf = brute_force(&p);
+            let bf = brute_force(&p).profit(&p);
             for (name, s) in [("plain DFS", plain_dfs(&p)), ("exact", exact(&p))] {
                 assert!(
-                    (s.profit - bf.profit).abs() < 1e-9,
-                    "round {round}: {name} {} vs bf {} on {p:?}",
-                    s.profit,
-                    bf.profit
+                    (s.profit(&p) - bf).abs() < 1e-9,
+                    "round {round}: {name} {} vs bf {bf} on {p:?}",
+                    s.profit(&p),
                 );
-                assert!(s.packing.is_feasible(&p));
+                assert!(s.is_feasible(&p));
             }
         }
     }
@@ -617,14 +614,12 @@ mod tests {
             .collect();
         let p = problem(items, vec![(15.0, 15.0), (10.0, 10.0)]);
         let r = solve_with_floor(&p, Some(50), f64::NEG_INFINITY);
-        assert!(r.solution.packing.is_feasible(&p));
-        assert!(plain_dfs(&p).profit >= r.solution.profit);
+        assert!(r.packing.is_feasible(&p));
+        assert!(plain_dfs(&p).profit(&p) >= r.packing.profit(&p));
     }
 
     /// Integer-valued MCMK instances: profit gaps are ≥ 1 ≫ the solver's
-    /// 1e-12 epsilon, so the answers must agree to the bit. At least one
-    /// item: the portfolio answers an empty instance with its warm start,
-    /// whose empty profit sum is `-0.0`.
+    /// 1e-12 epsilon, so the answers must agree to the bit.
     fn integer_problem() -> impl Strategy<Value = Problem> {
         let item = (0u8..5, 0u8..5, 0u8..10).prop_map(|(w, v, p)| {
             Item::new(f64::from(w), f64::from(v), f64::from(p)).expect("valid ranges")
@@ -641,9 +636,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The exhaustive portfolio returns the plain DFS's profit bits and
-        /// placement at 1, 2 and 8 threads: the split, the warm floor, the
-        /// subtree skip and the shared bound only prune.
+        /// The exhaustive portfolio returns the plain DFS's placement at 1,
+        /// 2 and 8 threads, and that placement's profit bits: the split, the
+        /// warm floor, the subtree skip and the shared bound only prune.
         #[test]
         fn exact_mode_matches_plain_dfs_packing(p in integer_problem()) {
             let _g = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -651,12 +646,11 @@ mod tests {
             for threads in [1usize, 2, 8] {
                 let _t = parallel::ScopedThreads::new(threads);
                 let r = solve_portfolio(&p, SolveBudget::Exact);
-                prop_assert!(r.proved_optimal, "threads {}", threads);
-                prop_assert_eq!(r.solution.profit.to_bits(), reference.profit.to_bits(),
-                    "threads {}: profit {} vs plain DFS {}", threads, r.solution.profit,
-                    reference.profit);
-                prop_assert_eq!(r.solution.packing.placement(), reference.packing.placement(),
+                prop_assert!(r.certificate.proved_optimal, "threads {}", threads);
+                prop_assert_eq!(r.packing.placement(), reference.placement(),
                     "threads {}: packing differs from the plain DFS's first achiever", threads);
+                prop_assert_eq!(r.profit.to_bits(), reference.profit(&p).to_bits(),
+                    "threads {}", threads);
             }
         }
     }

@@ -8,7 +8,7 @@
 
 use crate::bounds::largest_room;
 use crate::first_hit::{FirstHit, Summary};
-use crate::problem::{Item, Packing, Problem, Solution};
+use crate::problem::{Item, Packing, Problem};
 
 /// Density-ordered greedy first-fit: items are sorted by profit density
 /// (profit per aggregate-normalised size) and each is placed into the sack
@@ -34,11 +34,11 @@ use crate::problem::{Item, Packing, Problem, Solution};
 ///     vec![Item::new(2.0, 1.0, 10.0)?, Item::new(2.0, 1.0, 1.0)?],
 ///     vec![Sack::new(2.0, 1.0)?],
 /// )?;
-/// assert_eq!(greedy(&p).profit, 10.0);
+/// assert_eq!(greedy(&p).profit(&p), 10.0);
 /// # Ok(())
 /// # }
 /// ```
-pub fn greedy(problem: &Problem) -> Solution {
+pub fn greedy(problem: &Problem) -> Packing {
     greedy_with_index(problem, &DensityIndex::new(problem))
 }
 
@@ -110,13 +110,11 @@ fn capacity_scales(problem: &Problem) -> (f64, f64) {
 /// aggregate sack capacities. (An index over the same sacks and the same
 /// *number* of different items cannot be told apart and stays the caller's
 /// responsibility.)
-pub fn greedy_with_index(problem: &Problem, index: &DensityIndex) -> Solution {
+pub fn greedy_with_index(problem: &Problem, index: &DensityIndex) -> Packing {
     let n = problem.num_items();
     assert_eq!(index.order.len(), n, "density index built for a different item count");
     assert_eq!(index.scales(), capacity_scales(problem), "density index built for different sacks");
-    let (packing, _) = place(problem, index, None);
-    let profit = packing.profit(problem);
-    Solution { packing, profit }
+    place(problem, index, None)
 }
 
 /// Multiplier-weighted greedy: maximises `Σ_i profit_i · m_{s(i)}` for
@@ -124,21 +122,19 @@ pub fn greedy_with_index(problem: &Problem, index: &DensityIndex) -> Solution {
 /// order; each goes to the feasible sack with the highest multiplier,
 /// multipliers within `1e-12` of each other tied and broken by best-fit
 /// slack, then by the lowest sack index. With equal multipliers that is
-/// [`greedy`]'s placement. The returned `profit` is the multiplier-weighted
-/// sum, accumulated in placement order.
+/// [`greedy`]'s placement.
 ///
 /// # Panics
 ///
 /// Panics unless `multipliers` holds one finite, non-negative value per
 /// sack.
-pub fn greedy_weighted(problem: &Problem, multipliers: &[f64]) -> Solution {
+pub fn greedy_weighted(problem: &Problem, multipliers: &[f64]) -> Packing {
     assert_eq!(multipliers.len(), problem.sacks().len(), "sack weight vector length");
     assert!(
         multipliers.iter().all(|m| m.is_finite() && *m >= 0.0),
         "sack weights must be finite and non-negative"
     );
-    let (packing, profit) = place(problem, &DensityIndex::new(problem), Some(multipliers));
-    Solution { packing, profit }
+    place(problem, &DensityIndex::new(problem), Some(multipliers))
 }
 
 /// Sacks per block of the best-fit pass. Not a knob: any value gives the
@@ -176,8 +172,7 @@ impl Block {
 
 /// The one placement loop: items in `index` order, each into the feasible
 /// sack with the highest multiplier, then the least leftover headroom
-/// (best fit), then the lowest index. Returns the packing and `Σ profit ·
-/// multiplier` in placement order. `None` stands for a multiplier of 1 on
+/// (best fit), then the lowest index. `None` stands for a multiplier of 1 on
 /// every sack, under which the rule is plain best fit.
 ///
 /// The residuals are two flat vectors, padded to whole blocks of [`BLOCK`]
@@ -199,7 +194,7 @@ impl Block {
 /// Cost per item: one or two tests per block, then, per block searched, 64
 /// slack evaluations for the minimum and, only if it beats the incumbent,
 /// at most 64 more to find its first sack.
-fn place(problem: &Problem, index: &DensityIndex, multipliers: Option<&[f64]>) -> (Packing, f64) {
+fn place(problem: &Problem, index: &DensityIndex, multipliers: Option<&[f64]>) -> Packing {
     let scales = index.scales();
     let sacks = problem.sacks();
     let num_sacks = sacks.len();
@@ -216,7 +211,6 @@ fn place(problem: &Problem, index: &DensityIndex, multipliers: Option<&[f64]>) -
     let room =
         Summary::room(largest_room(sacks.iter().map(|s| (s.weight_capacity, s.volume_capacity))));
     let mut packing = Packing::empty(problem.num_items());
-    let mut weighted_profit = 0.0;
     for &i in &index.order {
         let item = problem.items()[i];
         if !room.fits(&item) {
@@ -255,15 +249,14 @@ fn place(problem: &Problem, index: &DensityIndex, multipliers: Option<&[f64]>) -
                 best = Some((b * BLOCK + k, 1.0, least));
             }
         }
-        if let Some((s, m, _)) = best {
+        if let Some((s, _, _)) = best {
             rw[s] -= item.weight;
             rv[s] -= item.volume;
             blocks[s / BLOCK] = block(s / BLOCK, &rw, &rv);
             packing.assign(i, Some(s));
-            weighted_profit += item.profit * m;
         }
     }
-    (packing, weighted_profit)
+    packing
 }
 
 /// The first sack of one block with the least best-fit slack among those
@@ -310,7 +303,7 @@ fn block_best_fit(
 /// profit is *inserted* into the lowest-indexed sack with room, then every
 /// item still unpacked *swaps* with the lowest-indexed packed item of lower
 /// profit whose sack it fits once that item is out. Rounds repeat until one
-/// makes no move, or `max_rounds` have run. Returns the improved solution.
+/// makes no move, or `max_rounds` have run. Returns the improved packing.
 ///
 /// Both "lowest-indexed" searches are [`FirstHit`] queries — over sacks
 /// keyed by residual capacity, and over items keyed by profit and the
@@ -328,9 +321,9 @@ fn block_best_fit(
 /// The descent is not worst-case logarithmic. A node can pass all three
 /// summary tests through three *different* leaves and hold no hit, so an
 /// adversarial instance still costs `O(N)` per query, as the scan did.
-pub fn local_search(problem: &Problem, initial: Solution, max_rounds: usize) -> Solution {
+pub fn local_search(problem: &Problem, initial: Packing, max_rounds: usize) -> Packing {
     let items = problem.items();
-    let mut packing = initial.packing;
+    let mut packing = initial;
     let mut sacks = FirstHit::new(problem.num_sacks());
     let mut packed = FirstHit::new(items.len());
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); problem.num_sacks()];
@@ -397,12 +390,11 @@ pub fn local_search(problem: &Problem, initial: Solution, max_rounds: usize) -> 
             break;
         }
     }
-    let profit = packing.profit(problem);
-    Solution { packing, profit }
+    packing
 }
 
 /// Convenience: greedy followed by local search.
-pub fn greedy_with_local_search(problem: &Problem) -> Solution {
+pub fn greedy_with_local_search(problem: &Problem) -> Packing {
     local_search(problem, greedy(problem), 32)
 }
 
@@ -426,8 +418,8 @@ mod tests {
     fn greedy_prefers_dense_items() {
         let p = problem(vec![(2.0, 1.0, 10.0), (2.0, 1.0, 1.0)], vec![(2.0, 1.0)]);
         let s = greedy(&p);
-        assert_eq!(s.profit, 10.0);
-        assert!(s.packing.is_feasible(&p));
+        assert_eq!(s.profit(&p), 10.0);
+        assert!(s.is_feasible(&p));
     }
 
     #[test]
@@ -444,9 +436,7 @@ mod tests {
             let sacks: Vec<(f64, f64)> =
                 (0..m).map(|_| (rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0))).collect();
             let p = problem(items, sacks);
-            let s = greedy(&p);
-            assert!(s.packing.is_feasible(&p));
-            assert!((s.profit - s.packing.profit(&p)).abs() < 1e-12);
+            assert!(greedy(&p).is_feasible(&p));
         }
     }
 
@@ -463,11 +453,11 @@ mod tests {
                 })
                 .collect();
             let p = problem(items, vec![(6.0, 6.0), (4.0, 4.0)]);
-            let g = greedy_with_local_search(&p);
-            let e = solve_portfolio(&p, SolveBudget::Exact).solution;
-            assert!(g.profit <= e.profit + 1e-9, "greedy {} > exact {}", g.profit, e.profit);
-            if e.profit > 0.0 {
-                ratio_sum += g.profit / e.profit;
+            let g = greedy_with_local_search(&p).profit(&p);
+            let e = solve_portfolio(&p, SolveBudget::Exact).profit;
+            assert!(g <= e + 1e-9, "greedy {g} > exact {e}");
+            if e > 0.0 {
+                ratio_sum += g / e;
             } else {
                 ratio_sum += 1.0;
             }
@@ -479,9 +469,8 @@ mod tests {
     fn local_search_inserts_missed_items() {
         let p = problem(vec![(1.0, 1.0, 1.0), (1.0, 1.0, 2.0)], vec![(2.0, 2.0)]);
         // Start from an empty packing.
-        let init = Solution { packing: Packing::empty(2), profit: 0.0 };
-        let s = local_search(&p, init, 10);
-        assert_eq!(s.profit, 3.0);
+        let s = local_search(&p, Packing::empty(2), 10);
+        assert_eq!(s.profit(&p), 3.0);
     }
 
     #[test]
@@ -489,10 +478,10 @@ mod tests {
         let p = problem(vec![(2.0, 2.0, 1.0), (2.0, 2.0, 5.0)], vec![(2.0, 2.0)]);
         let mut packing = Packing::empty(2);
         packing.assign(0, Some(0)); // suboptimal start
-        let s = local_search(&p, Solution { packing, profit: 1.0 }, 10);
-        assert_eq!(s.profit, 5.0);
-        assert_eq!(s.packing.sack_of(0), None);
-        assert_eq!(s.packing.sack_of(1), Some(0));
+        let s = local_search(&p, packing, 10);
+        assert_eq!(s.profit(&p), 5.0);
+        assert_eq!(s.sack_of(0), None);
+        assert_eq!(s.sack_of(1), Some(0));
     }
 
     #[test]
@@ -506,7 +495,7 @@ mod tests {
     /// The original `greedy`, verbatim as it stood before the sort was
     /// hoisted into `DensityIndex` — the regression oracle for exact
     /// output equality.
-    fn greedy_original(problem: &Problem) -> Solution {
+    fn greedy_original(problem: &Problem) -> Packing {
         let n = problem.num_items();
         let total_w: f64 =
             problem.sacks().iter().map(|s| s.weight_capacity).sum::<f64>().max(1e-12);
@@ -541,8 +530,7 @@ mod tests {
                 packing.assign(i, Some(s));
             }
         }
-        let profit = packing.profit(problem);
-        Solution { packing, profit }
+        packing
     }
 
     #[test]
@@ -566,23 +554,17 @@ mod tests {
             let p = problem(items, sacks);
             let reference = greedy_original(&p);
 
-            let fresh = greedy(&p);
-            assert_eq!(fresh.packing.placement(), reference.packing.placement(), "round {round}");
-            assert_eq!(fresh.profit.to_bits(), reference.profit.to_bits(), "round {round}");
+            assert_eq!(greedy(&p), reference, "round {round}");
 
             // Reusing one index across repeated solves must not drift.
             let index = DensityIndex::new(&p);
             for _ in 0..3 {
-                let reused = greedy_with_index(&p, &index);
-                assert_eq!(reused.packing.placement(), reference.packing.placement());
-                assert_eq!(reused.profit.to_bits(), reference.profit.to_bits());
+                assert_eq!(greedy_with_index(&p, &index), reference, "round {round}");
             }
 
             // And the full warm-start chain stays put too.
-            let ls_reference = local_search_scan(&p, reference.clone(), 32);
-            let ls_now = greedy_with_local_search(&p);
-            assert_eq!(ls_now.packing.placement(), ls_reference.packing.placement());
-            assert_eq!(ls_now.profit.to_bits(), ls_reference.profit.to_bits());
+            let ls_reference = local_search_scan(&p, reference, 32);
+            assert_eq!(greedy_with_local_search(&p), ls_reference, "round {round}");
         }
     }
 
@@ -603,9 +585,7 @@ mod tests {
             let p = generate(config, &mut rng);
             let plain = greedy_with_index(&p, &DensityIndex::new(&p));
             let weighted = greedy_weighted(&p, &vec![m; p.sacks().len()]);
-            assert_eq!(weighted.packing.placement(), plain.packing.placement(), "round {round}");
-            assert_eq!(weighted.packing.profit(&p).to_bits(), plain.profit.to_bits());
-            assert!((weighted.profit - m * plain.profit).abs() < 1e-9, "round {round}");
+            assert_eq!(weighted, plain, "round {round}");
         }
     }
 
@@ -616,13 +596,12 @@ mod tests {
         problem: &Problem,
         index: &DensityIndex,
         multiplier: impl Fn(usize) -> f64,
-    ) -> (Packing, f64) {
+    ) -> Packing {
         let (total_w, total_v) = index.scales();
         let mut packing = Packing::empty(problem.num_items());
         let mut residual: Vec<(f64, f64)> =
             problem.sacks().iter().map(|s| (s.weight_capacity, s.volume_capacity)).collect();
         let room = Summary::room(largest_room(residual.iter().copied()));
-        let mut weighted_profit = 0.0;
         for &i in &index.order {
             let item = problem.items()[i];
             if !room.fits(&item) {
@@ -641,14 +620,13 @@ mod tests {
                     }
                 }
             }
-            if let Some((s, m, _)) = best {
+            if let Some((s, _, _)) = best {
                 residual[s].0 -= item.weight;
                 residual[s].1 -= item.volume;
                 packing.assign(i, Some(s));
-                weighted_profit += item.profit * m;
             }
         }
-        (packing, weighted_profit)
+        packing
     }
 
     /// Sack counts on both sides of the block size: one partial block, one
@@ -710,11 +688,8 @@ mod tests {
             for shape in 0..4 {
                 for round in 0..6 {
                     let p = blocked_instance(&mut rng, m, shape);
-                    let reference = greedy_original(&p);
-                    let got = greedy(&p);
                     let what = format!("{m} sacks, shape {shape}, round {round}");
-                    assert_eq!(got.packing.placement(), reference.packing.placement(), "{what}");
-                    assert_eq!(got.profit.to_bits(), reference.profit.to_bits(), "{what}");
+                    assert_eq!(greedy(&p), greedy_original(&p), "{what}");
                 }
             }
         }
@@ -729,10 +704,9 @@ mod tests {
             sacks[s] = (2.0, 2.0);
         }
         let p = problem(vec![(2.0, 2.0, 4.0); 5], sacks);
-        let placed: Vec<_> = greedy(&p).packing.placement().to_vec();
         let want = [63, 64, 127, 128, 0].map(Some);
-        assert_eq!(placed, want);
-        assert_eq!(greedy_original(&p).packing.placement(), want);
+        assert_eq!(greedy(&p).placement(), want);
+        assert_eq!(greedy_original(&p).placement(), want);
     }
 
     #[test]
@@ -754,12 +728,9 @@ mod tests {
                             _ => rng.gen_range(0.0..2.0),
                         })
                         .collect();
-                    let (packing, profit) =
-                        place_scan(&p, &DensityIndex::new(&p), |s| multipliers[s]);
-                    let got = greedy_weighted(&p, &multipliers);
+                    let scan = place_scan(&p, &DensityIndex::new(&p), |s| multipliers[s]);
                     let what = format!("{m} sacks, shape {shape}, round {round}");
-                    assert_eq!(got.packing.placement(), packing.placement(), "{what}");
-                    assert_eq!(got.profit.to_bits(), profit.to_bits(), "{what}");
+                    assert_eq!(greedy_weighted(&p, &multipliers), scan, "{what}");
                 }
             }
         }
@@ -768,8 +739,8 @@ mod tests {
     /// The original `local_search`, verbatim as it stood before the two
     /// linear scans became `FirstHit` queries — the regression oracle for
     /// exact output equality.
-    fn local_search_scan(problem: &Problem, initial: Solution, max_rounds: usize) -> Solution {
-        let mut packing = initial.packing;
+    fn local_search_scan(problem: &Problem, initial: Packing, max_rounds: usize) -> Packing {
+        let mut packing = initial;
         for _ in 0..max_rounds {
             let mut residual = packing.residual_capacities(problem);
             let mut improved = false;
@@ -822,20 +793,18 @@ mod tests {
                 break;
             }
         }
-        let profit = packing.profit(problem);
-        Solution { packing, profit }
+        packing
     }
 
-    /// Runs both local searches from `start` and requires the same packing
-    /// and the same profit bits. Returns how many of `start`'s packed items
-    /// came out unpacked, i.e. how many swaps provably fired.
-    fn assert_matches_scan(p: &Problem, start: &Solution, max_rounds: usize, what: &str) -> usize {
+    /// Runs both local searches from `start` and requires the same packing.
+    /// Returns how many of `start`'s packed items came out unpacked, i.e.
+    /// how many swaps provably fired.
+    fn assert_matches_scan(p: &Problem, start: &Packing, max_rounds: usize, what: &str) -> usize {
         let expect = local_search_scan(p, start.clone(), max_rounds);
         let got = local_search(p, start.clone(), max_rounds);
-        assert_eq!(got.packing.placement(), expect.packing.placement(), "{what}");
-        assert_eq!(got.profit.to_bits(), expect.profit.to_bits(), "{what}");
+        assert_eq!(got, expect, "{what}");
         (0..p.num_items())
-            .filter(|&i| start.packing.sack_of(i).is_some() && got.packing.sack_of(i).is_none())
+            .filter(|&i| start.sack_of(i).is_some() && got.sack_of(i).is_none())
             .count()
     }
 
@@ -870,8 +839,7 @@ mod tests {
                 })
                 .collect();
             let p = problem(items, sacks);
-            let empty = Solution { packing: Packing::empty(n), profit: 0.0 };
-            for (label, start) in [("greedy", greedy(&p)), ("empty", empty)] {
+            for (label, start) in [("greedy", greedy(&p)), ("empty", Packing::empty(n))] {
                 for max_rounds in [0, 1, 32] {
                     let what = format!("round {round}, {label} start, {max_rounds} rounds");
                     swapped_out += assert_matches_scan(&p, &start, max_rounds, &what);
@@ -900,11 +868,10 @@ mod tests {
             .collect();
         let p = problem(items, sacks);
         let start = greedy(&p);
-        assert!(start.packing.packed_count() < n / 2, "most items must start unpacked");
+        assert!(start.packed_count() < n / 2, "most items must start unpacked");
         let swapped_out = assert_matches_scan(&p, &start, 32, "deflated mesh");
         assert!(swapped_out > 0, "swaps must fire on the deflated mesh shape");
-        let empty = Solution { packing: Packing::empty(n), profit: 0.0 };
-        assert_matches_scan(&p, &empty, 32, "deflated mesh, empty start");
+        assert_matches_scan(&p, &Packing::empty(n), 32, "deflated mesh, empty start");
     }
 
     #[test]
@@ -930,7 +897,6 @@ mod tests {
         // still fits in the large sack. (First-fit into the large sack
         // would lose profit 10.)
         let p = problem(vec![(1.0, 0.0, 10.0), (4.0, 0.0, 10.0)], vec![(4.0, 0.0), (1.0, 0.0)]);
-        let s = greedy(&p);
-        assert_eq!(s.profit, 20.0);
+        assert_eq!(greedy(&p).profit(&p), 20.0);
     }
 }

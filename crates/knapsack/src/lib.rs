@@ -31,8 +31,8 @@
 //! )?;
 //! let heuristic = greedy(&problem);
 //! let optimum = solve_portfolio(&problem, SolveBudget::Exact);
-//! assert!(optimum.proved_optimal);
-//! assert!(heuristic.profit <= optimum.solution.profit);
+//! assert!(optimum.certificate.proved_optimal);
+//! assert!(heuristic.profit(&problem) <= optimum.profit);
 //! # Ok(())
 //! # }
 //! ```

@@ -48,7 +48,13 @@
 //!   proved optimal. (`Exact`/`NodeBudget` never take this shortcut: their
 //!   returned *packing* is part of the contract, not just its profit.)
 //!
-//! An exhaustive search returns the same profit and packing whichever valid
+//! The reported profit is [`Packing::profit`] of the returned packing,
+//! whichever phase found it: the search's depth-first path sums only decide
+//! which packing it returns. Two solves that return the same placement
+//! report the same bits, and the portfolio picks between the warm start and
+//! the search on those values.
+//!
+//! An exhaustive search returns the same packing whichever valid
 //! bound prunes it: a prune only cuts subtrees that cannot beat the
 //! incumbent. A tighter bound moves only the certificate (bound bits, node
 //! count) and, under a node budget, which incumbent the budget reaches.
@@ -56,7 +62,7 @@
 use crate::bounds::surrogate_bound;
 use crate::exact::solve_with_floor;
 use crate::greedy::greedy_with_local_search;
-use crate::problem::{Problem, Solution};
+use crate::problem::{Packing, Problem};
 
 /// How much search a [`solve_portfolio`] call may spend after the warm
 /// start.
@@ -81,19 +87,20 @@ pub enum SolveBudget {
 /// greedy warm start's local mistakes near the top of the tree.
 pub const ANYTIME_SUBTREE_NODE_BUDGET: u64 = 2_000;
 
-/// A solution plus its optimality certificate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PortfolioSolution {
-    /// Best packing found (never worse than the greedy warm start).
-    pub solution: Solution,
-    /// Surrogate-relaxation upper bound on the optimum, clamped to at least
-    /// the returned profit so [`PortfolioSolution::gap`] is never negative.
-    pub upper_bound: f64,
-    /// Profit of the greedy + local-search warm start alone.
-    pub warm_profit: f64,
+/// Optimality certificate of a solve, so a node-capped incumbent is
+/// distinguishable from a proved optimum.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SolveCertificate {
     /// True when the result is proved optimal: the budgeted search ran to
     /// exhaustion, or the warm start already met the relaxation bound.
     pub proved_optimal: bool,
+    /// Relative optimality gap: `(upper_bound − profit) / upper_bound`,
+    /// floored at `0.0`, and exactly `0.0` when proved optimal. The true
+    /// optimum is guaranteed within this fraction of the returned profit.
+    pub gap: f64,
+    /// Surrogate-relaxation upper bound on the optimum, clamped to at least
+    /// the warm start's profit.
+    pub upper_bound: f64,
     /// Branch-and-bound nodes explored. Deterministic in the budgeted
     /// modes; reported as `0` in [`SolveBudget::Exact`] because exhaustive
     /// shared-bound node counts depend on thread interleaving and would
@@ -101,17 +108,26 @@ pub struct PortfolioSolution {
     pub nodes: u64,
 }
 
+/// A packing, its value and its optimality certificate.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PortfolioSolution {
+    /// Best packing found (never worse than the greedy warm start).
+    pub packing: Packing,
+    /// Its [`Packing::profit`].
+    pub profit: f64,
+    /// How far from optimal it can be.
+    pub certificate: SolveCertificate,
+}
+
 impl PortfolioSolution {
-    /// Relative optimality gap certificate: `(upper_bound − profit) /
-    /// upper_bound`, and exactly `0.0` when the solution is proved optimal.
-    /// The true optimum is guaranteed within this fraction of the returned
-    /// profit.
-    pub fn gap(&self) -> f64 {
-        if self.proved_optimal {
-            return 0.0;
-        }
-        let denom = self.upper_bound.abs().max(1e-12);
-        ((self.upper_bound - self.solution.profit) / denom).max(0.0)
+    fn new(packing: Packing, profit: f64, upper_bound: f64, proved: bool, nodes: u64) -> Self {
+        let gap = if proved {
+            0.0
+        } else {
+            ((upper_bound - profit) / upper_bound.abs().max(1e-12)).max(0.0)
+        };
+        let certificate = SolveCertificate { proved_optimal: proved, gap, upper_bound, nodes };
+        Self { packing, profit, certificate }
     }
 }
 
@@ -133,15 +149,15 @@ impl PortfolioSolution {
 ///     vec![Sack::new(2.0, 1.0)?],
 /// )?;
 /// let r = solve_portfolio(&p, SolveBudget::Exact);
-/// assert_eq!(r.solution.profit, 10.0);
-/// assert!(r.proved_optimal);
-/// assert_eq!(r.gap(), 0.0);
+/// assert_eq!(r.profit, 10.0);
+/// assert!(r.certificate.proved_optimal);
+/// assert_eq!(r.certificate.gap, 0.0);
 /// # Ok(())
 /// # }
 /// ```
 pub fn solve_portfolio(problem: &Problem, budget: SolveBudget) -> PortfolioSolution {
     let warm = greedy_with_local_search(problem);
-    let warm_profit = warm.profit;
+    let warm_profit = warm.profit(problem);
     let raw_upper = surrogate_bound(problem);
     // A bound numerically below a feasible profit is float slack; clamping
     // keeps the certificate sound and the gap non-negative.
@@ -149,44 +165,30 @@ pub fn solve_portfolio(problem: &Problem, budget: SolveBudget) -> PortfolioSolut
     let proved_by_bound = raw_upper <= warm_profit + 1e-12;
 
     if problem.num_items() == 0 {
-        return PortfolioSolution {
-            solution: warm,
-            upper_bound,
-            warm_profit,
-            proved_optimal: true,
-            nodes: 0,
-        };
+        return PortfolioSolution::new(warm, warm_profit, upper_bound, true, 0);
     }
 
     let node_limit = match budget {
         SolveBudget::Exact => None,
         SolveBudget::NodeBudget(n) => Some(n),
-        SolveBudget::Anytime => {
-            if proved_by_bound {
-                return PortfolioSolution {
-                    solution: warm,
-                    upper_bound,
-                    warm_profit,
-                    proved_optimal: true,
-                    nodes: 0,
-                };
-            }
-            Some(ANYTIME_SUBTREE_NODE_BUDGET)
+        SolveBudget::Anytime if proved_by_bound => {
+            return PortfolioSolution::new(warm, warm_profit, upper_bound, true, 0);
         }
+        SolveBudget::Anytime => Some(ANYTIME_SUBTREE_NODE_BUDGET),
     };
 
     let report = solve_with_floor(problem, node_limit, warm_profit);
-    // `>=` prefers the branch-and-bound packing on profit ties, so whenever
-    // the search completes the returned packing is the plain DFS's first
+    let search_profit = report.packing.profit(problem);
+    // `>=` prefers the branch-and-bound packing on ties, so whenever the
+    // search completes the returned packing is the plain DFS's first
     // optimum achiever — warm start or not.
-    let solution = if report.solution.profit >= warm_profit { report.solution } else { warm };
-    PortfolioSolution {
-        solution,
-        upper_bound,
-        warm_profit,
-        proved_optimal: proved_by_bound || report.completed,
-        nodes: if matches!(budget, SolveBudget::Exact) { 0 } else { report.nodes },
-    }
+    let (packing, profit) = if search_profit >= warm_profit {
+        (report.packing, search_profit)
+    } else {
+        (warm, warm_profit)
+    };
+    let nodes = if matches!(budget, SolveBudget::Exact) { 0 } else { report.nodes };
+    PortfolioSolution::new(packing, profit, upper_bound, proved_by_bound || report.completed, nodes)
 }
 
 #[cfg(test)]
@@ -228,9 +230,9 @@ mod tests {
         let p = problem(vec![], vec![(1.0, 1.0)]);
         for budget in [SolveBudget::Exact, SolveBudget::NodeBudget(1), SolveBudget::Anytime] {
             let r = solve_portfolio(&p, budget);
-            assert_eq!(r.solution.profit, 0.0);
-            assert!(r.proved_optimal);
-            assert_eq!(r.gap(), 0.0);
+            assert_eq!(r.profit, 0.0);
+            assert!(r.certificate.proved_optimal);
+            assert_eq!(r.certificate.gap, 0.0);
         }
     }
 
@@ -241,14 +243,13 @@ mod tests {
             let p = random_integer_problem(&mut rng, 7);
             for budget in [SolveBudget::Exact, SolveBudget::Anytime] {
                 let r = solve_portfolio(&p, budget);
-                let bf = brute_force(&p);
-                assert!(r.solution.packing.is_feasible(&p));
-                if r.proved_optimal {
+                let bf = brute_force(&p).profit(&p);
+                assert!(r.packing.is_feasible(&p));
+                if r.certificate.proved_optimal {
                     assert!(
-                        (r.solution.profit - bf.profit).abs() < 1e-9,
-                        "round {round} {budget:?}: claimed optimal {} vs {}",
-                        r.solution.profit,
-                        bf.profit
+                        (r.profit - bf).abs() < 1e-9,
+                        "round {round} {budget:?}: claimed optimal {} vs {bf}",
+                        r.profit,
                     );
                 }
             }
@@ -261,11 +262,11 @@ mod tests {
         for round in 0..40 {
             let p = random_integer_problem(&mut rng, 7);
             let r = solve_portfolio(&p, SolveBudget::NodeBudget(3));
-            let bf = brute_force(&p);
-            assert!(r.upper_bound + 1e-9 >= bf.profit, "round {round}: bound below optimum");
-            let certified_ceiling = r.solution.profit + r.gap() * r.upper_bound;
+            let bf = brute_force(&p).profit(&p);
+            let SolveCertificate { gap, upper_bound, .. } = r.certificate;
+            assert!(upper_bound + 1e-9 >= bf, "round {round}: bound below optimum");
             assert!(
-                certified_ceiling + 1e-9 >= bf.profit,
+                r.profit + gap * upper_bound + 1e-9 >= bf,
                 "round {round}: gap certificate unsound"
             );
         }

@@ -219,7 +219,9 @@ impl Packing {
         self.placement.iter().filter(|p| p.is_some()).count()
     }
 
-    /// Total profit of packed items under `problem`.
+    /// Total profit of packed items under `problem`, summed in item-index
+    /// order. This is the one value of a packing: every solver reports it,
+    /// so two solves that return the same placement report the same bits.
     ///
     /// # Panics
     ///
@@ -277,15 +279,6 @@ impl Packing {
         }
         residual
     }
-}
-
-/// Outcome of a solver run: the packing plus its profit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Solution {
-    /// The packing found.
-    pub packing: Packing,
-    /// Its total profit (cached by the solver).
-    pub profit: f64,
 }
 
 #[cfg(test)]

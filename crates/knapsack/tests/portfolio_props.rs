@@ -72,19 +72,18 @@ proptest! {
     /// warm start ≤ result ≤ upper bound, and the packing is feasible.
     #[test]
     fn result_bracketed_by_warm_start_and_upper_bound(p in medium_problem()) {
-        let warm = greedy_with_local_search(&p);
+        let warm = greedy_with_local_search(&p).profit(&p);
         for budget in BUDGETS {
             let r = solve_portfolio(&p, budget);
-            prop_assert!(r.solution.packing.is_feasible(&p), "{budget:?}: infeasible packing");
-            prop_assert!((r.warm_profit - warm.profit).abs() < 1e-12,
-                "{budget:?}: warm profit drifted");
-            prop_assert!(r.solution.profit + 1e-9 >= warm.profit,
-                "{budget:?}: result {} below warm start {}", r.solution.profit, warm.profit);
-            prop_assert!(r.solution.profit <= r.upper_bound + 1e-9,
-                "{budget:?}: result {} above bound {}", r.solution.profit, r.upper_bound);
-            prop_assert!(r.gap() >= 0.0 && r.gap().is_finite(), "{budget:?}: bad gap");
-            if r.proved_optimal {
-                prop_assert!(r.gap() == 0.0, "{budget:?}: proved but gap {}", r.gap());
+            let cert = r.certificate;
+            prop_assert!(r.packing.is_feasible(&p), "{budget:?}: infeasible packing");
+            prop_assert!(r.profit >= warm,
+                "{budget:?}: result {} below warm start {}", r.profit, warm);
+            prop_assert!(r.profit <= cert.upper_bound + 1e-9,
+                "{budget:?}: result {} above bound {}", r.profit, cert.upper_bound);
+            prop_assert!(cert.gap >= 0.0 && cert.gap.is_finite(), "{budget:?}: bad gap");
+            if cert.proved_optimal {
+                prop_assert!(cert.gap == 0.0, "{budget:?}: proved but gap {}", cert.gap);
             }
         }
     }
@@ -94,20 +93,21 @@ proptest! {
     /// the optimum. Exact mode must always prove.
     #[test]
     fn gap_certificate_is_sound_against_brute_force(p in small_problem()) {
-        let opt = brute_force(&p).profit;
+        let opt = brute_force(&p).profit(&p);
         for budget in BUDGETS {
             let r = solve_portfolio(&p, budget);
-            prop_assert!(r.solution.profit <= opt + 1e-9,
-                "{budget:?}: incumbent {} beat the optimum {}", r.solution.profit, opt);
-            prop_assert!(opt <= r.upper_bound + 1e-9,
-                "{budget:?}: bound {} below the optimum {}", r.upper_bound, opt);
-            if r.proved_optimal {
-                prop_assert!((r.solution.profit - opt).abs() < 1e-9,
-                    "{budget:?}: proved {} but optimum is {}", r.solution.profit, opt);
+            let cert = r.certificate;
+            prop_assert!(r.profit <= opt + 1e-9,
+                "{budget:?}: incumbent {} beat the optimum {}", r.profit, opt);
+            prop_assert!(opt <= cert.upper_bound + 1e-9,
+                "{budget:?}: bound {} below the optimum {}", cert.upper_bound, opt);
+            if cert.proved_optimal {
+                prop_assert!((r.profit - opt).abs() < 1e-9,
+                    "{budget:?}: proved {} but optimum is {}", r.profit, opt);
             }
         }
         let exact = solve_portfolio(&p, SolveBudget::Exact);
-        prop_assert!(exact.proved_optimal, "exact mode must prove optimality");
+        prop_assert!(exact.certificate.proved_optimal, "exact mode must prove optimality");
     }
 
     /// Growing the node budget never worsens the incumbent: the budgeted
@@ -118,14 +118,14 @@ proptest! {
         let mut prev = f64::NEG_INFINITY;
         for nodes in [0u64, 10, 50, 250, 2_000] {
             let r = solve_portfolio(&p, SolveBudget::NodeBudget(nodes));
-            prop_assert!(r.solution.profit + 1e-9 >= prev,
-                "budget {} worsened the incumbent: {} < {}", nodes, r.solution.profit, prev);
-            prev = r.solution.profit;
+            prop_assert!(r.profit + 1e-9 >= prev,
+                "budget {} worsened the incumbent: {} < {}", nodes, r.profit, prev);
+            prev = r.profit;
         }
     }
 
-    /// Every budget mode returns bit-identical profit, placement, bound
-    /// and certificate at 1, 2 and 8 threads (the documented determinism
+    /// Every budget mode returns a bit-identical profit, placement and
+    /// certificate at 1, 2 and 8 threads (the documented determinism
     /// contract).
     #[test]
     fn portfolio_bit_identical_across_threads(p in integer_problem()) {
@@ -138,15 +138,20 @@ proptest! {
             for threads in [2usize, 8] {
                 let _t = parallel::ScopedThreads::new(threads);
                 let r = solve_portfolio(&p, budget);
-                prop_assert_eq!(r.solution.profit.to_bits(), reference.solution.profit.to_bits(),
+                prop_assert_eq!(r.profit.to_bits(), reference.profit.to_bits(),
                     "{:?} at {} threads: profit diverged", budget, threads);
-                prop_assert_eq!(r.solution.packing.placement(), reference.solution.packing.placement(),
+                prop_assert_eq!(r.packing.placement(), reference.packing.placement(),
                     "{:?} at {} threads: placement diverged", budget, threads);
-                prop_assert_eq!(r.upper_bound.to_bits(), reference.upper_bound.to_bits(),
+                // Field by field: `PartialEq` on the certificate would miss
+                // a sign flip of a zero gap.
+                let (a, b) = (r.certificate, reference.certificate);
+                prop_assert_eq!(a.upper_bound.to_bits(), b.upper_bound.to_bits(),
                     "{:?} at {} threads: bound diverged", budget, threads);
-                prop_assert_eq!(r.proved_optimal, reference.proved_optimal,
+                prop_assert_eq!(a.gap.to_bits(), b.gap.to_bits(),
+                    "{:?} at {} threads: gap diverged", budget, threads);
+                prop_assert_eq!(a.proved_optimal, b.proved_optimal,
                     "{:?} at {} threads: certificate diverged", budget, threads);
-                prop_assert_eq!(r.nodes, reference.nodes,
+                prop_assert_eq!(a.nodes, b.nodes,
                     "{:?} at {} threads: node count diverged", budget, threads);
             }
         }

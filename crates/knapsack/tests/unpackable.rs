@@ -12,7 +12,7 @@
 use knapsack::generator::{generate, GeneratorConfig};
 use knapsack::greedy::greedy_with_local_search;
 use knapsack::portfolio::{solve_portfolio, SolveBudget};
-use knapsack::problem::{Item, Problem, Sack, Solution};
+use knapsack::problem::{Item, Packing, Problem, Sack};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,10 +27,10 @@ struct Outcome {
 }
 
 impl Outcome {
-    fn of(solution: &Solution) -> Self {
+    fn of(problem: &Problem, packing: &Packing) -> Self {
         Self {
-            profit_bits: solution.profit.to_bits(),
-            placement: solution.packing.placement().to_vec(),
+            profit_bits: packing.profit(problem).to_bits(),
+            placement: packing.placement().to_vec(),
             upper_bound_bits: None,
             proved: None,
             nodes: None,
@@ -52,16 +52,17 @@ fn solves(problem: &Problem) -> Vec<(String, Outcome)> {
     for budget in BUDGETS {
         let r = solve_portfolio(problem, budget);
         let outcome = Outcome {
-            upper_bound_bits: Some(r.upper_bound.to_bits()),
-            proved: Some(r.proved_optimal),
-            nodes: Some(r.nodes),
-            ..Outcome::of(&r.solution)
+            profit_bits: r.profit.to_bits(),
+            upper_bound_bits: Some(r.certificate.upper_bound.to_bits()),
+            proved: Some(r.certificate.proved_optimal),
+            nodes: Some(r.certificate.nodes),
+            ..Outcome::of(problem, &r.packing)
         };
         out.push((format!("{budget:?}"), outcome));
     }
     out.push((
         "greedy_with_local_search".to_string(),
-        Outcome::of(&greedy_with_local_search(problem)),
+        Outcome::of(problem, &greedy_with_local_search(problem)),
     ));
     out
 }

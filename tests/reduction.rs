@@ -46,12 +46,12 @@ proptest! {
     #[test]
     fn reduction_preserves_objective(inst in instance_strategy()) {
         // Solving the reduced knapsack and interpreting the packing back
-        // must give an allocation whose importance equals the solver's
-        // reported profit.
+        // must give an allocation whose importance is the solver's reported
+        // profit, to the bit.
         let problem = inst.to_knapsack().expect("reduction");
-        let sol = solve_portfolio(&problem, SolveBudget::Exact).solution;
+        let sol = solve_portfolio(&problem, SolveBudget::Exact);
         let alloc = inst.allocation_from_packing(&sol.packing);
-        prop_assert!((alloc.total_importance(inst.tasks()) - sol.profit).abs() < 1e-9);
+        prop_assert_eq!(alloc.total_importance(inst.tasks()).to_bits(), sol.profit.to_bits());
     }
 
     #[test]

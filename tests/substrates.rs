@@ -33,7 +33,7 @@ fn trained_dqn_approaches_knapsack_optimum_on_small_instance() {
         vec![Sack::new(1.0, 1.0).expect("valid"); 2],
     )
     .expect("problem");
-    let optimum = solve_portfolio(&problem, SolveBudget::Exact).solution.profit;
+    let optimum = solve_portfolio(&problem, SolveBudget::Exact).profit;
     assert!((optimum - 1.6).abs() < 1e-9);
 
     let mut rng = StdRng::seed_from_u64(5);
