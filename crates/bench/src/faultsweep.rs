@@ -101,7 +101,7 @@ pub struct MeshLeg {
     pub crashes: usize,
     /// Days on which at least one fault actually bit.
     pub faulted_days: usize,
-    /// Aggregates per reaction, [`MODES`] order.
+    /// Aggregates per reaction, in `MODES` order.
     pub arms: Vec<ArmStats>,
 }
 

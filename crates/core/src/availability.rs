@@ -4,10 +4,10 @@
 //! lets the allocator *anticipate* it. Each node carries a Beta posterior
 //! over its up/down behaviour, updated online from the failure histories
 //! fault-injected runs emit ([`edgesim::trace::node_exposures`]) and
-//! decayed so stale history fades. The posterior answers three survival
-//! estimates — posterior mean, UCB, and a seeded Thompson draw — which the
-//! proactive allocation path folds into TATIM's objective as an *expected
-//! retained importance* multiplier.
+//! decayed so stale history fades. The proactive allocation path folds a
+//! seeded Thompson draw from the posterior into TATIM's objective as an
+//! *expected retained importance* multiplier; re-dispatch scores read the
+//! posterior mean.
 //!
 //! # Determinism contract
 //!
@@ -71,45 +71,21 @@ impl Default for AvailabilityConfig {
     }
 }
 
-/// Which survival estimate the proactive allocator asks the model for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SurvivalEstimator {
-    /// Posterior mean `α / (α + β)` — exploitation only.
-    Mean,
-    /// Mean plus an exploration bonus shrinking with evidence (UCB1-style).
-    Ucb,
-    /// A seeded draw from the posterior (Thompson sampling).
-    Thompson,
-}
-
-impl fmt::Display for SurvivalEstimator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SurvivalEstimator::Mean => "mean",
-            SurvivalEstimator::Ucb => "ucb",
-            SurvivalEstimator::Thompson => "thompson",
-        })
-    }
-}
-
 /// How hard the proactive objective leans on learned availability.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProactiveConfig {
     /// Blend weight `w` in the per-node objective multiplier
     /// `(1 − w) + w · survival`: `0` recovers the plain TATIM objective,
-    /// `1` scores importance purely by expected retention.
+    /// `1` scores importance purely by expected retention. The survival
+    /// is a Thompson draw ([`AvailabilityModel::thompson`]).
     pub weight: f64,
-    /// Exploration scale for [`SurvivalEstimator::Ucb`].
-    pub exploration: f64,
-    /// Which survival estimate drives the objective.
-    pub estimator: SurvivalEstimator,
     /// Base seed for Thompson draws (mixed with the day and node).
     pub seed: u64,
 }
 
 impl Default for ProactiveConfig {
     fn default() -> Self {
-        Self { weight: 0.6, exploration: 0.5, estimator: SurvivalEstimator::Thompson, seed: 0xA7A1 }
+        Self { weight: 0.6, seed: 0xA7A1 }
     }
 }
 
@@ -294,16 +270,6 @@ impl AvailabilityModel {
         a / (a + b)
     }
 
-    /// Mean plus an exploration bonus `c · sqrt(mean·(1−mean)/(n+1))`
-    /// where `n = α + β`, clamped to `[0, 1]`. Deterministic without any
-    /// RNG — the serving-path default.
-    pub fn ucb(&self, node: usize, exploration: f64) -> f64 {
-        let (a, b) = self.posterior(node);
-        let n = a + b;
-        let mean = a / n;
-        (mean + exploration * (mean * (1.0 - mean) / (n + 1.0)).sqrt()).clamp(0.0, 1.0)
-    }
-
     /// One Thompson draw from the node's Beta posterior.
     ///
     /// The draw uses a fresh generator keyed by `(seed, node)` — mix the
@@ -314,16 +280,6 @@ impl AvailabilityModel {
         let (a, b) = self.posterior(node);
         let mut rng = StdRng::seed_from_u64(mix_node_seed(seed, node));
         sample_beta(&mut rng, a, b)
-    }
-
-    /// The survival estimate a [`ProactiveConfig`] asks for, with
-    /// `draw_seed` already mixed per day by the caller.
-    pub fn survival(&self, node: usize, pc: &ProactiveConfig, draw_seed: u64) -> f64 {
-        match pc.estimator {
-            SurvivalEstimator::Mean => self.mean(node),
-            SurvivalEstimator::Ucb => self.ucb(node, pc.exploration),
-            SurvivalEstimator::Thompson => self.thompson(node, draw_seed),
-        }
     }
 
     /// Serialises every node's posterior (and any buffered ticks), sorted
@@ -353,8 +309,9 @@ impl AvailabilityModel {
     ///
     /// # Errors
     ///
-    /// [`AvailabilityPersistError::Parse`] on a malformed dump; nothing is
-    /// merged partially — the text is validated before any insert.
+    /// [`AvailabilityPersistError::Parse`] on a malformed dump or a node
+    /// recorded twice; nothing is merged partially — the text is validated
+    /// before any insert.
     pub fn load_text(&self, text: &str) -> Result<usize, AvailabilityPersistError> {
         let mut lines = text.lines().enumerate();
         match lines.next() {
@@ -364,7 +321,7 @@ impl AvailabilityModel {
             }
             None => return Err(AvailabilityPersistError::Parse { line: 1, reason: "empty file" }),
         }
-        let mut parsed: Vec<(usize, NodeState)> = Vec::new();
+        let mut parsed: BTreeMap<usize, NodeState> = BTreeMap::new();
         for (idx, line) in lines {
             if line.is_empty() {
                 continue;
@@ -395,16 +352,17 @@ impl AvailabilityModel {
                     reason: "posterior parameters must be finite and positive",
                 });
             }
-            parsed.push((
-                node,
-                NodeState { alpha, beta, pending_up_ticks, pending_down_ticks, pending_crashes },
-            ));
+            let s =
+                NodeState { alpha, beta, pending_up_ticks, pending_down_ticks, pending_crashes };
+            if parsed.insert(node, s).is_some() {
+                return Err(AvailabilityPersistError::Parse {
+                    line: idx + 1,
+                    reason: "duplicate node",
+                });
+            }
         }
         let count = parsed.len();
-        let mut state = self.state.lock().expect("availability lock");
-        for (node, s) in parsed {
-            state.insert(node, s);
-        }
+        self.state.lock().expect("availability lock").extend(parsed);
         Ok(count)
     }
 
@@ -602,43 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn ucb_bonus_shrinks_with_evidence() {
-        let little = AvailabilityModel::default();
-        little.absorb(&[exposure(0, 120.0, 120.0, 0)]);
-        little.advance_round();
-        let lots = AvailabilityModel::default();
-        for _ in 0..30 {
-            lots.absorb(&[exposure(0, 120.0, 120.0, 0)]);
-            lots.advance_round();
-        }
-        let bonus = |m: &AvailabilityModel| m.ucb(0, 1.0) - m.mean(0);
-        assert!(bonus(&little) > bonus(&lots));
-        assert!(m_in_unit(little.ucb(0, 5.0)));
-        fn m_in_unit(x: f64) -> bool {
-            (0.0..=1.0).contains(&x)
-        }
-    }
-
-    #[test]
-    fn estimator_dispatch_matches_direct_calls() {
-        let m = AvailabilityModel::default();
-        m.absorb(&[exposure(3, 500.0, 100.0, 1)]);
-        m.advance_round();
-        let pc = |e| ProactiveConfig { estimator: e, ..ProactiveConfig::default() };
-        assert_eq!(m.survival(3, &pc(SurvivalEstimator::Mean), 9).to_bits(), m.mean(3).to_bits());
-        let pcu = ProactiveConfig {
-            estimator: SurvivalEstimator::Ucb,
-            exploration: 0.7,
-            ..ProactiveConfig::default()
-        };
-        assert_eq!(m.survival(3, &pcu, 9).to_bits(), m.ucb(3, 0.7).to_bits());
-        assert_eq!(
-            m.survival(3, &pc(SurvivalEstimator::Thompson), 9).to_bits(),
-            m.thompson(3, 9).to_bits()
-        );
-    }
-
-    #[test]
     fn text_round_trip_is_bit_exact() {
         let m = AvailabilityModel::default();
         m.absorb(&[exposure(0, 600.0, 31.4, 1), exposure(5, 59.9, 0.1, 0)]);
@@ -669,6 +590,26 @@ mod tests {
         );
         assert!(matches!(m.load_text(&nan), Err(AvailabilityPersistError::Parse { line: 2, .. })));
         assert!(m.is_empty(), "failed loads must not merge partially");
+    }
+
+    #[test]
+    fn duplicate_node_is_rejected_before_any_merge() {
+        let m = AvailabilityModel::default();
+        m.absorb(&[exposure(3, 600.0, 0.0, 0)]);
+        m.advance_round();
+        let text = m.to_text();
+        let records: String = [(1usize, 2.0f64), (2, 3.0), (1, 4.0)]
+            .iter()
+            .map(|(node, alpha)| {
+                format!("{node:016x} {:016x} {:016x} 0 0 0\n", alpha.to_bits(), 1.0f64.to_bits())
+            })
+            .collect();
+        let dump = format!("{PERSIST_HEADER}\n{records}");
+        assert!(matches!(
+            m.load_text(&dump),
+            Err(AvailabilityPersistError::Parse { line: 4, reason: "duplicate node" })
+        ));
+        assert_eq!(m.to_text(), text, "contents moved");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   [`ImportanceEvaluator::with_cache`]), and
 //! * the availability mask packed into a `u64` bitset.
 //!
-//! The map is **sharded**: entries are distributed over [`SHARDS`]
+//! The map is **sharded**: entries are distributed over `SHARDS`
 //! independently-locked shards selected by an FNV-1a fingerprint of the
 //! full key, so concurrent serving threads (see `dcta-serve`) contend only
 //! when they touch the same shard. Recency is a single process-wide atomic

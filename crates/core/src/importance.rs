@@ -504,7 +504,6 @@ fn building_performance(
 mod tests {
     use super::*;
     use buildings::scenario::ScenarioConfig;
-    use learn::transfer::MtlMode;
 
     fn scenario() -> Scenario {
         Scenario::generate(ScenarioConfig {
@@ -517,11 +516,7 @@ mod tests {
     }
 
     fn models(s: &Scenario) -> CopModels {
-        CopModels::train(
-            s,
-            MtlConfig { mode: MtlMode::SelfAdapted, transfer_strength: 2.0, ..Default::default() },
-        )
-        .unwrap()
+        CopModels::train(s, MtlConfig { transfer_strength: 2.0, ..Default::default() }).unwrap()
     }
 
     #[test]

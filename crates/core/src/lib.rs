@@ -23,7 +23,7 @@
 //! * [`recovery`] — importance-aware re-planning after mid-run processor
 //!   loss (re-solve over survivors, shed least-important first).
 //! * [`availability`] — learned per-node Beta availability priors with
-//!   Thompson/UCB survival estimates, driving the proactive allocation
+//!   seeded Thompson survival draws, driving the proactive allocation
 //!   path (`RecoveryMode::Proactive`) ahead of any crash.
 //! * [`shared`] — the frozen `Send + Sync` pipeline core
 //!   ([`shared::PreparedCore`]) a concurrent serving layer shares across

@@ -12,7 +12,6 @@
 use learn::adaboost::AdaBoost;
 use learn::dataset::{Dataset, DatasetError, Standardizer};
 use learn::forest::{ForestConfig, RandomForest};
-use learn::logistic::{LogisticConfig, LogisticRegression};
 use learn::svm::{LinearSvm, SvmConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,9 +27,6 @@ pub enum LocalModelKind {
     AdaBoost,
     /// Random forest (sign of the ensemble mean).
     RandomForest,
-    /// Logistic regression — an extension candidate beyond the paper's
-    /// three, with natively calibrated `[0, 1]` scores.
-    Logistic,
 }
 
 impl fmt::Display for LocalModelKind {
@@ -39,7 +35,6 @@ impl fmt::Display for LocalModelKind {
             LocalModelKind::Svm => "svm",
             LocalModelKind::AdaBoost => "adaboost",
             LocalModelKind::RandomForest => "random-forest",
-            LocalModelKind::Logistic => "logistic",
         };
         f.write_str(name)
     }
@@ -102,7 +97,6 @@ enum Fitted {
     Svm(LinearSvm),
     AdaBoost(AdaBoost),
     Forest(RandomForest),
-    Logistic(LogisticRegression),
 }
 
 /// The trained local process.
@@ -147,10 +141,6 @@ impl LocalProcess {
                 RandomForest::fit(&data, ForestConfig::default(), &mut rng)
                     .map_err(|e| LocalError::Fit(e.to_string()))?,
             ),
-            LocalModelKind::Logistic => Fitted::Logistic(
-                LogisticRegression::fit(&data, LogisticConfig::default())
-                    .map_err(|e| LocalError::Fit(e.to_string()))?,
-            ),
         };
         Ok(Self { model, standardizer, kind })
     }
@@ -181,9 +171,6 @@ impl LocalProcess {
                 m.decision_value(&x).map_err(|e| LocalError::Fit(e.to_string()))?
             }
             Fitted::Forest(m) => m.predict(&x).map_err(|e| LocalError::Fit(e.to_string()))?,
-            Fitted::Logistic(m) => {
-                m.decision_value(&x).map_err(|e| LocalError::Fit(e.to_string()))?
-            }
         };
         Ok(v)
     }
@@ -253,12 +240,7 @@ mod tests {
     fn all_three_kinds_learn_the_rule() {
         let (rows, labels) = synthetic(300, 1);
         let (test_rows, test_labels) = synthetic(100, 2);
-        for kind in [
-            LocalModelKind::Svm,
-            LocalModelKind::AdaBoost,
-            LocalModelKind::RandomForest,
-            LocalModelKind::Logistic,
-        ] {
+        for kind in [LocalModelKind::Svm, LocalModelKind::AdaBoost, LocalModelKind::RandomForest] {
             let lp = LocalProcess::train(rows.clone(), labels.clone(), kind, 7).unwrap();
             let acc = lp.accuracy(&test_rows, &test_labels).unwrap();
             assert!(acc > 0.8, "{kind} accuracy {acc}");

@@ -599,18 +599,9 @@ impl Pipeline {
         let mut history = TaskHistory::new(n);
         let mut local_rows = Vec::new();
         let mut local_labels = Vec::new();
-        // The route feature column changes the DQN state dimension, so the
-        // offline store must see the same geometry the online queries will.
-        let annotate = |instance: TatimInstance| {
-            if cfg.crl.route_feature {
-                instance.with_route_factors(route_factors.clone())
-            } else {
-                instance
-            }
-        };
         let routed_fleet = objective::deflated_fleet_with(&fleet, &route_factors)?;
-        let blind_routed = annotate(TatimInstance::new(tasks.clone(), routed_fleet));
-        let blind = annotate(TatimInstance::new(tasks, fleet));
+        let blind_routed = TatimInstance::new(tasks.clone(), routed_fleet);
+        let blind = TatimInstance::new(tasks, fleet);
         for d in 0..cfg.env_history_days {
             let day = scenario.day(d);
             let imp = &true_importances[d];
@@ -785,8 +776,7 @@ pub(crate) struct Prepared {
     models: CopModels,
     cluster: Cluster,
     /// The instance every online allocator decides over: the prepared
-    /// tasks and fleet with no importances priced in, annotated with
-    /// `route_factors` under [`CrlConfig::route_feature`].
+    /// tasks and fleet with no importances priced in.
     pub(crate) blind: TatimInstance,
     pub(crate) route_factors: Vec<f64>,
     /// `blind` over the fleet deflated by `route_factors` — what a
@@ -896,7 +886,7 @@ impl Prepared {
                         .iter()
                         .map(|p| {
                             (1.0 - pc.weight)
-                                + pc.weight * self.availability.survival(p.node.0, &pc, draw_seed)
+                                + pc.weight * self.availability.thompson(p.node.0, draw_seed)
                         })
                         .collect();
                     blind

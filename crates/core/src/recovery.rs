@@ -281,7 +281,7 @@ pub fn replan_proactive(
         .iter()
         .map(|&c| {
             let node = instance.fleet().node_of(c).0;
-            let survival = model.survival(node, proactive, draw_seed);
+            let survival = model.thompson(node, draw_seed);
             (1.0 - proactive.weight) + proactive.weight * survival
         })
         .collect();
@@ -501,7 +501,7 @@ mod tests {
 
     mod proactive {
         use super::*;
-        use crate::availability::{AvailabilityModel, ProactiveConfig, SurvivalEstimator};
+        use crate::availability::{AvailabilityModel, ProactiveConfig};
         use edgesim::trace::NodeExposure;
 
         fn model_with(beliefs: &[(usize, f64, f64, u64)]) -> AvailabilityModel {
@@ -527,11 +527,7 @@ mod tests {
             // fits one task per survivor — the more important of the two
             // kept tasks must land on node 1.
             let model = model_with(&[(1, 3600.0, 0.0, 0), (3, 60.0, 3540.0, 8)]);
-            let pc = ProactiveConfig {
-                estimator: SurvivalEstimator::Mean,
-                weight: 0.8,
-                ..ProactiveConfig::default()
-            };
+            let pc = ProactiveConfig { weight: 0.8, ..ProactiveConfig::default() };
             let survivors = [NodeId(1), NodeId(3)];
             let plan =
                 replan_proactive(&inst, &[false; 6], &survivors, 0.5, &model, &pc, 7).unwrap();
@@ -544,11 +540,7 @@ mod tests {
         fn zero_weight_matches_plain_replan_placement() {
             let inst = instance();
             let model = model_with(&[(1, 60.0, 3540.0, 9)]);
-            let pc = ProactiveConfig {
-                weight: 0.0,
-                estimator: SurvivalEstimator::Mean,
-                ..ProactiveConfig::default()
-            };
+            let pc = ProactiveConfig { weight: 0.0, ..ProactiveConfig::default() };
             let survivors = [NodeId(1), NodeId(3)];
             let pro =
                 replan_proactive(&inst, &[false; 6], &survivors, 1.0, &model, &pc, 0).unwrap();
@@ -563,7 +555,7 @@ mod tests {
         fn proactive_replan_is_seed_deterministic() {
             let inst = instance();
             let model = model_with(&[(1, 600.0, 60.0, 1), (2, 300.0, 300.0, 2)]);
-            let pc = ProactiveConfig::default(); // Thompson estimator
+            let pc = ProactiveConfig::default();
             let survivors = [NodeId(1), NodeId(2), NodeId(3)];
             let a = replan_proactive(&inst, &[false; 6], &survivors, 0.5, &model, &pc, 42).unwrap();
             let b = replan_proactive(&inst, &[false; 6], &survivors, 0.5, &model, &pc, 42).unwrap();

@@ -26,14 +26,11 @@ pub use knapsack::portfolio::SolveCertificate;
 /// silently truncating.
 pub const EXACT_ORACLE_NODE_BUDGET: u64 = 200_000;
 
-/// A complete TATIM instance: tasks plus the processor fleet, optionally
-/// annotated with per-processor route budget factors (the topology-aware
-/// feature the RL layer consumes; see [`crate::objective`]).
+/// A complete TATIM instance: tasks plus the processor fleet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TatimInstance {
     tasks: Vec<EdgeTask>,
     fleet: ProcessorFleet,
-    route_factors: Option<Vec<f64>>,
 }
 
 /// Error constructing or reducing an instance.
@@ -99,34 +96,7 @@ pub struct SolveReport {
 impl TatimInstance {
     /// Creates an instance.
     pub fn new(tasks: Vec<EdgeTask>, fleet: ProcessorFleet) -> Self {
-        Self { tasks, fleet, route_factors: None }
-    }
-
-    /// Annotates the instance with per-processor route budget factors
-    /// (`(0, 1]`, `1.0` = cheapest route; see
-    /// [`crate::objective::route_budget_factors`]). The factors do *not*
-    /// change the knapsack reduction — budget deflation happens in the
-    /// fleet — they ride along as the flag-gated route feature column of
-    /// [`Self::to_alloc_spec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factors` has the wrong length or holds a non-finite or
-    /// non-positive value.
-    #[must_use]
-    pub fn with_route_factors(mut self, factors: Vec<f64>) -> Self {
-        assert_eq!(factors.len(), self.fleet.len(), "route factor vector length");
-        assert!(
-            factors.iter().all(|f| f.is_finite() && *f > 0.0),
-            "route factors must be finite and positive"
-        );
-        self.route_factors = Some(factors);
-        self
-    }
-
-    /// The route budget factors, when annotated.
-    pub fn route_factors(&self) -> Option<&[f64]> {
-        self.route_factors.as_deref()
+        Self { tasks, fleet }
     }
 
     /// The tasks.
@@ -159,7 +129,7 @@ impl TatimInstance {
             .zip(importances)
             .map(|(t, &i)| t.with_importance(i).expect("importance in range"))
             .collect();
-        Self { tasks, fleet: self.fleet.clone(), route_factors: self.route_factors.clone() }
+        Self { tasks, fleet: self.fleet.clone() }
     }
 
     /// The Theorem-1 reduction: tasks → items, processors → sacks.
@@ -235,17 +205,15 @@ impl TatimInstance {
 
     /// The RL view of the instance (for CRL): task demands and processor
     /// budgets; importances carried as-is (CRL overrides them with its
-    /// clustered estimate). Heterogeneous per-processor limits (§VII) are
-    /// carried through via `time_limits`.
+    /// clustered estimate), one time limit per processor (§VII's
+    /// heterogeneous budgets included).
     pub fn to_alloc_spec(&self) -> AllocSpec {
         AllocSpec {
             importances: self.tasks.iter().map(EdgeTask::importance).collect(),
             times: self.tasks.iter().map(EdgeTask::reference_time_s).collect(),
             resources: self.tasks.iter().map(EdgeTask::resource_demand).collect(),
-            time_limit: self.fleet.time_limit_s(),
-            time_limits: Some((0..self.fleet.len()).map(|p| self.fleet.time_limit_of(p)).collect()),
+            time_limits: (0..self.fleet.len()).map(|p| self.fleet.time_limit_of(p)).collect(),
             capacities: self.fleet.capacities(),
-            route_factors: self.route_factors.clone(),
         }
     }
 }
@@ -339,7 +307,7 @@ mod tests {
         let spec = inst.to_alloc_spec();
         assert_eq!(spec.num_tasks(), 3);
         assert_eq!(spec.num_processors(), 2);
-        assert_eq!(spec.time_limit, 0.5);
+        assert_eq!(spec.time_limits, vec![0.5, 0.5]);
         assert!((spec.times[0] - 0.475).abs() < 1e-12);
         assert!(spec.validate().is_ok());
     }

@@ -305,7 +305,7 @@ fn block_best_fit(
 /// profit whose sack it fits once that item is out. Rounds repeat until one
 /// makes no move, or `max_rounds` have run. Returns the improved packing.
 ///
-/// Both "lowest-indexed" searches are [`FirstHit`] queries — over sacks
+/// Both "lowest-indexed" searches are `FirstHit` tree queries — over sacks
 /// keyed by residual capacity, and over items keyed by profit and the
 /// residual of their sack with the item itself removed. A round costs
 /// `O((N + M) + U·q + S·k·log N)` for `U` unpacked items, `S` swaps made

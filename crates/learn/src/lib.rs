@@ -17,7 +17,6 @@
 //! * [`kmeans`] — offline environment clustering (Discussion, §VII).
 //! * [`nn`] — the MLP + optimisers backing the Deep-Q-Network.
 //! * [`transfer`] — multi-task transfer learning over per-task models.
-//! * [`logistic`] — logistic regression (an extra local-process candidate).
 //!
 //! ## Quick example
 //!
@@ -43,7 +42,6 @@ pub mod kmeans;
 pub mod knn;
 pub mod linalg;
 pub mod linear;
-pub mod logistic;
 pub mod metrics;
 pub mod nn;
 pub mod svm;

@@ -465,7 +465,7 @@ impl Matrix {
     ///
     /// `out[i][j] = Σ_k self[i][k] · rhs[j][k]`, with `k` ascending — the
     /// same accumulation order (and therefore the same bits) as a dot
-    /// product of the two rows. The kernel keeps [`MR`] accumulators live so
+    /// product of the two rows. The kernel keeps `MR` accumulators live so
     /// one pass over a `self` row feeds `MR` output columns.
     ///
     /// This is the delta-propagation kernel of batched backprop: with `self`
@@ -624,7 +624,7 @@ impl Matrix {
     /// Matrix-vector product `self · v` written into `out`, allocating
     /// nothing. Each `out[r]` is the dot product of row `r` with `v`,
     /// accumulated in index order — bit-identical to [`Matrix::matvec`]. The
-    /// kernel keeps [`MR`] row accumulators live so each element of `v` is
+    /// kernel keeps `MR` row accumulators live so each element of `v` is
     /// loaded once per `MR` rows.
     ///
     /// # Errors
@@ -664,7 +664,7 @@ impl Matrix {
     /// contiguous accumulator chains (in the row-dot form each output is one
     /// serial add chain), and a row whose `v[k]` is exactly zero is skipped.
     ///
-    /// Accumulators live in [`VR`]-wide register tiles across the whole `k`
+    /// Accumulators live in `VR`-wide register tiles across the whole `k`
     /// loop and are stored once. A skipped term is a `±0.0` product (for
     /// finite `self`) that would have been added to an accumulator which
     /// starts at `+0.0` and so can never hold `-0.0`: an identity. The
@@ -768,7 +768,9 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`SolveError`] when the matrix is non-square, `b` has the
-    /// wrong length, or the system is (numerically) singular.
+    /// wrong length, the system is (numerically) singular, or a pivot is
+    /// NaN or infinite (a non-finite entry, or an overflow during
+    /// elimination).
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SolveError> {
         let n = self.rows;
         if self.cols != n {
@@ -781,13 +783,16 @@ impl Matrix {
         let mut a = self.data.clone();
         let mut x = b.to_vec();
         for col in 0..n {
-            // Partial pivot.
+            // Partial pivot: the last row of largest magnitude. `total_cmp`
+            // orders finite magnitudes as `<` does and puts NaN above ∞.
             let pivot = (col..n)
-                .max_by(|&i, &j| {
-                    a[i * n + col].abs().partial_cmp(&a[j * n + col].abs()).expect("non-NaN")
-                })
-                .expect("non-empty range");
-            if a[pivot * n + col].abs() < 1e-12 {
+                .max_by(|&i, &j| a[i * n + col].abs().total_cmp(&a[j * n + col].abs()))
+                .unwrap_or(col);
+            let magnitude = a[pivot * n + col].abs();
+            if !magnitude.is_finite() {
+                return Err(SolveError::NonFinite { col });
+            }
+            if magnitude < 1e-12 {
                 return Err(SolveError::Singular { col });
             }
             if pivot != col {
@@ -842,6 +847,11 @@ pub enum SolveError {
         /// Column at which elimination failed.
         col: usize,
     },
+    /// A NaN or infinite pivot was encountered.
+    NonFinite {
+        /// Column at which elimination failed.
+        col: usize,
+    },
 }
 
 impl fmt::Display for SolveError {
@@ -855,6 +865,9 @@ impl fmt::Display for SolveError {
             }
             SolveError::Singular { col } => {
                 write!(f, "matrix is singular at column {col}")
+            }
+            SolveError::NonFinite { col } => {
+                write!(f, "non-finite pivot at column {col}")
             }
         }
     }
@@ -1344,6 +1357,17 @@ mod tests {
     fn solve_detects_singular() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]).unwrap();
         assert!(matches!(a.solve(&[1.0, 2.0]), Err(SolveError::Singular { .. })));
+    }
+
+    #[test]
+    fn solve_rejects_non_finite_pivots() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let a = Matrix::from_rows(&[vec![bad]]).unwrap();
+            assert_eq!(a.solve(&[1.0]), Err(SolveError::NonFinite { col: 0 }), "{bad}");
+        }
+        // Finite entries whose elimination overflows to ∞.
+        let a = Matrix::from_rows(&[vec![1.0, 1e308], vec![1.0, -1e308]]).unwrap();
+        assert_eq!(a.solve(&[1.0, 1.0]), Err(SolveError::NonFinite { col: 1 }));
     }
 
     #[test]

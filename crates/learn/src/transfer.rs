@@ -2,10 +2,11 @@
 //!
 //! The paper defines a *task* as "a set of data, label and its corresponding
 //! learning model for a predefined context" (§II-A) — e.g. COP prediction of
-//! one chiller under one load band. Its experiment setup (§V-B) exercises
-//! three MTL flavours: **independent** (no sharing), **self-adapted**
+//! one chiller under one load band. Its experiment setup (§V-B) names three
+//! MTL flavours: **independent** (no sharing), **self-adapted**
 //! (similarity-weighted parameter transfer) and **clustered** (transfer
-//! within task clusters). All three are implemented here.
+//! within task clusters). [`MtlSystem::fit`] is the self-adapted fit, the
+//! one every run uses; `transfer_strength: 0.0` gives the independent one.
 //!
 //! Parameter transfer uses biased ridge regression: the target task minimises
 //! `||y − Xw||² + λ‖w − w₀‖²` where `w₀` is a similarity-weighted blend of
@@ -15,12 +16,9 @@
 //! attributes to transfer learning.
 
 use crate::dataset::Dataset;
-use crate::kmeans::KMeans;
 use crate::linalg::{euclidean_distance, Matrix};
 use crate::linear::{FitError, LinearModel};
 use crate::metrics::mean_prediction_accuracy;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::fmt;
 
 /// A single learning task: named context plus its local dataset.
@@ -63,47 +61,21 @@ impl TransferTask {
     }
 }
 
-/// How knowledge moves between tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MtlMode {
-    /// Every task learns alone (the paper's independent MTL baseline).
-    Independent,
-    /// Each task's prior is a similarity-weighted blend of all other tasks'
-    /// independently-fit parameters.
-    #[default]
-    SelfAdapted,
-    /// Tasks are clustered by signature; transfer happens within clusters.
-    Clustered {
-        /// Number of task clusters.
-        num_clusters: usize,
-    },
-}
-
 /// Hyper-parameters for [`MtlSystem::fit`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MtlConfig {
-    /// Transfer flavour.
-    pub mode: MtlMode,
     /// Ridge penalty of the per-task base fit.
     pub base_lambda: f64,
     /// Strength of the pull toward the transferred prior (λ of the biased
-    /// ridge). `0` disables transfer regardless of mode.
+    /// ridge). `0` disables transfer: every task keeps its base fit.
     pub transfer_strength: f64,
     /// RBF bandwidth for signature similarity.
     pub similarity_bandwidth: f64,
-    /// Seed for clustered-mode k-means.
-    pub seed: u64,
 }
 
 impl Default for MtlConfig {
     fn default() -> Self {
-        Self {
-            mode: MtlMode::SelfAdapted,
-            base_lambda: 1e-3,
-            transfer_strength: 1.0,
-            similarity_bandwidth: 1.0,
-            seed: 0,
-        }
+        Self { base_lambda: 1e-3, transfer_strength: 1.0, similarity_bandwidth: 1.0 }
     }
 }
 
@@ -162,7 +134,9 @@ pub struct MtlSystem {
 }
 
 impl MtlSystem {
-    /// Fits all tasks under `config`.
+    /// Fits all tasks under `config`: an independent base fit per task,
+    /// then a refit of each biased toward the similarity-weighted blend of
+    /// the other tasks' base fits.
     ///
     /// # Errors
     ///
@@ -193,31 +167,14 @@ impl MtlSystem {
 
         let similarity = signature_similarity(tasks, config.similarity_bandwidth);
 
-        // Stage 2: transfer. Group membership limits which sources feed a
-        // target's prior.
-        let groups: Vec<usize> = match config.mode {
-            MtlMode::Independent => (0..tasks.len()).collect(), // all singleton
-            MtlMode::SelfAdapted => vec![0; tasks.len()],       // one big group
-            MtlMode::Clustered { num_clusters } => {
-                let sigs: Vec<Vec<f64>> = tasks.iter().map(TransferTask::signature).collect();
-                let k = num_clusters.clamp(1, tasks.len());
-                let mut rng = StdRng::seed_from_u64(config.seed);
-                KMeans::fit(&sigs, k, 100, &mut rng)
-                    .map(|km| km.assignments().to_vec())
-                    .unwrap_or_else(|_| vec![0; tasks.len()])
-            }
-        };
-
         // Stage 2: transfer refits. Every target's prior reads only the
         // (already final) stage-1 models, so refits are likewise
         // independent across tasks.
-        let models = if config.transfer_strength <= 0.0
-            || matches!(config.mode, MtlMode::Independent)
-        {
+        let models = if config.transfer_strength <= 0.0 {
             base
         } else {
             parallel::try_par_map_indexed(tasks.len(), |i| {
-                match blended_prior(i, &base, &similarity, &groups) {
+                match blended_prior(i, &base, &similarity) {
                     Some(p) => fit_biased_ridge(&tasks[i].data, config.transfer_strength, Some(&p))
                         .map_err(|source| MtlError::TaskFit { task: i, source }),
                     None => Ok(base[i].clone()),
@@ -394,20 +351,15 @@ fn signature_similarity(tasks: &[TransferTask], bandwidth: f64) -> Matrix {
     sim
 }
 
-/// Similarity-weighted average of other tasks' base parameters, restricted to
-/// the target's group. `None` when the target has no group peers.
-fn blended_prior(
-    target: usize,
-    base: &[LinearModel],
-    similarity: &Matrix,
-    groups: &[usize],
-) -> Option<LinearModel> {
+/// Similarity-weighted average of the other tasks' base parameters. `None`
+/// when no other task is similar at all.
+fn blended_prior(target: usize, base: &[LinearModel], similarity: &Matrix) -> Option<LinearModel> {
     let d = base[target].weights().len();
     let mut w = vec![0.0; d];
     let mut b = 0.0;
     let mut total = 0.0;
     for (j, m) in base.iter().enumerate() {
-        if j == target || groups[j] != groups[target] {
+        if j == target {
             continue;
         }
         let s = similarity[(target, j)];
@@ -432,7 +384,8 @@ fn blended_prior(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Builds `n_tasks` related tasks: all share the true weight vector
     /// `[2, -1]`, per-task biases differ slightly; `scarce` tasks get only 3
@@ -463,16 +416,12 @@ mod tests {
     #[test]
     fn transfer_helps_scarce_task() {
         let tasks = related_tasks(6, &[0], 42);
-        let indep = MtlSystem::fit(
-            &tasks,
-            MtlConfig { mode: MtlMode::Independent, ..MtlConfig::default() },
-        )
-        .unwrap();
-        let shared = MtlSystem::fit(
-            &tasks,
-            MtlConfig { mode: MtlMode::SelfAdapted, transfer_strength: 5.0, ..Default::default() },
-        )
-        .unwrap();
+        let indep =
+            MtlSystem::fit(&tasks, MtlConfig { transfer_strength: 0.0, ..MtlConfig::default() })
+                .unwrap();
+        let shared =
+            MtlSystem::fit(&tasks, MtlConfig { transfer_strength: 5.0, ..Default::default() })
+                .unwrap();
         // The scarce task's weights should land closer to truth with transfer.
         assert!(
             weight_error(shared.model(0)) < weight_error(indep.model(0)),
@@ -483,25 +432,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_strength_equals_independent() {
+    fn zero_strength_keeps_the_independent_base_fits() {
         let tasks = related_tasks(4, &[], 7);
-        let a = MtlSystem::fit(
-            &tasks,
-            MtlConfig { mode: MtlMode::SelfAdapted, transfer_strength: 0.0, ..Default::default() },
-        )
-        .unwrap();
-        let b = MtlSystem::fit(
-            &tasks,
-            MtlConfig { mode: MtlMode::Independent, ..MtlConfig::default() },
-        )
-        .unwrap();
-        for (ma, mb) in a.models().iter().zip(b.models()) {
-            assert_eq!(ma, mb);
+        let config = MtlConfig { transfer_strength: 0.0, ..Default::default() };
+        let sys = MtlSystem::fit(&tasks, config).unwrap();
+        for (m, t) in sys.models().iter().zip(&tasks) {
+            assert_eq!(m, &fit_biased_ridge(t.data(), config.base_lambda, None).unwrap());
         }
     }
 
     #[test]
-    fn clustered_mode_limits_transfer_to_cluster() {
+    fn similarity_limits_transfer_to_the_task_family() {
         // Two families of tasks with very different signatures; the scarce
         // task should borrow only from its own family.
         let mut rng = StdRng::seed_from_u64(3);
@@ -531,12 +472,7 @@ mod tests {
         }
         let sys = MtlSystem::fit(
             &tasks,
-            MtlConfig {
-                mode: MtlMode::Clustered { num_clusters: 2 },
-                transfer_strength: 5.0,
-                similarity_bandwidth: 5.0,
-                ..Default::default()
-            },
+            MtlConfig { transfer_strength: 5.0, similarity_bandwidth: 5.0, ..Default::default() },
         )
         .unwrap();
         // Task 0's weights should stay near +1 (family A), not be dragged to -1.

@@ -26,20 +26,11 @@ pub struct AllocSpec {
     pub times: Vec<f64>,
     /// Task resource demands `v_j`.
     pub resources: Vec<f64>,
-    /// The shared per-processor time limit `T` (Eq. 3).
-    pub time_limit: f64,
-    /// Optional heterogeneous per-processor time limits (the §VII
-    /// budget-constraint extension); when set, overrides `time_limit`
-    /// per column.
-    pub time_limits: Option<Vec<f64>>,
+    /// Per-processor time limits `T` (Eq. 3); all equal in the paper,
+    /// heterogeneous under the §VII budget-constraint extension.
+    pub time_limits: Vec<f64>,
     /// Per-processor resource capacities `V_p` (Eq. 4).
     pub capacities: Vec<f64>,
-    /// Optional per-processor route budget factors (`(0, 1]`, `1.0` =
-    /// cheapest route; see the core objective module). When set, one extra
-    /// state column per processor is appended to the encoding so the agent
-    /// can see route expense — flag-gated upstream so star runs stay
-    /// bit-identical when disabled.
-    pub route_factors: Option<Vec<f64>>,
 }
 
 /// Error validating an [`AllocSpec`].
@@ -51,8 +42,7 @@ pub enum SpecError {
     NoProcessors,
     /// A negative or non-finite number was supplied.
     BadValue,
-    /// A per-processor vector (`time_limits` or `route_factors`) length
-    /// differs from the processor count.
+    /// `time_limits` and `capacities` differ in length.
     RaggedLimits,
 }
 
@@ -63,7 +53,7 @@ impl fmt::Display for SpecError {
             SpecError::NoProcessors => write!(f, "spec has no processors"),
             SpecError::BadValue => write!(f, "spec contains a negative or non-finite value"),
             SpecError::RaggedLimits => {
-                write!(f, "per-processor vector length differs from the processor count")
+                write!(f, "time-limit count differs from the processor count")
             }
         }
     }
@@ -92,26 +82,13 @@ impl AllocSpec {
             .chain(&self.times)
             .chain(&self.resources)
             .chain(&self.capacities)
-            .all(|&v| ok(v))
-            && ok(self.time_limit);
+            .chain(&self.time_limits)
+            .all(|&v| ok(v));
         if !all_ok {
             return Err(SpecError::BadValue);
         }
-        if let Some(limits) = &self.time_limits {
-            if limits.len() != self.capacities.len() {
-                return Err(SpecError::RaggedLimits);
-            }
-            if limits.iter().any(|&t| !(t.is_finite() && t >= 0.0)) {
-                return Err(SpecError::BadValue);
-            }
-        }
-        if let Some(factors) = &self.route_factors {
-            if factors.len() != self.capacities.len() {
-                return Err(SpecError::RaggedLimits);
-            }
-            if factors.iter().any(|&r| !(r.is_finite() && r > 0.0 && r <= 1.0)) {
-                return Err(SpecError::BadValue);
-            }
+        if self.time_limits.len() != self.capacities.len() {
+            return Err(SpecError::RaggedLimits);
         }
         Ok(())
     }
@@ -124,16 +101,6 @@ impl AllocSpec {
     /// Number of processors `M`.
     pub fn num_processors(&self) -> usize {
         self.capacities.len()
-    }
-
-    /// Effective time limit of processor `p` (heterogeneous when
-    /// `time_limits` is set, else the shared `time_limit`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of bounds of a set `time_limits`.
-    pub fn time_limit_of(&self, p: usize) -> f64 {
-        self.time_limits.as_ref().map_or(self.time_limit, |l| l[p])
     }
 
     /// The environment matrix `e = [I_j × V_p]`, row-major `N × M`.
@@ -173,11 +140,10 @@ impl AllocEnv {
     /// Propagates [`SpecError`] from validation.
     pub fn new(spec: AllocSpec) -> Result<Self, SpecError> {
         spec.validate()?;
-        let m = spec.num_processors();
         let max_capacity = spec.capacities.iter().copied().fold(0.0f64, f64::max).max(1e-12);
         Ok(Self {
             assignment: vec![None; spec.num_tasks()],
-            residual_time: (0..m).map(|p| spec.time_limit_of(p)).collect(),
+            residual_time: spec.time_limits.clone(),
             residual_resource: spec.capacities.clone(),
             cursor: 0,
             done: spec.num_tasks() == 0,
@@ -205,21 +171,12 @@ impl AllocEnv {
             .sum()
     }
 
-    /// The state-vector length for a given geometry *without* the optional
-    /// route block, exposed so agents can be constructed before an
-    /// environment exists. Specs carrying `route_factors` add one more
-    /// column per processor (see [`AllocEnv::state_dim_for_routed`]).
+    /// The state-vector length for a given geometry, exposed so agents can
+    /// be constructed before an environment exists.
     pub fn state_dim_for(num_tasks: usize, num_processors: usize) -> usize {
         // selection matrix + environment matrix + residual time + residual
         // resource + one-hot cursor.
         2 * num_tasks * num_processors + 3 * num_processors
-    }
-
-    /// The state-vector length for a geometry whose spec carries route
-    /// budget factors: the plain geometry plus one route column per
-    /// processor.
-    pub fn state_dim_for_routed(num_tasks: usize, num_processors: usize) -> usize {
-        Self::state_dim_for(num_tasks, num_processors) + num_processors
     }
 
     /// The action-space size for a geometry (`N` assignments + advance).
@@ -244,8 +201,8 @@ impl AllocEnv {
             }
         }
         // Residual budgets, normalised per processor.
-        for (p, &t) in self.residual_time.iter().enumerate() {
-            s.push(t / self.spec.time_limit_of(p).max(1e-12));
+        for (&t, &limit) in self.residual_time.iter().zip(&self.spec.time_limits) {
+            s.push(t / limit.max(1e-12));
         }
         for (&r, &c) in self.residual_resource.iter().zip(&self.spec.capacities) {
             s.push(r / c.max(1e-12));
@@ -253,11 +210,6 @@ impl AllocEnv {
         // Cursor one-hot.
         for p in 0..m {
             s.push(f64::from(p == self.cursor && !self.done));
-        }
-        // Optional route block, appended last so every earlier offset is
-        // unchanged when the feature is off.
-        if let Some(factors) = &self.spec.route_factors {
-            s.extend_from_slice(factors);
         }
         s
     }
@@ -283,19 +235,12 @@ impl Environment for AllocEnv {
     }
 
     fn state_dim(&self) -> usize {
-        let (n, m) = (self.spec.num_tasks(), self.spec.num_processors());
-        if self.spec.route_factors.is_some() {
-            Self::state_dim_for_routed(n, m)
-        } else {
-            Self::state_dim_for(n, m)
-        }
+        Self::state_dim_for(self.spec.num_tasks(), self.spec.num_processors())
     }
 
     fn reset(&mut self) -> Vec<f64> {
         self.assignment.iter_mut().for_each(|a| *a = None);
-        for (p, t) in self.residual_time.iter_mut().enumerate() {
-            *t = self.spec.time_limit_of(p);
-        }
+        self.residual_time.clone_from(&self.spec.time_limits);
         self.residual_resource.clone_from(&self.spec.capacities);
         self.cursor = 0;
         self.done = self.spec.num_tasks() == 0;
@@ -341,7 +286,7 @@ impl Environment for AllocEnv {
         self.done
     }
 
-    /// The selection matrix `S` leads the encoding, routed or not.
+    /// The selection matrix `S` leads the encoding.
     fn binary_prefix(&self) -> usize {
         self.spec.num_tasks() * self.spec.num_processors()
     }
@@ -356,10 +301,8 @@ mod tests {
             importances: vec![0.9, 0.5, 0.1],
             times: vec![2.0, 2.0, 2.0],
             resources: vec![1.0, 1.0, 1.0],
-            time_limit: 2.0,
-            time_limits: None,
+            time_limits: vec![2.0; 2],
             capacities: vec![1.0, 1.0],
-            route_factors: None,
         }
     }
 
@@ -376,7 +319,7 @@ mod tests {
         s.importances[0] = -0.1;
         assert_eq!(s.validate(), Err(SpecError::BadValue));
         let mut s = spec();
-        s.time_limit = f64::NAN;
+        s.time_limits[1] = f64::NAN;
         assert_eq!(s.validate(), Err(SpecError::BadValue));
     }
 
@@ -386,10 +329,8 @@ mod tests {
             importances: vec![0.5, 1.0],
             times: vec![1.0, 1.0],
             resources: vec![0.0, 0.0],
-            time_limit: 1.0,
-            time_limits: None,
+            time_limits: vec![1.0; 2],
             capacities: vec![2.0, 4.0],
-            route_factors: None,
         };
         assert_eq!(s.environment_matrix(), vec![1.0, 2.0, 2.0, 4.0]);
     }
@@ -429,10 +370,8 @@ mod tests {
             importances: vec![0.3, 0.7],
             times: vec![1.0, 1.0],
             resources: vec![1.0, 1.0],
-            time_limit: 10.0,
-            time_limits: None,
+            time_limits: vec![10.0],
             capacities: vec![10.0],
-            route_factors: None,
         };
         let mut env = AllocEnv::new(s).unwrap();
         env.reset();
@@ -448,10 +387,8 @@ mod tests {
             importances: vec![0.5, 0.5],
             times: vec![1.0, 5.0],     // task 1 too slow
             resources: vec![9.0, 1.0], // task 0 too big
-            time_limit: 2.0,
-            time_limits: None,
+            time_limits: vec![2.0],
             capacities: vec![2.0],
-            route_factors: None,
         };
         let mut env = AllocEnv::new(s).unwrap();
         env.reset();
@@ -479,10 +416,8 @@ mod tests {
             importances: vec![],
             times: vec![],
             resources: vec![],
-            time_limit: 1.0,
-            time_limits: None,
+            time_limits: vec![1.0],
             capacities: vec![1.0],
-            route_factors: None,
         };
         let mut env = AllocEnv::new(s).unwrap();
         env.reset();
@@ -499,59 +434,26 @@ mod tests {
     }
 
     #[test]
-    fn route_factors_append_columns_without_shifting_offsets() {
-        let plain = AllocEnv::new(spec()).unwrap();
-        let routed =
-            AllocEnv::new(AllocSpec { route_factors: Some(vec![1.0, 0.25]), ..spec() }).unwrap();
-        assert_eq!(routed.state_dim(), plain.state_dim() + 2);
-        assert_eq!(routed.state_dim(), AllocEnv::state_dim_for_routed(3, 2));
-        let mut p = plain;
-        let mut r = routed;
-        let ps = p.reset();
-        let rs = r.reset();
-        // The routed state is the plain state plus the factor block at the
-        // end — every earlier offset is untouched.
-        assert_eq!(&rs[..ps.len()], &ps[..]);
-        assert_eq!(&rs[ps.len()..], &[1.0, 0.25]);
-    }
-
-    #[test]
     fn binary_prefix_is_the_selection_matrix_along_random_episodes() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
-        for routed in [false, true] {
-            let route_factors = routed.then(|| vec![0.5, 1.0]);
-            let mut env = AllocEnv::new(AllocSpec { route_factors, ..spec() }).unwrap();
-            // The route block is appended last, so the prefix is the same.
-            assert_eq!(env.binary_prefix(), 3 * 2);
-            for _ in 0..20 {
-                let mut state = env.reset();
-                loop {
-                    let block = &state[..env.binary_prefix()];
-                    assert!(block.iter().all(|&x| x.to_bits() == 0f64.to_bits() || x == 1.0));
-                    let assigned = env.assignment().iter().flatten().count();
-                    assert_eq!(block.iter().filter(|&&x| x == 1.0).count(), assigned);
-                    if env.is_terminal() {
-                        break;
-                    }
-                    let valid = env.valid_actions();
-                    state = env.step(valid[rng.gen_range(0..valid.len())]).unwrap().state;
+        let mut env = AllocEnv::new(spec()).unwrap();
+        assert_eq!(env.binary_prefix(), 3 * 2);
+        for _ in 0..20 {
+            let mut state = env.reset();
+            loop {
+                let block = &state[..env.binary_prefix()];
+                assert!(block.iter().all(|&x| x.to_bits() == 0f64.to_bits() || x == 1.0));
+                let assigned = env.assignment().iter().flatten().count();
+                assert_eq!(block.iter().filter(|&&x| x == 1.0).count(), assigned);
+                if env.is_terminal() {
+                    break;
                 }
+                let valid = env.valid_actions();
+                state = env.step(valid[rng.gen_range(0..valid.len())]).unwrap().state;
             }
         }
-    }
-
-    #[test]
-    fn route_factors_are_validated() {
-        let bad_len = AllocSpec { route_factors: Some(vec![1.0]), ..spec() };
-        assert_eq!(bad_len.validate(), Err(SpecError::RaggedLimits));
-        let bad_zero = AllocSpec { route_factors: Some(vec![1.0, 0.0]), ..spec() };
-        assert_eq!(bad_zero.validate(), Err(SpecError::BadValue));
-        let bad_big = AllocSpec { route_factors: Some(vec![1.0, 1.5]), ..spec() };
-        assert_eq!(bad_big.validate(), Err(SpecError::BadValue));
-        let ok = AllocSpec { route_factors: Some(vec![1.0, 0.5]), ..spec() };
-        assert!(ok.validate().is_ok());
     }
 
     #[test]
@@ -574,12 +476,10 @@ mod heterogeneous_tests {
             importances: vec![0.5, 0.5, 0.5],
             times: vec![1.0, 1.0, 1.0],
             resources: vec![0.0, 0.0, 0.0],
-            time_limit: 1.0,
             // Processor 0 fits one task, processor 1 fits two (SVII's
             // "powerful edge node").
-            time_limits: Some(vec![1.0, 2.0]),
+            time_limits: vec![1.0, 2.0],
             capacities: vec![5.0, 5.0],
-            route_factors: None,
         }
     }
 
@@ -599,21 +499,11 @@ mod heterogeneous_tests {
     #[test]
     fn ragged_limits_rejected() {
         let mut spec = hetero_spec();
-        spec.time_limits = Some(vec![1.0]);
+        spec.time_limits = vec![1.0];
         assert_eq!(spec.validate(), Err(SpecError::RaggedLimits));
         let mut spec = hetero_spec();
-        spec.time_limits = Some(vec![1.0, f64::NAN]);
+        spec.time_limits = vec![1.0, f64::NAN];
         assert_eq!(spec.validate(), Err(SpecError::BadValue));
-    }
-
-    #[test]
-    fn limit_of_falls_back_to_shared() {
-        let mut spec = hetero_spec();
-        spec.time_limits = None;
-        assert_eq!(spec.time_limit_of(0), 1.0);
-        assert_eq!(spec.time_limit_of(1), 1.0);
-        let spec = hetero_spec();
-        assert_eq!(spec.time_limit_of(1), 2.0);
     }
 
     #[test]

@@ -217,11 +217,6 @@ pub struct CrlConfig {
     pub dqn: DqnConfig,
     /// Seed for agent initialisation and exploration.
     pub seed: u64,
-    /// Feed the per-processor route budget factor column to the agent
-    /// (topology-aware state). Changes the state dimension, so it must be
-    /// consistent between pretraining and allocation; off by default so
-    /// star runs stay bit-identical.
-    pub route_feature: bool,
 }
 
 impl Default for CrlConfig {
@@ -237,7 +232,6 @@ impl Default for CrlConfig {
                 ..DqnConfig::default()
             },
             seed: 17,
-            route_feature: false,
         }
     }
 }
@@ -582,10 +576,8 @@ mod tests {
             importances: vec![0.0; n], // unknown at decision time
             times: vec![1.0; n],
             resources: vec![1.0; n],
-            time_limit: 1.0, // each processor fits exactly one task
-            time_limits: None,
+            time_limits: vec![1.0; 2], // each processor fits exactly one task
             capacities: vec![1.0, 1.0],
-            route_factors: None,
         }
     }
 
@@ -801,7 +793,7 @@ mod tests {
     #[test]
     fn the_first_query_geometry_does_not_decide_the_agent() {
         let n = 4;
-        let tight = AllocSpec { time_limits: Some(vec![1.0, 0.5]), ..spec(n) };
+        let tight = AllocSpec { time_limits: vec![1.0, 0.5], ..spec(n) };
         let in_order = Crl::new(store_two_contexts(n), quick(LookupMode::OnlineKnn));
         in_order.bind(&spec(n)).unwrap();
         in_order.allocate(&[0.0], &spec(n)).unwrap();

@@ -39,10 +39,6 @@ pub struct DqnConfig {
     pub target_sync_interval: usize,
     /// Safety cap on steps per episode.
     pub max_steps_per_episode: usize,
-    /// Use the Double-DQN target (`r + λ Q_target(s', argmax_a Q_online(s',
-    /// a))`), which counters Q-learning's max-operator overestimation bias.
-    /// An extension beyond the paper's plain DQN; ablatable.
-    pub double_dqn: bool,
 }
 
 impl Default for DqnConfig {
@@ -58,7 +54,6 @@ impl Default for DqnConfig {
             batch_size: 32,
             target_sync_interval: 200,
             max_steps_per_episode: 500,
-            double_dqn: false,
         }
     }
 }
@@ -140,8 +135,7 @@ pub struct DqnAgent {
     /// rows are current only under the epoch they were stored with.
     target_epoch: u64,
     counters: TrainCounters,
-    /// Scratch for the TD forward/backward pass (and, before it, the
-    /// Double-DQN online forward over the successor states).
+    /// Scratch for the TD forward/backward pass.
     ws: BatchWorkspace,
     /// Scratch for single-state forwards: action selection and the target
     /// rows the memo misses.
@@ -428,10 +422,9 @@ impl DqnAgent {
     /// state, both fixed until the next sync (or until the ring reuses the
     /// slot). So the row is evaluated once, by a single-state forward, and
     /// kept on the replay slot under the current sync epoch; re-sampled
-    /// slots read it back. Plain DQN takes the masked max of the row,
-    /// Double DQN the entry the online network's argmax picks. Row `s` of a
-    /// batched forward equals the single-state forward bit for bit, so the
-    /// bootstraps equal a batched target forward's.
+    /// slots read it back, and the bootstrap is the row's masked max. Row
+    /// `s` of a batched forward equals the single-state forward bit for bit,
+    /// so the bootstraps equal a batched target forward's.
     ///
     /// The online half runs through [`Mlp::train_td_batch_ws`] on the
     /// compact states, whose first layer skips the selection block's zeros.
@@ -471,28 +464,17 @@ impl DqnAgent {
             }
         }
 
-        let q_online = if config.double_dqn {
-            // The online network selects the action, the target network
-            // (through its stored row) evaluates it.
-            let next: Vec<PrefixRow> = slots.iter().map(|&i| replay.get(i).next.as_row()).collect();
-            Some(online.forward_prefix_batch_ws(prefix, &next, ws)?)
-        } else {
-            None
-        };
         actions.clear();
         bootstraps.clear();
-        for (s, &slot) in slots.iter().enumerate() {
+        for &slot in slots.iter() {
             let exp = replay.get(slot);
             actions.push(exp.action);
             bootstraps.push(if exp.is_terminal() {
                 exp.reward
             } else {
                 let q_target = replay.target_row(slot, epoch).expect("stored above");
-                let valid = exp.next.valid();
-                let q_next = match q_online {
-                    Some(q) => q_target[greedy(q.row(s), valid)],
-                    None => valid.iter().map(|&a| q_target[a]).fold(f64::NEG_INFINITY, f64::max),
-                };
+                let q_next =
+                    exp.next.valid().iter().map(|&a| q_target[a]).fold(f64::NEG_INFINITY, f64::max);
                 exp.reward + config.discount * q_next
             });
         }
@@ -529,9 +511,6 @@ impl DqnAgent {
             let mut t = self.online.forward(&state)?;
             t[exp.action] = if exp.is_terminal() {
                 exp.reward
-            } else if self.config.double_dqn {
-                let chosen = greedy(&self.online.forward(&next)?, exp.next.valid());
-                exp.reward + self.config.discount * self.target.forward(&next)?[chosen]
             } else {
                 let qn = self.target.forward(&next)?;
                 let best =
@@ -682,21 +661,6 @@ mod tests {
         assert!(agent.q_values(&[0.0; 3]).is_err());
     }
 
-    #[test]
-    fn double_dqn_also_learns_delayed_reward() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut env = Chain::new();
-        let mut agent =
-            DqnAgent::new(2, 2, DqnConfig { double_dqn: true, ..quick_config() }, &mut rng)
-                .unwrap();
-        for _ in 0..300 {
-            agent.train_episode(&mut env, &mut rng).unwrap();
-        }
-        let (reward, actions) = agent.evaluate_episode(&mut env).unwrap();
-        assert_eq!(actions, vec![1, 0]);
-        assert!((reward - 1.0).abs() < 1e-12);
-    }
-
     /// Trains `episodes` episodes with `learn` as the minibatch update.
     fn train_with<E: Environment>(
         mut env: E,
@@ -716,95 +680,80 @@ mod tests {
     #[test]
     fn batched_learn_step_bits_match_scalar_path() {
         // Same seed, same environment, same sampling stream: the learn step
-        // must leave exactly the same weights as the per-sample oracle — for
-        // plain and Double DQN.
-        for double_dqn in [false, true] {
-            let config = DqnConfig { double_dqn, ..quick_config() };
-            let fast = train_with(Chain::new(), config.clone(), 60, DqnAgent::learn_step);
-            let oracle = train_with(Chain::new(), config, 60, DqnAgent::learn_step_oracle);
-            assert_eq!(fast.parameter_bits(), oracle.parameter_bits(), "double_dqn = {double_dqn}");
-            assert_eq!(fast.train_counters().learn_steps, oracle.train_counters().learn_steps);
-        }
+        // must leave exactly the same weights as the per-sample oracle.
+        let fast = train_with(Chain::new(), quick_config(), 60, DqnAgent::learn_step);
+        let oracle = train_with(Chain::new(), quick_config(), 60, DqnAgent::learn_step_oracle);
+        assert_eq!(fast.parameter_bits(), oracle.parameter_bits());
+        assert_eq!(fast.train_counters().learn_steps, oracle.train_counters().learn_steps);
     }
 
     /// A small allocation MDP: a 6 × 2 selection block (the binary prefix)
-    /// ahead of the dense columns, routed or not.
-    fn alloc_env(routed: bool) -> AllocEnv {
+    /// ahead of the dense columns.
+    fn alloc_env() -> AllocEnv {
         AllocEnv::new(AllocSpec {
             importances: vec![0.9, 0.2, 0.6, 0.4, 0.8, 0.1],
             times: vec![1.0, 2.0, 1.5, 1.0, 2.5, 0.5],
             resources: vec![1.0, 0.5, 1.0, 2.0, 1.0, 0.5],
-            time_limit: 3.0,
-            time_limits: None,
+            time_limits: vec![3.0; 2],
             capacities: vec![3.0, 2.5],
-            route_factors: routed.then(|| vec![1.0, 0.5]),
         })
         .unwrap()
     }
 
     #[test]
     fn memoised_bootstraps_bits_match_oracle_across_syncs_and_ring_wraps() {
-        for (double_dqn, routed) in [(false, false), (true, false), (false, true), (true, true)] {
-            let config = DqnConfig {
-                hidden: vec![12, 9],
-                batch_size: 16,
-                replay_capacity: 24,
-                target_sync_interval: 20,
-                double_dqn,
-                ..DqnConfig::default()
-            };
-            // Before each update, peek at the slots it is about to draw
-            // (same generator state, same draws): sampling is with
-            // replacement, so a slot can come up twice — and when its row is
-            // not current, the second draw must read what the first stored.
-            let mut repeated_misses = 0;
-            let fast = train_with(alloc_env(routed), config.clone(), 25, |agent, rng| {
-                if agent.replay.len() >= agent.config.batch_size {
-                    let mut slots = Vec::new();
-                    agent.replay.sample_into(agent.config.batch_size, &mut rng.clone(), &mut slots);
-                    slots.sort_unstable();
-                    repeated_misses += slots
-                        .windows(2)
-                        .filter(|w| {
-                            w[0] == w[1]
-                                && !agent.replay.get(w[0]).is_terminal()
-                                && agent.replay.target_row(w[0], agent.target_epoch).is_none()
-                        })
-                        .count();
-                }
-                agent.learn_step(rng)
-            });
-            let oracle = train_with(alloc_env(routed), config, 25, DqnAgent::learn_step_oracle);
-            assert_eq!(
-                fast.parameter_bits(),
-                oracle.parameter_bits(),
-                "double_dqn = {double_dqn}, routed = {routed}"
-            );
+        let config = DqnConfig {
+            hidden: vec![12, 9],
+            batch_size: 16,
+            replay_capacity: 24,
+            target_sync_interval: 20,
+            ..DqnConfig::default()
+        };
+        // Before each update, peek at the slots it is about to draw (same
+        // generator state, same draws): sampling is with replacement, so a
+        // slot can come up twice — and when its row is not current, the
+        // second draw must read what the first stored.
+        let mut repeated_misses = 0;
+        let fast = train_with(alloc_env(), config.clone(), 25, |agent, rng| {
+            if agent.replay.len() >= agent.config.batch_size {
+                let mut slots = Vec::new();
+                agent.replay.sample_into(agent.config.batch_size, &mut rng.clone(), &mut slots);
+                slots.sort_unstable();
+                repeated_misses += slots
+                    .windows(2)
+                    .filter(|w| {
+                        w[0] == w[1]
+                            && !agent.replay.get(w[0]).is_terminal()
+                            && agent.replay.target_row(w[0], agent.target_epoch).is_none()
+                    })
+                    .count();
+            }
+            agent.learn_step(rng)
+        });
+        let oracle = train_with(alloc_env(), config, 25, DqnAgent::learn_step_oracle);
+        assert_eq!(fast.parameter_bits(), oracle.parameter_bits());
 
-            let c = fast.train_counters();
-            assert!(c.target_syncs >= 3, "only {} target syncs", c.target_syncs);
-            assert!(
-                c.learn_steps > 2 * fast.replay.capacity() as u64,
-                "the ring must wrap: {} steps",
-                c.learn_steps
-            );
-            assert!(repeated_misses > 0, "no batch drew a stale slot twice");
-            assert!(c.bootstrap_hits > 0 && c.bootstrap_misses > 0, "{c:?}");
-            assert_eq!(fast.binary_prefix, 12);
-        }
+        let c = fast.train_counters();
+        assert!(c.target_syncs >= 3, "only {} target syncs", c.target_syncs);
+        assert!(
+            c.learn_steps > 2 * fast.replay.capacity() as u64,
+            "the ring must wrap: {} steps",
+            c.learn_steps
+        );
+        assert!(repeated_misses > 0, "no batch drew a stale slot twice");
+        assert!(c.bootstrap_hits > 0 && c.bootstrap_misses > 0, "{c:?}");
+        assert_eq!(fast.binary_prefix, 12);
     }
 
-    /// The paper's 50 × 9 geometry, routed or not.
-    fn paper_env(routed: bool) -> AllocEnv {
+    /// The paper's 50 × 9 geometry.
+    fn paper_env() -> AllocEnv {
         let n = 50;
         AllocEnv::new(AllocSpec {
             importances: (0..n).map(|j| (j * 37 % 100) as f64 / 100.0).collect(),
             times: (0..n).map(|j| 0.5 + (j * 13 % 10) as f64 / 10.0).collect(),
             resources: (0..n).map(|j| 0.2 + (j * 7 % 5) as f64 / 10.0).collect(),
-            time_limit: 4.0,
-            time_limits: None,
+            time_limits: vec![4.0; 9],
             capacities: vec![4.0; 9],
-            route_factors: routed.then(|| (0..9).map(|p| 1.0 - p as f64 / 12.0).collect()),
         })
         .unwrap()
     }
@@ -815,7 +764,7 @@ mod tests {
         // and default replay/sync settings: a sampled successor state's
         // target row is almost always still current.
         let config = DqnConfig { hidden: vec![48], ..DqnConfig::default() };
-        let agent = train_with(paper_env(false), config, 8, DqnAgent::learn_step);
+        let agent = train_with(paper_env(), config, 8, DqnAgent::learn_step);
         let c = agent.train_counters();
         let lookups = c.bootstrap_hits + c.bootstrap_misses;
         assert!(c.target_syncs >= 1 && lookups > 0, "{c:?}");
@@ -831,30 +780,23 @@ mod tests {
         // The served decision: `evaluate_episode` on a trained agent at the
         // benchmark shape, against the same episode stepped by hand with
         // `Mlp::forward` choosing every action.
-        for routed in [false, true] {
-            let config = DqnConfig { hidden: vec![48], ..DqnConfig::default() };
-            let agent = train_with(paper_env(routed), config, 3, DqnAgent::learn_step);
-            let mut env = paper_env(routed);
-            let mut state = env.reset();
-            let (mut reward, mut actions) = (0.0, Vec::new());
-            while !env.is_terminal() {
-                let q = agent.online.forward(&state).unwrap();
-                let bits = |q: &[f64]| q.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(&agent.q_values(&state).unwrap()),
-                    bits(&q),
-                    "routed = {routed}, step {}",
-                    actions.len()
-                );
-                let action = greedy(&q, &env.valid_actions());
-                let tr = env.step(action).unwrap();
-                actions.push(action);
-                reward += tr.reward;
-                state = tr.state;
-            }
-            assert!(actions.len() > 1, "a {}-step episode compares nothing", actions.len());
-            assert_eq!(agent.evaluate_episode(&mut env).unwrap(), (reward, actions));
+        let config = DqnConfig { hidden: vec![48], ..DqnConfig::default() };
+        let agent = train_with(paper_env(), config, 3, DqnAgent::learn_step);
+        let mut env = paper_env();
+        let mut state = env.reset();
+        let (mut reward, mut actions) = (0.0, Vec::new());
+        while !env.is_terminal() {
+            let q = agent.online.forward(&state).unwrap();
+            let bits = |q: &[f64]| q.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&agent.q_values(&state).unwrap()), bits(&q), "step {}", actions.len());
+            let action = greedy(&q, &env.valid_actions());
+            let tr = env.step(action).unwrap();
+            actions.push(action);
+            reward += tr.reward;
+            state = tr.state;
         }
+        assert!(actions.len() > 1, "a {}-step episode compares nothing", actions.len());
+        assert_eq!(agent.evaluate_episode(&mut env).unwrap(), (reward, actions));
     }
 
     #[test]

@@ -23,10 +23,8 @@
 //!     importances: vec![0.9, 0.1],
 //!     times: vec![1.0, 1.0],
 //!     resources: vec![1.0, 1.0],
-//!     time_limit: 1.0,
-//!     time_limits: None,
+//!     time_limits: vec![1.0],
 //!     capacities: vec![1.0],
-//!     route_factors: None,
 //! };
 //! let mut env = AllocEnv::new(spec)?;
 //! env.reset();

@@ -10,10 +10,8 @@ fn spec(n: usize) -> AllocSpec {
         importances: vec![0.0; n],
         times: vec![1.0; n],
         resources: vec![1.0; n],
-        time_limit: 1.0,
-        time_limits: None,
+        time_limits: vec![1.0; 2],
         capacities: vec![1.0, 1.0],
-        route_factors: None,
     }
 }
 
@@ -87,10 +85,8 @@ fn train_large_batch_at(threads: usize) -> Vec<u64> {
         importances: (0..n).map(|i| 0.1 + 0.15 * i as f64).collect(),
         times: vec![1.0; n],
         resources: vec![1.0; n],
-        time_limit: 2.0,
-        time_limits: None,
+        time_limits: vec![2.0; 2],
         capacities: vec![2.0, 2.0],
-        route_factors: None,
     };
     let mut env = AllocEnv::new(task_spec).unwrap();
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);

@@ -8,9 +8,11 @@
 //! at small geometries, where the register-tile kernels never see a full
 //! 927-wide state or a ragged 51-action output.
 //!
-//! Every run crosses several target syncs, and the routed runs wrap a replay
-//! smaller than their step count, so stale and overwritten bootstrap rows
-//! would both show.
+//! Every run crosses several target syncs, and the 12 × 4 run wraps a replay
+//! smaller than its step count, so stale and overwritten bootstrap rows
+//! would both show. Its row was generated on the parent of the commit that
+//! retired the routed state column, from the retired routed case's
+//! configuration without route factors.
 //!
 //! Only an intended change to what training computes may regenerate these:
 //! the test prints the rows on mismatch; paste them over `GOLDEN`.
@@ -34,7 +36,7 @@ fn fnv(bits: &[u64]) -> u64 {
 
 /// A seeded instance whose budgets admit roughly two thirds of the tasks, so
 /// episodes mix assignments, masked tasks and cursor advances.
-fn spec(n: usize, m: usize, routed: bool, seed: u64) -> AllocSpec {
+fn spec(n: usize, m: usize, seed: u64) -> AllocSpec {
     let mut rng = StdRng::seed_from_u64(seed);
     let times: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..2.0)).collect();
     let resources: Vec<f64> = (0..n).map(|_| rng.gen_range(0.1..1.0)).collect();
@@ -43,10 +45,8 @@ fn spec(n: usize, m: usize, routed: bool, seed: u64) -> AllocSpec {
         importances: (0..n).map(|_| rng.gen_range(0.0..1.0)).collect(),
         times,
         resources,
-        time_limit,
-        time_limits: None,
+        time_limits: vec![time_limit; m],
         capacities: (0..m).map(|_| rng.gen_range(3.0..6.0)).collect(),
-        route_factors: routed.then(|| (0..m).map(|_| rng.gen_range(0.25..1.0)).collect()),
     }
 }
 
@@ -54,55 +54,36 @@ struct Case {
     name: &'static str,
     tasks: usize,
     processors: usize,
-    routed: bool,
     episodes: usize,
     config: fn() -> DqnConfig,
 }
 
-const CASES: [Case; 3] = [
+const CASES: [Case; 2] = [
     Case {
         name: "paper_50x9_hidden48",
         tasks: 50,
         processors: 9,
-        routed: false,
         episodes: 4,
         config: || DqnConfig { hidden: vec![48], target_sync_interval: 25, ..DqnConfig::default() },
     },
     Case {
-        name: "routed_12x4",
+        name: "plain_12x4",
         tasks: 12,
         processors: 4,
-        routed: true,
         episodes: 30,
         config: || DqnConfig {
             replay_capacity: 96,
             target_sync_interval: 50,
-            ..DqnConfig::default()
-        },
-    },
-    Case {
-        name: "routed_12x4_double",
-        tasks: 12,
-        processors: 4,
-        routed: true,
-        episodes: 30,
-        config: || DqnConfig {
-            replay_capacity: 96,
-            target_sync_interval: 50,
-            double_dqn: true,
             ..DqnConfig::default()
         },
     },
 ];
 
-const GOLDEN: [(&str, u64); 3] = [
-    ("paper_50x9_hidden48", 0x4595_f7ee_a1f1_614e),
-    ("routed_12x4", 0x44c6_9872_2585_b4d4),
-    ("routed_12x4_double", 0x3aa6_ef06_d416_dcbf),
-];
+const GOLDEN: [(&str, u64); 2] =
+    [("paper_50x9_hidden48", 0x4595_f7ee_a1f1_614e), ("plain_12x4", 0x3118_7a96_6619_411a)];
 
 fn digest(case: &Case) -> u64 {
-    let mut env = AllocEnv::new(spec(case.tasks, case.processors, case.routed, 0xD016)).unwrap();
+    let mut env = AllocEnv::new(spec(case.tasks, case.processors, 0xD016)).unwrap();
     let mut rng = StdRng::seed_from_u64(0x16D0);
     let mut agent =
         DqnAgent::new(env.state_dim(), env.num_actions(), (case.config)(), &mut rng).unwrap();

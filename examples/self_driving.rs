@@ -65,10 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         importances: vec![0.0; TASKS.len()], // unknown at run time!
         times: vec![1.0; TASKS.len()],
         resources: vec![1.0, 1.0, 2.0, 1.0, 2.0, 1.0],
-        time_limit: 1.5, // one task per processor, plus slack
-        time_limits: None,
+        time_limits: vec![1.5; 2], // one task per processor, plus slack
         capacities: vec![4.0, 2.0],
-        route_factors: None,
     };
 
     let crl = Crl::new(store, CrlConfig { episodes: 120, ..CrlConfig::default() });

@@ -79,7 +79,7 @@ pub mod prelude {
     pub use edgesim::cluster::Cluster;
     pub use edgesim::node::{DeviceModel, NodeId};
     pub use edgesim::run::{simulate, NodeAssignment, SimConfig, SimTask};
-    pub use learn::transfer::{MtlConfig, MtlMode};
+    pub use learn::transfer::MtlConfig;
     pub use rl::crl::{CrlConfig, LookupMode};
     pub use serve::pool::{ServicePool, Ticket};
     pub use serve::{AllocRequest, AllocResponse, AllocatorService, Query, ServeError};

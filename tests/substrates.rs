@@ -8,7 +8,7 @@ use tatim::buildings::scenario::{Scenario, ScenarioConfig};
 use tatim::core::importance::{strip_power_feature, CopModels, ImportanceEvaluator};
 use tatim::knapsack::portfolio::{solve_portfolio, SolveBudget};
 use tatim::knapsack::problem::{Item, Problem, Sack};
-use tatim::learn::transfer::{MtlConfig, MtlMode};
+use tatim::learn::transfer::MtlConfig;
 use tatim::rl::alloc_env::{AllocEnv, AllocSpec};
 use tatim::rl::dqn::{DqnAgent, DqnConfig};
 use tatim::rl::mdp::Environment;
@@ -22,10 +22,8 @@ fn trained_dqn_approaches_knapsack_optimum_on_small_instance() {
         importances: importances.clone(),
         times: vec![1.0; 4],
         resources: vec![1.0; 4],
-        time_limit: 1.0,
-        time_limits: None,
+        time_limits: vec![1.0; 2],
         capacities: vec![1.0, 1.0],
-        route_factors: None,
     };
     // Ground truth from the exact solver via the same shape.
     let problem = Problem::new(
@@ -69,15 +67,15 @@ fn mtl_transfer_beats_independent_on_scarce_scenario_tasks() {
     scarce.sort_by_key(|&t| scenario.dataset(t).len());
     let scarce: Vec<usize> = scarce.into_iter().take(6).collect();
 
-    let fit = |mode: MtlMode, strength: f64| {
+    let fit = |strength: f64| {
         CopModels::train(
             &scenario,
-            MtlConfig { mode, transfer_strength: strength, ..MtlConfig::default() },
+            MtlConfig { transfer_strength: strength, ..MtlConfig::default() },
         )
         .expect("train")
     };
-    let indep = fit(MtlMode::Independent, 0.0);
-    let shared = fit(MtlMode::SelfAdapted, 2.0);
+    let indep = fit(0.0);
+    let shared = fit(2.0);
 
     let day = scenario.day(0);
     let err = |models: &CopModels| -> f64 {
@@ -154,10 +152,8 @@ fn masked_env_never_offers_infeasible_assignments() {
             importances: (0..n).map(|_| rng.gen_range(0.0..1.0)).collect(),
             times: (0..n).map(|_| rng.gen_range(0.0..3.0)).collect(),
             resources: (0..n).map(|_| rng.gen_range(0.0..3.0)).collect(),
-            time_limit: rng.gen_range(0.5..4.0),
-            time_limits: None,
+            time_limits: vec![rng.gen_range(0.5..4.0); m],
             capacities: (0..m).map(|_| rng.gen_range(0.5..4.0)).collect(),
-            route_factors: None,
         };
         let mut env = AllocEnv::new(spec.clone()).expect("env");
         env.reset();
@@ -177,7 +173,7 @@ fn masked_env_never_offers_infeasible_assignments() {
             }
         }
         for p in 0..m {
-            assert!(time[p] <= spec.time_limit + 1e-9, "round {round}: time over budget");
+            assert!(time[p] <= spec.time_limits[p] + 1e-9, "round {round}: time over budget");
             assert!(res[p] <= spec.capacities[p] + 1e-9, "round {round}: resource over budget");
         }
     }
