@@ -27,7 +27,10 @@
 //! clock, which keeps least-recently-used ordering global across shards;
 //! capacity eviction takes every shard lock in index order (lookups hold at
 //! most one shard lock and never acquire a second, so the ordering is
-//! deadlock-free). Hit/miss tallies are lock-free [`AtomicU64`]s and stay
+//! deadlock-free). A shard poisoned by a panicking thread is used as it is:
+//! every critical section is a single map operation on memoised pure values
+//! (`compute` runs outside the lock), so no panic leaves a shard half
+//! written. Hit/miss tallies are lock-free [`AtomicU64`]s and stay
 //! exact under concurrency. Two threads that race on the same missing key
 //! both compute it — the values are identical by determinism, so the second
 //! insert is a no-op overwrite, never a wrong answer.
@@ -49,7 +52,7 @@ use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -299,7 +302,7 @@ impl ImportanceCache {
     /// lock and never acquire a second, so this total order is
     /// deadlock-free.
     fn lock_all(&self) -> Vec<std::sync::MutexGuard<'_, Shard>> {
-        self.shards.iter().map(|s| s.lock().expect("cache poisoned")).collect()
+        self.shards.iter().map(|s| s.lock().unwrap_or_else(PoisonError::into_inner)).collect()
     }
 
     /// Inserts `key` (stamping it most-recent) and, when a capacity is
@@ -309,7 +312,7 @@ impl ImportanceCache {
         let stamp = self.tick();
         self.shards[shard]
             .lock()
-            .expect("cache poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .map
             .insert(key, Slot { value, last_used: stamp });
         if let Some(cap) = self.capacity {
@@ -374,7 +377,7 @@ impl ImportanceCache {
     ) -> Result<f64, E> {
         let key = CacheKey { seed, evaluator, day, mask: pack_mask(available) };
         {
-            let mut shard = self.shards[key.shard()].lock().expect("cache poisoned");
+            let mut shard = self.shards[key.shard()].lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(slot) = shard.map.get_mut(&key) {
                 slot.last_used = self.tick();
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -676,6 +679,30 @@ mod lru_tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_is_rejected() {
         let _ = ImportanceCache::with_capacity(0);
+    }
+
+    /// A thread that panics holding the shard locks poisons them. Every
+    /// critical section is one map operation on memoised pure values, so
+    /// the shards are still whole and every entry point goes on answering.
+    #[test]
+    fn a_poisoned_shard_still_answers() {
+        let cache = ImportanceCache::with_capacity(2);
+        fill(&cache, 0..2);
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guards = cache.lock_all();
+                    panic!("a panic while holding every shard lock");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(cache.shards.iter().all(Mutex::is_poisoned));
+        let hit: Result<f64, ()> = cache.lookup_or_compute(1, 2, 1, &[true], || unreachable!());
+        assert_eq!(hit, Ok(1.0));
+        fill(&cache, 2..3); // a capped insert: evicts day 0
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries, stats.evictions), (1, 3, 2, 1));
     }
 
     #[test]

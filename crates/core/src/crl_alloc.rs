@@ -61,10 +61,10 @@ impl CrlAllocator {
         &self.crl
     }
 
-    /// Trains an agent for every environment the store can produce, in
-    /// parallel, so later [`Self::allocate`] calls are pure cache hits.
-    /// Returns the number of agents trained now. It moves work, not
-    /// answers ([`rl::crl::Crl::pretrain`]).
+    /// Trains now, in parallel, every agent the first [`Self::allocate`]
+    /// would train, so every allocation is a cache hit. Returns the number
+    /// of agents trained now. It moves work, not answers
+    /// ([`rl::crl::Crl::pretrain`]).
     ///
     /// # Errors
     ///
@@ -73,8 +73,8 @@ impl CrlAllocator {
         self.crl.pretrain(&instance.to_alloc_spec())
     }
 
-    /// Allocates `instance` for the context described by `signature`,
-    /// training the context's agent (race-free) on first touch. The
+    /// Allocates `instance` for the context described by `signature`; the
+    /// first touch trains every context's agent at once, in parallel. The
     /// instance's own importances are ignored — CRL substitutes its
     /// clustered estimate, which is the whole point of the method.
     ///
@@ -141,7 +141,7 @@ mod tests {
         assert!(out.allocation.processor_of(1).is_some(), "{:?}", out.allocation);
         assert!(out.estimated_importances[1] > 0.8);
         assert!(!out.cache_hit);
-        assert_eq!(alloc.cached_agents(), 1);
+        assert_eq!(alloc.cached_agents(), alloc.shared().num_keys());
         // Second call on the same context reuses the agent.
         let again = alloc.allocate(&instance(n), &[0.05]).unwrap();
         assert!(again.cache_hit);

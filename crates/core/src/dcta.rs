@@ -190,19 +190,15 @@ fn speed_aware_placement(instance: &TatimInstance, packed: &Allocation) -> Alloc
     let m = fleet.len();
     let mut order: Vec<usize> =
         (0..instance.num_tasks()).filter(|&j| packed.processor_of(j).is_some()).collect();
-    order.sort_by(|&a, &b| {
-        instance.tasks()[b]
-            .input_bits()
-            .partial_cmp(&instance.tasks()[a].input_bits())
-            .expect("finite sizes")
-    });
+    // Sizes are validated finite and non-negative and rates are finite, so
+    // no key is NaN, and `+ 0.0` folds −0.0 into +0.0: `total_cmp` orders
+    // them as `partial_cmp` would, and the stable sorts keep ties in index
+    // order.
+    let size = |j: usize| instance.tasks()[j].input_bits() + 0.0;
+    order.sort_by(|&a, &b| size(b).total_cmp(&size(a)));
+    let rate = |p: usize| fleet.processors()[p].seconds_per_bit + 0.0;
     let mut speed_order: Vec<usize> = (0..m).collect();
-    speed_order.sort_by(|&a, &b| {
-        fleet.processors()[a]
-            .seconds_per_bit
-            .partial_cmp(&fleet.processors()[b].seconds_per_bit)
-            .expect("finite rates")
-    });
+    speed_order.sort_by(|&a, &b| rate(a).total_cmp(&rate(b)));
     let mut time = vec![0.0; m];
     let mut resource = vec![0.0; m];
     let mut alloc = Allocation::empty(instance.num_tasks());

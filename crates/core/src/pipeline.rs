@@ -513,15 +513,10 @@ impl Pipeline {
     }
 
     /// Starts a [`PipelineBuilder`] — the preferred way to configure the
-    /// offline phase (`.cache(...)`, `.pretrain(true)`) before calling
+    /// offline phase (`.cache(...)`, `.availability(...)`) before calling
     /// [`PipelineBuilder::prepare`].
     pub fn builder(config: PipelineConfig) -> PipelineBuilder {
-        PipelineBuilder {
-            config,
-            cache: ImportanceCache::new(),
-            pretrain: false,
-            availability: None,
-        }
+        PipelineBuilder { config, cache: ImportanceCache::new(), availability: None }
     }
 
     /// Runs the offline phase against `scenario`.
@@ -536,14 +531,13 @@ impl Pipeline {
         &self,
         scenario: &'a Scenario,
     ) -> Result<PreparedPipeline<'a>, PipelineError> {
-        self.prepare_impl(scenario, ImportanceCache::new(), false, None)
+        self.prepare_impl(scenario, ImportanceCache::new(), None)
     }
 
     fn prepare_impl<'a>(
         &self,
         scenario: &'a Scenario,
         cache: ImportanceCache,
-        pretrain: bool,
         availability: Option<AvailabilityModel>,
     ) -> Result<PreparedPipeline<'a>, PipelineError> {
         let cfg = &self.config;
@@ -645,9 +639,6 @@ impl Pipeline {
         // Every agent trains against the blind geometry, whichever request —
         // and whichever objective's fleet — reaches its context first.
         crl.shared().bind(&blind.to_alloc_spec())?;
-        if pretrain {
-            crl.pretrain(&blind)?;
-        }
 
         Ok(PreparedPipeline {
             scenario,
@@ -681,12 +672,14 @@ impl Default for Pipeline {
 /// Configures the offline phase before running it. Built by
 /// [`Pipeline::builder`]; every option defaults to the behaviour of plain
 /// [`Pipeline::prepare`], so `Pipeline::builder(cfg).prepare(&s)` and
-/// `Pipeline::new(cfg).prepare(&s)` are interchangeable.
+/// `Pipeline::new(cfg).prepare(&s)` are interchangeable. No option trains
+/// agents: the first request that needs one trains every environment's at
+/// once, in parallel ([`rl::crl::Crl::agent`]), and
+/// `prepared.crl().pretrain(..)` only moves that earlier.
 #[derive(Debug)]
 pub struct PipelineBuilder {
     config: PipelineConfig,
     cache: ImportanceCache,
-    pretrain: bool,
     availability: Option<AvailabilityModel>,
 }
 
@@ -715,18 +708,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Eagerly trains a CRL agent per stored environment during the offline
-    /// phase, so the first online allocation of each context — by
-    /// [`Method::Crl`] or [`Method::Dcta`], which share the agents — skips
-    /// training. It moves work and changes no answer: these are the agents
-    /// first touch would have trained. Off by default: it front-loads work
-    /// sweeps may never need.
-    #[must_use]
-    pub fn pretrain(mut self, on: bool) -> Self {
-        self.pretrain = on;
-        self
-    }
-
     /// Runs the offline phase against `scenario` with the configured
     /// options.
     ///
@@ -737,12 +718,7 @@ impl PipelineBuilder {
         self,
         scenario: &'a Scenario,
     ) -> Result<PreparedPipeline<'a>, PipelineError> {
-        Pipeline::new(self.config).prepare_impl(
-            scenario,
-            self.cache,
-            self.pretrain,
-            self.availability,
-        )
+        Pipeline::new(self.config).prepare_impl(scenario, self.cache, self.availability)
     }
 }
 
@@ -1533,18 +1509,14 @@ pub(crate) mod tests {
         let s = small_scenario();
         let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let days: Vec<usize> = prepared.test_days().collect();
-        // Distinct contexts: the keys the days' signatures resolve to.
-        let key =
-            |d: usize| prepared.crl().shared().define_environment(&s.day(d).sensing).unwrap().0;
-        let mut contexts: Vec<usize> = days.iter().map(|&d| key(d)).collect();
-        contexts.sort_unstable();
-        contexts.dedup();
+        let keys = prepared.crl().shared().num_keys();
         assert_eq!(prepared.crl().cached_agents(), 0, "a cold pipeline has trained nothing");
         for method in [Method::Crl, Method::Dcta] {
             for &day in &days {
                 healthy(&mut prepared, method, day);
             }
-            assert_eq!(prepared.crl().cached_agents(), contexts.len(), "after the {method} pass");
+            // The first touch trained every context, the days' and the rest.
+            assert_eq!(prepared.crl().cached_agents(), keys, "after the {method} pass");
         }
         for &day in &days {
             let blind = &prepared.state.blind;
@@ -1557,8 +1529,11 @@ pub(crate) mod tests {
     #[test]
     fn pretrain_trains_one_allocator_not_two() {
         let s = small_scenario();
-        let mut prepared = Pipeline::builder(quick_config()).pretrain(true).prepare(&s).unwrap();
-        let agents_trained = prepared.crl().shared().num_keys();
+        let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        let day = prepared.test_days().start;
+        let agents_trained = prepared.crl().pretrain(&prepared.instance_for_day(day).unwrap());
+        assert_eq!(agents_trained, Ok(prepared.crl().shared().num_keys()));
+        let agents_trained = agents_trained.unwrap();
         assert!(agents_trained >= 1);
         assert_eq!(prepared.crl().cached_agents(), agents_trained);
         // Neither learned method trains anything further.

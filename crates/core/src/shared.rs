@@ -7,7 +7,8 @@
 //! interior state is thread-safe — the sharded
 //! [`crate::cache::ImportanceCache`], the per-key `OnceLock` agent slots of
 //! the one CRL allocator ([`Method::Crl`] and [`Method::Dcta`] share its
-//! agents), and a per-request seeded RNG for the one stochastic baseline.
+//! agents, and the first request that needs one trains them all, in
+//! parallel), and a per-request seeded RNG for the one stochastic baseline.
 //!
 //! ## One stack, two faces
 //!
@@ -26,11 +27,11 @@
 //!
 //! For every method except [`Method::RandomMapping`], a `PreparedCore` run
 //! is bit-identical to the same [`RunSpec`] on the `PreparedPipeline` it was
-//! made from, with or without `.pretrain(true)`: a context's agent is a
-//! function of the seed, the context and the blind geometry, so neither
-//! request order, nor request interleaving, nor the number of serving
-//! threads, nor the face that happened to train it can change a single
-//! answer bit (DESIGN.md §21). `RandomMapping`'s per-`(seed, day)` draws are
+//! made from, pretrained or not: a context's agent is a function of the
+//! seed, the context and the blind geometry, so neither request order, nor
+//! request interleaving, nor the number of serving threads, nor the face
+//! whose first touch trained every agent at once can change a single answer
+//! bit (DESIGN.md §21). `RandomMapping`'s per-`(seed, day)` draws are
 //! as deterministic and interleaving-invariant, but differ from the batch
 //! stream's, which depend on how many allocations preceded them — a
 //! history no concurrent server can meaningfully reproduce.
@@ -215,14 +216,10 @@ mod tests {
     #[test]
     fn core_reports_match_pretrained_pipeline_bitwise() {
         let s = small_scenario();
-        let mut reference = Pipeline::builder(quick_config()).pretrain(true).prepare(&s).unwrap();
-        let core = Pipeline::builder(quick_config())
-            .pretrain(false)
-            .prepare(&s)
-            .unwrap()
-            .into_core()
-            .unwrap();
+        let mut reference = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        let core = Pipeline::new(quick_config()).prepare(&s).unwrap().into_core().unwrap();
         let day = core.test_days().start;
+        reference.crl().pretrain(&reference.instance_for_day(day).unwrap()).unwrap();
         // Every deterministic method: bit-identical PT and H.
         for method in
             [Method::Dml, Method::GreedyOracle, Method::ExactOracle, Method::Crl, Method::Dcta]

@@ -63,9 +63,9 @@ fn builder_matches_prepare_paths() {
     assert_eq!(cached.cache_stats().misses, 0, "a fully seeded cache still missed");
 }
 
-/// Pinning a thread count around prepare and run is a pure wall-clock
-/// choice. Pre-training reseeds the agents per context (DESIGN.md §17.3),
-/// which on this star scenario reaches the same reports as the lazy stream.
+/// Pinning a thread count around prepare and run, and pretraining, are pure
+/// wall-clock choices: an agent is a function of the seed, its context and
+/// the blind geometry (DESIGN.md §21.1).
 #[test]
 fn pretrain_and_thread_overrides_do_not_change_results() {
     let s = small_scenario();
@@ -76,7 +76,8 @@ fn pretrain_and_thread_overrides_do_not_change_results() {
         methods.iter().map(|&m| plain.run(&RunSpec::new(m, day)).unwrap()).collect();
 
     let _threads = parallel::ScopedThreads::new(2);
-    let mut tuned = Pipeline::builder(quick_config()).pretrain(true).prepare(&s).unwrap();
+    let mut tuned = Pipeline::new(quick_config()).prepare(&s).unwrap();
+    tuned.crl().pretrain(&tuned.instance_for_day(day).unwrap()).unwrap();
     for (&method, a) in methods.iter().zip(&reference) {
         let b = tuned.run(&RunSpec::new(method, day)).unwrap();
         assert_eq!(a, &b, "{method}: pretrain/threads changed the report");

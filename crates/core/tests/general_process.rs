@@ -138,10 +138,11 @@ fn dcta_matches_the_twin_whoever_touches_a_context_first() {
 fn pretrained_and_frozen_dcta_match_the_twin_in_any_order() {
     let s = small_scenario();
     let config = quick_config();
-    let mut prepared = Pipeline::builder(config.clone()).pretrain(true).prepare(&s).unwrap();
+    let mut prepared = Pipeline::new(config.clone()).prepare(&s).unwrap();
     let core = Pipeline::new(config.clone()).prepare(&s).unwrap().into_core().unwrap();
     let mut twin = Twin::new(&prepared, &config);
     let start = prepared.test_days().start;
+    prepared.crl().pretrain(&prepared.instance_for_day(start).unwrap()).unwrap();
     twin.0.pretrain(&prepared.instance_for_day(start).unwrap()).unwrap();
     for day in prepared.test_days().rev() {
         let want = twin.dcta(&mut prepared, day);

@@ -12,12 +12,12 @@
 //! `PreparedPipeline` and `PreparedCore` came to share one implementation,
 //! when each had its own copy of the stack, so they hold both faces to
 //! what the two copies computed. The batch rows are that commit's
-//! `.pretrain(true)` rows: `.pretrain(true)` decides only when agents are
-//! trained, and the test asserts it moves no digest. The two star
-//! `ExactOracle` rows were regenerated when the knapsack bounds began to
-//! count only items that fit the largest room: the certificates'
-//! `upper_bound` and `nodes` moved, and digests without those two fields
-//! equal the earlier rows on all 24 rows.
+//! pretrained rows: pretraining decides only when agents are trained, and
+//! the test asserts it moves no digest. The two star `ExactOracle` rows
+//! were regenerated when the knapsack bounds began to count only items
+//! that fit the largest room: the certificates' `upper_bound` and `nodes`
+//! moved, and digests without those two fields equal the earlier rows on
+//! all 24 rows.
 //!
 //! One prepared pipeline per (world, face) answers its 6 × 40 runs in the
 //! fixed order below. For two things the order is part of the golden: the
@@ -193,7 +193,12 @@ impl<'s> Face<'s> {
         let builder = Pipeline::builder(config(world));
         match face {
             "batch" => Face::Batch(Box::new(builder.prepare(s).unwrap())),
-            "pretrained" => Face::Batch(Box::new(builder.pretrain(true).prepare(s).unwrap())),
+            "pretrained" => {
+                let prepared = builder.prepare(s).unwrap();
+                let day = prepared.test_days().start;
+                prepared.crl().pretrain(&prepared.instance_for_day(day).unwrap()).unwrap();
+                Face::Batch(Box::new(prepared))
+            }
             _ => Face::Frozen(Box::new(builder.prepare(s).unwrap().into_core().unwrap())),
         }
     }
@@ -319,7 +324,7 @@ fn stack_reports_match_parent_commit_digests() {
             }
         }
     }
-    // `.pretrain(true)` changes no digest: its rows repeat the batch rows.
+    // Pretraining changes no digest: its rows repeat the batch rows.
     let digests_of = |face| {
         let rows = actual.iter().filter(move |row| row.1 == face);
         rows.map(|&(world, _, method, digest)| (world, method, digest)).collect::<Vec<_>>()

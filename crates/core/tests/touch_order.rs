@@ -7,8 +7,8 @@
 //! `mesh16` world (where the route-deflated fleet differs from the blind
 //! one) answers the same runs in four orders, with the store growing
 //! between two blocks of days, and every report must equal the one a
-//! `.pretrain(true)` pipeline gives — and the frozen core's, up to the
-//! first `observe_day`, which the core does not have.
+//! pretrained pipeline gives — and the frozen core's, up to the first
+//! `observe_day`, which the core does not have.
 
 use buildings::scenario::{Scenario, ScenarioConfig};
 use dcta_core::objective::Objective;
@@ -103,7 +103,9 @@ fn every_touch_order_answers_like_the_pretrained_pipeline_and_the_core() {
     let s = small_scenario();
     for threads in THREAD_COUNTS {
         let _threads = parallel::ScopedThreads::new(threads);
-        let mut pretrained = Pipeline::builder(mesh16()).pretrain(true).prepare(&s).unwrap();
+        let mut pretrained = Pipeline::new(mesh16()).prepare(&s).unwrap();
+        let day = pretrained.test_days().start;
+        pretrained.crl().pretrain(&pretrained.instance_for_day(day).unwrap()).unwrap();
         assert!(
             pretrained.route_factors().iter().any(|&f| f < 1.0),
             "the routed fleet must differ from the blind one, or `routed first` pins nothing"

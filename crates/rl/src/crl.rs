@@ -4,9 +4,10 @@
 //! with context, so a single fixed RL environment mis-trains. The remedy
 //! (§III-C) is an **environment store** of historical `(sensing signature Z,
 //! importance vector)` pairs; at decision time the current signature selects
-//! the nearest historical environment via kNN (`e = kNN(E, Z)`), a DQN is
-//! trained on that environment (cached — "the training phase merely needs to
-//! be conducted once"), and its greedy policy emits the allocation.
+//! the nearest historical environment via kNN (`e = kNN(E, Z)`), and the
+//! greedy policy of that environment's DQN emits the allocation. Every
+//! environment's DQN is trained once, all of them in parallel when the first
+//! is needed ("the training phase merely needs to be conducted once").
 
 use crate::alloc_env::{AllocEnv, AllocSpec, SpecError};
 use crate::dqn::{DqnAgent, DqnConfig, DqnError};
@@ -288,9 +289,16 @@ struct Context {
     /// Record `key`'s own kNN blend (online mode) or cluster `key`'s mean
     /// importance vector (offline mode).
     blend: Vec<f64>,
-    /// Trained on first use; `Err` is cached too, so a failing geometry
-    /// does not retrain on every request.
+    /// Trained on the first touch of any key ([`Crl::agent`]); `Err` is
+    /// cached too, so a failing geometry does not retrain on every request.
     agent: OnceLock<Result<DqnAgent, CrlError>>,
+}
+
+impl Context {
+    /// The agent of key `key`, trained here unless its slot is already set.
+    fn train(&self, crl: &Crl, spec: &AllocSpec, key: usize) -> &Result<DqnAgent, CrlError> {
+        self.agent.get_or_init(|| train_keyed(&crl.config, spec, key, &self.blend))
+    }
 }
 
 /// Everything derived from one state of the store: the lookup index and
@@ -374,19 +382,25 @@ impl Contexts {
         self.get(key).is_some_and(|c| c.agent.get().is_some())
     }
 
-    /// The keys a query can resolve to, ascending.
-    fn keys(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.by_key.len()).filter(|&key| self.by_key[key].is_some())
+    /// The keys a query can resolve to, ascending, with their contexts.
+    fn keyed(&self) -> impl Iterator<Item = (usize, &Context)> + '_ {
+        self.by_key.iter().enumerate().filter_map(|(key, c)| Some((key, c.as_ref()?)))
+    }
+
+    /// [`Self::keyed`] less the keys whose agent is trained.
+    fn untrained(&self) -> Vec<(usize, &Context)> {
+        self.keyed().filter(|(_, c)| c.agent.get().is_none()).collect()
     }
 }
 
 /// The CRL allocator: the environment store, the lookup built over it, and
-/// one lazily trained agent per environment.
+/// one agent per environment, all trained at once, in parallel, when a
+/// request first needs one ([`Self::agent`]).
 ///
 /// Only [`Self::observe`] takes `&mut self`. Everything else is `&self` and
 /// thread-safe: the lookup is built once per store state, and each agent
-/// lives in its own [`OnceLock`] slot, so concurrent first-touch training
-/// is race-free — one winner trains, everyone else blocks on the same slot.
+/// lives in its own [`OnceLock`] slot, so concurrent first touches are
+/// race-free — one winner trains a slot, everyone else blocks on it.
 ///
 /// An agent is a pure function of `config.seed`, its key, its training
 /// blend and the task geometry bound once per allocator ([`Self::bind`]).
@@ -419,7 +433,7 @@ impl Crl {
     /// exactly the agents whose training blend is bit-identical in the new
     /// lookup: kNN keys whose `k` nearest records the new one did not
     /// join, k-means clusters whose mean importances the re-fit
-    /// reproduced. Every other agent is dropped and retrains on next use.
+    /// reproduced. Every other agent is dropped and retrains at the next touch.
     ///
     /// # Errors
     ///
@@ -446,13 +460,13 @@ impl Crl {
     /// Number of agent keys the lookup can produce (`0` while the store is
     /// empty).
     pub fn num_keys(&self) -> usize {
-        self.contexts().map_or(0, |c| c.keys().count())
+        self.contexts().map_or(0, |c| c.keyed().count())
     }
 
     /// Number of agents trained so far.
     pub fn cached_agents(&self) -> usize {
         match self.contexts.get() {
-            Some(Ok(c)) => c.keys().filter(|&key| c.is_trained(key)).count(),
+            Some(Ok(c)) => c.keyed().filter(|(_, c)| c.agent.get().is_some()).count(),
             _ => 0,
         }
     }
@@ -499,8 +513,12 @@ impl Crl {
         }
     }
 
-    /// The (lazily trained) agent for `key`. Blocks while another thread is
-    /// training the same slot; never trains twice.
+    /// The agent for `key`. A request that finds it untrained trains every
+    /// untrained key the lookup can produce at once, in parallel: Alg. 1's
+    /// offline step, run when an agent is first needed. Each agent keeps
+    /// its own slot, so a thread blocks only on a slot being trained, none
+    /// is trained twice, and a training error stays cached in its key's
+    /// slot, never failing a request for another key.
     ///
     /// # Errors
     ///
@@ -508,36 +526,36 @@ impl Crl {
     /// [`CrlError::EmptyStore`] for a key the lookup cannot produce;
     /// [`CrlError::Unbound`] before any geometry is bound.
     pub fn agent(&self, key: usize) -> Result<&DqnAgent, CrlError> {
-        let context = self.contexts()?.get(key).ok_or(CrlError::EmptyStore)?;
+        let contexts = self.contexts()?;
+        let context = contexts.get(key).ok_or(CrlError::EmptyStore)?;
         let spec = self.spec.get().ok_or(CrlError::Unbound)?;
-        context
-            .agent
-            .get_or_init(|| train_keyed(&self.config, spec, key, &context.blend))
-            .as_ref()
-            .map_err(Clone::clone)
+        if context.agent.get().is_none() {
+            // Grain 1: each job is a full multi-episode DQN training, far
+            // past the point where thread spawn overhead matters, so even
+            // two jobs deserve two threads.
+            parallel::par_map_grained(&contexts.untrained(), 1, |&(key, context)| {
+                context.train(self, spec, key);
+            });
+        }
+        context.train(self, spec, key).as_ref().map_err(Clone::clone)
     }
 
-    /// Trains every environment's agent up front, in parallel, instead of
-    /// on first use, binding `spec` as the geometry if none is bound yet.
-    /// Returns the number of agents trained now.
-    ///
-    /// The paper's claim that "the training phase merely needs to be
-    /// conducted once" makes this the natural offline step: per-cluster
-    /// (offline mode) or per-record-neighbourhood (online mode) trainings
-    /// are independent, so they fan out across threads. It moves work, not
-    /// answers: the agents are the ones first use would have trained.
+    /// Touches every untrained key, binding `spec` as the geometry if none
+    /// is bound yet, and returns how many keys that was. The first touch
+    /// trains them all at once, as any first touch does ([`Self::agent`]);
+    /// this only moves it earlier — the warm-up of a server that must not
+    /// pay training on a request.
     ///
     /// # Errors
     ///
-    /// See [`CrlError`] variants.
+    /// See [`CrlError`] variants; a training error is the lowest such
+    /// key's.
     pub fn pretrain(&self, spec: &AllocSpec) -> Result<usize, CrlError> {
         self.bind(spec)?;
-        let contexts = self.contexts()?;
-        let cold: Vec<usize> = contexts.keys().filter(|&key| !contexts.is_trained(key)).collect();
-        // Grain 1: each job is a full multi-episode DQN training, far past
-        // the point where thread spawn overhead matters, so even two jobs
-        // deserve two threads.
-        parallel::try_par_map_grained(&cold, 1, |&key| self.agent(key).map(|_| ()))?;
+        let cold = self.contexts()?.untrained();
+        for &(key, _) in &cold {
+            self.agent(key)?;
+        }
         Ok(cold.len())
     }
 
@@ -653,10 +671,7 @@ mod tests {
     /// whether its agent is trained.
     fn snapshot(crl: &Crl) -> Vec<(usize, Vec<u64>, bool)> {
         let contexts = crl.contexts().unwrap();
-        contexts
-            .keys()
-            .map(|key| (key, bits(&contexts.get(key).unwrap().blend), contexts.is_trained(key)))
-            .collect()
+        contexts.keyed().map(|(key, c)| (key, bits(&c.blend), c.agent.get().is_some())).collect()
     }
 
     #[test]
@@ -679,13 +694,79 @@ mod tests {
         let crl = Crl::new(store_two_contexts(n), quick(LookupMode::OnlineKnn));
         let first = crl.allocate(&[0.0], &spec(n)).unwrap();
         assert!(!first.cache_hit);
-        assert_eq!(crl.cached_agents(), 1);
+        assert_eq!(crl.cached_agents(), crl.num_keys());
         let second = crl.allocate(&[0.05], &spec(n)).unwrap();
         assert!(second.cache_hit, "same nearest environment should reuse the agent");
-        assert_eq!(crl.cached_agents(), 1);
-        let third = crl.allocate(&[10.0], &spec(n)).unwrap();
-        assert!(!third.cache_hit);
-        assert_eq!(crl.cached_agents(), 2);
+        let other = crl.allocate(&[10.0], &spec(n)).unwrap();
+        assert!(other.cache_hit, "the first touch trained the other context too");
+        assert_eq!(crl.cached_agents(), crl.num_keys());
+    }
+
+    /// [`store_two_contexts`] cut to two days per context: four kNN keys.
+    fn store_two_days(n: usize) -> EnvironmentStore {
+        let mut store = EnvironmentStore::new();
+        for record in &store_two_contexts(n).records()[..4] {
+            store.push(record.clone()).unwrap();
+        }
+        store
+    }
+
+    /// The agents one first touch trains at 1, 2 and 8 threads are, bit for
+    /// bit, a pretrained allocator's, which are `train_keyed`'s run serially.
+    #[test]
+    fn a_first_touch_trains_the_pretrained_agents_at_any_thread_count() {
+        let n = 3;
+        for lookup in MODES {
+            let config = quick(lookup);
+            let pretrained = Crl::new(store_two_days(n), config.clone());
+            pretrained.pretrain(&spec(n)).unwrap();
+            let want: Vec<Vec<u64>> = snapshot(&pretrained)
+                .into_iter()
+                .map(|(key, _, _)| pretrained.agent(key).unwrap().parameter_bits())
+                .collect();
+            let contexts = pretrained.contexts().unwrap();
+            for ((key, context), bits) in contexts.keyed().zip(&want) {
+                let serial = train_keyed(&config, &spec(n), key, &context.blend).unwrap();
+                assert_eq!(&serial.parameter_bits(), bits, "{lookup:?}, key {key}");
+            }
+            for threads in [1, 2, 8] {
+                let _threads = parallel::ScopedThreads::new(threads);
+                let touched = Crl::new(store_two_days(n), config.clone());
+                touched.allocate(&[0.0], &spec(n)).unwrap();
+                let got: Vec<Vec<u64>> = snapshot(&touched)
+                    .into_iter()
+                    .map(|(key, _, trained)| {
+                        assert!(trained, "{lookup:?}, threads {threads}, key {key}");
+                        touched.agent(key).unwrap().parameter_bits()
+                    })
+                    .collect();
+                assert_eq!(got, want, "{lookup:?}, threads {threads}");
+            }
+        }
+    }
+
+    /// A key whose training fails keeps its error in its own slot: the
+    /// first touch of another key is answered, and `pretrain` reports the
+    /// error after training everything else.
+    #[test]
+    fn a_sibling_training_error_fails_only_its_own_key() {
+        let n = 3;
+        let mut store = store_two_days(n);
+        // With k = 1 a key trains on its own record, so only this one fails.
+        store.push(EnvironmentRecord { signature: vec![5.0], importances: vec![-1.0; n] }).unwrap();
+        let config = CrlConfig { k: 1, ..quick(LookupMode::OnlineKnn) };
+        let bad = Err(CrlError::Spec(SpecError::BadValue));
+
+        let touched = Crl::new(store.clone(), config.clone());
+        assert!(!touched.allocate(&[0.0], &spec(n)).unwrap().cache_hit);
+        assert_eq!(touched.cached_agents(), touched.num_keys());
+        assert_eq!(touched.agent(4).map(|_| ()), bad);
+        assert!(touched.allocate(&[10.0], &spec(n)).unwrap().cache_hit);
+        assert_eq!(touched.pretrain(&spec(n)), Ok(0));
+
+        let pretrained = Crl::new(store, config);
+        assert_eq!(pretrained.pretrain(&spec(n)), bad.map(|()| 0));
+        assert_eq!(pretrained.cached_agents(), pretrained.num_keys());
     }
 
     #[test]
@@ -882,8 +963,7 @@ mod tests {
         let record = EnvironmentRecord { signature: vec![5.0], importances: vec![0.5; n] };
         let mut used = Crl::new(store_two_contexts(n), config.clone());
         used.allocate(&[0.0], &spec(n)).unwrap();
-        used.allocate(&[10.0], &spec(n)).unwrap();
-        assert_eq!(used.cached_agents(), 2);
+        assert_eq!(used.cached_agents(), used.num_keys());
         used.observe(record.clone()).unwrap();
 
         let mut store = store_two_contexts(n);

@@ -249,9 +249,9 @@ pub struct TenantStats {
     /// Q-value probe counters.
     pub batcher: BatcherStats,
     /// Agents of the tenant's one general process trained so far — CRL and
-    /// DCTA requests share them, so this reaches `Crl::num_keys()` and stays
-    /// there once the tenant is warm. Agents the pipeline trained before
-    /// `into_core` count: they moved over with it.
+    /// DCTA requests share them, and the first request that needs one
+    /// trains them all, so this is `0` or `Crl::num_keys()`. Agents the
+    /// pipeline trained before `into_core` count: they moved over with it.
     pub trained_agents: usize,
 }
 
@@ -553,32 +553,24 @@ mod tests {
         assert_eq!(service.stats("t").unwrap().trained_agents, keys);
     }
 
-    /// Agents the batch pipeline trained move into the core with it: the
-    /// tenant starts with them, `warm` trains only the rest, and nothing
-    /// it answers differs from a tenant frozen cold.
+    /// Agents the batch pipeline trained move into the core with it: its
+    /// first request trained every key, so the tenant starts warm, `warm`
+    /// has nothing left to train, and nothing it answers differs from a
+    /// tenant frozen cold.
     #[test]
     fn agents_trained_before_into_core_are_kept() {
         let scenario = test_scenario();
         let mut prepared = test_pipeline().prepare(&scenario).unwrap();
         let days: Vec<usize> = prepared.test_days().collect();
-        let key =
-            |c: &PreparedCore, d| c.crl().shared().define_environment(&c.scenario().day(d).sensing);
-        // Two days in two different contexts.
-        let cold = test_core();
-        let first = key(&cold, days[0]).unwrap().0;
-        let other =
-            *days.iter().find(|&&d| key(&cold, d).unwrap().0 != first).expect("two contexts");
         prepared.run(&RunSpec::new(Method::Crl, days[0])).unwrap();
-        prepared.run(&RunSpec::new(Method::Dcta, other)).unwrap();
 
         let service = AllocatorService::new();
         service.register("carried", prepared.into_core().unwrap()).unwrap();
-        service.register("cold", cold).unwrap();
+        service.register("cold", test_core()).unwrap();
         let keys = service.with_core("carried", |c| c.crl().shared().num_keys()).unwrap();
-        assert_eq!(service.stats("carried").unwrap().trained_agents, 2);
-        assert_eq!(service.stats("cold").unwrap().trained_agents, 0);
-        assert_eq!(service.warm("carried").unwrap(), keys - 2);
         assert_eq!(service.stats("carried").unwrap().trained_agents, keys);
+        assert_eq!(service.stats("cold").unwrap().trained_agents, 0);
+        assert_eq!(service.warm("carried").unwrap(), 0);
 
         for &day in &days {
             for query in [
