@@ -190,7 +190,7 @@ impl<T: PartialEq> CalendarQueue<T> {
     /// seq)` ordering key — without scheduling anything.
     ///
     /// This is for a caller that keeps some of its events in a structure
-    /// of its own (the mesh engine's one-completion-per-flow heap) and
+    /// of its own (the mesh engine's one-completion-per-flow set) and
     /// merges the two by key: an event ticketed here sorts against the
     /// queue's events exactly as if it had been [`schedule`](Self::schedule)d
     /// at that moment.
@@ -302,48 +302,62 @@ impl<T: PartialEq> Default for CalendarQueue<T> {
     }
 }
 
-/// Heap slot of an id that has no entry.
+/// Slot of an id that has no entry.
 const ABSENT: usize = usize::MAX;
 
-/// An indexed binary min-heap over dense ids, keyed `(time, seq)` like the
-/// queues above and holding at most one entry per id: [`set`](Self::set)
-/// inserts or re-keys in place, [`remove`](Self::remove) deletes by id, so
-/// a superseded key never lingers to be popped and discarded.
+/// A flat set over dense ids, keyed `(time, seq)` like the queues above and
+/// holding at most one entry per id: [`set`](Self::set) inserts or re-keys
+/// in place, [`remove`](Self::remove) deletes by id. Entries are unordered;
+/// the minimum's slot is cached and rescanned only after a `set` or
+/// `remove` may have displaced it.
 ///
-/// The mesh engine keeps each active flow's single pending completion
-/// here, drawing `seq` from [`CalendarQueue::ticket`] so that merging this
-/// heap with the calendar by key reproduces the pop order of one queue
-/// holding both (pinned by the proptest below).
+/// The mesh engine keeps each active flow's single pending completion here,
+/// with `seq`s from [`CalendarQueue::ticket`]: merging this set with the
+/// calendar by key pops what one queue holding both would (see the tests).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct IndexedHeap {
-    /// Heap-ordered `(time, seq, id)` entries.
-    heap: Vec<(f64, u64, usize)>,
-    /// Heap slot of each id, [`ABSENT`] when it has no entry.
-    pos: Vec<usize>,
+pub(crate) struct KeyedSet {
+    times: Vec<f64>,
+    seqs: Vec<u64>,
+    ids: Vec<usize>,
+    /// Slot of each id, [`ABSENT`] when it has no entry.
+    slot: Vec<usize>,
+    /// Slot of the minimum, `None` when it must be rescanned.
+    min: Option<usize>,
 }
 
-impl IndexedHeap {
+impl KeyedSet {
+    fn key(&self, slot: usize) -> (f64, u64) {
+        (self.times[slot], self.seqs[slot])
+    }
+
     /// The minimum `(time, seq, id)`.
-    fn peek(&self) -> Option<(f64, u64, usize)> {
-        self.heap.first().copied()
+    fn peek(&mut self) -> Option<(f64, u64, usize)> {
+        if self.min.is_none() {
+            let (mut time, mut seq) = (f64::INFINITY, u64::MAX);
+            for (i, (&t, &s)) in self.times.iter().zip(&self.seqs).enumerate() {
+                if t < time || (t == time && s < seq) {
+                    (time, seq, self.min) = (t, s, Some(i));
+                }
+            }
+        }
+        self.min.map(|m| (self.times[m], self.seqs[m], self.ids[m]))
     }
 
     /// The minimum as `(time, id)` if it sorts before `key` — the next
-    /// event of a queue this heap is merged with, `None` for an empty one.
-    pub(crate) fn first_before(&self, key: Option<(f64, u64)>) -> Option<(f64, usize)> {
+    /// event of a queue this set is merged with, `None` for an empty one.
+    pub(crate) fn first_before(&mut self, key: Option<(f64, u64)>) -> Option<(f64, usize)> {
         let (time, seq, id) = self.peek()?;
         key.is_none_or(|key| (time, seq) < key).then_some((time, id))
     }
 
     fn slot_of(&self, id: usize) -> Option<usize> {
-        self.pos.get(id).copied().filter(|&slot| slot != ABSENT)
+        self.slot.get(id).copied().filter(|&slot| slot != ABSENT)
     }
 
     /// The key of `id`'s entry, if it has one.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn key_of(&self, id: usize) -> Option<(f64, u64)> {
-        let (time, seq, _) = self.heap[self.slot_of(id)?];
-        Some((time, seq))
+        Some(self.key(self.slot_of(id)?))
     }
 
     /// Gives `id` the key `(time, seq)`, replacing its entry if it has one.
@@ -353,59 +367,43 @@ impl IndexedHeap {
     /// Panics if `time` is non-finite.
     pub(crate) fn set(&mut self, id: usize, time: f64, seq: u64) {
         assert!(time.is_finite(), "event time must be finite");
-        if id >= self.pos.len() {
-            self.pos.resize(id + 1, ABSENT);
+        if id >= self.slot.len() {
+            self.slot.resize(id + 1, ABSENT);
         }
-        let mut slot = self.pos[id];
+        let slot = self.slot[id];
         if slot == ABSENT {
-            slot = self.heap.len();
-            self.heap.push((time, seq, id));
+            self.slot[id] = self.ids.len();
+            self.times.push(time);
+            self.seqs.push(seq);
+            self.ids.push(id);
         } else {
-            self.heap[slot] = (time, seq, id);
+            // A minimum re-keyed later may have lost its place.
+            if self.min == Some(slot) && (time, seq) > self.key(slot) {
+                self.min = None;
+            }
+            (self.times[slot], self.seqs[slot]) = (time, seq);
         }
-        self.restore(slot);
+        if self.min.is_some_and(|m| (time, seq) < self.key(m)) {
+            self.min = Some(self.slot[id]);
+        }
     }
 
     /// Deletes `id`'s entry; a no-op when it has none.
     pub(crate) fn remove(&mut self, id: usize) {
         let Some(slot) = self.slot_of(id) else { return };
-        self.pos[id] = ABSENT;
-        let last = self.heap.pop().expect("an indexed entry exists");
-        if slot < self.heap.len() {
-            self.heap[slot] = last;
-            self.restore(slot);
+        self.slot[id] = ABSENT;
+        let last = self.ids.len() - 1;
+        self.times.swap_remove(slot);
+        self.seqs.swap_remove(slot);
+        self.ids.swap_remove(slot);
+        if slot < last {
+            self.slot[self.ids[slot]] = slot;
         }
-    }
-
-    fn before(&self, a: usize, b: usize) -> bool {
-        let ((ta, sa, _), (tb, sb, _)) = (self.heap[a], self.heap[b]);
-        ta < tb || (ta == tb && sa < sb)
-    }
-
-    /// Sifts the entry at `slot` to where the heap order holds again and
-    /// records the slots of every entry it moved.
-    fn restore(&mut self, mut slot: usize) {
-        while slot > 0 && self.before(slot, (slot - 1) / 2) {
-            let parent = (slot - 1) / 2;
-            self.heap.swap(slot, parent);
-            self.pos[self.heap[slot].2] = slot;
-            slot = parent;
+        if self.min == Some(slot) {
+            self.min = None;
+        } else if self.min == Some(last) {
+            self.min = Some(slot);
         }
-        loop {
-            let mut least = slot;
-            for child in [2 * slot + 1, 2 * slot + 2] {
-                if child < self.heap.len() && self.before(child, least) {
-                    least = child;
-                }
-            }
-            if least == slot {
-                break;
-            }
-            self.heap.swap(slot, least);
-            self.pos[self.heap[slot].2] = slot;
-            slot = least;
-        }
-        self.pos[self.heap[slot].2] = slot;
     }
 }
 
@@ -658,7 +656,7 @@ mod tests {
 
     #[test]
     fn indexed_heap_rekeys_and_removes_by_id() {
-        let mut h = IndexedHeap::default();
+        let mut h = KeyedSet::default();
         assert_eq!(h.peek(), None);
         h.set(3, 5.0, 0);
         h.set(1, 2.0, 1);
@@ -683,7 +681,54 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite")]
     fn indexed_heap_rejects_non_finite_keys() {
-        IndexedHeap::default().set(0, f64::INFINITY, 0);
+        KeyedSet::default().set(0, f64::INFINITY, 0);
+    }
+
+    /// Three entries with the cached minimum, `(1.0, 2)` of id 2, in the
+    /// last slot.
+    fn cached_set() -> KeyedSet {
+        let mut h = KeyedSet::default();
+        h.set(0, 5.0, 0);
+        h.set(1, 3.0, 1);
+        h.set(2, 1.0, 2);
+        assert_eq!(h.peek(), Some((1.0, 2, 2)));
+        assert_eq!(h.min, Some(2));
+        h
+    }
+
+    #[test]
+    fn keyed_set_rekeying_the_minimum_later_rescans() {
+        let mut h = cached_set();
+        h.set(2, 4.0, 3);
+        assert_eq!(h.min, None, "the minimum may have lost its place");
+        assert_eq!(h.peek(), Some((3.0, 1, 1)));
+    }
+
+    #[test]
+    fn keyed_set_rekeying_the_minimum_earlier_keeps_the_cache() {
+        let mut h = cached_set();
+        h.set(2, 0.5, 3);
+        assert_eq!(h.min, Some(2));
+        assert_eq!(h.peek(), Some((0.5, 3, 2)));
+    }
+
+    #[test]
+    fn keyed_set_removing_the_minimum_rescans() {
+        let mut h = cached_set();
+        h.remove(2);
+        assert_eq!(h.min, None);
+        assert_eq!(h.peek(), Some((3.0, 1, 1)));
+        assert_eq!(h.key_of(2), None);
+    }
+
+    #[test]
+    fn keyed_set_cache_follows_the_minimum_into_a_freed_slot() {
+        let mut h = cached_set();
+        // `swap_remove` of slot 0 moves the minimum there from the end.
+        h.remove(0);
+        assert_eq!(h.min, Some(0));
+        assert_eq!(h.peek(), Some((1.0, 2, 2)));
+        assert_eq!(h.key_of(1), Some((3.0, 1)));
     }
 
     /// What the merged pop yields: a queued payload or a held id firing.
@@ -694,8 +739,8 @@ mod tests {
     }
 
     /// The mesh engine's main-loop step: the earlier of the calendar's
-    /// next event and the heap's minimum, by `(time, ticket)`.
-    fn merged_pop(cal: &mut CalendarQueue<u32>, held: &mut IndexedHeap) -> Option<(f64, Fired)> {
+    /// next event and the set's minimum, by `(time, ticket)`.
+    fn merged_pop(cal: &mut CalendarQueue<u32>, held: &mut KeyedSet) -> Option<(f64, Fired)> {
         match held.first_before(cal.peek_key()) {
             Some((t, id)) => {
                 cal.advance(t);
@@ -729,6 +774,33 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// After every random `set` or `remove` over 64 ids, the set's
+        /// minimum is the brute-force minimum of a shadow map of the keys.
+        #[test]
+        fn keyed_set_minimum_matches_a_brute_force_scan(
+            ops in prop::collection::vec((0u8..3, 0usize..64, 0u8..16), 1..400),
+        ) {
+            let mut h = KeyedSet::default();
+            let mut shadow = std::collections::HashMap::new();
+            for (seq, (op, id, t)) in (0u64..).zip(ops) {
+                if op == 0 {
+                    h.remove(id);
+                    shadow.remove(&id);
+                } else {
+                    // A coarse grid makes equal times common.
+                    let time = f64::from(t) * 0.5;
+                    h.set(id, time, seq);
+                    shadow.insert(id, (time, seq));
+                }
+                let want = shadow
+                    .iter()
+                    .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite keys"))
+                    .map(|(&id, &(time, _))| (time, id));
+                prop_assert_eq!(h.first_before(None), want);
+                prop_assert_eq!(h.key_of(id), shadow.get(&id).copied());
+            }
+        }
 
         /// The calendar queue must replay the `BinaryHeap` reference
         /// exactly — same pop times (bitwise) and same payloads, including
@@ -776,7 +848,7 @@ mod tests {
             }
         }
 
-        /// Calendar + indexed heap with shared tickets pops exactly what
+        /// Calendar + keyed set with shared tickets pops exactly what
         /// one lazily-deleting queue pops — times bitwise, same-timestamp
         /// bursts in the same FIFO order — under random interleavings of
         /// schedule, re-key, cancel and pop.
@@ -786,7 +858,7 @@ mod tests {
         ) {
             const IDS: usize = 12;
             let mut cal: CalendarQueue<u32> = CalendarQueue::new();
-            let mut held = IndexedHeap::default();
+            let mut held = KeyedSet::default();
             let mut all: EventQueue<(Fired, u64)> = EventQueue::new();
             let (mut version, mut live) = ([0u64; IDS], [false; IDS]);
             let mut next = 0u32;

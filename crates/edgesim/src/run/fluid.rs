@@ -11,7 +11,7 @@
 //! flows), not all active flows times their path lengths.
 //!
 //! Every active flow owns exactly one pending completion, in
-//! [`Fluid::completions`]; the lifecycle's main loop merges that heap with
+//! [`Fluid::completions`]; the lifecycle's main loop merges that set with
 //! the calendar queue by `(time, seq)`, both drawing `seq` from the
 //! calendar's counter, so events fire in the order one shared queue would
 //! give.
@@ -25,7 +25,7 @@
 //! serialisation time only; the un-transferred remainder is never charged.
 
 use super::lifecycle::{gather_busy, Cargo, Queue, TaskState, Transport};
-use crate::event::IndexedHeap;
+use crate::event::KeyedSet;
 use crate::network::{MeshNetwork, Routes};
 use crate::node::NodeId;
 use std::collections::HashMap;
@@ -72,7 +72,7 @@ pub(super) struct Fluid<'a> {
     controller: usize,
     /// The pending serialisation completion of each active flow, keyed
     /// `(fire time, ticket)` with tickets from the lifecycle's queue.
-    completions: IndexedHeap,
+    completions: KeyedSet,
     /// Shortest-path tree from the controller over the live edges;
     /// recomputed on every topology change ([`Fluid::reroute`]).
     routes: Routes,
@@ -86,8 +86,8 @@ pub(super) struct Fluid<'a> {
     /// Flow slab; ids are never reused within a run.
     flows: Vec<Flow>,
     /// Active flows crossing each edge, in arrival order, as `(flow id,
-    /// index into `grants` of what this edge grants that flow)`.
-    edge_flows: Vec<Vec<(usize, usize)>>,
+    /// its slot in `grants`, its share weight)`: settling reads no [`Flow`].
+    edge_flows: Vec<Vec<(u32, u32, f64)>>,
     /// `capacity × (bits / load)` per (flow, path edge), each flow's run
     /// starting at its [`Flow::slots`]. An edge's entries are rewritten
     /// whenever its load changed, so every entry of an active flow always
@@ -118,7 +118,7 @@ impl<'a> Fluid<'a> {
         Self {
             mesh,
             controller: controller.0,
-            completions: IndexedHeap::default(),
+            completions: KeyedSet::default(),
             routes: mesh.routes_from(controller.0, &[]),
             route_cache: vec![None; n],
             edge_down: vec![false; m],
@@ -163,7 +163,7 @@ impl<'a> Fluid<'a> {
         for &e in path.iter() {
             // Order-preserving: the survivors' order decides the tickets
             // of same-instant rate changes.
-            self.edge_flows[e].retain(|&(g, _)| g != fid);
+            self.edge_flows[e].retain(|&(g, _, _)| g as usize != fid);
             self.edge_load[e] -= bits;
             if self.edge_flows[e].is_empty() {
                 self.edge_load[e] = 0.0;
@@ -238,8 +238,9 @@ impl Transport for Fluid<'_> {
         let active = bits > 0.0;
         if active {
             self.grants.resize(slots + path.len(), 0.0);
+            assert!(fid.max(self.grants.len()) <= u32::MAX as usize, "ids fit in u32");
             for (i, &e) in path.iter().enumerate() {
-                self.edge_flows[e].push((fid, slots + i));
+                self.edge_flows[e].push((fid as u32, (slots + i) as u32, bits));
                 self.edge_load[e] += bits;
                 self.dirty.push(e);
             }
@@ -299,7 +300,7 @@ impl Transport for Fluid<'_> {
         self.reroute();
         // Every flow crossing the dead edge dies with it, in the order the
         // flows joined the edge.
-        let crossing = self.edge_flows[e].iter().map(|&(fid, _)| self.flows[fid].cargo);
+        let crossing = self.edge_flows[e].iter().map(|&(fid, _, _)| self.flows[fid as usize].cargo);
         crossing
             .filter(|c| state[c.task].is_some_and(|st| st.live() && st.attempt == c.attempt))
             .map(|c| c.task)
@@ -361,8 +362,9 @@ impl Transport for Fluid<'_> {
             self.edge_stamp[e] = stamp;
             let capacity = self.mesh.link(e).bandwidth_bps();
             let load = self.edge_load[e];
-            for &(fid, slot) in &self.edge_flows[e] {
-                self.grants[slot] = capacity * (self.flows[fid].bits / load);
+            for &(fid, slot, bits) in &self.edge_flows[e] {
+                self.grants[slot as usize] = capacity * (bits / load);
+                let fid = fid as usize;
                 if self.touch_stamp[fid] != stamp {
                     self.touch_stamp[fid] = stamp;
                     touched.push(fid);

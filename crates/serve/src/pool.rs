@@ -8,12 +8,17 @@
 //! A request whose handler panics costs its own ticket
 //! ([`ServeError::WorkerPanicked`]), not the worker. Dropping the pool
 //! finishes all queued work before joining the workers.
+//!
+//! Both locks here recover from poisoning with [`PoisonError::into_inner`]:
+//! every critical section under them is one `VecDeque` push or pop, or one
+//! `Option` write or take, and no handler runs under either, so a panic
+//! can never leave the guarded state half-updated.
 
 use crate::service::{AllocRequest, AllocResponse, AllocatorService, ServeError};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// One submission's answer slot, filled by whichever worker ran it.
@@ -33,12 +38,12 @@ pub struct Ticket {
 impl Ticket {
     /// Blocks until a worker answers the request, then returns the answer.
     pub fn wait(self) -> Result<AllocResponse, ServeError> {
-        let mut slot = self.state.slot.lock().expect("ticket poisoned");
+        let mut slot = self.state.slot.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(result) = slot.take() {
                 return result;
             }
-            slot = self.state.ready.wait(slot).expect("ticket poisoned");
+            slot = self.state.ready.wait(slot).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -116,7 +121,7 @@ impl ServicePool {
     pub fn submit(&self, request: AllocRequest) -> Ticket {
         let state = Arc::new(TicketState::default());
         {
-            let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
+            let mut queue = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
             queue.push_back(Job { request, ticket: Arc::clone(&state) });
         }
         self.shared.work_ready.notify_one();
@@ -142,7 +147,7 @@ fn worker_loop(
 ) {
     loop {
         let job = {
-            let mut queue = shared.queue.lock().expect("pool queue poisoned");
+            let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if let Some(job) = queue.pop_front() {
                     break job;
@@ -152,12 +157,12 @@ fn worker_loop(
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                queue = shared.work_ready.wait(queue).expect("pool queue poisoned");
+                queue = shared.work_ready.wait(queue).unwrap_or_else(PoisonError::into_inner);
             }
         };
         let result = catch_unwind(AssertUnwindSafe(|| handle(&job.request)))
             .unwrap_or_else(|payload| Err(ServeError::WorkerPanicked(panic_message(&*payload))));
-        *job.ticket.slot.lock().expect("ticket poisoned") = Some(result);
+        *job.ticket.slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
         job.ticket.ready.notify_all();
     }
 }
@@ -177,6 +182,55 @@ mod tests {
 
     fn probe(day: usize) -> AllocRequest {
         AllocRequest { tenant: "t".into(), query: Query::QValues { day, state: None } }
+    }
+
+    /// Poisons `lock` by panicking on another thread while holding it.
+    fn poison<T: Send>(lock: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _held = lock.lock();
+                panic!("poisoning the lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(lock.is_poisoned());
+    }
+
+    /// Redeems `ticket` on another thread, failing rather than hanging when
+    /// no worker will ever answer it.
+    fn answer(ticket: Ticket) -> AllocResponse {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || tx.send(ticket.wait()));
+        let answer = rx.recv_timeout(std::time::Duration::from_secs(60));
+        let answer = answer.expect("a worker answers the ticket");
+        waiter.join().expect("the waiter does not panic").expect("the answer was received");
+        answer.expect("the probe succeeds")
+    }
+
+    #[test]
+    fn poisoned_queue_and_ticket_locks_still_answer() {
+        // The handler of probe 1 holds its worker until the test has
+        // poisoned that probe's ticket slot.
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let held = Arc::clone(&gate);
+        let pool =
+            ServicePool::spawn(Arc::new(AllocatorService::new()), 1, move |r| match r.query {
+                Query::QValues { day, .. } => {
+                    if day == 1 {
+                        held.wait();
+                    }
+                    Ok(AllocResponse::QValues { key: day, q: vec![] })
+                }
+                _ => unreachable!("the test only sends probes"),
+            });
+        let answered = |day| AllocResponse::QValues { key: day, q: vec![] };
+        poison(&pool.shared.queue);
+        assert_eq!(answer(pool.submit(probe(0))), answered(0));
+        let ticket = pool.submit(probe(1));
+        poison(&ticket.state.slot);
+        gate.wait();
+        assert_eq!(answer(ticket), answered(1));
+        assert_eq!(answer(pool.submit(probe(2))), answered(2));
     }
 
     #[test]
