@@ -18,9 +18,10 @@
 //! value. That per-node skew is the long-run signal the proactive arm's
 //! Beta posterior learns — first from a seeded warm-up of schedule
 //! exposures (no simulation, observation only), then online from each
-//! faulted round it runs. The posterior is cleared at every cell boundary
-//! so cells stay independent; the three reactive arms never touch it and
-//! remain bit-identical to their pre-availability behaviour.
+//! faulted round it runs (`observe_faults` after every proactive run). The
+//! posterior is cleared at every cell boundary so cells stay independent;
+//! the three reactive arms never touch it and remain bit-identical to their
+//! pre-availability behaviour.
 //!
 //! The headline metric is the retained-importance fraction (delivered true
 //! importance over the healthy run's), alongside degraded-mode decision
@@ -314,6 +315,9 @@ pub fn run(opts: &RunOpts) -> Result<FaultSweep, Box<dyn Error>> {
                 for (ai, &mode) in MODES.iter().enumerate() {
                     let spec = RunSpec::new(Method::Dcta, day).with_faults(schedule.clone(), mode);
                     let r = prepared.run(&spec)?.into_faulted().expect("faulted spec");
+                    if mode == RecoveryMode::Proactive {
+                        prepared.observe_faults(&r);
+                    }
                     any_fault |= !r.failures.is_empty();
                     let acc = &mut accs[ai];
                     acc.retained.push(r.retained_fraction);
@@ -460,6 +464,9 @@ fn mesh_leg(opts: &RunOpts) -> Result<MeshLeg, Box<dyn Error>> {
         for (ai, &mode) in MODES.iter().enumerate() {
             let spec = RunSpec::new(Method::Dcta, day).with_faults(schedules[di].clone(), mode);
             let r = prepared.run(&spec)?.into_faulted().expect("faulted spec");
+            if mode == RecoveryMode::Proactive {
+                prepared.observe_faults(&r);
+            }
             any_fault |= !r.failures.is_empty();
             let acc = &mut accs[ai];
             acc.retained.push(r.retained_fraction);

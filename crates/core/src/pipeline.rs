@@ -320,6 +320,9 @@ pub struct FaultRunReport {
     /// plus recovery round, *excluding* the measured re-solve latency —
     /// a pure function of the seed, bit-reproducible across runs.
     pub simulated_processing_time_s: f64,
+    /// PT of the faulted round alone: the horizon its failure log covers,
+    /// which [`PreparedPipeline::observe_faults`] reads as exposure time.
+    pub faulted_processing_time_s: f64,
     /// Tasks whose results reached the controller (either round).
     pub delivered: usize,
     /// True importance of the delivered set.
@@ -726,18 +729,12 @@ impl PipelineBuilder {
 /// differently. The [`crate::shared`] module docs hold the complete list
 /// and the reasons; everything else is [`Prepared`], written once.
 pub(crate) trait Face {
-    /// Whether a [`RecoveryMode::Proactive`] round teaches the availability
-    /// posterior.
-    const LEARNS_AVAILABILITY: bool;
-
     /// The [`Method::RandomMapping`] draw of `day` under master seed `seed`.
     fn random_mapping(&mut self, blind: &TatimInstance, seed: u64, day: usize) -> Allocation;
 }
 
 /// The batch face is its one sequential `RandomMapping` stream.
 impl Face for StdRng {
-    const LEARNS_AVAILABILITY: bool = true;
-
     fn random_mapping(&mut self, blind: &TatimInstance, _seed: u64, _day: usize) -> Allocation {
         random_mapping(blind, self)
     }
@@ -1103,17 +1100,6 @@ impl Prepared {
             }
         }
 
-        // A learning face absorbs the round's failure history as an
-        // exposure observation and advances the posterior one round. The
-        // other modes leave the model untouched, so reactive arms of a
-        // sweep stay bit-identical to their pre-availability behaviour.
-        if mode == RecoveryMode::Proactive && F::LEARNS_AVAILABILITY {
-            let nodes: Vec<NodeId> = self.fleet().processors().iter().map(|p| p.node).collect();
-            let horizon = faulted.processing_time.max(1e-9);
-            self.availability.absorb(&node_exposures(&faulted.failures, &nodes, horizon));
-            self.availability.advance_round();
-        }
-
         let evaluator =
             ImportanceEvaluator::new(&self.scenario, &self.models).with_cache(&self.cache);
         let scheduled_mask: Vec<bool> =
@@ -1138,6 +1124,7 @@ impl Prepared {
             healthy_decision_performance,
             processing_time_s: simulated_processing_time_s + reallocation_latency_s,
             simulated_processing_time_s,
+            faulted_processing_time_s: faulted.processing_time,
             delivered: delivered_mask.iter().filter(|d| **d).count(),
             delivered_importance,
             retained_fraction,
@@ -1211,7 +1198,7 @@ impl<'a> PreparedPipeline<'a> {
     /// The learned per-node availability posterior. Interior-mutable:
     /// callers may [`AvailabilityModel::absorb`] external failure history
     /// or persist it ([`AvailabilityModel::save_file`]) through `&self`.
-    /// [`RecoveryMode::Proactive`] runs feed it automatically.
+    /// Runs only read it; [`Self::observe_faults`] feeds it.
     pub fn availability(&self) -> &AvailabilityModel {
         &self.state.availability
     }
@@ -1292,6 +1279,19 @@ impl<'a> PreparedPipeline<'a> {
         self.state.check_day(day)?;
         let sensing = self.scenario.day(day).sensing.clone();
         Ok(self.state.crl.observe(sensing, self.state.true_importances[day].clone())?)
+    }
+
+    /// Teaches the availability posterior what a faulted run saw: the
+    /// faulted round's failure log, as per-node exposure over that round's
+    /// PT, then one round of decay. A run never learns by itself; callers
+    /// that learn online call this after each [`RecoveryMode::Proactive`]
+    /// run, and the advance happens even when nothing failed.
+    pub fn observe_faults(&mut self, report: &FaultRunReport) {
+        let nodes: Vec<NodeId> = self.fleet().processors().iter().map(|p| p.node).collect();
+        let horizon = report.faulted_processing_time_s.max(1e-9);
+        let availability = &self.state.availability;
+        availability.absorb(&node_exposures(&report.failures, &nodes, horizon));
+        availability.advance_round();
     }
 
     /// Executes one evaluation run described by `spec`. A fault-free spec

@@ -14,14 +14,12 @@
 //!
 //! Both types embed the same prepared state — general process included —
 //! and `allocate`, `run`, `execute` and the faulted run are written once
-//! over it (in `pipeline.rs`). A face hands that code the two things it
-//! does differently, and nothing else differs
-//! (`tests/stack_golden.rs::the_faces_differ_in_two_things_only`):
-//!
-//! | | batch `PreparedPipeline` | frozen `PreparedCore` |
-//! |---|---|---|
-//! | `RandomMapping` RNG | the pipeline's sequential `StdRng` (`seed ^ 0x51AB`) | a fresh `StdRng` keyed by `(seed, day)` |
-//! | availability learning | a [`RecoveryMode::Proactive`](crate::recovery::RecoveryMode::Proactive) round absorbs its failure log and advances the posterior | never: the posterior is read-only |
+//! over it (in `pipeline.rs`). A face hands that code the one thing it
+//! does differently, its `RandomMapping` RNG: the batch face draws from
+//! the pipeline's sequential `StdRng` (`seed ^ 0x51AB`), the frozen face
+//! from a fresh `StdRng` keyed by `(seed, day)`. Neither face's runs
+//! teach the availability posterior; only the batch face's
+//! `observe_faults` does.
 //!
 //! ## Determinism contract
 //!
@@ -68,8 +66,6 @@ pub struct PreparedCore {
 struct Frozen;
 
 impl Face for Frozen {
-    const LEARNS_AVAILABILITY: bool = false;
-
     fn random_mapping(&mut self, blind: &TatimInstance, seed: u64, day: usize) -> Allocation {
         let mut rng = StdRng::seed_from_u64(
             seed ^ 0x51AB ^ (day as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
@@ -86,11 +82,9 @@ impl PreparedCore {
         &self.state.route_factors
     }
 
-    /// The frozen availability posterior [`RecoveryMode::Proactive`] runs
-    /// read. Frozen means *read-only*: unlike the batch pipeline, serving
-    /// never absorbs failure history, so repeat runs of the same
-    /// [`RunSpec`] stay bit-identical regardless of what ran in between.
-    /// Re-prepare and re-freeze to fold new observations in.
+    /// The availability posterior [`RecoveryMode::Proactive`] runs read.
+    /// No run writes it, so repeat runs of the same [`RunSpec`] stay
+    /// bit-identical regardless of what ran in between.
     ///
     /// [`RecoveryMode::Proactive`]: crate::recovery::RecoveryMode::Proactive
     pub fn availability(&self) -> &AvailabilityModel {

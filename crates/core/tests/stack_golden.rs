@@ -21,10 +21,11 @@
 //!
 //! One prepared pipeline per (world, face) answers its 6 × 40 runs in the
 //! fixed order below. For two things the order is part of the golden: the
-//! batch face draws `RandomMapping` from one sequential stream and learns
-//! availability from every `Proactive` round.
-//! `the_faces_differ_in_two_things_only` pins those differences directly;
-//! for agents no order matters (`touch_order.rs`).
+//! batch face draws `RandomMapping` from one sequential stream, and it
+//! observes every `Proactive` round (`observe_faults`) right after the run,
+//! as its runs once did inside themselves. The frozen face observes
+//! nothing. `learning_is_explicit_and_rm_draws_by_seed_and_day` pins both
+//! rules directly; for agents no order matters (`touch_order.rs`).
 
 use buildings::scenario::{Scenario, ScenarioConfig};
 use dcta_core::baselines::random_mapping;
@@ -38,7 +39,8 @@ use dcta_core::recovery::RecoveryMode;
 use dcta_core::shared::PreparedCore;
 use edgesim::cluster::MeshSpec;
 use edgesim::faults::FaultSchedule;
-use edgesim::trace::FailureKind;
+use edgesim::node::NodeId;
+use edgesim::trace::{node_exposures, FailureKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl::crl::CrlConfig;
@@ -205,10 +207,17 @@ impl<'s> Face<'s> {
 
     fn run(&mut self, spec: &RunSpec) -> RunReport {
         match self {
-            Face::Batch(p) => p.run(spec),
-            Face::Frozen(c) => c.run(spec),
+            Face::Batch(p) => {
+                let report = p.run(spec).unwrap();
+                if let Some(faulted) = report.as_faulted() {
+                    if faulted.mode == RecoveryMode::Proactive {
+                        p.observe_faults(faulted);
+                    }
+                }
+                report
+            }
+            Face::Frozen(c) => c.run(spec).unwrap(),
         }
-        .unwrap()
     }
 
     fn fleet(&self) -> &ProcessorFleet {
@@ -341,46 +350,48 @@ fn stack_reports_match_parent_commit_digests() {
     }
 }
 
-/// The complete list of what the batch face and the frozen core do
-/// differently (the `shared` module docs): the `RandomMapping` RNG and
-/// availability learning.
+/// A run only reads the availability posterior; `observe_faults` is the
+/// absorb-and-advance a `Proactive` run once did inside itself, whether or
+/// not anything failed; and an RM draw is a function of `(seed, day)` alone.
 #[test]
-fn the_faces_differ_in_two_things_only() {
+fn learning_is_explicit_and_rm_draws_by_seed_and_day() {
     let s = small_scenario();
     let cfg = config("star");
-    let mut batch = Pipeline::new(cfg.clone()).prepare(&s).unwrap();
+    let mut pipeline = Pipeline::new(cfg.clone()).prepare(&s).unwrap();
+    let day = pipeline.test_days().start;
+    let nodes: Vec<NodeId> = pipeline.fleet().processors().iter().map(|p| p.node).collect();
+    let proactive =
+        |schedule| RunSpec::new(Method::Dml, day).with_faults(schedule, RecoveryMode::Proactive);
+
+    let before = pipeline.availability().to_text();
+    let bitten = pipeline.run(&proactive(schedule(pipeline.fleet()))).unwrap();
+    let bitten = bitten.into_faulted().unwrap();
+    assert!(!bitten.failures.is_empty(), "the schedule must bite");
+    assert_eq!(pipeline.availability().to_text(), before, "a run learns nothing");
+    let quiet = pipeline.run(&proactive(FaultSchedule::new())).unwrap().into_faulted().unwrap();
+    assert!(quiet.failures.is_empty());
+
+    for report in [bitten, quiet] {
+        let horizon = report.faulted_processing_time_s.max(1e-9);
+        let absorbed = pipeline.availability().clone();
+        absorbed.absorb(&node_exposures(&report.failures, &nodes, horizon));
+        let advanced = absorbed.clone();
+        advanced.advance_round();
+        pipeline.observe_faults(&report);
+        let learned = pipeline.availability().to_text();
+        assert_eq!(learned, advanced.to_text(), "{} failures", report.failures.len());
+        assert_ne!(learned, absorbed.to_text(), "the round advances");
+    }
+
+    // Keyed by (seed, day): other days' draws in between move nothing.
     let core = Pipeline::new(cfg.clone()).prepare(&s).unwrap().into_core().unwrap();
-    let day = core.test_days().start;
     let rm = |d| AllocQuery::new(Method::RandomMapping, d);
-
-    // Batch: one sequential stream seeded at prepare, whatever the day.
-    let blind = core.blind_instance();
-    let mut stream = StdRng::seed_from_u64(cfg.seed ^ 0x51AB);
-    for d in [day + 1, day, day] {
-        let want = random_mapping(&blind, &mut stream);
-        assert_eq!(batch.allocate(&rm(d)).unwrap().allocation, want, "batch draw on day {d}");
+    let keyed = |d: usize| {
+        let key = cfg.seed ^ 0x51AB ^ (d as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        random_mapping(&core.blind_instance(), &mut StdRng::seed_from_u64(key))
+    };
+    assert_ne!(keyed(day), keyed(day + 1), "different days draw different mappings");
+    for d in [day + 1, day, day, day + 2, day + 1] {
+        assert_eq!(core.allocate(&rm(d)).unwrap().allocation, keyed(d), "draw on day {d}");
     }
-    // Frozen: keyed by (seed, day), so neither repeats nor other days'
-    // requests in between move a draw.
-    let first = core.allocate(&rm(day)).unwrap().allocation;
-    let other = core.allocate(&rm(day + 1)).unwrap().allocation;
-    assert_ne!(first, other, "different days draw different mappings");
-    assert_eq!(core.allocate(&rm(day)).unwrap().allocation, first);
-    assert_eq!(core.allocate(&rm(day + 1)).unwrap().allocation, other);
-
-    // A Proactive round teaches the batch posterior and leaves the frozen
-    // one alone; no other mode teaches either.
-    let spec = |mode| RunSpec::new(Method::Dml, day).with_faults(schedule(core.fleet()), mode);
-    let (batch_before, core_before) =
-        (batch.availability().to_text(), core.availability().to_text());
-    assert_eq!(batch_before, core_before);
-    for mode in [RecoveryMode::None, RecoveryMode::Resolve, RecoveryMode::RandomShed] {
-        batch.run(&spec(mode)).unwrap();
-        core.run(&spec(mode)).unwrap();
-    }
-    assert_eq!(batch.availability().to_text(), batch_before);
-    batch.run(&spec(RecoveryMode::Proactive)).unwrap();
-    core.run(&spec(RecoveryMode::Proactive)).unwrap();
-    assert_ne!(batch.availability().to_text(), batch_before, "the batch face learns");
-    assert_eq!(core.availability().to_text(), core_before, "the frozen core never does");
 }
