@@ -45,7 +45,7 @@ pub fn weights(opts: &RunOpts) -> Result<WeightSweep, Box<dyn Error>> {
     );
     for (w1, w2) in sweep {
         let config = PipelineConfig { weights: (w1, w2), ..paper_pipeline(opts) };
-        let mut prepared = prepare_cached(config, &scenario)?;
+        let prepared = prepare_cached(config, &scenario)?;
         let days: Vec<usize> = prepared.test_days().collect();
         let mut captured = Vec::new();
         let mut perf = Vec::new();
@@ -173,7 +173,7 @@ pub struct QualityGap {
 /// Propagates pipeline failures.
 pub fn quality_gap(opts: &RunOpts) -> Result<QualityGap, Box<dyn Error>> {
     let scenario = paper_scenario(opts, opts.pick(10, 6))?;
-    let mut prepared = prepare_cached(paper_pipeline(opts), &scenario)?;
+    let prepared = prepare_cached(paper_pipeline(opts), &scenario)?;
     let days: Vec<usize> = prepared.test_days().collect();
     let methods = [
         Method::ExactOracle,

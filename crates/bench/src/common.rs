@@ -4,7 +4,8 @@
 use buildings::scenario::{Scenario, ScenarioConfig, ScenarioError};
 use dcta_core::availability::AvailabilityModel;
 use dcta_core::cache::ImportanceCache;
-use dcta_core::pipeline::{Pipeline, PipelineConfig, PipelineError, PreparedPipeline};
+use dcta_core::pipeline::{Pipeline, PipelineConfig, PipelineError};
+use dcta_core::shared::PreparedCore;
 use rl::crl::CrlConfig;
 use rl::dqn::DqnConfig;
 use serde::Serialize;
@@ -129,10 +130,10 @@ pub fn persist_availability(model: &AvailabilityModel) {
 /// # Errors
 ///
 /// Propagates pipeline preparation failures.
-pub fn prepare_cached<'a>(
+pub fn prepare_cached(
     config: PipelineConfig,
-    scenario: &'a Scenario,
-) -> Result<PreparedPipeline<'a>, PipelineError> {
+    scenario: &Scenario,
+) -> Result<PreparedCore, PipelineError> {
     let cache = ImportanceCache::with_capacity(CACHE_CAPACITY);
     if let Some(path) = cache_file() {
         match cache.load_file(path) {

@@ -14,6 +14,7 @@ use dcta_core::importance::{CopModels, ImportanceEvaluator};
 use dcta_core::objective::AllocQuery;
 use dcta_core::processor::ProcessorFleet;
 use dcta_core::shapley::{efficiency_gap, shapley_importances};
+use dcta_core::shared::PreparedCore;
 use dcta_core::task::{EdgeTask, TaskId};
 use dcta_core::tatim::{SolverKind, TatimInstance};
 use edgesim::cluster::Cluster;
@@ -114,8 +115,7 @@ pub fn medium(opts: &RunOpts) -> Result<MediumStudy, Box<dyn Error>> {
         allocations.push(per_day);
     }
 
-    let run_all = |prepared: &mut dcta_core::pipeline::PreparedPipeline<'_>|
-     -> Result<Vec<f64>, Box<dyn Error>> {
+    let run_all = |prepared: &PreparedCore| -> Result<Vec<f64>, Box<dyn Error>> {
         let mut out = Vec::new();
         for (mi, method) in METHODS.iter().enumerate() {
             let mut pts = Vec::new();
@@ -131,13 +131,13 @@ pub fn medium(opts: &RunOpts) -> Result<MediumStudy, Box<dyn Error>> {
         }
         Ok(out)
     };
-    let per_link_pt = run_all(&mut prepared)?;
+    let per_link_pt = run_all(&prepared)?;
     prepared
         .cluster_mut()
         .network_mut()
         .expect("star testbed")
         .set_medium(MediumMode::SharedMedium);
-    let shared_pt = run_all(&mut prepared)?;
+    let shared_pt = run_all(&prepared)?;
 
     let mut table = Table::new(
         "Extension — WiFi contention model (mean PT, s)",

@@ -36,8 +36,9 @@
 use crate::common::{
     f3, mean, paper_pipeline, paper_scenario, persist_availability, prepare_cached, RunOpts, Table,
 };
-use dcta_core::pipeline::{Method, PreparedPipeline, RunSpec, Topology};
+use dcta_core::pipeline::{Method, RunSpec, Topology};
 use dcta_core::recovery::RecoveryMode;
+use dcta_core::shared::PreparedCore;
 use edgesim::cluster::MeshSpec;
 use edgesim::faults::{FaultKind, FaultSchedule};
 use edgesim::node::NodeId;
@@ -206,7 +207,7 @@ fn schedule_exposures(
 /// exactly how the posterior learns that the controller is the one node
 /// that never dies.
 fn warm_up_posterior(
-    prepared: &PreparedPipeline<'_>,
+    prepared: &PreparedCore,
     rounds: usize,
     seed: u64,
     nodes: &[NodeId],

@@ -1,8 +1,8 @@
 //! Serving-throughput study (`reproduce --exp serve-throughput`): requests
 //! per second through the allocation service's worker pool.
 //!
-//! One tenant (the canonical paper scenario, frozen via
-//! `PreparedPipeline::into_core`) is registered on an [`AllocatorService`]
+//! One tenant (the canonical paper scenario's prepared core) is registered
+//! on an [`AllocatorService`]
 //! and warmed, then a fixed mixed request stream — DCTA runs, DML
 //! decisions and Q-value probes over every evaluation day — is
 //! pushed through a [`ServicePool`] at 1, 2 and 8 workers. The wall clock
@@ -78,7 +78,7 @@ pub fn run(opts: &RunOpts) -> Result<ServeStudy, Box<dyn Error>> {
     config.include_allocation_overhead = false;
 
     let service = Arc::new(AllocatorService::new());
-    service.register(TENANT, Pipeline::builder(config).prepare(&scenario)?.into_core()?)?;
+    service.register(TENANT, Pipeline::builder(config).prepare(&scenario)?)?;
     // Train every agent up front so the timed path measures serving, not
     // first-touch training.
     let agents_warm = service.warm(TENANT)?;

@@ -43,7 +43,7 @@ pub struct Sweep {
 }
 
 fn mean_pts(scenario: &Scenario, config: PipelineConfig) -> Result<Vec<f64>, Box<dyn Error>> {
-    let mut prepared = prepare_cached(config, scenario)?;
+    let prepared = prepare_cached(config, scenario)?;
     let days: Vec<usize> = prepared.test_days().collect();
     let mut out = Vec::with_capacity(METHODS.len());
     for method in METHODS {

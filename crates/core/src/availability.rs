@@ -159,7 +159,7 @@ const PERSIST_HEADER: &str = "dcta-availability-prior v1";
 /// Per-node availability posteriors behind a shared-reference API.
 ///
 /// Interior mutability (one mutex over the whole map — the map is tiny,
-/// one entry per fleet node) lets the frozen serving core and concurrent
+/// one entry per fleet node) lets a shared prepared core and concurrent
 /// absorb callers share `&AvailabilityModel`.
 #[derive(Debug)]
 pub struct AvailabilityModel {
@@ -411,9 +411,7 @@ impl Clone for AvailabilityModel {
 /// The per-day Thompson draw seed the proactive allocation paths use:
 /// every survival query of the same day shares one deterministic seed, so
 /// an allocation and its re-plan see consistent draws, while distinct days
-/// get decorrelated streams. Both [`crate::pipeline::PreparedPipeline`]
-/// and [`crate::shared::PreparedCore`] derive it identically — part of the
-/// bit-identity contract between the two.
+/// get decorrelated streams.
 #[must_use]
 pub fn proactive_draw_seed(base: u64, day: u64) -> u64 {
     base ^ (day + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)

@@ -25,9 +25,9 @@
 //! * [`availability`] — learned per-node Beta availability priors with
 //!   seeded Thompson survival draws, driving the proactive allocation
 //!   path (`RecoveryMode::Proactive`) ahead of any crash.
-//! * [`shared`] — the frozen `Send + Sync` pipeline core
-//!   ([`shared::PreparedCore`]) a concurrent serving layer shares across
-//!   request threads.
+//! * [`shared`] — the prepared pipeline ([`shared::PreparedCore`]): one
+//!   `Send + Sync` type whose runs take `&self`, shared by batch callers
+//!   and the concurrent serving layer alike.
 //! * [`shapley`] — permutation-sampling group importance (an extension
 //!   beyond the paper's leave-one-out metric).
 //!
@@ -39,7 +39,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let scenario = Scenario::generate(ScenarioConfig::default())?;
-//! let mut prepared = Pipeline::builder(PipelineConfig::default()).prepare(&scenario)?;
+//! let prepared = Pipeline::builder(PipelineConfig::default()).prepare(&scenario)?;
 //! let day = prepared.test_days().start;
 //! let report = prepared.run(&RunSpec::new(Method::Dcta, day))?;
 //! println!("PT = {:.3}s, H = {:.3}", report.processing_time_s(), report.decision_performance());

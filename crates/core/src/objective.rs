@@ -1,12 +1,10 @@
 //! The typed allocation objective and the unified allocator query.
 //!
 //! Every allocator entry point used to be its own method — plain,
-//! certified, proactive — duplicated across `pipeline` and `shared`, and
-//! none of them saw the network. This module collapses the choices into one
-//! [`Objective`] (importance weighting × survival weighting × route cost,
-//! each optional) consumed by a single
-//! `allocate(&AllocQuery) -> AllocOutcome` on both
-//! [`crate::pipeline::PreparedPipeline`] and
+//! certified, proactive — and none of them saw the network. This module
+//! collapses the choices into one [`Objective`] (importance weighting ×
+//! survival weighting × route cost, each optional) consumed by a single
+//! `allocate(&AllocQuery) -> AllocOutcome` on
 //! [`crate::shared::PreparedCore`].
 //!
 //! # The route-cost model (topology-aware allocation)

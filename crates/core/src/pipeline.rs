@@ -3,44 +3,34 @@
 //!
 //! [`Pipeline::prepare`] performs the offline phase once (train the COP
 //! models, walk the environment-history days to populate the CRL store and
-//! the local process's training set); [`PreparedPipeline::run`] then
+//! the local process's training set); [`PreparedCore::run`] then
 //! executes any allocation [`Method`] on any evaluation day and reports the
 //! paper's metrics: processing time `PT` and decision performance `H`.
 
 use crate::allocation::Allocation;
-use crate::availability::{
-    proactive_draw_seed, AvailabilityConfig, AvailabilityModel, ProactiveConfig,
-};
-use crate::baselines::{dml_balanced, random_mapping};
-use crate::cache::{CacheStats, ImportanceCache};
+use crate::availability::{AvailabilityConfig, AvailabilityModel, ProactiveConfig};
+use crate::cache::ImportanceCache;
 use crate::crl_alloc::CrlAllocator;
 use crate::dcta::{DctaAllocator, DctaError};
 use crate::features::{local_features, TaskHistory};
 use crate::importance::{prediction_features, CopModels, ImportanceError, ImportanceEvaluator};
 use crate::local::{LocalError, LocalModelKind, LocalProcess};
-use crate::objective::{self, AllocOutcome, AllocQuery, Objective};
+use crate::objective::{self, Objective};
 use crate::processor::{FleetError, ProcessorFleet};
-use crate::recovery::{self, RecoveryError, RecoveryMode};
+use crate::recovery::{RecoveryError, RecoveryMode};
+use crate::shared::PreparedCore;
 use crate::task::{EdgeTask, TaskId};
-use crate::tatim::{SolverKind, TatimError, TatimInstance, EXACT_ORACLE_NODE_BUDGET};
+use crate::tatim::{SolverKind, TatimError, TatimInstance};
 use buildings::scenario::Scenario;
 use edgesim::cluster::{Cluster, ClusterError, MeshSpec};
 use edgesim::faults::FaultSchedule;
 use edgesim::node::NodeId;
-use edgesim::run::{
-    simulate, simulate_with_faults, simulate_with_faults_biased, RedispatchPrefs, RetryPolicy,
-    SimConfig, SimError, SimTask,
-};
-use edgesim::trace::node_exposures;
+use edgesim::run::{SimConfig, SimError};
 use edgesim::trace::FailureRecord;
-use knapsack::portfolio::SolveBudget;
 use learn::transfer::MtlConfig;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rl::crl::{CrlConfig, CrlError};
 use std::fmt;
 use std::ops::Range;
-use std::time::Instant;
 
 /// The allocation methods under evaluation (§V-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -290,7 +280,7 @@ pub struct DayReport {
     /// The allocator's optimality certificate, when the method runs an
     /// exact/portfolio solve ([`Method::ExactOracle`] today). `None` for
     /// heuristic and learned allocators, and for pre-computed allocations
-    /// fed straight into [`PreparedPipeline::execute`].
+    /// fed straight into [`PreparedCore::execute`].
     pub solver: Option<SolveCertificate>,
 }
 
@@ -321,7 +311,7 @@ pub struct FaultRunReport {
     /// a pure function of the seed, bit-reproducible across runs.
     pub simulated_processing_time_s: f64,
     /// PT of the faulted round alone: the horizon its failure log covers,
-    /// which [`PreparedPipeline::observe_faults`] reads as exposure time.
+    /// which [`PreparedCore::observe_faults`] reads as exposure time.
     pub faulted_processing_time_s: f64,
     /// Tasks whose results reached the controller (either round).
     pub delivered: usize,
@@ -357,7 +347,7 @@ impl FaultRunReport {
 
 /// A complete description of one evaluation run: which [`Method`] on which
 /// day, optionally under a [`FaultSchedule`] with a [`RecoveryMode`]. The
-/// single entry point [`PreparedPipeline::run`] consumes it.
+/// single entry point [`PreparedCore::run`] consumes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     method: Method,
@@ -413,7 +403,7 @@ impl RunSpec {
     }
 }
 
-/// What [`PreparedPipeline::run`] produced: a plain [`DayReport`] for a
+/// What [`PreparedCore::run`] produced: a plain [`DayReport`] for a
 /// fault-free spec, a [`FaultRunReport`] when the spec carried a schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunReport {
@@ -530,19 +520,16 @@ impl Pipeline {
     /// # Errors
     ///
     /// See [`PipelineError`] variants.
-    pub fn prepare<'a>(
-        &self,
-        scenario: &'a Scenario,
-    ) -> Result<PreparedPipeline<'a>, PipelineError> {
+    pub fn prepare(&self, scenario: &Scenario) -> Result<PreparedCore, PipelineError> {
         self.prepare_impl(scenario, ImportanceCache::new(), None)
     }
 
-    fn prepare_impl<'a>(
+    fn prepare_impl(
         &self,
-        scenario: &'a Scenario,
+        scenario: &Scenario,
         cache: ImportanceCache,
         availability: Option<AvailabilityModel>,
-    ) -> Result<PreparedPipeline<'a>, PipelineError> {
+    ) -> Result<PreparedCore, PipelineError> {
         let cfg = &self.config;
         if scenario.days().len() <= cfg.env_history_days {
             return Err(PipelineError::TooFewDays {
@@ -643,25 +630,20 @@ impl Pipeline {
         // and whichever objective's fleet — reaches its context first.
         crl.shared().bind(&blind.to_alloc_spec())?;
 
-        Ok(PreparedPipeline {
-            scenario,
-            state: Prepared {
-                scenario: scenario.clone(),
-                config: cfg.clone(),
-                models,
-                cluster,
-                blind,
-                route_factors,
-                blind_routed,
-                true_importances,
-                crl,
-                dcta,
-                history,
-                cache,
-                availability: availability
-                    .unwrap_or_else(|| AvailabilityModel::new(cfg.availability)),
-            },
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0x51AB),
+        Ok(PreparedCore {
+            scenario: scenario.clone(),
+            config: cfg.clone(),
+            models,
+            cluster,
+            blind,
+            route_factors,
+            blind_routed,
+            true_importances,
+            crl,
+            dcta,
+            history,
+            cache,
+            availability: availability.unwrap_or_else(|| AvailabilityModel::new(cfg.availability)),
         })
     }
 }
@@ -717,630 +699,19 @@ impl PipelineBuilder {
     /// # Errors
     ///
     /// See [`PipelineError`] variants.
-    pub fn prepare<'a>(
-        self,
-        scenario: &'a Scenario,
-    ) -> Result<PreparedPipeline<'a>, PipelineError> {
+    pub fn prepare(self, scenario: &Scenario) -> Result<PreparedCore, PipelineError> {
         Pipeline::new(self.config).prepare_impl(scenario, self.cache, self.availability)
     }
 }
 
-/// What [`PreparedPipeline`] and [`crate::shared::PreparedCore`] do
-/// differently. The [`crate::shared`] module docs hold the complete list
-/// and the reasons; everything else is [`Prepared`], written once.
-pub(crate) trait Face {
-    /// The [`Method::RandomMapping`] draw of `day` under master seed `seed`.
-    fn random_mapping(&mut self, blind: &TatimInstance, seed: u64, day: usize) -> Allocation;
-}
-
-/// The batch face is its one sequential `RandomMapping` stream.
-impl Face for StdRng {
-    fn random_mapping(&mut self, blind: &TatimInstance, _seed: u64, _day: usize) -> Allocation {
-        random_mapping(blind, self)
-    }
-}
-
-/// The prepared state both faces embed, and the allocate → simulate →
-/// recover → score stack over it.
-#[derive(Debug)]
-pub(crate) struct Prepared {
-    pub(crate) scenario: Scenario,
-    pub(crate) config: PipelineConfig,
-    models: CopModels,
-    cluster: Cluster,
-    /// The instance every online allocator decides over: the prepared
-    /// tasks and fleet with no importances priced in.
-    pub(crate) blind: TatimInstance,
-    pub(crate) route_factors: Vec<f64>,
-    /// `blind` over the fleet deflated by `route_factors` — what a
-    /// route-cost objective solves over.
-    blind_routed: TatimInstance,
-    pub(crate) true_importances: Vec<Vec<f64>>,
-    /// The one general process: [`Method::Crl`]'s allocator, whose outcome
-    /// [`Method::Dcta`] feeds to the cooperative step.
-    pub(crate) crl: CrlAllocator,
-    dcta: DctaAllocator,
-    history: TaskHistory,
-    pub(crate) cache: ImportanceCache,
-    pub(crate) availability: AvailabilityModel,
-}
-
-impl Prepared {
-    pub(crate) fn fleet(&self) -> &ProcessorFleet {
-        self.blind.fleet()
-    }
-
-    pub(crate) fn test_days(&self) -> Range<usize> {
-        self.config.env_history_days..self.scenario.days().len()
-    }
-
-    pub(crate) fn check_day(&self, day: usize) -> Result<(), PipelineError> {
-        let range = self.test_days();
-        if !range.contains(&day) {
-            return Err(PipelineError::BadDay { day, range });
-        }
-        Ok(())
-    }
-
-    pub(crate) fn instance_for_day(&self, day: usize) -> Result<TatimInstance, PipelineError> {
-        self.check_day(day)?;
-        Ok(self.blind.with_importances(&self.true_importances[day]))
-    }
-
-    pub(crate) fn local_rows(&self, day: usize) -> Vec<Vec<f64>> {
-        let ctx = self.scenario.day(day);
-        (0..self.blind.num_tasks())
-            .map(|j| local_features(&self.scenario, &self.models, &self.history, ctx, j))
-            .collect()
-    }
-
-    /// An importance override arrives from outside the process
-    /// (`Query::Run` carries a [`RunSpec`]), and
-    /// [`TatimInstance::with_importances`] asserts what this checks.
-    fn check_overrides(&self, overrides: &[f64]) -> Result<(), PipelineError> {
-        let tasks = self.blind.num_tasks();
-        let invalid = overrides.iter().copied().enumerate().find(|(_, v)| !(0.0..=1.0).contains(v));
-        if overrides.len() != tasks || invalid.is_some() {
-            return Err(PipelineError::BadObjective { tasks, len: overrides.len(), invalid });
-        }
-        Ok(())
-    }
-
-    pub(crate) fn allocate<F: Face>(
-        &self,
-        face: &mut F,
-        query: &AllocQuery,
-    ) -> Result<AllocOutcome, PipelineError> {
-        let (method, day) = (query.method(), query.day());
-        let obj = query.objective();
-        self.check_day(day)?;
-        if let Some(overrides) = obj.importances() {
-            self.check_overrides(overrides)?;
-        }
-        let start = Instant::now();
-        // Route-cost objective: each processor's Eq.-3 budget is deflated
-        // by its route budget factor, so expensive-to-reach processors can
-        // host less and every solver mode optimises importance per unit
-        // (compute + transfer) without any solver-internal change.
-        let blind = if obj.route_cost() { &self.blind_routed } else { &self.blind };
-        let mut certificate = None;
-        let allocation = if obj.survival() {
-            let ctx = self.scenario.day(day);
-            // The importance estimates the method would act on; RM/DML
-            // carry no per-task signal and fall back to their plain path.
-            let estimates: Option<Vec<f64>> = match obj.importances() {
-                Some(imp) => Some(imp.to_vec()),
-                None => match method {
-                    Method::GreedyOracle | Method::ExactOracle => {
-                        Some(self.true_importances[day].clone())
-                    }
-                    Method::Crl => {
-                        Some(self.crl.allocate(blind, &ctx.sensing)?.estimated_importances)
-                    }
-                    Method::Dcta => {
-                        let general = self.crl.allocate(blind, &ctx.sensing)?;
-                        let rows = self.local_rows(day);
-                        Some(self.dcta.allocate(blind, general, &rows)?.combined_scores)
-                    }
-                    Method::RandomMapping | Method::Dml => None,
-                },
-            };
-            match estimates {
-                None => self.plain_allocation(face, method, day, blind, None, &mut certificate)?,
-                Some(mut est) => {
-                    for e in &mut est {
-                        *e = e.clamp(0.0, 1.0);
-                    }
-                    let pc = self.config.proactive;
-                    let draw_seed = proactive_draw_seed(pc.seed ^ self.config.seed, day as u64);
-                    let weights: Vec<f64> = self
-                        .fleet()
-                        .processors()
-                        .iter()
-                        .map(|p| {
-                            (1.0 - pc.weight)
-                                + pc.weight * self.availability.thompson(p.node.0, draw_seed)
-                        })
-                        .collect();
-                    blind
-                        .with_importances(&est)
-                        .solve(&SolverKind::WeightedGreedy(weights))?
-                        .allocation
-                }
-            }
-        } else {
-            self.plain_allocation(face, method, day, blind, obj.importances(), &mut certificate)?
-        };
-        Ok(AllocOutcome { allocation, overhead_s: start.elapsed().as_secs_f64(), certificate })
-    }
-
-    /// The classic per-method dispatch: importances from `overrides` when
-    /// set, else the day's true importances (oracles) or the method's own
-    /// estimates (CRL/DCTA).
-    fn plain_allocation<F: Face>(
-        &self,
-        face: &mut F,
-        method: Method,
-        day: usize,
-        blind: &TatimInstance,
-        overrides: Option<&[f64]>,
-        certificate: &mut Option<SolveCertificate>,
-    ) -> Result<Allocation, PipelineError> {
-        let ctx = self.scenario.day(day);
-        let importances = overrides.unwrap_or(&self.true_importances[day]);
-        Ok(match method {
-            Method::RandomMapping => face.random_mapping(blind, self.config.seed, day),
-            Method::Dml => dml_balanced(blind),
-            Method::GreedyOracle => {
-                blind.with_importances(importances).solve(&SolverKind::Greedy)?.allocation
-            }
-            Method::ExactOracle => {
-                let report = blind.with_importances(importances).solve(&SolverKind::Portfolio(
-                    SolveBudget::NodeBudget(EXACT_ORACLE_NODE_BUDGET),
-                ))?;
-                *certificate = report.certificate;
-                report.allocation
-            }
-            Method::Crl => self.crl.allocate(blind, &ctx.sensing)?.allocation,
-            Method::Dcta => {
-                let general = self.crl.allocate(blind, &ctx.sensing)?;
-                self.dcta.allocate(blind, general, &self.local_rows(day))?.allocation
-            }
-        })
-    }
-
-    pub(crate) fn run<F: Face>(
-        &self,
-        face: &mut F,
-        spec: &RunSpec,
-    ) -> Result<RunReport, PipelineError> {
-        match &spec.faults {
-            None => {
-                let query =
-                    AllocQuery::new(spec.method, spec.day).with_objective(spec.objective.clone());
-                let out = self.allocate(face, &query)?;
-                let mut report =
-                    self.execute(spec.method, spec.day, out.allocation, out.overhead_s)?;
-                report.solver = out.certificate;
-                Ok(RunReport::Healthy(report))
-            }
-            Some((schedule, mode)) => {
-                let report = self.run_faulted(face, spec, schedule, *mode)?;
-                Ok(RunReport::Faulted(Box::new(report)))
-            }
-        }
-    }
-
-    pub(crate) fn execute(
-        &self,
-        method: Method,
-        day: usize,
-        allocation: Allocation,
-        allocator_overhead_s: f64,
-    ) -> Result<DayReport, PipelineError> {
-        self.check_day(day)?;
-        let sim_tasks = self.sim_tasks()?;
-        let node_assignment = allocation.to_node_assignment(self.fleet());
-        let report = simulate(&self.cluster, &sim_tasks, &node_assignment, self.config.sim)?;
-
-        let available: Vec<bool> =
-            (0..self.blind.num_tasks()).map(|j| allocation.processor_of(j).is_some()).collect();
-        let evaluator =
-            ImportanceEvaluator::new(&self.scenario, &self.models).with_cache(&self.cache);
-        let decision_performance =
-            evaluator.decision_performance(self.scenario.day(day), &available)?;
-        let captured_importance = self.importance_of(day, &available);
-        let scheduled = allocation.scheduled_count();
-        let mut processing_time_s = report.processing_time;
-        if self.config.include_allocation_overhead {
-            processing_time_s += allocator_overhead_s;
-        }
-        Ok(DayReport {
-            method,
-            day,
-            allocation,
-            processing_time_s,
-            decision_performance,
-            scheduled,
-            captured_importance,
-            solver: None,
-        })
-    }
-
-    /// True importance of `day` summed over the tasks `mask` selects.
-    fn importance_of(&self, day: usize, mask: &[bool]) -> f64 {
-        mask.iter().zip(&self.true_importances[day]).filter(|(&m, _)| m).map(|(_, &i)| i).sum()
-    }
-
-    fn sim_tasks(&self) -> Result<Vec<SimTask>, PipelineError> {
-        Ok(self
-            .blind
-            .tasks()
-            .iter()
-            .map(|t| SimTask::new(t.input_bits(), self.config.result_bits, t.resource_demand()))
-            .collect::<Result<_, _>>()?)
-    }
-
-    /// Allocates with `method`, executes under the fault `schedule`, and —
-    /// depending on `mode` — re-plans the orphaned tasks over the surviving
-    /// processors and runs the recovery round (DESIGN.md §9).
-    ///
-    /// The faulted round always runs with [`RetryPolicy::no_retry`]: at the
-    /// pipeline level the supervision loop owns loss handling, and giving
-    /// every [`RecoveryMode`] the *same* faulted round makes the three
-    /// reactions directly comparable (identical losses, different
-    /// responses). In-round timeout/redispatch retries remain an
-    /// `edgesim`-level facility configured via [`SimConfig::retry`].
-    fn run_faulted<F: Face>(
-        &self,
-        face: &mut F,
-        spec: &RunSpec,
-        schedule: &FaultSchedule,
-        mode: RecoveryMode,
-    ) -> Result<FaultRunReport, PipelineError> {
-        let (method, day) = (spec.method, spec.day);
-        self.check_day(day)?;
-        // Proactive mode shapes the *initial* allocation with the learned
-        // availability posterior (survival weighting forced on); every
-        // other mode allocates with the spec's objective as-is and differs
-        // only in its reaction.
-        let survival = spec.objective.survival() || mode == RecoveryMode::Proactive;
-        let objective = spec.objective.clone().with_survival(survival);
-        let allocation = self
-            .allocate(face, &AllocQuery::new(method, day).with_objective(objective.clone()))?
-            .allocation;
-        let sim_tasks = self.sim_tasks()?;
-        let node_assignment = allocation.to_node_assignment(self.fleet());
-
-        // The fault-free reference: what this allocation delivers on a
-        // healthy testbed.
-        let healthy = simulate(&self.cluster, &sim_tasks, &node_assignment, self.config.sim)?;
-
-        // Reactive modes replay the round with retries disabled so every
-        // reaction faces an identical trajectory. The proactive controller
-        // keeps its heartbeat retry layer live and biases orphan
-        // re-dispatch toward the most-available candidate: posterior mean
-        // survival feeds [`RedispatchPrefs`], so score beats load beats
-        // node id (see `edgesim::run`).
-        let mut sim_cfg = self.config.sim;
-        let faulted = if mode == RecoveryMode::Proactive {
-            let max_node = self.fleet().processors().iter().map(|p| p.node.0).max().unwrap_or(0);
-            let scores: Vec<f64> = (0..=max_node).map(|n| self.availability.mean(n)).collect();
-            simulate_with_faults_biased(
-                &self.cluster,
-                &sim_tasks,
-                &node_assignment,
-                sim_cfg,
-                schedule,
-                &RedispatchPrefs::from_scores(scores),
-            )?
-        } else {
-            sim_cfg.retry = RetryPolicy::no_retry();
-            simulate_with_faults(&self.cluster, &sim_tasks, &node_assignment, sim_cfg, schedule)?
-        };
-
-        let n = self.blind.num_tasks();
-        let mut delivered_mask = faulted.completed.clone();
-        let mut simulated_processing_time_s = faulted.processing_time;
-        let mut shed = Vec::new();
-        let mut reallocation_latency_s = 0.0;
-
-        let orphans = faulted.failed_tasks();
-        let survivors: Vec<NodeId> = self
-            .fleet()
-            .processors()
-            .iter()
-            .map(|p| p.node)
-            .filter(|node| !faulted.down_at_end.contains(node))
-            .collect();
-        if mode != RecoveryMode::None && !orphans.is_empty() && !survivors.is_empty() {
-            // Finished = delivered, or never scheduled in the first place.
-            let finished: Vec<bool> =
-                (0..n).map(|j| allocation.processor_of(j).is_none() || delivered_mask[j]).collect();
-            // Recovery re-solves under the same objective the round was
-            // allocated with: a route-cost objective deflates the
-            // survivors' budgets too.
-            let blind = if objective.route_cost() { &self.blind_routed } else { &self.blind };
-            let instance = blind.with_importances(&self.true_importances[day]);
-            let budget = self.config.recovery_budget_fraction;
-            let plan = match mode {
-                RecoveryMode::Resolve => {
-                    recovery::replan(&instance, &finished, &survivors, budget)?
-                }
-                RecoveryMode::Proactive => recovery::replan_proactive(
-                    &instance,
-                    &finished,
-                    &survivors,
-                    budget,
-                    &self.availability,
-                    &self.config.proactive,
-                    proactive_draw_seed(self.config.proactive.seed ^ self.config.seed, day as u64),
-                )?,
-                RecoveryMode::RandomShed => recovery::replan_random_shed(
-                    &instance,
-                    &finished,
-                    &survivors,
-                    budget,
-                    self.config.seed ^ day as u64,
-                )?,
-                RecoveryMode::None => unreachable!("guarded above"),
-            };
-            reallocation_latency_s = plan.replan_latency_s;
-            shed = plan.shed;
-            if plan.allocation.scheduled_count() > 0 {
-                let retry_assignment = plan.allocation.to_node_assignment(self.fleet());
-                let retry_round =
-                    simulate(&self.cluster, &sim_tasks, &retry_assignment, self.config.sim)?;
-                simulated_processing_time_s += retry_round.processing_time;
-                for (j, timeline) in retry_round.timelines.iter().enumerate() {
-                    if timeline.is_some() {
-                        delivered_mask[j] = true;
-                    }
-                }
-            }
-        }
-
-        let evaluator =
-            ImportanceEvaluator::new(&self.scenario, &self.models).with_cache(&self.cache);
-        let scheduled_mask: Vec<bool> =
-            (0..n).map(|j| allocation.processor_of(j).is_some()).collect();
-        let healthy_decision_performance =
-            evaluator.decision_performance(self.scenario.day(day), &scheduled_mask)?;
-        let decision_performance =
-            evaluator.decision_performance(self.scenario.day(day), &delivered_mask)?;
-        let healthy_importance = self.importance_of(day, &scheduled_mask);
-        let delivered_importance = self.importance_of(day, &delivered_mask);
-        let retained_fraction =
-            if healthy_importance <= 0.0 { 1.0 } else { delivered_importance / healthy_importance };
-        let lost: Vec<usize> =
-            (0..n).filter(|&j| scheduled_mask[j] && !delivered_mask[j]).collect();
-        Ok(FaultRunReport {
-            method,
-            day,
-            mode,
-            allocation,
-            healthy_processing_time_s: healthy.processing_time,
-            healthy_importance,
-            healthy_decision_performance,
-            processing_time_s: simulated_processing_time_s + reallocation_latency_s,
-            simulated_processing_time_s,
-            faulted_processing_time_s: faulted.processing_time,
-            delivered: delivered_mask.iter().filter(|d| **d).count(),
-            delivered_importance,
-            retained_fraction,
-            decision_performance,
-            shed,
-            lost,
-            reallocation_latency_s,
-            failures: faulted.failures,
-            down_at_end: faulted.down_at_end,
-        })
-    }
-}
-
-/// The pipeline after its offline phase: ready to allocate and execute any
-/// evaluation day.
-///
-/// It holds one general process: [`Method::Dcta`] feeds [`Method::Crl`]'s
-/// outcome to the cooperative step, so whichever request touches a context
-/// first trains the agent both then use — and, agents being seeded per
-/// context, trains the same agent any other request would have (DESIGN.md
-/// §21, `tests/touch_order.rs`).
-#[derive(Debug)]
-pub struct PreparedPipeline<'a> {
-    scenario: &'a Scenario,
-    state: Prepared,
-    rng: StdRng,
-}
-
-impl<'a> PreparedPipeline<'a> {
-    /// The evaluation (non-history) day range.
-    pub fn test_days(&self) -> Range<usize> {
-        self.state.test_days()
-    }
-
-    /// The scenario under evaluation.
-    pub fn scenario(&self) -> &'a Scenario {
-        self.scenario
-    }
-
-    /// The simulated cluster.
-    pub fn cluster(&self) -> &Cluster {
-        &self.state.cluster
-    }
-
-    /// Mutable cluster access (bandwidth sweeps).
-    pub fn cluster_mut(&mut self) -> &mut Cluster {
-        &mut self.state.cluster
-    }
-
-    /// The processor fleet.
-    pub fn fleet(&self) -> &ProcessorFleet {
-        self.state.fleet()
-    }
-
-    /// The trained COP models.
-    pub fn models(&self) -> &CopModels {
-        &self.state.models
-    }
-
-    /// The pipeline's shared decision-performance cache.
-    pub fn importance_cache(&self) -> &ImportanceCache {
-        &self.state.cache
-    }
-
-    /// Hit/miss counters of the decision-performance cache — part of the
-    /// pipeline's run summary alongside PT and `H`.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.state.cache.stats()
-    }
-
-    /// The learned per-node availability posterior. Interior-mutable:
-    /// callers may [`AvailabilityModel::absorb`] external failure history
-    /// or persist it ([`AvailabilityModel::save_file`]) through `&self`.
-    /// Runs only read it; [`Self::observe_faults`] feeds it.
-    pub fn availability(&self) -> &AvailabilityModel {
-        &self.state.availability
-    }
-
-    /// True importances of evaluation day `day`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `day` is out of range.
-    pub fn true_importances(&self, day: usize) -> &[f64] {
-        &self.state.true_importances[day]
-    }
-
-    /// The TATIM instance of a day, priced with its true importances.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::BadDay`] for out-of-range days.
-    pub fn instance_for_day(&self, day: usize) -> Result<TatimInstance, PipelineError> {
-        self.state.instance_for_day(day)
-    }
-
-    /// The general process (store size, trained agents, per-key agents).
-    pub fn crl(&self) -> &CrlAllocator {
-        &self.state.crl
-    }
-
-    /// The cooperative step [`Method::Dcta`] applies to the general
-    /// process's outcome.
-    pub fn dcta(&self) -> &DctaAllocator {
-        &self.state.dcta
-    }
-
-    /// The Table-I local feature rows of day `day` (DCTA's `F2` input).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `day` is not a scenario day.
-    pub fn local_rows(&self, day: usize) -> Vec<Vec<f64>> {
-        self.state.local_rows(day)
-    }
-
-    /// Produces the allocation described by `query`: `query.method()` on
-    /// `query.day()`, shaped by the typed [`Objective`] — importance
-    /// overrides, survival weighting (the proactive path), and route-cost
-    /// budget deflation (the topology-aware path), each independently
-    /// optional. A blank objective reproduces the classic per-method
-    /// behaviour bit-for-bit; on the uniform star testbed every route
-    /// budget factor is exactly `1.0`, so enabling route cost there is
-    /// also a bitwise no-op (see [`crate::objective`]).
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::BadObjective`] for an importance override of the
-    /// wrong length or with an entry outside `[0, 1]`; otherwise see
-    /// [`PipelineError`] variants.
-    pub fn allocate(&mut self, query: &AllocQuery) -> Result<AllocOutcome, PipelineError> {
-        self.state.allocate(&mut self.rng, query)
-    }
-
-    /// The per-processor route budget factors of the prepared cluster
-    /// (`1.0` everywhere on the uniform star testbed), aligned with
-    /// [`Self::fleet`] columns.
-    pub fn route_factors(&self) -> &[f64] {
-        &self.state.route_factors
-    }
-
-    /// Feeds evaluation day `day`'s observed importances back into the CRL
-    /// environment store — the accumulating-store behaviour of the paper's
-    /// online mode (footnote 2 / §VII): "the environment can change over
-    /// time, due to the accumulating size of training data".
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::BadDay`] for out-of-range days; propagates store
-    /// shape errors.
-    pub fn observe_day(&mut self, day: usize) -> Result<(), PipelineError> {
-        self.state.check_day(day)?;
-        let sensing = self.scenario.day(day).sensing.clone();
-        Ok(self.state.crl.observe(sensing, self.state.true_importances[day].clone())?)
-    }
-
-    /// Teaches the availability posterior what a faulted run saw: the
-    /// faulted round's failure log, as per-node exposure over that round's
-    /// PT, then one round of decay. A run never learns by itself; callers
-    /// that learn online call this after each [`RecoveryMode::Proactive`]
-    /// run, and the advance happens even when nothing failed.
-    pub fn observe_faults(&mut self, report: &FaultRunReport) {
-        let nodes: Vec<NodeId> = self.fleet().processors().iter().map(|p| p.node).collect();
-        let horizon = report.faulted_processing_time_s.max(1e-9);
-        let availability = &self.state.availability;
-        availability.absorb(&node_exposures(&report.failures, &nodes, horizon));
-        availability.advance_round();
-    }
-
-    /// Executes one evaluation run described by `spec`. A fault-free spec
-    /// yields [`RunReport::Healthy`]; a spec with a schedule yields
-    /// [`RunReport::Faulted`] (allocate, run under the schedule, re-plan
-    /// per its [`RecoveryMode`]; DESIGN.md §9).
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] variants.
-    pub fn run(&mut self, spec: &RunSpec) -> Result<RunReport, PipelineError> {
-        self.state.run(&mut self.rng, spec)
-    }
-
-    /// Executes a pre-computed allocation (used by sweeps that vary the
-    /// cluster between allocation and execution).
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineError`] variants.
-    pub fn execute(
-        &mut self,
-        method: Method,
-        day: usize,
-        allocation: Allocation,
-        allocator_overhead_s: f64,
-    ) -> Result<DayReport, PipelineError> {
-        self.state.execute(method, day, allocation, allocator_overhead_s)
-    }
-
-    /// Freezes this pipeline into a [`crate::shared::PreparedCore`] — the
-    /// `Send + Sync`, `&self`-only form a serving layer shares across
-    /// request threads. The prepared state moves over as it is, every agent
-    /// already trained included, so for every method except
-    /// [`Method::RandomMapping`] the core's runs are bit-identical to this
-    /// pipeline's (the `shared` module docs list what differs).
-    ///
-    /// # Errors
-    ///
-    /// None: whatever could fail already did in `prepare`. The `Result` is
-    /// what callers have always unwrapped.
-    pub fn into_core(self) -> Result<crate::shared::PreparedCore, PipelineError> {
-        Ok(crate::shared::PreparedCore { state: self.state })
-    }
-}
+/// The prepared pipeline's former name; kept for `benchmark/`, which is
+/// built against it.
+pub type PreparedPipeline<'a> = PreparedCore;
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::objective::AllocQuery;
     use buildings::scenario::ScenarioConfig;
     use rl::dqn::DqnConfig;
 
@@ -1371,11 +742,7 @@ pub(crate) mod tests {
         }
     }
 
-    pub(crate) fn healthy(
-        prepared: &mut PreparedPipeline<'_>,
-        method: Method,
-        day: usize,
-    ) -> DayReport {
+    pub(crate) fn healthy(prepared: &PreparedCore, method: Method, day: usize) -> DayReport {
         prepared.run(&RunSpec::new(method, day)).unwrap().into_healthy().unwrap()
     }
 
@@ -1391,21 +758,21 @@ pub(crate) mod tests {
         let s = small_scenario();
         let cfg =
             PipelineConfig { topology: Topology::Mesh(MeshSpec::new(16, 5)), ..quick_config() };
-        let mut prepared = Pipeline::new(cfg).prepare(&s).unwrap();
+        let prepared = Pipeline::new(cfg).prepare(&s).unwrap();
         assert!(prepared.cluster().mesh().is_some(), "cluster should be a mesh");
         assert_eq!(prepared.cluster().nodes().len(), 16);
         let day = prepared.test_days().start;
-        let a = healthy(&mut prepared, Method::Dcta, day);
+        let a = healthy(&prepared, Method::Dcta, day);
         assert!(a.processing_time_s > 0.0);
         // Same prepared state, same day: mesh rounds are deterministic.
-        let b = healthy(&mut prepared, Method::Dcta, day);
+        let b = healthy(&prepared, Method::Dcta, day);
         assert_eq!(a.processing_time_s.to_bits(), b.processing_time_s.to_bits());
     }
 
     #[test]
     fn all_methods_produce_reports() {
         let s = small_scenario();
-        let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        let prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let day = prepared.test_days().start;
         for method in [
             Method::RandomMapping,
@@ -1415,7 +782,7 @@ pub(crate) mod tests {
             Method::Crl,
             Method::Dcta,
         ] {
-            let r = healthy(&mut prepared, method, day);
+            let r = healthy(&prepared, method, day);
             assert_eq!(r.method, method);
             assert!(r.processing_time_s > 0.0, "{method}: PT = {}", r.processing_time_s);
             assert!((0.0..=1.0).contains(&r.decision_performance), "{method}");
@@ -1426,11 +793,11 @@ pub(crate) mod tests {
     #[test]
     fn baselines_execute_everything_allocators_select() {
         let s = small_scenario();
-        let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        let prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let day = prepared.test_days().start;
-        let rm = healthy(&mut prepared, Method::RandomMapping, day);
-        let dml = healthy(&mut prepared, Method::Dml, day);
-        let oracle = healthy(&mut prepared, Method::GreedyOracle, day);
+        let rm = healthy(&prepared, Method::RandomMapping, day);
+        let dml = healthy(&prepared, Method::Dml, day);
+        let oracle = healthy(&prepared, Method::GreedyOracle, day);
         assert_eq!(rm.scheduled, s.num_tasks());
         assert_eq!(dml.scheduled, s.num_tasks());
         assert!(oracle.scheduled < s.num_tasks(), "oracle must select a subset");
@@ -1439,10 +806,10 @@ pub(crate) mod tests {
     #[test]
     fn selective_methods_are_faster_than_baselines() {
         let s = small_scenario();
-        let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        let prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let day = prepared.test_days().start;
-        let rm = healthy(&mut prepared, Method::RandomMapping, day);
-        let dcta = healthy(&mut prepared, Method::Dcta, day);
+        let rm = healthy(&prepared, Method::RandomMapping, day);
+        let dcta = healthy(&prepared, Method::Dcta, day);
         assert!(
             dcta.processing_time_s < rm.processing_time_s,
             "DCTA {} vs RM {}",
@@ -1454,7 +821,7 @@ pub(crate) mod tests {
     #[test]
     fn oracle_allocations_are_feasible() {
         let s = small_scenario();
-        let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        let prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let day = prepared.test_days().start;
         let inst = prepared.instance_for_day(day).unwrap();
         for method in [Method::GreedyOracle, Method::ExactOracle, Method::Crl, Method::Dcta] {
@@ -1470,7 +837,7 @@ pub(crate) mod tests {
     #[test]
     fn bad_day_rejected() {
         let s = small_scenario();
-        let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        let prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         for day in [0, 999] {
             assert!(matches!(
                 prepared.run(&RunSpec::new(Method::Dml, day)),
@@ -1482,7 +849,7 @@ pub(crate) mod tests {
     #[test]
     fn bad_importance_overrides_are_rejected_before_any_solve() {
         let s = small_scenario();
-        let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        let prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let day = prepared.test_days().start;
         let n = s.num_tasks();
         let mut not_a_number = vec![0.5; n];
@@ -1507,19 +874,19 @@ pub(crate) mod tests {
     #[test]
     fn crl_and_dcta_train_each_context_once() {
         let s = small_scenario();
-        let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        let prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let days: Vec<usize> = prepared.test_days().collect();
         let keys = prepared.crl().shared().num_keys();
         assert_eq!(prepared.crl().cached_agents(), 0, "a cold pipeline has trained nothing");
         for method in [Method::Crl, Method::Dcta] {
             for &day in &days {
-                healthy(&mut prepared, method, day);
+                healthy(&prepared, method, day);
             }
             // The first touch trained every context, the days' and the rest.
             assert_eq!(prepared.crl().cached_agents(), keys, "after the {method} pass");
         }
         for &day in &days {
-            let blind = &prepared.state.blind;
+            let blind = &prepared.blind;
             let general = prepared.crl().allocate(blind, &s.day(day).sensing).unwrap();
             let out = prepared.dcta().allocate(blind, general, &prepared.local_rows(day)).unwrap();
             assert!(out.crl.cache_hit, "day {day}");
@@ -1529,7 +896,7 @@ pub(crate) mod tests {
     #[test]
     fn pretrain_trains_one_allocator_not_two() {
         let s = small_scenario();
-        let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        let prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let day = prepared.test_days().start;
         let agents_trained = prepared.crl().pretrain(&prepared.instance_for_day(day).unwrap());
         assert_eq!(agents_trained, Ok(prepared.crl().shared().num_keys()));
@@ -1539,7 +906,7 @@ pub(crate) mod tests {
         // Neither learned method trains anything further.
         for method in [Method::Crl, Method::Dcta] {
             for day in prepared.test_days() {
-                healthy(&mut prepared, method, day);
+                healthy(&prepared, method, day);
             }
         }
         assert_eq!(prepared.crl().cached_agents(), agents_trained);
@@ -1548,12 +915,12 @@ pub(crate) mod tests {
     #[test]
     fn captured_importance_ordering_favours_oracle() {
         let s = small_scenario();
-        let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        let prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let mut oracle_total = 0.0;
         let mut dcta_total = 0.0;
         for day in prepared.test_days() {
-            oracle_total += healthy(&mut prepared, Method::GreedyOracle, day).captured_importance;
-            dcta_total += healthy(&mut prepared, Method::Dcta, day).captured_importance;
+            oracle_total += healthy(&prepared, Method::GreedyOracle, day).captured_importance;
+            dcta_total += healthy(&prepared, Method::Dcta, day).captured_importance;
         }
         assert!(oracle_total + 1e-9 >= dcta_total * 0.8, "oracle {oracle_total} dcta {dcta_total}");
     }
@@ -1563,9 +930,10 @@ pub(crate) mod tests {
 mod fault_tests {
     use super::tests::{healthy, quick_config, small_scenario};
     use super::*;
+    use crate::objective::AllocQuery;
 
     fn faulted(
-        prepared: &mut PreparedPipeline<'_>,
+        prepared: &PreparedCore,
         method: Method,
         day: usize,
         schedule: &FaultSchedule,
@@ -1577,7 +945,7 @@ mod fault_tests {
 
     /// The worker hosting the most scheduled tasks — guaranteed to orphan
     /// work when crashed early in the round.
-    fn busiest_node(prepared: &PreparedPipeline<'_>, allocation: &Allocation) -> NodeId {
+    fn busiest_node(prepared: &PreparedCore, allocation: &Allocation) -> NodeId {
         let mut counts = vec![0usize; prepared.fleet().len()];
         for p in allocation.placement().iter().flatten() {
             counts[*p] += 1;
@@ -1589,9 +957,9 @@ mod fault_tests {
     #[test]
     fn recovery_retains_most_importance_and_beats_no_recovery() {
         let s = small_scenario();
-        let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        let prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let day = prepared.test_days().start;
-        let healthy = healthy(&mut prepared, Method::GreedyOracle, day);
+        let healthy = healthy(&prepared, Method::GreedyOracle, day);
         let alloc =
             prepared.allocate(&AllocQuery::new(Method::GreedyOracle, day)).unwrap().allocation;
         let victim = busiest_node(&prepared, &alloc);
@@ -1599,8 +967,8 @@ mod fault_tests {
             FaultSchedule::new().with_crash(victim, healthy.processing_time_s * 0.1).unwrap();
 
         let resolve =
-            faulted(&mut prepared, Method::GreedyOracle, day, &schedule, RecoveryMode::Resolve);
-        let none = faulted(&mut prepared, Method::GreedyOracle, day, &schedule, RecoveryMode::None);
+            faulted(&prepared, Method::GreedyOracle, day, &schedule, RecoveryMode::Resolve);
+        let none = faulted(&prepared, Method::GreedyOracle, day, &schedule, RecoveryMode::None);
 
         assert!(!resolve.failures.is_empty(), "crash left no trace");
         assert_eq!(resolve.down_at_end, vec![victim]);
@@ -1629,7 +997,7 @@ mod fault_tests {
     #[test]
     fn importance_aware_shedding_beats_random_shedding() {
         let s = small_scenario();
-        let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        let prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let day = prepared.test_days().start;
         // Crash every worker but one very early: the single survivor's
         // halved budget cannot host all orphans, forcing real shedding.
@@ -1638,9 +1006,9 @@ mod fault_tests {
             let node = prepared.fleet().node_of(col);
             schedule = schedule.with_crash(node, 0.2).unwrap();
         }
-        let resolve = faulted(&mut prepared, Method::Dml, day, &schedule, RecoveryMode::Resolve);
-        let random = faulted(&mut prepared, Method::Dml, day, &schedule, RecoveryMode::RandomShed);
-        let none = faulted(&mut prepared, Method::Dml, day, &schedule, RecoveryMode::None);
+        let resolve = faulted(&prepared, Method::Dml, day, &schedule, RecoveryMode::Resolve);
+        let random = faulted(&prepared, Method::Dml, day, &schedule, RecoveryMode::RandomShed);
+        let none = faulted(&prepared, Method::Dml, day, &schedule, RecoveryMode::None);
 
         assert!(!resolve.shed.is_empty(), "survivor hosted everything; no shedding exercised");
         // Shed list is reported least-important first.
@@ -1659,7 +1027,7 @@ mod fault_tests {
     #[test]
     fn fault_runs_check_the_day_range() {
         let s = small_scenario();
-        let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        let prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let spec =
             RunSpec::new(Method::Dml, 0).with_faults(FaultSchedule::new(), RecoveryMode::Resolve);
         assert!(matches!(prepared.run(&spec), Err(PipelineError::BadDay { .. })));
@@ -1668,10 +1036,9 @@ mod fault_tests {
     #[test]
     fn empty_schedule_degrades_nothing() {
         let s = small_scenario();
-        let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        let prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let day = prepared.test_days().start;
-        let r =
-            faulted(&mut prepared, Method::Dml, day, &FaultSchedule::new(), RecoveryMode::Resolve);
+        let r = faulted(&prepared, Method::Dml, day, &FaultSchedule::new(), RecoveryMode::Resolve);
         assert_eq!(r.retained_fraction, 1.0);
         assert!(r.failures.is_empty());
         assert!(r.lost.is_empty());

@@ -46,19 +46,19 @@ fn quick_config() -> PipelineConfig {
 #[test]
 fn builder_matches_prepare_paths() {
     let s = small_scenario();
-    let mut plain = Pipeline::new(quick_config()).prepare(&s).unwrap();
+    let plain = Pipeline::new(quick_config()).prepare(&s).unwrap();
     let day = plain.test_days().start;
     let spec = RunSpec::new(Method::Dcta, day);
     let reference = plain.run(&spec).unwrap();
 
-    let mut built = Pipeline::builder(quick_config()).prepare(&s).unwrap();
+    let built = Pipeline::builder(quick_config()).prepare(&s).unwrap();
     assert_eq!(reference, built.run(&spec).unwrap(), "builder default diverged from prepare");
 
     // Seeded with everything the plain pipeline evaluated, the offline
     // phase computes nothing afresh and still reaches the same report.
     let warm = ImportanceCache::new();
     warm.load_text(&plain.importance_cache().to_text()).unwrap();
-    let mut cached = Pipeline::builder(quick_config()).cache(warm).prepare(&s).unwrap();
+    let cached = Pipeline::builder(quick_config()).cache(warm).prepare(&s).unwrap();
     assert_eq!(reference, cached.run(&spec).unwrap(), "cache seeding changed the result");
     assert_eq!(cached.cache_stats().misses, 0, "a fully seeded cache still missed");
 }
@@ -70,13 +70,13 @@ fn builder_matches_prepare_paths() {
 fn pretrain_and_thread_overrides_do_not_change_results() {
     let s = small_scenario();
     let methods = [Method::Crl, Method::Dcta];
-    let mut plain = Pipeline::new(quick_config()).prepare(&s).unwrap();
+    let plain = Pipeline::new(quick_config()).prepare(&s).unwrap();
     let day = plain.test_days().start;
     let reference: Vec<_> =
         methods.iter().map(|&m| plain.run(&RunSpec::new(m, day)).unwrap()).collect();
 
     let _threads = parallel::ScopedThreads::new(2);
-    let mut tuned = Pipeline::new(quick_config()).prepare(&s).unwrap();
+    let tuned = Pipeline::new(quick_config()).prepare(&s).unwrap();
     tuned.crl().pretrain(&tuned.instance_for_day(day).unwrap()).unwrap();
     for (&method, a) in methods.iter().zip(&reference) {
         let b = tuned.run(&RunSpec::new(method, day)).unwrap();
@@ -98,7 +98,7 @@ fn run_spec_and_report_accessors() {
     assert_eq!(mode, RecoveryMode::RandomShed);
 
     let s = small_scenario();
-    let mut p = Pipeline::new(quick_config()).prepare(&s).unwrap();
+    let p = Pipeline::new(quick_config()).prepare(&s).unwrap();
     let day = p.test_days().start;
     let report = p.run(&RunSpec::new(Method::Dml, day)).unwrap();
     assert!(report.as_healthy().is_some());

@@ -65,7 +65,7 @@ fn evaluator_cache_serves_repeats_bit_identically() {
 #[test]
 fn pipeline_surfaces_cache_hits_in_summary() {
     let s = small_scenario();
-    let mut prepared = Pipeline::builder(quick_config()).prepare(&s).unwrap();
+    let prepared = Pipeline::builder(quick_config()).prepare(&s).unwrap();
     let after_prepare = prepared.cache_stats();
     assert!(after_prepare.misses > 0, "prepare must evaluate through the cache");
     assert_eq!(after_prepare.entries as u64, after_prepare.misses);
@@ -83,7 +83,7 @@ fn pipeline_surfaces_cache_hits_in_summary() {
 #[test]
 fn persisted_cache_skips_the_offline_importance_sweep() {
     let s = small_scenario();
-    let mut cold = Pipeline::builder(quick_config()).prepare(&s).unwrap();
+    let cold = Pipeline::builder(quick_config()).prepare(&s).unwrap();
     let cold_stats = cold.cache_stats();
     assert!(cold_stats.misses > 0);
 
@@ -96,7 +96,7 @@ fn persisted_cache_skips_the_offline_importance_sweep() {
 
     let warm_cache = ImportanceCache::with_capacity(1 << 16);
     assert_eq!(warm_cache.load_file(&path).unwrap() as u64, cold_stats.misses);
-    let mut warm = Pipeline::builder(quick_config()).cache(warm_cache).prepare(&s).unwrap();
+    let warm = Pipeline::builder(quick_config()).cache(warm_cache).prepare(&s).unwrap();
     let warm_stats = warm.cache_stats();
     assert_eq!(warm_stats.misses, 0, "warm prepare must recompute nothing: {warm_stats}");
 

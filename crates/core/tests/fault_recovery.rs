@@ -74,7 +74,7 @@ fn faulted_pipeline_is_thread_count_invariant() {
         // recover chain must be invariant, not just the last hop. One scoped
         // override caps both halves.
         let _threads = parallel::ScopedThreads::new(threads);
-        let mut prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        let prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
         let day = prepared.test_days().start;
         let workers: Vec<NodeId> =
             prepared.fleet().processors().iter().map(|p| p.node).filter(|n| n.0 != 0).collect();

@@ -11,7 +11,8 @@
 
 use buildings::scenario::{Scenario, ScenarioConfig};
 use dcta_core::crl_alloc::CrlAllocator;
-use dcta_core::pipeline::{DayReport, Method, Pipeline, PipelineConfig, PreparedPipeline, RunSpec};
+use dcta_core::pipeline::{DayReport, Method, Pipeline, PipelineConfig, RunSpec};
+use dcta_core::shared::PreparedCore;
 use rl::crl::CrlConfig;
 use rl::dqn::DqnConfig;
 
@@ -49,7 +50,7 @@ fn quick_config() -> PipelineConfig {
 struct Twin(CrlAllocator);
 
 impl Twin {
-    fn new(prepared: &PreparedPipeline<'_>, config: &PipelineConfig) -> Self {
+    fn new(prepared: &PreparedCore, config: &PipelineConfig) -> Self {
         let mut twin = Self(CrlAllocator::new(config.crl.clone()));
         for day in 0..config.env_history_days {
             twin.observe(prepared, day);
@@ -57,7 +58,7 @@ impl Twin {
         twin
     }
 
-    fn observe(&mut self, prepared: &PreparedPipeline<'_>, day: usize) {
+    fn observe(&mut self, prepared: &PreparedCore, day: usize) {
         let sensing = prepared.scenario().day(day).sensing.clone();
         self.0.observe(sensing, prepared.true_importances(day).to_vec()).unwrap();
     }
@@ -65,7 +66,7 @@ impl Twin {
     /// `Method::Dcta` on `day` as the twin design ran it. The instance
     /// carries the day's true importances, which neither process reads:
     /// CRL substitutes its blend, the projection its combined scores.
-    fn dcta(&mut self, prepared: &mut PreparedPipeline<'_>, day: usize) -> DayReport {
+    fn dcta(&mut self, prepared: &mut PreparedCore, day: usize) -> DayReport {
         let instance = prepared.instance_for_day(day).unwrap();
         let general = self.0.allocate(&instance, &prepared.scenario().day(day).sensing).unwrap();
         let allocation = prepared
@@ -77,7 +78,7 @@ impl Twin {
     }
 }
 
-fn run(prepared: &mut PreparedPipeline<'_>, method: Method, day: usize) -> DayReport {
+fn run(prepared: &mut PreparedCore, method: Method, day: usize) -> DayReport {
     prepared.run(&RunSpec::new(method, day)).unwrap().into_healthy().unwrap()
 }
 
@@ -139,7 +140,7 @@ fn pretrained_and_frozen_dcta_match_the_twin_in_any_order() {
     let s = small_scenario();
     let config = quick_config();
     let mut prepared = Pipeline::new(config.clone()).prepare(&s).unwrap();
-    let core = Pipeline::new(config.clone()).prepare(&s).unwrap().into_core().unwrap();
+    let core = Pipeline::new(config.clone()).prepare(&s).unwrap();
     let mut twin = Twin::new(&prepared, &config);
     let start = prepared.test_days().start;
     prepared.crl().pretrain(&prepared.instance_for_day(start).unwrap()).unwrap();

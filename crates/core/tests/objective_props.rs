@@ -152,7 +152,7 @@ fn mesh_route_cost_runs_are_thread_invariant() {
             .iter()
             .map(|&t| {
                 let _threads = parallel::ScopedThreads::new(t);
-                let mut p = Pipeline::new(mesh_config()).prepare(&s).unwrap();
+                let p = Pipeline::new(mesh_config()).prepare(&s).unwrap();
                 p.run(&RunSpec::new(method, day).with_objective(objective.clone()))
                     .unwrap()
                     .into_healthy()
@@ -168,7 +168,7 @@ fn mesh_route_cost_runs_are_thread_invariant() {
             .iter()
             .map(|&t| {
                 let _threads = parallel::ScopedThreads::new(t);
-                let mut p = Pipeline::new(mesh_config()).prepare(&s).unwrap();
+                let p = Pipeline::new(mesh_config()).prepare(&s).unwrap();
                 let spec = RunSpec::new(Method::GreedyOracle, day)
                     .with_objective(objective.clone())
                     .with_faults(schedule.clone(), mode);

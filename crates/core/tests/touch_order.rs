@@ -12,9 +12,8 @@
 
 use buildings::scenario::{Scenario, ScenarioConfig};
 use dcta_core::objective::Objective;
-use dcta_core::pipeline::{
-    DayReport, Method, Pipeline, PipelineConfig, PreparedPipeline, RunSpec, Topology,
-};
+use dcta_core::pipeline::{DayReport, Method, Pipeline, PipelineConfig, RunSpec, Topology};
+use dcta_core::shared::PreparedCore;
 use edgesim::cluster::MeshSpec;
 use rl::crl::CrlConfig;
 use rl::dqn::DqnConfig;
@@ -77,7 +76,7 @@ type Runs = Vec<((usize, usize), DayReport)>;
 
 /// Runs both blocks in `order`, growing the store in between, and returns
 /// each block's reports sorted by kind and day.
-fn drive(prepared: &mut PreparedPipeline<'_>, order: &str) -> Runs {
+fn drive(prepared: &mut PreparedCore, order: &str) -> Runs {
     let days: Vec<usize> = prepared.test_days().collect();
     let (early, late) = days.split_at(days.len() / 2);
     let mut reports = Runs::new();
@@ -118,7 +117,7 @@ fn every_touch_order_answers_like_the_pretrained_pipeline_and_the_core() {
 
         // The core answers the first block — the store it was frozen with —
         // in yet another order.
-        let core = Pipeline::new(mesh16()).prepare(&s).unwrap().into_core().unwrap();
+        let core = Pipeline::new(mesh16()).prepare(&s).unwrap();
         let block: Vec<usize> = core.test_days().take(core.test_days().len() / 2).collect();
         for (key, report) in want.iter().take(3 * block.len()).rev() {
             let frozen = core.run(&spec(key.0, key.1)).unwrap().into_healthy().unwrap();

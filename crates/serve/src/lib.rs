@@ -1,10 +1,9 @@
-//! # serve — allocation-as-a-service over frozen pipeline cores
+//! # serve — allocation-as-a-service over prepared pipeline cores
 //!
-//! The batch pipeline answers one caller at a time; this crate turns it
-//! into a long-lived, multi-tenant service. An [`AllocatorService`] owns a
-//! registry of prepared scenarios keyed by tenant name — each a
-//! [`dcta_core::shared::PreparedCore`], the `Send + Sync` frozen form of a
-//! prepared pipeline — and answers [`AllocRequest`]s from any number of
+//! This crate turns prepared pipelines into a long-lived, multi-tenant
+//! service. An [`AllocatorService`] owns a registry of prepared scenarios
+//! keyed by tenant name — each a [`dcta_core::shared::PreparedCore`], whose
+//! runs take `&self` — and answers [`AllocRequest`]s from any number of
 //! threads through shared state:
 //!
 //! * full evaluation runs ([`Query::Run`]) and bare allocation decisions
@@ -20,12 +19,12 @@
 //!
 //! ## Determinism contract
 //!
-//! Every response except `Method::RandomMapping` runs (which are still
-//! deterministic per `(seed, day)`, just differently seeded than the batch
-//! pipeline — see the `dcta_core::shared` module docs) is bit-identical to
-//! the same query answered solo on a freshly frozen core: no request order,
-//! interleaving, or worker count can change an answer.
-//! Tenants are fully isolated — they share no caches, agents, or RNG.
+//! Every response is bit-identical to the same query answered solo on a
+//! freshly prepared core: no request order, interleaving, or worker count
+//! can change an answer (see the `dcta_core::shared` module docs). A
+//! tenant never learns: the registry holds its core behind an `Arc`, and
+//! no per-tenant `observe` exists. Tenants are fully isolated — they share
+//! no caches, agents, or RNG.
 //!
 //! ## Example
 //!
@@ -36,7 +35,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let scenario = Scenario::generate(ScenarioConfig::default())?;
-//! let core = Pipeline::builder(PipelineConfig::default()).prepare(&scenario)?.into_core()?;
+//! let core = Pipeline::builder(PipelineConfig::default()).prepare(&scenario)?;
 //! let service = AllocatorService::new();
 //! service.register("plant-a", core)?;
 //! let day = service.with_core("plant-a", |c| c.test_days().start)?;

@@ -13,7 +13,7 @@ use rl::mdp::Environment;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Error raised by the serving layer.
 #[derive(Debug)]
@@ -32,7 +32,7 @@ pub enum ServeError {
     },
     /// The tenant's core failed the run.
     Pipeline(PipelineError),
-    /// The frozen CRL failed (environment definition or agent training).
+    /// The tenant's CRL failed (environment definition or agent training).
     Crl(CrlError),
     /// The DQN forward failed.
     Dqn(DqnError),
@@ -172,7 +172,7 @@ impl AllocResponse {
     }
 }
 
-/// A registered scenario: its frozen core plus a count of the Q-value
+/// A registered scenario: its prepared core plus a count of the Q-value
 /// probes it has answered.
 #[derive(Debug)]
 struct Tenant {
@@ -251,13 +251,18 @@ pub struct TenantStats {
     /// Agents of the tenant's one general process trained so far — CRL and
     /// DCTA requests share them, and the first request that needs one
     /// trains them all, so this is `0` or `Crl::num_keys()`. Agents the
-    /// pipeline trained before `into_core` count: they moved over with it.
+    /// core trained before it was registered count: they moved over with it.
     pub trained_agents: usize,
 }
 
 /// The long-lived, multi-tenant allocation service. `&self` throughout:
 /// share one instance (e.g. in an `Arc`) across as many request threads as
 /// you like, or put a [`crate::pool::ServicePool`] in front of it.
+///
+/// The tenant registry recovers from poisoning with
+/// [`PoisonError::into_inner`]: every critical section under it is one map
+/// lookup, insert, remove or key copy, and no request runs under it, so a
+/// panic can never leave the map half-updated.
 #[derive(Debug, Default)]
 pub struct AllocatorService {
     tenants: RwLock<HashMap<String, Arc<Tenant>>>,
@@ -277,7 +282,7 @@ impl AllocatorService {
     /// [`ServeError::DuplicateTenant`] when the name is taken.
     pub fn register(&self, name: impl Into<String>, core: PreparedCore) -> Result<(), ServeError> {
         let name = name.into();
-        let mut tenants = self.tenants.write().expect("tenant registry poisoned");
+        let mut tenants = self.tenants.write().unwrap_or_else(PoisonError::into_inner);
         if tenants.contains_key(&name) {
             return Err(ServeError::DuplicateTenant(name));
         }
@@ -287,32 +292,32 @@ impl AllocatorService {
 
     /// Removes a tenant, returning whether it existed.
     pub fn deregister(&self, name: &str) -> bool {
-        self.tenants.write().expect("tenant registry poisoned").remove(name).is_some()
+        self.tenants.write().unwrap_or_else(PoisonError::into_inner).remove(name).is_some()
     }
 
     /// Registered tenant names, sorted.
     pub fn tenant_names(&self) -> Vec<String> {
-        let mut names: Vec<String> =
-            self.tenants.read().expect("tenant registry poisoned").keys().cloned().collect();
+        let tenants = self.tenants.read().unwrap_or_else(PoisonError::into_inner);
+        let mut names: Vec<String> = tenants.keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Number of registered tenants.
     pub fn num_tenants(&self) -> usize {
-        self.tenants.read().expect("tenant registry poisoned").len()
+        self.tenants.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     fn tenant(&self, name: &str) -> Result<Arc<Tenant>, ServeError> {
         self.tenants
             .read()
-            .expect("tenant registry poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .get(name)
             .cloned()
             .ok_or_else(|| ServeError::UnknownTenant(name.to_string()))
     }
 
-    /// Runs `f` against a tenant's frozen core — the escape hatch for
+    /// Runs `f` against a tenant's core — the escape hatch for
     /// anything the [`Query`] surface doesn't cover (day ranges, true
     /// importances, direct runs).
     ///
@@ -410,7 +415,7 @@ mod tests {
     }
 
     fn test_core() -> PreparedCore {
-        test_pipeline().prepare(&test_scenario()).unwrap().into_core().unwrap()
+        test_pipeline().prepare(&test_scenario()).unwrap()
     }
 
     #[test]
@@ -471,6 +476,31 @@ mod tests {
         assert!(service.deregister("a"));
         assert!(!service.deregister("a"));
         assert_eq!(service.num_tenants(), 0);
+    }
+
+    #[test]
+    fn a_poisoned_registry_still_answers() {
+        let service = AllocatorService::new();
+        service.register("a", test_core()).unwrap();
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _held = service.tenants.write();
+                panic!("poisoning the registry");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(service.tenants.is_poisoned());
+
+        service.register("b", test_core()).unwrap();
+        assert_eq!(service.tenant_names(), vec!["a".to_string(), "b".to_string()]);
+        assert_eq!(service.num_tenants(), 2);
+        let day = service.with_core("a", |c| c.test_days().start).unwrap();
+        let spec = RunSpec::new(Method::Dml, day);
+        let run = AllocRequest { tenant: "a".into(), query: Query::Run(spec.clone()) };
+        let answer = service.handle(&run).unwrap().into_run().unwrap();
+        assert_eq!(answer, service.with_core("a", |c| c.run(&spec)).unwrap().unwrap());
+        assert!(service.deregister("b"));
+        assert_eq!(service.num_tenants(), 1);
     }
 
     #[test]
@@ -553,19 +583,19 @@ mod tests {
         assert_eq!(service.stats("t").unwrap().trained_agents, keys);
     }
 
-    /// Agents the batch pipeline trained move into the core with it: its
-    /// first request trained every key, so the tenant starts warm, `warm`
-    /// has nothing left to train, and nothing it answers differs from a
-    /// tenant frozen cold.
+    /// Agents a core trained before it was registered move into the
+    /// service with it: its first request trained every key, so the tenant
+    /// starts warm, `warm` has nothing left to train, and nothing it
+    /// answers differs from a tenant registered cold.
     #[test]
-    fn agents_trained_before_into_core_are_kept() {
+    fn agents_trained_before_register_are_kept() {
         let scenario = test_scenario();
-        let mut prepared = test_pipeline().prepare(&scenario).unwrap();
+        let prepared = test_pipeline().prepare(&scenario).unwrap();
         let days: Vec<usize> = prepared.test_days().collect();
         prepared.run(&RunSpec::new(Method::Crl, days[0])).unwrap();
 
         let service = AllocatorService::new();
-        service.register("carried", prepared.into_core().unwrap()).unwrap();
+        service.register("carried", prepared).unwrap();
         service.register("cold", test_core()).unwrap();
         let keys = service.with_core("carried", |c| c.crl().shared().num_keys()).unwrap();
         assert_eq!(service.stats("carried").unwrap().trained_agents, keys);

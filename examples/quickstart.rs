@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Offline phase: train COP models, build the CRL environment store and
     // the SVM local process from the first evaluation days.
-    let mut prepared = Pipeline::builder(PipelineConfig {
+    let prepared = Pipeline::builder(PipelineConfig {
         workers: 4,
         env_history_days: 4,
         crl: CrlConfig { episodes: 40, ..CrlConfig::default() },

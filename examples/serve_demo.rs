@@ -1,9 +1,9 @@
 //! Allocation-as-a-service: two tenant scenarios served concurrently from
 //! one `AllocatorService` through a 4-worker pool.
 //!
-//! Each tenant is a frozen pipeline core (`PreparedPipeline::into_core`):
-//! `Send + Sync`, `&self`-only, so one service instance answers any number
-//! of request threads. A Q-value probe is one single-state forward of the
+//! Each tenant is a prepared pipeline core (`PreparedCore`): `Send + Sync`,
+//! and its runs take `&self`, so one service instance answers any number of
+//! request threads. A Q-value probe is one single-state forward of the
 //! day's CRL agent on the worker that handles it. CI runs this example as
 //! a smoke test: a hang or a panic in the pool fails the build.
 //!
@@ -43,8 +43,7 @@ fn tenant_core(
         seed,
         ..PipelineConfig::default()
     })
-    .prepare(&scenario)?
-    .into_core()?;
+    .prepare(&scenario)?;
     Ok(core)
 }
 

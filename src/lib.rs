@@ -15,7 +15,7 @@
 //!   any thread count).
 //! * [`buildings`] — synthetic green-building (chiller AIOps) workloads.
 //! * [`serve`] — allocation-as-a-service: a concurrent multi-tenant serving
-//!   layer over frozen pipeline cores.
+//!   layer over prepared pipeline cores.
 //!
 //! See `README.md` for a tour and `DESIGN.md` for the per-experiment index.
 //!
@@ -27,7 +27,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let scenario = Scenario::generate(ScenarioConfig { num_tasks: 10, ..Default::default() })?;
-//! let mut prepared = Pipeline::builder(PipelineConfig::default()).prepare(&scenario)?;
+//! let prepared = Pipeline::builder(PipelineConfig::default()).prepare(&scenario)?;
 //! let day = prepared.test_days().start;
 //! let report = prepared.run(&RunSpec::new(Method::Dcta, day))?;
 //! assert!(report.decision_performance() >= 0.0);
@@ -69,8 +69,7 @@ pub mod prelude {
     pub use dcta_core::dcta::DctaAllocator;
     pub use dcta_core::importance::{CopModels, ImportanceEvaluator};
     pub use dcta_core::pipeline::{
-        DayReport, Method, Pipeline, PipelineBuilder, PipelineConfig, PreparedPipeline, RunReport,
-        RunSpec,
+        DayReport, Method, Pipeline, PipelineBuilder, PipelineConfig, RunReport, RunSpec,
     };
     pub use dcta_core::processor::{Processor, ProcessorFleet};
     pub use dcta_core::shared::PreparedCore;

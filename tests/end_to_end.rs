@@ -38,7 +38,7 @@ fn config() -> PipelineConfig {
 #[test]
 fn full_stack_produces_consistent_reports() {
     let s = scenario();
-    let mut prepared = Pipeline::builder(config()).prepare(&s).expect("prepare");
+    let prepared = Pipeline::builder(config()).prepare(&s).expect("prepare");
     let days: Vec<usize> = prepared.test_days().collect();
     assert_eq!(days.len(), 4);
     for &day in &days {
@@ -60,7 +60,7 @@ fn full_stack_produces_consistent_reports() {
 #[test]
 fn importance_aware_methods_save_processing_time() {
     let s = scenario();
-    let mut prepared = Pipeline::builder(config()).prepare(&s).expect("prepare");
+    let prepared = Pipeline::builder(config()).prepare(&s).expect("prepare");
     let mut rm = 0.0;
     let mut dml = 0.0;
     let mut dcta = 0.0;
@@ -82,7 +82,7 @@ fn importance_aware_methods_save_processing_time() {
 #[test]
 fn decision_performance_survives_task_selection() {
     let s = scenario();
-    let mut prepared = Pipeline::builder(config()).prepare(&s).expect("prepare");
+    let prepared = Pipeline::builder(config()).prepare(&s).expect("prepare");
     let days: Vec<usize> = prepared.test_days().collect();
     let mut full = 0.0;
     let mut selected = 0.0;
@@ -101,8 +101,8 @@ fn decision_performance_survives_task_selection() {
 #[test]
 fn determinism_per_seed() {
     let s = scenario();
-    let mut a = Pipeline::builder(config()).prepare(&s).expect("prepare a");
-    let mut b = Pipeline::builder(config()).prepare(&s).expect("prepare b");
+    let a = Pipeline::builder(config()).prepare(&s).expect("prepare a");
+    let b = Pipeline::builder(config()).prepare(&s).expect("prepare b");
     let day = a.test_days().start;
     // Deterministic methods must agree across identically-seeded pipelines.
     for method in [Method::Dml, Method::GreedyOracle, Method::Dcta] {
@@ -127,7 +127,7 @@ fn sweeping_workers_reduces_processing_time() {
             },
             ..PipelineConfig::default()
         });
-        let mut prepared = p.prepare(&s).expect("prepare");
+        let prepared = p.prepare(&s).expect("prepare");
         let day = prepared.test_days().start;
         pts.push(prepared.run(&RunSpec::new(Method::Dml, day)).expect("dml").processing_time_s());
     }

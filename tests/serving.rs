@@ -42,8 +42,6 @@ fn tenant_core(seed: u64, num_tasks: usize) -> PreparedCore {
     })
     .prepare(&scenario)
     .expect("prepare")
-    .into_core()
-    .expect("freeze")
 }
 
 /// The shared two-tenant service plus solo-computed reference answers: one
