@@ -93,9 +93,8 @@ impl BinaryRows {
     /// is strictly ascending and below `width()` — the order is what the
     /// kernels' bit-identity rests on.
     pub fn push_row(&mut self, ones: &[u32]) -> Result<(), DimensionError> {
-        let ascending = ones.windows(2).all(|w| w[0] < w[1]);
         let top = ones.last().map_or(0, |&i| i as usize + 1);
-        if !ascending || top > self.width {
+        if !ascending_below(ones.iter().map(|&i| i as usize), self.width) {
             return Err(DimensionError { op: "push_row", left: (1, top), right: (1, self.width) });
         }
         self.indices.extend_from_slice(ones);
@@ -121,6 +120,29 @@ impl BinaryRows {
     pub fn row(&self, r: usize) -> &[u32] {
         let start = if r == 0 { 0 } else { self.ends[r - 1] };
         &self.indices[start..self.ends[r]]
+    }
+}
+
+/// Whether `indices` is strictly ascending and every index is below `bound`
+/// — the shape of a [`BinaryRows`] row and of a live-column list.
+fn ascending_below(mut indices: impl Iterator<Item = usize>, bound: usize) -> bool {
+    let mut next = 0;
+    indices.all(|i| {
+        let ok = i >= next && i < bound;
+        next = i + 1;
+        ok
+    })
+}
+
+/// Rejects a live-column list that is not strictly ascending below `cols`.
+fn check_live(live: Option<&[usize]>, cols: usize) -> Result<(), DimensionError> {
+    match live {
+        Some(live) if !ascending_below(live.iter().copied(), cols) => Err(DimensionError {
+            op: "live columns",
+            left: (1, live.last().map_or(0, |&c| c + 1)),
+            right: (1, cols),
+        }),
+        _ => Ok(()),
     }
 }
 
@@ -277,7 +299,7 @@ impl Matrix {
     /// Matrix product `self · rhs` written into `out` (which is fully
     /// overwritten), allocating nothing.
     ///
-    /// This is the zero-seeded, full-width case of the accumulate-from
+    /// This is the zero-seeded, every-column case of the accumulate-from
     /// kernel behind [`Matrix::matmul_prefix_into`]: each output element
     /// sums its `k` terms in index order, exactly as the textbook ijk triple
     /// loop does — bit-identical to the naive reference at any tile size.
@@ -298,7 +320,7 @@ impl Matrix {
             });
         }
         out.data.fill(0.0);
-        self.matmul_accumulate(rhs, out);
+        self.matmul_accumulate(0..self.cols, rhs, out);
         Ok(())
     }
 
@@ -308,21 +330,27 @@ impl Matrix {
     ///
     /// Each output element first sums the `rhs` rows its `ones` select, in
     /// ascending index order, then *continues the same accumulator* through
-    /// the dense columns. Against the product with `P` written out densely,
-    /// the only terms left out are the `0.0 · rhs[k][j]` of the unset
-    /// entries: exact `±0.0` addends (for finite `rhs`) to an accumulator
-    /// that starts at `+0.0` and so can never be `-0.0`, i.e. identities.
-    /// A set entry contributes `1.0 · w`, which is `w`. The result therefore
-    /// has the bits of [`Matrix::matmul_into`] on the densified operand.
+    /// the dense columns — all of them (`live` = `None`), or only the
+    /// ascending columns listed in `live`, every other column of `self`
+    /// being read as zero. Against the product with `P` written out
+    /// densely, the only terms left out are the `0.0 · rhs[k][j]` of the
+    /// unset entries and of the columns outside `live`: when those columns
+    /// are zero in every row, each is an exact `±0.0` addend (for finite
+    /// `rhs`) to an accumulator that starts at `+0.0` and so can never be
+    /// `-0.0`, i.e. an identity. A set entry contributes `1.0 · w`, which is
+    /// `w`. The result therefore has the bits of [`Matrix::matmul_into`] on
+    /// the densified operand.
     ///
     /// # Errors
     ///
     /// Returns [`DimensionError`] when `ones` does not have one row per row
-    /// of `self`, when `ones.width() + self.cols() != rhs.rows()`, or when
-    /// `out` is not `self.rows() × rhs.cols()`.
+    /// of `self`, when `ones.width() + self.cols() != rhs.rows()`, when
+    /// `live` is not strictly ascending below `self.cols()`, or when `out`
+    /// is not `self.rows() × rhs.cols()`.
     pub fn matmul_prefix_into(
         &self,
         ones: &BinaryRows,
+        live: Option<&[usize]>,
         rhs: &Matrix,
         out: &mut Matrix,
     ) -> Result<(), DimensionError> {
@@ -340,6 +368,7 @@ impl Matrix {
                 right: (self.rows, rhs.cols),
             });
         }
+        check_live(live, self.cols)?;
         out.data.fill(0.0);
         let n = rhs.cols;
         if n > 0 {
@@ -351,21 +380,31 @@ impl Matrix {
                 }
             }
         }
-        self.matmul_accumulate(rhs, out);
+        match live {
+            Some(live) => self.matmul_accumulate(live.iter().copied(), rhs, out),
+            None => self.matmul_accumulate(0..self.cols, rhs, out),
+        }
         Ok(())
     }
 
-    /// `out += self · rhs[k0.., ..]` with `k0 = rhs.rows() − self.cols()`:
-    /// the accumulate-from kernel shared by [`Matrix::matmul_into`] (`k0 =
-    /// 0`, `out` zeroed) and [`Matrix::matmul_prefix_into`] (`out` seeded
-    /// with the prefix sums). Shapes are the callers' responsibility.
+    /// `out += self · rhs[k0.., ..]` over the columns `cols` of `self`
+    /// (ascending, each below `self.cols()`), with `k0 = rhs.rows() −
+    /// self.cols()`: the accumulate-from kernel shared by
+    /// [`Matrix::matmul_into`] (`k0 = 0`, every column, `out` zeroed) and
+    /// [`Matrix::matmul_prefix_into`] (`out` seeded with the prefix sums).
+    /// Shapes are the callers' responsibility.
     ///
     /// The kernel computes `MR×NR` register tiles of `out`: the accumulators
     /// for a 4-row × 8-column block are loaded once, live in registers
-    /// across the entire `k` loop and are stored once (the store-bound
-    /// pattern that capped the old k-outer sweep). Each accumulator adds its
-    /// `k` terms in index order on top of its seed.
-    fn matmul_accumulate(&self, rhs: &Matrix, out: &mut Matrix) {
+    /// across the entire walk over `cols` and are stored once (the
+    /// store-bound pattern that capped the old k-outer sweep). Each
+    /// accumulator adds its terms in column order on top of its seed.
+    fn matmul_accumulate(
+        &self,
+        cols: impl Iterator<Item = usize> + Clone,
+        rhs: &Matrix,
+        out: &mut Matrix,
+    ) {
         let n = rhs.cols;
         let k = self.cols;
         if n == 0 || k == 0 {
@@ -388,15 +427,15 @@ impl Matrix {
                 let mut a1: [f64; NR] = o1[j0..j0 + NR].try_into().expect("tile width");
                 let mut a2: [f64; NR] = o2[j0..j0 + NR].try_into().expect("tile width");
                 let mut a3: [f64; NR] = o3[j0..j0 + NR].try_into().expect("tile width");
-                for ((((&c0, &c1), &c2), &c3), rhs_row) in
-                    l0.iter().zip(l1).zip(l2).zip(l3).zip(rhs_rows.chunks_exact(n))
-                {
-                    let rv: &[f64; NR] = rhs_row[j0..j0 + NR].try_into().expect("tile width");
-                    for c in 0..NR {
-                        a0[c] += c0 * rv[c];
-                        a1[c] += c1 * rv[c];
-                        a2[c] += c2 * rv[c];
-                        a3[c] += c3 * rv[c];
+                for c in cols.clone() {
+                    let (c0, c1, c2, c3) = (l0[c], l1[c], l2[c], l3[c]);
+                    let rv: &[f64; NR] =
+                        rhs_rows[c * n + j0..][..NR].try_into().expect("tile width");
+                    for t in 0..NR {
+                        a0[t] += c0 * rv[t];
+                        a1[t] += c1 * rv[t];
+                        a2[t] += c2 * rv[t];
+                        a3[t] += c3 * rv[t];
                     }
                 }
                 o0[j0..j0 + NR].copy_from_slice(&a0);
@@ -417,16 +456,15 @@ impl Matrix {
                 acc[1][..nt].copy_from_slice(&o1[j0..]);
                 acc[2][..nt].copy_from_slice(&o2[j0..]);
                 acc[3][..nt].copy_from_slice(&o3[j0..]);
-                for ((((&c0, &c1), &c2), &c3), rhs_row) in
-                    l0.iter().zip(l1).zip(l2).zip(l3).zip(rhs_rows.chunks_exact(n))
-                {
+                for c in cols.clone() {
+                    let (c0, c1, c2, c3) = (l0[c], l1[c], l2[c], l3[c]);
                     let mut rv = [0.0f64; NR];
-                    rv[..nt].copy_from_slice(&rhs_row[j0..]);
-                    for (c, &x) in rv.iter().enumerate() {
-                        acc[0][c] += c0 * x;
-                        acc[1][c] += c1 * x;
-                        acc[2][c] += c2 * x;
-                        acc[3][c] += c3 * x;
+                    rv[..nt].copy_from_slice(&rhs_rows[c * n + j0..][..nt]);
+                    for (t, &x) in rv.iter().enumerate() {
+                        acc[0][t] += c0 * x;
+                        acc[1][t] += c1 * x;
+                        acc[2][t] += c2 * x;
+                        acc[3][t] += c3 * x;
                     }
                 }
                 o0[j0..].copy_from_slice(&acc[0][..nt]);
@@ -441,9 +479,10 @@ impl Matrix {
             .chunks_exact(k)
             .zip(out_blocks.into_remainder().chunks_exact_mut(n))
         {
-            for (&lhs_rk, rhs_row) in lhs_row.iter().zip(rhs_rows.chunks_exact(n)) {
-                for (o, &x) in out_row.iter_mut().zip(rhs_row) {
-                    *o += lhs_rk * x;
+            for c in cols.clone() {
+                let x = lhs_row[c];
+                for (o, &w) in out_row.iter_mut().zip(&rhs_rows[c * n..][..n]) {
+                    *o += x * w;
                 }
             }
         }
@@ -538,28 +577,33 @@ impl Matrix {
     /// into `out` (fully overwritten), where `P` is the 0/1 block `ones`
     /// describes (`None`: no block) and `self` holds the remaining (dense)
     /// columns: `out[c][r] = Σ_b (α·delta[b][r]) · x_b[c]`, `b` ascending,
-    /// with `x_b` row `b` of `[P | self]`.
+    /// with `x_b` row `b` of `[P | self]`. `live`, as in
+    /// [`Matrix::matmul_prefix_into`], lists the columns of `self` to read;
+    /// the rows of `out` for every other column stay `+0.0`.
     ///
     /// This is the weight-gradient kernel of batched backprop: with `self`
     /// the `B×in` input activations of a layer, `delta` its `B×out` deltas
     /// and `α` the `1/batch` loss scale, `out` receives `∂loss/∂Wᵀ` with
     /// exactly the bits of the per-sample loop `grad[c][r] += (α·δ_b[r]) ·
     /// a_b[c]` accumulated over samples in order. A set entry of `P` adds
-    /// the sample's scaled delta row (`t · 1.0` is `t`); an unset entry and
-    /// an exact-zero activation — a dead ReLU feeding the next layer — are
-    /// skipped. The skipped terms are exact `±0.0` addends (for finite
-    /// operands) to accumulators that start at `+0.0` and so can never be
-    /// `-0.0`: identities. Rows of `out` are independent, so each keeps its
+    /// the sample's scaled delta row (`t · 1.0` is `t`); an unset entry, an
+    /// exact-zero activation — a dead ReLU feeding the next layer — and a
+    /// column outside `live` that is zero in every row are skipped. The
+    /// skipped terms are exact `±0.0` addends (for finite operands) to
+    /// accumulators that start at `+0.0` and so can never be `-0.0`:
+    /// identities. Rows of `out` are independent, so each keeps its
     /// accumulators hot across the whole batch.
     ///
     /// # Errors
     ///
     /// Returns [`DimensionError`] when `self`, `ones` and `delta` disagree
-    /// on the row count, or when `out` is not `(ones.width() + self.cols())
-    /// × delta.cols()`.
+    /// on the row count, when `live` is not strictly ascending below
+    /// `self.cols()`, or when `out` is not `(ones.width() + self.cols()) ×
+    /// delta.cols()`.
     pub fn prefix_gram_scaled_into(
         &self,
         ones: Option<&BinaryRows>,
+        live: Option<&[usize]>,
         delta: &Matrix,
         alpha: f64,
         out: &mut Matrix,
@@ -580,6 +624,7 @@ impl Matrix {
                 right: (prefix + self.cols, delta.cols),
             });
         }
+        check_live(live, self.cols)?;
         out.data.fill(0.0);
         let m = delta.cols;
         if m == 0 {
@@ -595,7 +640,8 @@ impl Matrix {
                 }
             }
         }
-        for (c, out_row) in dense.chunks_exact_mut(m).enumerate() {
+        let mut column = |c: usize| {
+            let out_row = &mut dense[c * m..][..m];
             for (x_row, d_row) in self.data.chunks_exact(self.cols).zip(delta.data.chunks_exact(m))
             {
                 let x = x_row[c];
@@ -606,6 +652,10 @@ impl Matrix {
                     *o += (alpha * d) * x;
                 }
             }
+        };
+        match live {
+            Some(live) => live.iter().for_each(|&c| column(c)),
+            None => (0..self.cols).for_each(column),
         }
         Ok(())
     }
@@ -1185,7 +1235,7 @@ mod tests {
                 }
             }
             let mut out = Matrix::filled(n, m, f64::NAN);
-            acts.prefix_gram_scaled_into(None, &delta, alpha, &mut out).unwrap();
+            acts.prefix_gram_scaled_into(None, None, &delta, alpha, &mut out).unwrap();
             assert_eq!(
                 out.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 reference.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -1266,15 +1316,34 @@ mod tests {
         assert!(a.matmul_into(&Matrix::zeros(3, 2), &mut Matrix::zeros(3, 2)).is_err());
         assert!(a.matmul_transpose_b_into(&Matrix::zeros(2, 3), &mut bad).is_err());
         assert!(a.matmul_transpose_b_into(&Matrix::zeros(2, 4), &mut bad).is_err());
-        assert!(a.prefix_gram_scaled_into(None, &Matrix::zeros(2, 2), 1.0, &mut bad).is_err());
+        assert!(a
+            .prefix_gram_scaled_into(None, None, &Matrix::zeros(2, 2), 1.0, &mut bad)
+            .is_err());
         let delta = Matrix::zeros(3, 2);
-        assert!(a.prefix_gram_scaled_into(None, &delta, 1.0, &mut Matrix::zeros(3, 3)).is_err());
+        assert!(a
+            .prefix_gram_scaled_into(None, None, &delta, 1.0, &mut Matrix::zeros(3, 3))
+            .is_err());
         let mut ones = BinaryRows::default();
         ones.clear(1);
         assert!(a
-            .prefix_gram_scaled_into(Some(&ones), &delta, 1.0, &mut Matrix::zeros(5, 2))
+            .prefix_gram_scaled_into(Some(&ones), None, &delta, 1.0, &mut Matrix::zeros(5, 2))
             .is_err());
-        assert!(a.prefix_gram_scaled_into(None, &delta, 1.0, &mut Matrix::zeros(4, 2)).is_ok());
+        assert!(a
+            .prefix_gram_scaled_into(None, None, &delta, 1.0, &mut Matrix::zeros(4, 2))
+            .is_ok());
+        // A live-column list must be strictly ascending below `a.cols()`.
+        ones.clear(0);
+        for _ in 0..3 {
+            ones.push_row(&[]).unwrap();
+        }
+        for (live, ok) in [(&[][..], true), (&[0, 3], true), (&[3, 0], false), (&[1, 1], false)] {
+            let mut grad = Matrix::zeros(4, 2);
+            let got = a.prefix_gram_scaled_into(None, Some(live), &delta, 1.0, &mut grad);
+            assert_eq!(got.is_ok(), ok, "{live:?}");
+            let got = a.matmul_prefix_into(&ones, Some(live), &b, &mut Matrix::zeros(3, 2));
+            assert_eq!(got.is_ok(), ok, "{live:?}");
+        }
+        assert!(a.matmul_prefix_into(&ones, Some(&[4]), &b, &mut Matrix::zeros(3, 2)).is_err());
         assert!(a.matvec_into(&[0.0; 3], &mut [0.0; 3]).is_err());
         assert!(a.matvec_into(&[0.0; 4], &mut [0.0; 2]).is_err());
         assert!(a.vecmat_into(&[0.0; 4], &mut [0.0; 4]).is_err());

@@ -129,9 +129,11 @@ const GRAD_CHUNK: usize = 64;
 /// passed beside the rows and is the same for a whole batch; a plain dense
 /// input is the width-0 case ([`PrefixRow::dense`]).
 ///
-/// The first layer never multiplies by the block's zeros (see
-/// [`Matrix::matmul_prefix_into`] for why that cannot change a bit), which
-/// is most of the DQN's `N × M` selection-matrix state.
+/// The first layer never multiplies by the block's zeros, nor by a tail
+/// column that is zero in every row of a batch (see
+/// [`Matrix::matmul_prefix_into`] for why that cannot change a bit): most of
+/// the DQN's `N × M` selection-matrix state, and the environment columns of
+/// tasks whose importance is zero.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefixRow<'a> {
     /// Strictly ascending indices of the ones in the leading 0/1 block.
@@ -160,6 +162,9 @@ pub struct BatchWorkspace {
     sizes: Vec<usize>,
     /// The packed batch's leading 0/1 block, one row per sample.
     ones: BinaryRows,
+    /// Ascending columns of `acts[0]` that are non-zero in some row: the
+    /// only dense input columns the first layer's kernels walk.
+    live: Vec<usize>,
     /// `acts[0]` is the packed `B × tail` batch (the input columns after
     /// the 0/1 block); `acts[l + 1]` holds layer `l`'s activations.
     acts: Vec<Matrix>,
@@ -417,7 +422,8 @@ impl Mlp {
         Ok(ws.acts.last().expect("at least the input buffer"))
     }
 
-    /// Validates `inputs` and packs them into `ws.ones` / `ws.acts[0]`.
+    /// Validates `inputs` and packs them into `ws.ones` / `ws.acts[0]`,
+    /// listing in `ws.live` the tail columns that are non-zero in some row.
     fn pack_batch(
         &self,
         prefix: usize,
@@ -432,6 +438,10 @@ impl Mlp {
         };
         ws.ensure(self, inputs.len(), tail);
         ws.ones.clear(prefix);
+        // `live[c]` first flags column `c`, then the flagged indices are
+        // compacted to its front in ascending order.
+        ws.live.clear();
+        ws.live.resize(tail, 0);
         for (s, x) in inputs.iter().enumerate() {
             if x.tail.len() != tail {
                 return Err(NetworkError::ArityMismatch {
@@ -444,13 +454,25 @@ impl Mlp {
                 got: x.ones.last().map_or(0, |&i| i as usize),
             })?;
             ws.acts[0].row_mut(s).copy_from_slice(x.tail);
+            for (flag, &v) in ws.live.iter_mut().zip(x.tail) {
+                *flag |= usize::from(v != 0.0);
+            }
         }
+        let mut kept = 0;
+        for c in 0..tail {
+            if ws.live[c] != 0 {
+                ws.live[kept] = c;
+                kept += 1;
+            }
+        }
+        ws.live.truncate(kept);
         Ok(())
     }
 
     /// Batched analogue of `forward_trace` over the packed batch in
-    /// `ws.ones` / `ws.acts[0]`: per layer `Z = A·Wᵀ` (one blocked matmul),
-    /// `Z += bias` broadcast row-wise, `A' = σ(Z)`.
+    /// `ws.ones` / `ws.acts[0]`: per layer `Z = A·Wᵀ` (one blocked matmul,
+    /// over only the live columns at the first layer), `Z += bias`
+    /// broadcast row-wise, `A' = σ(Z)`.
     ///
     /// The plain `A·(Wᵀ)` kernels' inner loop is contiguous over the output
     /// dimension and auto-vectorises; they multiply the same operand pairs
@@ -463,7 +485,8 @@ impl Mlp {
             let a_in = &done[li];
             let pre = &mut ws.pres[li];
             if li == 0 {
-                a_in.matmul_prefix_into(&ws.ones, &layer.wt, pre).expect("sizes consistent");
+                a_in.matmul_prefix_into(&ws.ones, Some(&ws.live), &layer.wt, pre)
+                    .expect("sizes consistent");
             } else {
                 a_in.matmul_into(&layer.wt, pre).expect("sizes consistent");
             }
@@ -558,9 +581,10 @@ impl Mlp {
             // dWᵀ = A_inᵀ·(scale·Δ) with samples ascending — the same
             // accumulation order (and the same `(scale·δ)·a` product shape)
             // as the per-sample reference; db likewise.
-            let ones = (li == 0).then_some(&ws.ones);
+            let (ones, live) =
+                if li == 0 { (Some(&ws.ones), Some(&ws.live[..])) } else { (None, None) };
             ws.acts[li]
-                .prefix_gram_scaled_into(ones, &ws.deltas[li], scale, &mut ws.grads[li].wt)
+                .prefix_gram_scaled_into(ones, live, &ws.deltas[li], scale, &mut ws.grads[li].wt)
                 .expect("sizes consistent");
             let gb = &mut ws.grads[li].bias;
             gb.fill(0.0);
@@ -646,7 +670,8 @@ impl Mlp {
     /// Inputs come in sparse-prefix form (their first `prefix` entries are a
     /// 0/1 block; `0` with [`PrefixRow::dense`] rows for plain inputs), and
     /// the first layer's forward and weight gradient never touch the
-    /// block's zeros — bit-identical to training on the densified rows.
+    /// block's zeros, nor a tail column that is zero in every row of the
+    /// batch — bit-identical to training on the densified rows.
     ///
     /// # Errors
     ///
@@ -887,6 +912,14 @@ impl Optimizer for SgdOptimizer {
 }
 
 /// Adam optimiser (Kingma & Ba) — the usual choice for DQN training.
+///
+/// A row of a layer's `Wᵀ` — one input's weights to every output — whose
+/// moments are still all `+0.0` and whose gradient row is all `+0.0` is
+/// skipped: the update would leave its moments `+0.0` and subtract `+0.0`
+/// from each weight, which is the identity on every `f64`. Such rows are
+/// the inputs no sample of the run has yet set: selection entries never
+/// chosen, and environment columns of a long-tailed state that are zero in
+/// every state an agent sees.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdamOptimizer {
     learning_rate: f64,
@@ -894,8 +927,22 @@ pub struct AdamOptimizer {
     beta2: f64,
     epsilon: f64,
     t: u64,
-    m: Option<Vec<LayerGrad>>,
-    v: Option<Vec<LayerGrad>>,
+    /// One entry per layer, built on the first step.
+    moments: Vec<Moments>,
+    /// Rows of `Wᵀ` visited by [`Optimizer::step`], and how many of them
+    /// were skipped.
+    rows_seen: u64,
+    rows_skipped: u64,
+}
+
+/// One layer's Adam state: first and second moments shaped like its
+/// gradients, and per row of `Wᵀ` whether that row has ever been updated —
+/// a row never updated has all-`+0.0` moments.
+#[derive(Debug, Clone, PartialEq)]
+struct Moments {
+    m: LayerGrad,
+    v: LayerGrad,
+    touched: Vec<bool>,
 }
 
 impl AdamOptimizer {
@@ -906,59 +953,81 @@ impl AdamOptimizer {
     /// Panics unless `learning_rate > 0`.
     pub fn new(learning_rate: f64) -> Self {
         assert!(learning_rate > 0.0, "learning rate must be positive");
-        Self { learning_rate, beta1: 0.9, beta2: 0.999, epsilon: 1e-8, t: 0, m: None, v: None }
+        Self {
+            learning_rate,
+            beta1: 0.9,
+            beta2: 0.999,
+            epsilon: 1e-8,
+            t: 0,
+            moments: Vec::new(),
+            rows_seen: 0,
+            rows_skipped: 0,
+        }
+    }
+
+    /// `(visited, skipped)`: rows of `Wᵀ` the steps so far have visited,
+    /// and how many of those they skipped as untouched. A work count for
+    /// tests and benchmarks.
+    #[doc(hidden)]
+    pub fn row_counts(&self) -> (u64, u64) {
+        (self.rows_seen, self.rows_skipped)
     }
 }
 
 impl Optimizer for AdamOptimizer {
     fn step(&mut self, net: &mut Mlp, grads: &[LayerGrad]) {
-        let zeros = || -> Vec<LayerGrad> {
-            grads.iter().map(|g| LayerGrad::zeros(&g.wt, &g.bias)).collect()
-        };
-        if self.m.is_none() {
-            self.m = Some(zeros());
-            self.v = Some(zeros());
+        if self.moments.is_empty() {
+            self.moments = grads
+                .iter()
+                .map(|g| Moments {
+                    m: LayerGrad::zeros(&g.wt, &g.bias),
+                    v: LayerGrad::zeros(&g.wt, &g.bias),
+                    touched: vec![false; g.wt.rows()],
+                })
+                .collect();
         }
         self.t += 1;
         let (b1, b2) = (self.beta1, self.beta2);
         let bc1 = 1.0 - b1.powi(self.t as i32);
         let bc2 = 1.0 - b2.powi(self.t as i32);
-        let m = self.m.as_mut().expect("initialised above");
-        let v = self.v.as_mut().expect("initialised above");
-        for (((layer, grad), mi), vi) in
-            net.layers.iter_mut().zip(grads).zip(m.iter_mut()).zip(v.iter_mut())
+        let (lr, eps) = (self.learning_rate, self.epsilon);
+        // Zipped slice walks (no per-element indexing) so the whole
+        // element-wise update — including the sqrt/divide — vectorises.
+        let update = |w: &mut [f64], g: &[f64], m: &mut [f64], v: &mut [f64]| {
+            for (((w, &g), mk), vk) in w.iter_mut().zip(g).zip(m.iter_mut()).zip(v.iter_mut()) {
+                *mk = b1 * *mk + (1.0 - b1) * g;
+                *vk = b2 * *vk + (1.0 - b2) * g * g;
+                let m_hat = *mk / bc1;
+                let v_hat = *vk / bc2;
+                *w -= lr * m_hat / (v_hat.sqrt() + eps);
+            }
+        };
+        for ((layer, grad), Moments { m, v, touched }) in
+            net.layers.iter_mut().zip(grads).zip(&mut self.moments)
         {
-            // Zipped slice walks (no per-element indexing) so the whole
-            // element-wise update — including the sqrt/divide — vectorises;
-            // per-element arithmetic is unchanged, so bits are unchanged.
-            let (lr, eps) = (self.learning_rate, self.epsilon);
-            for (((w, &g), mk), vk) in layer
+            let width = grad.wt.cols();
+            let rows = layer
                 .wt
                 .as_mut_slice()
-                .iter_mut()
-                .zip(grad.wt.as_slice())
-                .zip(mi.wt.as_mut_slice().iter_mut())
-                .zip(vi.wt.as_mut_slice().iter_mut())
-            {
-                *mk = b1 * *mk + (1.0 - b1) * g;
-                *vk = b2 * *vk + (1.0 - b2) * g * g;
-                let m_hat = *mk / bc1;
-                let v_hat = *vk / bc2;
-                *w -= lr * m_hat / (v_hat.sqrt() + eps);
+                .chunks_exact_mut(width)
+                .zip(grad.wt.as_slice().chunks_exact(width))
+                .zip(m.wt.as_mut_slice().chunks_exact_mut(width))
+                .zip(v.wt.as_mut_slice().chunks_exact_mut(width))
+                .zip(touched.iter_mut());
+            for ((((w, g), m), v), touched) in rows {
+                self.rows_seen += 1;
+                if !*touched {
+                    // All `+0.0` iff no bit is set in any entry; `-0.0` and
+                    // NaN have bits set and take the update.
+                    if g.iter().fold(0, |bits, g| bits | g.to_bits()) == 0 {
+                        self.rows_skipped += 1;
+                        continue;
+                    }
+                    *touched = true;
+                }
+                update(w, g, m, v);
             }
-            for (((w, &g), mk), vk) in layer
-                .bias
-                .iter_mut()
-                .zip(&grad.bias)
-                .zip(mi.bias.iter_mut())
-                .zip(vi.bias.iter_mut())
-            {
-                *mk = b1 * *mk + (1.0 - b1) * g;
-                *vk = b2 * *vk + (1.0 - b2) * g * g;
-                let m_hat = *mk / bc1;
-                let v_hat = *vk / bc2;
-                *w -= lr * m_hat / (v_hat.sqrt() + eps);
-            }
+            update(&mut layer.bias, &grad.bias, &mut m.bias, &mut v.bias);
         }
     }
 }
@@ -1327,6 +1396,139 @@ mod tests {
         copy.copy_parameters_from(&net).unwrap();
         check(&copy, &mut r, "copy_parameters_from");
         check(&net.clone(), &mut r, "clone");
+    }
+
+    /// Adam with no row skipped: every element of every layer, every step —
+    /// the optimiser's loop as it was before untouched rows were skipped,
+    /// held here as the reference [`AdamOptimizer`] must match.
+    struct DenseAdam {
+        lr: f64,
+        t: u64,
+        m: Vec<LayerGrad>,
+        v: Vec<LayerGrad>,
+    }
+
+    impl Optimizer for DenseAdam {
+        fn step(&mut self, net: &mut Mlp, grads: &[LayerGrad]) {
+            if self.m.is_empty() {
+                self.m = grads.iter().map(|g| LayerGrad::zeros(&g.wt, &g.bias)).collect();
+                self.v = self.m.clone();
+            }
+            self.t += 1;
+            let (b1, b2, eps) = (0.9f64, 0.999f64, 1e-8);
+            let bc1 = 1.0 - b1.powi(self.t as i32);
+            let bc2 = 1.0 - b2.powi(self.t as i32);
+            for (((layer, grad), mi), vi) in
+                net.layers.iter_mut().zip(grads).zip(&mut self.m).zip(&mut self.v)
+            {
+                let params = layer.wt.as_mut_slice().iter_mut().chain(&mut layer.bias);
+                let gs = grad.wt.as_slice().iter().chain(&grad.bias);
+                let ms = mi.wt.as_mut_slice().iter_mut().chain(&mut mi.bias);
+                let vs = vi.wt.as_mut_slice().iter_mut().chain(&mut vi.bias);
+                for (((w, &g), mk), vk) in params.zip(gs).zip(ms).zip(vs) {
+                    *mk = b1 * *mk + (1.0 - b1) * g;
+                    *vk = b2 * *vk + (1.0 - b2) * g * g;
+                    let m_hat = *mk / bc1;
+                    let v_hat = *vk / bc2;
+                    *w -= self.lr * m_hat / (v_hat.sqrt() + eps);
+                }
+            }
+        }
+    }
+
+    fn grad_bits(grads: &[LayerGrad]) -> Vec<u64> {
+        grads
+            .iter()
+            .flat_map(|g| g.wt.as_slice().iter().chain(&g.bias))
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The untouched-row skip changes no bit: after every step of a
+        /// random gradient stream, parameters and both moments equal the
+        /// dense loop's. Each row of `Wᵀ` follows one of five schedules —
+        /// zero throughout, live from a late step on, live and then zero
+        /// again, `-0.0` until it goes live, or live throughout — and live
+        /// entries mix `±0.0`, NaN and values of both signs.
+        #[test]
+        fn adam_row_skip_bits_match_dense_adam(seed in 0u64..10_000) {
+            let mut r = rng(seed);
+            let mut net = Mlp::new(&[9, 6, 4], Activation::Relu, &mut r).unwrap();
+            let mut dense_net = net.clone();
+            let mut adam = AdamOptimizer::new(0.01);
+            let mut dense = DenseAdam { lr: 0.01, t: 0, m: Vec::new(), v: Vec::new() };
+            let schedules: Vec<Vec<(usize, usize, usize)>> = net
+                .layers
+                .iter()
+                .map(|l| {
+                    (0..l.wt.rows())
+                        .map(|_| (r.gen_range(0..5), r.gen_range(0..12), r.gen_range(0..12)))
+                        .collect()
+                })
+                .collect();
+            for step in 0..12 {
+                let grads: Vec<LayerGrad> = net
+                    .layers
+                    .iter()
+                    .zip(&schedules)
+                    .map(|(l, rows)| {
+                        let mut g = LayerGrad::zeros(&l.wt, &l.bias);
+                        for (c, &(kind, on, off)) in rows.iter().enumerate() {
+                            let live = match kind {
+                                0 => false,
+                                1 | 3 => step >= on,
+                                2 => step >= on.min(off) && step < on.max(off),
+                                _ => true,
+                            };
+                            for x in g.wt.row_mut(c) {
+                                *x = match (live, r.gen_range(0..10)) {
+                                    (false, _) if kind == 3 => -0.0,
+                                    (false, _) => 0.0,
+                                    (true, 0) => 0.0,
+                                    (true, 1) => -0.0,
+                                    (true, 2) if r.gen_bool(0.1) => f64::NAN,
+                                    _ => r.gen_range(-1.0..1.0),
+                                };
+                            }
+                        }
+                        for b in &mut g.bias {
+                            *b = r.gen_range(-1.0..1.0);
+                        }
+                        g
+                    })
+                    .collect();
+                adam.step(&mut net, &grads);
+                dense.step(&mut dense_net, &grads);
+                proptest::prop_assert_eq!(net.parameter_bits(), dense_net.parameter_bits());
+                let (ms, vs): (Vec<_>, Vec<_>) =
+                    adam.moments.iter().map(|mo| (mo.m.clone(), mo.v.clone())).unzip();
+                proptest::prop_assert_eq!(grad_bits(&ms), grad_bits(&dense.m));
+                proptest::prop_assert_eq!(grad_bits(&vs), grad_bits(&dense.v));
+            }
+            proptest::prop_assert_eq!(adam.row_counts().0, 12 * 15);
+        }
+    }
+
+    #[test]
+    fn adam_skips_exactly_the_rows_never_touched() {
+        // Two layers, 3 + 2 rows of `Wᵀ`. Step 1 touches row 1 of layer 0
+        // only; step 2 touches nothing, but row 1 is now touched and stays
+        // updated. Rows 0 and 2 of layer 0 and both rows of layer 1 get
+        // `+0.0` gradients throughout.
+        let mut net = Mlp::new(&[3, 2, 1], Activation::Relu, &mut rng(49)).unwrap();
+        let mut adam = AdamOptimizer::new(0.01);
+        let mut grads: Vec<LayerGrad> =
+            net.layers.iter().map(|l| LayerGrad::zeros(&l.wt, &l.bias)).collect();
+        grads[0].wt.row_mut(1).fill(0.5);
+        adam.step(&mut net, &grads);
+        assert_eq!(adam.row_counts(), (5, 4));
+        grads[0].wt.row_mut(1).fill(0.0);
+        adam.step(&mut net, &grads);
+        assert_eq!(adam.row_counts(), (10, 8));
+        grads[1].wt.row_mut(0)[0] = -0.0;
+        adam.step(&mut net, &grads);
+        assert_eq!(adam.row_counts(), (15, 11));
     }
 
     #[test]

@@ -44,7 +44,9 @@ fn small_matrix() -> impl Strategy<Value = Matrix> {
 /// A left operand `[P | T]` in both forms: `P` a 0/1 block of width `prefix`
 /// (as index lists and written out), `T` dense with exact and negative
 /// zeros mixed in. Rows are all-zero, all-one, a copy of the row above, or
-/// random, so empty lists, full lists and duplicates all occur.
+/// random, so empty lists, full lists and duplicates all occur. Columns of
+/// `T` are zero (`+0.0` or `-0.0`) in every row, zero in all rows but one,
+/// or random — the long-tailed environment block's dead columns.
 fn prefixed_operand(
     rng: &mut StdRng,
     rows: usize,
@@ -56,6 +58,8 @@ fn prefixed_operand(
     ones.clear(prefix);
     let mut tails = Matrix::zeros(rows, tail);
     let mut dense = Matrix::zeros(rows, prefix + tail);
+    let columns: Vec<(usize, usize)> =
+        (0..tail).map(|_| (rng.gen_range(0..4), rng.gen_range(0..rows))).collect();
     for r in 0..rows {
         let set: Vec<u32> = match rng.gen_range(0..4) {
             0 => Vec::new(),
@@ -67,8 +71,10 @@ fn prefixed_operand(
             dense[(r, i as usize)] = 1.0;
         }
         ones.push_row(&set).expect("ascending, in range");
-        for c in 0..tail {
+        for (c, &(kind, hot)) in columns.iter().enumerate() {
+            let dead = kind == 0 || (kind == 1 && r != hot);
             let x = match rng.gen_range(0..6) {
+                k if dead => [0.0, -0.0][k % 2],
                 0 => 0.0,
                 1 => -0.0,
                 _ => rng.gen_range(-10.0..10.0),
@@ -78,6 +84,11 @@ fn prefixed_operand(
         }
     }
     (ones, tails, dense)
+}
+
+/// Ascending columns of `m` that are non-zero in some row.
+fn live_columns(m: &Matrix) -> Vec<usize> {
+    (0..m.cols()).filter(|&c| (0..m.rows()).any(|r| m[(r, c)] != 0.0)).collect()
 }
 
 /// Batch sizes around the kernels' 4-row register block (row tails of
@@ -272,8 +283,13 @@ proptest! {
         let mut reference = Matrix::filled(rows, n, f64::NAN);
         dense.matmul_into(&rhs, &mut reference).expect("shapes");
         let mut fast = Matrix::filled(rows, n, f64::NAN);
-        tails.matmul_prefix_into(&ones, &rhs, &mut fast).expect("shapes");
+        tails.matmul_prefix_into(&ones, None, &rhs, &mut fast).expect("shapes");
         prop_assert_eq!(bits(fast.as_slice()), bits(reference.as_slice()));
+        // Walking only the live columns skips the all-zero ones.
+        let live = live_columns(&tails);
+        let mut on_live = Matrix::filled(rows, n, f64::NAN);
+        tails.matmul_prefix_into(&ones, Some(&live), &rhs, &mut on_live).expect("shapes");
+        prop_assert_eq!(bits(on_live.as_slice()), bits(fast.as_slice()));
     }
 
     #[test]
@@ -305,11 +321,17 @@ proptest! {
             }
         }
         let mut dense_out = Matrix::filled(prefix + tail, m, f64::NAN);
-        dense.prefix_gram_scaled_into(None, &delta, alpha, &mut dense_out).expect("shapes");
+        dense.prefix_gram_scaled_into(None, None, &delta, alpha, &mut dense_out).expect("shapes");
         prop_assert_eq!(bits(dense_out.as_slice()), bits(reference.as_slice()));
         let mut fast = Matrix::filled(prefix + tail, m, f64::NAN);
-        tails.prefix_gram_scaled_into(Some(&ones), &delta, alpha, &mut fast).expect("shapes");
+        tails.prefix_gram_scaled_into(Some(&ones), None, &delta, alpha, &mut fast).expect("shapes");
         prop_assert_eq!(bits(fast.as_slice()), bits(reference.as_slice()));
+        let live = live_columns(&tails);
+        let mut on_live = Matrix::filled(prefix + tail, m, f64::NAN);
+        tails
+            .prefix_gram_scaled_into(Some(&ones), Some(&live), &delta, alpha, &mut on_live)
+            .expect("shapes");
+        prop_assert_eq!(bits(on_live.as_slice()), bits(fast.as_slice()));
     }
 
     #[test]
@@ -317,7 +339,8 @@ proptest! {
         batch in 0usize..5, split in 0usize..6, seed in 0u64..10_000,
     ) {
         // End to end through the network: TD training on sparse-prefix rows
-        // leaves the parameters training on the densified rows leaves.
+        // leaves the parameters training on the densified rows leaves, and
+        // both leave those of the per-sample path, which skips no column.
         let rows = PREFIX_BATCHES[batch];
         let (prefix, tail) = PREFIX_SPLITS[split];
         let mut rng = StdRng::seed_from_u64(seed);
@@ -325,6 +348,7 @@ proptest! {
         let mut on_dense =
             Mlp::new(&[prefix + tail, 9, 6, 5], Activation::Relu, &mut rng).expect("sizes");
         let mut on_prefix = on_dense.clone();
+        let mut per_sample = on_dense.clone();
         let dense_rows: Vec<PrefixRow> =
             (0..rows).map(|s| PrefixRow::dense(dense.row(s))).collect();
         let prefix_rows: Vec<PrefixRow> =
@@ -332,8 +356,21 @@ proptest! {
         let actions: Vec<usize> = (0..rows).map(|s| s % 5).collect();
         let bootstraps: Vec<f64> = (0..rows).map(|s| s as f64 * 0.125 - 1.0).collect();
         let (mut opt_d, mut opt_p) = (AdamOptimizer::new(0.01), AdamOptimizer::new(0.01));
+        let mut opt_s = AdamOptimizer::new(0.01);
         let (mut ws_d, mut ws_p) = (BatchWorkspace::new(), BatchWorkspace::new());
+        let inputs: Vec<Vec<f64>> = (0..rows).map(|s| dense.row(s).to_vec()).collect();
         for _ in 0..3 {
+            let targets: Vec<Vec<f64>> = inputs
+                .iter()
+                .zip(&actions)
+                .zip(&bootstraps)
+                .map(|((x, &a), &b)| {
+                    let mut t = per_sample.forward(x).expect("arity");
+                    t[a] = b;
+                    t
+                })
+                .collect();
+            let ls = per_sample.train_batch(&inputs, &targets, &mut opt_s).expect("valid batch");
             let ld = on_dense
                 .train_td_batch_ws(0, &dense_rows, &actions, &bootstraps, &mut opt_d, &mut ws_d)
                 .expect("valid batch");
@@ -341,8 +378,10 @@ proptest! {
                 .train_td_batch_ws(prefix, &prefix_rows, &actions, &bootstraps, &mut opt_p, &mut ws_p)
                 .expect("valid batch");
             prop_assert_eq!(ld.to_bits(), lp.to_bits());
+            prop_assert_eq!(ls.to_bits(), lp.to_bits());
         }
         prop_assert_eq!(on_dense.parameter_bits(), on_prefix.parameter_bits());
+        prop_assert_eq!(per_sample.parameter_bits(), on_prefix.parameter_bits());
         let q_dense = on_dense.forward_prefix_batch_ws(0, &dense_rows, &mut ws_d).expect("valid");
         let q_prefix =
             on_prefix.forward_prefix_batch_ws(prefix, &prefix_rows, &mut ws_p).expect("valid");

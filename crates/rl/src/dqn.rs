@@ -67,6 +67,12 @@ pub enum DqnError {
     Network(NetworkError),
     /// Environment step failed.
     Step(StepError),
+    /// The network's Q-value for a valid action is NaN, so no action is
+    /// greedy.
+    NanQValue {
+        /// The first valid action whose Q-value is NaN.
+        action: usize,
+    },
 }
 
 impl fmt::Display for DqnError {
@@ -77,6 +83,7 @@ impl fmt::Display for DqnError {
             }
             DqnError::Network(e) => write!(f, "network error: {e}"),
             DqnError::Step(e) => write!(f, "environment step failed: {e}"),
+            DqnError::NanQValue { action } => write!(f, "Q-value of action {action} is NaN"),
         }
     }
 }
@@ -86,7 +93,7 @@ impl std::error::Error for DqnError {
         match self {
             DqnError::Network(e) => Some(e),
             DqnError::Step(e) => Some(e),
-            DqnError::NoValidActions => None,
+            DqnError::NoValidActions | DqnError::NanQValue { .. } => None,
         }
     }
 }
@@ -116,6 +123,12 @@ pub struct TrainCounters {
     pub bootstrap_misses: u64,
     /// Online → target parameter copies.
     pub target_syncs: u64,
+    /// Rows of the online network's `Wᵀ` (one per layer input) that Adam
+    /// steps visited.
+    pub adam_rows: u64,
+    /// Of those, rows skipped because their moments and gradient were all
+    /// `+0.0`: inputs no sampled state has yet set.
+    pub adam_rows_skipped: u64,
 }
 
 /// A DQN agent bound to a fixed state/action geometry.
@@ -148,14 +161,24 @@ pub struct DqnAgent {
     bootstraps: Vec<f64>,
 }
 
-/// Greedy action over `q` restricted to a non-empty `valid`, ties toward
-/// lower indices.
-fn greedy(q: &[f64], valid: &[usize]) -> usize {
-    valid
-        .iter()
-        .copied()
-        .max_by(|&a, &b| q[a].partial_cmp(&q[b]).expect("finite Q").then(b.cmp(&a)))
-        .expect("non-empty valid set")
+/// Greedy action over `q` restricted to `valid`, ties (under `==`, so
+/// `-0.0` ties `+0.0`) toward lower indices.
+///
+/// # Errors
+///
+/// [`DqnError::NoValidActions`] when `valid` is empty;
+/// [`DqnError::NanQValue`] when a valid action's Q-value is NaN.
+fn greedy(q: &[f64], valid: &[usize]) -> Result<usize, DqnError> {
+    let mut best: Option<usize> = None;
+    for &a in valid {
+        if q[a].is_nan() {
+            return Err(DqnError::NanQValue { action: a });
+        }
+        if best.is_none_or(|b| q[a] > q[b] || (q[a] == q[b] && a < b)) {
+            best = Some(a);
+        }
+    }
+    best.ok_or(DqnError::NoValidActions)
 }
 
 /// ε-greedy choice over `valid`: one `gen_bool(ε)`, then either one
@@ -216,10 +239,12 @@ impl DqnAgent {
         })
     }
 
-    /// Learn-step work counts: how often the memoised target rows hit.
+    /// Learn-step work counts: how often the memoised target rows hit, and
+    /// how many weight rows the optimiser skipped.
     #[doc(hidden)]
     pub fn train_counters(&self) -> TrainCounters {
-        self.counters
+        let (adam_rows, adam_rows_skipped) = self.optimizer.row_counts();
+        TrainCounters { adam_rows, adam_rows_skipped, ..self.counters }
     }
 
     /// Current exploration rate.
@@ -259,7 +284,9 @@ impl DqnAgent {
     ///
     /// # Errors
     ///
-    /// [`DqnError::NoValidActions`] when `valid` is empty.
+    /// [`DqnError::NoValidActions`] when `valid` is empty;
+    /// [`DqnError::NanQValue`] when the network answers NaN for a valid
+    /// action; arity mismatches from the network.
     pub fn act_greedy(&self, state: &[f64], valid: &[usize]) -> Result<usize, DqnError> {
         self.act_greedy_scratch(state, valid, &mut ForwardScratch::default())
     }
@@ -274,7 +301,7 @@ impl DqnAgent {
         if valid.is_empty() {
             return Err(DqnError::NoValidActions);
         }
-        Ok(greedy(self.online.forward_single_scratch(state, scratch)?, valid))
+        greedy(self.online.forward_single_scratch(state, scratch)?, valid)
     }
 
     /// ε-greedy action restricted to `valid`.
@@ -328,7 +355,7 @@ impl DqnAgent {
             let valid = stored.valid();
             // The greedy forward runs in agent-owned scratch.
             let action = epsilon_greedy(self.epsilon, valid, rng, || {
-                Ok(greedy(self.online.forward_single_scratch(&state, &mut self.forward)?, valid))
+                greedy(self.online.forward_single_scratch(&state, &mut self.forward)?, valid)
             })?;
             let tr = env.step(action)?;
             total += tr.reward;
@@ -357,7 +384,8 @@ impl DqnAgent {
     ///
     /// # Errors
     ///
-    /// Propagates environment and network errors.
+    /// Propagates environment and network errors, and
+    /// [`DqnError::NanQValue`] from any step's greedy choice.
     pub fn evaluate_episode(
         &self,
         env: &mut impl Environment,
@@ -746,16 +774,19 @@ mod tests {
     }
 
     /// The paper's 50 × 9 geometry.
-    fn paper_env() -> AllocEnv {
+    fn paper_spec() -> AllocSpec {
         let n = 50;
-        AllocEnv::new(AllocSpec {
+        AllocSpec {
             importances: (0..n).map(|j| (j * 37 % 100) as f64 / 100.0).collect(),
             times: (0..n).map(|j| 0.5 + (j * 13 % 10) as f64 / 10.0).collect(),
             resources: (0..n).map(|j| 0.2 + (j * 7 % 5) as f64 / 10.0).collect(),
             time_limits: vec![4.0; 9],
             capacities: vec![4.0; 9],
-        })
-        .unwrap()
+        }
+    }
+
+    fn paper_env() -> AllocEnv {
+        AllocEnv::new(paper_spec()).unwrap()
     }
 
     #[test]
@@ -776,6 +807,29 @@ mod tests {
     }
 
     #[test]
+    fn adam_skips_most_rows_at_the_long_tail_shape() {
+        // The benchmark shape with paper Obs. 1's long tail: four in five
+        // importances are exactly zero, so 360 of the 477 dense input
+        // columns are zero in every state, and most selection entries are
+        // never set in a short run. Their rows of the first layer's `Wᵀ`
+        // are skipped by Adam. The share measured here is 0.719 (212 435 of
+        // 295 425 rows); the floor of 0.60 sits 12 points below it, so only
+        // a change that turns the skip (mostly) off fails.
+        let mut spec = paper_spec();
+        for (j, importance) in spec.importances.iter_mut().enumerate() {
+            if j % 5 != 0 {
+                *importance = 0.0;
+            }
+        }
+        let config = DqnConfig { hidden: vec![48], ..DqnConfig::default() };
+        let agent = train_with(AllocEnv::new(spec).unwrap(), config, 8, DqnAgent::learn_step);
+        let c = agent.train_counters();
+        let share = c.adam_rows_skipped as f64 / c.adam_rows as f64;
+        assert_eq!(c.adam_rows, c.learn_steps * (927 + 48), "{c:?}");
+        assert!(share > 0.60, "skipped share {share:.3} ({c:?})");
+    }
+
+    #[test]
     fn rollout_matches_an_episode_driven_through_the_reference_forward() {
         // The served decision: `evaluate_episode` on a trained agent at the
         // benchmark shape, against the same episode stepped by hand with
@@ -789,7 +843,7 @@ mod tests {
             let q = agent.online.forward(&state).unwrap();
             let bits = |q: &[f64]| q.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&agent.q_values(&state).unwrap()), bits(&q), "step {}", actions.len());
-            let action = greedy(&q, &env.valid_actions());
+            let action = greedy(&q, &env.valid_actions()).unwrap();
             let tr = env.step(action).unwrap();
             actions.push(action);
             reward += tr.reward;
@@ -797,6 +851,58 @@ mod tests {
         }
         assert!(actions.len() > 1, "a {}-step episode compares nothing", actions.len());
         assert_eq!(agent.evaluate_episode(&mut env).unwrap(), (reward, actions));
+    }
+
+    /// [`Chain`] behind a broken sensor: every state it reports is `+∞`.
+    struct BrokenSensor(Chain);
+
+    impl Environment for BrokenSensor {
+        fn num_actions(&self) -> usize {
+            self.0.num_actions()
+        }
+        fn state_dim(&self) -> usize {
+            self.0.state_dim()
+        }
+        fn reset(&mut self) -> Vec<f64> {
+            self.0.reset();
+            vec![f64::INFINITY; 2]
+        }
+        fn valid_actions(&self) -> Vec<usize> {
+            self.0.valid_actions()
+        }
+        fn step(&mut self, action: usize) -> Result<Transition, StepError> {
+            let tr = self.0.step(action)?;
+            Ok(Transition { state: vec![f64::INFINITY; 2], ..tr })
+        }
+        fn is_terminal(&self) -> bool {
+            self.0.is_terminal()
+        }
+    }
+
+    #[test]
+    fn a_nan_q_value_is_an_error_not_a_panic() {
+        // A NaN input dies at the first ReLU (`max` drops it), but an
+        // infinite one reaches the output layer as `∞ − ∞`.
+        let mut rng = StdRng::seed_from_u64(12);
+        let agent = DqnAgent::new(2, 2, quick_config(), &mut rng).unwrap();
+        let broken = [f64::INFINITY; 2];
+        assert!(agent.q_values(&broken).unwrap().iter().all(|q| q.is_nan()));
+        assert_eq!(agent.act_greedy(&broken, &[1, 0]), Err(DqnError::NanQValue { action: 1 }));
+        assert_eq!(
+            agent.evaluate_episode(&mut BrokenSensor(Chain::new())),
+            Err(DqnError::NanQValue { action: 0 })
+        );
+        assert_eq!(agent.act_greedy(&[f64::NAN; 2], &[0, 1]), Ok(0));
+    }
+
+    #[test]
+    fn greedy_breaks_ties_toward_lower_indices() {
+        let q = [1.0, 3.0, 3.0, -0.0, 0.0, f64::INFINITY];
+        assert_eq!(greedy(&q, &[2, 1, 0]), Ok(1));
+        assert_eq!(greedy(&q, &[4, 3]), Ok(3), "-0.0 ties +0.0");
+        assert_eq!(greedy(&q, &[4, 0]), Ok(0));
+        assert_eq!(greedy(&q, &[1, 5]), Ok(5));
+        assert_eq!(greedy(&q, &[]), Err(DqnError::NoValidActions));
     }
 
     #[test]
