@@ -320,7 +320,7 @@ impl Matrix {
             });
         }
         out.data.fill(0.0);
-        self.matmul_accumulate(0..self.cols, rhs, out);
+        self.matmul_accumulate(rhs.rows_from(0), out);
         Ok(())
     }
 
@@ -380,37 +380,39 @@ impl Matrix {
                 }
             }
         }
+        let prefix = ones.width();
         match live {
-            Some(live) => self.matmul_accumulate(live.iter().copied(), rhs, out),
-            None => self.matmul_accumulate(0..self.cols, rhs, out),
+            Some(live) => {
+                self.matmul_accumulate(live.iter().map(|&c| (c, rhs.row(prefix + c))), out)
+            }
+            None => self.matmul_accumulate(rhs.rows_from(prefix), out),
         }
         Ok(())
     }
 
-    /// `out += self · rhs[k0.., ..]` over the columns `cols` of `self`
-    /// (ascending, each below `self.cols()`), with `k0 = rhs.rows() −
-    /// self.cols()`: the accumulate-from kernel shared by
-    /// [`Matrix::matmul_into`] (`k0 = 0`, every column, `out` zeroed) and
-    /// [`Matrix::matmul_prefix_into`] (`out` seeded with the prefix sums).
-    /// Shapes are the callers' responsibility.
+    /// `out += Σ_(c, w) self[.., c] ⊗ w` over the pairs `cols` yields: the
+    /// columns `c` of `self` to walk, ascending, each with its `out`-wide
+    /// row `w` of the right operand. It is the accumulate-from kernel
+    /// shared by [`Matrix::matmul_into`] (every column and row, `out`
+    /// zeroed) and [`Matrix::matmul_prefix_into`] (the rows after the 0/1
+    /// block, every column or the live ones, `out` seeded with the prefix
+    /// sums). Shapes are the callers' responsibility.
     ///
     /// The kernel computes `MR×NR` register tiles of `out`: the accumulators
     /// for a 4-row × 8-column block are loaded once, live in registers
     /// across the entire walk over `cols` and are stored once (the
     /// store-bound pattern that capped the old k-outer sweep). Each
     /// accumulator adds its terms in column order on top of its seed.
-    fn matmul_accumulate(
+    fn matmul_accumulate<'r>(
         &self,
-        cols: impl Iterator<Item = usize> + Clone,
-        rhs: &Matrix,
+        cols: impl Iterator<Item = (usize, &'r [f64])> + Clone,
         out: &mut Matrix,
     ) {
-        let n = rhs.cols;
+        let n = out.cols;
         let k = self.cols;
         if n == 0 || k == 0 {
             return;
         }
-        let rhs_rows = &rhs.data[(rhs.rows - k) * n..];
         const NR: usize = 8;
         let mut lhs_blocks = self.data.chunks_exact(MR * k);
         let mut out_blocks = out.data.chunks_exact_mut(MR * n);
@@ -427,10 +429,9 @@ impl Matrix {
                 let mut a1: [f64; NR] = o1[j0..j0 + NR].try_into().expect("tile width");
                 let mut a2: [f64; NR] = o2[j0..j0 + NR].try_into().expect("tile width");
                 let mut a3: [f64; NR] = o3[j0..j0 + NR].try_into().expect("tile width");
-                for c in cols.clone() {
+                for (c, rhs_row) in cols.clone() {
                     let (c0, c1, c2, c3) = (l0[c], l1[c], l2[c], l3[c]);
-                    let rv: &[f64; NR] =
-                        rhs_rows[c * n + j0..][..NR].try_into().expect("tile width");
+                    let rv: &[f64; NR] = rhs_row[j0..j0 + NR].try_into().expect("tile width");
                     for t in 0..NR {
                         a0[t] += c0 * rv[t];
                         a1[t] += c1 * rv[t];
@@ -456,10 +457,10 @@ impl Matrix {
                 acc[1][..nt].copy_from_slice(&o1[j0..]);
                 acc[2][..nt].copy_from_slice(&o2[j0..]);
                 acc[3][..nt].copy_from_slice(&o3[j0..]);
-                for c in cols.clone() {
+                for (c, rhs_row) in cols.clone() {
                     let (c0, c1, c2, c3) = (l0[c], l1[c], l2[c], l3[c]);
                     let mut rv = [0.0f64; NR];
-                    rv[..nt].copy_from_slice(&rhs_rows[c * n + j0..][..nt]);
+                    rv[..nt].copy_from_slice(&rhs_row[j0..]);
                     for (t, &x) in rv.iter().enumerate() {
                         acc[0][t] += c0 * x;
                         acc[1][t] += c1 * x;
@@ -479,13 +480,18 @@ impl Matrix {
             .chunks_exact(k)
             .zip(out_blocks.into_remainder().chunks_exact_mut(n))
         {
-            for c in cols.clone() {
+            for (c, rhs_row) in cols.clone() {
                 let x = lhs_row[c];
-                for (o, &w) in out_row.iter_mut().zip(&rhs_rows[c * n..][..n]) {
+                for (o, &w) in out_row.iter_mut().zip(rhs_row) {
                     *o += x * w;
                 }
             }
         }
+    }
+
+    /// Rows `first..` of `self`, each with its index counted from `first`.
+    fn rows_from(&self, first: usize) -> impl Iterator<Item = (usize, &[f64])> + Clone {
+        self.data[first * self.cols..].chunks_exact(self.cols.max(1)).enumerate()
     }
 
     /// Matrix product `self · rhsᵀ` without materialising the transpose.
