@@ -1510,8 +1510,8 @@ mod tests {
     fn adam_skips_exactly_the_rows_never_touched() {
         // Two layers, 3 + 2 rows of `Wᵀ`. Step 1 touches row 1 of layer 0
         // only; step 2 touches nothing, but row 1 is now touched and stays
-        // updated. Rows 0 and 2 of layer 0 and both rows of layer 1 get
-        // `+0.0` gradients throughout.
+        // updated; step 3 gives row 0 of layer 1 a `-0.0`, which has a bit
+        // set. Every other gradient entry is `+0.0` throughout.
         let mut net = Mlp::new(&[3, 2, 1], Activation::Relu, &mut rng(49)).unwrap();
         let mut adam = AdamOptimizer::new(0.01);
         let mut grads: Vec<LayerGrad> =
