@@ -134,6 +134,14 @@ fn ascending_below(mut indices: impl Iterator<Item = usize>, bound: usize) -> bo
     })
 }
 
+/// Appends to `out` the entries of `v` that are not exactly zero, each as
+/// `(offset + index, value)`, in ascending order: the gathered form
+/// [`Matrix::gathered_vecmat_into`] multiplies. NaNs are kept; `±0.0` are
+/// not.
+pub fn gather_nonzero(offset: usize, v: &[f64], out: &mut Vec<(usize, f64)>) {
+    out.extend(v.iter().enumerate().filter(|&(_, &x)| x != 0.0).map(|(k, &x)| (offset + k, x)));
+}
+
 /// Rejects a live-column list that is not strictly ascending below `cols`.
 fn check_live(live: Option<&[usize]>, cols: usize) -> Result<(), DimensionError> {
     match live {
@@ -154,7 +162,7 @@ fn check_live(live: Option<&[usize]>, cols: usize) -> Result<(), DimensionError>
 /// regardless of blocking.
 const MR: usize = 4;
 
-/// Register-tile width of [`Matrix::vecmat_into`]: how many outputs keep
+/// Register-tile width of [`Matrix::gathered_vecmat_into`]: how many outputs keep
 /// their accumulator live across the whole `k` loop. Like [`MR`] it only
 /// affects speed.
 const VR: usize = 16;
@@ -712,52 +720,71 @@ impl Matrix {
         Ok(())
     }
 
-    /// Vector–matrix product `out = vᵀ · self`: `out[j] = Σ_k v[k] ·
-    /// self[k][j]`, `k` ascending — [`Matrix::matvec_into`] on a matrix that
-    /// is stored transposed. This is the single-state inference kernel: with
-    /// `self` a layer's `in × out` weights, a row is one *input's*
-    /// contribution to every output, so the outputs are independent,
-    /// contiguous accumulator chains (in the row-dot form each output is one
-    /// serial add chain), and a row whose `v[k]` is exactly zero is skipped.
+    /// Vector–matrix product over a gathered vector: `out[j] = seed[j] +
+    /// Σ x · self[k][j]` over the `(k, x)` entries of `v`, in list order,
+    /// from `+0.0` when there is no `seed`. This is the single-state
+    /// inference kernel: with `self` a layer's `in × out` weights `Wᵀ`, a
+    /// row is one *input's* contribution to every output, so the outputs are
+    /// independent, contiguous accumulator chains, and `v` lists only the
+    /// inputs that are not exactly zero ([`gather_nonzero`]) — the rest
+    /// cost nothing, not even a test.
     ///
-    /// Accumulators live in `VR`-wide register tiles across the whole `k`
-    /// loop and are stored once. A skipped term is a `±0.0` product (for
-    /// finite `self`) that would have been added to an accumulator which
-    /// starts at `+0.0` and so can never hold `-0.0`: an identity. The
-    /// surviving terms are `matvec_into`'s, in its order, so for finite
-    /// `self` the bits are `self.transpose().matvec_into(v, out)`'s — with
-    /// one exception this kernel shares with the `matmul` family: an output
-    /// whose every term is `-0.0` is `+0.0` here and `-0.0` there, because
-    /// [`dot`]'s `Iterator::sum` starts from `-0.0`.
+    /// Accumulators live in `VR`-wide register tiles across the whole list
+    /// and are stored once; outputs narrower than a tile accumulate in
+    /// `out`. A ragged last tile slides left to end at the last output,
+    /// recomputing the outputs it shares with its neighbour from the same
+    /// seed to the same bits. With `v` the non-zero entries of a dense `x`
+    /// in ascending order and no seed, each output adds the terms of
+    /// [`Matrix::matvec_into`]'s row dot on `self.transpose()`, in its
+    /// order, less the ones with `x[k]` zero: for finite `self` those are
+    /// `±0.0` products added to an accumulator that starts at `+0.0` and so
+    /// can never hold `-0.0` — identities. So the bits are the row dot's,
+    /// with one exception this kernel shares with the `matmul` family: an
+    /// output whose every term is `-0.0` is `+0.0` here and `-0.0` there,
+    /// because [`dot`]'s `Iterator::sum` starts from `-0.0`. Splitting `v`
+    /// into consecutive pieces, each seeded with the previous piece's
+    /// `out`, performs the same operations and gives the same bits.
     ///
     /// # Errors
     ///
-    /// Returns [`DimensionError`] when `self.rows() != v.len()` or
-    /// `out.len() != self.cols()`.
-    pub fn vecmat_into(&self, v: &[f64], out: &mut [f64]) -> Result<(), DimensionError> {
-        if self.rows != v.len() {
-            return Err(DimensionError { op: "vecmat", left: (1, v.len()), right: self.shape() });
-        }
-        if out.len() != self.cols {
+    /// Returns [`DimensionError`] unless `v`'s indices are strictly
+    /// ascending below `self.rows()` and `seed` (if any) and `out` have
+    /// `self.cols()` entries.
+    pub fn gathered_vecmat_into(
+        &self,
+        v: &[(usize, f64)],
+        seed: Option<&[f64]>,
+        out: &mut [f64],
+    ) -> Result<(), DimensionError> {
+        if !ascending_below(v.iter().map(|&(k, _)| k), self.rows) {
+            let top = v.iter().map(|&(k, _)| k + 1).max().unwrap_or(0);
             return Err(DimensionError {
-                op: "vecmat_into(out)",
-                left: (1, out.len()),
-                right: (1, self.cols),
+                op: "gathered_vecmat",
+                left: (1, top),
+                right: self.shape(),
             });
+        }
+        for len in seed.map(<[f64]>::len).into_iter().chain([out.len()]) {
+            if len != self.cols {
+                return Err(DimensionError {
+                    op: "gathered_vecmat_into(seed, out)",
+                    left: (1, len),
+                    right: (1, self.cols),
+                });
+            }
         }
         let n = self.cols;
         if n == 0 {
             return Ok(());
         }
-        let rows = || v.iter().zip(self.data.chunks_exact(n));
         if n < VR {
             // Narrower than a tile: accumulate in `out` itself.
-            out.fill(0.0);
-            for (&x, row) in rows() {
-                if x == 0.0 {
-                    continue;
-                }
-                for (o, &w) in out.iter_mut().zip(row) {
+            match seed {
+                Some(seed) => out.copy_from_slice(seed),
+                None => out.fill(0.0),
+            }
+            for &(k, x) in v {
+                for (o, &w) in out.iter_mut().zip(&self.data[k * n..(k + 1) * n]) {
                     *o += x * w;
                 }
             }
@@ -766,11 +793,12 @@ impl Matrix {
         let mut j0 = 0;
         loop {
             let mut acc = [0.0f64; VR];
-            for (&x, row) in rows() {
-                if x == 0.0 {
-                    continue;
-                }
-                let rv: &[f64; VR] = row[j0..j0 + VR].try_into().expect("tile width");
+            if let Some(seed) = seed {
+                acc.copy_from_slice(&seed[j0..j0 + VR]);
+            }
+            for &(k, x) in v {
+                let start = k * n + j0;
+                let rv: &[f64; VR] = self.data[start..start + VR].try_into().expect("tile width");
                 for c in 0..VR {
                     acc[c] += x * rv[c];
                 }
@@ -779,8 +807,7 @@ impl Matrix {
             if j0 + VR == n {
                 break;
             }
-            // A ragged last tile slides left to end at `n`; the outputs it
-            // shares with its neighbour are computed twice, to the same bits.
+            // A ragged last tile slides left to end at `n`.
             j0 = (j0 + VR).min(n - VR);
         }
         Ok(())
@@ -1268,12 +1295,19 @@ mod tests {
         }
     }
 
+    fn gathered(v: &[f64]) -> Vec<(usize, f64)> {
+        let mut out = Vec::new();
+        gather_nonzero(0, v, &mut out);
+        out
+    }
+
     #[test]
-    fn vecmat_bits_match_matvec_on_the_transpose() {
+    fn gathered_vecmat_bits_match_matvec_on_the_transpose() {
         // Output widths below, at and past the VR-wide tile (the ragged
         // last tile overlaps its neighbour), and both DQN layer shapes.
         // `dense_test_matrix` mixes `±0.0` into weights and inputs alike, so
-        // rows are skipped mid-stream.
+        // gathering drops entries mid-stream. Split into pieces, each seeded
+        // with the one before, the product keeps its bits.
         for (k, n, salt) in [
             (1, 1, 41),
             (9, 15, 42),
@@ -1291,26 +1325,44 @@ mod tests {
             for v in [dense, one_hot] {
                 let mut reference = vec![f64::NAN; n];
                 w.matvec_into(&v, &mut reference).unwrap();
+                let reference: Vec<u64> = reference.iter().map(|x| x.to_bits()).collect();
+                let list = gathered(&v);
                 let mut out = vec![f64::NAN; n];
-                wt.vecmat_into(&v, &mut out).unwrap();
-                assert_eq!(
-                    out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    reference.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    "vecmat_into diverged at {k}x{n}"
-                );
+                wt.gathered_vecmat_into(&list, None, &mut out).unwrap();
+                let bits = |out: &[f64]| out.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), reference, "gathered_vecmat_into diverged at {k}x{n}");
+                for piece in [1, 3, 16] {
+                    let mut acc = vec![0.0; n];
+                    for chunk in list.chunks(piece) {
+                        let seed = acc.clone();
+                        wt.gathered_vecmat_into(chunk, Some(&seed), &mut acc).unwrap();
+                    }
+                    assert_eq!(bits(&acc), reference, "pieces of {piece} diverged at {k}x{n}");
+                }
             }
         }
         // The documented exception: when every term of an output is `-0.0`
         // the row dot (whose `sum` starts from `-0.0`) keeps the sign, and a
-        // `+0.0` accumulator does not.
+        // `+0.0` accumulator does not. (Here the terms are gathered by hand:
+        // `gather_nonzero` would drop the zeros.)
         let wt = Matrix::from_vec(2, 1, vec![-1.0, -2.0]).unwrap();
         let (mut out, mut reference) = ([f64::NAN], [f64::NAN]);
-        wt.vecmat_into(&[0.0, 0.0], &mut out).unwrap();
+        wt.gathered_vecmat_into(&[(0, 0.0), (1, 0.0)], None, &mut out).unwrap();
         wt.transpose().matvec_into(&[0.0, 0.0], &mut reference).unwrap();
         assert_eq!(
             (out[0].to_bits(), reference[0].to_bits()),
             (0.0f64.to_bits(), (-0.0f64).to_bits())
         );
+    }
+
+    #[test]
+    fn gather_keeps_nan_and_drops_both_zeros() {
+        let mut out = vec![(0, 9.0)];
+        gather_nonzero(10, &[0.0, -0.0, f64::NAN, -1.5, f64::INFINITY], &mut out);
+        assert_eq!(out.len(), 4);
+        assert_eq!(out[0], (0, 9.0));
+        assert!(out[1].0 == 12 && out[1].1.is_nan());
+        assert_eq!(&out[2..], &[(13, -1.5), (14, f64::INFINITY)]);
     }
 
     #[test]
@@ -1352,8 +1404,19 @@ mod tests {
         assert!(a.matmul_prefix_into(&ones, Some(&[4]), &b, &mut Matrix::zeros(3, 2)).is_err());
         assert!(a.matvec_into(&[0.0; 3], &mut [0.0; 3]).is_err());
         assert!(a.matvec_into(&[0.0; 4], &mut [0.0; 2]).is_err());
-        assert!(a.vecmat_into(&[0.0; 4], &mut [0.0; 4]).is_err());
-        assert!(a.vecmat_into(&[0.0; 3], &mut [0.0; 3]).is_err());
+        // A gathered list must be strictly ascending below `a.rows()`; seed
+        // and output are `a.cols()` long.
+        for (list, ok) in [
+            (&[(0, 1.0), (2, 1.0)][..], true),
+            (&[(2, 1.0), (0, 1.0)], false),
+            (&[(1, 1.0), (1, 1.0)], false),
+            (&[(3, 1.0)], false),
+        ] {
+            assert_eq!(a.gathered_vecmat_into(list, None, &mut [0.0; 4]).is_ok(), ok, "{list:?}");
+        }
+        assert!(a.gathered_vecmat_into(&[], None, &mut [0.0; 3]).is_err());
+        assert!(a.gathered_vecmat_into(&[], Some(&[0.0; 3]), &mut [0.0; 4]).is_err());
+        assert!(a.gathered_vecmat_into(&[], Some(&[0.0; 4]), &mut [0.0; 4]).is_ok());
     }
 
     #[test]
@@ -1371,13 +1434,14 @@ mod tests {
         let mut mv = [f64::NAN; 3];
         a.matvec_into(&[], &mut mv).unwrap();
         assert!(mv.iter().all(|&x| x == 0.0));
-        // `vecmat_into`: no inputs (narrow and tiled), then no outputs.
+        // `gathered_vecmat_into`: no inputs (narrow and tiled), then no
+        // outputs.
         for n in [2, 51] {
             let mut vm = vec![f64::NAN; n];
-            Matrix::zeros(0, n).vecmat_into(&[], &mut vm).unwrap();
+            Matrix::zeros(0, n).gathered_vecmat_into(&[], None, &mut vm).unwrap();
             assert!(vm.iter().all(|&x| x.to_bits() == 0.0f64.to_bits()));
         }
-        a.vecmat_into(&[1.0; 3], &mut []).unwrap();
+        a.gathered_vecmat_into(&[(2, 1.0)], None, &mut []).unwrap();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! loss, and SGD/Adam optimisers — with no external deep-learning
 //! dependency, as called for by the reproduction's substitution rule.
 
-use crate::linalg::{BinaryRows, Matrix};
+use crate::linalg::{gather_nonzero, BinaryRows, Matrix};
 use rand::Rng;
 use std::fmt;
 
@@ -147,6 +147,20 @@ impl<'a> PrefixRow<'a> {
     pub fn dense(input: &'a [f64]) -> Self {
         Self { ones: &[], tail: input }
     }
+
+    /// The input written out densely, its 0/1 block `prefix` wide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a one sits at or past `prefix`.
+    pub fn to_dense(&self, prefix: usize) -> Vec<f64> {
+        let mut out = vec![0.0; prefix];
+        for &i in self.ones {
+            out[i as usize] = 1.0;
+        }
+        out.extend_from_slice(self.tail);
+        out
+    }
 }
 
 /// Reusable scratch for the batched forward/backward paths.
@@ -210,8 +224,117 @@ fn column_dots(wt: &Matrix, x: &[f64]) -> Vec<f64> {
 /// Reusable scratch for [`Mlp::forward_single_scratch`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ForwardScratch {
+    /// The non-zero inputs of the layer being computed, ascending.
+    gathered: Vec<(usize, f64)>,
     act: Vec<f64>,
     z: Vec<f64>,
+}
+
+/// How many gathered inputs lie between two of [`RolloutForward`]'s
+/// checkpoints of the first layer's accumulators. Like the kernels' tile
+/// widths it affects speed only.
+const CHECKPOINT: usize = 16;
+
+/// Work counts of a [`RolloutForward`]'s calls.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RolloutCounts {
+    /// Single-state forwards run.
+    pub forwards: u64,
+    /// First-layer rows gathered: the non-zero inputs, summed over calls.
+    pub gathered: u64,
+    /// Of those, rows accumulated; the rest were resumed from a checkpoint.
+    pub accumulated: u64,
+}
+
+/// Single-state forwards through one network, for a sequence of inputs
+/// that each differ from the one before in a few entries — the states of
+/// one greedy rollout.
+///
+/// It borrows the network, so the parameters cannot change while it lives,
+/// and keeps the previous call's gathered input with the first layer's
+/// accumulators after every `CHECKPOINT` (16) gathered entries. A call finds
+/// the longest prefix of `(index, value bits)` it shares with the previous
+/// input, restarts from the last checkpoint inside it, and accumulates only
+/// the rest. The skipped operations are the same operations on the same
+/// operands as before, so the outputs are [`Mlp::forward_single`]'s, bit for
+/// bit. (The scratch a training agent owns, [`ForwardScratch`], is tied to
+/// no network and never resumes.)
+#[derive(Debug, Clone)]
+pub struct RolloutForward<'m> {
+    net: &'m Mlp,
+    scratch: ForwardScratch,
+    /// The previous call's gathered input.
+    previous: Vec<(usize, f64)>,
+    /// The first layer's accumulators after `CHECKPOINT`, `2·CHECKPOINT`, …
+    /// entries of `previous`, one output-wide row each.
+    checkpoints: Vec<f64>,
+    counts: RolloutCounts,
+}
+
+impl<'m> RolloutForward<'m> {
+    /// A rollout's forwards through `net`, nothing yet to resume from.
+    pub fn new(net: &'m Mlp) -> Self {
+        Self {
+            net,
+            scratch: ForwardScratch::default(),
+            previous: Vec::new(),
+            checkpoints: Vec::new(),
+            counts: RolloutCounts::default(),
+        }
+    }
+
+    /// [`Mlp::forward_single_scratch`] on `input`, resuming the first layer
+    /// where the previous input and this one agree.
+    ///
+    /// # Errors
+    ///
+    /// As [`Mlp::forward_single_scratch`].
+    pub fn forward(&mut self, prefix: usize, input: PrefixRow<'_>) -> Result<&[f64], NetworkError> {
+        let net = self.net;
+        let Self { scratch, previous, checkpoints, counts, .. } = self;
+        net.gather_input(prefix, input, &mut scratch.gathered)?;
+        let list = &scratch.gathered;
+        let layer = &net.layers[0];
+        let width = layer.bias.len();
+        let shared = list
+            .iter()
+            .zip(previous.iter())
+            .take_while(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
+            .count();
+        // Checkpoints below `from` hold for both lists: each sums a prefix
+        // the two share.
+        let (from, whole) = (shared / CHECKPOINT, list.len() / CHECKPOINT);
+        if checkpoints.len() < whole * width {
+            checkpoints.resize(whole * width, 0.0);
+        }
+        for q in from..whole {
+            let (done, rest) = checkpoints.split_at_mut(q * width);
+            let seed = q.checked_sub(1).map(|p| &done[p * width..]);
+            let piece = &list[q * CHECKPOINT..(q + 1) * CHECKPOINT];
+            accumulate(&layer.wt, piece, seed, &mut rest[..width]);
+        }
+        let seed = whole.checked_sub(1).map(|p| &checkpoints[p * width..(p + 1) * width]);
+        scratch.z.resize(width, 0.0);
+        accumulate(&layer.wt, &list[whole * CHECKPOINT..], seed, &mut scratch.z);
+        counts.forwards += 1;
+        counts.gathered += list.len() as u64;
+        counts.accumulated += (list.len() - from * CHECKPOINT) as u64;
+        std::mem::swap(previous, &mut scratch.gathered);
+        Ok(net.finish_single(scratch))
+    }
+
+    /// Work counts of every call so far.
+    #[doc(hidden)]
+    pub fn counts(&self) -> RolloutCounts {
+        self.counts
+    }
+}
+
+/// `out = seed + Σ x · wt[k]` over the gathered `(k, x)` ([`Matrix::gathered_vecmat_into`]).
+fn accumulate(wt: &Matrix, gathered: &[(usize, f64)], seed: Option<&[f64]>, out: &mut [f64]) {
+    wt.gathered_vecmat_into(gathered, seed, out)
+        .expect("gathered entries ascend below the layer's inputs: validated or built so");
 }
 
 /// A dense feed-forward network.
@@ -329,22 +452,30 @@ impl Mlp {
         Ok(act)
     }
 
-    /// Single-state forward pass ([`Matrix::vecmat_into`] on `Wᵀ`): every
-    /// output of a layer accumulates side by side, and an input that is
-    /// exactly zero — an unset selection entry, a dead ReLU — costs nothing.
-    /// Each output adds the terms of [`Mlp::forward`]'s dot in its order,
-    /// less the exact-zero ones, so for finite weights the result is
-    /// `forward`'s bit for bit (the one pre-activation the kernels can
-    /// disagree on is `±0.0`, and a bias is never `-0.0`: it starts at
-    /// `+0.0` and no optimiser step can produce one). Action selection,
-    /// rollouts and every other one-sample inference go through here.
+    /// Single-state forward pass, the input in sparse-prefix form (its
+    /// first `prefix` entries a 0/1 block; `0` with [`PrefixRow::dense`]
+    /// for a plain input). Each layer gathers its non-zero inputs once, in
+    /// ascending order — the block's ones as `1.0`, then the non-zero
+    /// entries after it — and [`Matrix::gathered_vecmat_into`] runs its
+    /// register tiles over that list alone. Each output adds the terms of
+    /// [`Mlp::forward`]'s dot in its order, less the exact-zero ones, so for
+    /// finite weights the result is `forward`'s bit for bit (the one
+    /// pre-activation the kernels can disagree on is `±0.0`, and a bias is
+    /// never `-0.0`: it starts at `+0.0` and no optimiser step can produce
+    /// one). Action selection, rollouts ([`RolloutForward`]) and every other
+    /// one-sample inference go through here.
     ///
     /// # Errors
     ///
-    /// [`NetworkError::ArityMismatch`] when `input` has the wrong length.
-    pub fn forward_single(&self, input: &[f64]) -> Result<Vec<f64>, NetworkError> {
+    /// [`NetworkError::ArityMismatch`] unless `prefix + input.tail.len()` is
+    /// the input size and `input.ones` are strictly ascending below `prefix`.
+    pub fn forward_single(
+        &self,
+        prefix: usize,
+        input: PrefixRow<'_>,
+    ) -> Result<Vec<f64>, NetworkError> {
         let mut scratch = ForwardScratch::default();
-        self.forward_single_scratch(input, &mut scratch)?;
+        self.forward_single_scratch(prefix, input, &mut scratch)?;
         Ok(scratch.act)
     }
 
@@ -353,29 +484,66 @@ impl Mlp {
     ///
     /// # Errors
     ///
-    /// [`NetworkError::ArityMismatch`] when `input` has the wrong length.
+    /// As [`Mlp::forward_single`].
     pub fn forward_single_scratch<'s>(
         &self,
-        input: &[f64],
+        prefix: usize,
+        input: PrefixRow<'_>,
         scratch: &'s mut ForwardScratch,
     ) -> Result<&'s [f64], NetworkError> {
-        if input.len() != self.input_size() {
+        self.gather_input(prefix, input, &mut scratch.gathered)?;
+        let layer = &self.layers[0];
+        scratch.z.resize(layer.bias.len(), 0.0);
+        accumulate(&layer.wt, &scratch.gathered, None, &mut scratch.z);
+        Ok(self.finish_single(scratch))
+    }
+
+    /// Validates a single-state input and writes its non-zero entries into
+    /// `out`, ascending.
+    fn gather_input(
+        &self,
+        prefix: usize,
+        input: PrefixRow<'_>,
+        out: &mut Vec<(usize, f64)>,
+    ) -> Result<(), NetworkError> {
+        if prefix.checked_add(input.tail.len()) != Some(self.input_size()) {
             return Err(NetworkError::ArityMismatch {
                 expected: self.input_size(),
-                got: input.len(),
+                got: prefix.saturating_add(input.tail.len()),
             });
         }
+        out.clear();
+        let mut next = 0;
+        for &i in input.ones {
+            let i = i as usize;
+            if i < next || i >= prefix {
+                return Err(NetworkError::ArityMismatch { expected: prefix, got: i + 1 });
+            }
+            out.push((i, 1.0));
+            next = i + 1;
+        }
+        gather_nonzero(prefix, input.tail, out);
+        Ok(())
+    }
+
+    /// Finishes a single-state forward whose first layer has accumulated
+    /// into `scratch.z`: that layer's bias and activation, then every later
+    /// layer over the gathered non-zero activations of the one below.
+    fn finish_single<'s>(&self, scratch: &'s mut ForwardScratch) -> &'s [f64] {
+        let ForwardScratch { gathered, act, z } = scratch;
         for (li, layer) in self.layers.iter().enumerate() {
-            let ForwardScratch { act, z } = &mut *scratch;
-            let src: &[f64] = if li == 0 { input } else { act };
-            z.resize(layer.bias.len(), 0.0);
-            layer.wt.vecmat_into(src, z).expect("sizes consistent by construction");
+            if li > 0 {
+                gathered.clear();
+                gather_nonzero(0, act, gathered);
+                z.resize(layer.bias.len(), 0.0);
+                accumulate(&layer.wt, gathered, None, z);
+            }
             for (zi, &b) in z.iter_mut().zip(&layer.bias) {
                 *zi = layer.activation.apply(*zi + b);
             }
             std::mem::swap(act, z);
         }
-        Ok(&scratch.act)
+        act
     }
 
     /// Forward pass retaining pre-activations and activations per layer, for
@@ -1350,9 +1518,10 @@ mod tests {
             let reference = net.forward(&x).unwrap();
             let batched = net.forward_prefix_batch_ws(0, &[PrefixRow::dense(&x)], &mut ws).unwrap();
             assert_eq!(batched.row(0), &reference[..]);
-            assert_eq!(net.forward_single_scratch(&x, &mut scratch).unwrap(), &reference[..]);
+            let single = net.forward_single_scratch(0, PrefixRow::dense(&x), &mut scratch);
+            assert_eq!(single.unwrap(), &reference[..]);
         }
-        assert!(net.forward_single_scratch(&[0.0; 4], &mut scratch).is_err());
+        assert!(net.forward_single_scratch(0, PrefixRow::dense(&[0.0; 4]), &mut scratch).is_err());
     }
 
     /// The three forwards read the one `Wᵀ` three ways: [`Mlp::forward`]
@@ -1371,7 +1540,7 @@ mod tests {
                 let (row, reference) = (batched.row(s), net.forward(x).unwrap());
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
-                    bits(&net.forward_single(x).unwrap()),
+                    bits(&net.forward_single(0, PrefixRow::dense(x)).unwrap()),
                     bits(&reference),
                     "single-state forward diverged after {writer}"
                 );

@@ -1,10 +1,10 @@
 //! Property-based tests of the ML substrate's core invariants.
 
 use learn::dataset::{Dataset, Standardizer};
-use learn::linalg::{dot, euclidean_distance, BinaryRows, Matrix};
+use learn::linalg::{dot, euclidean_distance, gather_nonzero, BinaryRows, Matrix};
 use learn::linear::RidgeRegression;
 use learn::metrics::{mae, prediction_accuracy, rmse};
-use learn::nn::{Activation, AdamOptimizer, BatchWorkspace, Mlp, PrefixRow};
+use learn::nn::{Activation, AdamOptimizer, BatchWorkspace, Mlp, PrefixRow, RolloutForward};
 use learn::transfer::fit_biased_ridge;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,6 +16,12 @@ fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// [`bits`], with every NaN as one pattern: which NaN an operation on two
+/// NaNs returns depends on operand order, which the compiler may swap.
+fn nan_blind_bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() }).collect()
 }
 
 /// Reference `C[i][j] = Σ_k A[i][k]·B[k][j]` with `k` strictly ascending —
@@ -127,6 +133,67 @@ fn vecmat_input(rng: &mut StdRng, kind: usize, len: usize) -> Vec<f64> {
             },
         })
         .collect()
+}
+
+/// `(hidden, outputs)` widths of the gathered-forward oracle: below, at
+/// and past the 16-wide tile, and ragged (51).
+const FORWARD_WIDTHS: [(usize, usize); 7] =
+    [(1, 3), (5, 15), (15, 16), (16, 17), (17, 51), (48, 51), (51, 7)];
+
+/// A sparse-prefix input: ascending ones in a `prefix`-wide block and a
+/// `tail`-long remainder. Kind 0 is an all-zero row (`±0.0`, no ones);
+/// kind 1 mixes ones, `±0.0` and finite values of both signs; kind 2 adds
+/// NaN and `±∞`; kind 3 is every entry non-zero.
+fn prefix_input(rng: &mut StdRng, prefix: usize, tail: usize, kind: usize) -> (Vec<u32>, Vec<f64>) {
+    use rand::Rng;
+    let ones = match kind {
+        0 => Vec::new(),
+        3 => (0..prefix as u32).collect(),
+        _ => (0..prefix as u32).filter(|_| rng.gen_bool(0.3)).collect(),
+    };
+    let values = (0..tail)
+        .map(|_| match (kind, rng.gen_range(0..8)) {
+            (0, k) => [0.0, -0.0][k % 2],
+            (3, _) => rng.gen_range(0.5..2.0) * [1.0, -1.0][rng.gen_range(0..2)],
+            (_, 0) => 0.0,
+            (_, 1) => -0.0,
+            (2, 2) => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3)],
+            _ => rng.gen_range(-10.0..10.0),
+        })
+        .collect();
+    (ones, values)
+}
+
+/// One edit of [`resumed_forward_bits_match_a_fresh_call`]'s chain. Steps
+/// 1–3 change the first, a middle and the last non-zero entry (a one moves
+/// to a free slot); step 4 zeroes a non-zero tail entry, step 5 sets a
+/// zero one; later steps pick one of those at random.
+fn edit(rng: &mut StdRng, ones: &mut Vec<u32>, values: &mut [f64], prefix: usize, step: usize) {
+    use rand::Rng;
+    let live: Vec<usize> = (0..values.len()).filter(|&c| values[c] != 0.0).collect();
+    let dead: Vec<usize> = (0..values.len()).filter(|&c| values[c] == 0.0).collect();
+    let positions = ones.len() + live.len();
+    let kind = if step <= 5 { step } else { rng.gen_range(1..6) };
+    let at = match kind {
+        1 => Some(0),
+        2 => Some(positions / 2),
+        3 => Some(positions - 1),
+        _ => None,
+    };
+    match (kind, at) {
+        (_, Some(p)) if p < ones.len() => {
+            let free: Vec<u32> = (0..prefix as u32).filter(|i| !ones.contains(i)).collect();
+            ones.remove(p);
+            if let Some(&to) = free.get(rng.gen_range(0..free.len().max(1))) {
+                let at = ones.partition_point(|&i| i < to);
+                ones.insert(at, to);
+            }
+        }
+        (_, Some(p)) => values[live[p - ones.len()]] += 0.5,
+        (4, None) if !live.is_empty() => values[live[rng.gen_range(0..live.len())]] = -0.0,
+        _ if !dead.is_empty() => values[dead[rng.gen_range(0..dead.len())]] = 1.25,
+        _ => {}
+    }
 }
 
 proptest! {
@@ -406,7 +473,7 @@ proptest! {
     }
 
     #[test]
-    fn vecmat_bits_match_matvec_on_the_transpose(
+    fn gathered_vecmat_bits_match_matvec_on_the_transpose(
         shape in 0usize..8, kind in 0usize..5, seed in 0u64..10_000,
     ) {
         // The kernel on `Wᵀ` against the frozen row-dot reference on `W`.
@@ -426,8 +493,10 @@ proptest! {
         let x = vecmat_input(&mut rng, kind, k);
         let mut reference = vec![f64::NAN; n];
         wt.transpose().matvec_into(&x, &mut reference).expect("shapes");
+        let mut gathered = Vec::new();
+        gather_nonzero(0, &x, &mut gathered);
         let mut fast = vec![f64::NAN; n];
-        wt.vecmat_into(&x, &mut fast).expect("shapes");
+        wt.gathered_vecmat_into(&gathered, None, &mut fast).expect("shapes");
         prop_assert_eq!(bits(&fast), bits(&reference));
     }
 
@@ -443,8 +512,71 @@ proptest! {
         let net = Mlp::new(&[13, hidden, 19], Activation::Relu, &mut rng).expect("valid sizes");
         let x = vecmat_input(&mut rng, kind, 13);
         let reference = net.forward(&x).expect("arity");
-        let single = net.forward_single(&x).expect("arity");
+        let single = net.forward_single(0, PrefixRow::dense(&x)).expect("arity");
         prop_assert_eq!(bits(&reference), bits(&single));
+    }
+
+    #[test]
+    fn gathered_forward_bits_match_reference(
+        seed in 0u64..10_000,
+        shape in 0usize..7,
+        kind in 0usize..4,
+        relu in 0usize..2,
+    ) {
+        // The single-state forward on a sparse-prefix input — ones gathered
+        // as `1.0`, then the tail's non-zero entries — against `forward` on
+        // the input written out dense, hidden and output widths below,
+        // at and past the 16-wide tile (51 is ragged), finite weights
+        // throughout. Fresh and rollout scratch alike.
+        let (hidden, outputs) = FORWARD_WIDTHS[shape];
+        let (prefix, tail) = (20, 30);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let activation = [Activation::Tanh, Activation::Relu][relu];
+        let net = Mlp::new(&[prefix + tail, hidden, outputs], activation, &mut rng)
+            .expect("valid sizes");
+        let (ones, values) = prefix_input(&mut rng, prefix, tail, kind);
+        let row = PrefixRow { ones: &ones, tail: &values };
+        let reference = nan_blind_bits(&net.forward(&row.to_dense(prefix)).expect("arity"));
+        let single = net.forward_single(prefix, row).expect("valid row");
+        prop_assert_eq!(nan_blind_bits(&single), reference.clone());
+        let mut rollout = RolloutForward::new(&net);
+        let resumable = rollout.forward(prefix, row).expect("valid row");
+        prop_assert_eq!(nan_blind_bits(resumable), reference);
+    }
+
+    #[test]
+    fn resumed_forward_bits_match_a_fresh_call(seed in 0u64..10_000) {
+        // One rollout scratch through a chain of edits to one input, each
+        // made at a chosen place in its gathered list: the first, a middle
+        // and the last non-zero entry change value (a one moves instead), an
+        // entry turns zero, a zero turns non-zero, then random edits. Every
+        // resumed call equals a fresh call and the dense reference, and an
+        // edit at the last entry resumes all but the last checkpoint's
+        // worth of rows.
+        let (prefix, tail) = (24, 56);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = Mlp::new(&[prefix + tail, 51, 9], Activation::Relu, &mut rng)
+            .expect("valid sizes");
+        let (mut ones, mut values) = prefix_input(&mut rng, prefix, tail, 1);
+        let mut rollout = RolloutForward::new(&net);
+        for step in 0..12 {
+            if step > 0 {
+                edit(&mut rng, &mut ones, &mut values, prefix, step);
+            }
+            let row = PrefixRow { ones: &ones, tail: &values };
+            let before = rollout.counts();
+            let resumed = bits(rollout.forward(prefix, row).expect("valid row"));
+            let after = rollout.counts();
+            prop_assert_eq!(&resumed, &bits(&net.forward_single(prefix, row).expect("valid row")));
+            prop_assert_eq!(&resumed, &bits(&net.forward(&row.to_dense(prefix)).expect("arity")));
+            let gathered = after.gathered - before.gathered;
+            let accumulated = after.accumulated - before.accumulated;
+            prop_assert!(accumulated <= gathered);
+            if step == 3 {
+                prop_assert!(gathered >= 32, "{gathered} gathered rows resume nothing");
+                prop_assert!(accumulated <= 16, "{accumulated} of {gathered} rows accumulated");
+            }
+        }
     }
 
     #[test]

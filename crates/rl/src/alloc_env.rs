@@ -14,6 +14,7 @@
 //!   the summed importance of every assigned task (the TATIM objective).
 
 use crate::mdp::{Environment, StepError, Transition};
+use learn::nn::PrefixRow;
 use std::fmt;
 
 /// A TATIM instance as the RL layer sees it: task demands, importances, and
@@ -44,6 +45,9 @@ pub enum SpecError {
     BadValue,
     /// `time_limits` and `capacities` differ in length.
     RaggedLimits,
+    /// `N·M` selection entries do not fit the `u32` indices a state hands
+    /// out.
+    TooLarge,
 }
 
 impl fmt::Display for SpecError {
@@ -55,6 +59,7 @@ impl fmt::Display for SpecError {
             SpecError::RaggedLimits => {
                 write!(f, "time-limit count differs from the processor count")
             }
+            SpecError::TooLarge => write!(f, "tasks × processors exceeds u32 state indices"),
         }
     }
 }
@@ -116,11 +121,18 @@ impl AllocSpec {
 }
 
 /// The allocation environment (one episode = one allocation round).
+///
+/// The encoded state is kept in place: the ascending indices of the
+/// selection matrix's ones, and a dense tail — the environment matrix
+/// (built once, with the environment), the normalised residual budgets and
+/// the cursor one-hot. An assignment inserts one index and rewrites its
+/// processor's two residual entries; an advance moves the cursor entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AllocEnv {
     spec: AllocSpec,
     /// Assignment of each task (`None` = unassigned).
     assignment: Vec<Option<usize>>,
+    unassigned: usize,
     /// Residual time per processor.
     residual_time: Vec<f64>,
     /// Residual resource per processor.
@@ -128,8 +140,10 @@ pub struct AllocEnv {
     /// Processor currently being filled.
     cursor: usize,
     done: bool,
-    /// Normalisation constants frozen at construction.
-    max_capacity: f64,
+    /// Ascending `j·M + p` of the selection matrix's ones.
+    ones: Vec<u32>,
+    /// Every state entry after the selection matrix.
+    tail: Vec<f64>,
 }
 
 impl AllocEnv {
@@ -137,19 +151,36 @@ impl AllocEnv {
     ///
     /// # Errors
     ///
-    /// Propagates [`SpecError`] from validation.
+    /// Propagates [`SpecError`] from validation; [`SpecError::TooLarge`]
+    /// when the selection matrix's `N·M` entries do not fit `u32` indices.
     pub fn new(spec: AllocSpec) -> Result<Self, SpecError> {
         spec.validate()?;
+        let (n, m) = (spec.num_tasks(), spec.num_processors());
+        if n.checked_mul(m).is_none_or(|nm| u32::try_from(nm).is_err()) {
+            return Err(SpecError::TooLarge);
+        }
+        // Environment matrix e = [I_j × V_p], normalised by max capacity.
         let max_capacity = spec.capacities.iter().copied().fold(0.0f64, f64::max).max(1e-12);
-        Ok(Self {
-            assignment: vec![None; spec.num_tasks()],
+        let mut tail = Vec::with_capacity(Self::state_dim_for(n, m) - n * m);
+        for &i in &spec.importances {
+            for &v in &spec.capacities {
+                tail.push(i * v / max_capacity);
+            }
+        }
+        tail.resize(tail.len() + 3 * m, 0.0);
+        let mut env = Self {
+            assignment: vec![None; n],
+            unassigned: n,
             residual_time: spec.time_limits.clone(),
             residual_resource: spec.capacities.clone(),
             cursor: 0,
-            done: spec.num_tasks() == 0,
-            max_capacity,
+            done: n == 0,
+            ones: Vec::new(),
+            tail,
             spec,
-        })
+        };
+        env.restart();
+        Ok(env)
     }
 
     /// The instance being allocated.
@@ -184,34 +215,44 @@ impl AllocEnv {
         num_tasks + 1
     }
 
-    fn encode(&self) -> Vec<f64> {
-        let n = self.spec.num_tasks();
-        let m = self.spec.num_processors();
-        let mut s = Vec::with_capacity(Self::state_dim_for(n, m));
-        // Selection matrix S.
-        for j in 0..n {
-            for p in 0..m {
-                s.push(f64::from(self.assignment[j] == Some(p)));
-            }
-        }
-        // Environment matrix e = [I_j × V_p], normalised by max capacity.
-        for &i in &self.spec.importances {
-            for &v in &self.spec.capacities {
-                s.push(i * v / self.max_capacity);
-            }
-        }
-        // Residual budgets, normalised per processor.
-        for (&t, &limit) in self.residual_time.iter().zip(&self.spec.time_limits) {
-            s.push(t / limit.max(1e-12));
-        }
-        for (&r, &c) in self.residual_resource.iter().zip(&self.spec.capacities) {
-            s.push(r / c.max(1e-12));
-        }
-        // Cursor one-hot.
+    /// Where the residual-time entries start in the tail; the residual
+    /// resources and then the cursor one-hot follow, `M` entries each.
+    fn budgets_at(&self) -> usize {
+        self.spec.num_tasks() * self.spec.num_processors()
+    }
+
+    /// Restores every budget and the cursor, and rewrites their entries.
+    fn restart(&mut self) {
+        self.assignment.fill(None);
+        self.unassigned = self.spec.num_tasks();
+        self.residual_time.clone_from(&self.spec.time_limits);
+        self.residual_resource.clone_from(&self.spec.capacities);
+        self.cursor = 0;
+        self.done = self.unassigned == 0;
+        self.ones.clear();
+        let (at, m) = (self.budgets_at(), self.spec.num_processors());
         for p in 0..m {
-            s.push(f64::from(p == self.cursor && !self.done));
+            self.write_budgets(p);
         }
-        s
+        self.tail[at + 2 * m..].fill(0.0);
+        self.set_cursor_entry(1.0);
+    }
+
+    /// Rewrites processor `p`'s two residual entries, normalised per
+    /// processor.
+    fn write_budgets(&mut self, p: usize) {
+        let (at, m) = (self.budgets_at(), self.spec.num_processors());
+        self.tail[at + p] = self.residual_time[p] / self.spec.time_limits[p].max(1e-12);
+        self.tail[at + m + p] = self.residual_resource[p] / self.spec.capacities[p].max(1e-12);
+    }
+
+    /// Writes `value` into the cursor's one-hot entry, if the episode is
+    /// still running (a finished episode has no cursor entry).
+    fn set_cursor_entry(&mut self, value: f64) {
+        if !self.done {
+            let at = self.budgets_at() + 2 * self.spec.num_processors() + self.cursor;
+            self.tail[at] = value;
+        }
     }
 
     fn fits(&self, task: usize) -> bool {
@@ -220,12 +261,30 @@ impl AllocEnv {
             && self.spec.resources[task] <= self.residual_resource[self.cursor] + 1e-12
     }
 
-    fn advance_cursor(&mut self) {
-        self.cursor += 1;
-        if self.cursor >= self.spec.num_processors() || self.assignment.iter().all(Option::is_some)
-        {
+    fn assign(&mut self, task: usize) {
+        let p = self.cursor;
+        self.assignment[task] = Some(p);
+        self.unassigned -= 1;
+        self.residual_time[p] -= self.spec.times[task];
+        self.residual_resource[p] -= self.spec.resources[task];
+        self.write_budgets(p);
+        // `new` checked that every `j·M + p` fits.
+        let index = (task * self.spec.num_processors() + p) as u32;
+        let at = self.ones.partition_point(|&i| i < index);
+        self.ones.insert(at, index);
+        if self.unassigned == 0 {
+            self.set_cursor_entry(0.0);
             self.done = true;
         }
+    }
+
+    fn advance_cursor(&mut self) {
+        self.set_cursor_entry(0.0);
+        self.cursor += 1;
+        if self.cursor >= self.spec.num_processors() || self.unassigned == 0 {
+            self.done = true;
+        }
+        self.set_cursor_entry(1.0);
     }
 }
 
@@ -239,12 +298,13 @@ impl Environment for AllocEnv {
     }
 
     fn reset(&mut self) -> Vec<f64> {
-        self.assignment.iter_mut().for_each(|a| *a = None);
-        self.residual_time.clone_from(&self.spec.time_limits);
-        self.residual_resource.clone_from(&self.spec.capacities);
-        self.cursor = 0;
-        self.done = self.spec.num_tasks() == 0;
-        self.encode()
+        self.restart();
+        self.state().to_dense(self.budgets_at())
+    }
+
+    /// The selection matrix `S` is the 0/1 block.
+    fn state(&self) -> PrefixRow<'_> {
+        PrefixRow { ones: &self.ones, tail: &self.tail }
     }
 
     fn valid_actions(&self) -> Vec<usize> {
@@ -271,30 +331,53 @@ impl Environment for AllocEnv {
             if !self.fits(action) {
                 return Err(StepError::InvalidAction { action });
             }
-            self.assignment[action] = Some(self.cursor);
-            self.residual_time[self.cursor] -= self.spec.times[action];
-            self.residual_resource[self.cursor] -= self.spec.resources[action];
-            if self.assignment.iter().all(Option::is_some) {
-                self.done = true;
-            }
+            self.assign(action);
         }
         let reward = if self.done { self.assigned_value() } else { 0.0 };
-        Ok(Transition { state: self.encode(), reward, done: self.done })
+        Ok(Transition { reward, done: self.done })
     }
 
     fn is_terminal(&self) -> bool {
         self.done
-    }
-
-    /// The selection matrix `S` leads the encoding.
-    fn binary_prefix(&self) -> usize {
-        self.spec.num_tasks() * self.spec.num_processors()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The state encoded from scratch: the reference the in-place state is
+    /// held to.
+    fn encode(env: &AllocEnv) -> Vec<f64> {
+        let n = env.spec.num_tasks();
+        let m = env.spec.num_processors();
+        let max_capacity = env.spec.capacities.iter().copied().fold(0.0f64, f64::max).max(1e-12);
+        let mut s = Vec::with_capacity(AllocEnv::state_dim_for(n, m));
+        // Selection matrix S.
+        for j in 0..n {
+            for p in 0..m {
+                s.push(f64::from(env.assignment[j] == Some(p)));
+            }
+        }
+        // Environment matrix e = [I_j × V_p], normalised by max capacity.
+        for &i in &env.spec.importances {
+            for &v in &env.spec.capacities {
+                s.push(i * v / max_capacity);
+            }
+        }
+        // Residual budgets, normalised per processor.
+        for (&t, &limit) in env.residual_time.iter().zip(&env.spec.time_limits) {
+            s.push(t / limit.max(1e-12));
+        }
+        for (&r, &c) in env.residual_resource.iter().zip(&env.spec.capacities) {
+            s.push(r / c.max(1e-12));
+        }
+        // Cursor one-hot.
+        for p in 0..m {
+            s.push(f64::from(p == env.cursor && !env.done));
+        }
+        s
+    }
 
     fn spec() -> AllocSpec {
         AllocSpec {
@@ -433,27 +516,115 @@ mod tests {
         assert!(matches!(env.step(9), Err(StepError::UnknownAction { action: 9, num_actions: 4 })));
     }
 
+    /// A random instance on dyadic numbers, so budgets subtract exactly and
+    /// can reach `0.0`: zero (and `-0.0`) importances, per-processor
+    /// limits, tasks too slow or too big for every processor, and sizes of
+    /// zero.
+    fn random_spec(rng: &mut rand::rngs::StdRng) -> AllocSpec {
+        use rand::Rng;
+        let (n, m) = (rng.gen_range(0..9), rng.gen_range(1..5));
+        let mut dyadic = |max: u32| f64::from(rng.gen_range(0..=max)) / 4.0;
+        AllocSpec {
+            importances: (0..n)
+                .map(|_| [0.0, -0.0, 0.5, 0.75, 1.0][(dyadic(16) as usize) % 5])
+                .collect(),
+            times: (0..n).map(|_| dyadic(12)).collect(),
+            resources: (0..n).map(|_| dyadic(12)).collect(),
+            time_limits: (0..m).map(|_| dyadic(10)).collect(),
+            capacities: (0..m).map(|_| dyadic(10)).collect(),
+        }
+    }
+
     #[test]
-    fn binary_prefix_is_the_selection_matrix_along_random_episodes() {
+    fn in_place_state_equals_the_encoding_after_every_step() {
+        // A property over random instances and random episodes: after
+        // `reset` and after every step, the state kept in place, written
+        // out densely, equals `encode()` bit for bit, its ones are strictly
+        // ascending, and a budget entry that reached exactly `0.0` is `+0.0`
+        // and so leaves the gathered input. The run must see every case it
+        // exists for; the counts say it did (60 all-assigned endings, the
+        // rarest, at this seed).
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut rng = StdRng::seed_from_u64(5);
-        let mut env = AllocEnv::new(spec()).unwrap();
-        assert_eq!(env.binary_prefix(), 3 * 2);
-        for _ in 0..20 {
-            let mut state = env.reset();
-            loop {
-                let block = &state[..env.binary_prefix()];
-                assert!(block.iter().all(|&x| x.to_bits() == 0f64.to_bits() || x == 1.0));
-                let assigned = env.assignment().iter().flatten().count();
-                assert_eq!(block.iter().filter(|&&x| x == 1.0).count(), assigned);
-                if env.is_terminal() {
-                    break;
+        let (mut all_assigned, mut last_advance, mut zeroed, mut unfit, mut empty) =
+            (0, 0, 0, 0, 0);
+        for _ in 0..400 {
+            let spec = random_spec(&mut rng);
+            let (n, m) = (spec.num_tasks(), spec.num_processors());
+            let max_limit = spec.time_limits.iter().copied().fold(0.0, f64::max);
+            unfit += spec.times.iter().filter(|&&t| t > max_limit).count();
+            let mut env = AllocEnv::new(spec).unwrap();
+            for _ in 0..3 {
+                let reset = env.reset();
+                assert_eq!(bits(&reset), bits(&encode(&env)));
+                empty += usize::from(env.is_terminal());
+                loop {
+                    let row = env.state();
+                    assert_eq!(bits(&row.to_dense(n * m)), bits(&encode(&env)));
+                    assert!(row.ones.windows(2).all(|w| w[0] < w[1]));
+                    let mut gathered = Vec::new();
+                    learn::linalg::gather_nonzero(0, row.tail, &mut gathered);
+                    for (p, budget) in env.residual_time.iter().enumerate() {
+                        if *budget == 0.0 && env.spec.time_limits[p] > 0.0 {
+                            zeroed += 1;
+                            assert_eq!(row.tail[n * m + p].to_bits(), 0f64.to_bits());
+                            assert!(gathered.iter().all(|&(c, _)| c != n * m + p));
+                        }
+                    }
+                    if env.is_terminal() {
+                        break;
+                    }
+                    let valid = env.valid_actions();
+                    let advance = rng.gen_bool(0.05) || valid.len() == 1;
+                    let action = if advance { n } else { valid[rng.gen_range(0..valid.len() - 1)] };
+                    if env.step(action).unwrap().done {
+                        if env.assignment().iter().all(Option::is_some) {
+                            all_assigned += 1;
+                        } else {
+                            assert_eq!(action, n);
+                            last_advance += 1;
+                        }
+                    }
                 }
-                let valid = env.valid_actions();
-                state = env.step(valid[rng.gen_range(0..valid.len())]).unwrap().state;
+                assert!(row_has_no_cursor(&env));
             }
         }
+        for (case, count) in [
+            ("episodes ending all-assigned", all_assigned),
+            ("episodes ending by the last advance", last_advance),
+            ("budget entries at exactly 0.0", zeroed),
+            ("tasks too slow for every processor", unfit),
+            ("episodes with no tasks", empty),
+        ] {
+            assert!(count >= 20, "only {count} {case}");
+        }
+    }
+
+    /// Whether the cursor's one-hot block is all `+0.0`, as it must be once
+    /// an episode is over.
+    fn row_has_no_cursor(env: &AllocEnv) -> bool {
+        let at = env.budgets_at() + 2 * env.spec.num_processors();
+        env.tail[at..].iter().all(|x| x.to_bits() == 0f64.to_bits())
+    }
+
+    #[test]
+    fn a_selection_matrix_past_u32_indices_is_rejected() {
+        // 65 536 × 65 537 = 2³² + 2¹⁶ entries: past `u32`, yet each vector
+        // is short. Rejected before any state is allocated.
+        let (n, m) = (1 << 16, (1 << 16) + 1);
+        let spec = AllocSpec {
+            importances: vec![0.5; n],
+            times: vec![1.0; n],
+            resources: vec![1.0; n],
+            time_limits: vec![1.0; m],
+            capacities: vec![1.0; m],
+        };
+        assert_eq!(AllocEnv::new(spec.clone()), Err(SpecError::TooLarge));
+        assert!(SpecError::TooLarge.to_string().contains("u32"));
+        let fits = AllocSpec { capacities: vec![1.0; 2], time_limits: vec![1.0; 2], ..spec };
+        assert!(AllocEnv::new(fits).is_ok());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! ⟨S, A, P, r, λ⟩" (§III-B). [`Environment`] exposes encoded (vector)
 //! states for function-approximation agents like the DQN.
 
+use learn::nn::PrefixRow;
 use std::fmt;
 
 /// Error returned when stepping an environment with an unusable action.
@@ -41,11 +42,10 @@ impl fmt::Display for StepError {
 
 impl std::error::Error for StepError {}
 
-/// One environment transition.
-#[derive(Debug, Clone, PartialEq)]
+/// What one environment step returned; the successor state is
+/// [`Environment::state`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transition {
-    /// Encoded successor state.
-    pub state: Vec<f64>,
     /// Immediate reward.
     pub reward: f64,
     /// Whether the episode ended with this step.
@@ -55,6 +55,11 @@ pub struct Transition {
 /// An episodic environment with vector-encoded states and a *masked*
 /// discrete action space (invalid actions are reported per state, the way
 /// the allocation MDP constrains placements to fitting processors).
+///
+/// The state is handed out in sparse-prefix form ([`PrefixRow`]): the
+/// ascending indices of the ones in a leading 0/1 block, then every entry
+/// after it. The block is `state_dim() - state().tail.len()` wide; a
+/// plain dense state is the width-0 case.
 pub trait Environment {
     /// Size of the (fixed) action space.
     fn num_actions(&self) -> usize;
@@ -62,8 +67,13 @@ pub trait Environment {
     /// Length of the encoded state vector.
     fn state_dim(&self) -> usize;
 
-    /// Starts a new episode, returning the initial encoded state.
+    /// Starts a new episode, returning its initial state written out
+    /// densely — what a probe of a context's starting state sends as a
+    /// plain input. Agents read [`Environment::state`] instead.
     fn reset(&mut self) -> Vec<f64>;
+
+    /// The current state.
+    fn state(&self) -> PrefixRow<'_>;
 
     /// Actions valid in the current state. Never empty unless the episode
     /// is over.
@@ -79,13 +89,6 @@ pub trait Environment {
 
     /// Whether the current episode has ended.
     fn is_terminal(&self) -> bool;
-
-    /// The first this-many entries of every encoded state are exactly `0.0`
-    /// or `1.0`. Agents may store and multiply that block by index instead
-    /// of by value; `0` (the default) promises nothing.
-    fn binary_prefix(&self) -> usize {
-        0
-    }
 }
 
 #[cfg(test)]

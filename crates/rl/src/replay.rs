@@ -13,9 +13,9 @@ use learn::nn::PrefixRow;
 use rand::Rng;
 use std::sync::Arc;
 
-/// An encoded state as the replay keeps it: the ascending indices of the
-/// ones in its binary prefix ([`crate::mdp::Environment::binary_prefix`]),
-/// every entry after that prefix, and the actions valid in it.
+/// An encoded state as the replay keeps it: a copy of the environment's
+/// [`PrefixRow`] (the ascending indices of the ones in its 0/1 block, then
+/// every entry after it) and the actions valid in it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredState {
     ones: Vec<u32>,
@@ -24,25 +24,10 @@ pub struct StoredState {
 }
 
 impl StoredState {
-    /// Compacts `state`, whose first `binary_prefix` entries must be exactly
-    /// `0.0` or `1.0`, and records the actions `valid` in it (empty when
+    /// Copies `state` and records the actions `valid` in it (empty when
     /// terminal).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prefix is longer than `state` or holds any other value
-    /// — an environment that breaks its own `binary_prefix` promise.
-    pub fn new(state: &[f64], binary_prefix: usize, valid: Vec<usize>) -> Self {
-        let (block, tail) = state.split_at(binary_prefix);
-        let mut ones = Vec::new();
-        for (i, &x) in block.iter().enumerate() {
-            if x == 1.0 {
-                ones.push(u32::try_from(i).expect("state index fits u32"));
-            } else {
-                assert!(x == 0.0, "binary prefix entry {i} is {x}, not 0 or 1");
-            }
-        }
-        Self { ones, tail: tail.to_vec(), valid }
+    pub fn new(state: PrefixRow<'_>, valid: Vec<usize>) -> Self {
+        Self { ones: state.ones.to_vec(), tail: state.tail.to_vec(), valid }
     }
 
     /// The state as a network input.
@@ -53,20 +38,6 @@ impl StoredState {
     /// Actions valid in this state (empty when terminal).
     pub fn valid(&self) -> &[usize] {
         &self.valid
-    }
-
-    /// Writes the dense `state_dim`-long encoding back into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state_dim` is shorter than the stored state.
-    pub fn write_dense(&self, state_dim: usize, out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(state_dim - self.tail.len(), 0.0);
-        for &i in &self.ones {
-            out[i as usize] = 1.0;
-        }
-        out.extend_from_slice(&self.tail);
     }
 }
 
@@ -106,14 +77,15 @@ struct Slot {
 /// # Examples
 ///
 /// ```
+/// use learn::nn::PrefixRow;
 /// use rl::replay::{Experience, ReplayBuffer, StoredState};
 /// use rand::SeedableRng;
 /// use std::sync::Arc;
 ///
 /// let mut buf = ReplayBuffer::new(2);
 /// for i in 0..3 {
-///     let state = Arc::new(StoredState::new(&[i as f64], 0, vec![0]));
-///     let next = Arc::new(StoredState::new(&[0.0], 0, vec![]));
+///     let state = Arc::new(StoredState::new(PrefixRow::dense(&[i as f64]), vec![0]));
+///     let next = Arc::new(StoredState::new(PrefixRow::dense(&[0.0]), vec![]));
 ///     buf.push(Experience { state, action: 0, reward: 0.0, next, done: true });
 /// }
 /// assert_eq!(buf.len(), 2); // oldest evicted
@@ -220,7 +192,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn exp(tag: f64) -> Experience {
-        let state = Arc::new(StoredState::new(&[tag], 0, vec![0]));
+        let state = Arc::new(StoredState::new(PrefixRow::dense(&[tag]), vec![0]));
         Experience { next: Arc::clone(&state), state, action: 0, reward: tag, done: false }
     }
 
@@ -269,20 +241,14 @@ mod tests {
     }
 
     #[test]
-    fn stored_state_round_trips_through_dense() {
-        let dense = [0.0, 1.0, -0.0, 1.0, 0.25, -3.0];
-        let stored = StoredState::new(&dense, 4, vec![2]);
+    fn stored_state_keeps_the_row_it_copied() {
+        let (ones, tail) = ([1, 3], [0.25, -0.0, -3.0]);
+        let stored = StoredState::new(PrefixRow { ones: &ones, tail: &tail }, vec![2]);
         assert_eq!(stored.as_row().ones, &[1, 3]);
-        assert_eq!(stored.as_row().tail, &[0.25, -3.0]);
-        let mut back = vec![9.0; 2];
-        stored.write_dense(6, &mut back);
-        assert_eq!(back, vec![0.0, 1.0, 0.0, 1.0, 0.25, -3.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not 0 or 1")]
-    fn non_binary_prefix_entry_panics() {
-        StoredState::new(&[0.0, 0.5], 2, vec![]);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(stored.as_row().tail), bits(&tail));
+        assert_eq!(stored.valid(), &[2]);
+        assert_eq!(stored.as_row().to_dense(4), vec![0.0, 1.0, 0.0, 1.0, 0.25, -0.0, -3.0]);
     }
 
     #[test]
