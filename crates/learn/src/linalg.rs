@@ -139,7 +139,26 @@ fn ascending_below(mut indices: impl Iterator<Item = usize>, bound: usize) -> bo
 /// [`Matrix::gathered_vecmat_into`] multiplies. NaNs are kept; `±0.0` are
 /// not.
 pub fn gather_nonzero(offset: usize, v: &[f64], out: &mut Vec<(usize, f64)>) {
-    out.extend(v.iter().enumerate().filter(|&(_, &x)| x != 0.0).map(|(k, &x)| (offset + k, x)));
+    // Eight entries are tested at once into a bit mask, without a branch
+    // per entry, and only the set bits are visited: exact zeros come in
+    // long runs (unset selection entries, the `e` columns of
+    // zero-importance tasks).
+    let mut blocks = v.chunks_exact(8);
+    let mut base = offset;
+    for block in &mut blocks {
+        let mut mask = 0u32;
+        for (i, &x) in block.iter().enumerate() {
+            mask |= u32::from(x != 0.0) << i;
+        }
+        while mask != 0 {
+            let i = mask.trailing_zeros() as usize;
+            out.push((base + i, block[i]));
+            mask &= mask - 1;
+        }
+        base += 8;
+    }
+    let rest = blocks.remainder();
+    out.extend(rest.iter().enumerate().filter(|&(_, &x)| x != 0.0).map(|(k, &x)| (base + k, x)));
 }
 
 /// Rejects a live-column list that is not strictly ascending below `cols`.
@@ -166,6 +185,11 @@ const MR: usize = 4;
 /// their accumulator live across the whole `k` loop. Like [`MR`] it only
 /// affects speed.
 const VR: usize = 16;
+
+/// Three [`VR`]-wide tiles that share one pass of
+/// [`Matrix::gathered_vecmat_into`] wherever they fit: twelve independent
+/// add chains of four lanes, where one tile's four wait on the add latency.
+const VG: usize = 3 * VR;
 
 impl Matrix {
     /// Creates a `rows × cols` matrix filled with zeros.
@@ -791,26 +815,40 @@ impl Matrix {
             return Ok(());
         }
         let mut j0 = 0;
-        loop {
-            let mut acc = [0.0f64; VR];
-            if let Some(seed) = seed {
-                acc.copy_from_slice(&seed[j0..j0 + VR]);
-            }
-            for &(k, x) in v {
-                let start = k * n + j0;
-                let rv: &[f64; VR] = self.data[start..start + VR].try_into().expect("tile width");
-                for c in 0..VR {
-                    acc[c] += x * rv[c];
-                }
-            }
-            out[j0..j0 + VR].copy_from_slice(&acc);
-            if j0 + VR == n {
-                break;
-            }
+        while j0 + VG <= n {
+            self.tile_pass::<VG>(v, seed, out, j0);
+            j0 += VG;
+        }
+        while j0 < n {
             // A ragged last tile slides left to end at `n`.
-            j0 = (j0 + VR).min(n - VR);
+            let j = j0.min(n - VR);
+            self.tile_pass::<VR>(v, seed, out, j);
+            j0 = j + VR;
         }
         Ok(())
+    }
+
+    /// One pass of [`Matrix::gathered_vecmat_into`] over the whole list for
+    /// the `W` outputs from `j0`, their accumulators held in registers.
+    fn tile_pass<const W: usize>(
+        &self,
+        v: &[(usize, f64)],
+        seed: Option<&[f64]>,
+        out: &mut [f64],
+        j0: usize,
+    ) {
+        let mut acc = [0.0f64; W];
+        if let Some(seed) = seed {
+            acc.copy_from_slice(&seed[j0..j0 + W]);
+        }
+        for &(k, x) in v {
+            let start = k * self.cols + j0;
+            let rv: &[f64; W] = self.data[start..start + W].try_into().expect("tile width");
+            for c in 0..W {
+                acc[c] += x * rv[c];
+            }
+        }
+        out[j0..j0 + W].copy_from_slice(&acc);
     }
 
     /// Element-wise map, returning a new matrix.
@@ -1304,7 +1342,8 @@ mod tests {
     #[test]
     fn gathered_vecmat_bits_match_matvec_on_the_transpose() {
         // Output widths below, at and past the VR-wide tile (the ragged
-        // last tile overlaps its neighbour), and both DQN layer shapes.
+        // last tile overlaps its neighbour), one and two VG-wide groups
+        // with tiles after them, and both DQN layer shapes.
         // `dense_test_matrix` mixes `±0.0` into weights and inputs alike, so
         // gathering drops entries mid-stream. Split into pieces, each seeded
         // with the one before, the product keeps its bits.
@@ -1316,6 +1355,8 @@ mod tests {
             (33, 33, 45),
             (48, 51, 46),
             (927, 48, 47),
+            (9, 64, 48),
+            (9, 100, 49),
         ] {
             let wt = dense_test_matrix(k, n, salt);
             let w = wt.transpose();
@@ -1353,6 +1394,32 @@ mod tests {
             (out[0].to_bits(), reference[0].to_bits()),
             (0.0f64.to_bits(), (-0.0f64).to_bits())
         );
+    }
+
+    #[test]
+    fn gather_matches_a_filter_across_whole_and_partial_blocks() {
+        for len in 0..40 {
+            let v: Vec<f64> = (0..len)
+                .map(|i| match (i * 7 + len) % 5 {
+                    0 | 1 => 0.0,
+                    2 => -0.0,
+                    3 => f64::NAN,
+                    _ => i as f64 - 9.5,
+                })
+                .collect();
+            let mut out = vec![(7, 1.0)];
+            gather_nonzero(3, &v, &mut out);
+            let expected: Vec<(usize, u64)> = std::iter::once((7, 1f64.to_bits()))
+                .chain(
+                    v.iter()
+                        .enumerate()
+                        .filter(|(_, x)| **x != 0.0)
+                        .map(|(k, x)| (k + 3, x.to_bits())),
+                )
+                .collect();
+            let got: Vec<(usize, u64)> = out.iter().map(|&(k, x)| (k, x.to_bits())).collect();
+            assert_eq!(got, expected, "length {len}");
+        }
     }
 
     #[test]

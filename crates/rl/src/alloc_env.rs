@@ -256,9 +256,10 @@ impl AllocEnv {
     }
 
     fn fits(&self, task: usize) -> bool {
+        // `&`, not `&&`: three comparisons and no branch.
         self.assignment[task].is_none()
-            && self.spec.times[task] <= self.residual_time[self.cursor] + 1e-12
-            && self.spec.resources[task] <= self.residual_resource[self.cursor] + 1e-12
+            & (self.spec.times[task] <= self.residual_time[self.cursor] + 1e-12)
+            & (self.spec.resources[task] <= self.residual_resource[self.cursor] + 1e-12)
     }
 
     fn assign(&mut self, task: usize) {
@@ -311,9 +312,17 @@ impl Environment for AllocEnv {
         if self.done {
             return Vec::new();
         }
+        // Every task is written and only a fitting one kept: no branch on
+        // the mask. Advancing is always allowed.
         let n = self.spec.num_tasks();
-        let mut valid: Vec<usize> = (0..n).filter(|&j| self.fits(j)).collect();
-        valid.push(n); // advancing is always allowed
+        let mut valid = vec![n; n + 1];
+        let mut kept = 0;
+        for j in 0..n {
+            valid[kept] = j;
+            kept += usize::from(self.fits(j));
+        }
+        valid[kept] = n;
+        valid.truncate(kept + 1);
         valid
     }
 
