@@ -744,40 +744,36 @@ impl Matrix {
         Ok(())
     }
 
-    /// Vector–matrix product over a gathered vector: `out[j] = seed[j] +
-    /// Σ x · self[k][j]` over the `(k, x)` entries of `v`, in list order,
-    /// from `+0.0` when there is no `seed`. This is the single-state
-    /// inference kernel: with `self` a layer's `in × out` weights `Wᵀ`, a
-    /// row is one *input's* contribution to every output, so the outputs are
-    /// independent, contiguous accumulator chains, and `v` lists only the
-    /// inputs that are not exactly zero ([`gather_nonzero`]) — the rest
-    /// cost nothing, not even a test.
+    /// Vector–matrix product over a gathered vector: `out[j] = Σ x ·
+    /// self[k][j]` over the `(k, x)` entries of `v`, in list order, from
+    /// `+0.0`. This is the single-state inference kernel: with `self` a
+    /// layer's `in × out` weights `Wᵀ`, a row is one *input's* contribution
+    /// to every output, so the outputs are independent, contiguous
+    /// accumulator chains, and `v` lists only the inputs that are not
+    /// exactly zero ([`gather_nonzero`]) — the rest cost nothing, not even a
+    /// test.
     ///
-    /// Accumulators live in `VR`-wide register tiles across the whole list
-    /// and are stored once; outputs narrower than a tile accumulate in
-    /// `out`. A ragged last tile slides left to end at the last output,
-    /// recomputing the outputs it shares with its neighbour from the same
-    /// seed to the same bits. With `v` the non-zero entries of a dense `x`
-    /// in ascending order and no seed, each output adds the terms of
-    /// [`Matrix::matvec_into`]'s row dot on `self.transpose()`, in its
-    /// order, less the ones with `x[k]` zero: for finite `self` those are
-    /// `±0.0` products added to an accumulator that starts at `+0.0` and so
-    /// can never hold `-0.0` — identities. So the bits are the row dot's,
+    /// Accumulators live in register tiles across the whole list and are
+    /// stored once: `VG` outputs a pass where they fit, then `VR`-wide
+    /// tiles; outputs narrower than a tile accumulate in `out`. A ragged
+    /// last tile slides left to end at the last output, recomputing the
+    /// outputs it shares with its neighbour to the same bits. With `v` the
+    /// non-zero entries of a dense `x` in ascending order, each output adds
+    /// the terms of [`Matrix::matvec_into`]'s row dot on `self.transpose()`,
+    /// in its order, less the ones with `x[k]` zero: for finite `self` those
+    /// are `±0.0` products added to an accumulator that starts at `+0.0` and
+    /// so can never hold `-0.0` — identities. So the bits are the row dot's,
     /// with one exception this kernel shares with the `matmul` family: an
     /// output whose every term is `-0.0` is `+0.0` here and `-0.0` there,
-    /// because [`dot`]'s `Iterator::sum` starts from `-0.0`. Splitting `v`
-    /// into consecutive pieces, each seeded with the previous piece's
-    /// `out`, performs the same operations and gives the same bits.
+    /// because [`dot`]'s `Iterator::sum` starts from `-0.0`.
     ///
     /// # Errors
     ///
     /// Returns [`DimensionError`] unless `v`'s indices are strictly
-    /// ascending below `self.rows()` and `seed` (if any) and `out` have
-    /// `self.cols()` entries.
+    /// ascending below `self.rows()` and `out` has `self.cols()` entries.
     pub fn gathered_vecmat_into(
         &self,
         v: &[(usize, f64)],
-        seed: Option<&[f64]>,
         out: &mut [f64],
     ) -> Result<(), DimensionError> {
         if !ascending_below(v.iter().map(|&(k, _)| k), self.rows) {
@@ -788,14 +784,12 @@ impl Matrix {
                 right: self.shape(),
             });
         }
-        for len in seed.map(<[f64]>::len).into_iter().chain([out.len()]) {
-            if len != self.cols {
-                return Err(DimensionError {
-                    op: "gathered_vecmat_into(seed, out)",
-                    left: (1, len),
-                    right: (1, self.cols),
-                });
-            }
+        if out.len() != self.cols {
+            return Err(DimensionError {
+                op: "gathered_vecmat_into(out)",
+                left: (1, out.len()),
+                right: (1, self.cols),
+            });
         }
         let n = self.cols;
         if n == 0 {
@@ -803,10 +797,7 @@ impl Matrix {
         }
         if n < VR {
             // Narrower than a tile: accumulate in `out` itself.
-            match seed {
-                Some(seed) => out.copy_from_slice(seed),
-                None => out.fill(0.0),
-            }
+            out.fill(0.0);
             for &(k, x) in v {
                 for (o, &w) in out.iter_mut().zip(&self.data[k * n..(k + 1) * n]) {
                     *o += x * w;
@@ -816,13 +807,13 @@ impl Matrix {
         }
         let mut j0 = 0;
         while j0 + VG <= n {
-            self.tile_pass::<VG>(v, seed, out, j0);
+            self.tile_pass::<VG>(v, out, j0);
             j0 += VG;
         }
         while j0 < n {
             // A ragged last tile slides left to end at `n`.
             let j = j0.min(n - VR);
-            self.tile_pass::<VR>(v, seed, out, j);
+            self.tile_pass::<VR>(v, out, j);
             j0 = j + VR;
         }
         Ok(())
@@ -830,17 +821,8 @@ impl Matrix {
 
     /// One pass of [`Matrix::gathered_vecmat_into`] over the whole list for
     /// the `W` outputs from `j0`, their accumulators held in registers.
-    fn tile_pass<const W: usize>(
-        &self,
-        v: &[(usize, f64)],
-        seed: Option<&[f64]>,
-        out: &mut [f64],
-        j0: usize,
-    ) {
+    fn tile_pass<const W: usize>(&self, v: &[(usize, f64)], out: &mut [f64], j0: usize) {
         let mut acc = [0.0f64; W];
-        if let Some(seed) = seed {
-            acc.copy_from_slice(&seed[j0..j0 + W]);
-        }
         for &(k, x) in v {
             let start = k * self.cols + j0;
             let rv: &[f64; W] = self.data[start..start + W].try_into().expect("tile width");
@@ -1345,8 +1327,7 @@ mod tests {
         // last tile overlaps its neighbour), one and two VG-wide groups
         // with tiles after them, and both DQN layer shapes.
         // `dense_test_matrix` mixes `±0.0` into weights and inputs alike, so
-        // gathering drops entries mid-stream. Split into pieces, each seeded
-        // with the one before, the product keeps its bits.
+        // gathering drops entries mid-stream.
         for (k, n, salt) in [
             (1, 1, 41),
             (9, 15, 42),
@@ -1367,19 +1348,10 @@ mod tests {
                 let mut reference = vec![f64::NAN; n];
                 w.matvec_into(&v, &mut reference).unwrap();
                 let reference: Vec<u64> = reference.iter().map(|x| x.to_bits()).collect();
-                let list = gathered(&v);
                 let mut out = vec![f64::NAN; n];
-                wt.gathered_vecmat_into(&list, None, &mut out).unwrap();
-                let bits = |out: &[f64]| out.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&out), reference, "gathered_vecmat_into diverged at {k}x{n}");
-                for piece in [1, 3, 16] {
-                    let mut acc = vec![0.0; n];
-                    for chunk in list.chunks(piece) {
-                        let seed = acc.clone();
-                        wt.gathered_vecmat_into(chunk, Some(&seed), &mut acc).unwrap();
-                    }
-                    assert_eq!(bits(&acc), reference, "pieces of {piece} diverged at {k}x{n}");
-                }
+                wt.gathered_vecmat_into(&gathered(&v), &mut out).unwrap();
+                let bits: Vec<u64> = out.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(bits, reference, "gathered_vecmat_into diverged at {k}x{n}");
             }
         }
         // The documented exception: when every term of an output is `-0.0`
@@ -1388,7 +1360,7 @@ mod tests {
         // `gather_nonzero` would drop the zeros.)
         let wt = Matrix::from_vec(2, 1, vec![-1.0, -2.0]).unwrap();
         let (mut out, mut reference) = ([f64::NAN], [f64::NAN]);
-        wt.gathered_vecmat_into(&[(0, 0.0), (1, 0.0)], None, &mut out).unwrap();
+        wt.gathered_vecmat_into(&[(0, 0.0), (1, 0.0)], &mut out).unwrap();
         wt.transpose().matvec_into(&[0.0, 0.0], &mut reference).unwrap();
         assert_eq!(
             (out[0].to_bits(), reference[0].to_bits()),
@@ -1471,19 +1443,17 @@ mod tests {
         assert!(a.matmul_prefix_into(&ones, Some(&[4]), &b, &mut Matrix::zeros(3, 2)).is_err());
         assert!(a.matvec_into(&[0.0; 3], &mut [0.0; 3]).is_err());
         assert!(a.matvec_into(&[0.0; 4], &mut [0.0; 2]).is_err());
-        // A gathered list must be strictly ascending below `a.rows()`; seed
-        // and output are `a.cols()` long.
+        // A gathered list must be strictly ascending below `a.rows()`; the
+        // output is `a.cols()` long.
         for (list, ok) in [
             (&[(0, 1.0), (2, 1.0)][..], true),
             (&[(2, 1.0), (0, 1.0)], false),
             (&[(1, 1.0), (1, 1.0)], false),
             (&[(3, 1.0)], false),
         ] {
-            assert_eq!(a.gathered_vecmat_into(list, None, &mut [0.0; 4]).is_ok(), ok, "{list:?}");
+            assert_eq!(a.gathered_vecmat_into(list, &mut [0.0; 4]).is_ok(), ok, "{list:?}");
         }
-        assert!(a.gathered_vecmat_into(&[], None, &mut [0.0; 3]).is_err());
-        assert!(a.gathered_vecmat_into(&[], Some(&[0.0; 3]), &mut [0.0; 4]).is_err());
-        assert!(a.gathered_vecmat_into(&[], Some(&[0.0; 4]), &mut [0.0; 4]).is_ok());
+        assert!(a.gathered_vecmat_into(&[], &mut [0.0; 3]).is_err());
     }
 
     #[test]
@@ -1505,10 +1475,10 @@ mod tests {
         // outputs.
         for n in [2, 51] {
             let mut vm = vec![f64::NAN; n];
-            Matrix::zeros(0, n).gathered_vecmat_into(&[], None, &mut vm).unwrap();
+            Matrix::zeros(0, n).gathered_vecmat_into(&[], &mut vm).unwrap();
             assert!(vm.iter().all(|&x| x.to_bits() == 0.0f64.to_bits()));
         }
-        a.gathered_vecmat_into(&[(2, 1.0)], None, &mut []).unwrap();
+        a.gathered_vecmat_into(&[(2, 1.0)], &mut []).unwrap();
     }
 
     #[test]

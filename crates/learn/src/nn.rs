@@ -230,110 +230,9 @@ pub struct ForwardScratch {
     z: Vec<f64>,
 }
 
-/// How many gathered inputs lie between two of [`RolloutForward`]'s
-/// checkpoints of the first layer's accumulators. Like the kernels' tile
-/// widths it affects speed only.
-const CHECKPOINT: usize = 16;
-
-/// Work counts of a [`RolloutForward`]'s calls.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RolloutCounts {
-    /// Single-state forwards run.
-    pub forwards: u64,
-    /// First-layer rows gathered: the non-zero inputs, summed over calls.
-    pub gathered: u64,
-    /// Of those, rows accumulated; the rest were resumed from a checkpoint.
-    pub accumulated: u64,
-}
-
-/// Single-state forwards through one network, for a sequence of inputs
-/// that each differ from the one before in a few entries — the states of
-/// one greedy rollout.
-///
-/// It borrows the network, so the parameters cannot change while it lives,
-/// and keeps the previous call's gathered input with the first layer's
-/// accumulators after every `CHECKPOINT` (16) gathered entries. A call finds
-/// the longest prefix of `(index, value bits)` it shares with the previous
-/// input, restarts from the last checkpoint inside it, and accumulates only
-/// the rest. The skipped operations are the same operations on the same
-/// operands as before, so the outputs are [`Mlp::forward_single`]'s, bit for
-/// bit. (The scratch a training agent owns, [`ForwardScratch`], is tied to
-/// no network and never resumes.)
-#[derive(Debug, Clone)]
-pub struct RolloutForward<'m> {
-    net: &'m Mlp,
-    scratch: ForwardScratch,
-    /// The previous call's gathered input.
-    previous: Vec<(usize, f64)>,
-    /// The first layer's accumulators after `CHECKPOINT`, `2·CHECKPOINT`, …
-    /// entries of `previous`, one output-wide row each.
-    checkpoints: Vec<f64>,
-    counts: RolloutCounts,
-}
-
-impl<'m> RolloutForward<'m> {
-    /// A rollout's forwards through `net`, nothing yet to resume from.
-    pub fn new(net: &'m Mlp) -> Self {
-        Self {
-            net,
-            scratch: ForwardScratch::default(),
-            previous: Vec::new(),
-            checkpoints: Vec::new(),
-            counts: RolloutCounts::default(),
-        }
-    }
-
-    /// [`Mlp::forward_single_scratch`] on `input`, resuming the first layer
-    /// where the previous input and this one agree.
-    ///
-    /// # Errors
-    ///
-    /// As [`Mlp::forward_single_scratch`].
-    pub fn forward(&mut self, prefix: usize, input: PrefixRow<'_>) -> Result<&[f64], NetworkError> {
-        let net = self.net;
-        let Self { scratch, previous, checkpoints, counts, .. } = self;
-        net.gather_input(prefix, input, &mut scratch.gathered)?;
-        let list = &scratch.gathered;
-        let layer = &net.layers[0];
-        let width = layer.bias.len();
-        let shared = list
-            .iter()
-            .zip(previous.iter())
-            .take_while(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
-            .count();
-        // Checkpoints below `from` hold for both lists: each sums a prefix
-        // the two share.
-        let (from, whole) = (shared / CHECKPOINT, list.len() / CHECKPOINT);
-        if checkpoints.len() < whole * width {
-            checkpoints.resize(whole * width, 0.0);
-        }
-        for q in from..whole {
-            let (done, rest) = checkpoints.split_at_mut(q * width);
-            let seed = q.checked_sub(1).map(|p| &done[p * width..]);
-            let piece = &list[q * CHECKPOINT..(q + 1) * CHECKPOINT];
-            accumulate(&layer.wt, piece, seed, &mut rest[..width]);
-        }
-        let seed = whole.checked_sub(1).map(|p| &checkpoints[p * width..(p + 1) * width]);
-        scratch.z.resize(width, 0.0);
-        accumulate(&layer.wt, &list[whole * CHECKPOINT..], seed, &mut scratch.z);
-        counts.forwards += 1;
-        counts.gathered += list.len() as u64;
-        counts.accumulated += (list.len() - from * CHECKPOINT) as u64;
-        std::mem::swap(previous, &mut scratch.gathered);
-        Ok(net.finish_single(scratch))
-    }
-
-    /// Work counts of every call so far.
-    #[doc(hidden)]
-    pub fn counts(&self) -> RolloutCounts {
-        self.counts
-    }
-}
-
-/// `out = seed + Σ x · wt[k]` over the gathered `(k, x)` ([`Matrix::gathered_vecmat_into`]).
-fn accumulate(wt: &Matrix, gathered: &[(usize, f64)], seed: Option<&[f64]>, out: &mut [f64]) {
-    wt.gathered_vecmat_into(gathered, seed, out)
+/// `out = Σ x · wt[k]` over the gathered `(k, x)` ([`Matrix::gathered_vecmat_into`]).
+fn accumulate(wt: &Matrix, gathered: &[(usize, f64)], out: &mut [f64]) {
+    wt.gathered_vecmat_into(gathered, out)
         .expect("gathered entries ascend below the layer's inputs: validated or built so");
 }
 
@@ -462,8 +361,8 @@ impl Mlp {
     /// finite weights the result is `forward`'s bit for bit (the one
     /// pre-activation the kernels can disagree on is `±0.0`, and a bias is
     /// never `-0.0`: it starts at `+0.0` and no optimiser step can produce
-    /// one). Action selection, rollouts ([`RolloutForward`]) and every other
-    /// one-sample inference go through here.
+    /// one). Action selection, rollouts and every other one-sample
+    /// inference go through here.
     ///
     /// # Errors
     ///
@@ -494,7 +393,7 @@ impl Mlp {
         self.gather_input(prefix, input, &mut scratch.gathered)?;
         let layer = &self.layers[0];
         scratch.z.resize(layer.bias.len(), 0.0);
-        accumulate(&layer.wt, &scratch.gathered, None, &mut scratch.z);
+        accumulate(&layer.wt, &scratch.gathered, &mut scratch.z);
         Ok(self.finish_single(scratch))
     }
 
@@ -536,7 +435,7 @@ impl Mlp {
                 gathered.clear();
                 gather_nonzero(0, act, gathered);
                 z.resize(layer.bias.len(), 0.0);
-                accumulate(&layer.wt, gathered, None, z);
+                accumulate(&layer.wt, gathered, z);
             }
             for (zi, &b) in z.iter_mut().zip(&layer.bias) {
                 *zi = layer.activation.apply(*zi + b);

@@ -4,7 +4,7 @@ use learn::dataset::{Dataset, Standardizer};
 use learn::linalg::{dot, euclidean_distance, gather_nonzero, BinaryRows, Matrix};
 use learn::linear::RidgeRegression;
 use learn::metrics::{mae, prediction_accuracy, rmse};
-use learn::nn::{Activation, AdamOptimizer, BatchWorkspace, Mlp, PrefixRow, RolloutForward};
+use learn::nn::{Activation, AdamOptimizer, BatchWorkspace, Mlp, PrefixRow};
 use learn::transfer::fit_biased_ridge;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -162,38 +162,6 @@ fn prefix_input(rng: &mut StdRng, prefix: usize, tail: usize, kind: usize) -> (V
         })
         .collect();
     (ones, values)
-}
-
-/// One edit of [`resumed_forward_bits_match_a_fresh_call`]'s chain. Steps
-/// 1–3 change the first, a middle and the last non-zero entry (a one moves
-/// to a free slot); step 4 zeroes a non-zero tail entry, step 5 sets a
-/// zero one; later steps pick one of those at random.
-fn edit(rng: &mut StdRng, ones: &mut Vec<u32>, values: &mut [f64], prefix: usize, step: usize) {
-    use rand::Rng;
-    let live: Vec<usize> = (0..values.len()).filter(|&c| values[c] != 0.0).collect();
-    let dead: Vec<usize> = (0..values.len()).filter(|&c| values[c] == 0.0).collect();
-    let positions = ones.len() + live.len();
-    let kind = if step <= 5 { step } else { rng.gen_range(1..6) };
-    let at = match kind {
-        1 => Some(0),
-        2 => Some(positions / 2),
-        3 => Some(positions - 1),
-        _ => None,
-    };
-    match (kind, at) {
-        (_, Some(p)) if p < ones.len() => {
-            let free: Vec<u32> = (0..prefix as u32).filter(|i| !ones.contains(i)).collect();
-            ones.remove(p);
-            if let Some(&to) = free.get(rng.gen_range(0..free.len().max(1))) {
-                let at = ones.partition_point(|&i| i < to);
-                ones.insert(at, to);
-            }
-        }
-        (_, Some(p)) => values[live[p - ones.len()]] += 0.5,
-        (4, None) if !live.is_empty() => values[live[rng.gen_range(0..live.len())]] = -0.0,
-        _ if !dead.is_empty() => values[dead[rng.gen_range(0..dead.len())]] = 1.25,
-        _ => {}
-    }
 }
 
 proptest! {
@@ -496,7 +464,7 @@ proptest! {
         let mut gathered = Vec::new();
         gather_nonzero(0, &x, &mut gathered);
         let mut fast = vec![f64::NAN; n];
-        wt.gathered_vecmat_into(&gathered, None, &mut fast).expect("shapes");
+        wt.gathered_vecmat_into(&gathered, &mut fast).expect("shapes");
         prop_assert_eq!(bits(&fast), bits(&reference));
     }
 
@@ -527,7 +495,7 @@ proptest! {
         // as `1.0`, then the tail's non-zero entries — against `forward` on
         // the input written out dense, hidden and output widths below,
         // at and past the 16-wide tile (51 is ragged), finite weights
-        // throughout. Fresh and rollout scratch alike.
+        // throughout.
         let (hidden, outputs) = FORWARD_WIDTHS[shape];
         let (prefix, tail) = (20, 30);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -538,45 +506,7 @@ proptest! {
         let row = PrefixRow { ones: &ones, tail: &values };
         let reference = nan_blind_bits(&net.forward(&row.to_dense(prefix)).expect("arity"));
         let single = net.forward_single(prefix, row).expect("valid row");
-        prop_assert_eq!(nan_blind_bits(&single), reference.clone());
-        let mut rollout = RolloutForward::new(&net);
-        let resumable = rollout.forward(prefix, row).expect("valid row");
-        prop_assert_eq!(nan_blind_bits(resumable), reference);
-    }
-
-    #[test]
-    fn resumed_forward_bits_match_a_fresh_call(seed in 0u64..10_000) {
-        // One rollout scratch through a chain of edits to one input, each
-        // made at a chosen place in its gathered list: the first, a middle
-        // and the last non-zero entry change value (a one moves instead), an
-        // entry turns zero, a zero turns non-zero, then random edits. Every
-        // resumed call equals a fresh call and the dense reference, and an
-        // edit at the last entry resumes all but the last checkpoint's
-        // worth of rows.
-        let (prefix, tail) = (24, 56);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let net = Mlp::new(&[prefix + tail, 51, 9], Activation::Relu, &mut rng)
-            .expect("valid sizes");
-        let (mut ones, mut values) = prefix_input(&mut rng, prefix, tail, 1);
-        let mut rollout = RolloutForward::new(&net);
-        for step in 0..12 {
-            if step > 0 {
-                edit(&mut rng, &mut ones, &mut values, prefix, step);
-            }
-            let row = PrefixRow { ones: &ones, tail: &values };
-            let before = rollout.counts();
-            let resumed = bits(rollout.forward(prefix, row).expect("valid row"));
-            let after = rollout.counts();
-            prop_assert_eq!(&resumed, &bits(&net.forward_single(prefix, row).expect("valid row")));
-            prop_assert_eq!(&resumed, &bits(&net.forward(&row.to_dense(prefix)).expect("arity")));
-            let gathered = after.gathered - before.gathered;
-            let accumulated = after.accumulated - before.accumulated;
-            prop_assert!(accumulated <= gathered);
-            if step == 3 {
-                prop_assert!(gathered >= 32, "{gathered} gathered rows resume nothing");
-                prop_assert!(accumulated <= 16, "{accumulated} of {gathered} rows accumulated");
-            }
-        }
+        prop_assert_eq!(nan_blind_bits(&single), reference);
     }
 
     #[test]

@@ -11,7 +11,6 @@ use crate::mdp::{Environment, StepError};
 use crate::replay::{Experience, ReplayBuffer, StoredState};
 use learn::nn::{
     Activation, AdamOptimizer, BatchWorkspace, ForwardScratch, Mlp, NetworkError, PrefixRow,
-    RolloutForward,
 };
 use rand::Rng;
 use std::fmt;
@@ -346,8 +345,7 @@ impl DqnAgent {
                 break;
             }
             let valid = stored.valid();
-            // The greedy forward runs in agent-owned scratch, which never
-            // resumes: the next learn step changes the network.
+            // The greedy forward runs in agent-owned scratch.
             let action = epsilon_greedy(self.epsilon, valid, rng, || {
                 let q = self.online.forward_single_scratch(
                     self.binary_prefix,
@@ -380,11 +378,9 @@ impl DqnAgent {
     /// Runs the greedy policy for one episode, returning `(cumulative
     /// reward, actions taken)`. Leaves parameters untouched.
     ///
-    /// Consecutive states of an episode differ in a few entries — an
-    /// assignment sets one selection entry and two budgets, an advance
-    /// moves the cursor — so the forwards go through one
-    /// [`RolloutForward`], which resumes each step's first layer where the
-    /// state still agrees with the step before, to the same bits.
+    /// Each step reads the environment's state in place and runs one
+    /// single-state forward over its non-zero entries, in one scratch for
+    /// the whole rollout.
     ///
     /// # Errors
     ///
@@ -394,20 +390,11 @@ impl DqnAgent {
         &self,
         env: &mut impl Environment,
     ) -> Result<(f64, Vec<usize>), DqnError> {
-        self.rollout(env, &mut RolloutForward::new(&self.online))
-    }
-
-    /// [`Self::evaluate_episode`] through caller-owned forwards, so tests
-    /// can read their work counts.
-    fn rollout(
-        &self,
-        env: &mut impl Environment,
-        forward: &mut RolloutForward<'_>,
-    ) -> Result<(f64, Vec<usize>), DqnError> {
         env.reset();
         let prefix = block_width(env);
         let mut total = 0.0;
         let mut actions = Vec::new();
+        let mut scratch = ForwardScratch::default();
         for _ in 0..self.config.max_steps_per_episode {
             if env.is_terminal() {
                 break;
@@ -416,7 +403,8 @@ impl DqnAgent {
             if valid.is_empty() {
                 return Err(DqnError::NoValidActions);
             }
-            let action = greedy(forward.forward(prefix, env.state())?, &valid)?;
+            let q = self.online.forward_single_scratch(prefix, env.state(), &mut scratch)?;
+            let action = greedy(q, &valid)?;
             let tr = env.step(action)?;
             actions.push(action);
             total += tr.reward;
@@ -866,44 +854,6 @@ mod tests {
         }
         assert!(actions.len() > 1, "a {}-step episode compares nothing", actions.len());
         assert_eq!(agent.evaluate_episode(&mut env).unwrap(), (reward, actions));
-    }
-
-    #[test]
-    fn rollouts_resume_most_first_layer_rows_at_the_long_tail_shape() {
-        // The benchmark shape with paper Obs. 1's long tail (as in
-        // `adam_skips_most_rows_at_the_long_tail_shape`): a trained agent's
-        // greedy rollouts over that instance and four re-weightings of it.
-        // An advance changes only the cursor entry, the last one gathered,
-        // so its forward resumes all but the last checkpoint's rows; an
-        // assignment inserts a one early in the list and resumes little.
-        // The share resumed measured here is 0.208 (4 720 of 22 657 rows
-        // over 197 forwards); the floor of 0.10 sits 10.8 points below it,
-        // so only a change that turns the resume (mostly) off fails.
-        let mut spec = paper_spec();
-        for (j, importance) in spec.importances.iter_mut().enumerate() {
-            if j % 5 != 0 {
-                *importance = 0.0;
-            }
-        }
-        let config = DqnConfig { hidden: vec![48], ..DqnConfig::default() };
-        let agent =
-            train_with(AllocEnv::new(spec.clone()).unwrap(), config, 8, DqnAgent::learn_step);
-        let (mut gathered, mut accumulated, mut forwards) = (0, 0, 0);
-        for shift in 0..5 {
-            let mut spec = spec.clone();
-            spec.importances.rotate_right(shift);
-            let mut forward = RolloutForward::new(&agent.online);
-            let mut env = AllocEnv::new(spec).unwrap();
-            let answer = agent.rollout(&mut env, &mut forward).unwrap();
-            assert_eq!(answer, agent.evaluate_episode(&mut env).unwrap());
-            let c = forward.counts();
-            assert_eq!(c.forwards, answer.1.len() as u64, "one forward a step");
-            (gathered, accumulated, forwards) =
-                (gathered + c.gathered, accumulated + c.accumulated, forwards + c.forwards);
-        }
-        let share = 1.0 - accumulated as f64 / gathered as f64;
-        assert!(forwards > 100, "{forwards} forwards");
-        assert!(share > 0.10, "resumed share {share:.3} ({accumulated} of {gathered} rows)");
     }
 
     /// [`Chain`] behind a broken sensor: every state it reports is `+∞`.
