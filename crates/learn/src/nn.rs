@@ -230,12 +230,6 @@ pub struct ForwardScratch {
     z: Vec<f64>,
 }
 
-/// `out = Σ x · wt[k]` over the gathered `(k, x)` ([`Matrix::gathered_vecmat_into`]).
-fn accumulate(wt: &Matrix, gathered: &[(usize, f64)], out: &mut [f64]) {
-    wt.gathered_vecmat_into(gathered, out)
-        .expect("gathered entries ascend below the layer's inputs: validated or built so");
-}
-
 /// A dense feed-forward network.
 ///
 /// # Examples
@@ -390,59 +384,40 @@ impl Mlp {
         input: PrefixRow<'_>,
         scratch: &'s mut ForwardScratch,
     ) -> Result<&'s [f64], NetworkError> {
-        self.gather_input(prefix, input, &mut scratch.gathered)?;
-        let layer = &self.layers[0];
-        scratch.z.resize(layer.bias.len(), 0.0);
-        accumulate(&layer.wt, &scratch.gathered, &mut scratch.z);
-        Ok(self.finish_single(scratch))
-    }
-
-    /// Validates a single-state input and writes its non-zero entries into
-    /// `out`, ascending.
-    fn gather_input(
-        &self,
-        prefix: usize,
-        input: PrefixRow<'_>,
-        out: &mut Vec<(usize, f64)>,
-    ) -> Result<(), NetworkError> {
         if prefix.checked_add(input.tail.len()) != Some(self.input_size()) {
             return Err(NetworkError::ArityMismatch {
                 expected: self.input_size(),
                 got: prefix.saturating_add(input.tail.len()),
             });
         }
-        out.clear();
+        let ForwardScratch { gathered, act, z } = scratch;
+        gathered.clear();
         let mut next = 0;
         for &i in input.ones {
             let i = i as usize;
             if i < next || i >= prefix {
                 return Err(NetworkError::ArityMismatch { expected: prefix, got: i + 1 });
             }
-            out.push((i, 1.0));
+            gathered.push((i, 1.0));
             next = i + 1;
         }
-        gather_nonzero(prefix, input.tail, out);
-        Ok(())
-    }
-
-    /// Finishes a single-state forward whose first layer has accumulated
-    /// into `scratch.z`: that layer's bias and activation, then every later
-    /// layer over the gathered non-zero activations of the one below.
-    fn finish_single<'s>(&self, scratch: &'s mut ForwardScratch) -> &'s [f64] {
-        let ForwardScratch { gathered, act, z } = scratch;
+        gather_nonzero(prefix, input.tail, gathered);
         for (li, layer) in self.layers.iter().enumerate() {
             if li > 0 {
                 gathered.clear();
                 gather_nonzero(0, act, gathered);
-                z.resize(layer.bias.len(), 0.0);
-                accumulate(&layer.wt, gathered, z);
             }
+            z.resize(layer.bias.len(), 0.0);
+            layer
+                .wt
+                .gathered_vecmat_into(gathered, z)
+                .expect("gathered entries ascend below the layer's inputs: checked or built so");
             for (zi, &b) in z.iter_mut().zip(&layer.bias) {
                 *zi = layer.activation.apply(*zi + b);
             }
             std::mem::swap(act, z);
         }
-        act
+        Ok(act)
     }
 
     /// Forward pass retaining pre-activations and activations per layer, for
