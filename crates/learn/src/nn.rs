@@ -1577,13 +1577,24 @@ mod tests {
         let tail = [0.5, -0.5];
         let row = |ones| PrefixRow { ones, tail: &tail };
         assert!(net.forward_prefix_batch_ws(3, &[row(&[0, 2])], &mut ws).is_ok());
-        for (prefix, ones) in [(3, &[2u32, 0][..]), (3, &[1, 1]), (3, &[3]), (2, &[]), (6, &[])] {
+        let dense = [1.0, 0.0, 1.0, 0.5, -0.5];
+        assert_eq!(net.forward_single(3, row(&[0, 2])).unwrap(), net.forward(&dense).unwrap());
+        for (prefix, ones) in
+            [(3, &[2u32, 0][..]), (3, &[1, 1]), (3, &[3]), (2, &[]), (6, &[]), (usize::MAX, &[])]
+        {
             assert!(
                 matches!(
                     net.forward_prefix_batch_ws(prefix, &[row(ones)], &mut ws),
                     Err(NetworkError::ArityMismatch { .. })
                 ),
                 "prefix {prefix}, ones {ones:?}"
+            );
+            assert!(
+                matches!(
+                    net.forward_single(prefix, row(ones)),
+                    Err(NetworkError::ArityMismatch { .. })
+                ),
+                "single-state forward, prefix {prefix}, ones {ones:?}"
             );
         }
     }
