@@ -89,6 +89,25 @@ impl Default for ProactiveConfig {
     }
 }
 
+impl ProactiveConfig {
+    /// The day's Thompson draw seed for a run seeded `run_seed`
+    /// ([`proactive_draw_seed`] of this config's seed mixed with it).
+    pub(crate) fn draw_seed(&self, run_seed: u64, day: usize) -> u64 {
+        proactive_draw_seed(self.seed ^ run_seed, day as u64)
+    }
+
+    /// The objective multiplier `(1 − w) + w · survival` of `node`, its
+    /// survival drawn from `model` under `draw_seed`.
+    pub(crate) fn survival_weight(
+        &self,
+        model: &AvailabilityModel,
+        node: usize,
+        draw_seed: u64,
+    ) -> f64 {
+        (1.0 - self.weight) + self.weight * model.thompson(node, draw_seed)
+    }
+}
+
 /// One node's decayed Beta posterior plus the current round's exact
 /// (integer-tick) observation buffer.
 #[derive(Debug, Clone, Copy, PartialEq)]

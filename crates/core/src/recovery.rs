@@ -233,22 +233,7 @@ pub fn replan(
     surviving: &[NodeId],
     budget_fraction: f64,
 ) -> Result<RecoveryPlan, RecoveryError> {
-    let started = Instant::now();
-    let (cols, unfinished) = setup(instance, completed, surviving, budget_fraction)?;
-    let mut allocation = Allocation::empty(instance.num_tasks());
-    if unfinished.is_empty() {
-        return Ok(finish_plan(instance, allocation, &unfinished, started));
-    }
-    let fleet = surviving_fleet(instance.fleet(), &cols, budget_fraction)?;
-    let tasks = unfinished.iter().map(|&j| instance.tasks()[j].clone()).collect();
-    let sub = TatimInstance::new(tasks, fleet);
-    let sub_alloc = sub.solve(&SolverKind::Greedy)?.allocation;
-    for (k, &j) in unfinished.iter().enumerate() {
-        if let Some(p) = sub_alloc.processor_of(k) {
-            allocation.assign(j, Some(cols[p]));
-        }
-    }
-    Ok(finish_plan(instance, allocation, &unfinished, started))
+    resolve(instance, completed, surviving, budget_fraction, |_| SolverKind::Greedy)
 }
 
 /// Availability-aware variant of [`replan`]: the re-solve maximises
@@ -270,6 +255,26 @@ pub fn replan_proactive(
     proactive: &ProactiveConfig,
     draw_seed: u64,
 ) -> Result<RecoveryPlan, RecoveryError> {
+    resolve(instance, completed, surviving, budget_fraction, |cols| {
+        let fleet = instance.fleet();
+        SolverKind::WeightedGreedy(
+            cols.iter()
+                .map(|&c| proactive.survival_weight(model, fleet.node_of(c).0, draw_seed))
+                .collect(),
+        )
+    })
+}
+
+/// The re-solve behind [`replan`] and [`replan_proactive`]: the unfinished
+/// tasks over the surviving columns `cols` under the solver `solver(cols)`
+/// picks, mapped back to original columns.
+fn resolve(
+    instance: &TatimInstance,
+    completed: &[bool],
+    surviving: &[NodeId],
+    budget_fraction: f64,
+    solver: impl FnOnce(&[usize]) -> SolverKind,
+) -> Result<RecoveryPlan, RecoveryError> {
     let started = Instant::now();
     let (cols, unfinished) = setup(instance, completed, surviving, budget_fraction)?;
     let mut allocation = Allocation::empty(instance.num_tasks());
@@ -277,17 +282,9 @@ pub fn replan_proactive(
         return Ok(finish_plan(instance, allocation, &unfinished, started));
     }
     let fleet = surviving_fleet(instance.fleet(), &cols, budget_fraction)?;
-    let weights: Vec<f64> = cols
-        .iter()
-        .map(|&c| {
-            let node = instance.fleet().node_of(c).0;
-            let survival = model.thompson(node, draw_seed);
-            (1.0 - proactive.weight) + proactive.weight * survival
-        })
-        .collect();
     let tasks = unfinished.iter().map(|&j| instance.tasks()[j].clone()).collect();
     let sub = TatimInstance::new(tasks, fleet);
-    let sub_alloc = sub.solve(&SolverKind::WeightedGreedy(weights))?.allocation;
+    let sub_alloc = sub.solve(&solver(&cols))?.allocation;
     for (k, &j) in unfinished.iter().enumerate() {
         if let Some(p) = sub_alloc.processor_of(k) {
             allocation.assign(j, Some(cols[p]));

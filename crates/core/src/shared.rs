@@ -28,7 +28,7 @@
 //! observes.
 
 use crate::allocation::Allocation;
-use crate::availability::{proactive_draw_seed, AvailabilityModel};
+use crate::availability::AvailabilityModel;
 use crate::baselines::{dml_balanced, random_mapping};
 use crate::cache::{CacheStats, ImportanceCache};
 use crate::crl_alloc::CrlAllocator;
@@ -287,15 +287,12 @@ impl PreparedCore {
                         *e = e.clamp(0.0, 1.0);
                     }
                     let pc = self.config.proactive;
-                    let draw_seed = proactive_draw_seed(pc.seed ^ self.config.seed, day as u64);
+                    let draw_seed = pc.draw_seed(self.config.seed, day);
                     let weights: Vec<f64> = self
                         .fleet()
                         .processors()
                         .iter()
-                        .map(|p| {
-                            (1.0 - pc.weight)
-                                + pc.weight * self.availability.thompson(p.node.0, draw_seed)
-                        })
+                        .map(|p| pc.survival_weight(&self.availability, p.node.0, draw_seed))
                         .collect();
                     blind
                         .with_importances(&est)
@@ -551,7 +548,7 @@ impl PreparedCore {
                     budget,
                     &self.availability,
                     &self.config.proactive,
-                    proactive_draw_seed(self.config.proactive.seed ^ self.config.seed, day as u64),
+                    self.config.proactive.draw_seed(self.config.seed, day),
                 )?,
                 RecoveryMode::RandomShed => recovery::replan_random_shed(
                     &instance,

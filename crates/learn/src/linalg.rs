@@ -31,8 +31,8 @@ pub struct Matrix {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DimensionError {
     op: &'static str,
-    left: (usize, usize),
-    right: (usize, usize),
+    pub(crate) left: (usize, usize),
+    pub(crate) right: (usize, usize),
 }
 
 impl fmt::Display for DimensionError {
@@ -47,58 +47,72 @@ impl fmt::Display for DimensionError {
 
 impl std::error::Error for DimensionError {}
 
-/// A `rows × width` matrix of exact `0.0`/`1.0` entries, stored as each
-/// row's ascending column indices of its ones — the DQN's binary selection
-/// block, of which at most one entry per task is set.
-///
-/// The prefix kernels ([`Matrix::matmul_prefix_into`],
-/// [`Matrix::prefix_gram_scaled_into`]) take it as the leading columns of an
-/// operand whose remaining columns are dense.
+/// Rows in gathered form: per row, the entries that are not exactly zero,
+/// as ascending `(column, value)` pairs over `width()` columns. It is the
+/// one form every layer of [`crate::nn::Mlp`] multiplies: the rows'
+/// entries feed [`Matrix::gathered_vecmat_into`] one row at a time and
+/// [`Matrix::gathered_gram_scaled_into`] a batch at a time, so an exact
+/// zero — an unset selection entry, a zero-importance column, a dead ReLU
+/// — costs nothing.
 ///
 /// # Examples
 ///
 /// ```
-/// use learn::linalg::BinaryRows;
+/// use learn::linalg::GatheredRows;
 ///
-/// let mut ones = BinaryRows::default();
-/// ones.clear(4);
-/// ones.push_row(&[1, 3]).unwrap();
-/// ones.push_row(&[]).unwrap();
-/// assert!(ones.push_row(&[4]).is_err());
-/// assert_eq!((ones.rows(), ones.width()), (2, 4));
-/// assert_eq!(ones.row(0), &[1, 3]);
-/// assert!(ones.row(1).is_empty());
+/// let mut rows = GatheredRows::default();
+/// rows.clear(5);
+/// // A 0/1 block three wide with its ones at 0 and 2, then two dense entries.
+/// rows.push_row(3, &[0, 2], &[0.0, -1.5]).unwrap();
+/// rows.push_row(0, &[], &[0.0, 4.0, -0.0, 0.0, 1.0]).unwrap();
+/// assert!(rows.push_row(3, &[3], &[0.0, 0.0]).is_err());
+/// assert_eq!(rows.rows(), 2);
+/// assert_eq!(rows.row(0), &[(0, 1.0), (2, 1.0), (4, -1.5)]);
+/// assert_eq!(rows.row(1), &[(1, 4.0), (4, 1.0)]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BinaryRows {
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct GatheredRows {
     width: usize,
-    indices: Vec<u32>,
-    /// `ends[r]` is one past row `r`'s last position in `indices`.
+    entries: Vec<(usize, f64)>,
+    /// `ends[r]` is one past row `r`'s last position in `entries`.
     ends: Vec<usize>,
 }
 
-impl BinaryRows {
+impl GatheredRows {
     /// Drops every row (keeping the allocations) and sets the column count.
     pub fn clear(&mut self, width: usize) {
         self.width = width;
-        self.indices.clear();
+        self.entries.clear();
         self.ends.clear();
     }
 
-    /// Appends a row whose ones sit at `ones`.
+    /// Appends the row whose first `prefix` entries are a 0/1 block with its
+    /// ones at `ones` and whose remaining entries are `tail`: the ones as
+    /// `(i, 1.0)`, then `tail`'s entries that are not exactly zero at
+    /// `prefix + k` ([`gather_nonzero`]). A dense row is `(0, &[], row)`.
     ///
     /// # Errors
     ///
-    /// Returns [`DimensionError`] (leaving `self` unchanged) unless `ones`
-    /// is strictly ascending and below `width()` — the order is what the
-    /// kernels' bit-identity rests on.
-    pub fn push_row(&mut self, ones: &[u32]) -> Result<(), DimensionError> {
-        let top = ones.last().map_or(0, |&i| i as usize + 1);
-        if !ascending_below(ones.iter().map(|&i| i as usize), self.width) {
-            return Err(DimensionError { op: "push_row", left: (1, top), right: (1, self.width) });
+    /// Returns [`DimensionError`] (leaving `self` unchanged) unless the row
+    /// is `width()` long (`prefix + tail.len()`) and `ones` is strictly
+    /// ascending below `prefix` — the order is what the kernels'
+    /// bit-identity rests on.
+    pub fn push_row(
+        &mut self,
+        prefix: usize,
+        ones: &[u32],
+        tail: &[f64],
+    ) -> Result<(), DimensionError> {
+        let err = |got, bound| DimensionError { op: "push_row", left: (1, got), right: (1, bound) };
+        if prefix.checked_add(tail.len()) != Some(self.width) {
+            return Err(err(prefix.saturating_add(tail.len()), self.width));
         }
-        self.indices.extend_from_slice(ones);
-        self.ends.push(self.indices.len());
+        if !ascending_below(ones.iter().map(|&i| i as usize), prefix) {
+            return Err(err(ones.last().map_or(0, |&i| i as usize + 1), prefix));
+        }
+        self.entries.extend(ones.iter().map(|&i| (i as usize, 1.0)));
+        gather_nonzero(prefix, tail, &mut self.entries);
+        self.ends.push(self.entries.len());
         Ok(())
     }
 
@@ -112,19 +126,19 @@ impl BinaryRows {
         self.width
     }
 
-    /// Ascending column indices of row `r`'s ones.
+    /// Row `r`'s non-zero entries, ascending by column.
     ///
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
-    pub fn row(&self, r: usize) -> &[u32] {
+    pub fn row(&self, r: usize) -> &[(usize, f64)] {
         let start = if r == 0 { 0 } else { self.ends[r - 1] };
-        &self.indices[start..self.ends[r]]
+        &self.entries[start..self.ends[r]]
     }
 }
 
 /// Whether `indices` is strictly ascending and every index is below `bound`
-/// — the shape of a [`BinaryRows`] row and of a live-column list.
+/// — the shape of a gathered row.
 fn ascending_below(mut indices: impl Iterator<Item = usize>, bound: usize) -> bool {
     let mut next = 0;
     indices.all(|i| {
@@ -159,18 +173,6 @@ pub fn gather_nonzero(offset: usize, v: &[f64], out: &mut Vec<(usize, f64)>) {
     }
     let rest = blocks.remainder();
     out.extend(rest.iter().enumerate().filter(|&(_, &x)| x != 0.0).map(|(k, &x)| (base + k, x)));
-}
-
-/// Rejects a live-column list that is not strictly ascending below `cols`.
-fn check_live(live: Option<&[usize]>, cols: usize) -> Result<(), DimensionError> {
-    match live {
-        Some(live) if !ascending_below(live.iter().copied(), cols) => Err(DimensionError {
-            op: "live columns",
-            left: (1, live.last().map_or(0, |&c| c + 1)),
-            right: (1, cols),
-        }),
-        _ => Ok(()),
-    }
 }
 
 /// Register-block height of the tiled kernels: how many output rows (or
@@ -331,10 +333,13 @@ impl Matrix {
     /// Matrix product `self · rhs` written into `out` (which is fully
     /// overwritten), allocating nothing.
     ///
-    /// This is the zero-seeded, every-column case of the accumulate-from
-    /// kernel behind [`Matrix::matmul_prefix_into`]: each output element
-    /// sums its `k` terms in index order, exactly as the textbook ijk triple
-    /// loop does — bit-identical to the naive reference at any tile size.
+    /// The kernel computes `MR×NR` register tiles of `out`: the accumulators
+    /// for a 4-row × 8-column block start at `+0.0`, live in registers
+    /// across the entire `k` loop and are stored once (the store-bound
+    /// pattern that capped the old k-outer sweep). Each output element
+    /// still sums its `k` terms in index order from `+0.0`, exactly as the
+    /// textbook ijk triple loop does — bit-identical to the naive reference
+    /// at any tile size.
     ///
     /// # Errors
     ///
@@ -352,100 +357,13 @@ impl Matrix {
             });
         }
         out.data.fill(0.0);
-        self.matmul_accumulate(rhs.rows_from(0), out);
-        Ok(())
-    }
-
-    /// Matrix product `[P | self] · rhs` written into `out` (fully
-    /// overwritten), where `P` is the 0/1 block `ones` describes and `self`
-    /// holds the remaining (dense) columns of the left operand.
-    ///
-    /// Each output element first sums the `rhs` rows its `ones` select, in
-    /// ascending index order, then *continues the same accumulator* through
-    /// the dense columns — all of them (`live` = `None`), or only the
-    /// ascending columns listed in `live`, every other column of `self`
-    /// being read as zero. Against the product with `P` written out
-    /// densely, the only terms left out are the `0.0 · rhs[k][j]` of the
-    /// unset entries and of the columns outside `live`: when those columns
-    /// are zero in every row, each is an exact `±0.0` addend (for finite
-    /// `rhs`) to an accumulator that starts at `+0.0` and so can never be
-    /// `-0.0`, i.e. an identity. A set entry contributes `1.0 · w`, which is
-    /// `w`. The result therefore has the bits of [`Matrix::matmul_into`] on
-    /// the densified operand.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DimensionError`] when `ones` does not have one row per row
-    /// of `self`, when `ones.width() + self.cols() != rhs.rows()`, when
-    /// `live` is not strictly ascending below `self.cols()`, or when `out`
-    /// is not `self.rows() × rhs.cols()`.
-    pub fn matmul_prefix_into(
-        &self,
-        ones: &BinaryRows,
-        live: Option<&[usize]>,
-        rhs: &Matrix,
-        out: &mut Matrix,
-    ) -> Result<(), DimensionError> {
-        if ones.rows() != self.rows || ones.width() + self.cols != rhs.rows {
-            return Err(DimensionError {
-                op: "matmul_prefix",
-                left: (self.rows, ones.width() + self.cols),
-                right: rhs.shape(),
-            });
-        }
-        if out.shape() != (self.rows, rhs.cols) {
-            return Err(DimensionError {
-                op: "matmul_prefix_into(out)",
-                left: out.shape(),
-                right: (self.rows, rhs.cols),
-            });
-        }
-        check_live(live, self.cols)?;
-        out.data.fill(0.0);
-        let n = rhs.cols;
-        if n > 0 {
-            for (s, out_row) in out.data.chunks_exact_mut(n).enumerate() {
-                for &i in ones.row(s) {
-                    for (o, &w) in out_row.iter_mut().zip(rhs.row(i as usize)) {
-                        *o += w;
-                    }
-                }
-            }
-        }
-        let prefix = ones.width();
-        match live {
-            Some(live) => {
-                self.matmul_accumulate(live.iter().map(|&c| (c, rhs.row(prefix + c))), out)
-            }
-            None => self.matmul_accumulate(rhs.rows_from(prefix), out),
-        }
-        Ok(())
-    }
-
-    /// `out += Σ_(c, w) self[.., c] ⊗ w` over the pairs `cols` yields: the
-    /// columns `c` of `self` to walk, ascending, each with its `out`-wide
-    /// row `w` of the right operand. It is the accumulate-from kernel
-    /// shared by [`Matrix::matmul_into`] (every column and row, `out`
-    /// zeroed) and [`Matrix::matmul_prefix_into`] (the rows after the 0/1
-    /// block, every column or the live ones, `out` seeded with the prefix
-    /// sums). Shapes are the callers' responsibility.
-    ///
-    /// The kernel computes `MR×NR` register tiles of `out`: the accumulators
-    /// for a 4-row × 8-column block are loaded once, live in registers
-    /// across the entire walk over `cols` and are stored once (the
-    /// store-bound pattern that capped the old k-outer sweep). Each
-    /// accumulator adds its terms in column order on top of its seed.
-    fn matmul_accumulate<'r>(
-        &self,
-        cols: impl Iterator<Item = (usize, &'r [f64])> + Clone,
-        out: &mut Matrix,
-    ) {
         let n = out.cols;
         let k = self.cols;
         if n == 0 || k == 0 {
-            return;
+            return Ok(());
         }
         const NR: usize = 8;
+        let rhs_rows = || rhs.data.chunks_exact(n).enumerate();
         let mut lhs_blocks = self.data.chunks_exact(MR * k);
         let mut out_blocks = out.data.chunks_exact_mut(MR * n);
         for (lhs_block, out_block) in lhs_blocks.by_ref().zip(out_blocks.by_ref()) {
@@ -457,11 +375,9 @@ impl Matrix {
             let (o2, o3) = or.split_at_mut(n);
             let mut j0 = 0;
             while j0 + NR <= n {
-                let mut a0: [f64; NR] = o0[j0..j0 + NR].try_into().expect("tile width");
-                let mut a1: [f64; NR] = o1[j0..j0 + NR].try_into().expect("tile width");
-                let mut a2: [f64; NR] = o2[j0..j0 + NR].try_into().expect("tile width");
-                let mut a3: [f64; NR] = o3[j0..j0 + NR].try_into().expect("tile width");
-                for (c, rhs_row) in cols.clone() {
+                let (mut a0, mut a1, mut a2, mut a3) =
+                    ([0.0f64; NR], [0.0; NR], [0.0; NR], [0.0; NR]);
+                for (c, rhs_row) in rhs_rows() {
                     let (c0, c1, c2, c3) = (l0[c], l1[c], l2[c], l3[c]);
                     let rv: &[f64; NR] = rhs_row[j0..j0 + NR].try_into().expect("tile width");
                     for t in 0..NR {
@@ -485,11 +401,7 @@ impl Matrix {
                 // exactly as in the full tile.
                 let nt = n - j0;
                 let mut acc = [[0.0f64; NR]; MR];
-                acc[0][..nt].copy_from_slice(&o0[j0..]);
-                acc[1][..nt].copy_from_slice(&o1[j0..]);
-                acc[2][..nt].copy_from_slice(&o2[j0..]);
-                acc[3][..nt].copy_from_slice(&o3[j0..]);
-                for (c, rhs_row) in cols.clone() {
+                for (c, rhs_row) in rhs_rows() {
                     let (c0, c1, c2, c3) = (l0[c], l1[c], l2[c], l3[c]);
                     let mut rv = [0.0f64; NR];
                     rv[..nt].copy_from_slice(&rhs_row[j0..]);
@@ -512,18 +424,14 @@ impl Matrix {
             .chunks_exact(k)
             .zip(out_blocks.into_remainder().chunks_exact_mut(n))
         {
-            for (c, rhs_row) in cols.clone() {
+            for (c, rhs_row) in rhs_rows() {
                 let x = lhs_row[c];
                 for (o, &w) in out_row.iter_mut().zip(rhs_row) {
                     *o += x * w;
                 }
             }
         }
-    }
-
-    /// Rows `first..` of `self`, each with its index counted from `first`.
-    fn rows_from(&self, first: usize) -> impl Iterator<Item = (usize, &[f64])> + Clone {
-        self.data[first * self.cols..].chunks_exact(self.cols.max(1)).enumerate()
+        Ok(())
     }
 
     /// Matrix product `self · rhsᵀ` without materialising the transpose.
@@ -611,89 +519,56 @@ impl Matrix {
         Ok(())
     }
 
-    /// Scaled Gram-style product `out = [P | self]ᵀ · (α·delta)`, written
-    /// into `out` (fully overwritten), where `P` is the 0/1 block `ones`
-    /// describes (`None`: no block) and `self` holds the remaining (dense)
-    /// columns: `out[c][r] = Σ_b (α·delta[b][r]) · x_b[c]`, `b` ascending,
-    /// with `x_b` row `b` of `[P | self]`. `live`, as in
-    /// [`Matrix::matmul_prefix_into`], lists the columns of `self` to read;
-    /// the rows of `out` for every other column stay `+0.0`.
+    /// Scaled Gram product `out = Xᵀ·(α·self)` over the gathered rows `x`,
+    /// written into `out` (fully overwritten): `out[c][r] = Σ_b
+    /// (α·self[b][r]) · x_b[c]`, `b` ascending, where row `b` of `x` lists
+    /// the non-zero `x_b[c]`.
     ///
-    /// This is the weight-gradient kernel of batched backprop: with `self`
-    /// the `B×in` input activations of a layer, `delta` its `B×out` deltas
-    /// and `α` the `1/batch` loss scale, `out` receives `∂loss/∂Wᵀ` with
-    /// exactly the bits of the per-sample loop `grad[c][r] += (α·δ_b[r]) ·
-    /// a_b[c]` accumulated over samples in order. A set entry of `P` adds
-    /// the sample's scaled delta row (`t · 1.0` is `t`); an unset entry, an
-    /// exact-zero activation — a dead ReLU feeding the next layer — and a
-    /// column outside `live` that is zero in every row are skipped. The
-    /// skipped terms are exact `±0.0` addends (for finite operands) to
-    /// accumulators that start at `+0.0` and so can never be `-0.0`:
-    /// identities. Rows of `out` are independent, so each keeps its
-    /// accumulators hot across the whole batch.
+    /// This is the weight-gradient kernel of batched backprop: with `x` a
+    /// layer's `B` gathered inputs, `self` its `B×out` deltas and `α` the
+    /// `1/batch` loss scale, `out` receives `∂loss/∂Wᵀ` with exactly the
+    /// bits of the per-sample loop `grad[c][r] += (α·δ_b[r]) · a_b[c]`
+    /// accumulated over samples in order. An entry contributes its sample's
+    /// scaled delta row to `out`'s row `c` (a one of a 0/1 block: `t · 1.0`
+    /// is `t`). The inputs it leaves out are exact zeros, so their terms
+    /// are exact `±0.0` addends (for finite deltas) to accumulators that
+    /// start at `+0.0` and so can never be `-0.0`: identities.
     ///
     /// # Errors
     ///
-    /// Returns [`DimensionError`] when `self`, `ones` and `delta` disagree
-    /// on the row count, when `live` is not strictly ascending below
-    /// `self.cols()`, or when `out` is not `(ones.width() + self.cols()) ×
-    /// delta.cols()`.
-    pub fn prefix_gram_scaled_into(
+    /// Returns [`DimensionError`] when `x` does not have one row per row of
+    /// `self`, or when `out` is not `x.width() × self.cols()`.
+    pub fn gathered_gram_scaled_into(
         &self,
-        ones: Option<&BinaryRows>,
-        live: Option<&[usize]>,
-        delta: &Matrix,
+        x: &GatheredRows,
         alpha: f64,
         out: &mut Matrix,
     ) -> Result<(), DimensionError> {
-        let prefix = ones.map_or(0, BinaryRows::width);
-        let rows = ones.map_or(self.rows, BinaryRows::rows);
-        if rows != self.rows || self.rows != delta.rows {
+        if x.rows() != self.rows {
             return Err(DimensionError {
-                op: "prefix_gram",
-                left: (rows, prefix + self.cols),
-                right: delta.shape(),
+                op: "gathered_gram",
+                left: (x.rows(), x.width()),
+                right: self.shape(),
             });
         }
-        if out.shape() != (prefix + self.cols, delta.cols) {
+        if out.shape() != (x.width(), self.cols) {
             return Err(DimensionError {
-                op: "prefix_gram_scaled_into(out)",
+                op: "gathered_gram_scaled_into(out)",
                 left: out.shape(),
-                right: (prefix + self.cols, delta.cols),
+                right: (x.width(), self.cols),
             });
         }
-        check_live(live, self.cols)?;
         out.data.fill(0.0);
-        let m = delta.cols;
+        let m = self.cols;
         if m == 0 {
             return Ok(());
         }
-        let (block, dense) = out.data.split_at_mut(prefix * m);
-        if let Some(ones) = ones {
-            for (b, d_row) in delta.data.chunks_exact(m).enumerate() {
-                for &i in ones.row(b) {
-                    for (o, &d) in block[i as usize * m..][..m].iter_mut().zip(d_row) {
-                        *o += alpha * d;
-                    }
+        for (b, d_row) in self.data.chunks_exact(m).enumerate() {
+            for &(c, v) in x.row(b) {
+                for (o, &d) in out.data[c * m..][..m].iter_mut().zip(d_row) {
+                    *o += (alpha * d) * v;
                 }
             }
-        }
-        let mut column = |c: usize| {
-            let out_row = &mut dense[c * m..][..m];
-            for (x_row, d_row) in self.data.chunks_exact(self.cols).zip(delta.data.chunks_exact(m))
-            {
-                let x = x_row[c];
-                if x == 0.0 {
-                    continue;
-                }
-                for (o, &d) in out_row.iter_mut().zip(d_row) {
-                    *o += (alpha * d) * x;
-                }
-            }
-        };
-        match live {
-            Some(live) => live.iter().for_each(|&c| column(c)),
-            None => (0..self.cols).for_each(column),
         }
         Ok(())
     }
@@ -1272,8 +1147,18 @@ mod tests {
         }
     }
 
+    /// `m`'s rows in gathered form.
+    fn gathered_rows(m: &Matrix) -> GatheredRows {
+        let mut rows = GatheredRows::default();
+        rows.clear(m.cols());
+        for r in 0..m.rows() {
+            rows.push_row(0, &[], m.row(r)).unwrap();
+        }
+        rows
+    }
+
     #[test]
-    fn prefix_gram_scaled_matches_per_sample_loop() {
+    fn gathered_gram_scaled_matches_per_sample_loop() {
         for (b, m, n, salt) in [(1, 1, 1, 11), (4, 3, 5, 12), (9, 4, 4, 13), (32, 5, 7, 14)] {
             let delta = dense_test_matrix(b, m, salt);
             let acts = dense_test_matrix(b, n, salt ^ 0x5555);
@@ -1288,7 +1173,7 @@ mod tests {
                 }
             }
             let mut out = Matrix::filled(n, m, f64::NAN);
-            acts.prefix_gram_scaled_into(None, None, &delta, alpha, &mut out).unwrap();
+            delta.gathered_gram_scaled_into(&gathered_rows(&acts), alpha, &mut out).unwrap();
             assert_eq!(
                 out.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 reference.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -1413,34 +1298,15 @@ mod tests {
         assert!(a.matmul_into(&Matrix::zeros(3, 2), &mut Matrix::zeros(3, 2)).is_err());
         assert!(a.matmul_transpose_b_into(&Matrix::zeros(2, 3), &mut bad).is_err());
         assert!(a.matmul_transpose_b_into(&Matrix::zeros(2, 4), &mut bad).is_err());
-        assert!(a
-            .prefix_gram_scaled_into(None, None, &Matrix::zeros(2, 2), 1.0, &mut bad)
-            .is_err());
+        // The gradient over `a`'s three gathered rows: one delta row per
+        // row, `out` is `a.cols() × delta.cols()`.
+        let rows = gathered_rows(&a);
         let delta = Matrix::zeros(3, 2);
-        assert!(a
-            .prefix_gram_scaled_into(None, None, &delta, 1.0, &mut Matrix::zeros(3, 3))
-            .is_err());
-        let mut ones = BinaryRows::default();
-        ones.clear(1);
-        assert!(a
-            .prefix_gram_scaled_into(Some(&ones), None, &delta, 1.0, &mut Matrix::zeros(5, 2))
-            .is_err());
-        assert!(a
-            .prefix_gram_scaled_into(None, None, &delta, 1.0, &mut Matrix::zeros(4, 2))
-            .is_ok());
-        // A live-column list must be strictly ascending below `a.cols()`.
-        ones.clear(0);
-        for _ in 0..3 {
-            ones.push_row(&[]).unwrap();
-        }
-        for (live, ok) in [(&[][..], true), (&[0, 3], true), (&[3, 0], false), (&[1, 1], false)] {
-            let mut grad = Matrix::zeros(4, 2);
-            let got = a.prefix_gram_scaled_into(None, Some(live), &delta, 1.0, &mut grad);
-            assert_eq!(got.is_ok(), ok, "{live:?}");
-            let got = a.matmul_prefix_into(&ones, Some(live), &b, &mut Matrix::zeros(3, 2));
-            assert_eq!(got.is_ok(), ok, "{live:?}");
-        }
-        assert!(a.matmul_prefix_into(&ones, Some(&[4]), &b, &mut Matrix::zeros(3, 2)).is_err());
+        let mut grad = Matrix::zeros(4, 2);
+        assert!(Matrix::zeros(2, 2).gathered_gram_scaled_into(&rows, 1.0, &mut bad).is_err());
+        assert!(delta.gathered_gram_scaled_into(&rows, 1.0, &mut Matrix::zeros(3, 3)).is_err());
+        assert!(delta.gathered_gram_scaled_into(&rows, 1.0, &mut Matrix::zeros(5, 2)).is_err());
+        assert!(delta.gathered_gram_scaled_into(&rows, 1.0, &mut grad).is_ok());
         assert!(a.matvec_into(&[0.0; 3], &mut [0.0; 3]).is_err());
         assert!(a.matvec_into(&[0.0; 4], &mut [0.0; 2]).is_err());
         // A gathered list must be strictly ascending below `a.rows()`; the
@@ -1479,6 +1345,18 @@ mod tests {
             assert!(vm.iter().all(|&x| x.to_bits() == 0.0f64.to_bits()));
         }
         a.gathered_vecmat_into(&[(2, 1.0)], &mut []).unwrap();
+        // `gathered_gram_scaled_into`: no rows, rows with no entries, no
+        // inputs, no outputs.
+        let mut rows = GatheredRows::default();
+        for (batch, width, m) in [(0, 3, 2), (3, 3, 2), (3, 0, 2), (3, 3, 0)] {
+            rows.clear(width);
+            for _ in 0..batch {
+                rows.push_row(0, &[], &vec![0.0; width]).unwrap();
+            }
+            let mut grad = Matrix::filled(width, m, f64::NAN);
+            Matrix::filled(batch, m, 1.0).gathered_gram_scaled_into(&rows, 1.0, &mut grad).unwrap();
+            assert!(grad.as_slice().iter().all(|&x| x.to_bits() == 0.0f64.to_bits()));
+        }
     }
 
     #[test]

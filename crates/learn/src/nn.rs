@@ -7,7 +7,7 @@
 //! loss, and SGD/Adam optimisers — with no external deep-learning
 //! dependency, as called for by the reproduction's substitution rule.
 
-use crate::linalg::{gather_nonzero, BinaryRows, Matrix};
+use crate::linalg::{DimensionError, GatheredRows, Matrix};
 use rand::Rng;
 use std::fmt;
 
@@ -93,6 +93,29 @@ struct Layer {
     activation: Activation,
 }
 
+impl Layer {
+    /// `pre = x·Wᵀ + b` and `act = σ(pre)` for one gathered input row `x`.
+    fn forward_into(
+        &self,
+        x: &[(usize, f64)],
+        pre: &mut [f64],
+        act: &mut [f64],
+    ) -> Result<(), NetworkError> {
+        self.wt.gathered_vecmat_into(x, pre).map_err(arity)?;
+        for ((z, a), &b) in pre.iter_mut().zip(act.iter_mut()).zip(&self.bias) {
+            *z += b;
+            *a = self.activation.apply(*z);
+        }
+        Ok(())
+    }
+}
+
+/// A row [`GatheredRows::push_row`] or a gathered kernel rejected, as the
+/// arity it expected and the one it got.
+fn arity(e: DimensionError) -> NetworkError {
+    NetworkError::ArityMismatch { expected: e.right.1, got: e.left.1 }
+}
+
 /// Gradients of the loss with respect to one layer's parameters.
 ///
 /// Public only because [`Optimizer::step`] mentions it; its fields are
@@ -129,11 +152,10 @@ const GRAD_CHUNK: usize = 64;
 /// passed beside the rows and is the same for a whole batch; a plain dense
 /// input is the width-0 case ([`PrefixRow::dense`]).
 ///
-/// The first layer never multiplies by the block's zeros, nor by a tail
-/// column that is zero in every row of a batch (see
-/// [`Matrix::matmul_prefix_into`] for why that cannot change a bit): most of
-/// the DQN's `N × M` selection-matrix state, and the environment columns of
-/// tasks whose importance is zero.
+/// Every forward checks and gathers it once with [`GatheredRows::push_row`]
+/// and then multiplies only its non-zero entries (see
+/// [`Matrix::gathered_vecmat_into`] for why that cannot change a bit): most
+/// of the DQN's `N × M` selection-matrix state is the block's zeros.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefixRow<'a> {
     /// Strictly ascending indices of the ones in the leading 0/1 block.
@@ -165,22 +187,19 @@ impl<'a> PrefixRow<'a> {
 
 /// Reusable scratch for the batched forward/backward paths.
 ///
-/// Owns the packed activation, pre-activation, delta and gradient buffers so
-/// steady-state training performs zero heap allocations. Create one per
-/// training loop and pass it to [`Mlp::forward_prefix_batch_ws`] /
+/// Owns the gathered input, activation, pre-activation, delta and gradient
+/// buffers so steady-state training performs zero heap allocations. Create
+/// one per training loop and pass it to [`Mlp::forward_prefix_batch_ws`] /
 /// [`Mlp::train_td_batch_ws`]; buffers are rebuilt when the architecture
 /// changes and otherwise only ever grow, so alternating batch sizes on one
 /// workspace allocates nothing once the largest has been seen.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BatchWorkspace {
     sizes: Vec<usize>,
-    /// The packed batch's leading 0/1 block, one row per sample.
-    ones: BinaryRows,
-    /// Ascending columns of `acts[0]` that are non-zero in some row: the
-    /// only dense input columns the first layer's kernels walk.
-    live: Vec<usize>,
-    /// `acts[0]` is the packed `B × tail` batch (the input columns after
-    /// the 0/1 block); `acts[l + 1]` holds layer `l`'s activations.
+    /// `inputs[l]` holds layer `l`'s input rows in gathered form: the
+    /// batch itself at layer 0, the previous layer's activations above.
+    inputs: Vec<GatheredRows>,
+    /// `acts[l]` holds layer `l`'s activations.
     acts: Vec<Matrix>,
     /// `pres[l]` holds layer `l`'s pre-activations (`z + b`).
     pres: Vec<Matrix>,
@@ -195,19 +214,19 @@ impl BatchWorkspace {
         Self::default()
     }
 
-    /// Shapes the buffers for `batch` samples of `net`, `tail` of whose
-    /// input columns are dense.
-    fn ensure(&mut self, net: &Mlp, batch: usize, tail: usize) {
+    /// Shapes the buffers for `batch` samples of `net`.
+    fn ensure(&mut self, net: &Mlp, batch: usize) {
         if self.sizes != net.sizes {
+            let layers = net.layers.len();
             self.sizes.clone_from(&net.sizes);
-            self.acts = vec![Matrix::zeros(0, 0); net.sizes.len()];
-            self.pres = vec![Matrix::zeros(0, 0); net.layers.len()];
-            self.deltas = vec![Matrix::zeros(0, 0); net.layers.len()];
+            self.inputs = vec![GatheredRows::default(); layers];
+            self.acts = vec![Matrix::zeros(0, 0); layers];
+            self.pres = vec![Matrix::zeros(0, 0); layers];
+            self.deltas = vec![Matrix::zeros(0, 0); layers];
             self.grads = net.layers.iter().map(|l| LayerGrad::zeros(&l.wt, &l.bias)).collect();
         }
-        self.acts[0].resize(batch, tail);
         for (l, &w) in net.sizes[1..].iter().enumerate() {
-            self.acts[l + 1].resize(batch, w);
+            self.acts[l].resize(batch, w);
             self.pres[l].resize(batch, w);
             self.deltas[l].resize(batch, w);
         }
@@ -224,10 +243,10 @@ fn column_dots(wt: &Matrix, x: &[f64]) -> Vec<f64> {
 /// Reusable scratch for [`Mlp::forward_single_scratch`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ForwardScratch {
-    /// The non-zero inputs of the layer being computed, ascending.
-    gathered: Vec<(usize, f64)>,
+    /// The input of the layer being computed, as one gathered row.
+    gathered: GatheredRows,
+    pre: Vec<f64>,
     act: Vec<f64>,
-    z: Vec<f64>,
 }
 
 /// A dense feed-forward network.
@@ -348,15 +367,16 @@ impl Mlp {
     /// Single-state forward pass, the input in sparse-prefix form (its
     /// first `prefix` entries a 0/1 block; `0` with [`PrefixRow::dense`]
     /// for a plain input). Each layer gathers its non-zero inputs once, in
-    /// ascending order — the block's ones as `1.0`, then the non-zero
-    /// entries after it — and [`Matrix::gathered_vecmat_into`] runs its
-    /// register tiles over that list alone. Each output adds the terms of
-    /// [`Mlp::forward`]'s dot in its order, less the exact-zero ones, so for
-    /// finite weights the result is `forward`'s bit for bit (the one
-    /// pre-activation the kernels can disagree on is `±0.0`, and a bias is
-    /// never `-0.0`: it starts at `+0.0` and no optimiser step can produce
-    /// one). Action selection, rollouts and every other one-sample
-    /// inference go through here.
+    /// ascending order ([`GatheredRows::push_row`]: the block's ones as
+    /// `1.0`, then the non-zero entries after it), and
+    /// [`Matrix::gathered_vecmat_into`] runs its register tiles over that
+    /// list alone. Each output adds the terms of [`Mlp::forward`]'s dot in
+    /// its order, less the exact-zero ones, so for finite weights the
+    /// result is `forward`'s bit for bit (the one pre-activation the
+    /// kernels can disagree on is `±0.0`, and a bias is never `-0.0`: it
+    /// starts at `+0.0` and no optimiser step can produce one). Action
+    /// selection, rollouts and every other one-sample inference go through
+    /// here.
     ///
     /// # Errors
     ///
@@ -384,38 +404,17 @@ impl Mlp {
         input: PrefixRow<'_>,
         scratch: &'s mut ForwardScratch,
     ) -> Result<&'s [f64], NetworkError> {
-        if prefix.checked_add(input.tail.len()) != Some(self.input_size()) {
-            return Err(NetworkError::ArityMismatch {
-                expected: self.input_size(),
-                got: prefix.saturating_add(input.tail.len()),
-            });
-        }
-        let ForwardScratch { gathered, act, z } = scratch;
-        gathered.clear();
-        let mut next = 0;
-        for &i in input.ones {
-            let i = i as usize;
-            if i < next || i >= prefix {
-                return Err(NetworkError::ArityMismatch { expected: prefix, got: i + 1 });
-            }
-            gathered.push((i, 1.0));
-            next = i + 1;
-        }
-        gather_nonzero(prefix, input.tail, gathered);
+        let ForwardScratch { gathered, pre, act } = scratch;
+        gathered.clear(self.input_size());
+        gathered.push_row(prefix, input.ones, input.tail).map_err(arity)?;
         for (li, layer) in self.layers.iter().enumerate() {
             if li > 0 {
-                gathered.clear();
-                gather_nonzero(0, act, gathered);
+                gathered.clear(act.len());
+                gathered.push_row(0, &[], act).map_err(arity)?;
             }
-            z.resize(layer.bias.len(), 0.0);
-            layer
-                .wt
-                .gathered_vecmat_into(gathered, z)
-                .expect("gathered entries ascend below the layer's inputs: checked or built so");
-            for (zi, &b) in z.iter_mut().zip(&layer.bias) {
-                *zi = layer.activation.apply(*zi + b);
-            }
-            std::mem::swap(act, z);
+            pre.resize(layer.bias.len(), 0.0);
+            act.resize(layer.bias.len(), 0.0);
+            layer.forward_into(gathered.row(0), pre, act)?;
         }
         Ok(act)
     }
@@ -439,14 +438,13 @@ impl Mlp {
         (pres, acts)
     }
 
-    /// Batched forward pass: one blocked matmul per layer instead of `B`
-    /// matvecs, with no allocation once `ws` has seen this batch size.
-    /// Inputs come in sparse-prefix form (their first `prefix` entries are a
-    /// 0/1 block; `0` with [`PrefixRow::dense`] rows for plain inputs).
-    /// Returns the `B × out` activation matrix held in `ws`; row `s` equals
-    /// `self.forward` on `inputs[s]` written out densely, bit for bit — the
-    /// `linalg` kernels keep every output element's textbook accumulation
-    /// order.
+    /// Batched forward pass, with no allocation once `ws` has seen this
+    /// batch size. Inputs come in sparse-prefix form (their first `prefix`
+    /// entries are a 0/1 block; `0` with [`PrefixRow::dense`] rows for plain
+    /// inputs). Returns the `B × out` activation matrix held in `ws`; row
+    /// `s` is [`Mlp::forward_single`] on `inputs[s]` — the same gathered
+    /// rows through the same kernel — and so `self.forward` on it written
+    /// out densely, bit for bit.
     ///
     /// # Errors
     ///
@@ -459,14 +457,15 @@ impl Mlp {
         inputs: &[PrefixRow<'_>],
         ws: &'w mut BatchWorkspace,
     ) -> Result<&'w Matrix, NetworkError> {
-        self.pack_batch(prefix, inputs, ws)?;
-        self.forward_trace_batch(ws);
-        Ok(ws.acts.last().expect("at least the input buffer"))
+        self.forward_trace_batch(prefix, inputs, ws)?;
+        Ok(&ws.acts[self.layers.len() - 1])
     }
 
-    /// Validates `inputs` and packs them into `ws.ones` / `ws.acts[0]`,
-    /// listing in `ws.live` the tail columns that are non-zero in some row.
-    fn pack_batch(
+    /// Batched analogue of `forward_trace`: gathers each input row once into
+    /// `ws.inputs[0]`, then per layer and sample runs the single-state
+    /// kernel (`Layer::forward_into`) into `ws.pres` / `ws.acts`, and
+    /// gathers the activations as the next layer's input rows.
+    fn forward_trace_batch(
         &self,
         prefix: usize,
         inputs: &[PrefixRow<'_>],
@@ -475,73 +474,25 @@ impl Mlp {
         if inputs.is_empty() {
             return Err(NetworkError::EmptyBatch);
         }
-        let Some(tail) = self.input_size().checked_sub(prefix) else {
-            return Err(NetworkError::ArityMismatch { expected: self.input_size(), got: prefix });
-        };
-        ws.ensure(self, inputs.len(), tail);
-        ws.ones.clear(prefix);
-        // `live[c]` first flags column `c`, then the flagged indices are
-        // compacted to its front in ascending order.
-        ws.live.clear();
-        ws.live.resize(tail, 0);
-        for (s, x) in inputs.iter().enumerate() {
-            if x.tail.len() != tail {
-                return Err(NetworkError::ArityMismatch {
-                    expected: self.input_size(),
-                    got: prefix + x.tail.len(),
-                });
-            }
-            ws.ones.push_row(x.ones).map_err(|_| NetworkError::ArityMismatch {
-                expected: prefix,
-                got: x.ones.last().map_or(0, |&i| i as usize),
-            })?;
-            ws.acts[0].row_mut(s).copy_from_slice(x.tail);
-            for (flag, &v) in ws.live.iter_mut().zip(x.tail) {
-                *flag |= usize::from(v != 0.0);
-            }
+        ws.ensure(self, inputs.len());
+        let BatchWorkspace { inputs: rows, acts, pres, .. } = ws;
+        rows[0].clear(self.input_size());
+        for x in inputs {
+            rows[0].push_row(prefix, x.ones, x.tail).map_err(arity)?;
         }
-        let mut kept = 0;
-        for c in 0..tail {
-            if ws.live[c] != 0 {
-                ws.live[kept] = c;
-                kept += 1;
-            }
-        }
-        ws.live.truncate(kept);
-        Ok(())
-    }
-
-    /// Batched analogue of `forward_trace` over the packed batch in
-    /// `ws.ones` / `ws.acts[0]`: per layer `Z = A·Wᵀ` (one blocked matmul,
-    /// over only the live columns at the first layer), `Z += bias`
-    /// broadcast row-wise, `A' = σ(Z)`.
-    ///
-    /// The plain `A·(Wᵀ)` kernels' inner loop is contiguous over the output
-    /// dimension and auto-vectorises; they multiply the same operand pairs
-    /// in the same `k` order as the reference's per-output dot, so the
-    /// result is bit-identical.
-    fn forward_trace_batch(&self, ws: &mut BatchWorkspace) {
-        let batch = ws.acts[0].rows();
         for (li, layer) in self.layers.iter().enumerate() {
-            let (done, rest) = ws.acts.split_at_mut(li + 1);
-            let a_in = &done[li];
-            let pre = &mut ws.pres[li];
-            if li == 0 {
-                a_in.matmul_prefix_into(&ws.ones, Some(&ws.live), &layer.wt, pre)
-                    .expect("sizes consistent");
-            } else {
-                a_in.matmul_into(&layer.wt, pre).expect("sizes consistent");
+            let (pre, act) = (&mut pres[li], &mut acts[li]);
+            for s in 0..inputs.len() {
+                layer.forward_into(rows[li].row(s), pre.row_mut(s), act.row_mut(s))?;
             }
-            let a_out = &mut rest[0];
-            for s in 0..batch {
-                for (z, &b) in pre.row_mut(s).iter_mut().zip(&layer.bias) {
-                    *z += b;
-                }
-                for (o, &z) in a_out.row_mut(s).iter_mut().zip(pre.row(s)) {
-                    *o = layer.activation.apply(z);
+            if let Some(next) = rows.get_mut(li + 1) {
+                next.clear(act.cols());
+                for s in 0..inputs.len() {
+                    next.push_row(0, &[], act.row(s)).map_err(arity)?;
                 }
             }
         }
+        Ok(())
     }
 
     /// Temporal-difference loss and gradients for one chunk, all samples in
@@ -549,19 +500,20 @@ impl Mlp {
     /// *unscaled* summed loss. The target row for sample `s` is this pass's
     /// own output with entry `actions[s]` replaced by `bootstraps[s]`, so
     /// the redundant "predict the targets" forward the dense formulation
-    /// needs is fused away — and because every off-action residual is the
-    /// exact `+0.0` of the dense subtraction `o − o`, the output-layer
-    /// backward touches only the action entries instead of all `B × out`
-    /// deltas.
+    /// needs is fused away — and every off-action residual is the exact
+    /// `+0.0` of the dense subtraction `o − o`, so an output delta row is
+    /// `+0.0` but at its action, and the propagation below the output layer
+    /// reads one row of `W` per sample instead of the full `Δ·W` product.
     ///
-    /// The skipped terms are all exact `±0.0` products, and skipping them
+    /// Every weight gradient is [`Matrix::gathered_gram_scaled_into`] over
+    /// the layer's gathered inputs. The terms skipped — exact-zero inputs,
+    /// off-action outputs — are exact `±0.0` products, and skipping them
     /// cannot change any accumulated bit: under round-to-nearest an f64
-    /// accumulator that starts at `+0.0` can never reach `-0.0` (cancellation
-    /// `x + (−x)` yields `+0.0`, and sums never underflow to zero), so
-    /// adding a `±0.0` term is always the identity. Loss and gradients are
-    /// therefore bit-identical to the dense reference; only the transient
-    /// delta buffer (whose skipped entries feed nothing) is left unwritten.
-    /// The scalar-vs-batched DQN tests gate the end-to-end equivalence.
+    /// accumulator that starts at `+0.0` can never reach `-0.0`
+    /// (cancellation `x + (−x)` yields `+0.0`, and sums never underflow to
+    /// zero), so adding a `±0.0` term is always the identity. Loss and
+    /// gradients are therefore bit-identical to the dense reference. The
+    /// scalar-vs-batched DQN tests gate the end-to-end equivalence.
     fn grad_td_chunk_into(
         &self,
         prefix: usize,
@@ -571,86 +523,55 @@ impl Mlp {
         scale: f64,
         ws: &mut BatchWorkspace,
     ) -> Result<f64, NetworkError> {
-        self.pack_batch(prefix, inputs, ws)?;
-        self.forward_trace_batch(ws);
-        let batch = inputs.len();
+        self.forward_trace_batch(prefix, inputs, ws)?;
         let last = self.layers.len() - 1;
         let act_last = self.layers[last].activation;
         let mut total_loss = 0.0;
-        // Sparse output layer: per sample the only non-zero residual sits at
-        // the action index, so the loss reduces to that one squared term and
-        // dWᵀ/db accumulate a single scaled column per sample — in the same
-        // ascending sample order as the dense accumulation.
-        let LayerGrad { wt: gw, bias: gb } = &mut ws.grads[last];
-        gw.as_mut_slice().fill(0.0);
-        gb.fill(0.0);
+        let BatchWorkspace { inputs: rows, acts, pres, deltas, grads, .. } = ws;
+        deltas[last].as_mut_slice().fill(0.0);
         for (s, (&a, &bootstrap)) in actions.iter().zip(bootstraps).enumerate() {
-            let o = ws.acts[last + 1].row(s)[a];
-            let r = o - bootstrap;
+            let r = acts[last].row(s)[a] - bootstrap;
             total_loss += r * r / 2.0;
-            let d = r * act_last.derivative(ws.pres[last].row(s)[a]);
-            ws.deltas[last].row_mut(s)[a] = d;
-            let t = scale * d;
-            for (c, &x) in ws.acts[last].row(s).iter().enumerate() {
-                gw[(c, a)] += t * x;
-            }
-            gb[a] += t;
+            deltas[last].row_mut(s)[a] = r * act_last.derivative(pres[last].row(s)[a]);
         }
-        if last > 0 {
-            // Sparse propagation: Δ_prev[s] = δ_s · W[a_s] ⊙ σ'(z_prev) —
-            // one column of `Wᵀ` per sample instead of the full Δ·W product.
-            let wt = &self.layers[last].wt;
-            let act_prev = self.layers[last - 1].activation;
-            let (lower, upper) = ws.deltas.split_at_mut(last);
-            let prev = &mut lower[last - 1];
-            for (s, &a) in actions.iter().enumerate() {
-                let d = upper[0].row(s)[a];
-                for (c, (p, &z)) in
-                    prev.row_mut(s).iter_mut().zip(ws.pres[last - 1].row(s)).enumerate()
-                {
-                    *p = (d * wt[(c, a)]) * act_prev.derivative(z);
-                }
-            }
-            self.backward_layers_into(last - 1, batch, scale, ws);
-        }
-        Ok(total_loss)
-    }
-
-    /// Dense backward pass over layers `0..=top`: consumes the deltas
-    /// already in `ws.deltas[top]` and fills `ws.grads[..=top]`.
-    fn backward_layers_into(&self, top: usize, batch: usize, scale: f64, ws: &mut BatchWorkspace) {
-        for li in (0..=top).rev() {
-            // dWᵀ = A_inᵀ·(scale·Δ) with samples ascending — the same
-            // accumulation order (and the same `(scale·δ)·a` product shape)
-            // as the per-sample reference; db likewise.
-            let (ones, live) =
-                if li == 0 { (Some(&ws.ones), Some(&ws.live[..])) } else { (None, None) };
-            ws.acts[li]
-                .prefix_gram_scaled_into(ones, live, &ws.deltas[li], scale, &mut ws.grads[li].wt)
-                .expect("sizes consistent");
-            let gb = &mut ws.grads[li].bias;
-            gb.fill(0.0);
-            for s in 0..batch {
-                for (b, &d) in gb.iter_mut().zip(ws.deltas[li].row(s)) {
+        for li in (0..=last).rev() {
+            // dWᵀ = Xᵀ·(scale·Δ) and db = Σ scale·δ with samples ascending —
+            // the accumulation order (and the `(scale·δ)·x` product shape)
+            // of the per-sample reference.
+            let (delta, grad) = (&deltas[li], &mut grads[li]);
+            delta.gathered_gram_scaled_into(&rows[li], scale, &mut grad.wt).map_err(arity)?;
+            grad.bias.fill(0.0);
+            for s in 0..inputs.len() {
+                for (b, &d) in grad.bias.iter_mut().zip(delta.row(s)) {
                     *b += scale * d;
                 }
             }
-            // Propagate: Δ_prev = (Δ·W) ⊙ σ'(z_prev) as Δ·(Wᵀ)ᵀ, outputs of
-            // W ascending from `+0.0` as in the per-sample loop.
-            if li > 0 {
-                let (lower, upper) = ws.deltas.split_at_mut(li);
-                let prev = &mut lower[li - 1];
-                upper[0]
-                    .matmul_transpose_b_into(&self.layers[li].wt, prev)
-                    .expect("sizes consistent");
-                let act = self.layers[li - 1].activation;
-                for s in 0..batch {
-                    for (d, &z) in prev.row_mut(s).iter_mut().zip(ws.pres[li - 1].row(s)) {
-                        *d *= act.derivative(z);
+            if li == 0 {
+                break;
+            }
+            // Propagate: Δ_prev = (Δ·W) ⊙ σ'(z_prev), outputs of W ascending
+            // from `+0.0` as in the per-sample loop — from the output layer,
+            // the action's row of `W` alone.
+            let (lower, upper) = deltas.split_at_mut(li);
+            let (prev, delta, wt) = (&mut lower[li - 1], &upper[0], &self.layers[li].wt);
+            if li == last {
+                for (s, &a) in actions.iter().enumerate() {
+                    let d = delta.row(s)[a];
+                    for (c, p) in prev.row_mut(s).iter_mut().enumerate() {
+                        *p = d * wt[(c, a)];
                     }
+                }
+            } else {
+                delta.matmul_transpose_b_into(wt, prev).map_err(arity)?;
+            }
+            let act = self.layers[li - 1].activation;
+            for s in 0..inputs.len() {
+                for (d, &z) in prev.row_mut(s).iter_mut().zip(pres[li - 1].row(s)) {
+                    *d *= act.derivative(z);
                 }
             }
         }
+        Ok(total_loss)
     }
 
     /// Fills `ws.grads` for a batch of `n` samples and returns its unscaled
@@ -676,7 +597,7 @@ impl Mlp {
             let mut local = BatchWorkspace::new();
             chunk(s, e, &mut local).map(|loss| (loss, local.grads))
         })?;
-        ws.ensure(self, 0, 0);
+        ws.ensure(self, 0);
         for g in &mut ws.grads {
             g.wt.as_mut_slice().fill(0.0);
             g.bias.fill(0.0);
@@ -711,9 +632,8 @@ impl Mlp {
     ///
     /// Inputs come in sparse-prefix form (their first `prefix` entries are a
     /// 0/1 block; `0` with [`PrefixRow::dense`] rows for plain inputs), and
-    /// the first layer's forward and weight gradient never touch the
-    /// block's zeros, nor a tail column that is zero in every row of the
-    /// batch — bit-identical to training on the densified rows.
+    /// no layer's forward or weight gradient touches an exact-zero input —
+    /// bit-identical to training on the densified rows.
     ///
     /// # Errors
     ///
@@ -1253,13 +1173,15 @@ mod tests {
             let mut scalar = Mlp::new(&[4, 8, 2], Activation::Tanh, &mut r).unwrap();
             let mut batched = scalar.clone();
             let inputs = random_batch(&mut r, batch, 4);
-            let actions: Vec<usize> = (0..batch).map(|s| s % 2).collect();
             let boots: Vec<f64> = (0..batch).map(|_| r.gen_range(-2.0..2.0)).collect();
             let rows = dense_rows(&inputs);
             let mut opt_s = AdamOptimizer::new(0.01);
             let mut opt_b = AdamOptimizer::new(0.01);
             let mut ws = BatchWorkspace::new();
-            for _ in 0..5 {
+            for step in 0..5 {
+                // The actions move between steps on one workspace, so a
+                // stale output delta would be read.
+                let actions: Vec<usize> = (0..batch).map(|s| (s + step) % 2).collect();
                 let targets = td_targets(&scalar, &inputs, &actions, &boots);
                 let ls = scalar.train_batch(&inputs, &targets, &mut opt_s).unwrap();
                 let lb = batched
@@ -1579,9 +1501,23 @@ mod tests {
         assert!(net.forward_prefix_batch_ws(3, &[row(&[0, 2])], &mut ws).is_ok());
         let dense = [1.0, 0.0, 1.0, 0.5, -0.5];
         assert_eq!(net.forward_single(3, row(&[0, 2])).unwrap(), net.forward(&dense).unwrap());
-        for (prefix, ones) in
-            [(3, &[2u32, 0][..]), (3, &[1, 1]), (3, &[3]), (2, &[]), (6, &[]), (usize::MAX, &[])]
-        {
+        // Both forwards check a row through `GatheredRows::push_row`, which
+        // leaves its rows as they were when it rejects one.
+        let mut rows = GatheredRows::default();
+        rows.clear(5);
+        rows.push_row(3, &[0, 2], &tail).unwrap();
+        let before = rows.clone();
+        for (prefix, ones) in [
+            (3, &[2u32, 0][..]),
+            (3, &[1, 1]),
+            (3, &[3]),
+            (3, &[0, 4]),
+            (2, &[]),
+            (6, &[]),
+            (usize::MAX, &[]),
+        ] {
+            assert!(rows.push_row(prefix, ones, &tail).is_err(), "prefix {prefix}, ones {ones:?}");
+            assert_eq!(rows, before, "a rejected row changed the rows: {prefix}, {ones:?}");
             assert!(
                 matches!(
                     net.forward_prefix_batch_ws(prefix, &[row(ones)], &mut ws),

@@ -1,7 +1,7 @@
 //! Property-based tests of the ML substrate's core invariants.
 
 use learn::dataset::{Dataset, Standardizer};
-use learn::linalg::{dot, euclidean_distance, gather_nonzero, BinaryRows, Matrix};
+use learn::linalg::{dot, euclidean_distance, GatheredRows, Matrix};
 use learn::linear::RidgeRegression;
 use learn::metrics::{mae, prediction_accuracy, rmse};
 use learn::nn::{Activation, AdamOptimizer, BatchWorkspace, Mlp, PrefixRow};
@@ -48,8 +48,8 @@ fn small_matrix() -> impl Strategy<Value = Matrix> {
 }
 
 /// A left operand `[P | T]` in both forms: `P` a 0/1 block of width `prefix`
-/// (as index lists and written out), `T` dense with exact and negative
-/// zeros mixed in. Rows are all-zero, all-one, a copy of the row above, or
+/// (as each row's ascending index list, and written out), `T` dense with
+/// exact and negative zeros mixed in. Rows are all-zero, all-one, a copy of the row above, or
 /// random, so empty lists, full lists and duplicates all occur. Columns of
 /// `T` are zero (`+0.0` or `-0.0`) in every row, zero in all rows but one,
 /// or random — the long-tailed environment block's dead columns.
@@ -58,10 +58,9 @@ fn prefixed_operand(
     rows: usize,
     prefix: usize,
     tail: usize,
-) -> (BinaryRows, Matrix, Matrix) {
+) -> (Vec<Vec<u32>>, Matrix, Matrix) {
     use rand::Rng;
-    let mut ones = BinaryRows::default();
-    ones.clear(prefix);
+    let mut ones: Vec<Vec<u32>> = Vec::with_capacity(rows);
     let mut tails = Matrix::zeros(rows, tail);
     let mut dense = Matrix::zeros(rows, prefix + tail);
     let columns: Vec<(usize, usize)> =
@@ -70,13 +69,13 @@ fn prefixed_operand(
         let set: Vec<u32> = match rng.gen_range(0..4) {
             0 => Vec::new(),
             1 => (0..prefix as u32).collect(),
-            2 if r > 0 => ones.row(r - 1).to_vec(),
+            2 if r > 0 => ones[r - 1].clone(),
             _ => (0..prefix as u32).filter(|_| rng.gen_bool(0.1)).collect(),
         };
         for &i in &set {
             dense[(r, i as usize)] = 1.0;
         }
-        ones.push_row(&set).expect("ascending, in range");
+        ones.push(set);
         for (c, &(kind, hot)) in columns.iter().enumerate() {
             let dead = kind == 0 || (kind == 1 && r != hot);
             let x = match rng.gen_range(0..6) {
@@ -92,15 +91,22 @@ fn prefixed_operand(
     (ones, tails, dense)
 }
 
-/// Ascending columns of `m` that are non-zero in some row.
-fn live_columns(m: &Matrix) -> Vec<usize> {
-    (0..m.cols()).filter(|&c| (0..m.rows()).any(|r| m[(r, c)] != 0.0)).collect()
+/// The rows `[P | T]` of [`prefixed_operand`] gathered from their
+/// sparse-prefix form: `ones[r]` and row `r` of `tails`.
+fn gather_prefixed(prefix: usize, ones: &[Vec<u32>], tails: &Matrix) -> GatheredRows {
+    let mut rows = GatheredRows::default();
+    rows.clear(prefix + tails.cols());
+    for (r, ones) in ones.iter().enumerate() {
+        rows.push_row(prefix, ones, tails.row(r)).expect("ascending, in range");
+    }
+    rows
 }
 
-/// Batch sizes around the kernels' 4-row register block (row tails of
-/// every size) and output widths around their 8-column tile (48 exact, 51
-/// and 5 ragged); `(prefix, tail)` covers no block, only a block, both, and
-/// the inputs of the benchmark's two layers (927 = 450 + 477, and 48).
+/// Batch sizes from one row to past the TD step's 32-row batches, and
+/// output widths around the gathered kernel's 16-wide tile (48 one
+/// three-tile group, 51 ragged, 5 narrower than a tile); `(prefix, tail)`
+/// covers no block, only a block, both, and the inputs of the benchmark's
+/// two layers (927 = 450 + 477, and 48).
 const PREFIX_BATCHES: [usize; 5] = [1, 3, 4, 32, 33];
 const PREFIX_WIDTHS: [usize; 3] = [48, 51, 5];
 const PREFIX_SPLITS: [(usize, usize); 6] =
@@ -317,14 +323,14 @@ proptest! {
         let rhs = Matrix::from_vec(prefix + tail, n, weights).expect("length matches");
         let mut reference = Matrix::filled(rows, n, f64::NAN);
         dense.matmul_into(&rhs, &mut reference).expect("shapes");
+        // Each row gathered from its prefix form, through the single-state
+        // kernel.
+        let gathered = gather_prefixed(prefix, &ones, &tails);
         let mut fast = Matrix::filled(rows, n, f64::NAN);
-        tails.matmul_prefix_into(&ones, None, &rhs, &mut fast).expect("shapes");
+        for s in 0..rows {
+            rhs.gathered_vecmat_into(gathered.row(s), fast.row_mut(s)).expect("shapes");
+        }
         prop_assert_eq!(bits(fast.as_slice()), bits(reference.as_slice()));
-        // Walking only the live columns skips the all-zero ones.
-        let live = live_columns(&tails);
-        let mut on_live = Matrix::filled(rows, n, f64::NAN);
-        tails.matmul_prefix_into(&ones, Some(&live), &rhs, &mut on_live).expect("shapes");
-        prop_assert_eq!(bits(on_live.as_slice()), bits(fast.as_slice()));
     }
 
     #[test]
@@ -355,39 +361,37 @@ proptest! {
                 }
             }
         }
-        let mut dense_out = Matrix::filled(prefix + tail, m, f64::NAN);
-        dense.prefix_gram_scaled_into(None, None, &delta, alpha, &mut dense_out).expect("shapes");
-        prop_assert_eq!(bits(dense_out.as_slice()), bits(reference.as_slice()));
-        let mut fast = Matrix::filled(prefix + tail, m, f64::NAN);
-        tails.prefix_gram_scaled_into(Some(&ones), None, &delta, alpha, &mut fast).expect("shapes");
-        prop_assert_eq!(bits(fast.as_slice()), bits(reference.as_slice()));
-        let live = live_columns(&tails);
-        let mut on_live = Matrix::filled(prefix + tail, m, f64::NAN);
-        tails
-            .prefix_gram_scaled_into(Some(&ones), Some(&live), &delta, alpha, &mut on_live)
-            .expect("shapes");
-        prop_assert_eq!(bits(on_live.as_slice()), bits(fast.as_slice()));
+        // The rows gathered from their dense and their prefix form.
+        let no_ones = vec![Vec::new(); rows];
+        let forms = [gather_prefixed(0, &no_ones, &dense), gather_prefixed(prefix, &ones, &tails)];
+        for gathered in forms {
+            let mut fast = Matrix::filled(prefix + tail, m, f64::NAN);
+            delta.gathered_gram_scaled_into(&gathered, alpha, &mut fast).expect("shapes");
+            prop_assert_eq!(bits(fast.as_slice()), bits(reference.as_slice()));
+        }
     }
 
     #[test]
     fn prefix_training_bits_match_dense_rows(
-        batch in 0usize..5, split in 0usize..6, seed in 0u64..10_000,
+        batch in 0usize..5, split in 0usize..6, hidden in 0usize..2, seed in 0u64..10_000,
     ) {
         // End to end through the network: TD training on sparse-prefix rows
         // leaves the parameters training on the densified rows leaves, and
         // both leave those of the per-sample path, which skips no column.
+        // Two hidden layers, or none: then the output layer's gradient reads
+        // the prefix rows themselves.
         let rows = PREFIX_BATCHES[batch];
         let (prefix, tail) = PREFIX_SPLITS[split];
         let mut rng = StdRng::seed_from_u64(seed);
         let (ones, tails, dense) = prefixed_operand(&mut rng, rows, prefix, tail);
-        let mut on_dense =
-            Mlp::new(&[prefix + tail, 9, 6, 5], Activation::Relu, &mut rng).expect("sizes");
+        let sizes = [vec![prefix + tail, 9, 6, 5], vec![prefix + tail, 5]];
+        let mut on_dense = Mlp::new(&sizes[hidden], Activation::Relu, &mut rng).expect("sizes");
         let mut on_prefix = on_dense.clone();
         let mut per_sample = on_dense.clone();
         let dense_rows: Vec<PrefixRow> =
             (0..rows).map(|s| PrefixRow::dense(dense.row(s))).collect();
         let prefix_rows: Vec<PrefixRow> =
-            (0..rows).map(|s| PrefixRow { ones: ones.row(s), tail: tails.row(s) }).collect();
+            (0..rows).map(|s| PrefixRow { ones: &ones[s], tail: tails.row(s) }).collect();
         let actions: Vec<usize> = (0..rows).map(|s| s % 5).collect();
         let bootstraps: Vec<f64> = (0..rows).map(|s| s as f64 * 0.125 - 1.0).collect();
         let (mut opt_d, mut opt_p) = (AdamOptimizer::new(0.01), AdamOptimizer::new(0.01));
@@ -461,10 +465,11 @@ proptest! {
         let x = vecmat_input(&mut rng, kind, k);
         let mut reference = vec![f64::NAN; n];
         wt.transpose().matvec_into(&x, &mut reference).expect("shapes");
-        let mut gathered = Vec::new();
-        gather_nonzero(0, &x, &mut gathered);
+        let mut gathered = GatheredRows::default();
+        gathered.clear(k);
+        gathered.push_row(0, &[], &x).expect("a dense row");
         let mut fast = vec![f64::NAN; n];
-        wt.gathered_vecmat_into(&gathered, &mut fast).expect("shapes");
+        wt.gathered_vecmat_into(gathered.row(0), &mut fast).expect("shapes");
         prop_assert_eq!(bits(&fast), bits(&reference));
     }
 
