@@ -1,8 +1,8 @@
 //! Property-based tests of the anytime portfolio's contract: the result
 //! never falls below the warm start, never exceeds the certified upper
 //! bound, the gap certificate is sound against brute force, a larger node
-//! budget never worsens the incumbent, and every budget mode is
-//! bit-identical across thread counts.
+//! budget never worsens the incumbent, every budget mode is bit-identical
+//! across thread counts, and items that earn nothing change no answer.
 
 use knapsack::exact::brute_force;
 use knapsack::greedy::greedy_with_local_search;
@@ -56,6 +56,39 @@ fn integer_problem() -> impl Strategy<Value = Problem> {
         .prop_map(|(w, v)| Sack::new(f64::from(w), f64::from(v)).expect("valid ranges"));
     (prop::collection::vec(item, 0..16), prop::collection::vec(sack, 1..5))
         .prop_map(|(items, sacks)| Problem::new(items, sacks).expect("sacks non-empty"))
+}
+
+/// A problem, the same problem with zero-profit items inserted at random
+/// indices, and where each of its items went. The inserted items have
+/// integer sizes of at least 1, one of the two zero one time in three, so
+/// every density sort puts them after the items that score, or, in the
+/// dimension they do not use, at the front where they count `+0.0` and take
+/// no room.
+fn with_zero_profit_items() -> impl Strategy<Value = (Problem, Problem, Vec<usize>)> {
+    let zero = (0u8..3, 1u8..7, 1u8..7).prop_map(|(pick, w, v)| {
+        let (w, v) = match pick {
+            0 => (0, v),
+            1 => (w, 0),
+            _ => (w, v),
+        };
+        Item::new(f64::from(w), f64::from(v), 0.0).expect("valid ranges")
+    });
+    (integer_problem(), prop::collection::vec((0usize..64, zero), 1..8)).prop_map(|(p, inserts)| {
+        let mut items: Vec<(Option<usize>, Item)> =
+            p.items().iter().copied().enumerate().map(|(i, item)| (Some(i), item)).collect();
+        for (at, item) in inserts {
+            items.insert(at % (items.len() + 1), (None, item));
+        }
+        let mut moved = vec![0; p.num_items()];
+        for (j, (from, _)) in items.iter().enumerate() {
+            if let Some(i) = from {
+                moved[*i] = j;
+            }
+        }
+        let items = items.into_iter().map(|(_, item)| item).collect();
+        let q = Problem::new(items, p.sacks().to_vec()).expect("sacks non-empty");
+        (p, q, moved)
+    })
 }
 
 const BUDGETS: [SolveBudget; 4] = [
@@ -153,6 +186,44 @@ proptest! {
                     "{:?} at {} threads: certificate diverged", budget, threads);
                 prop_assert_eq!(a.nodes, b.nodes,
                     "{:?} at {} threads: node count diverged", budget, threads);
+            }
+        }
+    }
+
+    /// Items that earn nothing change no answer: with zero-profit items
+    /// inserted anywhere, every mode returns the same profit bits, places
+    /// the original items in the same sacks, and certifies the same bound
+    /// over the same node count. The search never branches on an item once
+    /// only zero profits follow it; this holds it to that with an instance
+    /// whose order, bounds and split all carry the extra items.
+    ///
+    /// The greedy warm start packs zero-profit items into leftover room,
+    /// where they can block one of its swaps, and the warm profit seeds
+    /// every budgeted search's floor. Where the two warm starts differ, only
+    /// the exhaustive answer, which no floor moves, is compared.
+    #[test]
+    fn zero_profit_items_change_no_answer((p, q, moved) in with_zero_profit_items()) {
+        let (warm_p, warm_q) = (greedy_with_local_search(&p), greedy_with_local_search(&q));
+        let same_warm = warm_p.profit(&p).to_bits() == warm_q.profit(&q).to_bits()
+            && moved.iter().enumerate().all(|(i, &j)| warm_p.sack_of(i) == warm_q.sack_of(j));
+        for budget in [BUDGETS.as_slice(), &[SolveBudget::NodeBudget(2000)]].concat() {
+            if !same_warm && budget != SolveBudget::Exact {
+                continue;
+            }
+            let (a, b) = (solve_portfolio(&p, budget), solve_portfolio(&q, budget));
+            prop_assert_eq!(a.profit.to_bits(), b.profit.to_bits(),
+                "{:?}: profit moved", budget);
+            for (i, &j) in moved.iter().enumerate() {
+                prop_assert_eq!(a.packing.sack_of(i), b.packing.sack_of(j),
+                    "{:?}: item {} moved", budget, i);
+            }
+            prop_assert_eq!(a.certificate.nodes, b.certificate.nodes,
+                "{:?}: node count moved", budget);
+            if same_warm {
+                prop_assert_eq!(a.certificate.upper_bound.to_bits(),
+                    b.certificate.upper_bound.to_bits(), "{:?}: bound moved", budget);
+                prop_assert_eq!(a.certificate.proved_optimal, b.certificate.proved_optimal,
+                    "{:?}: proof moved", budget);
             }
         }
     }
