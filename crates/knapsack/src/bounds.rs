@@ -296,10 +296,10 @@ impl SuffixBounds {
 /// of a [`SuffixBounds`] with only the not-yet-branched positions whose
 /// items fit the room at the search's root linked.
 ///
-/// The room is fixed when the search starts. Residuals only shrink below
-/// the root, so a node's own room is never larger and the bound stays valid
-/// with the root's: an item that fails the root's room can be packed
-/// nowhere below it. Re-reading the room at every node would be tighter,
+/// The room is fixed when the search is reset to a root. Residuals only
+/// shrink below the root, so a node's own room is never larger and the
+/// bound stays valid with the root's: an item that fails the root's room
+/// can be packed nowhere below it. Re-reading the room at every node would be tighter,
 /// but the walk would then have to pass the entries that fail it instead of
 /// ending at the first that overflows, which costs more per node than it
 /// saves in nodes (DESIGN.md §15.1).
@@ -327,29 +327,37 @@ struct Links {
 }
 
 impl<'a> LiveBounds<'a> {
-    /// Links the positions `≥ depth` whose items fit `room`: the live
-    /// suffix of a search rooted at `depth` whose largest residual is
+    /// Links over the views of `bounds`, none linked until
+    /// [`LiveBounds::reset`].
+    pub(crate) fn new(bounds: &'a SuffixBounds) -> Self {
+        let len = bounds.items.len();
+        let links = [(); 2]
+            .map(|()| Links { next: vec![len as u32; len + 1], prev: vec![len as u32; len + 1] });
+        Self { bounds, links, linked: vec![false; len] }
+    }
+
+    /// Links, in place, the positions `≥ depth` whose items fit `room`: the
+    /// live suffix of a search rooted at `depth` whose largest residual is
     /// `room`.
-    pub(crate) fn new(bounds: &'a SuffixBounds, depth: usize, room: (f64, f64)) -> Self {
+    pub(crate) fn reset(&mut self, depth: usize, room: (f64, f64)) {
+        let bounds = self.bounds;
         let counts = bounds.counts(depth, room);
-        let linked: Vec<bool> = (0..bounds.items.len()).map(counts).collect();
-        let links = bounds.dims.each_ref().map(|view| {
+        for (pos, linked) in self.linked.iter_mut().enumerate() {
+            *linked = counts(pos);
+        }
+        for (view, links) in bounds.dims.iter().zip(&mut self.links) {
             let head = view.sorted.len();
-            let mut next = vec![head as u32; head + 1];
-            let mut prev = vec![head as u32; head + 1];
             let mut last = head;
             for (k, e) in view.sorted.iter().enumerate() {
-                if linked[e.pos as usize] {
-                    next[last] = k as u32;
-                    prev[k] = last as u32;
+                if self.linked[e.pos as usize] {
+                    links.next[last] = k as u32;
+                    links.prev[k] = last as u32;
                     last = k;
                 }
             }
-            next[last] = head as u32;
-            prev[head] = last as u32;
-            Links { next, prev }
-        });
-        Self { bounds, links, linked }
+            links.next[last] = head as u32;
+            links.prev[head] = last as u32;
+        }
     }
 
     /// Takes position `pos` out of the live suffix.
@@ -670,7 +678,8 @@ mod tests {
             let sb = SuffixBounds::new(&p, &order);
             let root = rng.gen_range(0..=n);
             let room = ROOMS[rng.gen_range(0..ROOMS.len())];
-            let mut live = LiveBounds::new(&sb, root, room);
+            let mut live = LiveBounds::new(&sb);
+            live.reset(root, room);
             let mut depth = root;
             for step in 0..120 {
                 for (agg_w, agg_v) in CAPS {

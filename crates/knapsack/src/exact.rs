@@ -72,6 +72,12 @@ const PAR_SUBTREE_TARGET: usize = 64;
 /// to dominate, and a tree still this thin is heavily pruned anyway.
 const PAR_MAX_SPLIT_DEPTH: usize = 12;
 
+/// The parallel phase's work units: the slot list is cut into at most this
+/// many runs of consecutive slots, each searched by one [`Search`] reset in
+/// place per subtree. A pure function of the slot count, never of the
+/// thread count; each subtree's result does not depend on the run it is in.
+const SEARCH_GROUPS: usize = 16;
+
 /// Outcome of [`solve_with_floor`]: the incumbent plus an explicit
 /// optimality signal, so a node-capped solve is distinguishable from a
 /// proved optimum. The search's path sums stay inside it; the packing's
@@ -91,10 +97,27 @@ pub(crate) struct SearchReport {
 }
 
 /// Item exploration order: decreasing profit per aggregate size, over the
-/// items some sack can hold. Residuals only shrink, so an item no sack
-/// holds empty can only ever take the skip child: leaving it out removes
-/// one level of single-child nodes and changes no answer.
+/// items some sack can hold, up to the last item that scores.
+///
+/// Residuals only shrink, so an item no sack holds empty can only ever
+/// take the skip child. Past the last scoring item only zero profits are
+/// left: every density view puts them after the items that score (or, at
+/// zero size, counts them `+0.0` and takes no room), so at the first of
+/// them every bound over the suffix is `+0.0`; the improvement check has
+/// just raised the incumbent to the path sum, so the node is pruned before
+/// it branches. Leaving both kinds out takes their levels out of every
+/// bound walk, link set and subtree root and changes no answer, certificate
+/// or node count. A zero-profit item ahead of the last scoring one (a
+/// zero-size item sorts first) stays: the search does branch on it.
 pub(crate) fn density_order(problem: &Problem) -> Vec<usize> {
+    let mut order = fitting_by_density(problem);
+    let last_scoring = order.iter().rposition(|&i| problem.items()[i].profit > 0.0);
+    order.truncate(last_scoring.map_or(0, |k| k + 1));
+    order
+}
+
+/// The items some sack can hold, by decreasing profit per aggregate size.
+fn fitting_by_density(problem: &Problem) -> Vec<usize> {
     let total_w: f64 = problem.sacks().iter().map(|s| s.weight_capacity).sum::<f64>().max(1e-12);
     let total_v: f64 = problem.sacks().iter().map(|s| s.volume_capacity).sum::<f64>().max(1e-12);
     let sacks: Vec<Summary> = full_residual(problem).into_iter().map(Summary::room).collect();
@@ -115,9 +138,27 @@ fn full_residual(problem: &Problem) -> Vec<(f64, f64)> {
     problem.sacks().iter().map(|s| (s.weight_capacity, s.volume_capacity)).collect()
 }
 
+/// Whether sibling residuals `(rw, rv)` repeat one already tried: the same
+/// child, so the search takes only the first.
+fn tried(seen: &[(f64, f64)], (rw, rv): (f64, f64)) -> bool {
+    seen.iter().any(|&(w, v)| (w - rw).abs() < 1e-12 && (v - rv).abs() < 1e-12)
+}
+
+/// `dst` takes `src`'s placement of the items of `order`, in place (a
+/// derived `clone_from` would allocate). The search places no other item,
+/// so both packings leave the rest out.
+fn copy_placement(order: &[usize], dst: &mut Packing, src: &Packing) {
+    for &i in order {
+        dst.assign(i, src.sack_of(i));
+    }
+}
+
+/// One branch-and-bound search, reset in place for each subtree it runs:
+/// every buffer is sized once, when it is built.
 struct Search<'a> {
     problem: &'a Problem,
     order: &'a [usize],
+    bounds: &'a SuffixBounds,
     /// The not-yet-branched suffix, linked for the per-node bound.
     live: LiveBounds<'a>,
     /// The sacks keyed by `residual`, for the branching scan.
@@ -131,7 +172,11 @@ struct Search<'a> {
     /// survives and the returned packing is unchanged.
     floor: f64,
     residual: Vec<(f64, f64)>,
+    /// The placements on the path to the current node; empty between runs.
     current: Packing,
+    /// The sibling residuals already tried by each node on the path, the
+    /// deepest node's last.
+    seen: Vec<(f64, f64)>,
     nodes: u64,
     node_limit: Option<u64>,
     limit_hit: bool,
@@ -152,8 +197,10 @@ struct Search<'a> {
 //     node at the split depth (`Slot::Subtree`). The split depth grows
 //     until at least `PAR_SUBTREE_TARGET` subtrees exist, and is a pure
 //     function of the problem — never of the thread count.
-//  2. The subtrees run concurrently via `parallel::par_map_indexed`
-//     (ordered assembly). Each continues the same DFS with a *local*
+//  2. The slots are cut into `SEARCH_GROUPS` runs of consecutive slots,
+//     which run concurrently via `parallel::par_map_grained` (ordered
+//     assembly). Each run searches its subtrees one after another with one
+//     `Search`, each subtree continuing the same DFS with a *local*
 //     incumbent, publishing improvements into a shared `AtomicU64`
 //     incumbent via `fetch_max` over the profit's bit pattern (valid
 //     because non-negative IEEE-754 doubles order like their bits). The
@@ -161,8 +208,9 @@ struct Search<'a> {
 //     potential ties the global optimum is never shared-pruned, so the
 //     subtree containing the plain DFS's answer always reaches it, no
 //     matter how the threads interleave. Local pruning keeps the plain
-//     DFS's epsilon rule.
-//  3. A serial reduction scans the slots in DFS order, keeping the first
+//     DFS's epsilon rule. A run returns the first strict improvement over
+//     its slots.
+//  3. A serial reduction scans the runs in slot order, keeping the first
 //     strict improvement — i.e. the plain DFS's first achiever. The slot
 //     order is the branching order (sack 0, 1, …, skip), so ties resolve
 //     to the lexicographically-smallest branching sequence, exactly as in
@@ -177,21 +225,31 @@ struct Search<'a> {
 // the TATIM reduction's scaled importances) satisfy this exactly.
 // ---------------------------------------------------------------------------
 
-/// One entry of the DFS-ordered work list produced by prefix enumeration.
-enum Slot {
-    /// An incumbent improvement observed *during* enumeration: a feasible
-    /// packing and its profit, at its DFS position.
-    Candidate { profit: f64, packing: Packing },
-    /// An unexplored subtree rooted at the split depth.
-    Subtree(SubtreeRoot),
+/// A node of the prefix enumeration: its path sum and, at each depth above
+/// it, the sack the path took (`None` for the skip child).
+#[derive(Clone, Copy)]
+struct Prefix {
+    profit: f64,
+    depth: usize,
+    path: [Option<usize>; PAR_MAX_SPLIT_DEPTH],
 }
 
-/// Frozen DFS state at a subtree root.
-struct SubtreeRoot {
-    depth: usize,
-    profit: f64,
-    residual: Vec<(f64, f64)>,
-    current: Packing,
+impl Prefix {
+    /// The root: nothing placed.
+    const ROOT: Self = Self { profit: 0.0, depth: 0, path: [None; PAR_MAX_SPLIT_DEPTH] };
+
+    fn path(&self) -> &[Option<usize>] {
+        &self.path[..self.depth]
+    }
+}
+
+/// One entry of the DFS-ordered work list produced by prefix enumeration.
+enum Slot {
+    /// An incumbent improvement observed *during* enumeration, at its DFS
+    /// position.
+    Candidate(Prefix),
+    /// An unexplored subtree rooted at the split depth.
+    Subtree(Prefix),
 }
 
 struct PrefixEnum<'a> {
@@ -201,7 +259,10 @@ struct PrefixEnum<'a> {
     split_depth: usize,
     floor: f64,
     residual: Vec<(f64, f64)>,
-    current: Packing,
+    /// The path to the current node.
+    node: Prefix,
+    /// As [`Search::seen`].
+    seen: Vec<(f64, f64)>,
     enum_best: f64,
     slots: Vec<Slot>,
 }
@@ -210,7 +271,7 @@ impl PrefixEnum<'_> {
     fn walk(&mut self, depth: usize, profit: f64) {
         if profit > self.enum_best {
             self.enum_best = profit;
-            self.slots.push(Slot::Candidate { profit, packing: self.current.clone() });
+            self.slots.push(Slot::Candidate(Prefix { profit, depth, ..self.node }));
         }
         if depth == self.order.len() {
             return;
@@ -231,33 +292,28 @@ impl PrefixEnum<'_> {
             return;
         }
         if depth == self.split_depth {
-            self.slots.push(Slot::Subtree(SubtreeRoot {
-                depth,
-                profit,
-                residual: self.residual.clone(),
-                current: self.current.clone(),
-            }));
+            self.slots.push(Slot::Subtree(Prefix { profit, depth, ..self.node }));
             return;
         }
 
-        let item_idx = self.order[depth];
-        let item = self.problem.items()[item_idx];
-        let mut seen: Vec<(f64, f64)> = Vec::new();
+        let item = self.problem.items()[self.order[depth]];
+        let base = self.seen.len();
         for s in 0..self.problem.num_sacks() {
             let (rw, rv) = self.residual[s];
             if item.weight > rw + 1e-12 || item.volume > rv + 1e-12 {
                 continue;
             }
-            if seen.iter().any(|&(w, v)| (w - rw).abs() < 1e-12 && (v - rv).abs() < 1e-12) {
+            if tried(&self.seen[base..], (rw, rv)) {
                 continue;
             }
-            seen.push((rw, rv));
+            self.seen.push((rw, rv));
             self.residual[s] = (rw - item.weight, rv - item.volume);
-            self.current.assign(item_idx, Some(s));
+            self.node.path[depth] = Some(s);
             self.walk(depth + 1, profit + item.profit);
-            self.current.assign(item_idx, None);
             self.residual[s] = (rw, rv);
         }
+        self.seen.truncate(base);
+        self.node.path[depth] = None;
         self.walk(depth + 1, profit);
     }
 }
@@ -276,7 +332,8 @@ fn enumerate_prefix(
         split_depth,
         floor,
         residual: full_residual(problem),
-        current: Packing::empty(problem.num_items()),
+        node: Prefix::ROOT,
+        seen: Vec::new(),
         enum_best: -1.0,
         slots: Vec::new(),
     };
@@ -325,85 +382,144 @@ pub(crate) fn solve_with_floor(
         None
     };
 
-    let roots: Vec<&SubtreeRoot> = slots
-        .iter()
-        .filter_map(|s| match s {
-            Slot::Subtree(root) => Some(root),
-            Slot::Candidate { .. } => None,
-        })
-        .collect();
-    // Grain 1: subtrees are few but expensive, the exact case the
+    // Grain 1: runs are few but expensive, the exact case the
     // serial-below-threshold default grain would mis-handle.
-    let results: Vec<(f64, Packing, bool, u64)> = parallel::par_map_grained(&roots, 1, |root| {
-        // A subtree whose surrogate-certified maximum is below the floor
-        // can be discarded wholesale: it cannot contain anything the
-        // portfolio would return. The test is a pure function of the root,
-        // so the partition of skipped subtrees is thread-invariant.
-        let agg_w: f64 = root.residual.iter().map(|r| r.0.max(0.0)).sum();
-        let agg_v: f64 = root.residual.iter().map(|r| r.1.max(0.0)).sum();
-        let room = largest_room(root.residual.iter().copied());
-        if root.profit + bounds.surrogate(root.depth, agg_w, agg_v, room) < floor {
-            return (f64::NEG_INFINITY, Packing::empty(n), true, 0);
-        }
-        let mut search = Search::new(problem, &order, &bounds, floor, node_limit, root);
-        search.dfs_shared(root.depth, root.profit, shared.as_ref());
-        (search.best_profit, search.best, !search.limit_hit, search.nodes)
+    let runs: Vec<&[Slot]> = slots.chunks(slots.len().div_ceil(SEARCH_GROUPS).max(1)).collect();
+    let results = parallel::par_map_grained(&runs, 1, |run| {
+        Search::new(problem, &order, &bounds, floor, node_limit).run_slots(run, shared.as_ref())
     });
 
-    // Serial reduction in DFS slot order over the path sums: first strict
+    // Serial reduction in slot order over the path sums: first strict
     // improvement wins, reproducing the plain DFS's first optimum achiever.
     let mut best_profit = -1.0;
-    let mut best = Packing::empty(n);
-    let mut completed = true;
-    let mut nodes = 0u64;
-    let mut sub_results = results.into_iter();
-    for slot in slots {
-        let (profit, packing) = match slot {
-            Slot::Candidate { profit, packing } => (profit, packing),
-            Slot::Subtree(_) => {
-                let (profit, packing, sub_completed, sub_nodes) =
-                    sub_results.next().expect("one result per subtree");
-                completed &= sub_completed;
-                nodes += sub_nodes;
-                (profit, packing)
-            }
-        };
-        if profit > best_profit {
-            best_profit = profit;
-            best = packing;
+    let mut report = SearchReport { packing: Packing::empty(n), completed: true, nodes: 0 };
+    for run in results {
+        report.completed &= run.completed;
+        report.nodes += run.nodes;
+        if run.profit > best_profit {
+            best_profit = run.profit;
+            report.packing = run.packing;
         }
     }
-    SearchReport { packing: best, completed, nodes }
+    report
+}
+
+/// What a run of slots found: its first strict improvement, as a path sum
+/// and a packing, whether no budget cut a subtree short, and the nodes
+/// explored.
+struct RunBest {
+    profit: f64,
+    packing: Packing,
+    completed: bool,
+    nodes: u64,
 }
 
 impl<'a> Search<'a> {
-    /// A search of the subtree below `root`: its live suffix linked from
-    /// the root's depth, its sack index keyed by the root's residuals.
+    /// A search over `order` with no subtree loaded.
     fn new(
         problem: &'a Problem,
         order: &'a [usize],
         bounds: &'a SuffixBounds,
         floor: f64,
         node_limit: Option<u64>,
-        root: &SubtreeRoot,
     ) -> Self {
-        let mut sacks = FirstHit::new(problem.num_sacks());
-        sacks.fill(root.residual.iter().copied().map(Summary::room));
-        let room = sacks.root();
         Self {
             problem,
             order,
-            live: LiveBounds::new(bounds, root.depth, (room.weight, room.volume)),
-            sacks,
+            bounds,
+            live: LiveBounds::new(bounds),
+            sacks: FirstHit::new(problem.num_sacks()),
             best: Packing::empty(problem.num_items()),
             best_profit: -1.0,
             floor,
-            residual: root.residual.clone(),
-            current: root.current.clone(),
+            residual: full_residual(problem),
+            current: Packing::empty(problem.num_items()),
+            seen: Vec::new(),
             nodes: 0,
             node_limit,
             limit_hit: false,
         }
+    }
+
+    /// Searches `slots` in order, subtree after subtree, and returns their
+    /// first strict improvement: a candidate's path sum and placements, or
+    /// a subtree's best.
+    fn run_slots(&mut self, slots: &[Slot], shared: Option<&AtomicU64>) -> RunBest {
+        let mut run = RunBest {
+            profit: -1.0,
+            packing: Packing::empty(self.problem.num_items()),
+            completed: true,
+            nodes: 0,
+        };
+        for slot in slots {
+            match slot {
+                Slot::Candidate(node) if node.profit > run.profit => {
+                    run.profit = node.profit;
+                    self.load(node);
+                    copy_placement(self.order, &mut run.packing, &self.current);
+                    self.unload(node);
+                }
+                Slot::Candidate(_) => {}
+                Slot::Subtree(root) => {
+                    self.run(root, shared);
+                    run.completed &= !self.limit_hit;
+                    run.nodes += self.nodes;
+                    if self.best_profit > run.profit {
+                        run.profit = self.best_profit;
+                        copy_placement(self.order, &mut run.packing, &self.best);
+                    }
+                }
+            }
+        }
+        run
+    }
+
+    /// Places `node`'s path: its sacks' residuals and its items.
+    fn load(&mut self, node: &Prefix) {
+        for (residual, sack) in self.residual.iter_mut().zip(self.problem.sacks()) {
+            *residual = (sack.weight_capacity, sack.volume_capacity);
+        }
+        for (&i, &sack) in self.order.iter().zip(node.path()) {
+            self.current.assign(i, sack);
+            if let Some(s) = sack {
+                let item = self.problem.items()[i];
+                let (rw, rv) = self.residual[s];
+                self.residual[s] = (rw - item.weight, rv - item.volume);
+            }
+        }
+    }
+
+    /// Takes `node`'s items out again, leaving `current` empty.
+    fn unload(&mut self, node: &Prefix) {
+        for &i in &self.order[..node.depth] {
+            self.current.assign(i, None);
+        }
+    }
+
+    /// Resets the search in place to the subtree below `root` — residuals,
+    /// sack index and live suffix — and searches it, unless its surrogate
+    /// bound certifies it below the floor.
+    fn run(&mut self, root: &Prefix, shared: Option<&AtomicU64>) {
+        self.load(root);
+        self.best_profit = -1.0;
+        self.nodes = 0;
+        self.limit_hit = false;
+        // A subtree whose surrogate-certified maximum is below the floor
+        // can be discarded wholesale: it cannot contain anything the
+        // portfolio would return. The test is a pure function of the root,
+        // so the partition of skipped subtrees is thread-invariant.
+        let agg_w: f64 = self.residual.iter().map(|r| r.0.max(0.0)).sum();
+        let agg_v: f64 = self.residual.iter().map(|r| r.1.max(0.0)).sum();
+        let room = largest_room(self.residual.iter().copied());
+        let hopeless =
+            root.profit + self.bounds.surrogate(root.depth, agg_w, agg_v, room) < self.floor;
+        if !hopeless {
+            self.sacks.fill(self.residual.iter().copied().map(Summary::room));
+            let room = self.sacks.root();
+            self.live.reset(root.depth, (room.weight, room.volume));
+            self.dfs_shared(root.depth, root.profit, shared);
+        }
+        self.unload(root);
     }
 
     /// The branch-and-bound DFS, with an optional shared incumbent:
@@ -422,7 +538,7 @@ impl<'a> Search<'a> {
         }
         if profit > self.best_profit {
             self.best_profit = profit;
-            self.best.clone_from(&self.current);
+            copy_placement(self.order, &mut self.best, &self.current);
             if let Some(shared) = shared {
                 shared.fetch_max(profit.to_bits(), Ordering::Relaxed);
             }
@@ -457,12 +573,12 @@ impl<'a> Search<'a> {
         // One child per sack the item fits, in sack order — the sack index
         // finds exactly the sacks a scan would — except residuals already
         // tried; then the skip child.
-        let mut seen: Vec<(f64, f64)> = Vec::new();
+        let base = self.seen.len();
         let mut next = self.sacks.first_from(0, |room| room.fits(&item));
         while let Some(s) = next {
             let (rw, rv) = self.residual[s];
-            if !seen.iter().any(|&(w, v)| (w - rw).abs() < 1e-12 && (v - rv).abs() < 1e-12) {
-                seen.push((rw, rv));
+            if !tried(&self.seen[base..], (rw, rv)) {
+                self.seen.push((rw, rv));
                 self.set_residual(s, (rw - item.weight, rv - item.volume));
                 self.current.assign(item_idx, Some(s));
                 self.dfs_shared(depth + 1, profit + item.profit, shared);
@@ -471,6 +587,7 @@ impl<'a> Search<'a> {
             }
             next = self.sacks.first_from(s + 1, |room| room.fits(&item));
         }
+        self.seen.truncate(base);
         self.dfs_shared(depth + 1, profit, shared);
         self.live.relink(depth);
     }
@@ -499,24 +616,37 @@ mod tests {
     }
 
     /// The contract's reference: `Search` from the root, with no split, no
-    /// floor, no budget and no shared bound. The exhaustive search must
-    /// return its first optimum achiever.
+    /// floor, no budget and no shared bound, over every item some sack
+    /// holds — the zero-profit tail included, so the oracle does not share
+    /// the search's order. The exhaustive search must return its first
+    /// optimum achiever.
     fn plain_dfs(problem: &Problem) -> Packing {
-        let order = density_order(problem);
+        let order = fitting_by_density(problem);
         let bounds = SuffixBounds::new(problem, &order);
-        let root = SubtreeRoot {
-            depth: 0,
-            profit: 0.0,
-            residual: full_residual(problem),
-            current: Packing::empty(problem.num_items()),
-        };
-        let mut search = Search::new(problem, &order, &bounds, f64::NEG_INFINITY, None, &root);
-        search.dfs_shared(0, 0.0, None);
+        let mut search = Search::new(problem, &order, &bounds, f64::NEG_INFINITY, None);
+        search.run(&Prefix::ROOT, None);
         search.best
     }
 
     fn exact(problem: &Problem) -> Packing {
         solve_portfolio(problem, SolveBudget::Exact).packing
+    }
+
+    /// The order stops at the last scoring item; the oracle's does not. A
+    /// zero-size item that earns nothing sorts first and stays, because
+    /// the search packs it on its way to the optimum; the zero-profit items
+    /// after the last scoring one go.
+    #[test]
+    fn order_stops_at_the_last_scoring_item() {
+        let p = problem(
+            vec![(1.0, 1.0, 0.0), (0.0, 0.0, 0.0), (1.0, 1.0, 5.0), (2.0, 1.0, 0.0)],
+            vec![(3.0, 3.0), (3.0, 3.0)],
+        );
+        assert_eq!(fitting_by_density(&p), vec![1, 2, 0, 3]);
+        assert_eq!(density_order(&p), vec![1, 2]);
+        let s = exact(&p);
+        assert_eq!(s.placement(), plain_dfs(&p).placement());
+        assert_eq!(s.placement(), &[None, Some(0), Some(0), None]);
     }
 
     #[test]
