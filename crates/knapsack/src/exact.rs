@@ -172,7 +172,7 @@ struct Search<'a> {
     /// survives and the returned packing is unchanged.
     floor: f64,
     residual: Vec<(f64, f64)>,
-    /// The placements on the path to the current node; empty between runs.
+    /// The placements on the path to the current node.
     current: Packing,
     /// The sibling residuals already tried by each node on the path, the
     /// deepest node's last.
@@ -240,6 +240,14 @@ impl Prefix {
 
     fn path(&self) -> &[Option<usize>] {
         &self.path[..self.depth]
+    }
+
+    /// `packing` places the items of `order` as the path does: each item
+    /// above the node in the sack the path took, the rest out.
+    fn place(&self, order: &[usize], packing: &mut Packing) {
+        for (d, &i) in order.iter().enumerate() {
+            packing.assign(i, self.path().get(d).copied().flatten());
+        }
     }
 }
 
@@ -393,25 +401,15 @@ pub(crate) fn solve_with_floor(
     // improvement wins, reproducing the plain DFS's first optimum achiever.
     let mut best_profit = -1.0;
     let mut report = SearchReport { packing: Packing::empty(n), completed: true, nodes: 0 };
-    for run in results {
+    for (profit, run) in results {
         report.completed &= run.completed;
         report.nodes += run.nodes;
-        if run.profit > best_profit {
-            best_profit = run.profit;
+        if profit > best_profit {
+            best_profit = profit;
             report.packing = run.packing;
         }
     }
     report
-}
-
-/// What a run of slots found: its first strict improvement, as a path sum
-/// and a packing, whether no budget cut a subtree short, and the nodes
-/// explored.
-struct RunBest {
-    profit: f64,
-    packing: Packing,
-    completed: bool,
-    nodes: u64,
 }
 
 impl<'a> Search<'a> {
@@ -441,66 +439,50 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Searches `slots` in order, subtree after subtree, and returns their
-    /// first strict improvement: a candidate's path sum and placements, or
-    /// a subtree's best.
-    fn run_slots(&mut self, slots: &[Slot], shared: Option<&AtomicU64>) -> RunBest {
-        let mut run = RunBest {
-            profit: -1.0,
-            packing: Packing::empty(self.problem.num_items()),
-            completed: true,
-            nodes: 0,
-        };
+    /// Searches `slots` in order, subtree after subtree, and returns the
+    /// path sum of their first strict improvement — a candidate, or a
+    /// subtree's best — with its packing, whether no budget cut a subtree
+    /// short, and the nodes explored.
+    fn run_slots(&mut self, slots: &[Slot], shared: Option<&AtomicU64>) -> (f64, SearchReport) {
+        let mut profit = -1.0;
+        let n = self.problem.num_items();
+        let mut run = SearchReport { packing: Packing::empty(n), completed: true, nodes: 0 };
         for slot in slots {
             match slot {
-                Slot::Candidate(node) if node.profit > run.profit => {
-                    run.profit = node.profit;
-                    self.load(node);
-                    copy_placement(self.order, &mut run.packing, &self.current);
-                    self.unload(node);
+                Slot::Candidate(node) if node.profit > profit => {
+                    profit = node.profit;
+                    node.place(self.order, &mut run.packing);
                 }
                 Slot::Candidate(_) => {}
                 Slot::Subtree(root) => {
                     self.run(root, shared);
                     run.completed &= !self.limit_hit;
                     run.nodes += self.nodes;
-                    if self.best_profit > run.profit {
-                        run.profit = self.best_profit;
+                    if self.best_profit > profit {
+                        profit = self.best_profit;
                         copy_placement(self.order, &mut run.packing, &self.best);
                     }
                 }
             }
         }
-        run
-    }
-
-    /// Places `node`'s path: its sacks' residuals and its items.
-    fn load(&mut self, node: &Prefix) {
-        for (residual, sack) in self.residual.iter_mut().zip(self.problem.sacks()) {
-            *residual = (sack.weight_capacity, sack.volume_capacity);
-        }
-        for (&i, &sack) in self.order.iter().zip(node.path()) {
-            self.current.assign(i, sack);
-            if let Some(s) = sack {
-                let item = self.problem.items()[i];
-                let (rw, rv) = self.residual[s];
-                self.residual[s] = (rw - item.weight, rv - item.volume);
-            }
-        }
-    }
-
-    /// Takes `node`'s items out again, leaving `current` empty.
-    fn unload(&mut self, node: &Prefix) {
-        for &i in &self.order[..node.depth] {
-            self.current.assign(i, None);
-        }
+        (profit, run)
     }
 
     /// Resets the search in place to the subtree below `root` — residuals,
     /// sack index and live suffix — and searches it, unless its surrogate
     /// bound certifies it below the floor.
     fn run(&mut self, root: &Prefix, shared: Option<&AtomicU64>) {
-        self.load(root);
+        for (residual, sack) in self.residual.iter_mut().zip(self.problem.sacks()) {
+            *residual = (sack.weight_capacity, sack.volume_capacity);
+        }
+        for (&i, &sack) in self.order.iter().zip(root.path()) {
+            if let Some(s) = sack {
+                let item = self.problem.items()[i];
+                let (rw, rv) = self.residual[s];
+                self.residual[s] = (rw - item.weight, rv - item.volume);
+            }
+        }
+        root.place(self.order, &mut self.current);
         self.best_profit = -1.0;
         self.nodes = 0;
         self.limit_hit = false;
@@ -519,7 +501,6 @@ impl<'a> Search<'a> {
             self.live.reset(root.depth, (room.weight, room.volume));
             self.dfs_shared(root.depth, root.profit, shared);
         }
-        self.unload(root);
     }
 
     /// The branch-and-bound DFS, with an optional shared incumbent:

@@ -502,13 +502,17 @@ impl Mlp {
     /// the redundant "predict the targets" forward the dense formulation
     /// needs is fused away — and every off-action residual is the exact
     /// `+0.0` of the dense subtraction `o − o`, so an output delta row is
-    /// `+0.0` but at its action, and the propagation below the output layer
-    /// reads one row of `W` per sample instead of the full `Δ·W` product.
+    /// `+0.0` but at its action. The output layer's weight and bias
+    /// gradients therefore take one column a sample, at its action, and the
+    /// propagation below it reads one row of `W` per sample instead of the
+    /// full `Δ·W` product.
     ///
-    /// Every weight gradient is [`Matrix::gathered_gram_scaled_into`] over
-    /// the layer's gathered inputs. The terms skipped — exact-zero inputs,
-    /// off-action outputs — are exact `±0.0` products, and skipping them
-    /// cannot change any accumulated bit: under round-to-nearest an f64
+    /// Every hidden layer's weight gradient is
+    /// [`Matrix::gathered_gram_scaled_into`] over the layer's gathered
+    /// inputs, with the output layer's `(scale·δ)·x` terms in the same
+    /// sample order. The terms skipped — exact-zero inputs, off-action
+    /// outputs — are exact `±0.0` products, and skipping them cannot change
+    /// any accumulated bit: under round-to-nearest an f64
     /// accumulator that starts at `+0.0` can never reach `-0.0`
     /// (cancellation `x + (−x)` yields `+0.0`, and sums never underflow to
     /// zero), so adding a `±0.0` term is always the identity. Loss and
@@ -539,11 +543,23 @@ impl Mlp {
             // the accumulation order (and the `(scale·δ)·x` product shape)
             // of the per-sample reference.
             let (delta, grad) = (&deltas[li], &mut grads[li]);
-            delta.gathered_gram_scaled_into(&rows[li], scale, &mut grad.wt).map_err(arity)?;
-            grad.bias.fill(0.0);
-            for s in 0..inputs.len() {
-                for (b, &d) in grad.bias.iter_mut().zip(delta.row(s)) {
-                    *b += scale * d;
+            if li == last {
+                grad.wt.as_mut_slice().fill(0.0);
+                grad.bias.fill(0.0);
+                for (s, &a) in actions.iter().enumerate() {
+                    let t = scale * delta.row(s)[a];
+                    for &(c, x) in rows[li].row(s) {
+                        grad.wt[(c, a)] += t * x;
+                    }
+                    grad.bias[a] += t;
+                }
+            } else {
+                delta.gathered_gram_scaled_into(&rows[li], scale, &mut grad.wt).map_err(arity)?;
+                grad.bias.fill(0.0);
+                for s in 0..inputs.len() {
+                    for (b, &d) in grad.bias.iter_mut().zip(delta.row(s)) {
+                        *b += scale * d;
+                    }
                 }
             }
             if li == 0 {
