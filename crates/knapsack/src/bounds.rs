@@ -299,10 +299,10 @@ impl SuffixBounds {
 /// The room is fixed when the search is reset to a root. Residuals only
 /// shrink below the root, so a node's own room is never larger and the
 /// bound stays valid with the root's: an item that fails the root's room
-/// can be packed nowhere below it. Re-reading the room at every node would be tighter,
-/// but the walk would then have to pass the entries that fail it instead of
-/// ending at the first that overflows, which costs more per node than it
-/// saves in nodes (DESIGN.md §15.1).
+/// can be packed nowhere below it. Re-reading the room at every node would
+/// be tighter, but the walk would then have to pass the entries that fail
+/// it instead of ending at the first that overflows, which costs more per
+/// node than it saves in nodes (DESIGN.md §15.1).
 ///
 /// Dancing links: the search unlinks position `d` before it explores the
 /// children of a depth-`d` node and relinks it after the last child, so the

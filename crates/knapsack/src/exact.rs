@@ -235,9 +235,6 @@ struct Prefix {
 }
 
 impl Prefix {
-    /// The root: nothing placed.
-    const ROOT: Self = Self { profit: 0.0, depth: 0, path: [None; PAR_MAX_SPLIT_DEPTH] };
-
     fn path(&self) -> &[Option<usize>] {
         &self.path[..self.depth]
     }
@@ -267,8 +264,8 @@ struct PrefixEnum<'a> {
     split_depth: usize,
     floor: f64,
     residual: Vec<(f64, f64)>,
-    /// The path to the current node.
-    node: Prefix,
+    /// The sacks the path to the current node took.
+    path: [Option<usize>; PAR_MAX_SPLIT_DEPTH],
     /// As [`Search::seen`].
     seen: Vec<(f64, f64)>,
     enum_best: f64,
@@ -279,7 +276,7 @@ impl PrefixEnum<'_> {
     fn walk(&mut self, depth: usize, profit: f64) {
         if profit > self.enum_best {
             self.enum_best = profit;
-            self.slots.push(Slot::Candidate(Prefix { profit, depth, ..self.node }));
+            self.slots.push(Slot::Candidate(Prefix { profit, depth, path: self.path }));
         }
         if depth == self.order.len() {
             return;
@@ -300,7 +297,7 @@ impl PrefixEnum<'_> {
             return;
         }
         if depth == self.split_depth {
-            self.slots.push(Slot::Subtree(Prefix { profit, depth, ..self.node }));
+            self.slots.push(Slot::Subtree(Prefix { profit, depth, path: self.path }));
             return;
         }
 
@@ -316,12 +313,12 @@ impl PrefixEnum<'_> {
             }
             self.seen.push((rw, rv));
             self.residual[s] = (rw - item.weight, rv - item.volume);
-            self.node.path[depth] = Some(s);
+            self.path[depth] = Some(s);
             self.walk(depth + 1, profit + item.profit);
             self.residual[s] = (rw, rv);
         }
         self.seen.truncate(base);
-        self.node.path[depth] = None;
+        self.path[depth] = None;
         self.walk(depth + 1, profit);
     }
 }
@@ -340,7 +337,7 @@ fn enumerate_prefix(
         split_depth,
         floor,
         residual: full_residual(problem),
-        node: Prefix::ROOT,
+        path: [None; PAR_MAX_SPLIT_DEPTH],
         seen: Vec::new(),
         enum_best: -1.0,
         slots: Vec::new(),
@@ -605,7 +602,8 @@ mod tests {
         let order = fitting_by_density(problem);
         let bounds = SuffixBounds::new(problem, &order);
         let mut search = Search::new(problem, &order, &bounds, f64::NEG_INFINITY, None);
-        search.run(&Prefix::ROOT, None);
+        let root = Prefix { profit: 0.0, depth: 0, path: [None; PAR_MAX_SPLIT_DEPTH] };
+        search.run(&root, None);
         search.best
     }
 

@@ -507,12 +507,12 @@ impl Mlp {
     /// propagation below it reads one row of `W` per sample instead of the
     /// full `Δ·W` product.
     ///
-    /// Every hidden layer's weight gradient is
+    /// Below the output layer every weight gradient is
     /// [`Matrix::gathered_gram_scaled_into`] over the layer's gathered
-    /// inputs, with the output layer's `(scale·δ)·x` terms in the same
-    /// sample order. The terms skipped — exact-zero inputs, off-action
-    /// outputs — are exact `±0.0` products, and skipping them cannot change
-    /// any accumulated bit: under round-to-nearest an f64
+    /// inputs; the output layer's column takes the same `(scale·δ)·x` terms
+    /// in the same sample order. The terms skipped — exact-zero inputs,
+    /// off-action outputs — are exact `±0.0` products, and skipping them
+    /// cannot change any accumulated bit: under round-to-nearest an f64
     /// accumulator that starts at `+0.0` can never reach `-0.0`
     /// (cancellation `x + (−x)` yields `+0.0`, and sums never underflow to
     /// zero), so adding a `±0.0` term is always the identity. Loss and
