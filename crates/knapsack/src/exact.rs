@@ -153,8 +153,8 @@ fn copy_placement(order: &[usize], dst: &mut Packing, src: &Packing) {
     }
 }
 
-/// One branch-and-bound search, reset in place for each subtree it runs:
-/// every buffer is sized once, when it is built.
+/// One branch-and-bound search, reset in place for each subtree it runs,
+/// so its buffers are allocated once, not per subtree or node.
 struct Search<'a> {
     problem: &'a Problem,
     order: &'a [usize],
