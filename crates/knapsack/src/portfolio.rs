@@ -8,8 +8,9 @@
 //!
 //! 1. **Warm start** — density greedy plus local search
 //!    ([`crate::greedy`]) produces a feasible incumbent: `O(N log N + N·M)`
-//!    at worst for the greedy pass, which skips whole blocks of 64 sacks
-//!    that cannot hold an item or beat its best sack so far, then per
+//!    at worst for the greedy pass, which visits sacks in slack order, one
+//!    entry per class of identical sacks, and stops once none can beat the
+//!    best found so far, then per
 //!    local-search round `O(N + M)` plus one indexed find-first query per
 //!    unpacked item (costs and worst case at
 //!    [`crate::greedy::local_search`]). Its profit seeds the
