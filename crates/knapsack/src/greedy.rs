@@ -179,6 +179,12 @@ fn best_fit_slack(item: &Item, rw: f64, rv: f64, (total_w, total_v): (f64, f64))
     (rw - item.weight) / total_w + (rv - item.volume) / total_v
 }
 
+/// The item-free part of [`best_fit_slack`]: a sack's slack is, up to
+/// rounding, its key minus the item's `weight/W + volume/V`.
+fn slack_key(rw: f64, rv: f64, (total_w, total_v): (f64, f64)) -> f64 {
+    rw / total_w + rv / total_v
+}
+
 /// Entries a run of [`SlackOrder`] holds at most; a full run splits in two.
 /// Not a knob: any value gives the same placement.
 const RUN: usize = 128;
@@ -244,11 +250,10 @@ impl SlackOrder {
     /// index makes each class a contiguous slice in index order and lists
     /// the classes in key order; runs start half full.
     fn new(problem: &Problem, scales: (f64, f64)) -> Self {
-        let key = |rw: f64, rv: f64| rw / scales.0 + rv / scales.1;
         let mut keyed: Vec<(f64, u64, u64, usize)> = (problem.sacks().iter().enumerate())
             .map(|(s, sack)| {
                 let (rw, rv) = (sack.weight_capacity, sack.volume_capacity);
-                (key(rw, rv), rw.to_bits(), rv.to_bits(), s)
+                (slack_key(rw, rv, scales), rw.to_bits(), rv.to_bits(), s)
             })
             .collect();
         keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2, a.3).cmp(&(b.1, b.2, b.3))));
@@ -271,10 +276,6 @@ impl SlackOrder {
             order.refresh(order.runs.len() - 1);
         }
         order
-    }
-
-    fn key(&self, rw: f64, rv: f64) -> f64 {
-        rw / self.scales.0 + rv / self.scales.1
     }
 
     fn entries(&self, run: &Run) -> &[Entry] {
@@ -311,8 +312,7 @@ impl SlackOrder {
     /// The allowance only bounds the walk: the winner is compared on the
     /// computed slack and the sack index, as the full scan compares them.
     fn best_fit(&self, item: &Item) -> Option<(usize, usize)> {
-        let (total_w, total_v) = self.scales;
-        let c = item.weight / total_w + item.volume / total_v;
+        let c = slack_key(item.weight, item.volume, self.scales);
         let lo = c - self.edge - ALLOWANCE;
         let first = self.runs.partition_point(|run| self.last_key(run) < lo);
         // The incumbent's (slack, sack, run, position).
@@ -358,7 +358,7 @@ impl SlackOrder {
         }
         self.members.push(sack);
         let at = self.members.len() - 1;
-        self.insert(Entry { key: self.key(rw, rv), rw, rv, at, end: at + 1 });
+        self.insert(Entry { key: slack_key(rw, rv, self.scales), rw, rv, at, end: at + 1 });
         sack
     }
 
@@ -415,12 +415,13 @@ impl SlackOrder {
 /// found through a [`SlackOrder`]. An item larger than the largest sack is
 /// skipped before the walk: residuals only shrink.
 ///
-/// Cost per item: two binary searches to the fit edge, then one test per
-/// run whose room cannot hold the item and one slack per entry between the
-/// fit edge and the incumbent's stop key. Identical sacks are one entry, so
-/// a fleet of a few capacities starts as a few entries; every packed sack
-/// becomes its own. A placement moves at most [`RUN`] entries and rescans
-/// one run's room; a split or an emptied run shifts the run list.
+/// Cost per item: two binary searches to the fit edge, then, up to the
+/// incumbent's stop key, one room test per run, one fit test per entry of a
+/// run that passes, and one slack per entry the item fits. Identical sacks
+/// are one entry, so a fleet of a few capacities starts as a few entries;
+/// every packed sack becomes its own. A placement moves at most [`RUN`]
+/// entries and rescans one run's room; a split or an emptied run shifts the
+/// run list.
 fn place(problem: &Problem, index: &DensityIndex) -> Packing {
     let mut order = SlackOrder::new(problem, index.scales());
     let sacks = problem.sacks();
