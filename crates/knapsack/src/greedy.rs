@@ -22,9 +22,9 @@ use crate::problem::{Item, Packing, Problem};
 /// (5 998 items, 2 999 sacks) a walk visits tens of entries and evaluates
 /// about one slack; the worst case, every sack at a distinct residual the
 /// item does not fit, stays `O(M)` per item (costs in `place`). That is this
-/// function alone —
-/// the controller's `SolverKind::Greedy` is [`greedy_with_local_search`],
-/// which also pays for [`local_search`] (costs stated there).
+/// function alone — the controller's `SolverKind::Greedy` is
+/// [`greedy_with_local_search`], which also pays for [`local_search`] (costs
+/// stated there).
 ///
 /// # Examples
 ///
