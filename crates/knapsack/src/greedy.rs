@@ -775,9 +775,9 @@ mod tests {
         packing
     }
 
-    /// Sack counts on both sides of 64, half a run of the slack order and
-    /// the width of the blocks walked before it: one sack, one short,
-    /// exactly 64, one over, and several runs.
+    /// Sack counts on both sides of 64, the entries a run of the slack order
+    /// starts with: one sack, one short, exactly 64, one over, and several
+    /// runs.
     const SACK_COUNTS: [usize; 6] = [1, 63, 64, 65, 130, 300];
 
     /// A seeded instance of `shape` over `m` sacks, drawn to put ties, signed
