@@ -56,12 +56,14 @@ const ALL: &[&str] = &[
 struct Args {
     opts: RunOpts,
     out: PathBuf,
+    threads: Option<usize>,
     experiments: Vec<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut opts = RunOpts::default();
     let mut out = PathBuf::from("results");
+    let mut threads = None;
     let mut experiments = Vec::new();
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
@@ -76,11 +78,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--threads" => {
                 let v = iter.next().ok_or("--threads needs a value")?;
-                let threads: usize = v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
-                if threads == 0 {
+                let n: usize = v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
+                if n == 0 {
                     return Err("--threads must be at least 1".into());
                 }
-                parallel::set_max_threads(threads);
+                threads = Some(n);
             }
             "--exp" => {
                 let v = iter.next().ok_or("--exp needs a value")?;
@@ -100,7 +102,7 @@ fn parse_args() -> Result<Args, String> {
     if experiments.is_empty() {
         experiments = ALL.iter().map(|s| s.to_string()).collect();
     }
-    Ok(Args { opts, out, experiments })
+    Ok(Args { opts, out, threads, experiments })
 }
 
 fn save<T: Serialize>(dir: &Path, name: &str, value: &T) -> Result<(), Box<dyn Error>> {
@@ -256,6 +258,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Every experiment runs under the `--threads` cap; a study that pins
+    // its own cap nests a guard inside this one.
+    let _threads = args.threads.map(parallel::ScopedThreads::new);
     // Persist the importance cache next to the JSON snapshots so repeated
     // sweeps skip the offline importance sweep (results are bit-identical
     // either way; the cache only affects wall-clock).

@@ -146,7 +146,7 @@ pub fn prepare_cached(
     // next to the importance cache — same versioned-text scheme, same
     // best-effort semantics. Sweeps that need per-cell independence reset
     // it explicitly (`AvailabilityModel::clear`).
-    let availability = AvailabilityModel::new(config.availability);
+    let availability = AvailabilityModel::default();
     if let Some(path) = availability_file() {
         match availability.load_file(&path) {
             Ok(n) if n > 0 => {

@@ -35,25 +35,6 @@ impl ChillerModel {
             ChillerModel::Scroll => 2.0,
         }
     }
-
-    /// Stable name used by the CSV interchange.
-    pub fn name(self) -> &'static str {
-        match self {
-            ChillerModel::Centrifugal => "centrifugal",
-            ChillerModel::Screw => "screw",
-            ChillerModel::Scroll => "scroll",
-        }
-    }
-
-    /// Parses a name written by [`ChillerModel::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "centrifugal" => Some(ChillerModel::Centrifugal),
-            "screw" => Some(ChillerModel::Screw),
-            "scroll" => Some(ChillerModel::Scroll),
-            _ => None,
-        }
-    }
 }
 
 /// One physical chiller with its hidden efficiency curve.
@@ -151,9 +132,7 @@ mod tests {
         let all = [ChillerModel::Centrifugal, ChillerModel::Screw, ChillerModel::Scroll];
         for (i, m) in all.iter().enumerate() {
             assert_eq!(m.as_feature(), i as f64);
-            assert_eq!(ChillerModel::from_name(m.name()), Some(*m));
         }
-        assert_eq!(ChillerModel::from_name("magnetic"), None);
     }
 
     #[test]

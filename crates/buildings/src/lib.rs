@@ -12,7 +12,6 @@
 //! * [`chiller`] — chiller physics: COP curves, part-load ratio.
 //! * [`plant`] — multi-chiller plants and sequencing operations.
 //! * [`telemetry`] — sensing records carrying the Table-I domain fields.
-//! * [`export`] — CSV interchange for datasets and day contexts.
 //! * [`scenario`] — the 50-task, four-year, three-building scenario
 //!   generator ([`scenario::Scenario`] / [`scenario::ScenarioConfig`]).
 //!
@@ -24,7 +23,6 @@
 #![forbid(unsafe_code)]
 
 pub mod chiller;
-pub mod export;
 pub mod plant;
 pub mod scenario;
 pub mod telemetry;

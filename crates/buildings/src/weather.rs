@@ -33,25 +33,6 @@ impl WeatherCondition {
             WeatherCondition::Rain => 2.0,
         }
     }
-
-    /// Stable name used by the CSV interchange.
-    pub fn name(self) -> &'static str {
-        match self {
-            WeatherCondition::Clear => "clear",
-            WeatherCondition::Cloudy => "cloudy",
-            WeatherCondition::Rain => "rain",
-        }
-    }
-
-    /// Parses a name written by [`WeatherCondition::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "clear" => Some(WeatherCondition::Clear),
-            "cloudy" => Some(WeatherCondition::Cloudy),
-            "rain" => Some(WeatherCondition::Rain),
-            _ => None,
-        }
-    }
 }
 
 /// One weather observation: the context of a sequencing decision slot.
@@ -153,9 +134,7 @@ mod tests {
         let all = [WeatherCondition::Clear, WeatherCondition::Cloudy, WeatherCondition::Rain];
         for (i, c) in all.iter().enumerate() {
             assert_eq!(c.as_feature(), i as f64);
-            assert_eq!(WeatherCondition::from_name(c.name()), Some(*c));
         }
-        assert_eq!(WeatherCondition::from_name("hail"), None);
     }
 
     #[test]

@@ -26,50 +26,34 @@
 //!   [`ImportanceCache`](crate::cache::ImportanceCache) scheme), so a
 //!   save/load round-trip reconstructs the posterior bit-exactly.
 
+use crate::persist::{self, PersistError};
 use edgesim::trace::NodeExposure;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::fmt;
-use std::io::Write as _;
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Prior pseudo-successes (up evidence) of every node's Beta posterior.
+const PRIOR_ALPHA: f64 = 1.0;
+/// Prior pseudo-failures (down evidence).
+const PRIOR_BETA: f64 = 1.0;
+/// Per-round multiplicative decay of the evidence toward the prior: each
+/// [`AvailabilityModel::advance_round`] keeps this share of the older
+/// rounds' evidence.
+const DECAY: f64 = 0.9;
+/// Seconds of observed uptime worth one pseudo-success (downtime scales
+/// the same way into pseudo-failures).
+const EXPOSURE_UNIT_S: f64 = 60.0;
+/// Extra pseudo-failures charged per observed crash, on top of the
+/// downtime the crash caused: crashes are a stronger signal than the
+/// seconds they cost.
+const CRASH_WEIGHT: f64 = 2.0;
 
 /// Pseudo-count ticks per exposure unit: exposures are quantised to
-/// 1/1000th of [`AvailabilityConfig::exposure_unit_s`] before accumulation
-/// so updates commute exactly (integer arithmetic) across threads.
+/// 1/1000th of [`EXPOSURE_UNIT_S`] before accumulation so updates commute
+/// exactly (integer arithmetic) across threads.
 const TICKS_PER_UNIT: f64 = 1000.0;
-
-/// Shaping of the per-node Beta posterior.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AvailabilityConfig {
-    /// Prior pseudo-successes (up evidence). Must be positive.
-    pub prior_alpha: f64,
-    /// Prior pseudo-failures (down evidence). Must be positive.
-    pub prior_beta: f64,
-    /// Per-round multiplicative decay toward the prior in `(0, 1]`:
-    /// `1.0` never forgets, smaller values fade old rounds faster.
-    pub decay: f64,
-    /// Seconds of observed uptime worth one pseudo-success (downtime
-    /// scales the same way into pseudo-failures). Must be positive.
-    pub exposure_unit_s: f64,
-    /// Extra pseudo-failures charged per observed crash, on top of the
-    /// downtime the crash caused — crashes are a stronger signal than
-    /// the seconds they cost.
-    pub crash_weight: f64,
-}
-
-impl Default for AvailabilityConfig {
-    fn default() -> Self {
-        Self {
-            prior_alpha: 1.0,
-            prior_beta: 1.0,
-            decay: 0.9,
-            exposure_unit_s: 60.0,
-            crash_weight: 2.0,
-        }
-    }
-}
 
 /// How hard the proactive objective leans on learned availability.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,95 +104,43 @@ struct NodeState {
 }
 
 impl NodeState {
-    fn fresh(config: &AvailabilityConfig) -> Self {
-        Self {
-            alpha: config.prior_alpha,
-            beta: config.prior_beta,
-            pending_up_ticks: 0,
-            pending_down_ticks: 0,
-            pending_crashes: 0,
-        }
-    }
-}
-
-/// Error persisting or restoring an availability model.
-#[derive(Debug)]
-pub enum AvailabilityPersistError {
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// The text is not a valid posterior dump.
-    Parse {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// What was wrong with it.
-        reason: &'static str,
-    },
-}
-
-impl fmt::Display for AvailabilityPersistError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AvailabilityPersistError::Io(e) => write!(f, "availability file I/O failed: {e}"),
-            AvailabilityPersistError::Parse { line, reason } => {
-                write!(f, "availability file line {line}: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for AvailabilityPersistError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            AvailabilityPersistError::Io(e) => Some(e),
-            AvailabilityPersistError::Parse { .. } => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for AvailabilityPersistError {
-    fn from(e: std::io::Error) -> Self {
-        AvailabilityPersistError::Io(e)
-    }
+    const FRESH: Self = Self {
+        alpha: PRIOR_ALPHA,
+        beta: PRIOR_BETA,
+        pending_up_ticks: 0,
+        pending_down_ticks: 0,
+        pending_crashes: 0,
+    };
 }
 
 /// Magic first line of the on-disk format. Version-bump on any layout
 /// change; old dumps are then rejected instead of misread.
 const PERSIST_HEADER: &str = "dcta-availability-prior v1";
 
-/// Per-node availability posteriors behind a shared-reference API.
+/// Per-node availability posteriors behind a shared-reference API; a
+/// default model has every node at the prior.
 ///
 /// Interior mutability (one mutex over the whole map — the map is tiny,
 /// one entry per fleet node) lets a shared prepared core and concurrent
-/// absorb callers share `&AvailabilityModel`.
-#[derive(Debug)]
+/// absorb callers share `&AvailabilityModel`. The lock recovers from
+/// poisoning with [`PoisonError::into_inner`]: every critical section under
+/// it is saturating integer adds, a decay fold, or one map insert, extend
+/// or clear, and no caller code runs under it, so a panic can never leave
+/// a posterior half-updated.
+#[derive(Debug, Default)]
 pub struct AvailabilityModel {
-    config: AvailabilityConfig,
     state: Mutex<BTreeMap<usize, NodeState>>,
 }
 
 impl AvailabilityModel {
-    /// Creates an empty model (every node starts at the prior).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-positive prior or exposure unit, or a decay outside
-    /// `(0, 1]` — configuration bugs, not data errors.
-    pub fn new(config: AvailabilityConfig) -> Self {
-        assert!(config.prior_alpha > 0.0 && config.prior_beta > 0.0, "Beta prior must be positive");
-        assert!(config.decay > 0.0 && config.decay <= 1.0, "decay must be in (0, 1]");
-        assert!(config.exposure_unit_s > 0.0, "exposure unit must be positive");
-        assert!(config.crash_weight >= 0.0, "crash weight must be non-negative");
-        Self { config, state: Mutex::new(BTreeMap::new()) }
-    }
-
-    /// The configuration the model was built with.
-    pub fn config(&self) -> &AvailabilityConfig {
-        &self.config
+    /// The per-node state, poisoned or not (see the type's docs).
+    fn state(&self) -> MutexGuard<'_, BTreeMap<usize, NodeState>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of nodes with any recorded state.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("availability lock").len()
+        self.state().len()
     }
 
     /// Whether no node has recorded state yet.
@@ -218,7 +150,7 @@ impl AvailabilityModel {
 
     /// Forgets all learned state (back to the prior everywhere).
     pub fn clear(&self) {
-        self.state.lock().expect("availability lock").clear();
+        self.state().clear();
     }
 
     /// Buffers one round's exposure observations.
@@ -233,18 +165,17 @@ impl AvailabilityModel {
         if exposures.is_empty() {
             return;
         }
-        let unit = self.config.exposure_unit_s;
         let ticks = |seconds: f64| -> u64 {
-            let t = (seconds.max(0.0) / unit * TICKS_PER_UNIT).round();
+            let t = (seconds.max(0.0) / EXPOSURE_UNIT_S * TICKS_PER_UNIT).round();
             if t >= u64::MAX as f64 {
                 u64::MAX
             } else {
                 t as u64
             }
         };
-        let mut state = self.state.lock().expect("availability lock");
+        let mut state = self.state();
         for exp in exposures {
-            let entry = state.entry(exp.node.0).or_insert_with(|| NodeState::fresh(&self.config));
+            let entry = state.entry(exp.node.0).or_insert(NodeState::FRESH);
             entry.pending_up_ticks = entry.pending_up_ticks.saturating_add(ticks(exp.up_s));
             entry.pending_down_ticks = entry.pending_down_ticks.saturating_add(ticks(exp.down_s));
             entry.pending_crashes = entry.pending_crashes.saturating_add(exp.crashes);
@@ -259,14 +190,12 @@ impl AvailabilityModel {
     /// would then be scheduler-dependent — keep it single-threaded where
     /// bit-reproducibility matters.
     pub fn advance_round(&self) {
-        let c = &self.config;
-        let mut state = self.state.lock().expect("availability lock");
-        for node in state.values_mut() {
-            node.alpha = c.prior_alpha + c.decay * (node.alpha - c.prior_alpha);
-            node.beta = c.prior_beta + c.decay * (node.beta - c.prior_beta);
+        for node in self.state().values_mut() {
+            node.alpha = PRIOR_ALPHA + DECAY * (node.alpha - PRIOR_ALPHA);
+            node.beta = PRIOR_BETA + DECAY * (node.beta - PRIOR_BETA);
             node.alpha += node.pending_up_ticks as f64 / TICKS_PER_UNIT;
             node.beta += node.pending_down_ticks as f64 / TICKS_PER_UNIT
-                + node.pending_crashes as f64 * c.crash_weight;
+                + node.pending_crashes as f64 * CRASH_WEIGHT;
             node.pending_up_ticks = 0;
             node.pending_down_ticks = 0;
             node.pending_crashes = 0;
@@ -276,11 +205,7 @@ impl AvailabilityModel {
     /// `(α, β)` for a node — the prior when the node was never observed.
     /// Buffered (un-folded) observations are not included.
     pub fn posterior(&self, node: usize) -> (f64, f64) {
-        let state = self.state.lock().expect("availability lock");
-        state
-            .get(&node)
-            .map(|s| (s.alpha, s.beta))
-            .unwrap_or((self.config.prior_alpha, self.config.prior_beta))
+        self.state().get(&node).map_or((PRIOR_ALPHA, PRIOR_BETA), |s| (s.alpha, s.beta))
     }
 
     /// Posterior mean survival probability `α / (α + β)`.
@@ -305,10 +230,9 @@ impl AvailabilityModel {
     /// by node id. Values are exact `f64` bit patterns — persistence must
     /// not perturb a single bit.
     pub fn to_text(&self) -> String {
-        let state = self.state.lock().expect("availability lock");
         let mut out = String::from(PERSIST_HEADER);
         out.push('\n');
-        for (node, s) in state.iter() {
+        for (node, s) in self.state().iter() {
             out.push_str(&format!(
                 "{:016x} {:016x} {:016x} {:016x} {:016x} {:016x}\n",
                 node,
@@ -328,60 +252,29 @@ impl AvailabilityModel {
     ///
     /// # Errors
     ///
-    /// [`AvailabilityPersistError::Parse`] on a malformed dump or a node
+    /// [`PersistError::Parse`] on a malformed dump or a node
     /// recorded twice; nothing is merged partially — the text is validated
     /// before any insert.
-    pub fn load_text(&self, text: &str) -> Result<usize, AvailabilityPersistError> {
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, header)) if header == PERSIST_HEADER => {}
-            Some((_, _)) => {
-                return Err(AvailabilityPersistError::Parse { line: 1, reason: "unknown header" })
-            }
-            None => return Err(AvailabilityPersistError::Parse { line: 1, reason: "empty file" }),
-        }
+    pub fn load_text(&self, text: &str) -> Result<usize, PersistError> {
         let mut parsed: BTreeMap<usize, NodeState> = BTreeMap::new();
-        for (idx, line) in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = line.split_ascii_whitespace().collect();
-            if fields.len() != 6 {
-                return Err(AvailabilityPersistError::Parse {
-                    line: idx + 1,
-                    reason: "expected 6 fields",
-                });
-            }
-            let mut words = fields.iter().map(|f| u64::from_str_radix(f, 16));
-            let mut next = |reason| {
-                words
-                    .next()
-                    .expect("length checked")
-                    .map_err(|_| AvailabilityPersistError::Parse { line: idx + 1, reason })
+        for record in persist::records(text, PERSIST_HEADER)? {
+            let [node, alpha, beta, pending_up_ticks, pending_down_ticks, pending_crashes] =
+                record.words[..]
+            else {
+                return Err(record.reject("expected 6 fields"));
             };
-            let node = next("bad node field")? as usize;
-            let alpha = f64::from_bits(next("bad alpha field")?);
-            let beta = f64::from_bits(next("bad beta field")?);
-            let pending_up_ticks = next("bad up-ticks field")?;
-            let pending_down_ticks = next("bad down-ticks field")?;
-            let pending_crashes = next("bad crash field")?;
+            let (alpha, beta) = (f64::from_bits(alpha), f64::from_bits(beta));
             if !(alpha.is_finite() && alpha > 0.0 && beta.is_finite() && beta > 0.0) {
-                return Err(AvailabilityPersistError::Parse {
-                    line: idx + 1,
-                    reason: "posterior parameters must be finite and positive",
-                });
+                return Err(record.reject("posterior parameters must be finite and positive"));
             }
             let s =
                 NodeState { alpha, beta, pending_up_ticks, pending_down_ticks, pending_crashes };
-            if parsed.insert(node, s).is_some() {
-                return Err(AvailabilityPersistError::Parse {
-                    line: idx + 1,
-                    reason: "duplicate node",
-                });
+            if parsed.insert(node as usize, s).is_some() {
+                return Err(record.reject("duplicate node"));
             }
         }
         let count = parsed.len();
-        self.state.lock().expect("availability lock").extend(parsed);
+        self.state().extend(parsed);
         Ok(count)
     }
 
@@ -389,10 +282,9 @@ impl AvailabilityModel {
     ///
     /// # Errors
     ///
-    /// [`AvailabilityPersistError::Io`] on filesystem failure.
-    pub fn save_file(&self, path: &Path) -> Result<(), AvailabilityPersistError> {
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(self.to_text().as_bytes())?;
+    /// [`PersistError::Io`] on filesystem failure.
+    pub fn save_file(&self, path: &Path) -> Result<(), PersistError> {
+        std::fs::write(path, self.to_text())?;
         Ok(())
     }
 
@@ -401,29 +293,15 @@ impl AvailabilityModel {
     ///
     /// # Errors
     ///
-    /// See [`AvailabilityPersistError`] variants.
-    pub fn load_file(&self, path: &Path) -> Result<usize, AvailabilityPersistError> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => return Err(e.into()),
-        };
-        self.load_text(&text)
-    }
-}
-
-impl Default for AvailabilityModel {
-    fn default() -> Self {
-        Self::new(AvailabilityConfig::default())
+    /// See [`PersistError`] variants.
+    pub fn load_file(&self, path: &Path) -> Result<usize, PersistError> {
+        persist::load_file(path, |text| self.load_text(text))
     }
 }
 
 impl Clone for AvailabilityModel {
     fn clone(&self) -> Self {
-        Self {
-            config: self.config,
-            state: Mutex::new(self.state.lock().expect("availability lock").clone()),
-        }
+        Self { state: Mutex::new(self.state().clone()) }
     }
 }
 
@@ -519,14 +397,11 @@ mod tests {
 
     #[test]
     fn decay_fades_old_evidence_toward_the_prior() {
-        let m = AvailabilityModel::new(AvailabilityConfig {
-            decay: 0.5,
-            ..AvailabilityConfig::default()
-        });
+        let m = AvailabilityModel::default();
         m.absorb(&[exposure(4, 0.0, 600.0, 5)]);
         m.advance_round();
         let fresh = m.mean(4);
-        for _ in 0..20 {
+        for _ in 0..60 {
             m.advance_round();
         }
         let faded = m.mean(4);
@@ -594,18 +469,17 @@ mod tests {
     #[test]
     fn load_rejects_malformed_dumps_without_merging() {
         let m = AvailabilityModel::default();
-        assert!(matches!(
-            m.load_text("not-a-header\n"),
-            Err(AvailabilityPersistError::Parse { line: 1, .. })
-        ));
-        let bad = format!("{PERSIST_HEADER}\n0001 0002 0003\n");
-        assert!(matches!(m.load_text(&bad), Err(AvailabilityPersistError::Parse { line: 2, .. })));
+        assert!(matches!(m.load_text("not-a-header\n"), Err(PersistError::Parse { line: 1, .. })));
+        let bad = format!("{PERSIST_HEADER}\n{:016x} {:016x} {:016x}\n", 1, 2, 3);
+        assert!(matches!(m.load_text(&bad), Err(PersistError::Parse { line: 2, .. })));
         let nan = format!(
-            "{PERSIST_HEADER}\n0000000000000001 {:016x} {:016x} 0 0 0\n",
+            "{PERSIST_HEADER}\n{:016x} {:016x} {:016x} {z} {z} {z}\n",
+            1,
             f64::NAN.to_bits(),
-            1.0f64.to_bits()
+            1.0f64.to_bits(),
+            z = "0".repeat(16),
         );
-        assert!(matches!(m.load_text(&nan), Err(AvailabilityPersistError::Parse { line: 2, .. })));
+        assert!(matches!(m.load_text(&nan), Err(PersistError::Parse { line: 2, .. })));
         assert!(m.is_empty(), "failed loads must not merge partially");
     }
 
@@ -618,13 +492,14 @@ mod tests {
         let records: String = [(1usize, 2.0f64), (2, 3.0), (1, 4.0)]
             .iter()
             .map(|(node, alpha)| {
-                format!("{node:016x} {:016x} {:016x} 0 0 0\n", alpha.to_bits(), 1.0f64.to_bits())
+                let zeros = format!("{0:016x} {0:016x} {0:016x}", 0);
+                format!("{node:016x} {:016x} {:016x} {zeros}\n", alpha.to_bits(), 1.0f64.to_bits())
             })
             .collect();
         let dump = format!("{PERSIST_HEADER}\n{records}");
         assert!(matches!(
             m.load_text(&dump),
-            Err(AvailabilityPersistError::Parse { line: 4, reason: "duplicate node" })
+            Err(PersistError::Parse { line: 4, reason: "duplicate node" })
         ));
         assert_eq!(m.to_text(), text, "contents moved");
     }
@@ -656,6 +531,29 @@ mod tests {
         m.absorb(&[exposure(0, 0.0, 600.0, 9)]);
         m.advance_round();
         assert!(snap.mean(0) > m.mean(0));
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_answers() {
+        let m = AvailabilityModel::default();
+        m.absorb(&[exposure(2, 600.0, 60.0, 1)]);
+        m.advance_round();
+        let before = m.to_text();
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = m.state.lock();
+                panic!("poison the availability lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(m.state.is_poisoned());
+        assert_eq!(m.to_text(), before, "the panic moved no state");
+        let (alpha, beta) = m.posterior(2);
+        m.absorb(&[exposure(2, 600.0, 0.0, 0)]);
+        m.advance_round();
+        let after = m.posterior(2);
+        assert!(after.0 > alpha && after.1 < beta, "{after:?} after ({alpha}, {beta})");
+        assert!(m.to_text().starts_with(PERSIST_HEADER));
     }
 
     #[test]

@@ -46,10 +46,10 @@
 //!
 //! [`ImportanceEvaluator::with_cache`]: crate::importance::ImportanceEvaluator::with_cache
 
+use crate::persist::{self, PersistError};
 use buildings::scenario::DayContext;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -208,46 +208,6 @@ struct Slot {
 #[derive(Debug, Default)]
 struct Shard {
     map: HashMap<CacheKey, Slot>,
-}
-
-/// Error persisting or restoring a cache.
-#[derive(Debug)]
-pub enum CachePersistError {
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// The text is not a valid cache dump.
-    Parse {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// What was wrong with it.
-        reason: &'static str,
-    },
-}
-
-impl fmt::Display for CachePersistError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CachePersistError::Io(e) => write!(f, "cache file I/O failed: {e}"),
-            CachePersistError::Parse { line, reason } => {
-                write!(f, "cache file line {line}: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CachePersistError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CachePersistError::Io(e) => Some(e),
-            CachePersistError::Parse { .. } => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for CachePersistError {
-    fn from(e: std::io::Error) -> Self {
-        CachePersistError::Io(e)
-    }
 }
 
 /// Magic first line of the on-disk format. Version-bump on any layout
@@ -449,54 +409,23 @@ impl ImportanceCache {
     ///
     /// # Errors
     ///
-    /// [`CachePersistError::Parse`] on a malformed dump, a non-finite value,
+    /// [`PersistError::Parse`] on a malformed dump, a non-finite value,
     /// or a key the dump repeats; nothing is merged partially — the text is
     /// validated before any insert.
-    pub fn load_text(&self, text: &str) -> Result<usize, CachePersistError> {
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, header)) if header == PERSIST_HEADER => {}
-            Some((_, _)) => {
-                return Err(CachePersistError::Parse { line: 1, reason: "unknown header" })
-            }
-            None => return Err(CachePersistError::Parse { line: 1, reason: "empty file" }),
-        }
+    pub fn load_text(&self, text: &str) -> Result<usize, PersistError> {
         let mut parsed: Vec<(CacheKey, f64)> = Vec::new();
         let mut seen: HashSet<CacheKey> = HashSet::new();
-        for (idx, line) in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = line.split_ascii_whitespace().collect();
-            if fields.len() < 4 {
-                return Err(CachePersistError::Parse { line: idx + 1, reason: "too few fields" });
-            }
-            let mut words = fields.iter().map(|f| u64::from_str_radix(f, 16));
-            let mut next = |reason| {
-                words
-                    .next()
-                    .expect("length checked")
-                    .map_err(|_| CachePersistError::Parse { line: idx + 1, reason })
+        for record in persist::records(text, PERSIST_HEADER)? {
+            let [seed, evaluator, day, value, ref mask @ ..] = record.words[..] else {
+                return Err(record.reject("too few fields"));
             };
-            let seed = next("bad seed field")?;
-            let evaluator = next("bad evaluator field")?;
-            let day = next("bad day field")?;
-            let value = f64::from_bits(next("bad value field")?);
+            let value = f64::from_bits(value);
             if !value.is_finite() {
-                return Err(CachePersistError::Parse { line: idx + 1, reason: "value not finite" });
+                return Err(record.reject("value not finite"));
             }
-            let mask: Vec<u64> = fields[4..]
-                .iter()
-                .map(|f| {
-                    u64::from_str_radix(f, 16).map_err(|_| CachePersistError::Parse {
-                        line: idx + 1,
-                        reason: "bad mask word",
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            let key = CacheKey { seed, evaluator, day, mask };
+            let key = CacheKey { seed, evaluator, day, mask: mask.to_vec() };
             if !seen.insert(key.clone()) {
-                return Err(CachePersistError::Parse { line: idx + 1, reason: "duplicate key" });
+                return Err(record.reject("duplicate key"));
             }
             parsed.push((key, value));
         }
@@ -511,10 +440,9 @@ impl ImportanceCache {
     ///
     /// # Errors
     ///
-    /// [`CachePersistError::Io`] on filesystem failure.
-    pub fn save_file(&self, path: &Path) -> Result<(), CachePersistError> {
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(self.to_text().as_bytes())?;
+    /// [`PersistError::Io`] on filesystem failure.
+    pub fn save_file(&self, path: &Path) -> Result<(), PersistError> {
+        std::fs::write(path, self.to_text())?;
         Ok(())
     }
 
@@ -523,14 +451,9 @@ impl ImportanceCache {
     ///
     /// # Errors
     ///
-    /// See [`CachePersistError`] variants.
-    pub fn load_file(&self, path: &Path) -> Result<usize, CachePersistError> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => return Err(e.into()),
-        };
-        self.load_text(&text)
+    /// See [`PersistError`] variants.
+    pub fn load_file(&self, path: &Path) -> Result<usize, PersistError> {
+        persist::load_file(path, |text| self.load_text(text))
     }
 }
 
@@ -768,25 +691,25 @@ mod persist_tests {
         let cache = ImportanceCache::new();
         assert!(matches!(
             cache.load_text(""),
-            Err(CachePersistError::Parse { line: 1, reason: "empty file" })
+            Err(PersistError::Parse { line: 1, reason: "empty file" })
         ));
         assert!(matches!(
             cache.load_text("some other format\n"),
-            Err(CachePersistError::Parse { line: 1, .. })
+            Err(PersistError::Parse { line: 1, .. })
         ));
-        let bad_fields = format!("{PERSIST_HEADER}\n0011 2233\n");
+        let bad_fields = format!("{PERSIST_HEADER}\n{:016x} {:016x}\n", 0x11, 0x2233);
         assert!(matches!(
             cache.load_text(&bad_fields),
-            Err(CachePersistError::Parse { line: 2, reason: "too few fields" })
+            Err(PersistError::Parse { line: 2, reason: "too few fields" })
         ));
         let bad_hex = format!("{PERSIST_HEADER}\nzz 00 00 00\n");
         assert!(matches!(
             cache.load_text(&bad_hex),
-            Err(CachePersistError::Parse { line: 2, reason: "bad seed field" })
+            Err(PersistError::Parse { line: 2, reason: "bad hex word" })
         ));
         // Nothing was merged by the failed loads.
         assert_eq!(cache.stats().entries, 0);
-        assert!(CachePersistError::Parse { line: 2, reason: "x" }.to_string().contains("line 2"));
+        assert!(PersistError::Parse { line: 2, reason: "x" }.to_string().contains("line 2"));
     }
 
     /// A dump whose line 2 is valid and whose line 3 carries `value` under
@@ -796,11 +719,13 @@ mod persist_tests {
         let _: Result<f64, ()> = cache.lookup_or_compute(9, 9, 9, &[true], || Ok(0.75));
         let _: Result<f64, ()> = cache.lookup_or_compute(9, 9, 9, &[true], || unreachable!());
         let (text, stats) = (cache.to_text(), cache.stats());
-        let line = |day: u64, v: f64| format!("1 2 {day:x} {:016x} 1", v.to_bits());
+        let line = |day: u64, v: f64| {
+            format!("{:016x} {:016x} {day:016x} {:016x} {:016x}", 1, 2, v.to_bits(), 1)
+        };
         let dump = format!("{PERSIST_HEADER}\n{}\n{}\n", line(0, 0.5), line(day, value));
         assert!(matches!(
             cache.load_text(&dump),
-            Err(CachePersistError::Parse { line: 3, reason: r }) if r == reason
+            Err(PersistError::Parse { line: 3, reason: r }) if r == reason
         ));
         assert_eq!(cache.to_text(), text, "contents moved");
         assert_eq!(cache.stats(), stats, "stats moved");

@@ -142,7 +142,7 @@ impl CopModels {
     pub fn train(scenario: &Scenario, config: MtlConfig) -> Result<Self, ImportanceError> {
         // Stripping is pure per-task work; fan it out alongside the MTL fit
         // (itself parallel over tasks inside `MtlSystem::fit`).
-        let tasks: Vec<TransferTask> = parallel::par_map_indexed(scenario.tasks().len(), |t| {
+        let tasks: Vec<TransferTask> = parallel::map(scenario.tasks().len(), 2, |t| {
             TransferTask::new(
                 scenario.tasks()[t].name.clone(),
                 strip_power_feature(scenario.dataset(t)),
@@ -150,11 +150,6 @@ impl CopModels {
         });
         let sys = MtlSystem::fit(&tasks, config)?;
         Ok(Self { models: sys.models().to_vec() })
-    }
-
-    /// Builds from pre-fit models (for ablations).
-    pub fn from_models(models: Vec<LinearModel>) -> Self {
-        Self { models }
     }
 
     /// Number of task models.
@@ -198,15 +193,6 @@ impl EnergyReport {
             0.0
         } else {
             (self.naive_kw - self.chosen_kw) / self.naive_kw
-        }
-    }
-
-    /// Saving of the true optimum vs naive — the ceiling.
-    pub fn ideal_saving(&self) -> f64 {
-        if self.naive_kw <= 1e-12 {
-            0.0
-        } else {
-            (self.naive_kw - self.ideal_kw) / self.naive_kw
         }
     }
 }
@@ -431,7 +417,7 @@ impl<'a> ImportanceEvaluator<'a> {
         // making the parallel sweep bit-identical to the serial one. Each
         // retrial is only ~10 µs warm, so demand a meaty slice per worker
         // before paying thread spawn/join.
-        parallel::try_par_map_indexed_grained(n, 16, |j| -> Result<f64, ImportanceError> {
+        parallel::try_map(n, 16, |j| -> Result<f64, ImportanceError> {
             let mut mask = vec![true; n];
             mask[j] = false;
             let without = self.decision_performance(day, &mask)?;
@@ -462,20 +448,17 @@ impl<'a> ImportanceEvaluator<'a> {
         // slice per worker (the tracked perf log showed a 0.90× *slowdown*
         // at 2 threads when every tiny map spawned a full crew). Grains
         // affect crew size only — cell arithmetic and order are unchanged.
-        let full: Vec<f64> = parallel::try_par_map_grained(days, 8, |d| {
-            self.decision_performance(d, &vec![true; n])
+        let full: Vec<f64> = parallel::try_map(days.len(), 8, |d| {
+            self.decision_performance(&days[d], &vec![true; n])
         })?;
-        let cells: Vec<f64> = parallel::try_par_map_indexed_grained(
-            days.len() * n,
-            32,
-            |idx| -> Result<f64, ImportanceError> {
+        let cells: Vec<f64> =
+            parallel::try_map(days.len() * n, 32, |idx| -> Result<f64, ImportanceError> {
                 let (d, j) = (idx / n, idx % n);
                 let mut mask = vec![true; n];
                 mask[j] = false;
                 let without = self.decision_performance(&days[d], &mask)?;
                 Ok((full[d] - without).clamp(0.0, 1.0))
-            },
-        )?;
+            })?;
         Ok(cells.chunks(n).map(<[f64]>::to_vec).collect())
     }
 }

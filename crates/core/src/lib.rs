@@ -25,6 +25,8 @@
 //! * [`availability`] — learned per-node Beta availability priors with
 //!   seeded Thompson survival draws, driving the proactive allocation
 //!   path (`RecoveryMode::Proactive`) ahead of any crash.
+//! * [`persist`] — the one reader of the cache's and the prior's versioned
+//!   text dumps, and their [`persist::PersistError`].
 //! * [`shared`] — the prepared pipeline ([`shared::PreparedCore`]): one
 //!   `Send + Sync` type whose runs take `&self`, shared by batch callers
 //!   and the concurrent serving layer alike.
@@ -60,6 +62,7 @@ pub mod features;
 pub mod importance;
 pub mod local;
 pub mod objective;
+pub mod persist;
 pub mod pipeline;
 pub mod processor;
 pub mod recovery;

@@ -112,11 +112,6 @@ impl Objective {
     pub fn route_cost(&self) -> bool {
         self.route_cost
     }
-
-    /// Whether this is the blank objective (the bit-pinned classic path).
-    pub fn is_blank(&self) -> bool {
-        self.importances.is_none() && !self.survival && !self.route_cost
-    }
 }
 
 /// One allocation request: which [`crate::pipeline::Method`] on which
@@ -255,15 +250,6 @@ mod tests {
     use crate::tatim::TatimInstance;
     use edgesim::cluster::MeshSpec;
     use edgesim::node::NodeId;
-
-    #[test]
-    fn blank_objective_is_blank() {
-        let o = Objective::new();
-        assert!(o.is_blank());
-        assert!(!o.with_route_cost(true).is_blank());
-        assert!(!Objective::new().with_survival(true).is_blank());
-        assert!(!Objective::new().with_importances(vec![0.5]).is_blank());
-    }
 
     #[test]
     fn uniform_star_factors_are_exactly_one() {

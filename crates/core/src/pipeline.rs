@@ -8,7 +8,7 @@
 //! paper's metrics: processing time `PT` and decision performance `H`.
 
 use crate::allocation::Allocation;
-use crate::availability::{AvailabilityConfig, AvailabilityModel, ProactiveConfig};
+use crate::availability::{AvailabilityModel, ProactiveConfig};
 use crate::cache::ImportanceCache;
 use crate::crl_alloc::CrlAllocator;
 use crate::dcta::{DctaAllocator, DctaError};
@@ -115,9 +115,6 @@ pub struct PipelineConfig {
     /// window (tasks longer than the scaled budget become unplaceable).
     /// Only fault-injected runs read it.
     pub recovery_budget_fraction: f64,
-    /// Shaping of the learned per-node availability posterior
-    /// ([`RecoveryMode::Proactive`] runs feed and read it).
-    pub availability: AvailabilityConfig,
     /// How hard proactive allocation leans on learned availability.
     pub proactive: ProactiveConfig,
     /// Master seed.
@@ -139,7 +136,6 @@ impl Default for PipelineConfig {
             result_bits: 1e4,
             include_allocation_overhead: false,
             recovery_budget_fraction: 1.0,
-            availability: AvailabilityConfig::default(),
             proactive: ProactiveConfig::default(),
             seed: 99,
         }
@@ -509,7 +505,11 @@ impl Pipeline {
     /// offline phase (`.cache(...)`, `.availability(...)`) before calling
     /// [`PipelineBuilder::prepare`].
     pub fn builder(config: PipelineConfig) -> PipelineBuilder {
-        PipelineBuilder { config, cache: ImportanceCache::new(), availability: None }
+        PipelineBuilder {
+            config,
+            cache: ImportanceCache::new(),
+            availability: AvailabilityModel::default(),
+        }
     }
 
     /// Runs the offline phase against `scenario`.
@@ -521,14 +521,14 @@ impl Pipeline {
     ///
     /// See [`PipelineError`] variants.
     pub fn prepare(&self, scenario: &Scenario) -> Result<PreparedCore, PipelineError> {
-        self.prepare_impl(scenario, ImportanceCache::new(), None)
+        self.prepare_impl(scenario, ImportanceCache::new(), AvailabilityModel::default())
     }
 
     fn prepare_impl(
         &self,
         scenario: &Scenario,
         cache: ImportanceCache,
-        availability: Option<AvailabilityModel>,
+        availability: AvailabilityModel,
     ) -> Result<PreparedCore, PipelineError> {
         let cfg = &self.config;
         if scenario.days().len() <= cfg.env_history_days {
@@ -643,7 +643,7 @@ impl Pipeline {
             dcta,
             history,
             cache,
-            availability: availability.unwrap_or_else(|| AvailabilityModel::new(cfg.availability)),
+            availability,
         })
     }
 }
@@ -665,7 +665,7 @@ impl Default for Pipeline {
 pub struct PipelineBuilder {
     config: PipelineConfig,
     cache: ImportanceCache,
-    availability: Option<AvailabilityModel>,
+    availability: AvailabilityModel,
 }
 
 impl PipelineBuilder {
@@ -685,11 +685,10 @@ impl PipelineBuilder {
     /// typically one restored from a previous run's dump
     /// ([`AvailabilityModel::load_file`]), so availability learning
     /// survives across runs the way the importance cache does. Without
-    /// this, a fresh model is built from
-    /// [`PipelineConfig::availability`].
+    /// this, every node starts at the prior.
     #[must_use]
     pub fn availability(mut self, model: AvailabilityModel) -> Self {
-        self.availability = Some(model);
+        self.availability = model;
         self
     }
 

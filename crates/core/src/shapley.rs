@@ -52,11 +52,11 @@ pub fn shapley_importances(
     // evaluate them in parallel and reduce in sample order afterwards so
     // the floating-point accumulation order matches the serial loop.
     let deltas: Vec<Vec<f64>> =
-        parallel::try_par_map(&permutations, |perm| -> Result<Vec<f64>, ImportanceError> {
+        parallel::try_map(permutations.len(), 2, |p| -> Result<Vec<f64>, ImportanceError> {
             let mut mask = vec![false; n];
             let mut previous = evaluator.decision_performance(day, &mask)?;
             let mut delta = vec![0.0; n];
-            for &j in perm {
+            for &j in &permutations[p] {
                 mask[j] = true;
                 let current = evaluator.decision_performance(day, &mask)?;
                 delta[j] = current - previous;

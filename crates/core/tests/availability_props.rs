@@ -2,7 +2,7 @@
 //! posterior updates are invariant to `absorb` arrival order and thread
 //! interleaving, and persistence round-trips the posterior bit-exactly.
 
-use dcta_core::availability::{AvailabilityConfig, AvailabilityModel};
+use dcta_core::availability::AvailabilityModel;
 use edgesim::node::NodeId;
 use edgesim::trace::NodeExposure;
 use proptest::prelude::*;
@@ -28,7 +28,7 @@ fn exposures() -> impl Strategy<Value = Vec<NodeExposure>> {
 /// `threads` OS threads, then folds the round and returns the exact
 /// posterior dump.
 fn absorb_with_threads(exposures: &[NodeExposure], threads: usize) -> String {
-    let model = AvailabilityModel::new(AvailabilityConfig::default());
+    let model = AvailabilityModel::default();
     let model_ref = &model;
     let chunk = exposures.len().div_ceil(threads).max(1);
     std::thread::scope(|s| {
@@ -69,7 +69,7 @@ proptest! {
         rounds in 1usize..4,
         draw_seed in 0u64..u64::MAX,
     ) {
-        let model = AvailabilityModel::new(AvailabilityConfig::default());
+        let model = AvailabilityModel::default();
         for _ in 0..rounds {
             model.absorb(&exps);
             model.advance_round();
@@ -78,7 +78,7 @@ proptest! {
         model.absorb(&exps);
         let text = model.to_text();
 
-        let restored = AvailabilityModel::new(AvailabilityConfig::default());
+        let restored = AvailabilityModel::default();
         restored.load_text(&text).expect("well-formed dump");
         prop_assert_eq!(restored.to_text(), text);
 
@@ -97,7 +97,7 @@ proptest! {
     /// and every draw is a probability.
     #[test]
     fn thompson_draws_are_pure_and_bounded(exps in exposures(), seed in 0u64..u64::MAX) {
-        let model = AvailabilityModel::new(AvailabilityConfig::default());
+        let model = AvailabilityModel::default();
         model.absorb(&exps);
         model.advance_round();
         let forward: Vec<u64> = (0..8).map(|n| model.thompson(n, seed).to_bits()).collect();

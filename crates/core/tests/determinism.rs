@@ -34,7 +34,7 @@ fn importance_pipeline_is_thread_count_invariant() {
     let s = scenario();
     let mut runs = Vec::new();
     for threads in THREAD_COUNTS {
-        parallel::set_max_threads(threads);
+        let _threads = parallel::ScopedThreads::new(threads);
         // Model training (parallel MTL fit + stripping) is inside the loop
         // on purpose: the whole train → evaluate chain must be invariant,
         // not just the final sweep.
@@ -44,7 +44,6 @@ fn importance_pipeline_is_thread_count_invariant() {
         let matrix = ev.importance_matrix().unwrap();
         let mut rng = StdRng::seed_from_u64(41);
         let shapley = shapley_importances(&ev, s.day(1), 6, &mut rng).unwrap();
-        parallel::set_max_threads(0);
         runs.push((matrix_bits(&matrix), matrix_bits(&[shapley])));
     }
     assert_eq!(runs[0], runs[1], "threads 1 vs 2 diverged");

@@ -294,14 +294,6 @@ impl Cluster {
         }
     }
 
-    /// The mesh (mutable), when this cluster is a mesh cluster.
-    pub fn mesh_mut(&mut self) -> Option<&mut MeshNetwork> {
-        match &mut self.topology {
-            NetTopology::Mesh(m) => Some(m),
-            NetTopology::Star(_) => None,
-        }
-    }
-
     /// The star network (immutable).
     ///
     /// # Errors

@@ -119,19 +119,6 @@ impl FaultSchedule {
         Self::default()
     }
 
-    /// Builds from explicit events, validating and time-sorting them.
-    ///
-    /// # Errors
-    ///
-    /// See [`FaultError`] variants.
-    pub fn from_events(events: Vec<FaultEvent>) -> Result<Self, FaultError> {
-        let mut schedule = Self::new();
-        for ev in events {
-            schedule.push(ev)?;
-        }
-        Ok(schedule)
-    }
-
     fn push(&mut self, ev: FaultEvent) -> Result<(), FaultError> {
         if !(ev.time.is_finite() && ev.time >= 0.0) {
             return Err(FaultError::BadTime { time: ev.time });
@@ -428,16 +415,5 @@ mod tests {
             FaultSchedule::seeded_rates(1, &nodes, &[0.5, 0.5], 0.0, 1.0)
         });
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn from_events_round_trips() {
-        let evs = vec![
-            FaultEvent { time: 2.0, kind: FaultKind::LinkDown(NodeId(1)) },
-            FaultEvent { time: 1.0, kind: FaultKind::Crash(NodeId(2)) },
-        ];
-        let s = FaultSchedule::from_events(evs).unwrap();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.events()[0].kind, FaultKind::Crash(NodeId(2)));
     }
 }

@@ -28,7 +28,7 @@
 //!   One task lifecycle drives both topologies, generic over how a
 //!   transfer is carried (star FIFO reservations or mesh flows).
 //! * [`faults`] — seeded deterministic crash/link/straggler schedules.
-//! * [`trace`] — CSV execution traces, failure logs, per-node utilisation.
+//! * [`trace`] — failure logs and the per-node exposure they fold into.
 //!
 //! ## Example
 //!

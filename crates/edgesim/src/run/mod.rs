@@ -563,8 +563,8 @@ impl FaultReport {
         self.timelines.iter().flatten().map(|t| t.result_at).fold(0.0, f64::max)
     }
 
-    /// Projects onto a [`SimReport`] (successful timelines only) so the
-    /// [`crate::trace`] exporters apply unchanged.
+    /// Projects onto a [`SimReport`] (successful timelines only), so a
+    /// fault-free faulted run compares field by field with a healthy one.
     pub fn to_sim_report(&self) -> SimReport {
         SimReport {
             processing_time: self.processing_time,

@@ -82,7 +82,7 @@ pub(super) fn simulate_per_node(
     } else {
         // Grain 1: groups are few (one per busy node) but each carries
         // many tasks, so every group is worth a worker.
-        parallel::par_map_indexed_grained(groups.len(), 1, leg)
+        parallel::map(groups.len(), 1, leg)
     };
 
     // Serial ordered assembly.

@@ -1,16 +1,11 @@
-//! Execution-trace export.
+//! Failure logs of fault-injected runs.
 //!
-//! Turns a [`crate::run::SimReport`] into a per-task CSV trace and a
-//! per-node utilisation summary — the artefacts an operator would pull off
-//! a real testbed to debug an allocation round. Fault-injected runs
-//! additionally produce a typed failure log ([`FailureRecord`]) exportable
-//! via [`failures_to_csv`].
+//! A fault-injected run emits a typed failure log ([`FailureRecord`]);
+//! [`node_exposures`] folds it into the per-node up/down history the
+//! availability learner consumes.
 
-use crate::cluster::Cluster;
 use crate::node::NodeId;
-use crate::run::SimReport;
 use std::fmt;
-use std::fmt::Write as _;
 
 /// What went wrong (or was handled) at one instant of a fault-injected run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,7 +57,7 @@ pub enum FailureKind {
 }
 
 impl FailureKind {
-    fn csv_fields(&self) -> (&'static str, Option<usize>, Option<NodeId>, Option<usize>) {
+    fn fields(&self) -> (&'static str, Option<usize>, Option<NodeId>, Option<usize>) {
         match *self {
             FailureKind::NodeCrashed(n) => ("node_crashed", None, Some(n), None),
             FailureKind::NodeRecovered(n) => ("node_recovered", None, Some(n), None),
@@ -86,7 +81,7 @@ impl FailureKind {
 
 impl fmt::Display for FailureKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (kind, task, node, attempt) = self.csv_fields();
+        let (kind, task, node, attempt) = self.fields();
         write!(f, "{kind}")?;
         if let Some(t) = task {
             write!(f, " task {t}")?;
@@ -108,48 +103,6 @@ pub struct FailureRecord {
     pub time: f64,
     /// What happened.
     pub kind: FailureKind,
-}
-
-/// Failure-log CSV: `time,kind,task,node,attempt`. Records appear in event
-/// order (which is time order, ties broken causally).
-pub fn failures_to_csv(failures: &[FailureRecord]) -> String {
-    let mut out = String::from("time,kind,task,node,attempt\n");
-    for rec in failures {
-        let (kind, task, node, attempt) = rec.kind.csv_fields();
-        let field = |v: Option<usize>| v.map(|x| x.to_string()).unwrap_or_default();
-        let _ = writeln!(
-            out,
-            "{:.6},{},{},{},{}",
-            rec.time,
-            kind,
-            field(task),
-            field(node.map(|n| n.0)),
-            field(attempt),
-        );
-    }
-    out
-}
-
-/// Per-task timeline CSV:
-/// `task,node,transfer_start,compute_start,compute_end,result_at`.
-/// Unscheduled tasks appear with an empty node and blank times.
-pub fn timelines_to_csv(report: &SimReport) -> String {
-    let mut out = String::from("task,node,transfer_start,compute_start,compute_end,result_at\n");
-    for (i, tl) in report.timelines.iter().enumerate() {
-        match tl {
-            Some(t) => {
-                let _ = writeln!(
-                    out,
-                    "{},{},{:.6},{:.6},{:.6},{:.6}",
-                    i, t.node.0, t.transfer_start, t.compute_start, t.compute_end, t.result_at
-                );
-            }
-            None => {
-                let _ = writeln!(out, "{i},,,,,");
-            }
-        }
-    }
-    out
 }
 
 /// One node's availability exposure over a fault-injected round: how long
@@ -241,113 +194,18 @@ pub fn node_exposures(
         .collect()
 }
 
-/// One node's utilisation over a round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeUtilization {
-    /// The node.
-    pub node: crate::node::NodeId,
-    /// Busy compute seconds.
-    pub compute_busy_s: f64,
-    /// Busy link seconds.
-    pub link_busy_s: f64,
-    /// Compute busy time as a fraction of the round's makespan.
-    pub compute_utilization: f64,
-}
-
-/// Per-node utilisation summary, sorted by node id. Nodes that did no work
-/// are included (zeros) so idle capacity is visible.
-pub fn utilization(report: &SimReport, cluster: &Cluster) -> Vec<NodeUtilization> {
-    let makespan = report.makespan().max(1e-12);
-    let mut out: Vec<NodeUtilization> = cluster
-        .workers()
-        .map(|n| {
-            let compute = report.node_busy.get(&n.id()).copied().unwrap_or(0.0);
-            let link = report.link_busy.get(&n.id()).copied().unwrap_or(0.0);
-            NodeUtilization {
-                node: n.id(),
-                compute_busy_s: compute,
-                link_busy_s: link,
-                compute_utilization: compute / makespan,
-            }
-        })
-        .collect();
-    out.sort_by_key(|u| u.node);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::Cluster;
-    use crate::node::NodeId;
-    use crate::run::{simulate, NodeAssignment, SimConfig, SimTask};
-
-    fn run_small() -> (Cluster, SimReport) {
-        let cluster = Cluster::paper_testbed().unwrap();
-        let tasks = vec![
-            SimTask::new(1e6, 1e4, 1.0).unwrap(),
-            SimTask::new(2e6, 1e4, 1.0).unwrap(),
-            SimTask::new(3e6, 1e4, 1.0).unwrap(),
-        ];
-        let mut a = NodeAssignment::empty(3);
-        a.assign(0, Some(NodeId(1)));
-        a.assign(2, Some(NodeId(2)));
-        // task 1 unscheduled
-        let report = simulate(&cluster, &tasks, &a, SimConfig::default()).unwrap();
-        (cluster, report)
-    }
 
     #[test]
-    fn csv_covers_every_task() {
-        let (_, report) = run_small();
-        let csv = timelines_to_csv(&report);
-        assert_eq!(csv.lines().count(), 1 + 3);
-        // Unscheduled task 1 has the blank form.
-        let line1 = csv.lines().nth(2).unwrap();
-        assert_eq!(line1, "1,,,,,");
-        // Scheduled task 0 names node 1.
-        assert!(csv.lines().nth(1).unwrap().starts_with("0,1,"));
-    }
-
-    #[test]
-    fn failure_csv_round_trips_fields() {
-        let log = vec![
-            FailureRecord { time: 0.5, kind: FailureKind::NodeCrashed(NodeId(3)) },
-            FailureRecord {
-                time: 0.5,
-                kind: FailureKind::AttemptAborted { task: 2, node: NodeId(3), attempt: 1 },
-            },
-            FailureRecord {
-                time: 1.25,
-                kind: FailureKind::Redispatched { task: 2, node: NodeId(5), attempt: 2 },
-            },
-            FailureRecord { time: 2.0, kind: FailureKind::TaskFailed { task: 2, attempts: 3 } },
-        ];
-        let csv = failures_to_csv(&log);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "time,kind,task,node,attempt");
-        assert_eq!(lines[1], "0.500000,node_crashed,,3,");
-        assert_eq!(lines[2], "0.500000,attempt_aborted,2,3,1");
-        assert_eq!(lines[3], "1.250000,redispatched,2,5,2");
-        assert_eq!(lines[4], "2.000000,task_failed,2,,3");
-        // Display form is readable.
-        assert!(log[1].kind.to_string().contains("task 2"));
-        assert!(log[0].kind.to_string().contains("node-3"));
-    }
-
-    #[test]
-    fn utilization_covers_all_workers_and_is_bounded() {
-        let (cluster, report) = run_small();
-        let u = utilization(&report, &cluster);
-        assert_eq!(u.len(), 9);
-        for nu in &u {
-            assert!(nu.compute_busy_s >= 0.0);
-            assert!((0.0..=1.0 + 1e-9).contains(&nu.compute_utilization));
-        }
-        // Only nodes 1 and 2 did work.
-        let busy: Vec<usize> =
-            u.iter().filter(|x| x.compute_busy_s > 0.0).map(|x| x.node.0).collect();
-        assert_eq!(busy, vec![1, 2]);
+    fn failure_kinds_display_their_fields() {
+        let crash = FailureKind::NodeCrashed(NodeId(3));
+        let aborted = FailureKind::AttemptAborted { task: 2, node: NodeId(3), attempt: 1 };
+        let failed = FailureKind::TaskFailed { task: 2, attempts: 3 };
+        assert!(crash.to_string().contains("node-3"));
+        assert!(aborted.to_string().contains("task 2"));
+        assert!(failed.to_string().contains("(attempt 3)"));
     }
 
     #[test]
@@ -403,24 +261,5 @@ mod tests {
         shuffled.reverse();
         let nodes = [NodeId(1), NodeId(2)];
         assert_eq!(node_exposures(&log, &nodes, 60.0), node_exposures(&shuffled, &nodes, 60.0));
-    }
-
-    #[test]
-    fn trace_exports_work_on_mesh_reports() {
-        let cluster = Cluster::mesh_testbed(crate::cluster::MeshSpec::new(12, 3)).unwrap();
-        let tasks =
-            vec![SimTask::new(1e6, 1e4, 1.0).unwrap(), SimTask::new(2e6, 1e4, 1.0).unwrap()];
-        let mut a = NodeAssignment::empty(2);
-        a.assign(0, Some(NodeId(4)));
-        a.assign(1, Some(NodeId(7)));
-        let report = simulate(&cluster, &tasks, &a, SimConfig::default()).unwrap();
-        let csv = timelines_to_csv(&report);
-        assert_eq!(csv.lines().count(), 1 + 2);
-        assert!(csv.lines().nth(1).unwrap().starts_with("0,4,"));
-        let u = utilization(&report, &cluster);
-        assert_eq!(u.len(), 11);
-        let busy: Vec<usize> =
-            u.iter().filter(|x| x.compute_busy_s > 0.0).map(|x| x.node.0).collect();
-        assert_eq!(busy, vec![4, 7]);
     }
 }

@@ -198,7 +198,7 @@ struct Search<'a> {
 //     until at least `PAR_SUBTREE_TARGET` subtrees exist, and is a pure
 //     function of the problem — never of the thread count.
 //  2. The slots are cut into `SEARCH_GROUPS` runs of consecutive slots,
-//     which run concurrently via `parallel::par_map_grained` (ordered
+//     which run concurrently via `parallel::map` (ordered
 //     assembly). Each run searches its subtrees one after another with one
 //     `Search`, each subtree continuing the same DFS with a *local*
 //     incumbent, publishing improvements into a shared `AtomicU64`
@@ -390,8 +390,8 @@ pub(crate) fn solve_with_floor(
     // Grain 1: runs are few but expensive, the exact case the
     // serial-below-threshold default grain would mis-handle.
     let runs: Vec<&[Slot]> = slots.chunks(slots.len().div_ceil(SEARCH_GROUPS).max(1)).collect();
-    let results = parallel::par_map_grained(&runs, 1, |run| {
-        Search::new(problem, &order, &bounds, floor, node_limit).run_slots(run, shared.as_ref())
+    let results = parallel::map(runs.len(), 1, |r| {
+        Search::new(problem, &order, &bounds, floor, node_limit).run_slots(runs[r], shared.as_ref())
     });
 
     // Serial reduction in slot order over the path sums: first strict

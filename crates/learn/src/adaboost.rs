@@ -146,11 +146,6 @@ impl AdaBoost {
         Ok(Self { stumps, arity: data.num_features() })
     }
 
-    /// Number of boosting rounds retained.
-    pub fn num_stumps(&self) -> usize {
-        self.stumps.len()
-    }
-
     /// Weighted ensemble margin `Σ α_t h_t(x)`; sign is the class.
     ///
     /// # Errors
@@ -230,7 +225,7 @@ mod tests {
         )
         .unwrap();
         let model = AdaBoost::fit(&ds, 20).unwrap();
-        assert_eq!(model.num_stumps(), 1);
+        assert_eq!(model.stumps.len(), 1);
         for i in 0..ds.len() {
             let (x, y) = ds.sample(i);
             assert_eq!(model.predict(x).unwrap(), y);

@@ -125,15 +125,6 @@ impl RandomForest {
         }
         Ok(sum / self.trees.len() as f64)
     }
-
-    /// `±1` classification via the sign of the ensemble mean.
-    ///
-    /// # Errors
-    ///
-    /// [`ForestError::ArityMismatch`] when `x` has the wrong length.
-    pub fn classify(&self, x: &[f64]) -> Result<f64, ForestError> {
-        Ok(if self.predict(x)? >= 0.0 { 1.0 } else { -1.0 })
-    }
 }
 
 #[cfg(test)]
@@ -157,14 +148,19 @@ mod tests {
         Dataset::from_rows(rows, ys).unwrap()
     }
 
+    /// `±1` predictions: the sign of the ensemble mean.
+    fn classify(forest: &RandomForest, ds: &Dataset) -> Vec<f64> {
+        (0..ds.len())
+            .map(|i| if forest.predict(ds.features().row(i)).unwrap() >= 0.0 { 1.0 } else { -1.0 })
+            .collect()
+    }
+
     #[test]
     fn learns_xor_pattern() {
         let ds = xor_like(300, 8);
         let mut rng = StdRng::seed_from_u64(9);
         let forest = RandomForest::fit(&ds, ForestConfig::default(), &mut rng).unwrap();
-        let preds: Vec<f64> =
-            (0..ds.len()).map(|i| forest.classify(ds.features().row(i)).unwrap()).collect();
-        assert!(accuracy(&preds, ds.targets()).unwrap() > 0.9);
+        assert!(accuracy(&classify(&forest, &ds), ds.targets()).unwrap() > 0.9);
     }
 
     #[test]
@@ -178,11 +174,7 @@ mod tests {
         let big =
             RandomForest::fit(&ds, ForestConfig { num_trees: 50, ..Default::default() }, &mut rng)
                 .unwrap();
-        let acc = |f: &RandomForest| {
-            let preds: Vec<f64> =
-                (0..ds.len()).map(|i| f.classify(ds.features().row(i)).unwrap()).collect();
-            accuracy(&preds, ds.targets()).unwrap()
-        };
+        let acc = |f: &RandomForest| accuracy(&classify(f, &ds), ds.targets()).unwrap();
         assert!(acc(&big) >= acc(&small) - 0.05);
         assert_eq!(big.num_trees(), 50);
     }

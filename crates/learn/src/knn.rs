@@ -149,7 +149,7 @@ impl KnnIndex {
             return Err(KnnError::ArityMismatch { expected: self.arity, got: query.len() });
         }
         let mut hits: Vec<Neighbor> = if self.points.len() >= PARALLEL_SCAN_THRESHOLD {
-            parallel::par_map_indexed(self.points.len(), |index| Neighbor {
+            parallel::map(self.points.len(), 2, |index| Neighbor {
                 index,
                 distance: euclidean_distance(query, &self.points[index]),
             })

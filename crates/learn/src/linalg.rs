@@ -299,11 +299,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Matrix transpose; every element is a bitwise copy.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -733,11 +728,6 @@ impl Matrix {
         for x in &mut self.data {
             *x *= alpha;
         }
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Solves `self · x = b` for square `self` via Gaussian elimination with
@@ -1186,7 +1176,7 @@ mod tests {
     fn matvec_into_bits_match_dot_products() {
         for (m, k, salt) in [(1, 1, 21), (4, 6, 22), (7, 9, 23), (12, 33, 24)] {
             let a = dense_test_matrix(m, k, salt);
-            let v: Vec<f64> = dense_test_matrix(1, k, salt ^ 0x3333).into_vec();
+            let v: Vec<f64> = dense_test_matrix(1, k, salt ^ 0x3333).as_slice().to_vec();
             let reference: Vec<u64> = (0..m).map(|r| dot(a.row(r), &v).to_bits()).collect();
             let mut out = vec![f64::NAN; m];
             a.matvec_into(&v, &mut out).unwrap();
@@ -1226,7 +1216,7 @@ mod tests {
         ] {
             let wt = dense_test_matrix(k, n, salt);
             let w = wt.transpose();
-            let dense = dense_test_matrix(1, k, salt ^ 0x7777).into_vec();
+            let dense = dense_test_matrix(1, k, salt ^ 0x7777).as_slice().to_vec();
             let mut one_hot = vec![0.0; k];
             one_hot[k / 2] = 1.0;
             for v in [dense, one_hot] {
@@ -1467,9 +1457,8 @@ mod tests {
     }
 
     #[test]
-    fn map_and_norm() {
+    fn map_is_elementwise() {
         let m = Matrix::from_rows(&[vec![3.0, 4.0]]).unwrap();
         assert_eq!(m.map(|x| x * x).as_slice(), &[9.0, 16.0]);
-        assert_eq!(m.frobenius_norm(), 5.0);
     }
 }

@@ -87,7 +87,7 @@ impl std::error::Error for NetworkError {}
 struct Layer {
     /// `Wᵀ` (`in × out`): a row is one input's contribution to every
     /// output, contiguous over the output dimension. The only copy of the
-    /// weights; `LayerGrad` and the optimisers' moments share the layout.
+    /// weights; `LayerGrad` and Adam's moments share the layout.
     wt: Matrix,
     bias: Vec<f64>,
     activation: Activation,
@@ -117,12 +117,8 @@ fn arity(e: DimensionError) -> NetworkError {
 }
 
 /// Gradients of the loss with respect to one layer's parameters.
-///
-/// Public only because [`Optimizer::step`] mentions it; its fields are
-/// crate-private, so downstream crates cannot construct or inspect it.
-#[doc(hidden)]
 #[derive(Debug, Clone, PartialEq)]
-pub struct LayerGrad {
+struct LayerGrad {
     /// `∂loss/∂Wᵀ`: `in × out`, like the layer's own `wt`.
     wt: Matrix,
     bias: Vec<f64>,
@@ -254,14 +250,14 @@ pub struct ForwardScratch {
 /// # Examples
 ///
 /// ```
-/// use learn::nn::{Activation, Mlp, SgdOptimizer};
+/// use learn::nn::{Activation, AdamOptimizer, Mlp};
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// // 2 inputs -> 8 hidden -> 1 output.
 /// let mut net = Mlp::new(&[2, 8, 1], Activation::Tanh, &mut rng)?;
-/// let mut opt = SgdOptimizer::new(0.1, 0.0);
+/// let mut opt = AdamOptimizer::new(0.05);
 /// for _ in 0..500 {
 ///     // learn XOR-ish parity of signs
 ///     net.train_batch(
@@ -609,7 +605,8 @@ impl Mlp {
             (0..n).step_by(GRAD_CHUNK).map(|s| (s, (s + GRAD_CHUNK).min(n))).collect();
         // Grain 1: one chunk is GRAD_CHUNK whole forward/backward passes,
         // far above thread spawn cost, so even two chunks get two threads.
-        let partials = parallel::try_par_map_grained(&bounds, 1, |&(s, e)| {
+        let partials = parallel::try_map(bounds.len(), 1, |c| {
+            let (s, e) = bounds[c];
             let mut local = BatchWorkspace::new();
             chunk(s, e, &mut local).map(|loss| (loss, local.grads))
         })?;
@@ -663,7 +660,7 @@ impl Mlp {
         inputs: &[PrefixRow<'_>],
         actions: &[usize],
         bootstraps: &[f64],
-        optimizer: &mut impl Optimizer,
+        optimizer: &mut AdamOptimizer,
         ws: &mut BatchWorkspace,
     ) -> Result<f64, NetworkError> {
         if inputs.is_empty() || inputs.len() != actions.len() || inputs.len() != bootstraps.len() {
@@ -740,7 +737,7 @@ impl Mlp {
         &mut self,
         inputs: &[Vec<f64>],
         targets: &[Vec<f64>],
-        optimizer: &mut impl Optimizer,
+        optimizer: &mut AdamOptimizer,
     ) -> Result<f64, NetworkError> {
         let (loss, grads) = self.gradients(inputs, targets)?;
         optimizer.step(self, &grads);
@@ -838,57 +835,6 @@ impl Mlp {
     }
 }
 
-/// A gradient-descent rule. Sealed in practice: the two provided impls cover
-/// the paper's needs and the trait operates on private gradient types.
-pub trait Optimizer {
-    /// Applies one update to `net` from accumulated `grads`.
-    #[doc(hidden)]
-    fn step(&mut self, net: &mut Mlp, grads: &[LayerGrad]);
-}
-
-/// Plain SGD with optional momentum.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SgdOptimizer {
-    learning_rate: f64,
-    momentum: f64,
-    velocity: Option<Vec<LayerGrad>>,
-}
-
-impl SgdOptimizer {
-    /// Creates an SGD optimiser.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `learning_rate > 0` and `0 <= momentum < 1`.
-    pub fn new(learning_rate: f64, momentum: f64) -> Self {
-        assert!(learning_rate > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Self { learning_rate, momentum, velocity: None }
-    }
-
-    /// The configured learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.learning_rate
-    }
-}
-
-impl Optimizer for SgdOptimizer {
-    fn step(&mut self, net: &mut Mlp, grads: &[LayerGrad]) {
-        let velocity = self.velocity.get_or_insert_with(|| {
-            grads.iter().map(|g| LayerGrad::zeros(&g.wt, &g.bias)).collect()
-        });
-        for ((layer, grad), vel) in net.layers.iter_mut().zip(grads).zip(velocity.iter_mut()) {
-            vel.wt.scale(self.momentum);
-            vel.wt.axpy(-self.learning_rate, &grad.wt).expect("same shape");
-            layer.wt.axpy(1.0, &vel.wt).expect("same shape");
-            for ((b, &g), v) in layer.bias.iter_mut().zip(&grad.bias).zip(&mut vel.bias) {
-                *v = self.momentum * *v - self.learning_rate * g;
-                *b += *v;
-            }
-        }
-    }
-}
-
 /// Adam optimiser (Kingma & Ba) — the usual choice for DQN training.
 ///
 /// A row of a layer's `Wᵀ` — one input's weights to every output — whose
@@ -948,9 +894,8 @@ impl AdamOptimizer {
         let rows: usize = self.moments.iter().map(|mo| mo.touched.len()).sum();
         (self.t * rows as u64, self.rows_skipped)
     }
-}
 
-impl Optimizer for AdamOptimizer {
+    /// Applies one update to `net` from accumulated `grads`.
     fn step(&mut self, net: &mut Mlp, grads: &[LayerGrad]) {
         if self.moments.is_empty() {
             self.moments = grads
@@ -1081,20 +1026,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_descends_on_linear_target() {
-        let mut net = Mlp::new(&[1, 8, 1], Activation::Relu, &mut rng(3)).unwrap();
-        let inputs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64 / 10.0 - 1.0]).collect();
-        let targets: Vec<Vec<f64>> = inputs.iter().map(|x| vec![2.0 * x[0] + 0.3]).collect();
-        let mut opt = SgdOptimizer::new(0.05, 0.9);
-        let first = net.loss(&inputs, &targets).unwrap();
-        for _ in 0..300 {
-            net.train_batch(&inputs, &targets, &mut opt).unwrap();
-        }
-        let last = net.loss(&inputs, &targets).unwrap();
-        assert!(last < first / 10.0, "loss {first} -> {last}");
-    }
-
-    #[test]
     fn adam_fits_xor() {
         let mut net = Mlp::new(&[2, 12, 1], Activation::Tanh, &mut rng(4)).unwrap();
         let inputs = vec![vec![0.0, 0.0], vec![0.0, 1.0], vec![1.0, 0.0], vec![1.0, 1.0]];
@@ -1125,7 +1056,7 @@ mod tests {
     #[test]
     fn empty_batch_rejected() {
         let mut net = Mlp::new(&[1, 1], Activation::Relu, &mut rng(8)).unwrap();
-        let mut opt = SgdOptimizer::new(0.1, 0.0);
+        let mut opt = AdamOptimizer::new(0.1);
         assert!(matches!(net.train_batch(&[], &[], &mut opt), Err(NetworkError::EmptyBatch)));
         assert!(net.loss(&[], &[]).is_err());
     }
@@ -1133,7 +1064,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "learning rate")]
     fn bad_learning_rate_panics() {
-        SgdOptimizer::new(0.0, 0.0);
+        AdamOptimizer::new(0.0);
     }
 
     fn random_batch(rng: &mut StdRng, n: usize, dim: usize) -> Vec<Vec<f64>> {
@@ -1227,7 +1158,7 @@ mod tests {
         let actions: Vec<usize> = (0..n).map(|s| s % 2).collect();
         let boots: Vec<f64> = (0..n).map(|_| r.gen_range(-2.0..2.0)).collect();
         let mut ws = BatchWorkspace::new();
-        let mut opt = SgdOptimizer::new(0.1, 0.0);
+        let mut opt = AdamOptimizer::new(0.1);
         let loss = net.train_td_batch_ws(0, &rows, &actions, &boots, &mut opt, &mut ws).unwrap();
 
         let scale = 1.0 / n as f64;
@@ -1277,7 +1208,7 @@ mod tests {
         let rows = dense_rows(&inputs);
         let actions = vec![0; n];
         let boots: Vec<f64> = targets.iter().map(|y| y[0]).collect();
-        let mut opt = SgdOptimizer::new(0.05, 0.9);
+        let mut opt = AdamOptimizer::new(0.01);
         let mut ws = BatchWorkspace::new();
         let first = net.loss(&inputs, &targets).unwrap();
         for _ in 0..300 {
@@ -1339,9 +1270,8 @@ mod tests {
     /// The three forwards read the one `Wᵀ` three ways: [`Mlp::forward`]
     /// down its columns, the single-state kernel across its rows, the
     /// batched kernels in register tiles. Whatever wrote the parameters —
-    /// construction, an Adam step, SGD steps with momentum,
-    /// `copy_parameters_from`, `clone` — the single-state forward and a
-    /// batched row equal `forward` to the bit.
+    /// construction, Adam steps, `copy_parameters_from`, `clone` — the
+    /// single-state forward and a batched row equal `forward` to the bit.
     #[test]
     fn all_forwards_agree_after_every_writer() {
         fn check(net: &Mlp, r: &mut StdRng, writer: &str) {
@@ -1363,12 +1293,10 @@ mod tests {
         let mut net = Mlp::new(&[6, 20, 5], Activation::Relu, &mut r).unwrap();
         check(&net, &mut r, "Mlp::new");
         let (x, y) = (random_batch(&mut r, 4, 6), random_batch(&mut r, 4, 5));
-        net.train_batch(&x, &y, &mut AdamOptimizer::new(0.05)).unwrap();
-        check(&net, &mut r, "AdamOptimizer::step");
-        let mut sgd = SgdOptimizer::new(0.05, 0.9);
-        for _ in 0..2 {
-            net.train_batch(&x, &y, &mut sgd).unwrap();
-            check(&net, &mut r, "SgdOptimizer::step");
+        let mut adam = AdamOptimizer::new(0.05);
+        for _ in 0..3 {
+            net.train_batch(&x, &y, &mut adam).unwrap();
+            check(&net, &mut r, "AdamOptimizer::step");
         }
         let mut copy = Mlp::new(&[6, 20, 5], Activation::Relu, &mut r).unwrap();
         copy.copy_parameters_from(&net).unwrap();
@@ -1386,7 +1314,7 @@ mod tests {
         v: Vec<LayerGrad>,
     }
 
-    impl Optimizer for DenseAdam {
+    impl DenseAdam {
         fn step(&mut self, net: &mut Mlp, grads: &[LayerGrad]) {
             if self.m.is_empty() {
                 self.m = grads.iter().map(|g| LayerGrad::zeros(&g.wt, &g.bias)).collect();
@@ -1554,7 +1482,7 @@ mod tests {
     #[test]
     fn batched_path_validates() {
         let mut net = Mlp::new(&[2, 3, 1], Activation::Relu, &mut rng(44)).unwrap();
-        let mut opt = SgdOptimizer::new(0.1, 0.0);
+        let mut opt = AdamOptimizer::new(0.1);
         let mut ws = BatchWorkspace::new();
         assert!(matches!(
             net.forward_prefix_batch_ws(0, &[], &mut ws),

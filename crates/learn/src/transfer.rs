@@ -160,7 +160,7 @@ impl MtlSystem {
         // independent, so they fan out across the deterministic crew; each
         // task's fit is a pure function of its dataset, keeping results
         // bit-identical to the serial loop at any thread count.
-        let base: Vec<LinearModel> = parallel::try_par_map_indexed(tasks.len(), |i| {
+        let base: Vec<LinearModel> = parallel::try_map(tasks.len(), 2, |i| {
             fit_biased_ridge(&tasks[i].data, config.base_lambda, None)
                 .map_err(|source| MtlError::TaskFit { task: i, source })
         })?;
@@ -173,12 +173,10 @@ impl MtlSystem {
         let models = if config.transfer_strength <= 0.0 {
             base
         } else {
-            parallel::try_par_map_indexed(tasks.len(), |i| {
-                match blended_prior(i, &base, &similarity) {
-                    Some(p) => fit_biased_ridge(&tasks[i].data, config.transfer_strength, Some(&p))
-                        .map_err(|source| MtlError::TaskFit { task: i, source }),
-                    None => Ok(base[i].clone()),
-                }
+            parallel::try_map(tasks.len(), 2, |i| match blended_prior(i, &base, &similarity) {
+                Some(p) => fit_biased_ridge(&tasks[i].data, config.transfer_strength, Some(&p))
+                    .map_err(|source| MtlError::TaskFit { task: i, source }),
+                None => Ok(base[i].clone()),
             })?
         };
 
@@ -309,32 +307,6 @@ pub fn fit_biased_ridge(
     let sol = xtx.solve(&xty).map_err(|_| FitError::Singular)?;
     let (w, b) = sol.split_at(d);
     Ok(LinearModel::from_parts(w.to_vec(), b[0]))
-}
-
-/// Instance transfer: augments `target` with all samples of `sources`, each
-/// source weighted by replicating its samples in proportion to
-/// `round(weight * 10)` (0 drops the source). A simple, deterministic form
-/// of importance-weighted pooling.
-pub fn pool_instances(target: &Dataset, sources: &[(&Dataset, f64)]) -> Dataset {
-    let mut rows: Vec<Vec<f64>> =
-        (0..target.len()).map(|i| target.features().row(i).to_vec()).collect();
-    let mut ys = target.targets().to_vec();
-    for (src, weight) in sources {
-        let copies = (weight * 10.0).round().max(0.0) as usize;
-        let copies = copies.min(10);
-        if copies == 0 {
-            continue;
-        }
-        // Replicate proportionally (out of 10): take every sample `copies`
-        // times out of 10 by repeating floor(copies/10 * len) pattern.
-        for i in 0..src.len() {
-            if (i * 10) % 10 < copies * 10 / 10 && (i % 10) < copies {
-                rows.push(src.features().row(i).to_vec());
-                ys.push(src.targets()[i]);
-            }
-        }
-    }
-    Dataset::from_rows(rows, ys).expect("consistent arity by construction")
 }
 
 fn signature_similarity(tasks: &[TransferTask], bandwidth: f64) -> Matrix {
@@ -532,16 +504,6 @@ mod tests {
         let accs = sys.evaluate(&evals).unwrap();
         assert_eq!(accs.len(), 3);
         assert!(accs.iter().all(|&a| a > 0.5), "accs {accs:?}");
-    }
-
-    #[test]
-    fn pool_instances_grows_dataset() {
-        let t = Dataset::from_rows(vec![vec![0.0]], vec![1.0]).unwrap();
-        let s = Dataset::from_rows(vec![vec![1.0], vec![2.0]], vec![3.0, 4.0]).unwrap();
-        let pooled = pool_instances(&t, &[(&s, 1.0)]);
-        assert_eq!(pooled.len(), 3);
-        let dropped = pool_instances(&t, &[(&s, 0.0)]);
-        assert_eq!(dropped.len(), 1);
     }
 
     #[test]

@@ -8,16 +8,14 @@
 //! `dqn_golden` reaches only Adam and the TD step on one hidden layer; the
 //! bit-identity tests in `nn` and `properties.rs` compare two sides that a
 //! layout change moves together. These rows cover what is left: the
-//! per-sample reference under both optimisers, and the TD step's dense
-//! propagation through a second hidden layer under both optimisers and,
-//! above 64 samples, through the chunked reduction.
+//! per-sample reference, and the TD step's dense propagation through a
+//! second hidden layer and, above 64 samples, through the chunked
+//! reduction.
 //!
 //! Only an intended change to what training computes may regenerate them:
 //! the test prints the rows on mismatch; paste them over `GOLDEN`.
 
-use learn::nn::{
-    Activation, AdamOptimizer, BatchWorkspace, Mlp, Optimizer, PrefixRow, SgdOptimizer,
-};
+use learn::nn::{Activation, AdamOptimizer, BatchWorkspace, Mlp, PrefixRow};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -47,7 +45,7 @@ fn fixture(n: usize) -> (Mlp, Vec<Vec<f64>>, Vec<Vec<f64>>) {
     (net, inputs, targets)
 }
 
-fn per_sample(n: usize, mut opt: impl Optimizer) -> u64 {
+fn per_sample(n: usize, mut opt: AdamOptimizer) -> u64 {
     let (mut net, inputs, targets) = fixture(n);
     for _ in 0..3 {
         net.train_batch(&inputs, &targets, &mut opt).unwrap();
@@ -56,7 +54,7 @@ fn per_sample(n: usize, mut opt: impl Optimizer) -> u64 {
 }
 
 /// TD steps on sparse-prefix rows: the first two inputs are a 0/1 block.
-fn td(n: usize, mut opt: impl Optimizer) -> u64 {
+fn td(n: usize, mut opt: AdamOptimizer) -> u64 {
     let (mut net, inputs, targets) = fixture(n);
     let ones: Vec<Vec<u32>> =
         (0..n).map(|s| (0..2).filter(|b| (s >> b) & 1 == 1).collect()).collect();
@@ -71,23 +69,18 @@ fn td(n: usize, mut opt: impl Optimizer) -> u64 {
     fnv(&net.parameter_bits())
 }
 
-const GOLDEN: [(&str, u64); 5] = [
+const GOLDEN: [(&str, u64); 3] = [
     ("adam_per_sample", 0xb614_0c17_c4e7_4fb5),
-    ("sgd_momentum_per_sample", 0xacf4_d25f_ddba_5331),
     ("adam_td", 0xfa77_ea86_6722_1048),
-    ("sgd_momentum_td", 0xedc9_cb8d_37a9_09f8),
     ("adam_td_chunked_70", 0x8301_d2af_7316_bd8c),
 ];
 
 #[test]
 fn trained_parameters_match_parent_digests() {
     let adam = || AdamOptimizer::new(0.01);
-    let sgd = || SgdOptimizer::new(0.05, 0.9);
     let got = [
         ("adam_per_sample", per_sample(7, adam())),
-        ("sgd_momentum_per_sample", per_sample(7, sgd())),
         ("adam_td", td(7, adam())),
-        ("sgd_momentum_td", td(7, sgd())),
         ("adam_td_chunked_70", td(70, adam())),
     ];
     if got != GOLDEN {

@@ -1,6 +1,7 @@
 //! Property tests of the crate's determinism contract: for any input and
-//! any closure, the parallel maps return bit-identical results at every
-//! thread count — including the `1`-thread exact-serial path.
+//! any closure, both entry points return bit-identical results at every
+//! thread count and grain — including the `1`-thread exact-serial path —
+//! and `try_map` surfaces the error a serial loop would hit first.
 
 use proptest::prelude::*;
 
@@ -17,49 +18,44 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+/// Every thread count and grain the contract is checked at for `n` items:
+/// the serial path, two workers, more workers than cores, and grains that
+/// spawn a full crew, the usual default, and one that keeps `n` serial.
+fn settings(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    [1usize, 2, 8].into_iter().flat_map(move |threads| [1, 2, n].map(|grain| (threads, grain)))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn par_map_bit_identical_across_thread_counts(
+    fn map_bit_identical_across_threads_and_grains(
         items in prop::collection::vec(-1e6f64..1e6, 0..300),
     ) {
         let serial: Vec<f64> = items.iter().map(|&x| knead(x)).collect();
-        for threads in [1usize, 2, 8] {
-            parallel::set_max_threads(threads);
-            let par = parallel::par_map(&items, |&x| knead(x));
-            parallel::set_max_threads(0);
-            prop_assert_eq!(bits(&par), bits(&serial));
+        for (threads, grain) in settings(items.len()) {
+            let _threads = parallel::ScopedThreads::new(threads);
+            let par = parallel::map(items.len(), grain, |i| knead(items[i]));
+            prop_assert_eq!(bits(&par), bits(&serial), "threads {} grain {}", threads, grain);
         }
     }
 
     #[test]
-    fn par_map_indexed_bit_identical_across_thread_counts(
-        n in 0usize..300,
-        scale in -100.0f64..100.0,
-    ) {
-        let serial: Vec<f64> = (0..n).map(|i| knead(i as f64 * scale)).collect();
-        for threads in [1usize, 2, 8] {
-            parallel::set_max_threads(threads);
-            let par = parallel::par_map_indexed(n, |i| knead(i as f64 * scale));
-            parallel::set_max_threads(0);
-            prop_assert_eq!(bits(&par), bits(&serial));
-        }
-    }
-
-    #[test]
-    fn try_par_map_error_selection_matches_serial(
-        items in prop::collection::vec(0u8..4, 1..200),
+    fn try_map_matches_serial_collect(
+        items in prop::collection::vec(0u8..4, 0..200),
     ) {
         // The serial loop fails at the first odd element; the parallel map
-        // must surface the same (lowest-index) error at every thread count.
-        let f = |&v: &u8| -> Result<u8, usize> { if v % 2 == 1 { Err(v as usize) } else { Ok(v * 2) } };
-        let serial: Result<Vec<u8>, usize> = items.iter().map(f).collect();
-        for threads in [1usize, 2, 8] {
-            parallel::set_max_threads(threads);
-            let par = parallel::try_par_map(&items, f);
-            parallel::set_max_threads(0);
-            prop_assert_eq!(&par, &serial);
+        // must surface the same (lowest-index) error, or the same outputs
+        // when every element is even.
+        let f = |i: usize| -> Result<u8, (usize, u8)> {
+            let v = items[i];
+            if v % 2 == 1 { Err((i, v)) } else { Ok(v * 2) }
+        };
+        let serial: Result<Vec<u8>, (usize, u8)> = (0..items.len()).map(f).collect();
+        for (threads, grain) in settings(items.len()) {
+            let _threads = parallel::ScopedThreads::new(threads);
+            let par = parallel::try_map(items.len(), grain, f);
+            prop_assert_eq!(&par, &serial, "threads {} grain {}", threads, grain);
         }
     }
 }

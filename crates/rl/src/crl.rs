@@ -533,7 +533,9 @@ impl Crl {
             // Grain 1: each job is a full multi-episode DQN training, far
             // past the point where thread spawn overhead matters, so even
             // two jobs deserve two threads.
-            parallel::par_map_grained(&contexts.untrained(), 1, |&(key, context)| {
+            let untrained = contexts.untrained();
+            parallel::map(untrained.len(), 1, |i| {
+                let (key, context) = untrained[i];
                 context.train(self, spec, key);
             });
         }

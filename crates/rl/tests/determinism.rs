@@ -35,7 +35,7 @@ fn store(n: usize) -> EnvironmentStore {
 
 fn run_at(threads: usize, lookup: LookupMode) -> Vec<(Vec<Option<usize>>, Vec<u64>)> {
     let n = 4;
-    parallel::set_max_threads(threads);
+    let _threads = parallel::ScopedThreads::new(threads);
     let crl = Crl::new(
         store(n),
         CrlConfig {
@@ -55,7 +55,6 @@ fn run_at(threads: usize, lookup: LookupMode) -> Vec<(Vec<Option<usize>>, Vec<u6
             (alloc.assignment, value_bits)
         })
         .collect();
-    parallel::set_max_threads(0);
     out
 }
 
@@ -79,7 +78,7 @@ fn train_large_batch_at(threads: usize) -> Vec<u64> {
     use rl::dqn::DqnAgent;
     use rl::mdp::Environment;
 
-    parallel::set_max_threads(threads);
+    let _threads = parallel::ScopedThreads::new(threads);
     let n = 6;
     let task_spec = AllocSpec {
         importances: (0..n).map(|i| 0.1 + 0.15 * i as f64).collect(),
@@ -106,7 +105,6 @@ fn train_large_batch_at(threads: usize) -> Vec<u64> {
     for _ in 0..60 {
         agent.train_episode(&mut env, &mut rng).unwrap();
     }
-    parallel::set_max_threads(0);
     agent.parameter_bits()
 }
 

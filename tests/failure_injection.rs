@@ -197,10 +197,9 @@ proptest! {
 
         let mut runs = Vec::new();
         for threads in [1usize, 2, 8] {
-            tatim::parallel::set_max_threads(threads);
+            let _threads = tatim::parallel::ScopedThreads::new(threads);
             let r = simulate_with_faults(&cluster, &ts, &a, SimConfig::default(), &schedule)
                 .expect("fault run");
-            tatim::parallel::set_max_threads(0);
             runs.push(r);
         }
         prop_assert_eq!(runs[0].processing_time.to_bits(), runs[1].processing_time.to_bits());
