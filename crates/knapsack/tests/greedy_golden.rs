@@ -3,13 +3,15 @@
 //! Each row pins one FNV-1a digest of a whole placement (item by item, an
 //! unpacked item as `u64::MAX`) from [`greedy`], [`greedy_with_local_search`]
 //! and [`greedy_weighted`] on a fixed instance. The rows were taken before
-//! plain best fit stopped scanning every sack per item, and a change to how
-//! the best-fit sack is found must keep every one of them to the bit.
+//! plain best fit stopped scanning every sack per item, the last one before
+//! local search learnt to skip swap queries no packed item can answer; a
+//! change to how a sack or a swap is found must keep every one to the bit.
 //!
 //! The families are the shapes on which a sack index could go wrong:
 //! - mesh rounds: one shared time limit, resource capacities from a handful
 //!   of values, thousands of items; once more with per-sack route-deflated
-//!   time limits;
+//!   time limits, and once with squared route factors, where few items fit
+//!   and local search swaps for several rounds;
 //! - fleets of identical sacks, where every slack ties;
 //! - integer sizes over capacities that include `+0.0` and `−0.0`;
 //! - sizes exactly at, and just past, the `1e-12` fit tolerance;
@@ -48,21 +50,37 @@ fn build(items: Vec<(f64, f64, f64)>, sacks: Vec<(f64, f64)>) -> Problem {
 }
 
 /// A mesh round: two unit-demand tasks per worker whose times sum to twice
-/// the fleet's, one time limit for every sack (scaled per sack by a route
-/// factor when `deflated`), and resource capacities from four values.
-fn mesh(num_sacks: usize, deflated: bool, seed: u64) -> Problem {
+/// the fleet's, one time limit for every sack (scaled per sack by
+/// `deflate`'s route factor), and resource capacities from four values.
+fn mesh(num_sacks: usize, deflate: fn(&mut StdRng) -> f64, seed: u64) -> Problem {
     let mut rng = StdRng::seed_from_u64(seed);
     let items: Vec<(f64, f64, f64)> = (0..2 * num_sacks)
         .map(|_| (rng.gen_range(2e5..4e6) * 4.75e-7, 1.0, rng.gen_range(0.0..1.0)))
         .collect();
     let limit = 0.5 * items.iter().map(|i| i.0).sum::<f64>() / num_sacks as f64;
     let sacks = (0..num_sacks)
-        .map(|_| {
-            let factor = if deflated { rng.gen_range(0.2..1.0) } else { 1.0 };
-            (limit * factor, [2.0, 4.0, 6.0, 8.0][rng.gen_range(0..4)])
-        })
+        .map(|_| (limit * deflate(&mut rng), [2.0, 4.0, 6.0, 8.0][rng.gen_range(0..4)]))
         .collect();
     build(items, sacks)
+}
+
+fn blind(_: &mut StdRng) -> f64 {
+    1.0
+}
+
+fn deflated(rng: &mut StdRng) -> f64 {
+    rng.gen_range(0.2..1.0)
+}
+
+/// A squared route factor, as the local-search tests draw it: most workers
+/// far from the controller (factor 0.2–0.4), one in 16 anywhere in `[0,
+/// 1)`. Like the benchmark's route-aware world, greedy packs few items
+/// (224 of 3000, 7.5 %, for the row below) and local search keeps moving
+/// them for several rounds (7 rounds, 55 items moved).
+fn route_deflated(rng: &mut StdRng) -> f64 {
+    let factor: f64 =
+        if rng.gen_range(0..16) == 0 { rng.gen_range(0.0..1.0) } else { rng.gen_range(0.2..0.4) };
+    factor * factor
 }
 
 /// `num_sacks` identical sacks and items drawn on a coarse grid, so slacks
@@ -159,9 +177,9 @@ fn multipliers(num_sacks: usize, seed: u64) -> Vec<f64> {
 
 fn cases() -> Vec<(&'static str, Problem)> {
     vec![
-        ("mesh_3000x1500", mesh(1500, false, 0x6D01)),
-        ("mesh_deflated_3000x1500", mesh(1500, true, 0x6D02)),
-        ("mesh_100x50", mesh(50, false, 0x6D03)),
+        ("mesh_3000x1500", mesh(1500, blind, 0x6D01)),
+        ("mesh_deflated_3000x1500", mesh(1500, deflated, 0x6D02)),
+        ("mesh_100x50", mesh(50, blind, 0x6D03)),
         ("identical_400x9", identical(9, 400, 0x6D04)),
         ("identical_1500x300", identical(300, 1500, 0x6D05)),
         ("signed_zero_200x9", signed_zero(9, 200, 0x6D06)),
@@ -170,10 +188,11 @@ fn cases() -> Vec<(&'static str, Problem)> {
         ("fit_edge_500x65", fit_edge(65, 500, 0x6D09)),
         ("clamped_weight_300x40", clamped(40, 300, false, 0x6D0A)),
         ("clamped_both_300x40", clamped(40, 300, true, 0x6D0B)),
+        ("mesh_route_deflated_3000x1500", mesh(1500, route_deflated, 0x6D0C)),
     ]
 }
 
-const GOLDEN: [(&str, u64, u64, u64); 11] = [
+const GOLDEN: [(&str, u64, u64, u64); 12] = [
     ("mesh_3000x1500", 0x21d609564067a2ac, 0x21d609564067a2ac, 0x121d8e7c544bb0d6),
     ("mesh_deflated_3000x1500", 0x200e376a6f29d3b5, 0x200e376a6f29d3b5, 0xacfdea71ad390289),
     ("mesh_100x50", 0x6d43e3e33dd58b57, 0x6d43e3e33dd58b57, 0x80e6f20d2f3992bb),
@@ -185,6 +204,7 @@ const GOLDEN: [(&str, u64, u64, u64); 11] = [
     ("fit_edge_500x65", 0xd1cdc94feac8caf3, 0x505230484834c8c3, 0xd3fd2eedbb4c5220),
     ("clamped_weight_300x40", 0xab9d4d75bfbbf3af, 0x35197b8cb56c9d8d, 0x2deb095858dba7a6),
     ("clamped_both_300x40", 0x7ccd62b889215797, 0x7ccd62b889215797, 0xce8c20a82dce5b44),
+    ("mesh_route_deflated_3000x1500", 0x60c87f2a5107e697, 0x4b06b34a15aeae83, 0xa0b2f2b04a1ca6b2),
 ];
 
 #[test]
