@@ -12,7 +12,6 @@
 use crate::importance::{prediction_features, CopModels};
 use buildings::scenario::{DayContext, Scenario};
 use buildings::telemetry::WATER_CP;
-use learn::metrics::prediction_accuracy;
 
 /// Number of features the local process consumes (2 general + 8 domain).
 pub const NUM_LOCAL_FEATURES: usize = 10;
@@ -93,6 +92,17 @@ impl TaskHistory {
         self.accuracy_mean[t] = (self.accuracy_mean[t] * n + acc) / (n + 1.0);
         self.accuracy_count[t] += 1;
     }
+}
+
+/// Table I's similarity-style accuracy of one prediction: `1 − |truth −
+/// pred| / |truth|`, clamped to `[0, 1]` — the decision function `H(J; θ) =
+/// 1 − |D − D(θ)| / D` under Definition 1, applied to a prediction.
+fn prediction_accuracy(pred: f64, truth: f64) -> f64 {
+    if truth.abs() < 1e-12 {
+        // Degenerate ideal: exact hit or zero credit.
+        return if pred.abs() < 1e-12 { 1.0 } else { 0.0 };
+    }
+    (1.0 - (truth - pred).abs() / truth.abs()).clamp(0.0, 1.0)
 }
 
 /// Builds the 10-dimensional Table-I feature vector of task `t` for `day`.
@@ -190,6 +200,26 @@ mod tests {
         assert_eq!(h.past_success(0), 2);
         assert_eq!(h.past_success(1), 0);
         assert_eq!(h.past_success(2), 1);
+    }
+
+    #[test]
+    fn prediction_accuracy_clamps() {
+        assert_eq!(prediction_accuracy(5.0, 5.0), 1.0);
+        assert_eq!(prediction_accuracy(10.0, 5.0), 0.0); // 100% off -> 0
+        assert!((prediction_accuracy(4.0, 5.0) - 0.8).abs() < 1e-12);
+        assert_eq!(prediction_accuracy(-20.0, 5.0), 0.0); // clamped below
+        assert_eq!(prediction_accuracy(0.0, 0.0), 1.0);
+        assert_eq!(prediction_accuracy(1.0, 0.0), 0.0);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prediction_accuracy_bounded(p in -100.0f64..100.0, t in -100.0f64..100.0) {
+            let a = prediction_accuracy(p, t);
+            proptest::prop_assert!((0.0..=1.0).contains(&a));
+            // Exact predictions always score 1.
+            proptest::prop_assert!((prediction_accuracy(t, t) - 1.0).abs() < 1e-12);
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use edgesim::node::DeviceModel;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a task within a [`crate::tatim::TatimInstance`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -24,7 +25,8 @@ impl fmt::Display for TaskId {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EdgeTask {
     id: TaskId,
-    name: String,
+    /// Shared, so a re-priced copy allocates nothing.
+    name: Arc<str>,
     /// Input payload shipped to whichever worker runs the task, bits.
     input_bits: f64,
     /// Abstract resource demand `v_j` (Eq. 4).
@@ -62,19 +64,14 @@ impl EdgeTask {
         resource_demand: f64,
         importance: f64,
     ) -> Result<Self, TaskError> {
-        for (field, value) in [
-            ("input_bits", input_bits),
-            ("resource_demand", resource_demand),
-            ("importance", importance),
-        ] {
+        for (field, value) in [("input_bits", input_bits), ("resource_demand", resource_demand)] {
             if !(value.is_finite() && value >= 0.0) {
                 return Err(TaskError { field, value });
             }
         }
-        if importance > 1.0 {
-            return Err(TaskError { field: "importance", value: importance });
-        }
-        Ok(Self { id, name: name.into(), input_bits, resource_demand, importance })
+        let task =
+            Self { id, name: Arc::from(name.into()), input_bits, resource_demand, importance: 0.0 };
+        task.with_importance(importance)
     }
 
     /// The task id.
@@ -109,7 +106,10 @@ impl EdgeTask {
     ///
     /// [`TaskError`] when `importance` is outside `[0, 1]`.
     pub fn with_importance(&self, importance: f64) -> Result<Self, TaskError> {
-        Self::new(self.id, self.name.clone(), self.input_bits, self.resource_demand, importance)
+        if !(0.0..=1.0).contains(&importance) {
+            return Err(TaskError { field: "importance", value: importance });
+        }
+        Ok(Self { name: Arc::clone(&self.name), importance, ..*self })
     }
 
     /// Execution time `t_j` on the *reference processor* (the Raspberry Pi
@@ -154,7 +154,11 @@ mod tests {
         let u = t.with_importance(0.9).unwrap();
         assert_eq!(u.importance(), 0.9);
         assert_eq!(u.input_bits(), 5.0);
-        assert!(t.with_importance(-0.1).is_err());
+        assert!(Arc::ptr_eq(&t.name, &u.name), "a re-priced task shares its name");
+        for bad in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
+            let err = t.with_importance(bad).unwrap_err();
+            assert_eq!((err.field, err.value.to_bits()), ("importance", bad.to_bits()));
+        }
     }
 
     #[test]

@@ -68,8 +68,8 @@ impl DensityIndex {
     /// Each item's `(density, profit)` key is computed once. Keys are never
     /// NaN (items are finite and non-negative; a zero size has density
     /// +∞), and `+ 0.0` turns −0.0 into +0.0, so `total_cmp` on them
-    /// decides every comparison as `partial_cmp` would; the sort is stable,
-    /// so equal keys keep index order.
+    /// decides every comparison as `partial_cmp` would; the index decides
+    /// the rest, so equal keys keep index order.
     pub fn new(problem: &Problem) -> Self {
         let (total_w, total_v) = capacity_scales(problem);
         let mut keyed: Vec<(f64, f64, usize)> = problem
@@ -78,7 +78,9 @@ impl DensityIndex {
             .enumerate()
             .map(|(i, item)| (item.density(total_w, total_v) + 0.0, item.profit + 0.0, i))
             .collect();
-        keyed.sort_by(|a, b| b.0.total_cmp(&a.0).then(b.1.total_cmp(&a.1)));
+        keyed.sort_unstable_by(|a, b| {
+            b.0.total_cmp(&a.0).then(b.1.total_cmp(&a.1)).then(a.2.cmp(&b.2))
+        });
         let order = keyed.into_iter().map(|(_, _, i)| i).collect();
         Self { order, total_w, total_v }
     }
@@ -256,7 +258,9 @@ impl SlackOrder {
                 (slack_key(rw, rv, scales), rw.to_bits(), rv.to_bits(), s)
             })
             .collect();
-        keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2, a.3).cmp(&(b.1, b.2, b.3))));
+        keyed.sort_unstable_by(|a, b| {
+            a.0.total_cmp(&b.0).then((a.1, a.2, a.3).cmp(&(b.1, b.2, b.3)))
+        });
         let mut entries = Vec::new();
         for class in keyed.chunk_by(|a, b| (a.1, a.2) == (b.1, b.2)) {
             let at = entries.last().map_or(0, |e: &Entry| e.end);
@@ -511,8 +515,16 @@ pub fn local_search(problem: &Problem, initial: Packing, max_rounds: usize) -> P
                 .enumerate()
                 .map(|(j, s)| s.map_or(Summary::NONE, |s| leaf(j, s, &residual))),
         );
+        let mut gate = None;
         for (i, inc) in items.iter().enumerate() {
-            if packing.sack_of(i).is_some() {
+            if packing.sack_of(i).is_some() || !packed.root().yields_to(inc) {
+                continue;
+            }
+            let gate = gate.get_or_insert_with(|| {
+                let placed = packing.placement().iter().enumerate();
+                Staircase::new(placed.filter_map(|(j, s)| s.map(|s| leaf(j, s, &residual))))
+            });
+            if !gate.admits(inc) {
                 continue;
             }
             // Only packed leaves admit a swap, so `slot_of[j]` is current.
@@ -528,7 +540,9 @@ pub fn local_search(problem: &Problem, initial: Packing, max_rounds: usize) -> P
             slot_of[i] = (s, slot);
             packed.set(j, Summary::NONE);
             for &k in &members[s] {
-                packed.set(k, leaf(k, s, &residual));
+                let rekeyed = leaf(k, s, &residual);
+                packed.set(k, rekeyed);
+                gate.insert(rekeyed);
             }
         }
 
@@ -537,6 +551,44 @@ pub fn local_search(problem: &Problem, initial: Packing, max_rounds: usize) -> P
         }
     }
     packing
+}
+
+/// The swap gate of [`local_search`]: packed leaves as steps of weight
+/// headroom (non-increasing) and the least profit at or above it (strictly
+/// decreasing), so one binary search finds the least profit among the
+/// leaves whose headroom an item's weight fits.
+///
+/// [`Staircase::admits`] applies [`Summary::yields_to`]'s weight and profit
+/// predicates to those same leaf values; `fl(x + 1e-12)` is monotone in
+/// `x`, so the leaves it fits are a prefix and the step's profit is their
+/// least. An item it rejects is one no leaf admits. Entries of leaves that
+/// since left or were re-keyed stay, and only admit more.
+struct Staircase(Vec<(f64, f64)>);
+
+impl Staircase {
+    fn new(leaves: impl Iterator<Item = Summary>) -> Self {
+        let mut leaves: Vec<Summary> = leaves.collect();
+        leaves.sort_unstable_by(|a, b| b.weight.total_cmp(&a.weight));
+        let mut stairs = Self(Vec::with_capacity(leaves.len()));
+        leaves.into_iter().for_each(|leaf| stairs.insert(leaf));
+        stairs
+    }
+
+    /// Adds a leaf unless a step at no less headroom already has no more
+    /// profit; the steps below it with no less profit go.
+    fn insert(&mut self, leaf: Summary) {
+        let at = self.0.partition_point(|&(h, _)| h >= leaf.weight);
+        if at > 0 && self.0[at - 1].1 <= leaf.profit {
+            return;
+        }
+        let end = at + self.0[at..].partition_point(|&(_, p)| p >= leaf.profit);
+        self.0.splice(at..end, [(leaf.weight, leaf.profit)]);
+    }
+
+    fn admits(&self, item: &Item) -> bool {
+        let fit = self.0.partition_point(|&(h, _)| item.weight <= h + 1e-12);
+        fit > 0 && item.profit > self.0[fit - 1].1 + 1e-12
+    }
 }
 
 /// Convenience: greedy followed by local search.
@@ -1081,6 +1133,71 @@ mod tests {
         let swapped_out = assert_matches_scan(&p, &start, 32, "deflated mesh");
         assert!(swapped_out > 0, "swaps must fire on the deflated mesh shape");
         assert_matches_scan(&p, &Packing::empty(n), 32, "deflated mesh, empty start");
+    }
+
+    /// Sizes and capacities on a dyadic grid, so a leaf's headroom
+    /// `residual + weight` is exact, beside weights exactly `1e-12` past a
+    /// headroom (which the swap's fit test admits) and `2e-12` past it
+    /// (which it rejects); profits `1e-12` apart (no swap) and `2e-12`
+    /// apart (a swap). Several items share a sack, so a swap re-keys
+    /// leaves that a later item in the same round can displace.
+    fn tolerance_edge_instance(rng: &mut StdRng, m: usize) -> Problem {
+        let sacks = [(2.0, 1.0), (1.0, 1.0), (3.0, 2.0)];
+        let sacks: Vec<(f64, f64)> = (0..m).map(|_| sacks[rng.gen_range(0..3)]).collect();
+        let items: Vec<(f64, f64, f64)> = (0..rng.gen_range(2 * m..4 * m + 6))
+            .map(|_| {
+                let base = [0.5, 1.0, 1.5, 2.0, 3.0][rng.gen_range(0..5)];
+                let weight = match rng.gen_range(0..4) {
+                    0 => base + 1e-12,
+                    1 => base + 2e-12,
+                    _ => base,
+                };
+                let profit = f64::from(rng.gen_range(1..4u8));
+                let profit = match rng.gen_range(0..4) {
+                    0 => profit + 1e-12,
+                    1 => profit + 2e-12,
+                    _ => profit,
+                };
+                (weight, f64::from(rng.gen_range(0..2u8)) / 2.0, profit)
+            })
+            .collect();
+        problem(items, sacks)
+    }
+
+    /// The swap gate skips only items no packed leaf admits: held to the
+    /// scan where profits and headrooms sit at the `1e-12` edges of the
+    /// swap test, and where a swap re-keys the leaves a later swap takes.
+    #[test]
+    fn local_search_matches_the_scan_at_tolerance_edges() {
+        let mut rng = StdRng::seed_from_u64(0xED6E);
+        let mut swapped_out = 0;
+        for round in 0..400 {
+            let p = tolerance_edge_instance(&mut rng, 1 + round % 7);
+            let n = p.num_items();
+            for (label, start) in [("greedy", greedy(&p)), ("empty", Packing::empty(n))] {
+                for max_rounds in [1, 32] {
+                    let what = format!("round {round}, {label} start, {max_rounds} rounds");
+                    swapped_out += assert_matches_scan(&p, &start, max_rounds, &what);
+                }
+            }
+        }
+        assert!(swapped_out > 100, "the suite must exercise swaps, saw {swapped_out}");
+    }
+
+    /// A swap frees headroom in its sack; the re-keyed leaf is the only one
+    /// a later, larger item of the same round fits.
+    #[test]
+    fn swap_gate_sees_leaves_a_swap_re_keys() {
+        // Items 0 and 1 fill the sack; 2 displaces 0 and leaves 1 with 1.5
+        // of headroom, which only 3 (weight 1.4) fits.
+        let items = vec![(1.0, 0.0, 1.0), (1.0, 0.0, 5.0), (0.5, 0.0, 2.0), (1.4, 0.0, 6.0)];
+        let p = problem(items, vec![(2.0, 1.0)]);
+        let mut start = Packing::empty(4);
+        start.assign(0, Some(0));
+        start.assign(1, Some(0));
+        let got = local_search(&p, start.clone(), 1);
+        assert_eq!(got.placement(), [None, None, Some(0), Some(0)]);
+        assert_matches_scan(&p, &start, 1, "re-keyed leaf");
     }
 
     #[test]

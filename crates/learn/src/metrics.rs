@@ -1,8 +1,6 @@
-//! Evaluation metrics for regressors and binary classifiers.
-//!
-//! The paper reports COP *prediction accuracy* as the similarity between
-//! predicted and real values (Table I's "Prediction Accuracy" feature); that
-//! notion is implemented here as [`prediction_accuracy`].
+//! Evaluation metrics for regressors and binary classifiers. (Table I's
+//! similarity-style "Prediction Accuracy" feature is the allocator's, in
+//! `core::features`.)
 
 use std::fmt;
 
@@ -85,31 +83,6 @@ pub fn accuracy(pred: &[f64], truth: &[f64]) -> Result<f64, MetricError> {
     Ok(hits as f64 / pred.len() as f64)
 }
 
-/// The paper's similarity-style accuracy for a single prediction:
-/// `1 - |truth - pred| / |truth|`, clamped to `[0, 1]`.
-///
-/// Matches the example implementation of the decision function
-/// `H(J; θ) = 1 - |D - D(θ)| / D` given under Definition 1, applied to a
-/// prediction instead of a decision.
-pub fn prediction_accuracy(pred: f64, truth: f64) -> f64 {
-    if truth.abs() < 1e-12 {
-        // Degenerate ideal: exact hit or zero credit.
-        return if pred.abs() < 1e-12 { 1.0 } else { 0.0 };
-    }
-    (1.0 - (truth - pred).abs() / truth.abs()).clamp(0.0, 1.0)
-}
-
-/// Mean of [`prediction_accuracy`] over paired slices.
-///
-/// # Errors
-///
-/// Fails on empty or unequal-length inputs.
-pub fn mean_prediction_accuracy(pred: &[f64], truth: &[f64]) -> Result<f64, MetricError> {
-    check(pred, truth)?;
-    Ok(pred.iter().zip(truth).map(|(&p, &t)| prediction_accuracy(p, t)).sum::<f64>()
-        / pred.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,7 +102,6 @@ mod tests {
         assert_eq!(rmse(&t, &t).unwrap(), 0.0);
         assert_eq!(r2(&t, &t).unwrap(), 1.0);
         assert_eq!(accuracy(&[1.0, -1.0], &[2.0, -0.5]).unwrap(), 1.0);
-        assert_eq!(mean_prediction_accuracy(&t, &t).unwrap(), 1.0);
     }
 
     #[test]
@@ -148,16 +120,6 @@ mod tests {
     #[test]
     fn accuracy_counts_sign_matches() {
         assert_eq!(accuracy(&[0.4, -0.2, 3.0, -9.0], &[1.0, 1.0, 1.0, -1.0]).unwrap(), 0.75);
-    }
-
-    #[test]
-    fn prediction_accuracy_clamps() {
-        assert_eq!(prediction_accuracy(5.0, 5.0), 1.0);
-        assert_eq!(prediction_accuracy(10.0, 5.0), 0.0); // 100% off -> 0
-        assert!((prediction_accuracy(4.0, 5.0) - 0.8).abs() < 1e-12);
-        assert_eq!(prediction_accuracy(-20.0, 5.0), 0.0); // clamped below
-        assert_eq!(prediction_accuracy(0.0, 0.0), 1.0);
-        assert_eq!(prediction_accuracy(1.0, 0.0), 0.0);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 use crate::dataset::Dataset;
 use crate::linalg::{euclidean_distance, Matrix};
 use crate::linear::{FitError, LinearModel};
-use crate::metrics::mean_prediction_accuracy;
 use std::fmt;
 
 /// A single learning task: named context plus its local dataset.
@@ -225,30 +224,6 @@ impl MtlSystem {
     /// The configuration used at fit time.
     pub fn config(&self) -> MtlConfig {
         self.config
-    }
-
-    /// Per-task prediction accuracy (the paper's similarity-style metric) on
-    /// held-out datasets, one per task.
-    ///
-    /// # Errors
-    ///
-    /// [`MtlError::MixedArity`] when eval sets disagree with the models;
-    /// [`MtlError::TaskFit`] if prediction fails.
-    pub fn evaluate(&self, eval: &[Dataset]) -> Result<Vec<f64>, MtlError> {
-        if eval.len() != self.models.len() {
-            return Err(MtlError::MixedArity {
-                expected: self.models.len(),
-                task: eval.len(),
-                got: eval.len(),
-            });
-        }
-        let mut out = Vec::with_capacity(eval.len());
-        for (i, (m, ds)) in self.models.iter().zip(eval).enumerate() {
-            let preds =
-                m.predict_dataset(ds).map_err(|source| MtlError::TaskFit { task: i, source })?;
-            out.push(mean_prediction_accuracy(&preds, ds.targets()).unwrap_or(0.0));
-        }
-        Ok(out)
     }
 }
 
@@ -494,16 +469,6 @@ mod tests {
                 assert!((0.0..=1.0).contains(&s[(i, j)]));
             }
         }
-    }
-
-    #[test]
-    fn evaluate_reports_high_accuracy_on_train_like_data() {
-        let tasks = related_tasks(3, &[], 12);
-        let sys = MtlSystem::fit(&tasks, MtlConfig::default()).unwrap();
-        let evals: Vec<Dataset> = tasks.iter().map(|t| t.data().clone()).collect();
-        let accs = sys.evaluate(&evals).unwrap();
-        assert_eq!(accs.len(), 3);
-        assert!(accs.iter().all(|&a| a > 0.5), "accs {accs:?}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use learn::dataset::{Dataset, Standardizer};
 use learn::linalg::{dot, euclidean_distance, GatheredRows, Matrix};
 use learn::linear::RidgeRegression;
-use learn::metrics::{mae, prediction_accuracy, rmse};
+use learn::metrics::{mae, rmse};
 use learn::nn::{Activation, AdamOptimizer, BatchWorkspace, Mlp, PrefixRow};
 use learn::transfer::fit_biased_ridge;
 use proptest::prelude::*;
@@ -270,14 +270,6 @@ proptest! {
             let preds = m.predict_dataset(&ds).expect("arity");
             prop_assert!(mae(&preds, ds.targets()).expect("non-empty") < 1e-6);
         }
-    }
-
-    #[test]
-    fn prediction_accuracy_bounded(p in -100.0f64..100.0, t in -100.0f64..100.0) {
-        let a = prediction_accuracy(p, t);
-        prop_assert!((0.0..=1.0).contains(&a));
-        // Exact predictions always score 1.
-        prop_assert!((prediction_accuracy(t, t) - 1.0).abs() < 1e-12);
     }
 
     #[test]
