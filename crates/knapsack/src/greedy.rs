@@ -567,11 +567,15 @@ struct Staircase(Vec<(f64, f64)>);
 
 impl Staircase {
     fn new(leaves: impl Iterator<Item = Summary>) -> Self {
-        let mut leaves: Vec<Summary> = leaves.collect();
-        leaves.sort_unstable_by(|a, b| b.weight.total_cmp(&a.weight));
-        let mut stairs = Self(Vec::with_capacity(leaves.len()));
-        leaves.into_iter().for_each(|leaf| stairs.insert(leaf));
-        stairs
+        let mut steps: Vec<(f64, f64)> = leaves.map(|leaf| (leaf.weight, leaf.profit)).collect();
+        steps.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+        let mut least = f64::INFINITY;
+        steps.retain(|&(_, p)| {
+            let lower = p < least;
+            least = least.min(p);
+            lower
+        });
+        Self(steps)
     }
 
     /// Adds a leaf unless a step at no less headroom already has no more
