@@ -94,12 +94,10 @@ impl TaskHistory {
     }
 }
 
-/// Table I's similarity-style accuracy of one prediction: `1 − |truth −
-/// pred| / |truth|`, clamped to `[0, 1]` — the decision function `H(J; θ) =
-/// 1 − |D − D(θ)| / D` under Definition 1, applied to a prediction.
+/// Table I's accuracy of one prediction, `1 − |truth − pred| / |truth|` in
+/// `[0, 1]` (Definition 1's `H(J; θ)`); a zero truth credits an exact hit.
 fn prediction_accuracy(pred: f64, truth: f64) -> f64 {
     if truth.abs() < 1e-12 {
-        // Degenerate ideal: exact hit or zero credit.
         return if pred.abs() < 1e-12 { 1.0 } else { 0.0 };
     }
     (1.0 - (truth - pred).abs() / truth.abs()).clamp(0.0, 1.0)

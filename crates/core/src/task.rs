@@ -69,9 +69,8 @@ impl EdgeTask {
                 return Err(TaskError { field, value });
             }
         }
-        let task =
-            Self { id, name: Arc::from(name.into()), input_bits, resource_demand, importance: 0.0 };
-        task.with_importance(importance)
+        Self { id, name: Arc::from(name.into()), input_bits, resource_demand, importance: 0.0 }
+            .with_importance(importance)
     }
 
     /// The task id.

@@ -85,11 +85,6 @@ impl DensityIndex {
         Self { order, total_w, total_v }
     }
 
-    /// Item indices in greedy placement order.
-    pub fn order(&self) -> &[usize] {
-        &self.order
-    }
-
     /// The aggregate `(weight, volume)` capacity scales the densities were
     /// normalised by (both clamped to ≥ 1e-12).
     pub fn scales(&self) -> (f64, f64) {
@@ -453,20 +448,19 @@ fn place(problem: &Problem, index: &DensityIndex) -> Packing {
 ///
 /// Both "lowest-indexed" searches are `FirstHit` tree queries — over sacks
 /// keyed by residual capacity, and over items keyed by profit and the
-/// residual of their sack with the item itself removed. A round costs
-/// `O((N + M) + U·q + S·k·log N)` for `U` unpacked items, `S` swaps made
-/// and `k` items per touched sack, where a query `q` is `O(1)` when the
-/// root already rules a hit out (the common case for an item nothing has
-/// room for) and otherwise the root-to-leaf paths the summaries cannot
-/// rule out: ~13 to a few hundred nodes on mesh rounds. The linear scans
-/// this replaced cost `O(U·(N + M))` per round: 90–175 ms on a 6000 × 3000
-/// mesh round that the index improves in 0.3–1.5 ms, with the same packing
-/// and the same profit bits (pinned against the scans in this module's
-/// tests).
+/// residual of their sack with the item itself removed — that find what
+/// the linear scans they replaced found (pinned in this module's tests).
+/// A swap query runs only for an item past two exact necessary tests: the
+/// tree's root and a `Staircase` of the packed items' leaves.
 ///
-/// The descent is not worst-case logarithmic. A node can pass all three
-/// summary tests through three *different* leaves and hold no hit, so an
-/// adversarial instance still costs `O(N)` per query, as the scan did.
+/// A round costs `O(N + M)` of bookkeeping, one `O(P log P)` sort of the
+/// `P` packed leaves, `O(log P)` per unpacked item, a query per item the
+/// gate admits, and `O(k·log N)` per swap re-keying its sack's `k` leaves.
+/// A query is not worst-case logarithmic: a node can pass all three summary
+/// tests through three *different* leaves and hold no hit, so it can cost
+/// `O(N)`, as the scan did. The gate keeps such queries few: ~200 a solve
+/// on the benchmark's route-deflated 5998 × 2999 world, where ~4 000 items
+/// pass the root alone.
 pub fn local_search(problem: &Problem, initial: Packing, max_rounds: usize) -> Packing {
     let items = problem.items();
     let mut packing = initial;
@@ -553,28 +547,20 @@ pub fn local_search(problem: &Problem, initial: Packing, max_rounds: usize) -> P
     packing
 }
 
-/// The swap gate of [`local_search`]: packed leaves as steps of weight
-/// headroom (non-increasing) and the least profit at or above it (strictly
-/// decreasing), so one binary search finds the least profit among the
-/// leaves whose headroom an item's weight fits.
-///
+/// The swap gate of [`local_search`]: leaves as steps of weight headroom
+/// (non-increasing), each with the least profit at or above it (falling).
 /// [`Staircase::admits`] applies [`Summary::yields_to`]'s weight and profit
-/// predicates to those same leaf values; `fl(x + 1e-12)` is monotone in
-/// `x`, so the leaves it fits are a prefix and the step's profit is their
-/// least. An item it rejects is one no leaf admits. Entries of leaves that
-/// since left or were re-keyed stay, and only admit more.
+/// tests to the same leaf values; `fl(x + 1e-12)` is monotone, so the steps
+/// an item fits are a prefix whose last profit is their least, and an item
+/// it rejects is one no leaf admits. Steps of leaves a swap has since moved
+/// or re-keyed stay, and only admit more.
 struct Staircase(Vec<(f64, f64)>);
 
 impl Staircase {
     fn new(leaves: impl Iterator<Item = Summary>) -> Self {
         let mut steps: Vec<(f64, f64)> = leaves.map(|leaf| (leaf.weight, leaf.profit)).collect();
         steps.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
-        let mut least = f64::INFINITY;
-        steps.retain(|&(_, p)| {
-            let lower = p < least;
-            least = least.min(p);
-            lower
-        });
+        steps.dedup_by(|next, kept| next.1 >= kept.1);
         Self(steps)
     }
 
