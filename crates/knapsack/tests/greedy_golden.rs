@@ -75,8 +75,8 @@ fn deflated(rng: &mut StdRng) -> f64 {
 /// A squared route factor, as the local-search tests draw it: most workers
 /// far from the controller (factor 0.2–0.4), one in 16 anywhere in `[0,
 /// 1)`. Like the benchmark's route-aware world, greedy packs few items
-/// (224 of 3000, 7.5 %, for the row below) and local search keeps moving
-/// them for several rounds (7 rounds, 55 items moved).
+/// (224 of 3000, 7.5 %, for the row below) and local search keeps swapping
+/// for several rounds (36 swaps over 7 rounds).
 fn route_deflated(rng: &mut StdRng) -> f64 {
     let factor: f64 =
         if rng.gen_range(0..16) == 0 { rng.gen_range(0.0..1.0) } else { rng.gen_range(0.2..0.4) };
