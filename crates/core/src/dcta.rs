@@ -10,11 +10,14 @@
 //!
 //! Both processes score every task — `F1` contributes its binary allocation
 //! decision, `F2` its logistic selection score — and the weighted sum is a
-//! *fractional* allocation preference. The final binary matrix `u` is the
-//! feasible projection of those preferences: a knapsack packing that uses
-//! the combined score as profit, followed by a speed-aware placement that
-//! sends the heaviest selected tasks to the fastest processors (the paper's
-//! "more important tasks to more powerful edge devices").
+//! *fractional* allocation preference. A task the general process estimates
+//! to matter nothing scores `0`: TATIM maximises importance, so running it
+//! adds only time. The final binary matrix `u` is the feasible projection
+//! of those preferences: a knapsack packing that uses the combined score as
+//! profit, and so selects only tasks that score, followed by a speed-aware
+//! placement that sends the heaviest selected tasks to the fastest
+//! processors (the paper's "more important tasks to more powerful edge
+//! devices").
 
 use crate::allocation::Allocation;
 use crate::crl_alloc::CrlOutcome;
@@ -98,7 +101,8 @@ impl From<TatimError> for DctaError {
 pub struct DctaOutcome {
     /// The final feasible allocation.
     pub allocation: Allocation,
-    /// Combined per-task scores `w1·F1 + w2·F2`.
+    /// Combined per-task scores `w1·F1 + w2·F2`, and `0` for a task the
+    /// general process estimates at `0`.
     pub combined_scores: Vec<f64>,
     /// The general process's raw outcome.
     pub crl: CrlOutcome,
@@ -159,17 +163,19 @@ impl DctaAllocator {
         if local_rows.len() != n {
             return Err(DctaError::FeatureCount { tasks: n, rows: local_rows.len() });
         }
-        if general.allocation.len() != n {
+        if general.allocation.len() != n || general.estimated_importances.len() != n {
             return Err(CrlError::Shape.into());
         }
         // F1 contributes its binary allocation decision, F2 its selection
-        // score.
+        // score; a task the general process estimates at zero importance
+        // scores nothing, so the projection leaves it out.
         let mut combined = Vec::with_capacity(n);
         let norm = self.w1 + self.w2;
         for (j, row) in local_rows.iter().enumerate() {
             let f1 = f64::from(general.allocation.processor_of(j).is_some());
             let f2 = self.local.selection_score(row)?;
-            combined.push((self.w1 * f1 + self.w2 * f2) / norm);
+            let score = (self.w1 * f1 + self.w2 * f2) / norm;
+            combined.push(if general.estimated_importances[j] > 0.0 { score } else { 0.0 });
         }
         // Feasible projection: knapsack with combined scores as profits…
         let scored = instance.with_importances(&combined);
@@ -306,6 +312,28 @@ mod tests {
         assert!(out.combined_scores[3] > out.combined_scores[0]);
         assert!(out.combined_scores[1] > out.combined_scores[0]);
         assert!(out.allocation.is_feasible(inst.tasks(), inst.fleet()));
+    }
+
+    #[test]
+    fn a_task_the_general_process_rates_zero_is_never_allocated() {
+        let n = 4;
+        let inst = instance(n, 10.0);
+        let dcta = DctaAllocator::new(local(), 0.5, 0.5).unwrap();
+        // Every task fits, the general process allocates every one, and the
+        // local process rates task 2 highest; only its estimate is zero.
+        let general = CrlOutcome {
+            allocation: Allocation::from_placement(vec![Some(0); n]),
+            estimated_importances: vec![0.4, 0.2, 0.0, 0.1],
+            cache_hit: true,
+        };
+        for rows in [vec![vec![0.1], vec![0.2], vec![0.95], vec![0.3]], vec![vec![0.9]; n]] {
+            let out = dcta.allocate(&inst, general.clone(), &rows).unwrap();
+            assert_eq!(out.combined_scores[2], 0.0);
+            assert_eq!(out.allocation.processor_of(2), None);
+            for j in [0, 1, 3] {
+                assert!(out.allocation.processor_of(j).is_some(), "task {j}");
+            }
+        }
     }
 
     #[test]

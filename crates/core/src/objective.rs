@@ -28,8 +28,8 @@
 //! makes the unchanged compute-priced weights `t_j` consume exactly the
 //! compute+transfer share of the round, so greedy, weighted-greedy, exact
 //! and portfolio solves all optimise importance per unit
-//! (compute + transfer) without touching `DensityIndex`, `SuffixBounds`,
-//! or the portfolio warm start — PR 9's bit-identity and
+//! (compute + transfer) without touching the greedy's density order,
+//! `SuffixBounds` or the portfolio warm start — PR 9's bit-identity and
 //! budget-monotonicity contracts hold by construction. Normalising by
 //! `r_min` pins the degenerate case: on a uniform star every worker's
 //! uplink cost equals `r_min`, the factor is *exactly* `1.0`, and

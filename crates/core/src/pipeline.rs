@@ -800,6 +800,23 @@ pub(crate) mod tests {
         assert_eq!(rm.scheduled, s.num_tasks());
         assert_eq!(dml.scheduled, s.num_tasks());
         assert!(oracle.scheduled < s.num_tasks(), "oracle must select a subset");
+        // It selects; it does not fill: no task that matters nothing runs.
+        let truth = prepared.true_importances(day);
+        for j in (0..s.num_tasks()).filter(|&j| oracle.allocation.processor_of(j).is_some()) {
+            assert!(truth[j] > 0.0, "task {j} of importance {} allocated", truth[j]);
+        }
+    }
+
+    /// Table I's prediction-accuracy column (column 1 of a local row) is
+    /// learnt over the offline days: every task's mean leaves its initial
+    /// `0.5`.
+    #[test]
+    fn prediction_accuracy_column_is_learnt_offline() {
+        let s = small_scenario();
+        let prepared = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        for (j, row) in prepared.local_rows(prepared.test_days().start).iter().enumerate() {
+            assert!(row[1] != 0.5 && (0.0..=1.0).contains(&row[1]), "task {j}: {}", row[1]);
+        }
     }
 
     #[test]

@@ -65,58 +65,22 @@ fn fill(sorted: impl IntoIterator<Item = (f64, f64)>, capacity: f64) -> f64 {
     bound
 }
 
-/// Fractional single-constraint bound: relax to one aggregate knapsack on
-/// the given `capacity`, allowing fractional items, in density order.
-fn fractional_bound(
-    items: &[(f64, f64)], // (size, profit)
-    capacity: f64,
-) -> f64 {
-    let mut sorted: Vec<(f64, f64)> = items.to_vec();
-    sorted.sort_by(|&a, &b| by_density(a, b));
-    fill(sorted, capacity)
-}
-
-/// The items of `indices` that fit `room`, in the order given.
-fn fitting<'a>(problem: &'a Problem, indices: &[usize], room: (f64, f64)) -> Vec<&'a Item> {
-    let room = Summary::room(room);
-    indices.iter().map(|&i| &problem.items()[i]).filter(|item| room.fits(item)).collect()
-}
-
 /// A valid upper bound on the optimal MCMK profit.
 ///
 /// Every feasible packing satisfies, in aggregate, `Σ packed weights ≤
 /// Σ weight capacities` and `Σ packed volumes ≤ Σ volume capacities`, and
 /// packs only items that fit the largest sack (see the [module docs](self));
 /// hence each single-constraint fractional relaxation over those items
-/// bounds the optimum, and so does their minimum.
+/// bounds the optimum, and so does their minimum. This is
+/// [`SuffixBounds::bound`] over every item.
 pub fn upper_bound(problem: &Problem) -> f64 {
-    let total_w: f64 = problem.sacks().iter().map(|s| s.weight_capacity).sum();
-    let total_v: f64 = problem.sacks().iter().map(|s| s.volume_capacity).sum();
-    let all: Vec<usize> = (0..problem.num_items()).collect();
-    upper_bound_subset(problem, &all, total_w, total_v, sack_room(problem))
+    let (bounds, total_w, total_v) = whole_instance(problem);
+    bounds.bound(0, total_w, total_v, sack_room(problem))
 }
 
-/// Same bound restricted to the item subset `indices`, explicit aggregate
-/// residual capacities and the largest residual `room` — the form
-/// branch-and-bound needs mid-search.
-pub fn upper_bound_subset(
-    problem: &Problem,
-    indices: &[usize],
-    aggregate_weight: f64,
-    aggregate_volume: f64,
-    room: (f64, f64),
-) -> f64 {
-    let items = fitting(problem, indices, room);
-    let w_items: Vec<(f64, f64)> = items.iter().map(|item| (item.weight, item.profit)).collect();
-    let v_items: Vec<(f64, f64)> = items.iter().map(|item| (item.volume, item.profit)).collect();
-    let wb = fractional_bound(&w_items, aggregate_weight.max(0.0));
-    let vb = fractional_bound(&v_items, aggregate_volume.max(0.0));
-    wb.min(vb)
-}
-
-/// Interior surrogate multipliers tried by [`surrogate_bound_subset`] on top
-/// of the two pure-dimension endpoints evaluated by [`upper_bound_subset`].
-/// A fixed grid keeps the bound a pure function of the instance (no search
+/// Interior surrogate multipliers tried by [`SuffixBounds::surrogate`] on
+/// top of the two pure-dimension endpoints of [`SuffixBounds::bound`]. A
+/// fixed grid keeps the bound a pure function of the instance (no search
 /// state), which the portfolio's determinism contract relies on.
 const SURROGATE_THETAS: [f64; 5] = [0.1, 0.25, 0.5, 0.75, 0.9];
 
@@ -131,38 +95,19 @@ const SURROGATE_THETAS: [f64; 5] = [0.1, 0.25, 0.5, 0.75, 0.9];
 /// relaxation (equivalently, a Lagrangian bound on the aggregated pair),
 /// and is never looser than [`upper_bound`] because the endpoints are
 /// included. Like every bound here it counts only the items that fit the
-/// largest sack.
+/// largest sack. This is [`SuffixBounds::surrogate`] over every item.
 pub fn surrogate_bound(problem: &Problem) -> f64 {
-    let total_w: f64 = problem.sacks().iter().map(|s| s.weight_capacity).sum();
-    let total_v: f64 = problem.sacks().iter().map(|s| s.volume_capacity).sum();
-    let all: Vec<usize> = (0..problem.num_items()).collect();
-    surrogate_bound_subset(problem, &all, total_w, total_v, sack_room(problem))
+    let (bounds, total_w, total_v) = whole_instance(problem);
+    bounds.surrogate(0, total_w, total_v, sack_room(problem))
 }
 
-/// [`surrogate_bound`] restricted to the item subset `indices` under explicit
-/// aggregate residual capacities and the largest residual `room` — the
-/// bound that certifies whole branch-and-bound subtrees against a
-/// warm-start incumbent, which the search computes without sorting through
-/// [`SuffixBounds::surrogate`].
-pub fn surrogate_bound_subset(
-    problem: &Problem,
-    indices: &[usize],
-    aggregate_weight: f64,
-    aggregate_volume: f64,
-    room: (f64, f64),
-) -> f64 {
-    let mut best = upper_bound_subset(problem, indices, aggregate_weight, aggregate_volume, room);
-    let w = aggregate_weight.max(0.0);
-    let v = aggregate_volume.max(0.0);
-    let items = fitting(problem, indices, room);
-    for theta in SURROGATE_THETAS {
-        let combined: Vec<(f64, f64)> = items
-            .iter()
-            .map(|item| (theta * item.weight + (1.0 - theta) * item.volume, item.profit))
-            .collect();
-        best = best.min(fractional_bound(&combined, theta * w + (1.0 - theta) * v));
-    }
-    best
+/// The views of every item in index order, and the aggregate weight and
+/// volume capacities of the sacks.
+fn whole_instance(problem: &Problem) -> (SuffixBounds, f64, f64) {
+    let all: Vec<usize> = (0..problem.num_items()).collect();
+    let total_w: f64 = problem.sacks().iter().map(|s| s.weight_capacity).sum();
+    let total_v: f64 = problem.sacks().iter().map(|s| s.volume_capacity).sum();
+    (SuffixBounds::new(problem, &all), total_w, total_v)
 }
 
 /// Density-sorted views for branch-and-bound over a fixed exploration
@@ -175,10 +120,10 @@ pub fn surrogate_bound_subset(
 /// is then this view filtered to those positions, because a stable sort
 /// commutes with taking subsequences under the same comparator. A query
 /// walks a view in that order, so it visits the suffix's fitting items in
-/// exactly the sequence [`upper_bound_subset`] and
-/// [`surrogate_bound_subset`] sort them into and accumulates the same
-/// floats: [`SuffixBounds::bound`] and [`SuffixBounds::surrogate`] are
-/// bit-identical to them. Inside one search, `LiveBounds` walks the weight
+/// exactly the sequence a fresh density sort of them puts them in, and
+/// accumulates the same floats: [`SuffixBounds::bound`] and
+/// [`SuffixBounds::surrogate`] are bit-identical to sorting the suffix at
+/// every query (held to the sorting oracles in this module's tests). Inside one search, `LiveBounds` walks the weight
 /// and volume views over linked live entries instead of skipping decided
 /// ones.
 pub struct SuffixBounds {
@@ -257,8 +202,7 @@ impl SuffixBounds {
 
     /// Upper bound on the profit attainable from the suffix `order[depth..]`
     /// under the given aggregate residual capacities and largest residual
-    /// `room`. Bit-identical to
-    /// `upper_bound_subset(problem, &order[depth..], agg_w, agg_v, room)`.
+    /// `room`.
     pub fn bound(
         &self,
         depth: usize,
@@ -272,9 +216,7 @@ impl SuffixBounds {
         wb.min(vb)
     }
 
-    /// Surrogate upper bound on the suffix `order[depth..]`. Bit-identical
-    /// to `surrogate_bound_subset(problem, &order[depth..], agg_w, agg_v,
-    /// room)`.
+    /// Surrogate upper bound on the suffix `order[depth..]`.
     pub fn surrogate(
         &self,
         depth: usize,
@@ -415,6 +357,63 @@ mod tests {
     use crate::problem::Sack;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Fractional single-constraint bound: relax to one aggregate knapsack
+    /// on the given `capacity`, allowing fractional items, in density order.
+    fn fractional_bound(items: &[(f64, f64)], capacity: f64) -> f64 {
+        let mut sorted: Vec<(f64, f64)> = items.to_vec();
+        sorted.sort_by(|&a, &b| by_density(a, b));
+        fill(sorted, capacity)
+    }
+
+    /// The items of `indices` that fit `room`, in the order given.
+    fn fitting<'a>(problem: &'a Problem, indices: &[usize], room: (f64, f64)) -> Vec<&'a Item> {
+        let room = Summary::room(room);
+        indices.iter().map(|&i| &problem.items()[i]).filter(|item| room.fits(item)).collect()
+    }
+
+    /// The sorting oracle of [`SuffixBounds::bound`]: the bound over the
+    /// item subset `indices`, explicit aggregate residual capacities and
+    /// the largest residual `room`, sorting at every call.
+    fn upper_bound_subset(
+        problem: &Problem,
+        indices: &[usize],
+        aggregate_weight: f64,
+        aggregate_volume: f64,
+        room: (f64, f64),
+    ) -> f64 {
+        let items = fitting(problem, indices, room);
+        let w_items: Vec<(f64, f64)> =
+            items.iter().map(|item| (item.weight, item.profit)).collect();
+        let v_items: Vec<(f64, f64)> =
+            items.iter().map(|item| (item.volume, item.profit)).collect();
+        let wb = fractional_bound(&w_items, aggregate_weight.max(0.0));
+        let vb = fractional_bound(&v_items, aggregate_volume.max(0.0));
+        wb.min(vb)
+    }
+
+    /// The sorting oracle of [`SuffixBounds::surrogate`].
+    fn surrogate_bound_subset(
+        problem: &Problem,
+        indices: &[usize],
+        aggregate_weight: f64,
+        aggregate_volume: f64,
+        room: (f64, f64),
+    ) -> f64 {
+        let mut best =
+            upper_bound_subset(problem, indices, aggregate_weight, aggregate_volume, room);
+        let w = aggregate_weight.max(0.0);
+        let v = aggregate_volume.max(0.0);
+        let items = fitting(problem, indices, room);
+        for theta in SURROGATE_THETAS {
+            let combined: Vec<(f64, f64)> = items
+                .iter()
+                .map(|item| (theta * item.weight + (1.0 - theta) * item.volume, item.profit))
+                .collect();
+            best = best.min(fractional_bound(&combined, theta * w + (1.0 - theta) * v));
+        }
+        best
+    }
 
     fn problem(items: Vec<(f64, f64, f64)>, sacks: Vec<(f64, f64)>) -> Problem {
         Problem::new(

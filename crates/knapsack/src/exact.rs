@@ -96,41 +96,20 @@ pub(crate) struct SearchReport {
     pub(crate) nodes: u64,
 }
 
-/// Item exploration order: decreasing profit per aggregate size, over the
-/// items some sack can hold, up to the last item that scores.
-///
-/// Residuals only shrink, so an item no sack holds empty can only ever
-/// take the skip child. Past the last scoring item only zero profits are
-/// left: every density view puts them after the items that score (or, at
-/// zero size, counts them `+0.0` and takes no room), so at the first of
-/// them every bound over the suffix is `+0.0`; the improvement check has
-/// just raised the incumbent to the path sum, so the node is pruned before
-/// it branches. Leaving both kinds out takes their levels out of every
-/// bound walk, link set and subtree root and changes no answer, certificate
-/// or node count. A zero-profit item ahead of the last scoring one (a
-/// zero-size item sorts first) stays: the search does branch on it.
+/// Item exploration order: the scoring items ([`Problem::scoring`]) some
+/// sack can hold, by decreasing profit per aggregate size. Residuals only
+/// shrink, so an item no sack holds empty can only ever take the skip child.
 pub(crate) fn density_order(problem: &Problem) -> Vec<usize> {
-    let mut order = fitting_by_density(problem);
-    let last_scoring = order.iter().rposition(|&i| problem.items()[i].profit > 0.0);
-    order.truncate(last_scoring.map_or(0, |k| k + 1));
-    order
-}
-
-/// The items some sack can hold, by decreasing profit per aggregate size.
-fn fitting_by_density(problem: &Problem) -> Vec<usize> {
     let total_w: f64 = problem.sacks().iter().map(|s| s.weight_capacity).sum::<f64>().max(1e-12);
     let total_v: f64 = problem.sacks().iter().map(|s| s.volume_capacity).sum::<f64>().max(1e-12);
     let sacks: Vec<Summary> = full_residual(problem).into_iter().map(Summary::room).collect();
-    let mut order: Vec<usize> = (0..problem.num_items())
+    let mut order: Vec<usize> = (problem.scoring())
         .filter(|&i| sacks.iter().any(|sack| sack.fits(&problem.items()[i])))
         .collect();
-    // Densities are never NaN and `+ 0.0` folds −0.0 into +0.0, so
+    // A scoring item's density is positive, +0.0 or +∞, never NaN, so
     // `total_cmp` orders them as `partial_cmp` would; the sort is stable.
-    order.sort_by(|&a, &b| {
-        let da = problem.items()[a].density(total_w, total_v) + 0.0;
-        let db = problem.items()[b].density(total_w, total_v) + 0.0;
-        db.total_cmp(&da)
-    });
+    let density = |i: usize| problem.items()[i].density(total_w, total_v);
+    order.sort_by(|&a, &b| density(b).total_cmp(&density(a)));
     order
 }
 
@@ -594,12 +573,24 @@ mod tests {
     }
 
     /// The contract's reference: `Search` from the root, with no split, no
-    /// floor, no budget and no shared bound, over every item some sack
-    /// holds — the zero-profit tail included, so the oracle does not share
-    /// the search's order. The exhaustive search must return its first
-    /// optimum achiever.
+    /// floor, no budget and no shared bound, over its own order — the items
+    /// with `profit > 0.0` some sack holds, by decreasing density. The
+    /// exhaustive search must return its first optimum achiever.
     fn plain_dfs(problem: &Problem) -> Packing {
-        let order = fitting_by_density(problem);
+        let total_w: f64 =
+            problem.sacks().iter().map(|s| s.weight_capacity).sum::<f64>().max(1e-12);
+        let total_v: f64 =
+            problem.sacks().iter().map(|s| s.volume_capacity).sum::<f64>().max(1e-12);
+        let fits_a_sack = |item: &Item| {
+            (problem.sacks().iter()).any(|s| {
+                item.weight <= s.weight_capacity + 1e-12 && item.volume <= s.volume_capacity + 1e-12
+            })
+        };
+        let mut order: Vec<usize> = (0..problem.num_items())
+            .filter(|&i| problem.items()[i].profit > 0.0 && fits_a_sack(&problem.items()[i]))
+            .collect();
+        let density = |i: usize| problem.items()[i].density(total_w, total_v);
+        order.sort_by(|&a, &b| density(b).partial_cmp(&density(a)).expect("densities comparable"));
         let bounds = SuffixBounds::new(problem, &order);
         let mut search = Search::new(problem, &order, &bounds, f64::NEG_INFINITY, None);
         let root = Prefix { profit: 0.0, depth: 0, path: [None; PAR_MAX_SPLIT_DEPTH] };
@@ -611,21 +602,19 @@ mod tests {
         solve_portfolio(problem, SolveBudget::Exact).packing
     }
 
-    /// The order stops at the last scoring item; the oracle's does not. A
-    /// zero-size item that earns nothing sorts first and stays, because
-    /// the search packs it on its way to the optimum; the zero-profit items
-    /// after the last scoring one go.
+    /// An item that earns nothing is left out even where it takes no room:
+    /// the zero-size one would sort first, and packing it costs nothing.
     #[test]
-    fn order_stops_at_the_last_scoring_item() {
+    fn zero_size_zero_profit_item_is_left_out() {
         let p = problem(
             vec![(1.0, 1.0, 0.0), (0.0, 0.0, 0.0), (1.0, 1.0, 5.0), (2.0, 1.0, 0.0)],
             vec![(3.0, 3.0), (3.0, 3.0)],
         );
-        assert_eq!(fitting_by_density(&p), vec![1, 2, 0, 3]);
-        assert_eq!(density_order(&p), vec![1, 2]);
+        assert_eq!(density_order(&p), vec![2]);
         let s = exact(&p);
         assert_eq!(s.placement(), plain_dfs(&p).placement());
-        assert_eq!(s.placement(), &[None, Some(0), Some(0), None]);
+        assert_eq!(s.placement(), &[None, None, Some(0), None]);
+        assert_eq!(brute_force(&p).placement(), s.placement());
     }
 
     #[test]

@@ -10,10 +10,11 @@ use crate::bounds::largest_room;
 use crate::first_hit::{FirstHit, Summary};
 use crate::problem::{Item, Packing, Problem};
 
-/// Density-ordered greedy first-fit: items are sorted by profit density
-/// (profit per aggregate-normalised size) and each is placed into the sack
-/// with the *least* remaining headroom that still fits (best-fit), leaving
-/// big headroom for big items.
+/// Density-ordered greedy best fit: the scoring items
+/// ([`Problem::scoring`]) are sorted by profit density (profit per
+/// aggregate-normalised size) and each is placed into the sack with the
+/// *least* remaining headroom that still fits (best-fit), leaving big
+/// headroom for big items. An item that earns nothing is left out.
 ///
 /// Costs the density sort, `O(N log N)`, one sort of the sacks, `O(M log
 /// M)`, and per item a walk over the sacks in slack order that starts at the
@@ -42,53 +43,40 @@ use crate::problem::{Item, Packing, Problem};
 /// # }
 /// ```
 pub fn greedy(problem: &Problem) -> Packing {
-    greedy_with_index(problem, &DensityIndex::new(problem))
+    place(problem, &DensityIndex::new(problem))
 }
 
-/// Reusable profit-density ordering for greedy passes.
-///
-/// `greedy` used to re-sort a fresh density index on every call; callers
-/// that solve the same item set repeatedly — day-over-day re-allocation,
-/// the portfolio warm start, benchmark sweeps — can build the index once
-/// and pass it to [`greedy_with_index`] to skip the `O(N log N)` sort.
-/// The placement produced through a reused index is bit-identical to a
-/// fresh `greedy` call (pinned by a regression test against the original
-/// inline implementation).
+/// The scoring items ([`Problem::scoring`]) by decreasing profit density,
+/// and the scales the densities were normalised by.
 #[derive(Debug, Clone)]
-pub struct DensityIndex {
+struct DensityIndex {
     order: Vec<usize>,
-    total_w: f64,
-    total_v: f64,
+    scales: (f64, f64),
 }
 
 impl DensityIndex {
-    /// Sorts the items of `problem` by decreasing profit density, breaking
-    /// density ties by decreasing profit.
+    /// Sorts the scoring items of `problem` by decreasing profit density,
+    /// breaking density ties by decreasing profit.
     ///
-    /// Each item's `(density, profit)` key is computed once. Keys are never
-    /// NaN (items are finite and non-negative; a zero size has density
-    /// +∞), and `+ 0.0` turns −0.0 into +0.0, so `total_cmp` on them
+    /// Each item's `(density, profit)` key is computed once. Keys are
+    /// positive or +0.0, never NaN (items are finite, a scoring profit is
+    /// positive, and a zero size has density +∞), so `total_cmp` on them
     /// decides every comparison as `partial_cmp` would; the index decides
     /// the rest, so equal keys keep index order.
-    pub fn new(problem: &Problem) -> Self {
-        let (total_w, total_v) = capacity_scales(problem);
+    fn new(problem: &Problem) -> Self {
+        let scales = capacity_scales(problem);
         let mut keyed: Vec<(f64, f64, usize)> = problem
-            .items()
-            .iter()
-            .enumerate()
-            .map(|(i, item)| (item.density(total_w, total_v) + 0.0, item.profit + 0.0, i))
+            .scoring()
+            .map(|i| {
+                let item = &problem.items()[i];
+                (item.density(scales.0, scales.1), item.profit, i)
+            })
             .collect();
         keyed.sort_unstable_by(|a, b| {
             b.0.total_cmp(&a.0).then(b.1.total_cmp(&a.1)).then(a.2.cmp(&b.2))
         });
         let order = keyed.into_iter().map(|(_, _, i)| i).collect();
-        Self { order, total_w, total_v }
-    }
-
-    /// The aggregate `(weight, volume)` capacity scales the densities were
-    /// normalised by (both clamped to ≥ 1e-12).
-    pub fn scales(&self) -> (f64, f64) {
-        (self.total_w, self.total_v)
+        Self { order, scales }
     }
 }
 
@@ -100,26 +88,9 @@ fn capacity_scales(problem: &Problem) -> (f64, f64) {
     (total_w, total_v)
 }
 
-/// [`greedy`] with a prebuilt [`DensityIndex`], which must have been built
-/// for this `problem`'s items and sacks.
-///
-/// # Panics
-///
-/// Panics if `index` was built for another problem: its order must cover
-/// exactly this problem's items, and its scales must equal this problem's
-/// aggregate sack capacities. (An index over the same sacks and the same
-/// *number* of different items cannot be told apart and stays the caller's
-/// responsibility.)
-pub fn greedy_with_index(problem: &Problem, index: &DensityIndex) -> Packing {
-    let n = problem.num_items();
-    assert_eq!(index.order.len(), n, "density index built for a different item count");
-    assert_eq!(index.scales(), capacity_scales(problem), "density index built for different sacks");
-    place(problem, index)
-}
-
 /// Multiplier-weighted greedy: maximises `Σ_i profit_i · m_{s(i)}` for
-/// per-sack multipliers `m`. Items are visited in [`greedy`]'s density
-/// order; each goes to the feasible sack with the highest multiplier,
+/// per-sack multipliers `m`. The scoring items are visited in [`greedy`]'s
+/// density order; each goes to the feasible sack with the highest multiplier,
 /// multipliers within `1e-12` of each other tied and broken by best-fit
 /// slack, then by the lowest sack index. With equal multipliers that is
 /// [`greedy`]'s placement.
@@ -152,7 +123,7 @@ pub fn greedy_weighted(problem: &Problem, multipliers: &[f64]) -> Packing {
         let mut best: Option<(usize, f64, f64)> = None;
         for (s, (&(rw, rv), &m)) in residual.iter().zip(multipliers).enumerate() {
             if Summary::room((rw, rv)).fits(&item) {
-                let slack = best_fit_slack(&item, rw, rv, index.scales());
+                let slack = best_fit_slack(&item, rw, rv, index.scales);
                 let better = best.is_none_or(|(_, bm, bs)| {
                     m > bm + 1e-12 || ((m - bm).abs() <= 1e-12 && slack < bs)
                 });
@@ -422,7 +393,7 @@ impl SlackOrder {
 /// entries and rescans one run's room; a split or an emptied run shifts the
 /// run list.
 fn place(problem: &Problem, index: &DensityIndex) -> Packing {
-    let mut order = SlackOrder::new(problem, index.scales());
+    let mut order = SlackOrder::new(problem, index.scales);
     let sacks = problem.sacks();
     let room =
         Summary::room(largest_room(sacks.iter().map(|s| (s.weight_capacity, s.volume_capacity))));
@@ -440,9 +411,9 @@ fn place(problem: &Problem, index: &DensityIndex) -> Packing {
 }
 
 /// Hill-climbing improvement over an initial packing. Each round visits the
-/// unpacked items in index order twice: first every item with positive
-/// profit is *inserted* into the lowest-indexed sack with room, then every
-/// item still unpacked *swaps* with the lowest-indexed packed item of lower
+/// unpacked scoring items ([`Problem::scoring`]) in index order twice: first
+/// each is *inserted* into the lowest-indexed sack with room, then every
+/// one still unpacked *swaps* with the lowest-indexed packed item of lower
 /// profit whose sack it fits once that item is out. Rounds repeat until one
 /// makes no move, or `max_rounds` have run. Returns the improved packing.
 ///
@@ -475,8 +446,9 @@ pub fn local_search(problem: &Problem, initial: Packing, max_rounds: usize) -> P
 
         // Insert moves.
         sacks.fill(residual.iter().copied().map(Summary::room));
-        for (i, item) in items.iter().enumerate() {
-            if packing.sack_of(i).is_some() || item.profit <= 0.0 {
+        for i in problem.scoring() {
+            let item = &items[i];
+            if packing.sack_of(i).is_some() {
                 continue;
             }
             if let Some(s) = sacks.first_from(0, |room| room.fits(item)) {
@@ -510,7 +482,8 @@ pub fn local_search(problem: &Problem, initial: Packing, max_rounds: usize) -> P
                 .map(|(j, s)| s.map_or(Summary::NONE, |s| leaf(j, s, &residual))),
         );
         let mut gate = None;
-        for (i, inc) in items.iter().enumerate() {
+        for i in problem.scoring() {
+            let inc = &items[i];
             if packing.sack_of(i).is_some() || !packed.root().yields_to(inc) {
                 continue;
             }
@@ -680,16 +653,16 @@ mod tests {
         assert_eq!(s0, s1);
     }
 
-    /// The original `greedy`, verbatim as it stood before the sort was
-    /// hoisted into `DensityIndex` — the regression oracle for exact
-    /// output equality.
-    fn greedy_original(problem: &Problem) -> Packing {
-        let n = problem.num_items();
+    /// The greedy's visiting order as it stood before the sort was hoisted
+    /// into `DensityIndex`, over the items with `profit > 0.0`, and the
+    /// scales it normalised by.
+    fn order_original(problem: &Problem) -> (Vec<usize>, (f64, f64)) {
         let total_w: f64 =
             problem.sacks().iter().map(|s| s.weight_capacity).sum::<f64>().max(1e-12);
         let total_v: f64 =
             problem.sacks().iter().map(|s| s.volume_capacity).sum::<f64>().max(1e-12);
-        let mut order: Vec<usize> = (0..n).collect();
+        let mut order: Vec<usize> =
+            (0..problem.num_items()).filter(|&i| problem.items()[i].profit > 0.0).collect();
         order.sort_by(|&a, &b| {
             let da = problem.items()[a].density(total_w, total_v);
             let db = problem.items()[b].density(total_w, total_v);
@@ -697,7 +670,14 @@ mod tests {
                 problem.items()[b].profit.partial_cmp(&problem.items()[a].profit).expect("finite"),
             )
         });
+        (order, (total_w, total_v))
+    }
 
+    /// The original `greedy`, verbatim but for the items it visits — the
+    /// regression oracle for exact output equality.
+    fn greedy_original(problem: &Problem) -> Packing {
+        let n = problem.num_items();
+        let (order, (total_w, total_v)) = order_original(problem);
         let mut packing = Packing::empty(n);
         let mut residual: Vec<(f64, f64)> =
             problem.sacks().iter().map(|s| (s.weight_capacity, s.volume_capacity)).collect();
@@ -744,13 +724,7 @@ mod tests {
 
             assert_eq!(greedy(&p), reference, "round {round}");
 
-            // Reusing one index across repeated solves must not drift.
-            let index = DensityIndex::new(&p);
-            for _ in 0..3 {
-                assert_eq!(greedy_with_index(&p, &index), reference, "round {round}");
-            }
-
-            // And the full warm-start chain stays put too.
+            // The full warm-start chain stays put too.
             let ls_reference = local_search_scan(&p, reference, 32);
             assert_eq!(greedy_with_local_search(&p), ls_reference, "round {round}");
         }
@@ -771,26 +745,22 @@ mod tests {
                 ..GeneratorConfig::default()
             };
             let p = generate(config, &mut rng);
-            let plain = greedy_with_index(&p, &DensityIndex::new(&p));
+            let plain = greedy(&p);
             let weighted = greedy_weighted(&p, &vec![m; p.sacks().len()]);
             assert_eq!(weighted, plain, "round {round}");
         }
     }
 
-    /// `place` verbatim as it stood before the sacks were walked in blocks:
-    /// one sequential scan of every sack per item — the oracle the slack
-    /// order and the weighted scan are held to.
-    fn place_scan(
-        problem: &Problem,
-        index: &DensityIndex,
-        multiplier: impl Fn(usize) -> f64,
-    ) -> Packing {
-        let (total_w, total_v) = index.scales();
+    /// `place` verbatim as it stood before the sacks were walked in blocks,
+    /// over `order_original`: one sequential scan of every sack per item —
+    /// the oracle the slack order and the weighted scan are held to.
+    fn place_scan(problem: &Problem, multiplier: impl Fn(usize) -> f64) -> Packing {
+        let (order, (total_w, total_v)) = order_original(problem);
         let mut packing = Packing::empty(problem.num_items());
         let mut residual: Vec<(f64, f64)> =
             problem.sacks().iter().map(|s| (s.weight_capacity, s.volume_capacity)).collect();
         let room = Summary::room(largest_room(residual.iter().copied()));
-        for &i in &index.order {
+        for &i in &order {
             let item = problem.items()[i];
             if !room.fits(&item) {
                 continue;
@@ -917,7 +887,7 @@ mod tests {
                             _ => rng.gen_range(0.0..2.0),
                         })
                         .collect();
-                    let scan = place_scan(&p, &DensityIndex::new(&p), |s| multipliers[s]);
+                    let scan = place_scan(&p, |s| multipliers[s]);
                     let what = format!("{m} sacks, shape {shape}, round {round}");
                     assert_eq!(greedy_weighted(&p, &multipliers), scan, "{what}");
                 }
@@ -977,12 +947,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             for m in [1, 9, 63, 64, 65, 300] {
                 let p = ulp_instance(&mut rng, m);
-                let index = DensityIndex::new(&p);
-                proptest::prop_assert_eq!(
-                    greedy_with_index(&p, &index),
-                    place_scan(&p, &index, |_| 1.0),
-                    "{} sacks", m
-                );
+                proptest::prop_assert_eq!(greedy(&p), place_scan(&p, |_| 1.0), "{} sacks", m);
             }
         }
     }
@@ -1188,23 +1153,6 @@ mod tests {
         let got = local_search(&p, start.clone(), 1);
         assert_eq!(got.placement(), [None, None, Some(0), Some(0)]);
         assert_matches_scan(&p, &start, 1, "re-keyed leaf");
-    }
-
-    #[test]
-    #[should_panic(expected = "density index built for a different item count")]
-    fn greedy_rejects_an_index_over_other_items() {
-        let small = problem(vec![(1.0, 1.0, 1.0)], vec![(2.0, 2.0)]);
-        let large = problem(vec![(1.0, 1.0, 1.0), (1.0, 1.0, 2.0)], vec![(2.0, 2.0)]);
-        greedy_with_index(&large, &DensityIndex::new(&small));
-    }
-
-    #[test]
-    #[should_panic(expected = "density index built for different sacks")]
-    fn greedy_rejects_an_index_over_other_sacks() {
-        let items = vec![(1.0, 1.0, 1.0), (1.0, 1.0, 2.0)];
-        let roomy = problem(items.clone(), vec![(2.0, 2.0), (2.0, 2.0)]);
-        let tight = problem(items, vec![(2.0, 2.0), (1.0, 2.0)]);
-        greedy_with_index(&tight, &DensityIndex::new(&roomy));
     }
 
     #[test]

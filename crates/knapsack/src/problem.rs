@@ -171,6 +171,14 @@ impl Problem {
     pub fn total_profit(&self) -> f64 {
         self.items.iter().map(|i| i.profit).sum()
     }
+
+    /// The indices of the items that score, in index order: those with
+    /// positive profit. This is the crate's one selection rule. An item
+    /// that earns nothing adds only its size to a packing, so every solver
+    /// walks these items and leaves the others out.
+    pub fn scoring(&self) -> impl Iterator<Item = usize> + '_ {
+        self.items.iter().enumerate().filter(|(_, item)| item.profit > 0.0).map(|(i, _)| i)
+    }
 }
 
 /// A (possibly partial) packing: `placement[i]` is the sack index of item
@@ -371,6 +379,18 @@ mod tests {
         let res = k.residual_capacities(&p);
         assert_eq!(res[0], (2.0, 1.0));
         assert_eq!(res[1], (2.0, 2.0));
+    }
+
+    #[test]
+    fn scoring_items_earn_something() {
+        let p = Problem::new(
+            [(1.0, 1.0, 0.0), (0.0, 0.0, 2.0), (0.0, 0.0, -0.0), (2.0, 1.0, 1e-300)]
+                .map(|(w, v, p)| Item::new(w, v, p).unwrap())
+                .to_vec(),
+            vec![Sack::new(1.0, 1.0).unwrap()],
+        )
+        .unwrap();
+        assert_eq!(p.scoring().collect::<Vec<_>>(), vec![1, 3]);
     }
 
     #[test]

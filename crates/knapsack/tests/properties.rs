@@ -1,11 +1,12 @@
 //! Property-based tests of the MCMK solver stack invariants:
 //! feasibility of every solver output, greedy ≤ exact ≤ upper bound, and
-//! monotonicity of the optimum in capacity. "Exact" is
+//! monotonicity of the optimum in capacity, and that no solver packs an
+//! item that earns nothing. "Exact" is
 //! `solve_portfolio(.., SolveBudget::Exact)`, the one exhaustive search.
 
 use knapsack::bounds::upper_bound;
 use knapsack::exact::brute_force;
-use knapsack::greedy::{greedy, greedy_with_local_search, local_search};
+use knapsack::greedy::{greedy, greedy_weighted, greedy_with_local_search, local_search};
 use knapsack::portfolio::{solve_portfolio, SolveBudget};
 use knapsack::problem::{Item, Packing, Problem, Sack};
 use proptest::prelude::*;
@@ -30,12 +31,17 @@ fn small_problem() -> impl Strategy<Value = Problem> {
 
 /// Integer-valued MCMK instances: zero sizes, zero profits and profit ties.
 fn integer_problem() -> impl Strategy<Value = Problem> {
+    integer_problem_of(16, 5)
+}
+
+/// [`integer_problem`] with fewer than `items` items and `sacks` sacks.
+fn integer_problem_of(items: usize, sacks: usize) -> impl Strategy<Value = Problem> {
     let item = (0u8..5, 0u8..5, 0u8..10).prop_map(|(w, v, p)| {
         Item::new(f64::from(w), f64::from(v), f64::from(p)).expect("valid ranges")
     });
     let sack = (0u8..10, 0u8..10)
         .prop_map(|(w, v)| Sack::new(f64::from(w), f64::from(v)).expect("valid ranges"));
-    (prop::collection::vec(item, 0..16), prop::collection::vec(sack, 1..5))
+    (prop::collection::vec(item, 0..items), prop::collection::vec(sack, 1..sacks))
         .prop_map(|(items, sacks)| Problem::new(items, sacks).expect("sacks non-empty"))
 }
 
@@ -88,6 +94,33 @@ proptest! {
         for p in [&p, &q] {
             check_local_search(p, greedy(p))?;
             check_local_search(p, Packing::empty(p.num_items()))?;
+        }
+    }
+
+    /// One selection rule for every solver: an item of zero profit is left
+    /// out, zero-size ones included, whatever room is left.
+    #[test]
+    fn no_solver_packs_a_zero_profit_item(p in integer_problem(), q in integer_problem_of(8, 4),
+                                          weights in prop::collection::vec(0u8..4, 4)) {
+        let multipliers: Vec<f64> =
+            (0..p.num_sacks()).map(|s| f64::from(weights[s % weights.len()])).collect();
+        let mut solved = vec![
+            ("greedy", greedy(&p)),
+            ("greedy_weighted", greedy_weighted(&p, &multipliers)),
+            ("greedy_with_local_search", greedy_with_local_search(&p)),
+        ];
+        for budget in [SolveBudget::Exact, SolveBudget::NodeBudget(0), SolveBudget::NodeBudget(50),
+                       SolveBudget::Anytime] {
+            solved.push(("portfolio", solve_portfolio(&p, budget).packing));
+        }
+        // Brute force enumerates `(M + 1)^N` placements: a smaller instance.
+        for (p, name, packing) in solved.into_iter().map(|(name, s)| (&p, name, s))
+            .chain([(&q, "brute_force", brute_force(&q))])
+        {
+            for (i, item) in p.items().iter().enumerate() {
+                prop_assert!(item.profit > 0.0 || packing.sack_of(i).is_none(),
+                    "{}: packed item {} of zero profit", name, i);
+            }
         }
     }
 

@@ -95,15 +95,6 @@ impl LinearModel {
         }
         Ok(dot(&self.weights, x) + self.bias)
     }
-
-    /// Predicts targets for every sample of a dataset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FitError::ArityMismatch`] on feature-arity mismatch.
-    pub fn predict_dataset(&self, data: &Dataset) -> Result<Vec<f64>, FitError> {
-        (0..data.len()).map(|i| self.predict(data.features().row(i))).collect()
-    }
 }
 
 /// Ridge regression trainer (L2-regularised least squares, closed form).
@@ -209,7 +200,8 @@ mod tests {
     fn noisy_fit_has_low_rmse() {
         let ds = line_data(200, &[1.0, 2.0, 3.0], -1.0, 0.1, 2);
         let m = RidgeRegression::default().fit(&ds).unwrap();
-        let preds = m.predict_dataset(&ds).unwrap();
+        let preds: Vec<f64> =
+            (0..ds.len()).map(|i| m.predict(ds.features().row(i)).unwrap()).collect();
         assert!(rmse(&preds, ds.targets()).unwrap() < 0.12);
     }
 

@@ -245,7 +245,9 @@ proptest! {
         let ols = ols.expect("checked");
         let ridge = RidgeRegression::new(10.0).fit(&ds).expect("regularised is solvable");
         let res = |m: &learn::linear::LinearModel| -> f64 {
-            let preds = m.predict_dataset(&ds).expect("arity");
+            let preds: Vec<f64> = (0..ds.len())
+                .map(|i| m.predict(ds.features().row(i)).expect("arity"))
+                .collect();
             rmse(&preds, ds.targets()).expect("non-empty")
         };
         prop_assert!(res(&ols) <= res(&ridge) + 1e-6);
@@ -267,7 +269,9 @@ proptest! {
         };
         prop_assume!(distinct >= 2);
         if let Ok(m) = fit_biased_ridge(&ds, 0.0, None) {
-            let preds = m.predict_dataset(&ds).expect("arity");
+            let preds: Vec<f64> = (0..ds.len())
+                .map(|i| m.predict(ds.features().row(i)).expect("arity"))
+                .collect();
             prop_assert!(mae(&preds, ds.targets()).expect("non-empty") < 1e-6);
         }
     }
