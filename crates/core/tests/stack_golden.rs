@@ -264,30 +264,30 @@ fn digest_method(face: &mut Face, method: Method, tasks: usize) -> (u64, usize) 
 /// row comes from).
 #[rustfmt::skip]
 const GOLDEN: &[(&str, &str, Method, u64)] = &[
-    ("star", "batch", Method::RandomMapping, 0x8bc41b344db60b3f),
-    ("star", "batch", Method::Dml, 0x72e2feb308af569d),
-    ("star", "batch", Method::GreedyOracle, 0xd477d363a9eb8fda),
-    ("star", "batch", Method::ExactOracle, 0x397322559149fec6),
-    ("star", "batch", Method::Crl, 0x81bf10bd40d1760a),
-    ("star", "batch", Method::Dcta, 0xe7df137ece33c064),
-    ("star", "frozen", Method::RandomMapping, 0xd1fb8b237964ab9d),
-    ("star", "frozen", Method::Dml, 0x10464d755b70891d),
-    ("star", "frozen", Method::GreedyOracle, 0xc8288f594926e446),
-    ("star", "frozen", Method::ExactOracle, 0xc7c7c894d2d4460c),
-    ("star", "frozen", Method::Crl, 0x98a3b84d6a472f9e),
-    ("star", "frozen", Method::Dcta, 0x1bb090c7a550530c),
-    ("mesh16", "batch", Method::RandomMapping, 0xc982bd1ef7937ae0),
-    ("mesh16", "batch", Method::Dml, 0x8791a872cf8264aa),
-    ("mesh16", "batch", Method::GreedyOracle, 0xeedf4f30d58ade86),
-    ("mesh16", "batch", Method::ExactOracle, 0x2313ff50f1730c66),
-    ("mesh16", "batch", Method::Crl, 0xde1259de3f33e911),
-    ("mesh16", "batch", Method::Dcta, 0x6cfe06e68a9e2507),
-    ("mesh16", "frozen", Method::RandomMapping, 0x4ceec3ec567d94b6),
-    ("mesh16", "frozen", Method::Dml, 0x337abdb5ec876f37),
-    ("mesh16", "frozen", Method::GreedyOracle, 0x5328ac8f5fb1f0f1),
-    ("mesh16", "frozen", Method::ExactOracle, 0xe67439763db15727),
-    ("mesh16", "frozen", Method::Crl, 0xe4b8eff8b8ce4ff5),
-    ("mesh16", "frozen", Method::Dcta, 0x91c71446006283ba),
+    ("star", "batch", Method::RandomMapping, 0x5a3284e91d6f96ab),
+    ("star", "batch", Method::Dml, 0xec04732d4356e51d),
+    ("star", "batch", Method::GreedyOracle, 0xa8d20a435a784113),
+    ("star", "batch", Method::ExactOracle, 0x5a42a3e43ce5de1d),
+    ("star", "batch", Method::Crl, 0xe051d9c33c21c51a),
+    ("star", "batch", Method::Dcta, 0x87647b535a36dcc7),
+    ("star", "frozen", Method::RandomMapping, 0xc49e3263a10730c5),
+    ("star", "frozen", Method::Dml, 0x98871b745bef82dd),
+    ("star", "frozen", Method::GreedyOracle, 0xec54d4b7ccabec23),
+    ("star", "frozen", Method::ExactOracle, 0xa807c9236b226dee),
+    ("star", "frozen", Method::Crl, 0x522b1ec1583e61c5),
+    ("star", "frozen", Method::Dcta, 0xbb8207f90a5c6813),
+    ("mesh16", "batch", Method::RandomMapping, 0x37d8041817d331db),
+    ("mesh16", "batch", Method::Dml, 0x52f2f9f972560587),
+    ("mesh16", "batch", Method::GreedyOracle, 0xc516effab770d8f2),
+    ("mesh16", "batch", Method::ExactOracle, 0xf67964a7d7c0e589),
+    ("mesh16", "batch", Method::Crl, 0xbaafc45af44cff61),
+    ("mesh16", "batch", Method::Dcta, 0x797c2dc91480a969),
+    ("mesh16", "frozen", Method::RandomMapping, 0x8484e2b8910d6a3a),
+    ("mesh16", "frozen", Method::Dml, 0x2548ab7b8835ca9f),
+    ("mesh16", "frozen", Method::GreedyOracle, 0x753029647ce13f98),
+    ("mesh16", "frozen", Method::ExactOracle, 0x6407549a4b2f7b00),
+    ("mesh16", "frozen", Method::Crl, 0xdfa6887aee412763),
+    ("mesh16", "frozen", Method::Dcta, 0x2bb69bfd2b772a43),
 ];
 
 #[test]

@@ -196,14 +196,14 @@ const GOLDEN: [(&str, u64, u64, u64); 12] = [
     ("mesh_3000x1500", 0x21d609564067a2ac, 0x21d609564067a2ac, 0x121d8e7c544bb0d6),
     ("mesh_deflated_3000x1500", 0x200e376a6f29d3b5, 0x200e376a6f29d3b5, 0xacfdea71ad390289),
     ("mesh_100x50", 0x6d43e3e33dd58b57, 0x6d43e3e33dd58b57, 0x80e6f20d2f3992bb),
-    ("identical_400x9", 0x2c6546c794bf661f, 0x2c6546c794bf661f, 0x76602df204f5496f),
-    ("identical_1500x300", 0xdcab7bdac298e376, 0xdcab7bdac298e376, 0xecf48f5d0ee8966d),
-    ("signed_zero_200x9", 0xd65a67ef81e22d93, 0xd65a67ef81e22d93, 0xddf560a9b08b6ef2),
-    ("signed_zero_600x130", 0xe4280ea7d27be0a8, 0xe4280ea7d27be0a8, 0x1fdb10e043c1fad9),
+    ("identical_400x9", 0x1aeed510070c21cf, 0x1aeed510070c21cf, 0x4a7ac60c643879ff),
+    ("identical_1500x300", 0x65905befc59d862e, 0x65905befc59d862e, 0xbef29ef2453c9238),
+    ("signed_zero_200x9", 0xe3867a00cf31b44b, 0xe3867a00cf31b44b, 0x68faad6946c141cb),
+    ("signed_zero_600x130", 0x728f20ec007171f8, 0x15e48d4017fc0378, 0xeabd0ad2d7e001d1),
     ("fit_edge_120x1", 0x0a956870bec88f35, 0x0a956870bec88f35, 0x0a956870bec88f35),
     ("fit_edge_500x65", 0xd1cdc94feac8caf3, 0x505230484834c8c3, 0xd3fd2eedbb4c5220),
-    ("clamped_weight_300x40", 0xab9d4d75bfbbf3af, 0x35197b8cb56c9d8d, 0x2deb095858dba7a6),
-    ("clamped_both_300x40", 0x7ccd62b889215797, 0x7ccd62b889215797, 0xce8c20a82dce5b44),
+    ("clamped_weight_300x40", 0xe95ba72b76a088ec, 0xb08967a08fb4b97e, 0x2f813787d36272c2),
+    ("clamped_both_300x40", 0xdf4825d12b181869, 0xdf4825d12b181869, 0xa61c09004cd42726),
     ("mesh_route_deflated_3000x1500", 0x60c87f2a5107e697, 0x4b06b34a15aeae83, 0xa0b2f2b04a1ca6b2),
 ];
 

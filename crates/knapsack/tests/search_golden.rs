@@ -206,7 +206,7 @@ const GOLDEN: [(&str, u64, u64); 30] = [
     ("uniform_200x100/anytime", 0x9b730fe1a4588404, 0x81c1ed23d00d2a96),
     ("long_tail_50x9/exact", 0x8ffe1edaade121f3, 0xb44341e7c8f916f0),
     ("long_tail_50x9/budget200000", 0x8ffe1edaade121f3, 0x706b5681782f0b5d),
-    ("long_tail_50x9/anytime", 0xdd47c57eed3aaa5e, 0xb44341e7c8f916f0),
+    ("long_tail_50x9/anytime", 0x89cc81c376dd2df7, 0xb44341e7c8f916f0),
 ];
 
 #[test]
