@@ -27,7 +27,10 @@
 //! reads, so all twelve moved. The two star `ExactOracle` rows were also
 //! regenerated once, when the knapsack bounds began to count only items
 //! that fit the largest room; that moved only the certificates'
-//! `upper_bound` and `nodes`.
+//! `upper_bound` and `nodes`. All 24 rows were regenerated once, when no
+//! solver would pack a zero-importance task and DCTA's projection left out
+//! a task the general process rates zero: every method's faulted runs
+//! re-plan through the solver and feed the posterior later runs read.
 
 use buildings::scenario::{Scenario, ScenarioConfig};
 use dcta_core::baselines::random_mapping;

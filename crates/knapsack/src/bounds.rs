@@ -123,9 +123,9 @@ fn whole_instance(problem: &Problem) -> (SuffixBounds, f64, f64) {
 /// exactly the sequence a fresh density sort of them puts them in, and
 /// accumulates the same floats: [`SuffixBounds::bound`] and
 /// [`SuffixBounds::surrogate`] are bit-identical to sorting the suffix at
-/// every query (held to the sorting oracles in this module's tests). Inside one search, `LiveBounds` walks the weight
-/// and volume views over linked live entries instead of skipping decided
-/// ones.
+/// every query (held to the sorting oracles in this module's tests).
+/// Inside one search, `LiveBounds` walks the weight and volume views over
+/// linked live entries instead of skipping decided ones.
 pub struct SuffixBounds {
     /// Weight, then volume.
     dims: [View; 2],

@@ -11,6 +11,7 @@
 
 use crate::bounds::{largest_room, LiveBounds, SuffixBounds};
 use crate::first_hit::{FirstHit, Summary};
+use crate::greedy::capacity_scales;
 use crate::problem::{Packing, Problem};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -100,10 +101,10 @@ pub(crate) struct SearchReport {
 /// sack can hold, by decreasing profit per aggregate size. Residuals only
 /// shrink, so an item no sack holds empty can only ever take the skip child.
 pub(crate) fn density_order(problem: &Problem) -> Vec<usize> {
-    let total_w: f64 = problem.sacks().iter().map(|s| s.weight_capacity).sum::<f64>().max(1e-12);
-    let total_v: f64 = problem.sacks().iter().map(|s| s.volume_capacity).sum::<f64>().max(1e-12);
+    let (total_w, total_v) = capacity_scales(problem);
     let sacks: Vec<Summary> = full_residual(problem).into_iter().map(Summary::room).collect();
-    let mut order: Vec<usize> = (problem.scoring())
+    let mut order: Vec<usize> = problem
+        .scoring()
         .filter(|&i| sacks.iter().any(|sack| sack.fits(&problem.items()[i])))
         .collect();
     // A scoring item's density is positive, +0.0 or +∞, never NaN, so

@@ -48,7 +48,7 @@ pub fn greedy(problem: &Problem) -> Packing {
 
 /// The scoring items ([`Problem::scoring`]) by decreasing profit density,
 /// and the scales the densities were normalised by.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct DensityIndex {
     order: Vec<usize>,
     scales: (f64, f64),
@@ -82,7 +82,7 @@ impl DensityIndex {
 
 /// The aggregate `(weight, volume)` sack capacities densities and best-fit
 /// slack are normalised by, both clamped to ≥ 1e-12.
-fn capacity_scales(problem: &Problem) -> (f64, f64) {
+pub(crate) fn capacity_scales(problem: &Problem) -> (f64, f64) {
     let total_w: f64 = problem.sacks().iter().map(|s| s.weight_capacity).sum::<f64>().max(1e-12);
     let total_v: f64 = problem.sacks().iter().map(|s| s.volume_capacity).sum::<f64>().max(1e-12);
     (total_w, total_v)

@@ -18,6 +18,10 @@
 //! - capacity scales at their `1e-12` clamp (every sack empty in one or
 //!   both dimensions), where that tolerance is a whole scale unit.
 //!
+//! The six rows whose instances hold zero-profit items (`identical_*`,
+//! `signed_zero_*`, `clamped_*`) were regenerated once, when the greedys
+//! stopped packing those items into leftover room.
+//!
 //! Only an intended change to what a greedy returns may regenerate these:
 //! the test prints the rows on mismatch; paste them over `GOLDEN`.
 

@@ -105,18 +105,17 @@ proptest! {
         let multipliers: Vec<f64> =
             (0..p.num_sacks()).map(|s| f64::from(weights[s % weights.len()])).collect();
         let mut solved = vec![
-            ("greedy", greedy(&p)),
-            ("greedy_weighted", greedy_weighted(&p, &multipliers)),
-            ("greedy_with_local_search", greedy_with_local_search(&p)),
+            (&p, "greedy", greedy(&p)),
+            (&p, "greedy_weighted", greedy_weighted(&p, &multipliers)),
+            (&p, "greedy_with_local_search", greedy_with_local_search(&p)),
+            // Brute force enumerates `(M + 1)^N` placements: a smaller instance.
+            (&q, "brute_force", brute_force(&q)),
         ];
         for budget in [SolveBudget::Exact, SolveBudget::NodeBudget(0), SolveBudget::NodeBudget(50),
                        SolveBudget::Anytime] {
-            solved.push(("portfolio", solve_portfolio(&p, budget).packing));
+            solved.push((&p, "portfolio", solve_portfolio(&p, budget).packing));
         }
-        // Brute force enumerates `(M + 1)^N` placements: a smaller instance.
-        for (p, name, packing) in solved.into_iter().map(|(name, s)| (&p, name, s))
-            .chain([(&q, "brute_force", brute_force(&q))])
-        {
+        for (p, name, packing) in solved {
             for (i, item) in p.items().iter().enumerate() {
                 prop_assert!(item.profit > 0.0 || packing.sack_of(i).is_none(),
                     "{}: packed item {} of zero profit", name, i);

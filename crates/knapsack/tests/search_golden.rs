@@ -26,7 +26,9 @@
 //!
 //! The `long_tail_50x9` rows were taken before the search dropped the
 //! zero-profit tail from its exploration order: its 40 zero profits pin
-//! that the tail is never branched on, in every mode.
+//! that the tail is never branched on, in every mode. Its `anytime` answer
+//! was regenerated once, when no solver would pack a zero-profit item: the
+//! warm start it returns stopped packing them.
 //!
 //! Only an intended change to what a solve returns may regenerate these:
 //! the test prints the rows on mismatch; paste them over `GOLDEN`.
