@@ -72,10 +72,10 @@ fn fill(sorted: impl IntoIterator<Item = (f64, f64)>, capacity: f64) -> f64 {
 /// packs only items that fit the largest sack (see the [module docs](self));
 /// hence each single-constraint fractional relaxation over those items
 /// bounds the optimum, and so does their minimum. This is
-/// [`SuffixBounds::bound`] over every item.
+/// [`SuffixBounds::bound`] over the scoring items.
 pub fn upper_bound(problem: &Problem) -> f64 {
-    let (bounds, total_w, total_v) = whole_instance(problem);
-    bounds.bound(0, total_w, total_v, sack_room(problem))
+    let (bounds, total_w, total_v, room) = whole_instance(problem);
+    bounds.bound(0, total_w, total_v, room)
 }
 
 /// Interior surrogate multipliers tried by [`SuffixBounds::surrogate`] on
@@ -95,19 +95,24 @@ const SURROGATE_THETAS: [f64; 5] = [0.1, 0.25, 0.5, 0.75, 0.9];
 /// relaxation (equivalently, a Lagrangian bound on the aggregated pair),
 /// and is never looser than [`upper_bound`] because the endpoints are
 /// included. Like every bound here it counts only the items that fit the
-/// largest sack. This is [`SuffixBounds::surrogate`] over every item.
+/// largest sack. This is [`SuffixBounds::surrogate`] over the scoring
+/// items.
 pub fn surrogate_bound(problem: &Problem) -> f64 {
-    let (bounds, total_w, total_v) = whole_instance(problem);
-    bounds.surrogate(0, total_w, total_v, sack_room(problem))
+    let (bounds, total_w, total_v, room) = whole_instance(problem);
+    bounds.surrogate(0, total_w, total_v, room)
 }
 
-/// The views of every item in index order, and the aggregate weight and
-/// volume capacities of the sacks.
-fn whole_instance(problem: &Problem) -> (SuffixBounds, f64, f64) {
-    let all: Vec<usize> = (0..problem.num_items()).collect();
+/// The views of the scoring items ([`Problem::scoring`]) that fit the
+/// sacks' largest room, the aggregate weight and volume capacities, and
+/// that room. The others add nothing to any packing, so they are left out
+/// before the views are sorted rather than skipped in every fill.
+fn whole_instance(problem: &Problem) -> (SuffixBounds, f64, f64, (f64, f64)) {
+    let room = sack_room(problem);
+    let fits = Summary::room(room);
+    let order: Vec<usize> = problem.scoring().filter(|&i| fits.fits(&problem.items()[i])).collect();
     let total_w: f64 = problem.sacks().iter().map(|s| s.weight_capacity).sum();
     let total_v: f64 = problem.sacks().iter().map(|s| s.volume_capacity).sum();
-    (SuffixBounds::new(problem, &all), total_w, total_v)
+    (SuffixBounds::new(problem, &order), total_w, total_v, room)
 }
 
 /// Density-sorted views for branch-and-bound over a fixed exploration
@@ -661,6 +666,32 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The whole-instance bounds leave out, before sorting, the items that
+    /// earn nothing or fit no sack; the sorting oracle over every item
+    /// reads the same bits.
+    #[test]
+    fn whole_instance_bounds_bit_identical_to_the_sorting_oracle() {
+        let mut rng = StdRng::seed_from_u64(47);
+        for round in 0..120 {
+            let p = match round % 3 {
+                0 => shuffled_instance(&mut rng, true).0,
+                1 => shuffled_instance(&mut rng, false).0,
+                _ => {
+                    let (items, sacks) = oversized(&mut rng);
+                    problem(items, sacks)
+                }
+            };
+            let all: Vec<usize> = (0..p.num_items()).collect();
+            let total_w: f64 = p.sacks().iter().map(|s| s.weight_capacity).sum();
+            let total_v: f64 = p.sacks().iter().map(|s| s.volume_capacity).sum();
+            let room = sack_room(&p);
+            let slow = upper_bound_subset(&p, &all, total_w, total_v, room);
+            assert_eq!(upper_bound(&p).to_bits(), slow.to_bits(), "round {round}");
+            let slow = surrogate_bound_subset(&p, &all, total_w, total_v, room);
+            assert_eq!(surrogate_bound(&p).to_bits(), slow.to_bits(), "round {round}");
         }
     }
 
