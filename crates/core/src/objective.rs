@@ -29,8 +29,8 @@
 //! compute+transfer share of the round, so greedy, weighted-greedy, exact
 //! and portfolio solves all optimise importance per unit
 //! (compute + transfer) without touching the greedy's density order,
-//! `SuffixBounds` or the portfolio warm start — PR 9's bit-identity and
-//! budget-monotonicity contracts hold by construction. Normalising by
+//! `SuffixBounds` or the portfolio warm start — the portfolio's bit-identity
+//! and budget-monotonicity contracts hold by construction. Normalising by
 //! `r_min` pins the degenerate case: on a uniform star every worker's
 //! uplink cost equals `r_min`, the factor is *exactly* `1.0`, and
 //! `T × 1.0` is bitwise `T` — topology-blind and route-aware allocations
