@@ -12,17 +12,15 @@
 //! decision, `F2` its logistic selection score — and the weighted sum is a
 //! *fractional* allocation preference. A task the general process estimates
 //! to matter nothing scores `0`: TATIM maximises importance, so running it
-//! adds only time. The final binary matrix `u` is the feasible projection
-//! of those preferences: a knapsack packing that uses the combined score as
-//! profit, and so selects only tasks that score, followed by a speed-aware
-//! placement that sends the heaviest selected tasks to the fastest
-//! processors (the paper's "more important tasks to more powerful edge
-//! devices").
+//! adds only time. This module is that scorer and nothing else. The
+//! pipeline selects by the scores like every importance-driven method (a
+//! knapsack packing with the scores as profits, so only tasks that score
+//! run) and then places the selection with the one shared placer,
+//! [`crate::tatim::place`].
 
-use crate::allocation::Allocation;
 use crate::crl_alloc::CrlOutcome;
 use crate::local::{LocalError, LocalProcess};
-use crate::tatim::{SolverKind, TatimError, TatimInstance};
+use crate::tatim::TatimInstance;
 use rl::crl::CrlError;
 use std::fmt;
 
@@ -33,8 +31,6 @@ pub enum DctaError {
     Crl(CrlError),
     /// Local-process failure.
     Local(LocalError),
-    /// Knapsack projection failure.
-    Tatim(TatimError),
     /// Feature row count differs from the task count.
     FeatureCount {
         /// Tasks in the instance.
@@ -56,7 +52,6 @@ impl fmt::Display for DctaError {
         match self {
             DctaError::Crl(e) => write!(f, "general process failed: {e}"),
             DctaError::Local(e) => write!(f, "local process failed: {e}"),
-            DctaError::Tatim(e) => write!(f, "projection failed: {e}"),
             DctaError::FeatureCount { tasks, rows } => {
                 write!(f, "{rows} feature rows for {tasks} tasks")
             }
@@ -72,7 +67,6 @@ impl std::error::Error for DctaError {
         match self {
             DctaError::Crl(e) => Some(e),
             DctaError::Local(e) => Some(e),
-            DctaError::Tatim(e) => Some(e),
             _ => None,
         }
     }
@@ -90,28 +84,10 @@ impl From<LocalError> for DctaError {
     }
 }
 
-impl From<TatimError> for DctaError {
-    fn from(e: TatimError) -> Self {
-        DctaError::Tatim(e)
-    }
-}
-
-/// Outcome of one DCTA allocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DctaOutcome {
-    /// The final feasible allocation.
-    pub allocation: Allocation,
-    /// Combined per-task scores `w1·F1 + w2·F2`, and `0` for a task the
-    /// general process estimates at `0`.
-    pub combined_scores: Vec<f64>,
-    /// The general process's raw outcome.
-    pub crl: CrlOutcome,
-}
-
 /// The cooperative step of Eq. 6: the local process `F2` and the weights.
 ///
 /// It owns no general process. The caller runs its one [`CrlAllocator`]
-/// and hands the outcome to [`Self::allocate`], so CRL and DCTA share every
+/// and hands the outcome to [`Self::scores`], so CRL and DCTA share every
 /// trained agent and the allocator itself is immutable — `&self` serves the
 /// batch pipeline and the concurrent core alike.
 ///
@@ -144,21 +120,23 @@ impl DctaAllocator {
         (self.w1, self.w2)
     }
 
-    /// Allocates `instance` from `general` — the general process's outcome
-    /// for the day, over the same instance — and `local_rows` (one Table-I
-    /// feature vector per task, fed to the local process).
+    /// The combined per-task scores `w1·F1 + w2·F2` (normalised by
+    /// `w1 + w2`) for `instance`, and `0` for a task the general process
+    /// estimates at `0`. `general` is the general process's outcome for the
+    /// day, over the same instance; `local_rows` holds one Table-I feature
+    /// vector per task, fed to the local process.
     ///
     /// # Errors
     ///
     /// [`DctaError::FeatureCount`] when `local_rows` does not cover every
     /// task, [`CrlError::Shape`] when `general` does not; otherwise see
     /// [`DctaError`] variants.
-    pub fn allocate(
+    pub fn scores(
         &self,
         instance: &TatimInstance,
-        general: CrlOutcome,
+        general: &CrlOutcome,
         local_rows: &[Vec<f64>],
-    ) -> Result<DctaOutcome, DctaError> {
+    ) -> Result<Vec<f64>, DctaError> {
         let n = instance.num_tasks();
         if local_rows.len() != n {
             return Err(DctaError::FeatureCount { tasks: n, rows: local_rows.len() });
@@ -166,82 +144,29 @@ impl DctaAllocator {
         if general.allocation.len() != n || general.estimated_importances.len() != n {
             return Err(CrlError::Shape.into());
         }
-        // F1 contributes its binary allocation decision, F2 its selection
-        // score; a task the general process estimates at zero importance
-        // scores nothing, so the projection leaves it out.
-        let mut combined = Vec::with_capacity(n);
         let norm = self.w1 + self.w2;
-        for (j, row) in local_rows.iter().enumerate() {
-            let f1 = f64::from(general.allocation.processor_of(j).is_some());
-            let f2 = self.local.selection_score(row)?;
-            let score = (self.w1 * f1 + self.w2 * f2) / norm;
-            combined.push(if general.estimated_importances[j] > 0.0 { score } else { 0.0 });
-        }
-        // Feasible projection: knapsack with combined scores as profits…
-        let scored = instance.with_importances(&combined);
-        let packed = scored.solve(&SolverKind::Greedy)?.allocation;
-        // …then speed-aware placement of the selected set: heaviest tasks
-        // onto the fastest processors, respecting both budgets.
-        let allocation = speed_aware_placement(instance, &packed);
-        Ok(DctaOutcome { allocation, combined_scores: combined, crl: general })
+        local_rows
+            .iter()
+            .enumerate()
+            .map(|(j, row)| {
+                let f1 = f64::from(general.allocation.processor_of(j).is_some());
+                let f2 = self.local.selection_score(row)?;
+                let score = (self.w1 * f1 + self.w2 * f2) / norm;
+                Ok(if general.estimated_importances[j] > 0.0 { score } else { 0.0 })
+            })
+            .collect()
     }
-}
-
-/// Re-places the selected tasks (those `packed` scheduled) heaviest-first
-/// onto processors in fastest-first order, subject to Eqs. 3-4; tasks that
-/// no longer fit anywhere are dropped. Keeps the *selection* of `packed`
-/// while improving the *placement* for execution time.
-fn speed_aware_placement(instance: &TatimInstance, packed: &Allocation) -> Allocation {
-    let fleet = instance.fleet();
-    let m = fleet.len();
-    let mut order: Vec<usize> =
-        (0..instance.num_tasks()).filter(|&j| packed.processor_of(j).is_some()).collect();
-    // Sizes are validated finite and non-negative and rates are finite, so
-    // no key is NaN, and `+ 0.0` folds −0.0 into +0.0: `total_cmp` orders
-    // them as `partial_cmp` would, and the stable sorts keep ties in index
-    // order.
-    let size = |j: usize| instance.tasks()[j].input_bits() + 0.0;
-    order.sort_by(|&a, &b| size(b).total_cmp(&size(a)));
-    let rate = |p: usize| fleet.processors()[p].seconds_per_bit + 0.0;
-    let mut speed_order: Vec<usize> = (0..m).collect();
-    speed_order.sort_by(|&a, &b| rate(a).total_cmp(&rate(b)));
-    let mut time = vec![0.0; m];
-    let mut resource = vec![0.0; m];
-    let mut alloc = Allocation::empty(instance.num_tasks());
-    for j in order {
-        let t = &instance.tasks()[j];
-        // Fastest processor (by actual execution time including queue) that
-        // satisfies the reference-time and resource budgets.
-        let mut best: Option<(usize, f64)> = None;
-        for &p in &speed_order {
-            if time[p] + t.reference_time_s() > fleet.time_limit_of(p) + 1e-9
-                || resource[p] + t.resource_demand() > fleet.processors()[p].capacity + 1e-9
-            {
-                continue;
-            }
-            let finish = (time[p] + t.reference_time_s())
-                * (fleet.processors()[p].seconds_per_bit
-                    / fleet.processors()[speed_order[0]].seconds_per_bit);
-            if best.is_none_or(|(_, b)| finish < b) {
-                best = Some((p, finish));
-            }
-        }
-        if let Some((p, _)) = best {
-            time[p] += t.reference_time_s();
-            resource[p] += t.resource_demand();
-            alloc.assign(j, Some(p));
-        }
-    }
-    alloc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocation::Allocation;
     use crate::crl_alloc::CrlAllocator;
     use crate::local::LocalModelKind;
     use crate::processor::{Processor, ProcessorFleet};
     use crate::task::{EdgeTask, TaskId};
+    use crate::tatim::{place, SolverKind};
     use edgesim::node::NodeId;
     use rl::crl::CrlConfig;
     use rl::dqn::DqnConfig;
@@ -288,6 +213,12 @@ mod tests {
         alloc.allocate(inst, &[0.0]).unwrap()
     }
 
+    /// What the pipeline does with DCTA's scores: a greedy packing with
+    /// the scores as profits, then the shared placer.
+    fn select(inst: &TatimInstance, scores: &[f64]) -> Allocation {
+        place(inst, &inst.with_importances(scores).solve(&SolverKind::Greedy).unwrap().allocation)
+    }
+
     #[test]
     fn weights_validated() {
         assert!(matches!(
@@ -305,13 +236,13 @@ mod tests {
         let dcta = DctaAllocator::new(local(), 0.5, 0.5).unwrap();
         // Local features favour task 3 (feature 0.9), CRL favours task 1.
         let rows: Vec<Vec<f64>> = vec![vec![0.1], vec![0.2], vec![0.3], vec![0.9]];
-        let out = dcta.allocate(&inst, general(&inst, 1), &rows).unwrap();
-        assert_eq!(out.combined_scores.len(), n);
+        let scores = dcta.scores(&inst, &general(&inst, 1), &rows).unwrap();
+        assert_eq!(scores.len(), n);
         // Task 3 gets local support; task 1 general support — both should
         // outscore task 0 which neither process likes.
-        assert!(out.combined_scores[3] > out.combined_scores[0]);
-        assert!(out.combined_scores[1] > out.combined_scores[0]);
-        assert!(out.allocation.is_feasible(inst.tasks(), inst.fleet()));
+        assert!(scores[3] > scores[0]);
+        assert!(scores[1] > scores[0]);
+        assert!(select(&inst, &scores).is_feasible(inst.tasks(), inst.fleet()));
     }
 
     #[test]
@@ -327,11 +258,12 @@ mod tests {
             cache_hit: true,
         };
         for rows in [vec![vec![0.1], vec![0.2], vec![0.95], vec![0.3]], vec![vec![0.9]; n]] {
-            let out = dcta.allocate(&inst, general.clone(), &rows).unwrap();
-            assert_eq!(out.combined_scores[2], 0.0);
-            assert_eq!(out.allocation.processor_of(2), None);
+            let scores = dcta.scores(&inst, &general, &rows).unwrap();
+            assert_eq!(scores[2], 0.0);
+            let allocation = select(&inst, &scores);
+            assert_eq!(allocation.processor_of(2), None);
             for j in [0, 1, 3] {
-                assert!(out.allocation.processor_of(j).is_some(), "task {j}");
+                assert!(allocation.processor_of(j).is_some(), "task {j}");
             }
         }
     }
@@ -346,36 +278,15 @@ mod tests {
             cache_hit: true,
         };
         assert!(matches!(
-            dcta.allocate(&inst, blank(3), &[vec![0.1]]),
+            dcta.scores(&inst, &blank(3), &[vec![0.1]]),
             Err(DctaError::FeatureCount { tasks: 3, rows: 1 })
         ));
         // A general outcome over another instance is rejected, not indexed.
         let rows = vec![vec![0.1]; 3];
         assert!(matches!(
-            dcta.allocate(&inst, blank(2), &rows),
+            dcta.scores(&inst, &blank(2), &rows),
             Err(DctaError::Crl(CrlError::Shape))
         ));
-    }
-
-    #[test]
-    fn speed_aware_placement_prefers_fast_processor() {
-        let inst = instance(2, 10.0);
-        let packed = Allocation::from_placement(vec![Some(0), Some(0)]);
-        let placed = speed_aware_placement(&inst, &packed);
-        // Both tasks fit anywhere; the heaviest (task 1) must land on the
-        // fast processor column 1.
-        assert_eq!(placed.processor_of(1), Some(1));
-        assert_eq!(placed.scheduled_count(), 2);
-    }
-
-    #[test]
-    fn speed_aware_placement_respects_budgets() {
-        // Time limit fits one reference task per processor.
-        let inst = instance(3, 0.6);
-        let packed = Allocation::from_placement(vec![Some(0), Some(0), Some(1)]);
-        let placed = speed_aware_placement(&inst, &packed);
-        assert!(placed.is_feasible(inst.tasks(), inst.fleet()));
-        assert!(placed.scheduled_count() <= 2);
     }
 
     #[test]
@@ -385,9 +296,9 @@ mod tests {
         // w1 = 0: the SVM alone decides the selection priority.
         let dcta = DctaAllocator::new(local(), 0.0, 1.0).unwrap();
         let rows: Vec<Vec<f64>> = vec![vec![0.0], vec![0.95], vec![0.1], vec![0.2]];
-        let out = dcta.allocate(&inst, general(&inst, 0), &rows).unwrap();
-        let max = out.combined_scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(out.combined_scores[1], max);
-        assert!(out.allocation.processor_of(1).is_some());
+        let scores = dcta.scores(&inst, &general(&inst, 0), &rows).unwrap();
+        let max = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        assert_eq!(scores[1], max);
+        assert!(select(&inst, &scores).processor_of(1).is_some());
     }
 }

@@ -69,10 +69,11 @@ impl Objective {
         Self::default()
     }
 
-    /// Prices tasks with an explicit importance vector instead of the
-    /// method's own estimate. The method then only picks the solver:
-    /// `ExactOracle` runs the certified portfolio, everything else the
-    /// greedy solver.
+    /// Replaces the day's truth that the oracles select by:
+    /// `ExactOracle` packs the override with the certified portfolio,
+    /// `GreedyOracle` with the greedy solver, and both place the packing.
+    /// CRL, DCTA, RM and DML ignore it, unless survival weighting is on
+    /// (see [`Self::with_survival`]).
     #[must_use]
     pub fn with_importances(mut self, importances: Vec<f64>) -> Self {
         self.importances = Some(importances);
@@ -82,8 +83,11 @@ impl Objective {
     /// Weights each processor by its learned survival probability
     /// (`(1 − w) + w · survival`, the proactive model of DESIGN.md §13),
     /// so at-risk processors only win tasks their capacity advantage can
-    /// still justify. Methods with no importance signal (`RandomMapping`,
-    /// `Dml`) fall back to their plain allocation.
+    /// still justify. The weighted greedy selects and places by an
+    /// importance override when one is set, for every method, RM and DML
+    /// included; otherwise by the truth (oracles), the estimate (CRL) or
+    /// the Eq. 6 scores (DCTA). Without an override, `RandomMapping` and
+    /// `Dml`, which carry no per-task signal, keep their plain allocation.
     #[must_use]
     pub fn with_survival(mut self, on: bool) -> Self {
         self.survival = on;

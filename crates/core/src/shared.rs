@@ -31,18 +31,17 @@ use crate::allocation::Allocation;
 use crate::availability::AvailabilityModel;
 use crate::baselines::{dml_balanced, random_mapping};
 use crate::cache::{CacheStats, ImportanceCache};
-use crate::crl_alloc::CrlAllocator;
+use crate::crl_alloc::{CrlAllocator, CrlOutcome};
 use crate::dcta::DctaAllocator;
 use crate::features::{local_features, TaskHistory};
 use crate::importance::{CopModels, ImportanceEvaluator};
-use crate::objective::{AllocOutcome, AllocQuery};
+use crate::objective::{AllocOutcome, AllocQuery, Objective};
 use crate::pipeline::{
     DayReport, FaultRunReport, Method, PipelineConfig, PipelineError, RunReport, RunSpec,
-    SolveCertificate,
 };
 use crate::processor::ProcessorFleet;
 use crate::recovery::{self, RecoveryMode};
-use crate::tatim::{SolverKind, TatimInstance, EXACT_ORACLE_NODE_BUDGET};
+use crate::tatim::{place, SolverKind, TatimInstance, EXACT_ORACLE_NODE_BUDGET};
 use buildings::scenario::Scenario;
 use edgesim::cluster::Cluster;
 use edgesim::faults::FaultSchedule;
@@ -57,6 +56,16 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::ops::Range;
 use std::time::Instant;
+
+/// What a method selects by (see `PreparedCore::select`).
+enum Selection {
+    /// Pack the tasks by these scores with `solver`, then [`place`] them.
+    Scores { scores: Vec<f64>, solver: SolverKind },
+    /// CRL: the agent's estimate, and the agent's own placement.
+    Agent(CrlOutcome),
+    /// RM and DML: their own placement of every task.
+    Own(Allocation),
+}
 
 /// The pipeline after its offline phase: ready to allocate and execute any
 /// evaluation day, from any number of threads (see the module docs).
@@ -259,49 +268,33 @@ impl PreparedCore {
         // (compute + transfer) without any solver-internal change.
         let blind = if obj.route_cost() { &self.blind_routed } else { &self.blind };
         let mut certificate = None;
-        let allocation = if obj.survival() {
-            let ctx = self.scenario.day(day);
-            // The importance estimates the method would act on; RM/DML
-            // carry no per-task signal and fall back to their plain path.
-            let estimates: Option<Vec<f64>> = match obj.importances() {
-                Some(imp) => Some(imp.to_vec()),
-                None => match method {
-                    Method::GreedyOracle | Method::ExactOracle => {
-                        Some(self.true_importances[day].clone())
-                    }
-                    Method::Crl => {
-                        Some(self.crl.allocate(blind, &ctx.sensing)?.estimated_importances)
-                    }
-                    Method::Dcta => {
-                        let general = self.crl.allocate(blind, &ctx.sensing)?;
-                        let rows = self.local_rows(day);
-                        Some(self.dcta.allocate(blind, general, &rows)?.combined_scores)
-                    }
-                    Method::RandomMapping | Method::Dml => None,
-                },
-            };
-            match estimates {
-                None => self.plain_allocation(method, day, blind, None, &mut certificate)?,
-                Some(mut est) => {
-                    for e in &mut est {
-                        *e = e.clamp(0.0, 1.0);
-                    }
-                    let pc = self.config.proactive;
-                    let draw_seed = pc.draw_seed(self.config.seed, day);
-                    let weights: Vec<f64> = self
-                        .fleet()
-                        .processors()
-                        .iter()
-                        .map(|p| pc.survival_weight(&self.availability, p.node.0, draw_seed))
-                        .collect();
-                    blind
-                        .with_importances(&est)
-                        .solve(&SolverKind::WeightedGreedy(weights))?
-                        .allocation
+        let allocation = match (self.select(method, day, blind, obj)?, obj.survival()) {
+            (Selection::Own(own), _) => own,
+            (Selection::Agent(outcome), false) => outcome.allocation,
+            // Survival weighting keeps the weighted greedy's placement.
+            (Selection::Agent(CrlOutcome { estimated_importances: mut scores, .. }), true)
+            | (Selection::Scores { mut scores, .. }, true) => {
+                for e in &mut scores {
+                    *e = e.clamp(0.0, 1.0);
                 }
+                let pc = self.config.proactive;
+                let draw_seed = pc.draw_seed(self.config.seed, day);
+                let weights: Vec<f64> = self
+                    .fleet()
+                    .processors()
+                    .iter()
+                    .map(|p| pc.survival_weight(&self.availability, p.node.0, draw_seed))
+                    .collect();
+                blind
+                    .with_importances(&scores)
+                    .solve(&SolverKind::WeightedGreedy(weights))?
+                    .allocation
             }
-        } else {
-            self.plain_allocation(method, day, blind, obj.importances(), &mut certificate)?
+            (Selection::Scores { scores, solver }, false) => {
+                let report = blind.with_importances(&scores).solve(&solver)?;
+                certificate = report.certificate;
+                place(blind, &report.allocation)
+            }
         };
         Ok(AllocOutcome { allocation, overhead_s: start.elapsed().as_secs_f64(), certificate })
     }
@@ -402,42 +395,45 @@ impl PreparedCore {
         Ok(())
     }
 
-    /// The classic per-method dispatch: importances from `overrides` when
-    /// set, else the day's true importances (oracles) or the method's own
-    /// estimates (CRL/DCTA).
-    fn plain_allocation(
+    /// The selection stage: what `method` selects by on `day`. The oracles
+    /// select by the override when one is set, else by the day's truth;
+    /// DCTA by its Eq. 6 scores; CRL by its agent, whose estimate is what
+    /// survival weighting reads; RM and DML by nothing (they place every
+    /// task themselves). Under survival weighting an override replaces
+    /// every method's basis, RM's and DML's included; without it only the
+    /// oracles read one.
+    fn select(
         &self,
         method: Method,
         day: usize,
         blind: &TatimInstance,
-        overrides: Option<&[f64]>,
-        certificate: &mut Option<SolveCertificate>,
-    ) -> Result<Allocation, PipelineError> {
-        let ctx = self.scenario.day(day);
-        let importances = overrides.unwrap_or(&self.true_importances[day]);
-        Ok(match method {
-            Method::RandomMapping => {
+        obj: &Objective,
+    ) -> Result<Selection, PipelineError> {
+        let sensing = &self.scenario.day(day).sensing;
+        let greedy = |scores: &[f64]| Selection::Scores {
+            scores: scores.to_vec(),
+            solver: SolverKind::Greedy,
+        };
+        let truth = &self.true_importances[day];
+        Ok(match (method, obj.importances()) {
+            (_, Some(overrides)) if obj.survival() => greedy(overrides),
+            (Method::GreedyOracle, overrides) => greedy(overrides.unwrap_or(truth)),
+            (Method::ExactOracle, overrides) => Selection::Scores {
+                scores: overrides.unwrap_or(truth).to_vec(),
+                solver: SolverKind::Portfolio(SolveBudget::NodeBudget(EXACT_ORACLE_NODE_BUDGET)),
+            },
+            (Method::Dcta, _) => {
+                let general = self.crl.allocate(blind, sensing)?;
+                greedy(&self.dcta.scores(blind, &general, &self.local_rows(day))?)
+            }
+            (Method::Crl, _) => Selection::Agent(self.crl.allocate(blind, sensing)?),
+            (Method::RandomMapping, _) => {
                 // Keyed by (seed, day): no earlier draw moves this one.
                 let day_key = (day as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 let seed = self.config.seed ^ 0x51AB ^ day_key;
-                random_mapping(blind, &mut StdRng::seed_from_u64(seed))
+                Selection::Own(random_mapping(blind, &mut StdRng::seed_from_u64(seed)))
             }
-            Method::Dml => dml_balanced(blind),
-            Method::GreedyOracle => {
-                blind.with_importances(importances).solve(&SolverKind::Greedy)?.allocation
-            }
-            Method::ExactOracle => {
-                let report = blind.with_importances(importances).solve(&SolverKind::Portfolio(
-                    SolveBudget::NodeBudget(EXACT_ORACLE_NODE_BUDGET),
-                ))?;
-                *certificate = report.certificate;
-                report.allocation
-            }
-            Method::Crl => self.crl.allocate(blind, &ctx.sensing)?.allocation,
-            Method::Dcta => {
-                let general = self.crl.allocate(blind, &ctx.sensing)?;
-                self.dcta.allocate(blind, general, &self.local_rows(day))?.allocation
-            }
+            (Method::Dml, _) => Selection::Own(dml_balanced(blind)),
         })
     }
 
@@ -681,6 +677,58 @@ mod tests {
         assert_eq!(report.shed, again.shed);
         assert_eq!(report.lost, again.lost);
         assert_eq!(report.failures, again.failures);
+    }
+
+    /// An importance override reaches only the oracles on the plain path,
+    /// and every method, RM and DML included, under survival weighting.
+    #[test]
+    fn an_override_reaches_the_oracles_and_under_survival_every_method() {
+        let s = small_scenario();
+        let core = Pipeline::new(quick_config()).prepare(&s).unwrap();
+        let day = core.test_days().start;
+        let n = core.blind.num_tasks();
+        let overrides: Vec<f64> = (0..n).map(|j| ((j * 7) % n) as f64 / n as f64).collect();
+        let alloc = |method, objective| {
+            let query = AllocQuery::new(method, day).with_objective(objective);
+            core.allocate(&query).unwrap().allocation
+        };
+        let packed = |solver| {
+            let report = core.blind.with_importances(&overrides).solve(&solver).unwrap();
+            place(&core.blind, &report.allocation)
+        };
+        let overridden = Objective::new().with_importances(overrides.clone());
+        let survival = Objective::new().with_survival(true);
+        let everyone = alloc(Method::Dml, overridden.clone().with_survival(true));
+        assert_ne!(everyone, alloc(Method::GreedyOracle, survival.clone()));
+        for method in [
+            Method::RandomMapping,
+            Method::Dml,
+            Method::GreedyOracle,
+            Method::ExactOracle,
+            Method::Crl,
+            Method::Dcta,
+        ] {
+            let plain = alloc(method, Objective::new());
+            let got = alloc(method, overridden.clone());
+            match method {
+                Method::GreedyOracle => assert_eq!(got, packed(SolverKind::Greedy)),
+                Method::ExactOracle => assert_eq!(
+                    got,
+                    packed(SolverKind::Portfolio(SolveBudget::NodeBudget(
+                        EXACT_ORACLE_NODE_BUDGET
+                    )))
+                ),
+                _ => assert_eq!(got, plain, "{method} ignores an override"),
+            }
+            if matches!(method, Method::GreedyOracle | Method::ExactOracle) {
+                assert_ne!(got, plain, "{method} reads the override");
+            }
+            let weighted = alloc(method, overridden.clone().with_survival(true));
+            assert_eq!(weighted, everyone, "{method} selects by the override under survival");
+            if matches!(method, Method::RandomMapping | Method::Dml) {
+                assert_eq!(alloc(method, survival.clone()), plain, "{method} without an override");
+            }
+        }
     }
 
     #[test]

@@ -218,6 +218,68 @@ impl TatimInstance {
     }
 }
 
+/// The placement stage: re-places the tasks `selected` schedules,
+/// heaviest first, each onto the processor where it would finish first
+/// (the paper's "more important tasks to more powerful edge devices"),
+/// subject to Eqs. 3–4. Keeps the selection and only moves where its tasks
+/// run. A placer never thins a selection: when this pass cannot place
+/// every selected task, `selected` — a solver's feasible placement — comes
+/// back unchanged.
+pub fn place(instance: &TatimInstance, selected: &Allocation) -> Allocation {
+    let placed = speed_aware(instance, selected);
+    if placed.scheduled_count() == selected.scheduled_count() {
+        placed
+    } else {
+        selected.clone()
+    }
+}
+
+/// The speed-aware pass of [`place`]: tasks that no longer fit anywhere
+/// are dropped.
+fn speed_aware(instance: &TatimInstance, packed: &Allocation) -> Allocation {
+    let fleet = instance.fleet();
+    let m = fleet.len();
+    let mut order: Vec<usize> =
+        (0..instance.num_tasks()).filter(|&j| packed.processor_of(j).is_some()).collect();
+    // Sizes are validated finite and non-negative and rates are finite, so
+    // no key is NaN, and `+ 0.0` folds −0.0 into +0.0: `total_cmp` orders
+    // them as `partial_cmp` would, and the stable sorts keep ties in index
+    // order.
+    let size = |j: usize| instance.tasks()[j].input_bits() + 0.0;
+    order.sort_by(|&a, &b| size(b).total_cmp(&size(a)));
+    let rate = |p: usize| fleet.processors()[p].seconds_per_bit + 0.0;
+    let mut speed_order: Vec<usize> = (0..m).collect();
+    speed_order.sort_by(|&a, &b| rate(a).total_cmp(&rate(b)));
+    let mut time = vec![0.0; m];
+    let mut resource = vec![0.0; m];
+    let mut alloc = Allocation::empty(instance.num_tasks());
+    for j in order {
+        let t = &instance.tasks()[j];
+        // Fastest processor (by actual execution time including queue) that
+        // satisfies the reference-time and resource budgets.
+        let mut best: Option<(usize, f64)> = None;
+        for &p in &speed_order {
+            if time[p] + t.reference_time_s() > fleet.time_limit_of(p) + 1e-9
+                || resource[p] + t.resource_demand() > fleet.processors()[p].capacity + 1e-9
+            {
+                continue;
+            }
+            let finish = (time[p] + t.reference_time_s())
+                * (fleet.processors()[p].seconds_per_bit
+                    / fleet.processors()[speed_order[0]].seconds_per_bit);
+            if best.is_none_or(|(_, b)| finish < b) {
+                best = Some((p, finish));
+            }
+        }
+        if let Some((p, _)) = best {
+            time[p] += t.reference_time_s();
+            resource[p] += t.resource_demand();
+            alloc.assign(j, Some(p));
+        }
+    }
+    alloc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,6 +427,104 @@ mod tests {
         let inst = instance();
         let (alloc, profit) = inst.solve_exact().unwrap();
         assert!((alloc.total_importance(inst.tasks()) - profit).abs() < 1e-12);
+    }
+
+    /// Tasks of the given reference times on a slow (Pi A+ rate) and a
+    /// fast processor, limit `limit` each, capacity for every task.
+    fn two_speed(times: &[f64], fast: f64, limit: f64) -> TatimInstance {
+        let tasks =
+            times.iter().enumerate().map(|(i, &t)| task(i, t / 4.75e-7 / 1e6, 1.0, 0.5)).collect();
+        let procs = vec![
+            Processor { node: NodeId(1), capacity: 10.0, seconds_per_bit: 4.75e-7 },
+            Processor { node: NodeId(2), capacity: 10.0, seconds_per_bit: fast },
+        ];
+        TatimInstance::new(tasks, ProcessorFleet::new(procs, limit).unwrap())
+    }
+
+    #[test]
+    fn place_prefers_the_fast_processor() {
+        let inst = two_speed(&[0.475, 0.57], 2.4e-7, 10.0);
+        let placed = place(&inst, &Allocation::from_placement(vec![Some(0), Some(0)]));
+        // Both tasks fit anywhere; the heaviest (task 1) must land on the
+        // fast processor column 1.
+        assert_eq!(placed.processor_of(1), Some(1));
+        assert_eq!(placed.scheduled_count(), 2);
+    }
+
+    #[test]
+    fn place_respects_budgets() {
+        // Time limit fits one reference task per processor, so the lighter
+        // task goes to the slow processor once the heavier holds the fast.
+        let inst = two_speed(&[0.475, 0.57, 0.665], 2.4e-7, 0.6);
+        let packed = Allocation::from_placement(vec![Some(1), Some(0), None]);
+        let placed = place(&inst, &packed);
+        assert!(placed.is_feasible(inst.tasks(), inst.fleet()));
+        assert_eq!(placed.placement(), &[Some(0), Some(1), None]);
+    }
+
+    /// The speed-aware pass sends both 0.4 s tasks to the fast node (the
+    /// tie at 0.8 s goes to the faster one), and four 0.3 s tasks do not
+    /// fit the slow node's 1.0 s. The exact packing holds all six, and the
+    /// placer must not thin it.
+    #[test]
+    fn place_keeps_a_selection_its_pass_cannot_place() {
+        let inst = two_speed(&[0.4, 0.4, 0.3, 0.3, 0.3, 0.3], 2.375e-7, 1.0);
+        let (exact, _) = inst.solve_exact().unwrap();
+        assert_eq!(exact.scheduled_count(), 6);
+        assert_eq!(speed_aware(&inst, &exact).scheduled_count(), 5);
+        assert_eq!(place(&inst, &exact), exact);
+    }
+
+    /// A feasible packing of a random instance: each task tries one random
+    /// processor (or none) and stays out where it does not fit.
+    fn random_packing(rng: &mut impl rand::Rng, inst: &TatimInstance) -> Allocation {
+        let fleet = inst.fleet();
+        let mut alloc = Allocation::empty(inst.num_tasks());
+        for j in 0..inst.num_tasks() {
+            alloc.assign(j, Some(rng.gen_range(0..fleet.len())).filter(|_| rng.gen_bool(0.8)));
+            if !alloc.is_feasible(inst.tasks(), fleet) {
+                alloc.assign(j, None);
+            }
+        }
+        alloc
+    }
+
+    #[test]
+    fn place_schedules_exactly_the_selection() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x91ACE);
+        let (mut kept, mut fell_back) = (0, 0);
+        for _ in 0..400 {
+            let n = rng.gen_range(1..12);
+            let tasks = (0..n)
+                .map(|i| task(i, rng.gen_range(0.1..2.0), rng.gen_range(0.0..2.0), 0.5))
+                .collect();
+            let procs = (0..rng.gen_range(1..5))
+                .map(|p| Processor {
+                    node: NodeId(p + 1),
+                    capacity: rng.gen_range(1.0..6.0),
+                    seconds_per_bit: rng.gen_range(1.0e-7..5.0e-7),
+                })
+                .collect::<Vec<_>>();
+            let limits = procs.iter().map(|_| rng.gen_range(0.3..3.0)).collect();
+            let fleet = ProcessorFleet::with_time_limits(procs, limits).unwrap();
+            let inst = TatimInstance::new(tasks, fleet);
+            let selected = random_packing(&mut rng, &inst);
+            let placed = place(&inst, &selected);
+            assert!(placed.is_feasible(inst.tasks(), inst.fleet()));
+            for j in 0..n {
+                assert_eq!(placed.processor_of(j).is_some(), selected.processor_of(j).is_some());
+            }
+            let pass = speed_aware(&inst, &selected);
+            if pass.scheduled_count() == selected.scheduled_count() {
+                assert_eq!(placed, pass);
+                kept += 1;
+            } else {
+                assert_eq!(placed, selected);
+                fell_back += 1;
+            }
+        }
+        assert!(kept > 100 && fell_back > 0, "kept {kept}, fell back {fell_back}");
     }
 }
 

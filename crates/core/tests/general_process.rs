@@ -13,6 +13,7 @@ use buildings::scenario::{Scenario, ScenarioConfig};
 use dcta_core::crl_alloc::CrlAllocator;
 use dcta_core::pipeline::{DayReport, Method, Pipeline, PipelineConfig, RunSpec};
 use dcta_core::shared::PreparedCore;
+use dcta_core::tatim::{place, SolverKind};
 use rl::crl::CrlConfig;
 use rl::dqn::DqnConfig;
 
@@ -63,17 +64,17 @@ impl Twin {
         self.0.observe(sensing, prepared.true_importances(day).to_vec()).unwrap();
     }
 
-    /// `Method::Dcta` on `day` as the twin design ran it. The instance
-    /// carries the day's true importances, which neither process reads:
-    /// CRL substitutes its blend, the projection its combined scores.
+    /// `Method::Dcta` on `day` as the twin design ran it: the cooperative
+    /// scores, a greedy packing by them, then the shared placer. The
+    /// instance carries the day's true importances, which nothing here
+    /// reads: CRL substitutes its blend, the packing the combined scores.
     fn dcta(&mut self, prepared: &mut PreparedCore, day: usize) -> DayReport {
         let instance = prepared.instance_for_day(day).unwrap();
         let general = self.0.allocate(&instance, &prepared.scenario().day(day).sensing).unwrap();
-        let allocation = prepared
-            .dcta()
-            .allocate(&instance, general, &prepared.local_rows(day))
-            .unwrap()
-            .allocation;
+        let scores =
+            prepared.dcta().scores(&instance, &general, &prepared.local_rows(day)).unwrap();
+        let packed = instance.with_importances(&scores).solve(&SolverKind::Greedy).unwrap();
+        let allocation = place(&instance, &packed.allocation);
         prepared.execute(Method::Dcta, day, allocation, 0.0).unwrap()
     }
 }
