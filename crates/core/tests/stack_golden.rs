@@ -30,7 +30,11 @@
 //! `upper_bound` and `nodes`. All 24 rows were regenerated once, when no
 //! solver would pack a zero-importance task and DCTA's projection left out
 //! a task the general process rates zero: every method's faulted runs
-//! re-plan through the solver and feed the posterior later runs read.
+//! re-plan through the solver and feed the posterior later runs read. The
+//! eight `GreedyOracle` and `ExactOracle` rows were regenerated once, when
+//! the oracles' packings began to go through the placer DCTA's go
+//! through; their survival-weighted runs, the only ones a posterior
+//! learns from, kept their placement, so no other row moved.
 
 use buildings::scenario::{Scenario, ScenarioConfig};
 use dcta_core::baselines::random_mapping;
@@ -269,26 +273,26 @@ fn digest_method(face: &mut Face, method: Method, tasks: usize) -> (u64, usize) 
 const GOLDEN: &[(&str, &str, Method, u64)] = &[
     ("star", "batch", Method::RandomMapping, 0x5a3284e91d6f96ab),
     ("star", "batch", Method::Dml, 0xec04732d4356e51d),
-    ("star", "batch", Method::GreedyOracle, 0xa8d20a435a784113),
-    ("star", "batch", Method::ExactOracle, 0x5a42a3e43ce5de1d),
+    ("star", "batch", Method::GreedyOracle, 0x8ef556de89cd2c78),
+    ("star", "batch", Method::ExactOracle, 0x782a57a45d4e5d23),
     ("star", "batch", Method::Crl, 0xe051d9c33c21c51a),
     ("star", "batch", Method::Dcta, 0x87647b535a36dcc7),
     ("star", "frozen", Method::RandomMapping, 0xc49e3263a10730c5),
     ("star", "frozen", Method::Dml, 0x98871b745bef82dd),
-    ("star", "frozen", Method::GreedyOracle, 0xec54d4b7ccabec23),
-    ("star", "frozen", Method::ExactOracle, 0xa807c9236b226dee),
+    ("star", "frozen", Method::GreedyOracle, 0xe161ef4c74460ee4),
+    ("star", "frozen", Method::ExactOracle, 0x56a7962bf0c04140),
     ("star", "frozen", Method::Crl, 0x522b1ec1583e61c5),
     ("star", "frozen", Method::Dcta, 0xbb8207f90a5c6813),
     ("mesh16", "batch", Method::RandomMapping, 0x37d8041817d331db),
     ("mesh16", "batch", Method::Dml, 0x52f2f9f972560587),
-    ("mesh16", "batch", Method::GreedyOracle, 0xc516effab770d8f2),
-    ("mesh16", "batch", Method::ExactOracle, 0xf67964a7d7c0e589),
+    ("mesh16", "batch", Method::GreedyOracle, 0x50ab7f6fd20a5fb1),
+    ("mesh16", "batch", Method::ExactOracle, 0xa650101bc61b0baa),
     ("mesh16", "batch", Method::Crl, 0xbaafc45af44cff61),
     ("mesh16", "batch", Method::Dcta, 0x797c2dc91480a969),
     ("mesh16", "frozen", Method::RandomMapping, 0x8484e2b8910d6a3a),
     ("mesh16", "frozen", Method::Dml, 0x2548ab7b8835ca9f),
-    ("mesh16", "frozen", Method::GreedyOracle, 0x753029647ce13f98),
-    ("mesh16", "frozen", Method::ExactOracle, 0x6407549a4b2f7b00),
+    ("mesh16", "frozen", Method::GreedyOracle, 0xf1d272b6e480514b),
+    ("mesh16", "frozen", Method::ExactOracle, 0x7251e2fc725b5773),
     ("mesh16", "frozen", Method::Crl, 0xdfa6887aee412763),
     ("mesh16", "frozen", Method::Dcta, 0x2bb69bfd2b772a43),
 ];
