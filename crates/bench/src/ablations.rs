@@ -11,6 +11,7 @@ use crate::common::{
     f3, mean, paper_pipeline, paper_scenario, pct, prepare_cached, RunOpts, Table,
 };
 use dcta_core::pipeline::{Method, PipelineConfig, RunSpec};
+use dcta_core::shared::PreparedCore;
 use learn::kmeans::KMeans;
 use learn::linalg::euclidean_distance;
 use rand::rngs::StdRng;
@@ -173,7 +174,10 @@ pub struct QualityGap {
 /// Propagates pipeline failures.
 pub fn quality_gap(opts: &RunOpts) -> Result<QualityGap, Box<dyn Error>> {
     let scenario = paper_scenario(opts, opts.pick(10, 6))?;
-    let prepared = prepare_cached(paper_pipeline(opts), &scenario)?;
+    quality_gap_of(&prepare_cached(paper_pipeline(opts), &scenario)?)
+}
+
+fn quality_gap_of(prepared: &PreparedCore) -> Result<QualityGap, Box<dyn Error>> {
     let days: Vec<usize> = prepared.test_days().collect();
     let methods = [
         Method::ExactOracle,
@@ -253,14 +257,14 @@ mod tests {
     #[test]
     fn quality_gap_oracle_is_ceiling() {
         let opts = quick();
-        let r = quality_gap(&opts).unwrap();
-        let exact = r.rows.iter().find(|(m, _)| m == "ExactOracle").unwrap().1;
-        assert!((exact - 1.0).abs() < 1e-9);
-        // Per day, against the same core: nothing captures more than a
-        // proved optimum, and RM and DML, which run every task, capture
-        // everything the oracle does.
         let scenario = paper_scenario(&opts, opts.pick(10, 6)).unwrap();
         let prepared = prepare_cached(paper_pipeline(&opts), &scenario).unwrap();
+        let r = quality_gap_of(&prepared).unwrap();
+        let exact = r.rows.iter().find(|(m, _)| m == "ExactOracle").unwrap().1;
+        assert!((exact - 1.0).abs() < 1e-9);
+        // Per day, on the same core: nothing captures more than a proved
+        // optimum, and RM and DML, which run every task, capture
+        // everything the oracle does.
         let report = |method, day| {
             let r = prepared.run(&RunSpec::new(method, day)).unwrap();
             r.into_healthy().unwrap()

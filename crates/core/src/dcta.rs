@@ -24,7 +24,7 @@ use crate::tatim::TatimInstance;
 use rl::crl::CrlError;
 use std::fmt;
 
-/// Error returned by DCTA allocation.
+/// Error returned by the DCTA scorer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DctaError {
     /// The general process's outcome does not fit the instance.

@@ -410,21 +410,18 @@ impl PreparedCore {
         obj: &Objective,
     ) -> Result<Selection, PipelineError> {
         let sensing = &self.scenario.day(day).sensing;
-        let greedy = |scores: &[f64]| Selection::Scores {
-            scores: scores.to_vec(),
-            solver: SolverKind::Greedy,
-        };
+        let greedy = |scores| Selection::Scores { scores, solver: SolverKind::Greedy };
         let truth = &self.true_importances[day];
         Ok(match (method, obj.importances()) {
-            (_, Some(overrides)) if obj.survival() => greedy(overrides),
-            (Method::GreedyOracle, overrides) => greedy(overrides.unwrap_or(truth)),
+            (_, Some(overrides)) if obj.survival() => greedy(overrides.to_vec()),
+            (Method::GreedyOracle, overrides) => greedy(overrides.unwrap_or(truth).to_vec()),
             (Method::ExactOracle, overrides) => Selection::Scores {
                 scores: overrides.unwrap_or(truth).to_vec(),
                 solver: SolverKind::Portfolio(SolveBudget::NodeBudget(EXACT_ORACLE_NODE_BUDGET)),
             },
             (Method::Dcta, _) => {
                 let general = self.crl.allocate(blind, sensing)?;
-                greedy(&self.dcta.scores(blind, &general, &self.local_rows(day))?)
+                greedy(self.dcta.scores(blind, &general, &self.local_rows(day))?)
             }
             (Method::Crl, _) => Selection::Agent(self.crl.allocate(blind, sensing)?),
             (Method::RandomMapping, _) => {

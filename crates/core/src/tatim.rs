@@ -250,6 +250,9 @@ fn speed_aware(instance: &TatimInstance, packed: &Allocation) -> Allocation {
     let rate = |p: usize| fleet.processors()[p].seconds_per_bit + 0.0;
     let mut speed_order: Vec<usize> = (0..m).collect();
     speed_order.sort_by(|&a, &b| rate(a).total_cmp(&rate(b)));
+    let fastest = fleet.processors()[speed_order[0]].seconds_per_bit;
+    let slowdown: Vec<f64> =
+        fleet.processors().iter().map(|p| p.seconds_per_bit / fastest).collect();
     let mut time = vec![0.0; m];
     let mut resource = vec![0.0; m];
     let mut alloc = Allocation::empty(instance.num_tasks());
@@ -264,9 +267,7 @@ fn speed_aware(instance: &TatimInstance, packed: &Allocation) -> Allocation {
             {
                 continue;
             }
-            let finish = (time[p] + t.reference_time_s())
-                * (fleet.processors()[p].seconds_per_bit
-                    / fleet.processors()[speed_order[0]].seconds_per_bit);
+            let finish = (time[p] + t.reference_time_s()) * slowdown[p];
             if best.is_none_or(|(_, b)| finish < b) {
                 best = Some((p, finish));
             }
