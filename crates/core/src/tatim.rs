@@ -4,7 +4,8 @@
 //! (Eq. 3) and resource capacity (Eq. 4). Theorem 1 maps tasks to items
 //! (time → weight, resource → volume, importance → profit) and processors to
 //! sacks; this module realises that reduction so the `knapsack` crate's
-//! exact and heuristic solvers become TATIM solvers.
+//! exact and heuristic solvers become TATIM solvers. A solver selects;
+//! [`place`] then decides where the oracles' and DCTA's selections run.
 
 use crate::allocation::Allocation;
 use crate::processor::ProcessorFleet;
