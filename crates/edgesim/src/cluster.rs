@@ -686,6 +686,49 @@ mod tests {
         assert_ne!(Cluster::mesh_testbed(MeshSpec::new(100, 42)).unwrap(), other_seed);
     }
 
+    /// FNV-1a over every field of a mesh world: each node's id and model,
+    /// then each edge's endpoints and link bits in id order, then each
+    /// node's CSR neighbour list.
+    fn world_digest(c: &Cluster) -> u64 {
+        let mesh = c.mesh().expect("a mesh world");
+        let model = |m: DeviceModel| match m {
+            DeviceModel::RaspberryPiAPlus => 0,
+            DeviceModel::RaspberryPiB => 1,
+            DeviceModel::RaspberryPiBPlus => 2,
+            DeviceModel::Laptop => 3,
+        };
+        let nodes = c.nodes().iter().flat_map(|n| [n.id().0 as u64, model(n.model())]);
+        let edges = (0..mesh.num_edges()).flat_map(|e| {
+            let ((a, b), link) = (mesh.endpoints(e), mesh.link(e));
+            [a as u64, b as u64, link.bandwidth_bps().to_bits(), link.latency_s().to_bits()]
+        });
+        let adjacency = (0..mesh.nodes())
+            .flat_map(|v| mesh.neighbors(v).flat_map(|(u, e)| [u as u64, e as u64]));
+        let words = [c.controller().0 as u64, mesh.nodes() as u64, mesh.num_edges() as u64];
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for x in words.into_iter().chain(nodes).chain(edges).chain(adjacency) {
+            for byte in x.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The benchmark's mesh worlds (seed `0xDC7A ^ 0xA110C`), pinned by the
+    /// quadratic duplicate scans the builder and the cluster ran before
+    /// both became linear: the same edges accepted, in the same order.
+    #[test]
+    fn mesh_testbed_digests_are_pinned() {
+        for (nodes, edges, want) in
+            [(300, 601, 0x9d34_8eae_db39_b726u64), (3000, 6265, 0xf0d0_2c17_5381_a4e6)]
+        {
+            let c = Cluster::mesh_testbed(MeshSpec::new(nodes, 0xDC7A ^ 0xA110C)).unwrap();
+            let got = (c.mesh().unwrap().num_edges(), world_digest(&c));
+            assert_eq!(got, (edges, want), "{nodes} nodes: ({}, {:#018x})", got.0, got.1);
+        }
+    }
+
     #[test]
     fn mesh_testbed_4000_nodes_builds() {
         let c = Cluster::mesh_testbed(MeshSpec::new(4000, 7)).unwrap();
