@@ -208,27 +208,37 @@ impl Cluster {
         if nodes.len() < 2 {
             return Err(ClusterError::TooFewNodes { got: nodes.len() });
         }
-        for (i, n) in nodes.iter().enumerate() {
-            if nodes[..i].iter().any(|m| m.id() == n.id()) {
-                return Err(ClusterError::DuplicateNode { node: n.id() });
-            }
-        }
-        let index = Self::build_index(&nodes);
+        let index = Self::build_index(&nodes)?;
         Ok(Self { nodes, topology, controller, index })
     }
 
     /// Dense id → position map; left empty (scan fallback) when ids are so
     /// sparse the table would dwarf the node list.
-    fn build_index(nodes: &[Node]) -> Vec<usize> {
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::DuplicateNode`] for the first node whose id an
+    /// earlier node holds: found while the table fills, or by a scan of the
+    /// earlier nodes when ids are sparse.
+    fn build_index(nodes: &[Node]) -> Result<Vec<usize>, ClusterError> {
+        let duplicate = |n: &Node| ClusterError::DuplicateNode { node: n.id() };
         let max_id = nodes.iter().map(|n| n.id().0).max().unwrap_or(0);
         if max_id >= nodes.len() * 8 + 1024 {
-            return Vec::new();
+            for (i, n) in nodes.iter().enumerate() {
+                if nodes[..i].iter().any(|m| m.id() == n.id()) {
+                    return Err(duplicate(n));
+                }
+            }
+            return Ok(Vec::new());
         }
         let mut index = vec![usize::MAX; max_id + 1];
         for (i, n) in nodes.iter().enumerate() {
+            if index[n.id().0] != usize::MAX {
+                return Err(duplicate(n));
+            }
             index[n.id().0] = i;
         }
-        index
+        Ok(index)
     }
 
     /// The paper's Fig. 8 testbed: laptop controller + 9 Raspberry Pis
@@ -450,8 +460,9 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::TooFewNodes`] when `spec.nodes < 2`; network
-    /// validation never fails for the generated tiers.
+    /// [`ClusterError::TooFewNodes`] when `spec.nodes < 2`. Network
+    /// validation never fails for the generated tiers, and is propagated
+    /// as [`ClusterError::Network`] all the same.
     pub fn mesh_testbed(spec: MeshSpec) -> Result<Self, ClusterError> {
         let n = spec.nodes;
         if n < 2 {
@@ -462,13 +473,6 @@ impl Cluster {
         let jitter = |base: f64, rng: &mut StdRng| base * (0.85 + 0.3 * rng.gen::<f64>());
 
         let mut builder = MeshNetwork::builder(n);
-        let add =
-            |a: usize, b: usize, bps: f64, lat: f64, builder: &mut crate::network::MeshBuilder| {
-                // Generated edges are always valid and unique.
-                builder
-                    .add_edge(a, b, Link::new(bps, lat).expect("generated link"))
-                    .expect("grid edge");
-            };
         // 4-neighbour grid edges with tiered capacities.
         for v in 0..n {
             let (r, c) = (v / side, v % side);
@@ -476,13 +480,13 @@ impl Cluster {
                 let backbone = r % 8 == 0;
                 let bps = if backbone { MESH_BACKBONE_BPS } else { DEFAULT_WIFI_BPS };
                 let lat = if backbone { 2e-4 } else { 1e-3 };
-                add(v, v + 1, jitter(bps, &mut rng), lat, &mut builder);
+                builder.add_edge(v, v + 1, Link::new(jitter(bps, &mut rng), lat)?)?;
             }
             if v + side < n {
                 let backbone = c % 8 == 0;
                 let bps = if backbone { MESH_BACKBONE_BPS } else { DEFAULT_WIFI_BPS };
                 let lat = if backbone { 2e-4 } else { 1e-3 };
-                add(v, v + side, jitter(bps, &mut rng), lat, &mut builder);
+                builder.add_edge(v, v + side, Link::new(jitter(bps, &mut rng), lat)?)?;
             }
         }
         // Seeded long-range chords (middle tier); duplicates of grid edges
@@ -495,7 +499,10 @@ impl Cluster {
                 continue;
             }
             let bps = jitter(MESH_CHORD_BPS, &mut rng);
-            let _ = builder.add_edge(a, b, Link::new(bps, 5e-4).expect("chord link"));
+            match builder.add_edge(a, b, Link::new(bps, 5e-4)?) {
+                Ok(_) | Err(NetworkError::DuplicateEdge { .. }) => {}
+                Err(e) => return Err(e.into()),
+            }
         }
         let mesh = builder.build();
 
@@ -556,6 +563,21 @@ mod tests {
             Cluster::new(nodes, net, NodeId(0)),
             Err(ClusterError::DuplicateNode { .. })
         ));
+    }
+
+    /// The first node whose id an earlier node holds is reported, whether
+    /// the id table finds it (dense ids) or the scan does (sparse ids).
+    #[test]
+    fn duplicate_ids_rejected_on_dense_and_sparse_ids() {
+        let net = StarNetwork::uniform(1e6, 0.0).unwrap();
+        for far in [9, 1_000_000] {
+            let ids = [0, far, 3, 5, 3, far, 0];
+            let nodes = ids.map(|id| Node::new(NodeId(id), DeviceModel::RaspberryPiB)).to_vec();
+            let got = Cluster::new(nodes.clone(), net.clone(), NodeId(0));
+            assert_eq!(got, Err(ClusterError::DuplicateNode { node: NodeId(3) }), "far id {far}");
+            let distinct = nodes[..4].to_vec();
+            assert!(Cluster::new(distinct, net.clone(), NodeId(0)).is_ok(), "far id {far}");
+        }
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! per-transfer hot path.
 
 use crate::node::NodeId;
+use std::collections::HashSet;
 use std::fmt;
 
 /// How transfers contend for the wireless medium.
@@ -227,6 +228,9 @@ const NO_PREV: usize = usize::MAX;
 pub struct MeshBuilder {
     nodes: usize,
     edges: Vec<(usize, usize, Link)>,
+    /// The `(lower, higher)` endpoints of every edge in `edges`: the
+    /// duplicate test is one lookup, not a scan of the edges so far.
+    seen: HashSet<(usize, usize)>,
 }
 
 impl MeshBuilder {
@@ -240,10 +244,11 @@ impl MeshBuilder {
         if a == b || a >= self.nodes || b >= self.nodes {
             return Err(NetworkError::BadEdge { a, b });
         }
-        if self.edges.iter().any(|&(x, y, _)| (x, y) == (a.min(b), a.max(b))) {
+        let (lo, hi) = (a.min(b), a.max(b));
+        if !self.seen.insert((lo, hi)) {
             return Err(NetworkError::DuplicateEdge { a, b });
         }
-        self.edges.push((a.min(b), a.max(b), link));
+        self.edges.push((lo, hi, link));
         Ok(self)
     }
 
@@ -302,7 +307,7 @@ pub struct MeshNetwork {
 impl MeshNetwork {
     /// Starts building a mesh over nodes `0..nodes`.
     pub fn builder(nodes: usize) -> MeshBuilder {
-        MeshBuilder { nodes, edges: Vec::new() }
+        MeshBuilder { nodes, edges: Vec::new(), seen: HashSet::new() }
     }
 
     /// Number of nodes.
@@ -539,6 +544,58 @@ mod tests {
         assert!(matches!(b.add_edge(0, 5, link), Err(NetworkError::BadEdge { .. })));
         b.add_edge(0, 1, link).unwrap();
         assert!(matches!(b.add_edge(1, 0, link), Err(NetworkError::DuplicateEdge { .. })));
+    }
+
+    /// `MeshBuilder` as it stood before its duplicate test became a set
+    /// lookup: every edge so far scanned per call. The oracle the builder is
+    /// held to.
+    struct ScanBuilder {
+        nodes: usize,
+        edges: Vec<(usize, usize, Link)>,
+    }
+
+    impl ScanBuilder {
+        fn add_edge(&mut self, a: usize, b: usize, link: Link) -> Result<(), NetworkError> {
+            if a == b || a >= self.nodes || b >= self.nodes {
+                return Err(NetworkError::BadEdge { a, b });
+            }
+            if self.edges.iter().any(|&(x, y, _)| (x, y) == (a.min(b), a.max(b))) {
+                return Err(NetworkError::DuplicateEdge { a, b });
+            }
+            self.edges.push((a.min(b), a.max(b), link));
+            Ok(())
+        }
+
+        fn build(self) -> MeshNetwork {
+            MeshBuilder { nodes: self.nodes, edges: self.edges, seen: HashSet::new() }.build()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+
+        /// Random edge sequences over a few nodes, so that repeats come in
+        /// both orientations, beside self-loops and ends one or more past
+        /// the last node: the builder accepts and rejects what the scan
+        /// does, call by call, and freezes into the same mesh.
+        #[test]
+        fn add_edge_matches_the_scan_oracle(seed in 0u64..u64::MAX) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let nodes = rng.gen_range(0..9);
+            let mut builder = MeshNetwork::builder(nodes);
+            let mut oracle = ScanBuilder { nodes, edges: Vec::new() };
+            for call in 0..rng.gen_range(0..60) {
+                let a = rng.gen_range(0..nodes + 2);
+                let b = if rng.gen_range(0..8) == 0 { a } else { rng.gen_range(0..nodes + 2) };
+                let link = Link::new(rng.gen_range(1e5..1e8), rng.gen_range(0.0..1e-3)).unwrap();
+                let got = builder.add_edge(a, b, link).map(|_| ());
+                let want = oracle.add_edge(a, b, link);
+                proptest::prop_assert_eq!(got, want, "call {call}: {got:?} != {want:?}");
+            }
+            proptest::prop_assert_eq!(builder.build(), oracle.build());
+        }
     }
 
     #[test]
