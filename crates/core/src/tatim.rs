@@ -14,9 +14,20 @@ use knapsack::greedy;
 use knapsack::portfolio::{solve_portfolio, SolveBudget};
 use knapsack::problem::{Item, Packing, Problem, ProblemError, Sack};
 use rl::alloc_env::AllocSpec;
+use std::cell::Cell;
 use std::fmt;
+use std::sync::Arc;
 
 pub use knapsack::portfolio::SolveCertificate;
+
+thread_local! {
+    /// The item and sack vectors of this thread's last
+    /// [`TatimInstance::solve`], refilled by its next one: a controller
+    /// re-solves one fleet every round, so the reduction keeps its storage
+    /// as the greedy keeps its own.
+    static REDUCTION: Cell<(Vec<Item>, Vec<Sack>)> =
+        const { Cell::new((Vec::new(), Vec::new())) };
+}
 
 /// Node budget the pipeline's `ExactOracle` method grants branch-and-bound,
 /// applied *per top-level subtree* by the portfolio (the deterministic
@@ -27,11 +38,13 @@ pub use knapsack::portfolio::SolveCertificate;
 /// silently truncating.
 pub const EXACT_ORACLE_NODE_BUDGET: u64 = 200_000;
 
-/// A complete TATIM instance: tasks plus the processor fleet.
+/// A complete TATIM instance: tasks plus the processor fleet. The fleet is
+/// shared, not copied, by the instances [`TatimInstance::with_importances`]
+/// derives.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TatimInstance {
     tasks: Vec<EdgeTask>,
-    fleet: ProcessorFleet,
+    fleet: Arc<ProcessorFleet>,
 }
 
 /// Error constructing or reducing an instance.
@@ -97,7 +110,7 @@ pub struct SolveReport {
 impl TatimInstance {
     /// Creates an instance.
     pub fn new(tasks: Vec<EdgeTask>, fleet: ProcessorFleet) -> Self {
-        Self { tasks, fleet }
+        Self { tasks, fleet: Arc::new(fleet) }
     }
 
     /// The tasks.
@@ -130,7 +143,7 @@ impl TatimInstance {
             .zip(importances)
             .map(|(t, &i)| t.with_importance(i).expect("importance in range"))
             .collect();
-        Self { tasks, fleet: self.fleet.clone() }
+        Self { tasks, fleet: Arc::clone(&self.fleet) }
     }
 
     /// The Theorem-1 reduction: tasks → items, processors → sacks.
@@ -139,18 +152,27 @@ impl TatimInstance {
     ///
     /// Propagates knapsack model validation.
     pub fn to_knapsack(&self) -> Result<Problem, TatimError> {
-        let items: Vec<Item> = self
-            .tasks
-            .iter()
-            .map(|t| Item::new(t.reference_time_s(), t.resource_demand(), t.importance()))
-            .collect::<Result<_, _>>()?;
-        let sacks: Vec<Sack> = self
-            .fleet
-            .processors()
-            .iter()
-            .enumerate()
-            .map(|(col, p)| Sack::new(self.fleet.time_limit_of(col), p.capacity))
-            .collect::<Result<_, _>>()?;
+        self.reduce_into(Vec::new(), Vec::new())
+    }
+
+    /// [`Self::to_knapsack`] into `items` and `sacks`, whose contents it
+    /// replaces. They are sized once and filled in place, which a `Result`
+    /// collect cannot do.
+    fn reduce_into(
+        &self,
+        mut items: Vec<Item>,
+        mut sacks: Vec<Sack>,
+    ) -> Result<Problem, TatimError> {
+        items.clear();
+        items.reserve(self.tasks.len());
+        for t in &self.tasks {
+            items.push(Item::new(t.reference_time_s(), t.resource_demand(), t.importance())?);
+        }
+        sacks.clear();
+        sacks.reserve(self.fleet.len());
+        for (col, p) in self.fleet.processors().iter().enumerate() {
+            sacks.push(Sack::new(self.fleet.time_limit_of(col), p.capacity)?);
+        }
         Ok(Problem::new(items, sacks)?)
     }
 
@@ -174,7 +196,8 @@ impl TatimInstance {
     ///
     /// Propagates the reduction.
     pub fn solve(&self, kind: &SolverKind) -> Result<SolveReport, TatimError> {
-        let problem = self.to_knapsack()?;
+        let (items, sacks) = REDUCTION.take();
+        let problem = self.reduce_into(items, sacks)?;
         let (packing, certificate) = match kind {
             SolverKind::Greedy => (greedy::greedy_with_local_search(&problem), None),
             SolverKind::WeightedGreedy(weights) => {
@@ -185,11 +208,10 @@ impl TatimInstance {
                 (r.packing, Some(r.certificate))
             }
         };
-        Ok(SolveReport {
-            allocation: self.allocation_from_packing(&packing),
-            objective: packing.profit(&problem),
-            certificate,
-        })
+        let objective = packing.profit(&problem);
+        let allocation = Allocation::from_placement(packing.into_placement());
+        REDUCTION.set(problem.into_parts());
+        Ok(SolveReport { allocation, objective, certificate })
     }
 
     /// Optimal allocation via the portfolio's exhaustive branch-and-bound,
@@ -429,6 +451,32 @@ mod tests {
         let inst = instance();
         let (alloc, profit) = inst.solve_exact().unwrap();
         assert!((alloc.total_importance(inst.tasks()) - profit).abs() < 1e-12);
+    }
+
+    /// The reduction's reused storage carries nothing between solves: a
+    /// thread that solved larger and smaller instances first reports what
+    /// a fresh thread reports, for every kind.
+    #[test]
+    fn solve_ignores_what_the_thread_solved_before() {
+        let large = TatimInstance::new(
+            (0..40)
+                .map(|i| task(i, 0.2 + 0.05 * i as f64, 1.0, 0.9 / (1 + i % 7) as f64))
+                .collect(),
+            fleet(2.0, &[3.0, 5.0, 8.0, 2.0, 6.0]),
+        );
+        let kinds = [
+            SolverKind::Greedy,
+            SolverKind::WeightedGreedy(vec![1.0, 0.5]),
+            SolverKind::Portfolio(SolveBudget::Exact),
+        ];
+        let small = instance();
+        let fresh: Vec<SolveReport> = std::thread::scope(|s| {
+            kinds.iter().map(|k| s.spawn(|| small.solve(k).unwrap()).join().unwrap()).collect()
+        });
+        large.solve(&SolverKind::Greedy).unwrap();
+        for (kind, fresh) in kinds.iter().zip(&fresh) {
+            assert_eq!(&small.solve(kind).unwrap(), fresh, "{kind:?}");
+        }
     }
 
     /// Tasks of the given reference times on a slow (Pi A+ rate) and a

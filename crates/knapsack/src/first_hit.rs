@@ -56,7 +56,7 @@ impl Summary {
 /// every ancestor pass the same test. Evaluating the leaf's own predicate on
 /// a node therefore prunes only subtrees without a hit, and the left-first
 /// descent ends on exactly the leaf a linear scan would stop at.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct FirstHit {
     size: usize,
     nodes: Vec<Summary>,
@@ -65,8 +65,17 @@ pub(crate) struct FirstHit {
 impl FirstHit {
     /// A tree over `len` leaves, all [`Summary::NONE`].
     pub(crate) fn new(len: usize) -> Self {
-        let size = len.next_power_of_two();
-        Self { size, nodes: vec![Summary::NONE; 2 * size] }
+        let mut tree = Self::default();
+        tree.reset(len);
+        tree
+    }
+
+    /// Makes this a tree over `len` leaves, all [`Summary::NONE`], in the
+    /// storage it already holds.
+    pub(crate) fn reset(&mut self, len: usize) {
+        self.size = len.next_power_of_two();
+        self.nodes.clear();
+        self.nodes.resize(2 * self.size, Summary::NONE);
     }
 
     /// Overwrites leaves `0..` with `leaves` and rebuilds every summary.

@@ -9,6 +9,7 @@
 use crate::bounds::largest_room;
 use crate::first_hit::{FirstHit, Summary};
 use crate::problem::{Item, Packing, Problem};
+use std::cell::Cell;
 
 /// Density-ordered greedy best fit: the scoring items
 /// ([`Problem::scoring`]) are sorted by profit density (profit per
@@ -43,13 +44,48 @@ use crate::problem::{Item, Packing, Problem};
 /// # }
 /// ```
 pub fn greedy(problem: &Problem) -> Packing {
-    place(problem, &DensityIndex::new(problem))
+    with_scratch(|scratch| scratch.greedy(problem))
+}
+
+/// The working buffers of the greedys and [`local_search`]. A controller
+/// re-solves every round at fresh importances, so each thread keeps one set
+/// and every solve on it reuses them: after the first solve of a size, only
+/// the returned [`Packing`] is allocated afresh. Every buffer is cleared or
+/// refilled before it is read, so no solve sees another's state.
+#[derive(Debug, Default)]
+struct Scratch {
+    density: DensityIndex,
+    slack: SlackOrder,
+    search: SearchState,
+}
+
+impl Scratch {
+    fn greedy(&mut self, problem: &Problem) -> Packing {
+        self.density.sort(problem);
+        place(problem, &self.density, &mut self.slack)
+    }
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::new(Scratch::default());
+}
+
+/// Runs `solve` on this thread's [`Scratch`], taken out for the call and put
+/// back after it, so it is never borrowed across one. A call made while
+/// another holds it starts from empty buffers.
+fn with_scratch<R>(solve: impl FnOnce(&mut Scratch) -> R) -> R {
+    let mut scratch = SCRATCH.take();
+    let result = solve(&mut scratch);
+    SCRATCH.set(scratch);
+    result
 }
 
 /// The scoring items ([`Problem::scoring`]) by decreasing profit density,
 /// and the scales the densities were normalised by.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct DensityIndex {
+    /// `(density, profit, item)` keys, the sort's working buffer.
+    keyed: Vec<(f64, f64, usize)>,
     order: Vec<usize>,
     scales: (f64, f64),
 }
@@ -63,20 +99,19 @@ impl DensityIndex {
     /// positive, and a zero size has density +∞), so `total_cmp` on them
     /// decides every comparison as `partial_cmp` would; the index decides
     /// the rest, so equal keys keep index order.
-    fn new(problem: &Problem) -> Self {
+    fn sort(&mut self, problem: &Problem) {
         let scales = capacity_scales(problem);
-        let mut keyed: Vec<(f64, f64, usize)> = problem
-            .scoring()
-            .map(|i| {
-                let item = &problem.items()[i];
-                (item.density(scales.0, scales.1), item.profit, i)
-            })
-            .collect();
-        keyed.sort_unstable_by(|a, b| {
+        self.keyed.clear();
+        self.keyed.extend(problem.scoring().map(|i| {
+            let item = &problem.items()[i];
+            (item.density(scales.0, scales.1), item.profit, i)
+        }));
+        self.keyed.sort_unstable_by(|a, b| {
             b.0.total_cmp(&a.0).then(b.1.total_cmp(&a.1)).then(a.2.cmp(&b.2))
         });
-        let order = keyed.into_iter().map(|(_, _, i)| i).collect();
-        Self { order, scales }
+        self.order.clear();
+        self.order.extend(self.keyed.iter().map(|&(_, _, i)| i));
+        self.scales = scales;
     }
 }
 
@@ -109,7 +144,14 @@ pub fn greedy_weighted(problem: &Problem, multipliers: &[f64]) -> Packing {
         multipliers.iter().all(|m| m.is_finite() && *m >= 0.0),
         "sack weights must be finite and non-negative"
     );
-    let index = DensityIndex::new(problem);
+    with_scratch(|scratch| {
+        scratch.density.sort(problem);
+        place_weighted(problem, &scratch.density, multipliers)
+    })
+}
+
+/// [`greedy_weighted`]'s scan over the items of a sorted `index`.
+fn place_weighted(problem: &Problem, index: &DensityIndex, multipliers: &[f64]) -> Packing {
     let mut residual: Vec<(f64, f64)> =
         problem.sacks().iter().map(|s| (s.weight_capacity, s.volume_capacity)).collect();
     let room = Summary::room(largest_room(residual.iter().copied()));
@@ -200,7 +242,7 @@ struct Run {
 /// the order of their slack key `rw/W + rv/V`. A class sits in one
 /// [`Entry`]; entries sit in key order in runs of at most [`RUN`], each a
 /// segment of one flat vector.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct SlackOrder {
     scales: (f64, f64),
     /// How far below `c(item)` the key of a sack the item fits can lie
@@ -211,41 +253,49 @@ struct SlackOrder {
     runs: Vec<Run>,
     /// Segments of `slots` whose run emptied, for the next split to reuse.
     free: Vec<usize>,
+    /// `(key, rw bits, rv bits, sack)`, and the classes they form: the
+    /// working buffers of [`SlackOrder::reset`].
+    keyed: Vec<(f64, u64, u64, usize)>,
+    entries: Vec<Entry>,
 }
 
 impl SlackOrder {
-    /// One sort of the sack indices by key, then by capacity bits, then by
+    /// Orders the sacks of `problem`, replacing every earlier state. One
+    /// sort of the sack indices by key, then by capacity bits, then by
     /// index makes each class a contiguous slice in index order and lists
     /// the classes in key order; runs start half full.
-    fn new(problem: &Problem, scales: (f64, f64)) -> Self {
-        let mut keyed: Vec<(f64, u64, u64, usize)> = (problem.sacks().iter().enumerate())
-            .map(|(s, sack)| {
-                let (rw, rv) = (sack.weight_capacity, sack.volume_capacity);
-                (slack_key(rw, rv, scales), rw.to_bits(), rv.to_bits(), s)
-            })
-            .collect();
-        keyed.sort_unstable_by(|a, b| {
+    fn reset(&mut self, problem: &Problem, scales: (f64, f64)) {
+        self.keyed.clear();
+        self.keyed.extend(problem.sacks().iter().enumerate().map(|(s, sack)| {
+            let (rw, rv) = (sack.weight_capacity, sack.volume_capacity);
+            (slack_key(rw, rv, scales), rw.to_bits(), rv.to_bits(), s)
+        }));
+        self.keyed.sort_unstable_by(|a, b| {
             a.0.total_cmp(&b.0).then((a.1, a.2, a.3).cmp(&(b.1, b.2, b.3)))
         });
-        let mut entries = Vec::new();
-        for class in keyed.chunk_by(|a, b| (a.1, a.2) == (b.1, b.2)) {
+        let mut entries = std::mem::take(&mut self.entries);
+        entries.clear();
+        for class in self.keyed.chunk_by(|a, b| (a.1, a.2) == (b.1, b.2)) {
             let at = entries.last().map_or(0, |e: &Entry| e.end);
             let (key, rw, rv, _) = class[0];
             let (rw, rv) = (f64::from_bits(rw), f64::from_bits(rv));
             entries.push(Entry { key, rw, rv, at, end: at + class.len() });
         }
-        let mut members = Vec::with_capacity(keyed.len() + problem.num_items());
-        members.extend(keyed.iter().map(|k| k.3));
-        let edge = 2e-12 / scales.0 + 2e-12 / scales.1;
-        let mut order =
-            Self { scales, edge, members, slots: Vec::new(), runs: Vec::new(), free: Vec::new() };
+        self.members.clear();
+        self.members.reserve(self.keyed.len() + problem.num_items());
+        self.members.extend(self.keyed.iter().map(|k| k.3));
+        self.scales = scales;
+        self.edge = 2e-12 / scales.0 + 2e-12 / scales.1;
+        self.slots.clear();
+        self.runs.clear();
+        self.free.clear();
         for chunk in entries.chunks(RUN / 2) {
-            let base = order.segment();
-            order.slots[base..base + chunk.len()].copy_from_slice(chunk);
-            order.runs.push(Run { base, len: chunk.len(), room: Summary::NONE });
-            order.refresh(order.runs.len() - 1);
+            let base = self.segment();
+            self.slots[base..base + chunk.len()].copy_from_slice(chunk);
+            self.runs.push(Run { base, len: chunk.len(), room: Summary::NONE });
+            self.refresh(self.runs.len() - 1);
         }
-        order
+        self.entries = entries;
     }
 
     fn entries(&self, run: &Run) -> &[Entry] {
@@ -392,8 +442,8 @@ impl SlackOrder {
 /// every packed sack becomes its own. A placement moves at most [`RUN`]
 /// entries and rescans one run's room; a split or an emptied run shifts the
 /// run list.
-fn place(problem: &Problem, index: &DensityIndex) -> Packing {
-    let mut order = SlackOrder::new(problem, index.scales);
+fn place(problem: &Problem, index: &DensityIndex, order: &mut SlackOrder) -> Packing {
+    order.reset(problem, index.scales);
     let sacks = problem.sacks();
     let room =
         Summary::room(largest_room(sacks.iter().map(|s| (s.weight_capacity, s.volume_capacity))));
@@ -431,93 +481,120 @@ fn place(problem: &Problem, index: &DensityIndex) -> Packing {
 /// tests through three *different* leaves and hold no hit, so it can cost
 /// `O(N)`, as the scan did. The gate keeps such queries few: ~200 a solve
 /// on the benchmark's route-deflated 5998 × 2999 world, where ~4 000 items
-/// pass the root alone.
+/// pass the root alone. The bookkeeping rewrites buffers the thread keeps
+/// between solves — both trees, the per-sack member lists, the item slots,
+/// the residuals and the gate's steps — so once the thread has solved an
+/// instance of this size, a round allocates nothing.
 pub fn local_search(problem: &Problem, initial: Packing, max_rounds: usize) -> Packing {
-    let items = problem.items();
-    let mut packing = initial;
-    let mut sacks = FirstHit::new(problem.num_sacks());
-    let mut packed = FirstHit::new(items.len());
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); problem.num_sacks()];
-    // Each packed item's sack and its slot in that sack's `members`.
-    let mut slot_of = vec![(0, 0); items.len()];
-    for _ in 0..max_rounds {
-        let mut residual = packing.residual_capacities(problem);
-        let mut improved = false;
+    with_scratch(|scratch| scratch.search.run(problem, initial, max_rounds))
+}
 
-        // Insert moves.
-        sacks.fill(residual.iter().copied().map(Summary::room));
-        for i in problem.scoring() {
-            let item = &items[i];
-            if packing.sack_of(i).is_some() {
-                continue;
+/// The working buffers of [`local_search`].
+#[derive(Debug, Default)]
+struct SearchState {
+    sacks: FirstHit,
+    packed: FirstHit,
+    /// The items packed in each sack; sacks past the problem's are unused.
+    members: Vec<Vec<usize>>,
+    /// Each packed item's sack and its slot in that sack's `members`.
+    slot_of: Vec<(usize, usize)>,
+    residual: Vec<(f64, f64)>,
+    gate: Staircase,
+}
+
+impl SearchState {
+    fn run(&mut self, problem: &Problem, initial: Packing, max_rounds: usize) -> Packing {
+        let Self { sacks, packed, members, slot_of, residual, gate } = self;
+        let items = problem.items();
+        let mut packing = initial;
+        sacks.reset(problem.num_sacks());
+        packed.reset(items.len());
+        if members.len() < problem.num_sacks() {
+            members.resize_with(problem.num_sacks(), Vec::new);
+        }
+        let members = &mut members[..problem.num_sacks()];
+        slot_of.clear();
+        slot_of.resize(items.len(), (0, 0));
+        for _ in 0..max_rounds {
+            packing.residual_into(problem, residual);
+            let mut improved = false;
+
+            // Insert moves.
+            sacks.fill(residual.iter().copied().map(Summary::room));
+            for i in problem.scoring() {
+                let item = &items[i];
+                if packing.sack_of(i).is_some() {
+                    continue;
+                }
+                if let Some(s) = sacks.first_from(0, |room| room.fits(item)) {
+                    packing.assign(i, Some(s));
+                    residual[s].0 -= item.weight;
+                    residual[s].1 -= item.volume;
+                    sacks.set(s, Summary::room(residual[s]));
+                    improved = true;
+                }
             }
-            if let Some(s) = sacks.first_from(0, |room| room.fits(item)) {
+
+            // Swap moves: out-item j (packed) replaced by in-item i (unpacked).
+            // A packed leaf holds what its sack would have left without it.
+            let leaf = |j: usize, s: usize, residual: &[(f64, f64)]| Summary {
+                weight: residual[s].0 + items[j].weight,
+                volume: residual[s].1 + items[j].volume,
+                profit: items[j].profit,
+            };
+            members.iter_mut().for_each(Vec::clear);
+            for (j, s) in packing.placement().iter().enumerate() {
+                if let Some(s) = *s {
+                    slot_of[j] = (s, members[s].len());
+                    members[s].push(j);
+                }
+            }
+            packed.fill(
+                packing
+                    .placement()
+                    .iter()
+                    .enumerate()
+                    .map(|(j, s)| s.map_or(Summary::NONE, |s| leaf(j, s, residual))),
+            );
+            let mut gated = false;
+            for i in problem.scoring() {
+                let inc = &items[i];
+                if packing.sack_of(i).is_some() || !packed.root().yields_to(inc) {
+                    continue;
+                }
+                if !gated {
+                    let placed = packing.placement().iter().enumerate();
+                    gate.rebuild(placed.filter_map(|(j, s)| s.map(|s| leaf(j, s, residual))));
+                    gated = true;
+                }
+                if !gate.admits(inc) {
+                    continue;
+                }
+                // Only packed leaves admit a swap, so `slot_of[j]` is current.
+                let Some(j) = packed.first_from(0, |out| out.yields_to(inc)) else { continue };
+                let (s, slot) = slot_of[j];
+                let freed = leaf(j, s, residual);
+                packing.assign(j, None);
                 packing.assign(i, Some(s));
-                residual[s].0 -= item.weight;
-                residual[s].1 -= item.volume;
-                sacks.set(s, Summary::room(residual[s]));
+                residual[s] = (freed.weight - inc.weight, freed.volume - inc.volume);
                 improved = true;
+                // Sack `s` changed residual and membership: re-key its leaves.
+                members[s][slot] = i;
+                slot_of[i] = (s, slot);
+                packed.set(j, Summary::NONE);
+                for &k in &members[s] {
+                    let rekeyed = leaf(k, s, residual);
+                    packed.set(k, rekeyed);
+                    gate.insert(rekeyed);
+                }
             }
-        }
 
-        // Swap moves: out-item j (packed) replaced by in-item i (unpacked).
-        // A packed leaf holds what its sack would have left without it.
-        let leaf = |j: usize, s: usize, residual: &[(f64, f64)]| Summary {
-            weight: residual[s].0 + items[j].weight,
-            volume: residual[s].1 + items[j].volume,
-            profit: items[j].profit,
-        };
-        members.iter_mut().for_each(Vec::clear);
-        for (j, s) in packing.placement().iter().enumerate() {
-            if let Some(s) = *s {
-                slot_of[j] = (s, members[s].len());
-                members[s].push(j);
+            if !improved {
+                break;
             }
         }
-        packed.fill(
-            packing
-                .placement()
-                .iter()
-                .enumerate()
-                .map(|(j, s)| s.map_or(Summary::NONE, |s| leaf(j, s, &residual))),
-        );
-        let mut gate = None;
-        for i in problem.scoring() {
-            let inc = &items[i];
-            if packing.sack_of(i).is_some() || !packed.root().yields_to(inc) {
-                continue;
-            }
-            let gate = gate.get_or_insert_with(|| {
-                let placed = packing.placement().iter().enumerate();
-                Staircase::new(placed.filter_map(|(j, s)| s.map(|s| leaf(j, s, &residual))))
-            });
-            if !gate.admits(inc) {
-                continue;
-            }
-            // Only packed leaves admit a swap, so `slot_of[j]` is current.
-            let Some(j) = packed.first_from(0, |out| out.yields_to(inc)) else { continue };
-            let (s, slot) = slot_of[j];
-            let freed = leaf(j, s, &residual);
-            packing.assign(j, None);
-            packing.assign(i, Some(s));
-            residual[s] = (freed.weight - inc.weight, freed.volume - inc.volume);
-            improved = true;
-            // Sack `s` changed residual and membership: re-key its leaves.
-            members[s][slot] = i;
-            slot_of[i] = (s, slot);
-            packed.set(j, Summary::NONE);
-            for &k in &members[s] {
-                let rekeyed = leaf(k, s, &residual);
-                packed.set(k, rekeyed);
-                gate.insert(rekeyed);
-            }
-        }
-
-        if !improved {
-            break;
-        }
+        packing
     }
-    packing
 }
 
 /// The swap gate of [`local_search`]: leaves as steps of weight headroom
@@ -527,14 +604,17 @@ pub fn local_search(problem: &Problem, initial: Packing, max_rounds: usize) -> P
 /// an item fits are a prefix whose last profit is their least, and an item
 /// it rejects is one no leaf admits. Steps of leaves a swap has since moved
 /// or re-keyed stay, and only admit more.
+#[derive(Debug, Default)]
 struct Staircase(Vec<(f64, f64)>);
 
 impl Staircase {
-    fn new(leaves: impl Iterator<Item = Summary>) -> Self {
-        let mut steps: Vec<(f64, f64)> = leaves.map(|leaf| (leaf.weight, leaf.profit)).collect();
+    /// Replaces the steps with those of `leaves`.
+    fn rebuild(&mut self, leaves: impl Iterator<Item = Summary>) {
+        let steps = &mut self.0;
+        steps.clear();
+        steps.extend(leaves.map(|leaf| (leaf.weight, leaf.profit)));
         steps.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
         steps.dedup_by(|next, kept| next.1 >= kept.1);
-        Self(steps)
     }
 
     /// Adds a leaf unless a step at no less headroom already has no more
@@ -556,7 +636,10 @@ impl Staircase {
 
 /// Convenience: greedy followed by local search.
 pub fn greedy_with_local_search(problem: &Problem) -> Packing {
-    local_search(problem, greedy(problem), 32)
+    with_scratch(|scratch| {
+        let packing = scratch.greedy(problem);
+        scratch.search.run(problem, packing, 32)
+    })
 }
 
 #[cfg(test)]

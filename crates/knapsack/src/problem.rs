@@ -147,6 +147,11 @@ impl Problem {
         Ok(Self { items, sacks })
     }
 
+    /// The items and the sacks, moved out of the problem.
+    pub fn into_parts(self) -> (Vec<Item>, Vec<Sack>) {
+        (self.items, self.sacks)
+    }
+
     /// The items.
     pub fn items(&self) -> &[Item] {
         &self.items
@@ -202,6 +207,11 @@ impl Packing {
     /// The raw placement vector.
     pub fn placement(&self) -> &[Option<usize>] {
         &self.placement
+    }
+
+    /// The raw placement vector, moved out of the packing.
+    pub fn into_placement(self) -> Vec<Option<usize>> {
+        self.placement
     }
 
     /// Sack of item `i` (`None` = unpacked).
@@ -276,16 +286,22 @@ impl Packing {
     ///
     /// Panics if the packing length disagrees with the problem.
     pub fn residual_capacities(&self, problem: &Problem) -> Vec<(f64, f64)> {
+        let mut residual = Vec::new();
+        self.residual_into(problem, &mut residual);
+        residual
+    }
+
+    /// [`Self::residual_capacities`], written over `residual`'s contents.
+    pub(crate) fn residual_into(&self, problem: &Problem, residual: &mut Vec<(f64, f64)>) {
         assert_eq!(self.placement.len(), problem.num_items(), "packing/problem size mismatch");
-        let mut residual: Vec<(f64, f64)> =
-            problem.sacks().iter().map(|s| (s.weight_capacity, s.volume_capacity)).collect();
+        residual.clear();
+        residual.extend(problem.sacks().iter().map(|s| (s.weight_capacity, s.volume_capacity)));
         for (i, p) in self.placement.iter().enumerate() {
             if let Some(s) = *p {
                 residual[s].0 -= problem.items()[i].weight;
                 residual[s].1 -= problem.items()[i].volume;
             }
         }
-        residual
     }
 }
 
