@@ -47,7 +47,7 @@ pub fn greedy(problem: &Problem) -> Packing {
     with_scratch(|scratch| scratch.greedy(problem))
 }
 
-/// The working buffers of the greedys and [`local_search`]. A controller
+/// The working buffers of [`greedy`] and [`local_search`]. A controller
 /// re-solves every round at fresh importances, so each thread keeps one set
 /// and every solve on it reuses them: after the first solve of a size, only
 /// the returned [`Packing`] is allocated afresh. Every buffer is cleared or
@@ -144,14 +144,8 @@ pub fn greedy_weighted(problem: &Problem, multipliers: &[f64]) -> Packing {
         multipliers.iter().all(|m| m.is_finite() && *m >= 0.0),
         "sack weights must be finite and non-negative"
     );
-    with_scratch(|scratch| {
-        scratch.density.sort(problem);
-        place_weighted(problem, &scratch.density, multipliers)
-    })
-}
-
-/// [`greedy_weighted`]'s scan over the items of a sorted `index`.
-fn place_weighted(problem: &Problem, index: &DensityIndex, multipliers: &[f64]) -> Packing {
+    let mut index = DensityIndex::default();
+    index.sort(problem);
     let mut residual: Vec<(f64, f64)> =
         problem.sacks().iter().map(|s| (s.weight_capacity, s.volume_capacity)).collect();
     let room = Summary::room(largest_room(residual.iter().copied()));

@@ -14,7 +14,7 @@
 //! the system allocator unchanged.
 
 use knapsack::generator::{generate, GeneratorConfig};
-use knapsack::greedy::{greedy, greedy_weighted, greedy_with_local_search, local_search};
+use knapsack::greedy::{greedy, greedy_with_local_search, local_search};
 use knapsack::problem::{Item, Packing, Problem, Sack};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -138,14 +138,12 @@ fn a_steady_re_solve_allocates_only_its_packing() {
     }
 }
 
-/// Every greedy entry point on one instance.
-fn solve_all(problem: &Problem) -> [Packing; 4] {
-    let multipliers: Vec<f64> = (0..problem.num_sacks()).map(|s| (s % 3) as f64).collect();
+/// Every entry point that reuses the buffers, on one instance.
+fn solve_all(problem: &Problem) -> [Packing; 3] {
     [
         greedy_with_local_search(problem),
         greedy(problem),
         local_search(problem, Packing::empty(problem.num_items()), 32),
-        greedy_weighted(problem, &multipliers),
     ]
 }
 
@@ -163,11 +161,11 @@ fn what_a_thread_solved_before_changes_no_packing() {
         generate(small, &mut rng),
         mesh_round(300, 0xB16, 2),
     ];
-    let fresh: Vec<[Packing; 4]> = sequence
+    let fresh: Vec<[Packing; 3]> = sequence
         .iter()
         .map(|p| std::thread::scope(|s| s.spawn(|| solve_all(p)).join().unwrap()))
         .collect();
-    let reused: Vec<[Packing; 4]> =
+    let reused: Vec<[Packing; 3]> =
         std::thread::scope(|s| s.spawn(|| sequence.iter().map(solve_all).collect()).join())
             .unwrap();
     for (k, (fresh, reused)) in fresh.iter().zip(&reused).enumerate() {
