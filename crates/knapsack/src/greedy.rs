@@ -480,7 +480,7 @@ fn place(problem: &Problem, index: &DensityIndex, order: &mut SlackOrder) -> Pac
 /// the residuals and the gate's steps — so once the thread has solved an
 /// instance of this size, a round allocates nothing.
 pub fn local_search(problem: &Problem, initial: Packing, max_rounds: usize) -> Packing {
-    with_scratch(|scratch| scratch.search.run(problem, initial, max_rounds))
+    with_scratch(|scratch| search(&mut scratch.search, problem, initial, max_rounds))
 }
 
 /// The working buffers of [`local_search`].
@@ -496,99 +496,103 @@ struct SearchState {
     gate: Staircase,
 }
 
-impl SearchState {
-    fn run(&mut self, problem: &Problem, initial: Packing, max_rounds: usize) -> Packing {
-        let Self { sacks, packed, members, slot_of, residual, gate } = self;
-        let items = problem.items();
-        let mut packing = initial;
-        sacks.reset(problem.num_sacks());
-        packed.reset(items.len());
-        if members.len() < problem.num_sacks() {
-            members.resize_with(problem.num_sacks(), Vec::new);
-        }
-        let members = &mut members[..problem.num_sacks()];
-        slot_of.clear();
-        slot_of.resize(items.len(), (0, 0));
-        for _ in 0..max_rounds {
-            packing.residual_into(problem, residual);
-            let mut improved = false;
-
-            // Insert moves.
-            sacks.fill(residual.iter().copied().map(Summary::room));
-            for i in problem.scoring() {
-                let item = &items[i];
-                if packing.sack_of(i).is_some() {
-                    continue;
-                }
-                if let Some(s) = sacks.first_from(0, |room| room.fits(item)) {
-                    packing.assign(i, Some(s));
-                    residual[s].0 -= item.weight;
-                    residual[s].1 -= item.volume;
-                    sacks.set(s, Summary::room(residual[s]));
-                    improved = true;
-                }
-            }
-
-            // Swap moves: out-item j (packed) replaced by in-item i (unpacked).
-            // A packed leaf holds what its sack would have left without it.
-            let leaf = |j: usize, s: usize, residual: &[(f64, f64)]| Summary {
-                weight: residual[s].0 + items[j].weight,
-                volume: residual[s].1 + items[j].volume,
-                profit: items[j].profit,
-            };
-            members.iter_mut().for_each(Vec::clear);
-            for (j, s) in packing.placement().iter().enumerate() {
-                if let Some(s) = *s {
-                    slot_of[j] = (s, members[s].len());
-                    members[s].push(j);
-                }
-            }
-            packed.fill(
-                packing
-                    .placement()
-                    .iter()
-                    .enumerate()
-                    .map(|(j, s)| s.map_or(Summary::NONE, |s| leaf(j, s, residual))),
-            );
-            let mut gated = false;
-            for i in problem.scoring() {
-                let inc = &items[i];
-                if packing.sack_of(i).is_some() || !packed.root().yields_to(inc) {
-                    continue;
-                }
-                if !gated {
-                    let placed = packing.placement().iter().enumerate();
-                    gate.rebuild(placed.filter_map(|(j, s)| s.map(|s| leaf(j, s, residual))));
-                    gated = true;
-                }
-                if !gate.admits(inc) {
-                    continue;
-                }
-                // Only packed leaves admit a swap, so `slot_of[j]` is current.
-                let Some(j) = packed.first_from(0, |out| out.yields_to(inc)) else { continue };
-                let (s, slot) = slot_of[j];
-                let freed = leaf(j, s, residual);
-                packing.assign(j, None);
-                packing.assign(i, Some(s));
-                residual[s] = (freed.weight - inc.weight, freed.volume - inc.volume);
-                improved = true;
-                // Sack `s` changed residual and membership: re-key its leaves.
-                members[s][slot] = i;
-                slot_of[i] = (s, slot);
-                packed.set(j, Summary::NONE);
-                for &k in &members[s] {
-                    let rekeyed = leaf(k, s, residual);
-                    packed.set(k, rekeyed);
-                    gate.insert(rekeyed);
-                }
-            }
-
-            if !improved {
-                break;
-            }
-        }
-        packing
+/// [`local_search`] in the buffers of `state`.
+fn search(
+    state: &mut SearchState,
+    problem: &Problem,
+    initial: Packing,
+    max_rounds: usize,
+) -> Packing {
+    let SearchState { sacks, packed, members, slot_of, residual, gate } = state;
+    let items = problem.items();
+    let mut packing = initial;
+    sacks.reset(problem.num_sacks());
+    packed.reset(items.len());
+    if members.len() < problem.num_sacks() {
+        members.resize_with(problem.num_sacks(), Vec::new);
     }
+    let members = &mut members[..problem.num_sacks()];
+    slot_of.clear();
+    slot_of.resize(items.len(), (0, 0));
+    for _ in 0..max_rounds {
+        packing.residual_into(problem, residual);
+        let mut improved = false;
+
+        // Insert moves.
+        sacks.fill(residual.iter().copied().map(Summary::room));
+        for i in problem.scoring() {
+            let item = &items[i];
+            if packing.sack_of(i).is_some() {
+                continue;
+            }
+            if let Some(s) = sacks.first_from(0, |room| room.fits(item)) {
+                packing.assign(i, Some(s));
+                residual[s].0 -= item.weight;
+                residual[s].1 -= item.volume;
+                sacks.set(s, Summary::room(residual[s]));
+                improved = true;
+            }
+        }
+
+        // Swap moves: out-item j (packed) replaced by in-item i (unpacked).
+        // A packed leaf holds what its sack would have left without it.
+        let leaf = |j: usize, s: usize, residual: &[(f64, f64)]| Summary {
+            weight: residual[s].0 + items[j].weight,
+            volume: residual[s].1 + items[j].volume,
+            profit: items[j].profit,
+        };
+        members.iter_mut().for_each(Vec::clear);
+        for (j, s) in packing.placement().iter().enumerate() {
+            if let Some(s) = *s {
+                slot_of[j] = (s, members[s].len());
+                members[s].push(j);
+            }
+        }
+        packed.fill(
+            packing
+                .placement()
+                .iter()
+                .enumerate()
+                .map(|(j, s)| s.map_or(Summary::NONE, |s| leaf(j, s, residual))),
+        );
+        let mut gated = false;
+        for i in problem.scoring() {
+            let inc = &items[i];
+            if packing.sack_of(i).is_some() || !packed.root().yields_to(inc) {
+                continue;
+            }
+            if !gated {
+                let placed = packing.placement().iter().enumerate();
+                gate.rebuild(placed.filter_map(|(j, s)| s.map(|s| leaf(j, s, residual))));
+                gated = true;
+            }
+            if !gate.admits(inc) {
+                continue;
+            }
+            // Only packed leaves admit a swap, so `slot_of[j]` is current.
+            let Some(j) = packed.first_from(0, |out| out.yields_to(inc)) else { continue };
+            let (s, slot) = slot_of[j];
+            let freed = leaf(j, s, residual);
+            packing.assign(j, None);
+            packing.assign(i, Some(s));
+            residual[s] = (freed.weight - inc.weight, freed.volume - inc.volume);
+            improved = true;
+            // Sack `s` changed residual and membership: re-key its leaves.
+            members[s][slot] = i;
+            slot_of[i] = (s, slot);
+            packed.set(j, Summary::NONE);
+            for &k in &members[s] {
+                let rekeyed = leaf(k, s, residual);
+                packed.set(k, rekeyed);
+                gate.insert(rekeyed);
+            }
+        }
+
+        if !improved {
+            break;
+        }
+    }
+    packing
 }
 
 /// The swap gate of [`local_search`]: leaves as steps of weight headroom
@@ -632,7 +636,7 @@ impl Staircase {
 pub fn greedy_with_local_search(problem: &Problem) -> Packing {
     with_scratch(|scratch| {
         let packing = scratch.greedy(problem);
-        scratch.search.run(problem, packing, 32)
+        search(&mut scratch.search, problem, packing, 32)
     })
 }
 
